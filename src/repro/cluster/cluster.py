@@ -172,9 +172,7 @@ class TAOCluster(ServiceCore):
         vnodes: int = 64,
         max_workers: Optional[int] = None,
         coordinator_factory: Optional[Callable[[ShardChainView], Coordinator]] = None,
-        enable_pipeline: bool = True,
         cycle_capacity: Optional[int] = None,
-        pipeline_queue_depth: int = 2,
     ) -> None:
         if num_shards < 1:
             raise ValueError("a cluster needs at least one shard")
@@ -194,13 +192,7 @@ class TAOCluster(ServiceCore):
         self.routing = routing
         self.max_workers = max_workers
         self.coordinator_factory = coordinator_factory
-        #: Per-shard drain pipelining: each shard overlaps its own cycles'
-        #: hash/execute/settle/dispute stages (chain appends stay in
-        #: protocol order through the shard's serial chain lane), on top of
-        #: the fleet-level shard concurrency.
-        self.enable_pipeline = bool(enable_pipeline)
         self.cycle_capacity = None if cycle_capacity is None else int(cycle_capacity)
-        self.pipeline_queue_depth = int(pipeline_queue_depth)
         self._route_rng = seeded_rng(routing_seed)
 
         self.ring = ConsistentHashRing(vnodes=vnodes)
@@ -252,9 +244,7 @@ class TAOCluster(ServiceCore):
             committee_size=self.committee_size,
             leaf_path=self.leaf_path,
             hash_cache=self.hash_cache,
-            enable_pipeline=self.enable_pipeline,
             cycle_capacity=self.cycle_capacity,
-            pipeline_queue_depth=self.pipeline_queue_depth,
         )
         shard = Shard(shard_id=shard_id, service=service, chain_view=view)
         self.shards[shard_id] = shard
@@ -544,10 +534,8 @@ class TAOCluster(ServiceCore):
             # fewer cores than workers, wall time inside a worker mostly
             # measures the other workers; CPU time is the shard's own demand,
             # and max over shards is the fleet's critical path on a
-            # one-core-per-worker deployment.  The service measures it stage
-            # by stage (``ServiceStats.busy_cpu_s``) because a pipelined
-            # drain spreads its CPU over stage worker threads — the calling
-            # worker's own clock would miss all of it.
+            # one-core-per-worker deployment.  The service accumulates it
+            # stage by stage (``ServiceStats.busy_cpu_s``).
             stats = shard.service.stats_record
             busy_before = stats.busy_cpu_s
             processed = shard.service.process(max_requests)
@@ -668,14 +656,6 @@ class TAOCluster(ServiceCore):
             dispute_rounds=base.dispute_rounds,
             processing_time_s=base.processing_time_s,
             busy_cpu_s=base.busy_cpu_s,
-            # Shards drain concurrently, so the fleet's modeled pipeline
-            # bottleneck is the slowest shard's, not the sum the sequential
-            # aggregate() computes (summing would destroy the per-shard
-            # overlap signal: busy/critical would cancel to ~1x).
-            pipeline_critical_s=max(
-                (s.service.stats_record.pipeline_critical_s
-                 for s in all_shards), default=0.0),
-            pipelined_drains=base.pipelined_drains,
             stage_busy_s=base.stage_busy_s,
             latencies_s=base.latencies_s,
             status_counts=base.status_counts,

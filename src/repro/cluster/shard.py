@@ -31,11 +31,10 @@ class Shard:
     #: Administratively drained: routing skips it, tenants migrated away.
     drained: bool = False
     #: Cumulative worker busy time (thread CPU seconds, summed over the
-    #: service's drain stages — a pipelined drain spreads them over stage
-    #: workers) across every process() drain of this shard.  Shards drain
-    #: concurrently, so the fleet's critical path is ``max`` over shards —
-    #: the service time a one-core-per-shard-worker deployment would
-    #: observe, measured independently of how many cores this host has.
+    #: service's drain stages) across every process() drain of this shard.
+    #: Shards drain concurrently, so the fleet's critical path is ``max``
+    #: over shards — the service time a one-core-per-shard-worker deployment
+    #: would observe, measured independently of how many cores this host has.
     busy_s: float = 0.0
     #: Requests this shard brought to a terminal status.
     processed: int = 0

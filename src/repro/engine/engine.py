@@ -164,7 +164,7 @@ class ExecutionEngine:
         per-request traces equivalent to sequential execution.  Callers
         never see the raggedness: a ``None`` from the batch-size/signature
         probes selects the fallback *inside* this method, so a ragged batch
-        submitted through the service (or a pipelined/cluster drain) must
+        submitted through the service (or a multi-cycle/cluster drain) must
         complete per-request with correct verdicts — pinned end-to-end by
         the ragged-batch tests in ``tests/test_tao_service.py``.
 

@@ -245,7 +245,6 @@ class ProcessFleet(ServiceCore):
         committee_size: int = 3,
         leaf_path: str = "routed",
         hash_cache: Optional[HashCache] = None,
-        enable_pipeline: bool = True,
         cycle_capacity: Optional[int] = None,
         max_batch: int = 32,
         enable_batching: bool = True,
@@ -281,7 +280,6 @@ class ProcessFleet(ServiceCore):
             "n_way": int(n_way),
             "committee_size": int(committee_size),
             "leaf_path": leaf_path,
-            "enable_pipeline": bool(enable_pipeline),
             "cycle_capacity": cycle_capacity,
         }
         self._context = multiprocessing.get_context(start_method)
@@ -1126,9 +1124,8 @@ class ProcessFleet(ServiceCore):
             **{key: getattr(total, key) for key in (
                 "requests_submitted", "requests_completed", "cache_hits",
                 "batched_requests", "disputes_opened", "dispute_rounds",
-                "processing_time_s", "busy_cpu_s", "pipeline_critical_s",
-                "pipelined_drains", "stage_busy_s", "latencies_s",
-                "status_counts")},
+                "processing_time_s", "busy_cpu_s", "stage_busy_s",
+                "latencies_s", "status_counts")},
             workers=len(self._live_workers()),
             measured_wall_s=self.measured_wall_s,
         )

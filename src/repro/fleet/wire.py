@@ -166,8 +166,6 @@ def stats_to_payload(stats: ServiceStats) -> Dict[str, Any]:
         "dispute_rounds": int(stats.dispute_rounds),
         "processing_time_s": float(stats.processing_time_s),
         "busy_cpu_s": float(stats.busy_cpu_s),
-        "pipeline_critical_s": float(stats.pipeline_critical_s),
-        "pipelined_drains": int(stats.pipelined_drains),
         "stage_busy_s": {stage: float(seconds)
                          for stage, seconds in stats.stage_busy_s.items()},
         "latencies_s": [float(value) for value in stats.latencies_s],
@@ -186,8 +184,6 @@ def stats_from_payload(payload: Dict[str, Any]) -> ServiceStats:
         dispute_rounds=int(payload["dispute_rounds"]),
         processing_time_s=float(payload["processing_time_s"]),
         busy_cpu_s=float(payload["busy_cpu_s"]),
-        pipeline_critical_s=float(payload["pipeline_critical_s"]),
-        pipelined_drains=int(payload["pipelined_drains"]),
         stage_busy_s=dict(payload["stage_busy_s"]),
         latencies_s=list(payload["latencies_s"]),
         status_counts=dict(payload["status_counts"]),

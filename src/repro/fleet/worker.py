@@ -41,8 +41,7 @@ from repro.protocol.service import ServiceRequest, TAOService
 #: TAOService constructor knobs the hello message may carry.
 _SERVICE_KNOBS = (
     "max_batch", "enable_batching", "enable_result_cache", "result_cache_size",
-    "alpha", "n_way", "committee_size", "leaf_path", "enable_pipeline",
-    "cycle_capacity", "pipeline_queue_depth",
+    "alpha", "n_way", "committee_size", "leaf_path", "cycle_capacity",
 )
 
 

@@ -4,10 +4,7 @@
 layer the ROADMAP's production goal needs on top of it: a **multi-tenant
 service** that keeps many requests in flight against one coordinator.
 
-Request life cycle inside :meth:`TAOService.process` — four explicit stages,
-run strictly in sequence by the reference drain
-(:meth:`TAOService.drain_reference`) and overlapped across cycles by the
-stage-pipelined drain (:mod:`repro.pipeline`, the default):
+Request life cycle inside :meth:`TAOService.process`:
 
 1. **Queue** — :meth:`TAOService.submit` enqueues (model, inputs) pairs;
    tenants are models registered once via :meth:`TAOService.register_model`
@@ -33,21 +30,12 @@ stage-pipelined drain (:mod:`repro.pipeline`, the default):
    unchallenged tasks finalize; every processed request ends in a terminal
    coordinator status.
 
-Nothing in the protocol requires the *service* to run that sequence
-lock-step across requests: commitment hashing for cycle N+1 can overlap
-proposer execution of cycle N and the multiplexed dispute rounds of cycle
-N-1.  The default drain therefore decomposes each cycle into the four stages
-above — *hash* (HashCache + Merkle input digests), *execute*
-(ExecutionEngine batch + challenger verification), *settle* (chain append +
-challenge-window bookkeeping) and *dispute* (round-robin
-``DisputeGame.step_round`` multiplexing) — and runs them on a
-:class:`~repro.pipeline.core.Pipeline`: one worker per stage, bounded
-hand-off queues with backpressure, and the chain-touching *settle* and
-*dispute* stages serialized in exact protocol order on one
-:class:`~repro.pipeline.stages.SerialLane`.  Every protocol-observable event
-(chain transaction, dispute move, finalization) happens in the same order
-the synchronous drain produces, so the two drains are byte-identical — the
-differential pin in ``tests/test_pipeline_equivalence.py``.
+A drain admits the queue in bounded cycles and runs each cycle through four
+stages strictly in sequence — *hash* (HashCache + Merkle input digests),
+*execute* (ExecutionEngine batch + challenger verification), *settle* (chain
+append + challenge-window bookkeeping) and *dispute* (round-robin
+``DisputeGame.step_round`` multiplexing) — timing each stage's thread CPU
+into :attr:`ServiceStats.stage_busy_s`.
 
 Throughput/latency statistics are collected per request and aggregated in
 :meth:`TAOService.stats`.
@@ -76,7 +64,6 @@ from repro.calibration.thresholds import ExceedanceReport
 from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
 from repro.merkle.commitments import execution_input_hash, make_execution_commitment
-from repro.pipeline import Pipeline, PipelineStats, StageDef
 from repro.protocol.coordinator import Coordinator
 from repro.protocol.dispute import ActiveDispute, DisputeGame
 from repro.protocol.lifecycle import SessionReport, TAOSession
@@ -154,19 +141,10 @@ class ServiceStats:
     disputes_opened: int = 0
     dispute_rounds: int = 0
     processing_time_s: float = 0.0
-    #: Thread-CPU seconds spent inside drain stages — the service's own
-    #: demand (the sequential-equivalent drain cost), measured independently
+    #: Thread-CPU seconds spent inside drain stages (the sum of
+    #: ``stage_busy_s``) — the service's own demand, measured independently
     #: of host core count and GIL interleaving.
     busy_cpu_s: float = 0.0
-    #: Modeled bottleneck time of the drains: for a pipelined drain the
-    #: slowest stage group (chain-lane stages sum, independent stages don't);
-    #: for a synchronous drain identical to ``busy_cpu_s``.  The pipeline
-    #: throughput benchmark gates ``busy_cpu_s / pipeline_critical_s``.
-    #: Sums across *sequential* drains of one service; across concurrent
-    #: shards the cluster overrides the aggregate with the max over shards.
-    pipeline_critical_s: float = 0.0
-    #: Drains that actually overlapped stages (>= 2 cycles on the pipeline).
-    pipelined_drains: int = 0
     #: Per-stage busy breakdown (hash / execute / settle / dispute).
     stage_busy_s: Dict[str, float] = field(default_factory=dict)
     latencies_s: List[float] = field(default_factory=list)
@@ -194,8 +172,6 @@ class ServiceStats:
             "dispute_rounds": self.dispute_rounds,
             "processing_time_s": self.processing_time_s,
             "busy_cpu_s": self.busy_cpu_s,
-            "pipeline_critical_s": self.pipeline_critical_s,
-            "pipelined_drains": self.pipelined_drains,
             "stage_busy_s": dict(self.stage_busy_s),
             "throughput_rps": self.throughput_rps,
             "mean_latency_s": self.mean_latency_s,
@@ -215,8 +191,6 @@ class ServiceStats:
             total.dispute_rounds += part.dispute_rounds
             total.processing_time_s += part.processing_time_s
             total.busy_cpu_s += part.busy_cpu_s
-            total.pipeline_critical_s += part.pipeline_critical_s
-            total.pipelined_drains += part.pipelined_drains
             for stage, seconds in part.stage_busy_s.items():
                 total.stage_busy_s[stage] = \
                     total.stage_busy_s.get(stage, 0.0) + seconds
@@ -229,13 +203,12 @@ class ServiceStats:
 
 @dataclass
 class _CycleState:
-    """Everything one processing cycle carries between pipeline stages.
+    """Everything one processing cycle carries between drain stages.
 
     A cycle is the unit flowing through the drain: hashed, executed, settled
     and disputed as a whole.  All mutable per-cycle state lives here (never
-    on the service), so concurrent cycles in different stages share nothing
-    but the explicitly synchronized resources (result cache on the execute
-    worker, the chain on the serial chain lane).
+    on the service), so a failed drain can tell from each cycle's state
+    which of its requests still go back to the queue.
     """
 
     index: int
@@ -351,9 +324,7 @@ class TAOService(ServiceCore):
         committee_size: int = 3,
         leaf_path: str = "routed",
         hash_cache: Optional[HashCache] = None,
-        enable_pipeline: bool = True,
         cycle_capacity: Optional[int] = None,
-        pipeline_queue_depth: int = 2,
     ) -> None:
         self.coordinator = coordinator or Coordinator()
         self.devices = tuple(devices)
@@ -368,16 +339,13 @@ class TAOService(ServiceCore):
         # An externally shared cache lets many short-lived services over the
         # same committed weights (e.g. simulator scenarios) reuse digests.
         self.hash_cache = hash_cache or HashCache()
-        #: Overlap cycles on the stage pipeline when a drain spans more than
-        #: one (:meth:`drain_reference` always runs the synchronous path).
-        self.enable_pipeline = bool(enable_pipeline)
         #: Optional cap on requests per cycle, clamped to the protocol bound
-        #: (:meth:`_cycle_capacity`).  Smaller cycles mean finer pipelining
-        #: granularity — more cycles in flight for the same drain.
+        #: (:meth:`_cycle_capacity`).
         self.cycle_capacity = None if cycle_capacity is None else int(cycle_capacity)
-        self.pipeline_queue_depth = int(pipeline_queue_depth)
-        #: Stage/queue accounting of the most recent pipelined drain.
-        self.last_pipeline_stats: Optional[PipelineStats] = None
+        #: Always ``None``: every drain runs its cycles synchronously, so
+        #: there is no stage-overlap accounting to report.  Kept because
+        #: external benchmark harnesses read it after each ``process()``.
+        self.last_pipeline_stats = None
 
         self._models: Dict[str, ModelEntry] = {}
         self._queue: Deque[int] = deque()
@@ -556,8 +524,7 @@ class TAOService(ServiceCore):
     # Processing
     # ------------------------------------------------------------------
 
-    def process(self, max_requests: Optional[int] = None,
-                pipelined: Optional[bool] = None) -> List[ServiceRequest]:
+    def process(self, max_requests: Optional[int] = None) -> List[ServiceRequest]:
         """Drain (up to ``max_requests`` of) the queue to terminal statuses.
 
         The drain proceeds in bounded cycles: every coordinator transaction
@@ -565,24 +532,15 @@ class TAOService(ServiceCore):
         every task's challenge window is still live, so each cycle takes at
         most :meth:`_cycle_capacity` requests through submit -> verify ->
         dispute -> finalize before the next cycle starts.
-
-        When more than one cycle is admitted and pipelining is enabled, the
-        cycles overlap on the stage pipeline (:meth:`_drain_pipelined`);
-        otherwise each cycle's stages run strictly in sequence.  Both paths
-        produce byte-identical protocol events.
         """
-        use_pipeline = self.enable_pipeline if pipelined is None else bool(pipelined)
         cycles = self._admit_cycles(max_requests)
         if not cycles:
             return []
         started = now()
         processed: List[ServiceRequest] = []
         try:
-            if use_pipeline and len(cycles) > 1:
-                processed = self._drain_pipelined(cycles)
-            else:
-                for cycle in cycles:
-                    processed.extend(self._run_cycle(cycle))
+            for cycle in cycles:
+                processed.extend(self._run_cycle(cycle))
         except BaseException:
             # A stage failure must not strand the admitted-but-untouched
             # requests: every request that never produced a side effect
@@ -592,15 +550,6 @@ class TAOService(ServiceCore):
             raise
         self.stats_record.processing_time_s += now() - started
         return processed
-
-    def drain_reference(self, max_requests: Optional[int] = None) -> List[ServiceRequest]:
-        """The synchronous reference drain: stages strictly in sequence.
-
-        Semantically the seed drain — the pipelined drain is pinned
-        byte-identical to it (same per-request verdicts, same chain
-        transaction order, same ledger) by the differential test.
-        """
-        return self.process(max_requests, pipelined=False)
 
     def _cycle_capacity(self) -> int:
         """Requests per cycle such that no challenge window lapses mid-cycle.
@@ -681,65 +630,21 @@ class TAOService(ServiceCore):
                 counts[request.status] = counts.get(request.status, 0) + 1
         self._queue.extendleft(reversed(requeue))
 
-    def _stage_table(self) -> Tuple[Tuple[str, object, Optional[str]], ...]:
-        """The drain's stages in order: (name, callable, serial lane)."""
-        return (
-            ("hash", self._stage_hash, None),
-            ("execute", self._stage_execute, None),
-            # Settle and dispute both append to the settlement chain, whose
-            # transaction order is protocol-observable: they share one
-            # serial lane so settle(N+1) can never overtake dispute(N).
-            ("settle", self._stage_settle, "chain"),
-            ("dispute", self._stage_dispute, "chain"),
-        )
-
     def _run_cycle(self, cycle: _CycleState) -> List[ServiceRequest]:
-        """Reference composition: the four stages, strictly in sequence."""
+        """Run one cycle's four stages in sequence, timing each one."""
         stats = self.stats_record
-        for name, stage_fn, _lane in self._stage_table():
+        for name, stage_fn in (("hash", self._stage_hash),
+                               ("execute", self._stage_execute),
+                               ("settle", self._stage_settle),
+                               ("dispute", self._stage_dispute)):
             cpu_start = thread_now()
             stage_fn(cycle)
             elapsed = thread_now() - cpu_start
             stats.busy_cpu_s += elapsed
-            stats.pipeline_critical_s += elapsed  # serial: everything is critical
             stats.stage_busy_s[name] = stats.stage_busy_s.get(name, 0.0) + elapsed
         return cycle.batch
 
-    def _drain_pipelined(self, cycles: List[_CycleState]) -> List[ServiceRequest]:
-        """Overlap the admitted cycles on the stage pipeline.
-
-        Hash and execute are pure compute (HashCache is thread-safe, the
-        result cache is confined to the single execute worker), so they run
-        concurrently with the chain lane, where settle and dispute replay
-        every protocol event in exactly the reference order.
-        """
-        pipeline = Pipeline(
-            [StageDef(name, stage_fn, lane=lane)
-             for name, stage_fn, lane in self._stage_table()],
-            queue_depth=self.pipeline_queue_depth,
-        )
-        try:
-            batches = pipeline.run(cycles)
-        finally:
-            # Fold the run's accounting in even when a stage failed and
-            # run() re-raises (its stats are complete by then): the CPU the
-            # completed stages burned is real demand, and the cluster's
-            # shard busy clock reads busy_cpu_s deltas around process().
-            stats = self.stats_record
-            run_stats = pipeline.stats
-            self.last_pipeline_stats = run_stats
-            stats.busy_cpu_s += run_stats.busy_total_s
-            stats.pipeline_critical_s += run_stats.critical_path_s
-            stats.pipelined_drains += 1
-            for stage in run_stats.stages:
-                stats.stage_busy_s[stage.name] = \
-                    stats.stage_busy_s.get(stage.name, 0.0) + stage.busy_cpu_s
-        processed: List[ServiceRequest] = []
-        for batch in batches:
-            processed.extend(batch)
-        return processed
-
-    # -- pipeline stages ---------------------------------------------------
+    # -- drain stages ------------------------------------------------------
 
     def _stage_hash(self, cycle: _CycleState) -> _CycleState:
         """Stage 1 — hash/commit: route requests, digest default payloads.
@@ -769,7 +674,7 @@ class TAOService(ServiceCore):
 
         The only stage that touches the per-model result caches (lookups,
         inserts and LRU eviction), so cache state advances in exact cycle
-        order even while other stages overlap.
+        order.
         """
         for model_name, requests in cycle.default_path.items():
             entry = self.model(model_name)
@@ -828,11 +733,11 @@ class TAOService(ServiceCore):
         return cycle
 
     def _stage_settle(self, cycle: _CycleState) -> _CycleState:
-        """Stage 3 — settle: chain submission + dispute opening (chain lane).
+        """Stage 3 — settle: chain submission + dispute opening.
 
         Submits every request as its own coordinator task — default-path
-        groups first, then custom proposers, matching the reference order
-        exactly — then opens every dispute while all of the cycle's
+        groups first (in the order the hash stage grouped them), then custom
+        proposers — then opens every dispute while all of the cycle's
         challenge windows are still live (chain time moves with every
         transaction, so disputes must open before windows may lapse).
         """
@@ -891,9 +796,9 @@ class TAOService(ServiceCore):
     def _stage_dispute(self, cycle: _CycleState) -> List[ServiceRequest]:
         """Stage 4 — dispute: multiplex games, finalize, close the cycle.
 
-        Runs on the chain lane directly after the cycle's settle stage, so
-        dispute rounds, the window advance and finalizations land on the
-        chain in exactly the reference order.
+        Runs directly after the cycle's settle stage, so dispute rounds, the
+        window advance and finalizations land on the chain before the next
+        cycle submits anything.
         """
         running = list(cycle.actives)
         while running:

@@ -15,8 +15,8 @@ Three invariant families, checked after every scenario:
 **Liveness**
   * L1 — every accepted request reaches a terminal coordinator status by the
     end of its drain (no task left ``pending``, no dispute left open, and no
-    request stranded on a service queue — a pipelined drain must hand every
-    admitted cycle back, not just the ones that cleared every stage).
+    request stranded on a service queue — a multi-cycle drain must hand
+    every admitted cycle back, not just the ones that cleared every stage).
   * L2 — rejected requests are terminal too, and never touched the chain.
 
 **Conservation**

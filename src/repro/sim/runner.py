@@ -10,10 +10,10 @@ chain (both implement :class:`~repro.protocol.service.ServiceCore`, so the
 drive loop is identical).  ``drain_home_at_cycle`` injects a shard failover
 between a cycle's submissions and its drain, re-dispatching the in-flight
 events across shards; ``undrain_home_at_cycle`` returns the drained shard to
-service before a later cycle's submissions (the elastic scale-up leg).  ``Scenario(pipelined=..., cycle_capacity=...)``
-selects the drain path: the stage-pipelined drain (with small cycles so
-faulty dispute rounds genuinely overlap later cycles' execution) or the
-synchronous reference — the invariant families apply identically to both.  What comes back — coordinator statuses, dispute
+service before a later cycle's submissions (the elastic scale-up leg).
+``Scenario(cycle_capacity=...)`` splits each drain into small cycles, so one
+burst's faulty disputes settle before the next cycle of the same burst
+submits.  What comes back — coordinator statuses, dispute
 outcomes, the transaction log, the ledger — is handed to the invariant
 checker untouched.
 
@@ -281,7 +281,6 @@ def _build_service(scenario: Scenario, workload: SimWorkload,
             leaf_path=scenario.leaf_path,
             committee_size=scenario.committee_size,
             hash_cache=workload.hash_cache,
-            enable_pipeline=scenario.pipelined,
             cycle_capacity=scenario.cycle_capacity,
             actor_module="repro.sim.fleet_actors",
             recovery="journal" if journal_recovery else "failover",
@@ -304,7 +303,6 @@ def _build_service(scenario: Scenario, workload: SimWorkload,
             leaf_path=scenario.leaf_path,
             committee_size=scenario.committee_size,
             hash_cache=workload.hash_cache,
-            enable_pipeline=scenario.pipelined,
             cycle_capacity=scenario.cycle_capacity,
         )
     else:
@@ -314,7 +312,6 @@ def _build_service(scenario: Scenario, workload: SimWorkload,
             leaf_path=scenario.leaf_path,
             committee_size=scenario.committee_size,
             hash_cache=workload.hash_cache,
-            enable_pipeline=scenario.pipelined,
             cycle_capacity=scenario.cycle_capacity,
         )
     session_kwargs = {}

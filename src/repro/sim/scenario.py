@@ -113,18 +113,14 @@ class Scenario:
     #: cycle's drain resumes.  Exercises the crash-recovery path under
     #: whatever faults the cycle carries.
     crash_home_at_cycle: Optional[int] = None
-    #: Whether the service drains on the stage pipeline (the service
-    #: default) or the synchronous reference path.  Pipelining only overlaps
-    #: when a drain spans several cycles — pair with ``cycle_capacity``.
-    pipelined: bool = True
     #: Whether the session adopts the workload's calibrated committee-leaf
     #: acceptance envelope (when the workload carries one).  ``False`` runs
     #: the pre-calibration reference tolerance — the setting under which the
     #: ROADMAP defect seeds reproduce their S1/S3 violations.
     calibrated_committee: bool = True
     #: Per-cycle request cap handed to the service (clamped to the protocol
-    #: bound).  Small values split one burst into many in-flight cycles, so
-    #: faulty disputes of cycle N genuinely overlap execution of cycle N+1.
+    #: bound).  Small values split one burst into many cycles, so faulty
+    #: disputes of cycle N settle before cycle N+1 of the same burst submits.
     cycle_capacity: Optional[int] = None
     #: Pool of fleet device indices ``device_drift`` events draw their
     #: drifted proposer from.  The default is the full calibrated fleet (and

@@ -9,11 +9,11 @@ and per-request service latencies are routinely well under a millisecond.
 No module outside this one may call ``time.perf_counter`` directly (guarded
 by ``tests/test_utils_rng_timing.py``): routing every read through these
 aliases keeps the whole stack on one virtualizable clock, which the
-pipeline's latency accounting — and any future simulated-time harness —
+service's latency accounting — and any future simulated-time harness —
 depends on.
 
 :func:`thread_now` is the busy-time counterpart: per-thread CPU seconds,
-used by the cluster's shard workers and the pipeline's stage workers to
+used by the service's drain stages and the cluster's shard workers to
 measure their *own* demand independently of how many cores this host has or
 how the GIL interleaves them.
 """

@@ -116,7 +116,7 @@ def test_spawn_roundtrip_protocol_frames(spawn_echo):
         "shard_id": "shard-3",
         "block_interval_s": 12.0,
         "service": {"n_way": 2, "cycle_capacity": None, "leaf_path": "routed",
-                    "enable_pipeline": True},
+                    "enable_batching": True},
         "actor_module": "repro.fleet.actors",
     }
     assert _roundtrip(spawn_echo, hello) == hello
@@ -165,8 +165,8 @@ def test_spawn_roundtrip_model_and_stats_payloads(spawn_echo, mlp_graph,
     stats = ServiceStats(
         requests_submitted=9, requests_completed=8, cache_hits=2,
         batched_requests=3, disputes_opened=1, dispute_rounds=4,
-        processing_time_s=0.25, busy_cpu_s=0.125, pipeline_critical_s=0.0625,
-        pipelined_drains=2, stage_busy_s={"execute": 0.5, "verify": 0.25},
+        processing_time_s=0.25, busy_cpu_s=0.125,
+        stage_busy_s={"execute": 0.5, "verify": 0.25},
         latencies_s=[0.03125, 0.0625], status_counts={"finalized": 8},
     )
     echoed = stats_from_payload(_roundtrip(spawn_echo, stats_to_payload(stats)))

@@ -258,6 +258,37 @@ def test_interleaved_dispute_gas_accounting_is_exact(service, mlp_graph,
         assert report.dispute.statistics.gas_used == multiplexed_gas[victim], victim
 
 
+def test_multicycle_drain_accounts_busy_time_per_stage(mlp_graph, mlp_thresholds,
+                                                      mlp_input_factory):
+    """A drain spanning several cycles times every stage of every cycle.
+
+    The service's busy clock is the sum of its four stage clocks — the
+    cluster's shard busy time reads it — and each stage is keyed by name.
+    """
+    service = TAOService(n_way=2, cycle_capacity=2)
+    service.register_model(mlp_graph, threshold_table=mlp_thresholds)
+    session = service.model("tiny_mlp").session
+    adv = session.make_adversarial_proposer(
+        "stage-cheater", {_victim_operator(mlp_graph): np.float32(0.05)})
+    for i in range(7):
+        service.submit("tiny_mlp", mlp_input_factory(960 + i),
+                       proposer=adv if i == 3 else None,
+                       force_challenge=(i == 5))
+    service.submit("tiny_mlp", {"x": np.zeros((4, 7), dtype=np.float32)})
+
+    processed = service.process()
+    assert len(processed) == 8                  # 4 cycles of 2
+    stats = service.stats()
+    assert stats.requests_completed == 8
+    assert stats.disputes_opened >= 2             # the cheat + the forced one
+    assert stats.status_counts.get("rejected") == 1
+    assert set(stats.stage_busy_s) == {"hash", "execute", "settle", "dispute"}
+    assert stats.busy_cpu_s > 0
+    assert stats.busy_cpu_s == pytest.approx(sum(stats.stage_busy_s.values()),
+                                             rel=1e-9)
+    assert service.last_pipeline_stats is None
+
+
 def test_every_request_is_a_coordinator_task(service, mlp_input_factory):
     """Request/task bijection: fees and windows are accounted per request."""
     ids = [service.submit("tiny_mlp", mlp_input_factory(200 + i)) for i in range(5)]
@@ -279,8 +310,8 @@ def test_result_cache_bound_holds_under_mixed_traffic(mlp_graph, mlp_thresholds,
     Every insert path must evict: a cache touched by hits (``move_to_end``)
     but grown past its bound by inserts would pin unboundedly many recorded
     traces.  The traffic mixes cross-cycle hits, in-cycle duplicates and a
-    rotating miss set larger than the cache, across many drains and both
-    drain paths.
+    rotating miss set larger than the cache, across many multi-cycle
+    drains.
     """
     bound = 3
     service = TAOService(n_way=2, result_cache_size=bound, cycle_capacity=2)
@@ -292,10 +323,7 @@ def test_result_cache_bound_holds_under_mixed_traffic(mlp_graph, mlp_thresholds,
             seed = 800 + (wave * 3 + i) % 9   # 9 distinct payloads > bound
             service.submit("tiny_mlp", mlp_input_factory(seed))
         service.submit("tiny_mlp", mlp_input_factory(800))  # in-cycle dupe bait
-        if wave % 2 == 0:
-            service.process()                  # pipelined drain (4 cycles)
-        else:
-            service.drain_reference()          # synchronous drain
+        service.process()                      # 4 cycles per drain
         assert len(entry.result_cache) <= bound, f"wave {wave}"
 
     stats = service.stats()
@@ -383,7 +411,7 @@ def test_ragged_trailing_batch_falls_back_per_request(mlp_input_factory):
 
 
 def test_ragged_trailing_batch_through_cluster(mlp_input_factory):
-    """The same ragged stream through a sharded, pipelined cluster."""
+    """The same ragged stream through a sharded, multi-cycle cluster."""
     from repro.cluster import TAOCluster
 
     graph = trace_module(_ElasticHead(), _elastic_inputs(0), name="elastic_c")
@@ -424,7 +452,7 @@ def test_stage_failure_requeues_unprocessed_requests(mlp_graph, mlp_thresholds,
 
     service.coordinator.submit_result = flaky_submit
     with pytest.raises(RuntimeError, match="transient chain failure"):
-        service.drain_reference()
+        service.process()
 
     # The first cycle completed; every untouched request is queued again.
     assert service.pending_count == 6
@@ -469,7 +497,7 @@ def test_stage_failure_marks_settled_requests_stranded(mlp_graph, mlp_thresholds
 
     service.coordinator.submit_result = flaky_submit
     with pytest.raises(RuntimeError, match="transient chain failure"):
-        service.drain_reference()
+        service.process()
 
     stranded = service.request(ids[0])
     assert stranded.status == "stranded"
@@ -518,7 +546,7 @@ def test_stage_failure_after_finalize_adopts_task_status(mlp_graph,
 
     service.coordinator.try_finalize = flaky_finalize
     with pytest.raises(RuntimeError, match="transient chain failure"):
-        service.drain_reference()
+        service.process()
 
     assert service.request(first).status == TaskStatus.FINALIZED.value
     assert service.request(first).error is None

@@ -52,7 +52,7 @@ def test_no_direct_perf_counter_outside_timing():
     """Every latency read goes through ``repro.utils.timing``.
 
     The consolidated clock is what makes latency accounting virtualizable:
-    the pipeline's per-stage wait/busy attribution (and any future
+    the service's per-stage busy attribution (and any future
     simulated-time harness) assumes exactly one clock source.  A direct
     ``time.perf_counter`` call anywhere else in ``src/repro`` reintroduces
     an unvirtualizable clock, so this guard greps the whole package.
