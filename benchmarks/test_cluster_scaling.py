@@ -4,19 +4,17 @@ Two questions, answered on the cached MLP serving workload (16 tenant
 replicas of a small classifier head, each serving a stream of repeated
 payloads at steady state):
 
-1. **Scaling** — fleet throughput at 1/2/4/8 shards.  Shards drain
-   concurrently, one worker each, so the fleet's service time is its
-   *critical path*: the maximum per-shard worker busy time (what a
-   deployment with one core per shard worker observes; per-shard busy time
-   is genuinely measured, per shard, on this host).  The measured
-   single-host wall-clock is reported alongside: on a multi-core host the
-   thread pool realizes the parallel number; on a single-core host (such as
-   most CI containers) it cannot exceed 1x by physics, and the table says
-   so rather than pretending otherwise.  Both speedups are thread-CPU or
-   wall-clock ratios that swing with whatever else the process has run, so
-   the table reports them against their targets (>= 2x modeled at 4 shards,
-   8 shards above 2, >= 0.5x measured at 4 shards) instead of gating on
-   them.  The gate is deterministic: every shard hosts a tenant at 2 and 4
+1. **Scaling** — fleet throughput at 1/2/4/8 shards.  The fleet's
+   modeled service time is its *critical path*: the maximum per-shard busy
+   time (what a deployment with one core per shard observes; per-shard busy
+   time is genuinely measured, per shard, on this host).  The cluster
+   drains its shards one after another on the calling thread, so the
+   measured single-host wall clock reported alongside stays near the
+   1-shard number; the process fleet is the tier that measures parallel
+   wall clock.  Both speedups are thread-CPU or wall-clock ratios that swing
+   with whatever else the process has run, so the table reports them
+   (target >= 2x modeled at 4 shards, 8 shards above 2) instead of gating
+   on them.  The gate is deterministic: every shard hosts a tenant at 2 and 4
    shards, and every deployment completes the whole stream.
 
 2. **Locality** — consistent-hash routing pins each tenant (and therefore
@@ -183,24 +181,23 @@ def test_cluster_scaling(benchmark):
           r["parallel_rps"] / base["parallel_rps"],
           r["wall_s"], r["measured_rps"], str(r["tenants_per_shard"])]
          for num_shards, r in scaling.items()],
-        notes=("Shards drain concurrently (one worker each); the fleet's service "
-               "time is the critical path max(per-shard worker busy time), "
-               "where busy time is each worker's measured thread CPU time — "
-               "the shard's own demand, independent of how many cores this "
-               "host has.  'parallel rps' is completed/critical-path: the "
-               "fleet throughput with one core per shard worker, which is the "
-               "deployment the cluster models.  'measured rps' is this host's "
-               "thread-pool wall clock; on a single-core container it cannot "
-               "exceed the 1-shard number and is reported for honesty, not "
-               "gated.  Tenant placement is by consistent hash of the model "
+        notes=("Shards drain one after another on the calling thread; the "
+               "fleet's modeled service time is the critical path "
+               "max(per-shard busy time), where busy time is each shard's "
+               "measured thread CPU time — the shard's own demand, "
+               "independent of how many cores this host has.  'parallel rps' "
+               "is completed/critical-path: the fleet throughput with one "
+               "core per shard, which is the deployment the cluster models.  "
+               "'measured rps' is this host's wall clock around the "
+               "sequential drain; it stays near the 1-shard number and is "
+               "reported, not gated.  Tenant placement is by consistent hash of the model "
                "commitment digest (64 vnodes/shard).  Speedup targets, "
                "reported and not gated (thread-CPU and wall ratios move with "
                "the rest of the test process): modeled 4-shard speedup "
                f"{modeled_4:.2f}x (target >= 2x); 8-shard parallel rps "
                f"{scaling[8]['parallel_rps']:.4g} vs 2-shard "
                f"{scaling[2]['parallel_rps']:.4g} (target: 8 above 2); "
-               f"measured 4-shard wall speedup {measured_4:.2f}x "
-               "(target >= 0.5x)."),
+               f"measured 4-shard wall ratio {measured_4:.2f}x."),
     )
     emit_table(
         "cluster_scaling_locality",

@@ -28,12 +28,12 @@ from typing import List, Tuple
 from repro.elastic import (
     Autoscaler,
     AutoscalerConfig,
-    FleetTarget,
     LatencyDigest,
     OpenLoopDriver,
     OpenLoopGenerator,
     RateSchedule,
     SLOConfig,
+    ShardTarget,
     SLOTracker,
 )
 from repro.fleet import ProcessFleet
@@ -120,7 +120,7 @@ def test_elastic_slo(benchmark):
                 min_workers=1, max_workers=MAX_WORKERS,
                 queue_high_per_worker=4.0, queue_low_per_worker=0.5,
                 cooldown_ticks=0, scale_down_patience=50)
-            autoscaler = Autoscaler(FleetTarget(elastic, config), config)
+            autoscaler = Autoscaler(ShardTarget(elastic, config), config)
             elastic_report = _drive(elastic, graphs, thresholds, arrivals,
                                     autoscaler=autoscaler)
             elastic_ledger = (dict(elastic.chain.balances),

@@ -13,25 +13,16 @@ enforced when the host actually has >= 4 cores; a single-core container
 cannot exceed 1x by physics, so there the table still reports the measured
 numbers (stamped with the host provenance) and the gate is skipped rather
 than faked.
-
-The worker pool's second job is benchmarked alongside: chunk-parallel
-Merkle weight commitment, whose root must be byte-identical to the serial
-:func:`~repro.merkle.commitments.commit_weights` whatever the measured
-speedup is.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-import time
 from collections import Counter
 from typing import Dict, List
 
-import numpy as np
-
 from repro.fleet import ProcessFleet
-from repro.merkle.commitments import commit_weights
 
 from benchmarks.reporting import emit_table
 from benchmarks.test_cluster_scaling import (
@@ -47,11 +38,6 @@ WORKER_COUNTS = (1, 2, 4)
 GATE_WORKERS = 4
 GATE_SPEEDUP = 1.6
 STREAM_TOTAL = NUM_TENANTS * DISTINCT_PAYLOADS * REPEATS
-
-#: Synthetic checkpoint for the commitment benchmark: large enough that
-#: serialization+hashing dominates the RPC round trip.
-MERKLE_TENSORS = 48
-MERKLE_SHAPE = (128, 128)
 
 
 def _drive_fleet(fleet: ProcessFleet, graphs, thresholds) -> Dict[str, object]:
@@ -85,13 +71,6 @@ def _drive_fleet(fleet: ProcessFleet, graphs, thresholds) -> Dict[str, object]:
     }
 
 
-def _merkle_checkpoint() -> Dict[str, np.ndarray]:
-    rng = np.random.default_rng(20260808)
-    return {f"block_{index:02d}.weight":
-            rng.standard_normal(MERKLE_SHAPE).astype(np.float32)
-            for index in range(MERKLE_TENSORS)}
-
-
 def test_fleet_throughput(benchmark):
     graphs, thresholds = _workload()
 
@@ -103,24 +82,9 @@ def test_fleet_throughput(benchmark):
                 scaling[num_workers] = _drive_fleet(fleet, graphs, thresholds)
             finally:
                 fleet.close()
+        return scaling
 
-        parameters = _merkle_checkpoint()
-        serial_start = time.perf_counter()
-        serial_tree, _ = commit_weights(parameters)
-        serial_s = time.perf_counter() - serial_start
-        merkle = {"serial_s": serial_s}
-        fleet = ProcessFleet(num_workers=GATE_WORKERS)
-        try:
-            fleet.commit_weights_parallel(parameters)  # warm worker codecs
-            parallel_start = time.perf_counter()
-            tree, _ = fleet.commit_weights_parallel(parameters)
-            merkle["parallel_s"] = time.perf_counter() - parallel_start
-            merkle["root_equal"] = bytes(tree.root) == bytes(serial_tree.root)
-        finally:
-            fleet.close()
-        return scaling, merkle
-
-    scaling, merkle = benchmark.pedantic(run, rounds=1, iterations=1)
+    scaling = benchmark.pedantic(run, rounds=1, iterations=1)
 
     cores = os.cpu_count() or 1
     base = scaling[1]
@@ -144,19 +108,13 @@ def test_fleet_throughput(benchmark):
                + ("ENFORCED on this host."
                   if gated else
                   f"SKIPPED on this host ({cores} core(s) < {GATE_WORKERS}: "
-                  "a single core cannot exceed 1x by physics)."))
-        + f"\n\nParallel Merkle commitment ({MERKLE_TENSORS} tensors of "
-          f"{MERKLE_SHAPE}): serial {merkle['serial_s']:.4f}s, "
-          f"{GATE_WORKERS}-worker {merkle['parallel_s']:.4f}s, "
-          f"byte-identical root: {merkle['root_equal']}.",
+                  "a single core cannot exceed 1x by physics).")),
     )
 
     # Every deployment served the whole fleet stream, wall clock measured.
     for r in scaling.values():
         assert r["completed"] == STREAM_TOTAL
         assert r["wall_s"] > 0.0
-    # The chunk-parallel commitment is exact regardless of host parallelism.
-    assert merkle["root_equal"]
 
     if gated:
         # The headline: modeled speedup realized as measured wall clock.

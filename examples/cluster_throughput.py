@@ -7,8 +7,8 @@ This drives the sharded serving tier end to end:
    its commitment digest, so placement is reproducible;
 2. submit a mixed fleet stream: honest traffic, repeated payloads (served
    from each tenant's shard-local result cache), one cheating proposer;
-3. process — shards drain concurrently, disputes are localized on whichever
-   shard owns the tenant;
+3. process — shards drain in shard-id order, disputes are localized on
+   whichever shard owns the tenant;
 4. drain a shard with requests still queued: its tenants fail over to their
    ring successors and the queued requests are withdrawn and re-dispatched;
 5. print placement, per-request outcomes, fleet statistics and settlement

@@ -24,9 +24,11 @@ The package provides the full TAO stack built from scratch on NumPy:
 * :mod:`repro.sim` — the adversarial protocol simulator: seedable
   multi-actor fault injection with safety / liveness / conservation
   invariant checking and counterexample shrinking;
-* :mod:`repro.cluster` — the sharded serving tier: consistent-hash tenant
-  routing, concurrent shard workers over one settlement chain, failover
-  re-dispatch — bit-identical to a single service by construction.
+* :mod:`repro.cluster` — the sharded serving tier: one placement
+  controller (consistent-hash tenant routing, membership, failover plans)
+  shared with the process fleet, in-process shards over one settlement
+  chain, failover re-dispatch — bit-identical to a single service by
+  construction.
 
 Quickstart::
 

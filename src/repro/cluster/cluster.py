@@ -1,4 +1,4 @@
-"""Sharded TAO cluster: consistent-hash routing, concurrent shard workers,
+"""Sharded TAO cluster: consistent-hash routing, in-process shards,
 failover re-dispatch.
 
 :class:`TAOCluster` fronts N independent
@@ -13,54 +13,49 @@ through one ``TAOService``, a 1-shard cluster, or an N-shard cluster with
 failover injected — the equivalence pinned by
 ``tests/test_cluster_equivalence.py``.
 
-**Routing.**  Tenants (not individual requests) are the routing unit: a
-model is homed on the shard owning its commitment digest on a
-:class:`~repro.cluster.ring.ConsistentHashRing`.  Every request for a model
-follows it, so per-model session reuse, engine plans, batch certification
-and the content-addressed result cache all stay shard-local and stay hot.
-(``routing="random"`` sprays requests across shard-local replicas instead —
-the locality baseline the scaling benchmark reports against.)
+**Placement.**  Tenants (not individual requests) are the routing unit,
+homed by commitment digest on the consistent-hash ring of the
+:class:`~repro.cluster.placement.Placement` controller the process fleet
+shares, so per-model sessions, engine plans, batch certification and the
+result cache stay shard-local and hot.  (``routing="random"`` sprays
+requests across shard-local replicas instead — the locality baseline the
+scaling benchmark reports against.)  :meth:`TAOCluster.process` drains the
+busy shards on the calling thread in shard-id order; protocol time is
+per-shard, so one shard's finalization sweep never lapses a sibling's
+challenge windows.
 
-**Concurrency.**  :meth:`TAOCluster.process` drains all shards with pending
-work through a ``ThreadPoolExecutor``, one worker per shard, each worker
-holding its shard's lock.  Shards share only lock-protected state (the
-settlement ledger, the hash cache); protocol time is per-shard, so one
-shard's finalization sweep can never lapse a sibling's challenge windows.
-
-**Failover.**  When a shard is administratively drained, or a tenant's
-standing proposer is slashed mid-window, the tenant fails over to the ring's
-next-node: queued requests are withdrawn and re-dispatched to the fallback
-shard, and the tenant entry migrates whole (session, roles, clone
-accounting) so not a single ledger unit is minted or lost by the move.  On a
-proposer slash the tenant's result cache is invalidated — a poisoned verdict
-memoized from the slashed proposer cannot survive the migration — and the
-standing proposer is re-provisioned on the same account and device.
-Ring resize (:meth:`add_shard` / :meth:`remove_shard`) migrates exactly the
-tenants whose ring arcs moved, deterministically.
+**Failover.**  The cluster executes the controller's moves in process:
+queued requests are withdrawn and re-dispatched to the target shard, and the
+tenant entry migrates whole (session, roles, clone accounting), so not a
+single ledger unit is minted or lost.  A tenant whose standing proposer is
+slashed mid-window fails over too, with its result cache invalidated (a
+poisoned memo cannot survive the move) and its proposer re-provisioned on
+the same account and device.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.calibration.calibrator import CalibrationConfig, Calibrator
 from repro.calibration.thresholds import ThresholdTable
-from repro.cluster.ring import ConsistentHashRing
+from repro.cluster.placement import (
+    PlacedCore,
+    Placement,
+    PlacementError,
+    TenantRecord,
+)
 from repro.cluster.shard import Shard
 from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
-from repro.merkle.commitments import commit_model
 from repro.protocol.chain import ShardChainView, SimulatedChain
 from repro.protocol.coordinator import Coordinator
 from repro.protocol.lifecycle import TAOSession
 from repro.protocol.roles import Challenger, HonestProposer, Proposer
 from repro.protocol.service import (
     ModelEntry,
-    ServiceCore,
     ServiceRequest,
     ServiceStats,
     TAOService,
@@ -68,20 +63,6 @@ from repro.protocol.service import (
 from repro.tensorlib.device import DEVICE_FLEET, DeviceProfile
 from repro.utils.rng import seeded_rng
 from repro.utils.timing import now
-
-
-@dataclass
-class ClusterModel:
-    """Cluster-level placement record for one tenant."""
-
-    name: str
-    #: Routing key: the model commitment digest (weights+graph+thresholds).
-    key: bytes
-    #: Shard currently serving the tenant (follows failover/rebalance).
-    shard_id: str
-    #: Shard the ring originally homed the tenant on.
-    home_id: str
-    failovers: int = 0
 
 
 @dataclass
@@ -106,8 +87,8 @@ class ClusterStats(ServiceStats):
     ``processing_time_s`` (inherited) is the *sum* of shard busy time — the
     sequential-equivalent cost.  ``critical_path_s`` is the max over shards:
     the wall-clock a deployment with one worker core per shard observes, and
-    the scaling metric the cluster benchmark gates on.  ``measured_wall_s``
-    is the wall-clock actually measured on this host's thread pool.
+    the scaling metric the cluster benchmark reports.  ``measured_wall_s``
+    is the wall clock measured around the shard drains.
     """
 
     num_shards: int = 0
@@ -146,11 +127,11 @@ class ClusterStats(ServiceStats):
         return out
 
 
-class ClusterError(RuntimeError):
+class ClusterError(PlacementError):
     """Raised on invalid cluster operations."""
 
 
-class TAOCluster(ServiceCore):
+class TAOCluster(PlacedCore):
     """N TAOService shards behind consistent-hash routing with failover."""
 
     def __init__(
@@ -168,10 +149,6 @@ class TAOCluster(ServiceCore):
         leaf_path: str = "routed",
         hash_cache: Optional[HashCache] = None,
         routing: str = "hash",
-        routing_seed: int = 0,
-        vnodes: int = 64,
-        max_workers: Optional[int] = None,
-        coordinator_factory: Optional[Callable[[ShardChainView], Coordinator]] = None,
         cycle_capacity: Optional[int] = None,
     ) -> None:
         if num_shards < 1:
@@ -180,37 +157,31 @@ class TAOCluster(ServiceCore):
             raise ValueError(f"unknown routing policy {routing!r}")
         self.chain = chain or SimulatedChain()
         self.devices = tuple(devices)
-        self.max_batch = int(max_batch)
-        self.enable_batching = bool(enable_batching)
-        self.enable_result_cache = bool(enable_result_cache)
-        self.result_cache_size = int(result_cache_size)
         self.alpha = float(alpha)
-        self.n_way = int(n_way)
-        self.committee_size = int(committee_size)
-        self.leaf_path = leaf_path
         self.hash_cache = hash_cache or HashCache()
         self.routing = routing
-        self.max_workers = max_workers
-        self.coordinator_factory = coordinator_factory
-        self.cycle_capacity = None if cycle_capacity is None else int(cycle_capacity)
-        self._route_rng = seeded_rng(routing_seed)
+        self._service_knobs = {
+            "max_batch": int(max_batch),
+            "enable_batching": bool(enable_batching),
+            "enable_result_cache": bool(enable_result_cache),
+            "result_cache_size": int(result_cache_size),
+            "alpha": self.alpha,
+            "n_way": int(n_way),
+            "committee_size": int(committee_size),
+            "leaf_path": leaf_path,
+            "cycle_capacity": None if cycle_capacity is None else int(cycle_capacity),
+        }
+        self._route_rng = seeded_rng(0)
 
-        self.ring = ConsistentHashRing(vnodes=vnodes)
+        self.placement = Placement(self.devices, self.alpha, self.hash_cache,
+                                   error=ClusterError)
         self.shards: Dict[str, Shard] = {}
         #: Removed shards, kept for fleet-wide settlement and invariants.
         self.retired_shards: List[Shard] = []
-        self._models: Dict[str, ClusterModel] = {}
         self._requests: Dict[int, ClusterRequest] = {}
         #: (id(service), local request id) -> cluster request id.
         self._by_local: Dict[Tuple[int, int], int] = {}
-        self.failovers = 0
-        self.redispatched_requests = 0
         self.measured_wall_s = 0.0
-        #: Persistent drain pool, created lazily on the first multi-shard
-        #: drain and shut down by :meth:`close` — repeated ``process()``
-        #: calls reuse the same threads instead of spawning a pool per call.
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_workers = 0
 
         for index in range(num_shards):
             self.add_shard(f"shard-{index}")
@@ -219,38 +190,13 @@ class TAOCluster(ServiceCore):
     # Shard membership and ring resize
     # ------------------------------------------------------------------
 
-    def add_shard(self, shard_id: Optional[str] = None) -> Shard:
-        """Add a shard and migrate exactly the tenants its ring arcs won."""
-        if shard_id is None:
-            shard_id = f"shard-{len(self.shards) + len(self.retired_shards)}"
-        if shard_id in self.shards or \
-                any(s.shard_id == shard_id for s in self.retired_shards):
-            # Retired ids stay reserved: reusing one would alias the shard
-            # tag on the shared log and double-count the retired
-            # coordinator's per-dispute gas.
-            raise ClusterError(f"shard {shard_id!r} already exists")
-        view = ShardChainView(self.chain, shard_id)
-        coordinator = (self.coordinator_factory(view) if self.coordinator_factory
-                       else Coordinator(chain=view))
+    def _start_shard(self, shard_id: str) -> None:
         service = TAOService(
-            coordinator=coordinator,
-            devices=self.devices,
-            max_batch=self.max_batch,
-            enable_batching=self.enable_batching,
-            enable_result_cache=self.enable_result_cache,
-            result_cache_size=self.result_cache_size,
-            alpha=self.alpha,
-            n_way=self.n_way,
-            committee_size=self.committee_size,
-            leaf_path=self.leaf_path,
-            hash_cache=self.hash_cache,
-            cycle_capacity=self.cycle_capacity,
+            coordinator=Coordinator(chain=ShardChainView(self.chain, shard_id)),
+            devices=self.devices, hash_cache=self.hash_cache,
+            **self._service_knobs,
         )
-        shard = Shard(shard_id=shard_id, service=service, chain_view=view)
-        self.shards[shard_id] = shard
-        self.ring.add_node(shard_id)
-        self._rebalance()
-        return shard
+        self.shards[shard_id] = Shard(shard_id=shard_id, service=service)
 
     def remove_shard(self, shard_id: str) -> None:
         """Remove a shard: its tenants migrate to their new ring owners.
@@ -259,55 +205,13 @@ class TAOCluster(ServiceCore):
         retired, not discarded — fleet-wide settlement and invariant checks
         keep seeing its history on the shared chain.
         """
-        shard = self._shard(shard_id)
-        if len(self.shards) == 1:
-            raise ClusterError("cannot remove the last shard")
-        self.ring.remove_node(shard_id)
-        for record in self._records_on(shard_id):
-            self._migrate(record, self.ring.node_for(record.key),
-                          invalidate_cache=False)
-        del self.shards[shard_id]
-        self.retired_shards.append(shard)
+        self._execute(self.placement.remove(shard_id))
+        self.retired_shards.append(self.shards.pop(shard_id))
 
     def drain_shard(self, shard_id: str) -> None:
-        """Administratively drain a shard: fail its tenants over, re-dispatch
-        every queued request to each tenant's ring successor."""
-        shard = self._shard(shard_id)
         if self.routing != "hash":
             raise ClusterError("failover requires hash routing")
-        if not shard.drained and len(self.ring.live_nodes) <= 1:
-            raise ClusterError(
-                "cannot drain the last live shard: its tenants would have "
-                "no failover target"
-            )
-        self.ring.drain(shard_id)
-        shard.drained = True
-        for record in self._records_on(shard_id):
-            self.fail_over(record.name, reason="drain")
-
-    def undrain_shard(self, shard_id: str) -> None:
-        """Return a drained shard to service; ring placement is restored."""
-        shard = self._shard(shard_id)
-        self.ring.undrain(shard_id)
-        shard.drained = False
-        self._rebalance()
-
-    def _shard(self, shard_id: str) -> Shard:
-        try:
-            return self.shards[shard_id]
-        except KeyError:
-            raise ClusterError(f"unknown shard {shard_id!r}") from None
-
-    def _records_on(self, shard_id: str) -> List[ClusterModel]:
-        return [record for record in self._models.values()
-                if record.shard_id == shard_id]
-
-    def _rebalance(self) -> None:
-        """Align every tenant with its ring owner (deterministic migration)."""
-        for record in self._models.values():
-            target = self.ring.node_for(record.key)
-            if target != record.shard_id:
-                self._migrate(record, target, invalidate_cache=False)
+        super().drain_shard(shard_id)
 
     # ------------------------------------------------------------------
     # Tenant management
@@ -320,37 +224,11 @@ class TAOCluster(ServiceCore):
         threshold_table: Optional[ThresholdTable] = None,
         **session_kwargs,
     ) -> TAOSession:
-        """Register one tenant; it is homed by its commitment digest.
-
-        The commitment is built once here (and memoized through the shared
-        hash cache, so the home shard's session setup reuses it) because the
-        routing key *is* the commitment digest: placement is a pure function
-        of what was committed, reproducible across processes and restarts.
-        """
-        name = graph_module.name
-        if name in self._models:
-            raise ClusterError(f"model {name!r} is already registered")
-        if threshold_table is None:
-            if calibration_inputs is None:
-                raise ValueError(
-                    "register_model requires calibration inputs or a threshold table"
-                )
-            calibrator = Calibrator(CalibrationConfig(devices=self.devices))
-            calibration = calibrator.calibrate(graph_module, calibration_inputs)
-            threshold_table = ThresholdTable.from_calibration(calibration,
-                                                              alpha=self.alpha)
-        commitment = commit_model(
-            graph_module, threshold_table,
-            metadata={"alpha": self.alpha,
-                      "num_operators": graph_module.num_operators},
-            cache=self.hash_cache,
-            # The committee envelope (threaded to the session below) is part
-            # of what was committed, so it participates in the routing key —
-            # placement stays a pure function of the commitment digest.
+        """Register one tenant; it is homed by its commitment digest."""
+        threshold_table, key, home = self.placement.prepare(
+            graph_module, calibration_inputs, threshold_table,
             committee_envelope=session_kwargs.get("committee_envelope"),
         )
-        key = commitment.digest()
-        home = self.ring.node_for(key)
         session = self.shards[home].service.register_model(
             graph_module, threshold_table=threshold_table, **session_kwargs,
         )
@@ -365,28 +243,12 @@ class TAOCluster(ServiceCore):
                         graph_module, threshold_table=threshold_table,
                         **session_kwargs,
                     )
-        self._models[name] = ClusterModel(name=name, key=key, shard_id=home,
-                                          home_id=home)
+        self.placement.admit(TenantRecord(name=graph_module.name, key=key,
+                                          shard_id=home, home_id=home))
         return session
 
     def model(self, name: str) -> ModelEntry:
-        record = self._record(name)
-        return self.shards[record.shard_id].service.model(name)
-
-    def _record(self, name: str) -> ClusterModel:
-        try:
-            return self._models[name]
-        except KeyError:
-            raise KeyError(f"model {name!r} is not registered with this cluster") \
-                from None
-
-    @property
-    def model_names(self) -> List[str]:
-        return sorted(self._models)
-
-    def location(self, name: str) -> str:
-        """Shard currently serving ``name``."""
-        return self._record(name).shard_id
+        return self.shards[self.location(name)].service.model(name)
 
     # ------------------------------------------------------------------
     # Request intake
@@ -400,12 +262,11 @@ class TAOCluster(ServiceCore):
         force_challenge: bool = False,
         challenger: Optional[Challenger] = None,
     ) -> int:
-        record = self._record(model_name)
         if self.routing == "random":
-            live = [s for s in sorted(self.shards) if not self.shards[s].drained]
+            live = self.placement.live_shards
             shard_id = live[int(self._route_rng.integers(0, len(live)))]
         else:
-            shard_id = record.shard_id
+            shard_id = self.location(model_name)
         shard = self.shards[shard_id]
         local_id = shard.service.submit(
             model_name, inputs, proposer=proposer,
@@ -423,17 +284,9 @@ class TAOCluster(ServiceCore):
     def request(self, request_id: int) -> ServiceRequest:
         return self._requests[request_id].resolve()
 
-    def cluster_request(self, request_id: int) -> ClusterRequest:
-        return self._requests[request_id]
-
     @property
     def pending_count(self) -> int:
         return sum(shard.service.pending_count for shard in self.shards.values())
-
-    @property
-    def active_shard_count(self) -> int:
-        """Shards currently accepting traffic (not drained)."""
-        return sum(1 for shard in self.shards.values() if not shard.drained)
 
     def queue_depths(self) -> Dict[str, int]:
         """Pending requests per shard."""
@@ -460,36 +313,24 @@ class TAOCluster(ServiceCore):
     # ------------------------------------------------------------------
 
     def process(self, max_requests: Optional[int] = None) -> List[ServiceRequest]:
-        """Drain every shard's queue; shards with work run concurrently.
+        """Drain the shards with pending work, in shard-id order.
 
-        With ``max_requests`` the drain degrades to a deterministic
-        sequential sweep (shard-id order) so the cap is exact fleet-wide.
-        Returns the processed requests in cluster submission order.
+        ``max_requests`` caps the drain fleet-wide.  Returns the processed
+        requests in cluster submission order.
         """
         started = now()
         drained: List[Tuple[Shard, List[ServiceRequest]]] = []
-        if max_requests is not None:
-            remaining = int(max_requests)
-            for shard_id in sorted(self.shards):
-                if remaining <= 0:
-                    break
-                shard = self.shards[shard_id]
-                if shard.service.pending_count == 0:
-                    continue
-                processed = self._drain(shard, remaining)
+        remaining = None if max_requests is None else int(max_requests)
+        for shard_id in sorted(self.shards):
+            if remaining is not None and remaining <= 0:
+                break
+            shard = self.shards[shard_id]
+            if shard.service.pending_count == 0:
+                continue
+            processed = self._drain(shard, remaining)
+            if remaining is not None:
                 remaining -= len(processed)
-                drained.append((shard, processed))
-        else:
-            busy = [shard for _, shard in sorted(self.shards.items())
-                    if shard.service.pending_count > 0]
-            if len(busy) <= 1:
-                drained = [(shard, self._drain(shard, None)) for shard in busy]
-            else:
-                pool = self._drain_pool(self.max_workers or len(busy))
-                futures = [(shard, pool.submit(self._drain, shard, None))
-                           for shard in busy]
-                drained = [(shard, future.result())
-                           for shard, future in futures]
+            drained.append((shard, processed))
         self.measured_wall_s += now() - started
 
         self._detect_slashed_proposers(drained)
@@ -503,39 +344,12 @@ class TAOCluster(ServiceCore):
         ordered.sort(key=lambda item: item[0])
         return [request for _, request in ordered]
 
-    def _drain_pool(self, workers: int) -> ThreadPoolExecutor:
-        """The cluster's persistent drain executor (lazily created).
-
-        Idle drain threads are cheap, but a pool spawned per ``process()``
-        call is not free either — under the measured-wall benchmarks the
-        per-call spawn showed up at every drain.  The pool is created on the
-        first multi-shard drain, grown (recreated) if a ring resize raises
-        the shard count past its capacity, and shut down by :meth:`close`.
-        """
-        if self._executor is not None and self._executor_workers < workers:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="cluster-drain")
-            self._executor_workers = workers
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the persistent drain executor (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-            self._executor_workers = 0
-
     def _drain(self, shard: Shard, max_requests: Optional[int]) -> List[ServiceRequest]:
         with shard.lock:
-            # Worker busy time is thread CPU time, not wall: on a host with
-            # fewer cores than workers, wall time inside a worker mostly
-            # measures the other workers; CPU time is the shard's own demand,
-            # and max over shards is the fleet's critical path on a
-            # one-core-per-worker deployment.  The service accumulates it
-            # stage by stage (``ServiceStats.busy_cpu_s``).
+            # Shard busy time is thread CPU time, not wall: CPU time is the
+            # shard's own demand, and max over shards is the fleet's critical
+            # path on a one-core-per-shard deployment.  The service
+            # accumulates it stage by stage (``ServiceStats.busy_cpu_s``).
             stats = shard.service.stats_record
             busy_before = stats.busy_cpu_s
             processed = shard.service.process(max_requests)
@@ -547,40 +361,15 @@ class TAOCluster(ServiceCore):
     # Failover
     # ------------------------------------------------------------------
 
-    def fail_over(self, model_name: str, reason: str = "drain") -> str:
-        """Move a tenant to its ring successor; re-dispatch queued requests.
-
-        ``reason="proposer_slashed"`` additionally invalidates the tenant's
-        content-addressed result cache (its entries memoize verdicts vouched
-        by the slashed proposer) and re-provisions the standing proposer on
-        the same ledger account and device, so execution — and therefore
-        every commitment — is unchanged.
-        """
-        if self.routing != "hash":
-            raise ClusterError("failover requires hash routing")
-        record = self._record(model_name)
-        target = self.ring.successor(record.key, exclude={record.shard_id})
-        self._migrate(record, target,
-                      invalidate_cache=(reason == "proposer_slashed"))
-        record.failovers += 1
-        self.failovers += 1
-        return target
-
-    def _migrate(self, record: ClusterModel, target_id: str,
-                 invalidate_cache: bool) -> None:
+    def _move(self, record: TenantRecord, target_id: str,
+              quarantine: bool = False) -> None:
         source = self.shards[record.shard_id]
         target = self.shards[target_id]
         with source.lock:
             withdrawn = source.service.withdraw_queued(record.name)
             entry = source.service.detach_model(record.name)
-        if invalidate_cache:
-            # Scoped invalidation: only this tenant's memo dies; sibling
-            # tenants on either shard keep their hot caches.
-            entry.result_cache.clear()
-            entry.proposer = HonestProposer(
-                entry.proposer.name, entry.proposer.device,
-                hash_cache=self.hash_cache,
-            )
+        if quarantine:
+            self._quarantine(entry)
         with target.lock:
             target.service.adopt_model(entry)
         record.shard_id = target_id
@@ -599,11 +388,26 @@ class TAOCluster(ServiceCore):
                 tracked.shard_id = target_id
                 tracked.redispatched += 1
                 self._by_local[(id(target.service), local_id)] = cluster_id
-            self.redispatched_requests += 1
+            self.placement.redispatched_requests += 1
+
+    def _quarantine(self, entry: ModelEntry) -> None:
+        """Invalidate a tenant's result cache and re-provision its proposer.
+
+        Scoped: only this tenant's memo (verdicts vouched by the slashed
+        proposer) dies; sibling tenants keep their hot caches.  The proposer
+        keeps its ledger account and device, so execution — and therefore
+        every commitment — is unchanged.
+        """
+        entry.result_cache.clear()
+        entry.proposer = HonestProposer(
+            entry.proposer.name, entry.proposer.device,
+            hash_cache=self.hash_cache,
+        )
 
     def _detect_slashed_proposers(
             self, drained: List[Tuple[Shard, List[ServiceRequest]]]) -> None:
-        """Standing-proposer slash => automatic failover for that tenant."""
+        """Standing-proposer slash => the tenant fails over, quarantined on
+        the way (in place when no other shard is live)."""
         if self.routing != "hash":
             return
         hit: Dict[str, str] = {}
@@ -614,24 +418,18 @@ class TAOCluster(ServiceCore):
                     continue
                 if not report.dispute.proposer_cheated:
                     continue
-                record = self._models.get(request.model_name)
+                record = self.placement.tenants.get(request.model_name)
                 if record is None or record.shard_id != shard.shard_id:
                     continue
                 entry = shard.service.model(request.model_name)
                 if report.task.proposer == entry.proposer.name:
                     hit[request.model_name] = shard.shard_id
         for model_name in sorted(hit):
-            if len(self.ring.live_nodes) > 1:
-                self.fail_over(model_name, reason="proposer_slashed")
+            if len(self.placement.live_shards) > 1:
+                self._move(*self.placement.fail_over(model_name),
+                           quarantine=True)
             else:
-                # Nowhere to go: still quarantine the poisoned cache and
-                # re-provision the proposer in place.
-                entry = self.model(model_name)
-                entry.result_cache.clear()
-                entry.proposer = HonestProposer(
-                    entry.proposer.name, entry.proposer.device,
-                    hash_cache=self.hash_cache,
-                )
+                self._quarantine(self.model(model_name))
 
     # ------------------------------------------------------------------
     # Fleet-wide settlement and introspection

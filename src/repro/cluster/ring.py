@@ -1,8 +1,8 @@
 """Deterministic consistent-hash ring with virtual nodes and drain support.
 
-The cluster routes every tenant model to a shard by hashing the model's
-commitment digest onto a ring of virtual nodes (``vnodes`` per shard).  The
-ring is the single source of placement truth:
+The placement controller (:mod:`repro.cluster.placement`) routes every
+tenant model to a shard by hashing the model's commitment digest onto a ring
+of virtual nodes (``vnodes`` per shard).  The ring answers three questions:
 
 * **routing** — :meth:`ConsistentHashRing.node_for` returns the first live
   (non-drained) shard clockwise of the key;

@@ -10,9 +10,9 @@ queue age and admission backpressure on ``ServiceStats`` through a
 fixed-memory log-bucketed digest (:mod:`~repro.elastic.digest`) whose merge
 is exactly associative.  The autoscaler (:mod:`~repro.elastic.autoscaler`)
 turns live signals — queue depth, queue-age SLO burn, stage starvation —
-into the ring's drain/undrain/add verbs on ``ProcessFleet`` or
-``TAOCluster``, and the virtual-time harness (:mod:`~repro.elastic.harness`)
-ties all three together for the step-load benchmarks: scaling decisions
+into the drain/undrain/add verbs ``ProcessFleet`` and ``TAOCluster``
+share (one :class:`ShardTarget` for both), and the virtual-time harness
+(:mod:`~repro.elastic.harness`) ties all three together for the step-load benchmarks: scaling decisions
 change *when* work runs, never *what* it computes, so an autoscaled run
 stays ledger- and verdict-exact against a static fleet.
 """
@@ -20,10 +20,9 @@ stays ledger- and verdict-exact against a static fleet.
 from repro.elastic.autoscaler import (
     Autoscaler,
     AutoscalerConfig,
-    ClusterTarget,
-    FleetTarget,
     LoadSignals,
     ScalingDecision,
+    ShardTarget,
 )
 from repro.elastic.digest import LatencyDigest
 from repro.elastic.harness import ElasticRunReport, OpenLoopDriver, TickRecord
@@ -40,9 +39,7 @@ __all__ = [
     "Arrival",
     "Autoscaler",
     "AutoscalerConfig",
-    "ClusterTarget",
     "ElasticRunReport",
-    "FleetTarget",
     "LatencyDigest",
     "LoadSignals",
     "OpenLoopDriver",
@@ -50,6 +47,7 @@ __all__ = [
     "RatePhase",
     "RateSchedule",
     "ScalingDecision",
+    "ShardTarget",
     "SLOConfig",
     "SLOTracker",
     "TickRecord",

@@ -18,9 +18,9 @@ What was missing is a *policy* that exercises those verbs from live load:
   receive no traffic.
 
 The policy itself (:meth:`Autoscaler.evaluate`) is a pure function of
-:class:`LoadSignals` — unit-testable without any service — and the targets
-(:class:`FleetTarget`, :class:`ClusterTarget`) adapt it to ``ProcessFleet``
-and ``TAOCluster``, which expose identical drain/undrain/add verbs.
+:class:`LoadSignals` — unit-testable without any service — and
+:class:`ShardTarget` adapts it to ``ProcessFleet`` and ``TAOCluster``, which
+expose one membership verb set over one placement controller.
 """
 
 from __future__ import annotations
@@ -173,72 +173,31 @@ class Autoscaler:
 # ----------------------------------------------------------------------
 
 @dataclass
-class FleetTarget:
-    """Adapts :class:`~repro.fleet.fleet.ProcessFleet` to the policy verbs."""
+class ShardTarget:
+    """Adapts a sharded tier (``TAOCluster`` or ``ProcessFleet``) to the
+    policy verbs, through its ``add_shard`` / ``drain_shard`` /
+    ``undrain_shard`` verbs and its placement controller."""
 
-    fleet: object
+    tier: object
     config: AutoscalerConfig = field(default_factory=AutoscalerConfig)
 
     def worker_count(self) -> int:
-        return self.fleet.active_worker_count
+        return self.tier.active_shard_count
 
     def scale_up(self) -> Optional[str]:
         if self.worker_count() >= self.config.max_workers:
             return None
-        drained = sorted(
-            shard_id for shard_id, handle in self.fleet.workers.items()
-            if handle.alive and handle.drained)
+        drained = self.tier.placement.drained_shards
         if drained:
-            self.fleet.undrain_worker(drained[0])
+            self.tier.undrain_shard(drained[0])
             return drained[0]
-        return self.fleet.add_worker()
+        return self.tier.add_shard()
 
     def scale_down(self) -> Optional[str]:
         if self.worker_count() <= max(1, self.config.min_workers):
             return None
-        depths = self.fleet.queue_depths()
-        active = sorted(
-            (shard_id for shard_id, handle in self.fleet.workers.items()
-             if handle.alive and not handle.drained),
-            key=lambda shard_id: (depths.get(shard_id, 0), shard_id))
-        if len(active) <= 1:
-            return None
-        victim = active[0]
-        self.fleet.drain_worker(victim)
-        return victim
-
-
-@dataclass
-class ClusterTarget:
-    """Adapts :class:`~repro.cluster.cluster.TAOCluster` to the policy verbs."""
-
-    cluster: object
-    config: AutoscalerConfig = field(default_factory=AutoscalerConfig)
-
-    def worker_count(self) -> int:
-        return self.cluster.active_shard_count
-
-    def scale_up(self) -> Optional[str]:
-        if self.worker_count() >= self.config.max_workers:
-            return None
-        drained = sorted(
-            shard_id for shard_id, shard in self.cluster.shards.items()
-            if shard.drained)
-        if drained:
-            self.cluster.undrain_shard(drained[0])
-            return drained[0]
-        return self.cluster.add_shard().shard_id
-
-    def scale_down(self) -> Optional[str]:
-        if self.worker_count() <= max(1, self.config.min_workers):
-            return None
-        depths = self.cluster.queue_depths()
-        active = sorted(
-            (shard_id for shard_id, shard in self.cluster.shards.items()
-             if not shard.drained),
-            key=lambda shard_id: (depths.get(shard_id, 0), shard_id))
-        if len(active) <= 1:
-            return None
-        victim = active[0]
-        self.cluster.drain_shard(victim)
+        depths = self.tier.queue_depths()
+        victim = min(self.tier.placement.live_shards,
+                     key=lambda shard_id: (depths.get(shard_id, 0), shard_id))
+        self.tier.drain_shard(victim)
         return victim

@@ -82,11 +82,7 @@ class ElasticRunReport:
 
 def _active_workers(front_end: ServiceCore) -> int:
     """Workers currently accepting traffic (1 for a plain service)."""
-    for attribute in ("active_worker_count", "active_shard_count"):
-        value = getattr(front_end, attribute, None)
-        if value is not None:
-            return int(value)
-    return 1
+    return int(getattr(front_end, "active_shard_count", 1))
 
 
 class OpenLoopDriver:

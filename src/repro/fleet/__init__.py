@@ -6,13 +6,13 @@ fronts N worker processes — each a full
 :class:`~repro.protocol.service.TAOService` shard
 (:mod:`repro.fleet.worker`) — over a length-prefixed RPC transport that
 speaks only the repo's canonical codec (:mod:`repro.fleet.transport`; no
-pickle on the data path).  Tenants are homed by commitment digest on the
-same consistent-hash ring the cluster uses, and all settlement flows back to
-one shared parent-side chain as nested ``chain_call`` messages
-(:mod:`repro.fleet.chainproxy`), keeping balances, minted totals and
-shard-tagged dispute gas exactly equal to the in-process paths.  The worker
-pool doubles as a chunk-parallel Merkle commitment backend with a
-byte-identical root.
+pickle on the data path).  Tenants are placed by the same
+:class:`~repro.cluster.placement.Placement` controller the cluster uses
+(homed by commitment digest on the consistent-hash ring), and all
+settlement flows back to one shared parent-side chain as nested
+``chain_call`` messages (:mod:`repro.fleet.chainproxy`), keeping balances,
+minted totals and shard-tagged dispute gas exactly equal to the in-process
+paths.
 """
 
 from repro.fleet.fleet import (

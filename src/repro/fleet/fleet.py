@@ -6,9 +6,13 @@ placement (the routing key *is* the model commitment digest), the same shared
 settlement ledger, the same failover choreography — but each shard is a full
 :class:`~repro.protocol.service.TAOService` living in its **own process**
 (:mod:`repro.fleet.worker`), driven over the serialized RPC transport
-(:mod:`repro.fleet.transport`).  Where the thread cluster's concurrent drains
-time-slice one GIL, the fleet's drains run on distinct interpreters, turning
-the cluster's *modeled* parallel speedup into a *measured* wall-clock one.
+(:mod:`repro.fleet.transport`).  Where the thread cluster's shards share one
+interpreter, the fleet's drains run on distinct interpreters, turning the
+cluster's *modeled* parallel speedup into a *measured* wall-clock one.
+Placement — ring home, failover targets, shard-id reservation, drained and
+dead membership — is decided by the same
+:class:`~repro.cluster.placement.Placement` controller the cluster uses; the
+fleet only executes its moves over RPC.
 
 Settlement stays exact: workers never hold ledger state.  Every fund,
 transfer and transaction append flows back over the worker's channel as a
@@ -25,11 +29,6 @@ The parent keeps lightweight mirrors of worker protocol state
 (:class:`CoordinatorSnapshot`, updated in place after every drain) so
 liveness/conservation invariant sweeps and the simulation runner walk a
 fleet exactly as they walk in-process coordinators.
-
-The worker pool is also a general compute fleet: :meth:`commit_weights_parallel`
-ships pre-serialized weight leaves to the workers in contiguous chunks,
-hashes them there, and reassembles the tree parent-side — byte-identical
-root, measured commit-time speedup.
 """
 
 from __future__ import annotations
@@ -42,9 +41,13 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.calibration.calibrator import CalibrationConfig, Calibrator
 from repro.calibration.thresholds import ThresholdTable
-from repro.cluster.ring import ConsistentHashRing
+from repro.cluster.placement import (
+    PlacedCore,
+    Placement,
+    PlacementError,
+    TenantRecord,
+)
 from repro.fleet.transport import (
     MessageChannel,
     TransportClosed,
@@ -56,19 +59,17 @@ from repro.fleet.wire import graph_to_payload, stats_from_payload
 from repro.fleet.worker import worker_main
 from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
-from repro.merkle.commitments import ExecutionCommitment, ModelCommitment, commit_model
-from repro.merkle.tree import MerkleTree
+from repro.merkle.commitments import ExecutionCommitment
 from repro.protocol.chain import SimulatedChain
 from repro.protocol.coordinator import DisputePhase, TaskStatus
 from repro.protocol.dispute import DisputeOutcome, DisputeStatistics
 from repro.protocol.lifecycle import SessionReport
-from repro.protocol.service import ServiceCore, ServiceRequest, ServiceStats
+from repro.protocol.service import ServiceRequest, ServiceStats
 from repro.tensorlib.device import DEVICE_FLEET, DeviceProfile
-from repro.utils.serialization import canonical_bytes
 from repro.utils.timing import now
 
 
-class FleetError(RuntimeError):
+class FleetError(PlacementError):
     """Raised for fleet-level misuse (unknown tenants, dead workers, ...)."""
 
 
@@ -177,22 +178,17 @@ class WorkerHandle:
     process: multiprocessing.process.BaseProcess
     channel: MessageChannel
     alive: bool = True
-    drained: bool = False
     #: Serializes channel use: one request/response conversation at a time.
     lock: Lock = field(default_factory=Lock)
 
 
 @dataclass
-class FleetModel:
-    """Parent-side record of one tenant: routing key, home, wire payload."""
+class FleetModel(TenantRecord):
+    """Parent-side tenant record: placement fields plus the wire payload."""
 
-    name: str
-    key: bytes
-    shard_id: str
-    commitment: ModelCommitment
     #: The registration payload as shipped — replayed (with
-    #: ``fund_accounts=False``) when failover re-homes the tenant.
-    payload: Dict[str, Any]
+    #: ``fund_accounts=False``) when a move re-homes the tenant.
+    payload: Dict[str, Any] = field(default_factory=dict)
     challenger_clones: int = 0
 
 
@@ -231,7 +227,7 @@ class FleetStats(ServiceStats):
         return out
 
 
-class ProcessFleet(ServiceCore):
+class ProcessFleet(PlacedCore):
     """N shard-worker processes behind one consistent-hash front end."""
 
     def __init__(
@@ -239,7 +235,6 @@ class ProcessFleet(ServiceCore):
         num_workers: int = 2,
         chain: Optional[SimulatedChain] = None,
         devices: Iterable[DeviceProfile] = DEVICE_FLEET,
-        vnodes: int = 64,
         alpha: float = 3.0,
         n_way: int = 2,
         committee_size: int = 3,
@@ -283,11 +278,11 @@ class ProcessFleet(ServiceCore):
             "cycle_capacity": cycle_capacity,
         }
         self._context = multiprocessing.get_context(start_method)
-        self.ring = ConsistentHashRing(vnodes=vnodes)
+        self.placement = Placement(self.devices, self.alpha, self.hash_cache,
+                                   error=FleetError)
         self.workers: Dict[str, WorkerHandle] = {}
         self._snapshots: Dict[str, CoordinatorSnapshot] = {}
         self._last_stats: Dict[str, ServiceStats] = {}
-        self._models: Dict[str, FleetModel] = {}
         self._records: Dict[int, _RequestRecord] = {}
         self._by_local: Dict[Tuple[str, int], int] = {}
         self._pending: Dict[str, List[int]] = {}
@@ -295,8 +290,6 @@ class ProcessFleet(ServiceCore):
         self._executor_workers = 0
         self._closed = False
         self.measured_wall_s = 0.0
-        self.failovers = 0
-        self.redispatched_requests = 0
         #: Dead-worker policy: ``"failover"`` re-homes tenants on ring
         #: successors (in-flight disputes are forfeited and reported in
         #: :attr:`forfeited_disputes`); ``"journal"`` restarts the worker in
@@ -324,13 +317,22 @@ class ProcessFleet(ServiceCore):
         #: before its reply is sent — the post-chain/pre-ack crash boundary.
         self._chain_reply_hook: Optional[Callable[[str, Dict[str, Any]], None]] = None
         for index in range(int(num_workers)):
-            self._spawn(f"shard-{index}")
+            self.add_shard(f"shard-{index}")
 
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
 
-    def _spawn(self, shard_id: str) -> WorkerHandle:
+    def _start_shard(self, shard_id: str) -> None:
+        if self._closed:
+            raise FleetError("the fleet is closed")
+        self._snapshots[shard_id] = CoordinatorSnapshot(shard_id)
+        self._pending[shard_id] = []
+        self.journals[shard_id] = ShardJournal(shard_id)
+        self._launch(shard_id)
+
+    def _launch(self, shard_id: str) -> WorkerHandle:
+        """Start the worker process for ``shard_id`` and send its hello."""
         parent_channel, child_sock = channel_pair(
             deadline_s=self.worker_timeout_s)
         process = self._context.Process(
@@ -342,10 +344,6 @@ class ProcessFleet(ServiceCore):
         handle = WorkerHandle(shard_id=shard_id, process=process,
                               channel=parent_channel)
         self.workers[shard_id] = handle
-        self._snapshots[shard_id] = CoordinatorSnapshot(shard_id)
-        self._pending[shard_id] = []
-        self.journals[shard_id] = ShardJournal(shard_id)
-        self.ring.add_node(shard_id)
         self._call(handle, {
             "shard_id": shard_id,
             "block_interval_s": self.chain.block_interval_s,
@@ -353,12 +351,6 @@ class ProcessFleet(ServiceCore):
             "actor_module": self.actor_module,
         })
         return handle
-
-    def _handle(self, shard_id: str) -> WorkerHandle:
-        try:
-            return self.workers[shard_id]
-        except KeyError:
-            raise FleetError(f"unknown worker {shard_id!r}") from None
 
     def _live_workers(self) -> List[str]:
         return [shard_id for shard_id in sorted(self.workers)
@@ -492,8 +484,7 @@ class ProcessFleet(ServiceCore):
         if not handle.alive:
             return
         handle.alive = False
-        if not self.ring.is_drained(handle.shard_id):
-            self.ring.drain(handle.shard_id)
+        self.placement.mark_dead(handle.shard_id)
         handle.channel.close()
         handle.process.join(timeout=1.0)
         if handle.process.is_alive():
@@ -527,29 +518,11 @@ class ProcessFleet(ServiceCore):
             raise FleetError(
                 "session kwargs beyond committee_envelope/colluding_majority "
                 f"cannot cross the fleet boundary: {sorted(session_kwargs)}")
-        name = graph_module.name
-        if name in self._models:
-            raise FleetError(f"model {name!r} is already registered")
-        if threshold_table is None:
-            if calibration_inputs is None:
-                raise ValueError(
-                    "register_model requires calibration inputs or a threshold table"
-                )
-            calibrator = Calibrator(CalibrationConfig(devices=self.devices))
-            calibration = calibrator.calibrate(graph_module, calibration_inputs)
-            threshold_table = ThresholdTable.from_calibration(calibration,
-                                                              alpha=self.alpha)
-        # Same construction as the thread cluster: the routing key *is* the
-        # commitment digest, and the committed envelope participates in it.
-        commitment = commit_model(
-            graph_module, threshold_table,
-            metadata={"alpha": self.alpha,
-                      "num_operators": graph_module.num_operators},
-            cache=self.hash_cache,
+        threshold_table, key, home = self.placement.prepare(
+            graph_module, calibration_inputs, threshold_table,
             committee_envelope=committee_envelope,
         )
-        key = commitment.digest()
-        home = self.ring.node_for(key)
+        name = graph_module.name
         payload = {
             "op": "register",
             "name": name,
@@ -561,35 +534,18 @@ class ProcessFleet(ServiceCore):
             "fund_accounts": True,
             "challenger_clones": 0,
         }
-        value = self._call(self._handle(home), payload)
+        value = self._call(self.workers[home], payload)
         if bytes(value["digest"]) != key:
             raise FleetError(
                 f"worker {home} committed a different model digest for "
                 f"{name!r}; the wire round-trip is not commitment-exact")
-        self._models[name] = FleetModel(name=name, key=key, shard_id=home,
-                                        commitment=commitment.public_view(),
-                                        payload=payload)
-        return self._models[name]
+        return self.placement.admit(FleetModel(
+            name=name, key=key, shard_id=home, home_id=home, payload=payload))
 
     def model(self, name: str):
         raise FleetError(
             f"tenant entries live inside worker processes; use location({name!r}), "
             "stats() or the coordinator snapshots instead of model()")
-
-    def _record_for(self, name: str) -> FleetModel:
-        try:
-            return self._models[name]
-        except KeyError:
-            raise KeyError(f"model {name!r} is not registered with this fleet") \
-                from None
-
-    @property
-    def model_names(self) -> List[str]:
-        return sorted(self._models)
-
-    def location(self, name: str) -> str:
-        """Shard worker currently serving ``name``."""
-        return self._record_for(name).shard_id
 
     # ------------------------------------------------------------------
     # Request intake
@@ -609,7 +565,7 @@ class ProcessFleet(ServiceCore):
         by the workers' actor module), not role objects — role objects hold
         devices and closures that cannot cross the serialized transport.
         """
-        record = self._record_for(model_name)
+        record = self.placement.record(model_name)
         for label, spec in (("proposer", proposer), ("challenger", challenger)):
             if spec is not None and not isinstance(spec, dict):
                 raise TypeError(
@@ -625,7 +581,7 @@ class ProcessFleet(ServiceCore):
             "force_challenge": bool(force_challenge),
         }
         try:
-            local_id = int(self._call(self._handle(record.shard_id),
+            local_id = int(self._call(self.workers[record.shard_id],
                                       payload)["local_id"])
         except TransportClosed:
             # The home worker died — or wedged past its deadline — under our
@@ -636,7 +592,7 @@ class ProcessFleet(ServiceCore):
                 self._recover_worker(record.shard_id)
             else:
                 self._fail_over_worker(record.shard_id)
-            local_id = int(self._call(self._handle(record.shard_id),
+            local_id = int(self._call(self.workers[record.shard_id],
                                       payload)["local_id"])
         request_id = len(self._records)
         request = ServiceRequest(
@@ -747,7 +703,7 @@ class ProcessFleet(ServiceCore):
         snapshot.apply(value["coordinator"])
         self._last_stats[shard_id] = stats_from_payload(value["stats"])
         for name, clones in value.get("clones", []):
-            model = self._models.get(name)
+            model = self.placement.tenants.get(name)
             if model is not None and model.shard_id == shard_id:
                 model.challenger_clones = int(clones)
         results: List[ServiceRequest] = []
@@ -817,83 +773,16 @@ class ProcessFleet(ServiceCore):
     # Failover
     # ------------------------------------------------------------------
 
-    def drain_worker(self, shard_id: str) -> None:
-        """Administratively drain a live worker: move its tenants and queue.
+    def _move(self, model: FleetModel, target_id: str) -> None:
+        """Execute one planned move: re-register ``model`` on ``target_id``
+        and re-submit its queue there.
 
-        The out-of-process analogue of the cluster's ``drain_shard``: each
-        tenant is withdrawn, detached (clone accounting preserved),
-        re-registered on its ring successor **without re-funding**, and its
-        queued requests are re-submitted there.
+        A live source is withdrawn and detached (clone accounting
+        preserved); a dead one is replayed from the parent's own records.
+        The stored registration payload is replayed with
+        ``fund_accounts=False`` — the tenant's accounts already exist on the
+        shared chain, and no membership change may create money.
         """
-        handle = self._handle(shard_id)
-        if not handle.alive:
-            raise FleetError(f"worker {shard_id!r} is dead; it cannot be drained")
-        if not self.ring.is_drained(shard_id):
-            self.ring.drain(shard_id)
-        handle.drained = True
-        for name in self.model_names:
-            model = self._models[name]
-            if model.shard_id != shard_id:
-                continue
-            withdrawn = [
-                self._by_local[(shard_id, int(local_id))]
-                for local_id in self._call(handle, {"op": "withdraw",
-                                                    "model": name})["local_ids"]
-            ]
-            clones = int(self._call(handle, {"op": "detach",
-                                             "model": name})["challenger_clones"])
-            self._re_home(model, withdrawn, clones, exclude=(shard_id,))
-
-    def undrain_worker(self, shard_id: str) -> None:
-        """Return a drained worker to service; ring placement is restored.
-
-        Tenants whose ring home flips back (and their queued requests)
-        migrate through the same withdraw/detach/replay path as failover —
-        no re-funding, so the move is ledger-invisible.
-        """
-        handle = self._handle(shard_id)
-        if not handle.alive:
-            raise FleetError(
-                f"worker {shard_id!r} is dead; it cannot be undrained")
-        if not handle.drained:
-            raise FleetError(f"worker {shard_id!r} is not drained")
-        self.ring.undrain(shard_id)
-        handle.drained = False
-        self._rebalance()
-
-    def add_worker(self, shard_id: Optional[str] = None) -> str:
-        """Spawn a fresh worker, join the ring, migrate the tenants it won.
-
-        The cluster's ``add_shard`` for the process tier: the ring's
-        minimal-migration property means exactly the tenants whose arcs the
-        new worker claimed move to it.  Dead and drained worker ids stay
-        reserved (their shard tags live on the shared settlement log), so a
-        generated id never aliases one.
-        """
-        if self._closed:
-            raise FleetError("the fleet is closed")
-        if shard_id is None:
-            index = len(self.workers)
-            while f"shard-{index}" in self.workers:
-                index += 1
-            shard_id = f"shard-{index}"
-        elif shard_id in self.workers:
-            raise FleetError(f"worker {shard_id!r} already exists")
-        self._spawn(shard_id)
-        self._rebalance()
-        return shard_id
-
-    def _rebalance(self) -> None:
-        """Align every tenant with its ring owner (deterministic migration)."""
-        for name in self.model_names:
-            model = self._models[name]
-            target = self.ring.node_for(model.key)
-            if target != model.shard_id:
-                self._migrate_model(model, target)
-
-    def _migrate_model(self, model: FleetModel, target_id: str) -> None:
-        """Move one tenant: live sources are withdrawn/detached, dead ones
-        replayed from the parent's own records."""
         source = self.workers.get(model.shard_id)
         if source is not None and source.alive:
             withdrawn = [
@@ -910,126 +799,6 @@ class ProcessFleet(ServiceCore):
                 if self._records[request_id].request.model_name == model.name
             ]
             clones = model.challenger_clones
-        self._place_model(model, target_id, withdrawn, clones)
-
-    def _recover_worker(self, shard_id: str) -> None:
-        """Restart a dead worker in place and replay its write-ahead journal.
-
-        The replacement process keeps the shard's identity: ring placement,
-        coordinator snapshot, pending queue and request records all survive
-        untouched.  Replaying the journaled command stream rebuilds the
-        worker's entire in-memory stack deterministically; its re-issued
-        chain calls carry per-incarnation sequence ids that dedupe against
-        the journal tail, so every pre-crash ledger mutation is applied
-        exactly once and the recovered run stays byte-identical to an
-        uncrashed one.  The command that was in flight at the crash is not
-        replayed here — its caller retries it, and the dedupe makes the
-        retry exact (in-flight disputes resume mid-round rather than being
-        forfeited).
-        """
-        journal = self.journals.get(shard_id)
-        if journal is None:
-            raise FleetError(
-                f"worker {shard_id!r} has no journal to recover from")
-        old = self.workers[shard_id]
-        if old.process.is_alive():  # pragma: no cover - raced SIGKILL
-            old.process.kill()
-            old.process.join(timeout=5.0)
-        parent_channel, child_sock = channel_pair(
-            deadline_s=self.worker_timeout_s)
-        process = self._context.Process(
-            target=worker_main, args=(child_sock,),
-            name=f"fleet-{shard_id}", daemon=True,
-        )
-        process.start()
-        child_sock.close()
-        handle = WorkerHandle(shard_id=shard_id, process=process,
-                              channel=parent_channel)
-        self.workers[shard_id] = handle
-        self._replaying.add(shard_id)
-        try:
-            self._call(handle, {
-                "shard_id": shard_id,
-                "block_interval_s": self.chain.block_interval_s,
-                "service": dict(self._service_knobs),
-                "actor_module": self.actor_module,
-            })
-            for entry in journal.commands():
-                payload = entry["payload"]
-                try:
-                    value = self._call(handle, payload)
-                except WorkerError:
-                    if entry["ok"]:
-                        raise JournalDivergence(
-                            f"[{shard_id}] journaled {payload.get('op')!r} "
-                            f"command failed on replay") from None
-                    continue  # the journaled run failed here too
-                if entry["ok"] and payload.get("op") == "submit":
-                    recorded = int(entry["value"]["local_id"])
-                    if int(value["local_id"]) != recorded:
-                        raise JournalDivergence(
-                            f"[{shard_id}] replayed submit produced local id "
-                            f"{value['local_id']}, journal says {recorded}")
-        finally:
-            self._replaying.discard(shard_id)
-        # _mark_dead drained the ring on death; restore the pre-crash
-        # placement (an administratively drained worker stays drained).
-        if self.ring.is_drained(shard_id) and not old.drained:
-            self.ring.undrain(shard_id)
-        handle.drained = old.drained
-        self.recoveries += 1
-
-    def _fail_over_worker(self, shard_id: str) -> None:
-        """Re-home a dead worker's tenants and queue on ring successors.
-
-        The worker is gone, so nothing can be withdrawn: the stored
-        registration payloads are replayed (``fund_accounts=False`` — the
-        tenants' accounts already exist on the shared chain and re-homing
-        must not create money) and the parent's own pending queue is
-        re-submitted.  Work the worker settled partially before dying stays
-        settled — transfers conserve value, so the ledger still balances.
-        Disputes that were in flight are forfeited: the replacement worker
-        re-executes their requests from scratch.  The spec journal names
-        them exactly (:attr:`forfeited_disputes`).
-        """
-        journal = self.journals.get(shard_id)
-        if journal is not None:
-            try:
-                from repro.spec.machine import validate_journal
-                summary = validate_journal(journal.spec_entries())
-            except Exception:  # noqa: BLE001 - forfeit report is best-effort
-                pass
-            else:
-                for task, state in sorted(summary.in_flight_tasks.items()):
-                    if state == "pending":
-                        continue  # not in a dispute; re-execution is routine
-                    self.forfeited_disputes.append(
-                        {"shard_id": shard_id, "task": task, "state": state})
-        queued = list(self._pending[shard_id])
-        self._pending[shard_id] = []
-        for name in self.model_names:
-            model = self._models[name]
-            if model.shard_id != shard_id:
-                continue
-            withdrawn = [request_id for request_id in queued
-                         if self._records[request_id].request.model_name == name]
-            self._re_home(model, withdrawn, model.challenger_clones,
-                          exclude=(shard_id,))
-
-    def _re_home(self, model: FleetModel, withdrawn: List[int], clones: int,
-                 exclude: Tuple[str, ...]) -> None:
-        target_id = self.ring.successor(model.key, exclude=exclude)
-        self._place_model(model, target_id, withdrawn, clones)
-        self.failovers += 1
-
-    def _place_model(self, model: FleetModel, target_id: str,
-                     withdrawn: List[int], clones: int) -> None:
-        """Re-register ``model`` on ``target_id`` and re-submit its queue.
-
-        The stored registration payload is replayed with
-        ``fund_accounts=False`` — the tenant's accounts already exist on the
-        shared chain, and no membership change may create money.
-        """
         if not self.workers[target_id].alive:
             raise FleetError(
                 f"placement target {target_id!r} for {model.name!r} is dead")
@@ -1062,7 +831,84 @@ class ProcessFleet(ServiceCore):
             record.request.status = "queued"
             self._by_local[(target_id, local_id)] = request_id
             self._pending[target_id].append(request_id)
-            self.redispatched_requests += 1
+            self.placement.redispatched_requests += 1
+
+    def _recover_worker(self, shard_id: str) -> None:
+        """Restart a dead worker in place and replay its write-ahead journal.
+
+        The replacement process keeps the shard's identity: ring placement,
+        coordinator snapshot, pending queue and request records all survive
+        untouched.  Replaying the journaled command stream rebuilds the
+        worker's entire in-memory stack deterministically; its re-issued
+        chain calls carry per-incarnation sequence ids that dedupe against
+        the journal tail, so every pre-crash ledger mutation is applied
+        exactly once and the recovered run stays byte-identical to an
+        uncrashed one.  The command that was in flight at the crash is not
+        replayed here — its caller retries it, and the dedupe makes the
+        retry exact (in-flight disputes resume mid-round rather than being
+        forfeited).
+        """
+        journal = self.journals.get(shard_id)
+        if journal is None:
+            raise FleetError(
+                f"worker {shard_id!r} has no journal to recover from")
+        old = self.workers[shard_id]
+        if old.process.is_alive():  # pragma: no cover - raced SIGKILL
+            old.process.kill()
+            old.process.join(timeout=5.0)
+        self._replaying.add(shard_id)
+        try:
+            handle = self._launch(shard_id)
+            for entry in journal.commands():
+                payload = entry["payload"]
+                try:
+                    value = self._call(handle, payload)
+                except WorkerError:
+                    if entry["ok"]:
+                        raise JournalDivergence(
+                            f"[{shard_id}] journaled {payload.get('op')!r} "
+                            f"command failed on replay") from None
+                    continue  # the journaled run failed here too
+                if entry["ok"] and payload.get("op") == "submit":
+                    recorded = int(entry["value"]["local_id"])
+                    if int(value["local_id"]) != recorded:
+                        raise JournalDivergence(
+                            f"[{shard_id}] replayed submit produced local id "
+                            f"{value['local_id']}, journal says {recorded}")
+        finally:
+            self._replaying.discard(shard_id)
+        # Restore the pre-crash placement (an administratively drained
+        # worker stays drained).
+        self.placement.revive(shard_id)
+        self.recoveries += 1
+
+    def _fail_over_worker(self, shard_id: str) -> None:
+        """Re-home a dead worker's tenants and queue on ring successors.
+
+        The worker is gone, so nothing can be withdrawn: the stored
+        registration payloads are replayed (``fund_accounts=False`` — the
+        tenants' accounts already exist on the shared chain and re-homing
+        must not create money) and the parent's own pending queue is
+        re-submitted.  Work the worker settled partially before dying stays
+        settled — transfers conserve value, so the ledger still balances.
+        Disputes that were in flight are forfeited: the replacement worker
+        re-executes their requests from scratch.  The spec journal names
+        them exactly (:attr:`forfeited_disputes`).
+        """
+        journal = self.journals.get(shard_id)
+        if journal is not None:
+            try:
+                from repro.spec.machine import validate_journal
+                summary = validate_journal(journal.spec_entries())
+            except Exception:  # noqa: BLE001 - forfeit report is best-effort
+                pass
+            else:
+                for task, state in sorted(summary.in_flight_tasks.items()):
+                    if state == "pending":
+                        continue  # not in a dispute; re-execution is routine
+                    self.forfeited_disputes.append(
+                        {"shard_id": shard_id, "task": task, "state": state})
+        self._execute(self.placement.evacuate(shard_id))
 
     # ------------------------------------------------------------------
     # Observability
@@ -1084,12 +930,6 @@ class ProcessFleet(ServiceCore):
         checks against the executable spec (``repro.spec.machine``)."""
         return {shard_id: journal.spec_entries()
                 for shard_id, journal in sorted(self.journals.items())}
-
-    @property
-    def active_worker_count(self) -> int:
-        """Workers currently accepting traffic (alive and not drained)."""
-        return sum(1 for handle in self.workers.values()
-                   if handle.alive and not handle.drained)
 
     def queue_depths(self) -> Dict[str, int]:
         """Parent-tracked pending requests per live worker."""
@@ -1129,54 +969,6 @@ class ProcessFleet(ServiceCore):
             workers=len(self._live_workers()),
             measured_wall_s=self.measured_wall_s,
         )
-
-    # ------------------------------------------------------------------
-    # Chunk-parallel Merkle commitment
-    # ------------------------------------------------------------------
-
-    def commit_weights_parallel(
-        self, parameters: Mapping[str, np.ndarray],
-    ) -> Tuple[MerkleTree, Dict[str, int]]:
-        """The fleet-parallel :func:`~repro.merkle.commitments.commit_weights`.
-
-        Leaf payloads are serialized parent-side (sorted names, identical
-        bytes to the serial path), shipped to the live workers in contiguous
-        chunks, hashed there, and reduced to a tree here — the root is
-        byte-identical to ``commit_weights(parameters)``.
-        """
-        names = sorted(parameters)
-        if not names:
-            raise ValueError("cannot commit an empty parameter set")
-        payloads = [
-            canonical_bytes({"name": name,
-                             "tensor": np.asarray(parameters[name])})
-            for name in names
-        ]
-        live = [shard_id for shard_id in self._live_workers()
-                if not self.workers[shard_id].drained]
-        if not live:
-            raise FleetError("no live workers to hash leaves on")
-        chunks: List[Tuple[str, List[bytes]]] = []
-        per_worker = -(-len(payloads) // len(live))  # ceil division
-        for index, shard_id in enumerate(live):
-            chunk = payloads[index * per_worker:(index + 1) * per_worker]
-            if chunk:
-                chunks.append((shard_id, chunk))
-        if len(chunks) == 1:
-            shard_id, chunk = chunks[0]
-            batches = [self._call(self.workers[shard_id],
-                                  {"op": "hash_leaves", "payloads": chunk})]
-        else:
-            pool = self._drain_pool(len(chunks))
-            futures = [pool.submit(self._call, self.workers[shard_id],
-                                   {"op": "hash_leaves", "payloads": chunk})
-                       for shard_id, chunk in chunks]
-            batches = [future.result() for future in futures]
-        leaf_hashes: List[bytes] = []
-        for batch in batches:
-            leaf_hashes.extend(bytes(digest) for digest in batch["hashes"])
-        tree = MerkleTree.from_leaf_hashes(leaf_hashes)
-        return tree, {name: idx for idx, name in enumerate(names)}
 
     # ------------------------------------------------------------------
     # Shutdown

@@ -34,7 +34,6 @@ from repro.calibration.thresholds import ThresholdTable
 from repro.fleet.chainproxy import ChainClient
 from repro.fleet.transport import MessageChannel, TransportClosed
 from repro.fleet.wire import graph_from_payload, stats_to_payload
-from repro.merkle.tree import hash_leaf
 from repro.protocol.coordinator import Coordinator
 from repro.protocol.service import ServiceRequest, TAOService
 
@@ -209,10 +208,6 @@ class _WorkerState:
     def op_stats(self, message: Dict[str, Any]) -> Dict[str, Any]:
         return {"stats": stats_to_payload(self.service.stats()),
                 "coordinator": _coordinator_payload(self.coordinator)}
-
-    def op_hash_leaves(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        return {"hashes": [hash_leaf(payload)
-                           for payload in message["payloads"]]}
 
     def op_ping(self, message: Dict[str, Any]) -> Dict[str, Any]:
         return {"shard_id": self.chain.shard_id}

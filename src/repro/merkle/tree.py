@@ -20,32 +20,8 @@ def _hash_leaf(payload: bytes) -> bytes:
     return hashlib.sha256(_LEAF_PREFIX + payload).digest()
 
 
-def hash_leaf(payload: bytes) -> bytes:
-    """The domain-separated leaf hash, exposed for out-of-tree hashing.
-
-    The chunk-parallel commitment path ships pre-serialized leaf payloads to
-    worker processes, hashes them there with this function, and assembles the
-    tree in the parent via :meth:`MerkleTree.from_leaf_hashes`.
-    """
-    return _hash_leaf(payload)
-
-
 def _hash_children(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(_NODE_PREFIX + left + right).digest()
-
-
-def _build_levels(leaf_hashes: List[bytes]) -> List[List[bytes]]:
-    """Reduce a level of (already domain-separated) leaf hashes to the root."""
-    levels: List[List[bytes]] = [leaf_hashes]
-    while len(levels[-1]) > 1:
-        current = levels[-1]
-        nxt: List[bytes] = []
-        for i in range(0, len(current) - 1, 2):
-            nxt.append(_hash_children(current[i], current[i + 1]))
-        if len(current) % 2 == 1:
-            nxt.append(current[-1])
-        levels.append(nxt)
-    return levels
 
 
 @dataclass(frozen=True)
@@ -75,7 +51,15 @@ class MerkleTree:
         if not leaves:
             raise ValueError("cannot build a Merkle tree with zero leaves")
         self._leaves = [bytes(leaf) for leaf in leaves]
-        self._levels = _build_levels([_hash_leaf(leaf) for leaf in self._leaves])
+        self._levels: List[List[bytes]] = [[_hash_leaf(leaf) for leaf in self._leaves]]
+        while len(self._levels[-1]) > 1:
+            current = self._levels[-1]
+            nxt: List[bytes] = []
+            for i in range(0, len(current) - 1, 2):
+                nxt.append(_hash_children(current[i], current[i + 1]))
+            if len(current) % 2 == 1:
+                nxt.append(current[-1])
+            self._levels.append(nxt)
 
     @classmethod
     def from_named_leaves(cls, named: Dict[str, bytes]) -> Tuple["MerkleTree", Dict[str, int]]:
@@ -87,23 +71,6 @@ class MerkleTree:
         names = sorted(named)
         tree = cls([named[name] for name in names])
         return tree, {name: idx for idx, name in enumerate(names)}
-
-    @classmethod
-    def from_leaf_hashes(cls, leaf_hashes: Sequence[bytes]) -> "MerkleTree":
-        """Assemble a tree from already-computed (domain-separated) leaf hashes.
-
-        The chunk-parallel commitment path hashes leaf payloads in worker
-        processes and reduces the internal levels here in the parent; the
-        resulting tree is byte-identical to ``MerkleTree(leaves)`` built over
-        the same payloads, but carries no payloads — :meth:`leaf` is
-        unavailable on it, while :attr:`root` and :meth:`prove` work as usual.
-        """
-        if not leaf_hashes:
-            raise ValueError("cannot build a Merkle tree with zero leaves")
-        tree = cls.__new__(cls)
-        tree._leaves = [None] * len(leaf_hashes)
-        tree._levels = _build_levels([bytes(h) for h in leaf_hashes])
-        return tree
 
     @property
     def root(self) -> bytes:
@@ -122,11 +89,7 @@ class MerkleTree:
         return len(self._levels) - 1
 
     def leaf(self, index: int) -> bytes:
-        payload = self._leaves[index]
-        if payload is None:
-            raise ValueError(
-                "tree was assembled from leaf hashes; leaf payloads are unavailable")
-        return payload
+        return self._leaves[index]
 
     def prove(self, index: int) -> MerkleProof:
         """Produce the inclusion proof for the leaf at ``index``."""

@@ -41,6 +41,7 @@ from repro.calibration.committee import (
 )
 from repro.calibration.thresholds import ThresholdTable
 from repro.cluster.cluster import TAOCluster
+from repro.cluster.placement import PlacedCore
 from repro.fleet.fleet import ProcessFleet
 from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
@@ -191,10 +192,7 @@ def run_schedule(schedule: ScenarioSchedule, workload: SimWorkload,
             # service before this cycle's submissions, so tenants whose ring
             # home flips back re-migrate and the new events land on the
             # restored topology.
-            if isinstance(service, TAOCluster):
-                service.undrain_shard(drained_home)
-            elif fleet:
-                service.undrain_worker(drained_home)
+            service.undrain_shard(drained_home)
             drained_home = None
         for event in cycle:
             if fleet:
@@ -212,16 +210,14 @@ def run_schedule(schedule: ScenarioSchedule, workload: SimWorkload,
                 force_challenge=event.force_challenge,
                 challenger=challenger,
             )
-        if scenario.drain_home_at_cycle == cycle_index:
+        if (scenario.drain_home_at_cycle == cycle_index
+                and isinstance(service, PlacedCore)
+                and service.active_shard_count > 1):
             # Failover under fire: the cycle's events are already queued on
             # the home shard; draining it withdraws and re-dispatches them
             # to the ring successor before they are processed.
-            if isinstance(service, TAOCluster):
-                drained_home = service.location(workload.graph.name)
-                service.drain_shard(drained_home)
-            elif fleet and len(service.ring.live_nodes) > 1:
-                drained_home = service.location(workload.graph.name)
-                service.drain_worker(drained_home)
+            drained_home = service.location(workload.graph.name)
+            service.drain_shard(drained_home)
         if fleet and any(event.crash_after for event in cycle):
             _arm_crash(service, workload.graph.name)
         service.process()

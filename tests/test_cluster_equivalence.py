@@ -181,7 +181,7 @@ def test_cluster_matches_plain_service(reference, tenant_graphs, mlp_thresholds,
         # The failover actually happened: requests moved shards.
         assert cluster.failovers >= 1
         assert cluster.redispatched_requests >= 1
-        drained = [sid for sid, shard in cluster.shards.items() if shard.drained]
+        drained = cluster.placement.drained_shards
         assert drained
         for name in cluster.model_names:
             assert cluster.location(name) not in drained
@@ -207,11 +207,11 @@ def test_ring_resize_migrates_deterministically(tenant_graphs, mlp_thresholds,
     for name in before:
         # Minimal migration: a tenant either stayed put or moved to the
         # *new* shard — never shuffled between pre-existing shards.
-        assert after_add[name] in (before[name], grown.shard_id)
+        assert after_add[name] in (before[name], grown)
     # Placement matches an independently computed ring oracle.
     from repro.cluster import ConsistentHashRing
     oracle = ConsistentHashRing(["shard-0", "shard-1", "shard-2"], vnodes=64)
-    for name, record in cluster._models.items():
+    for name, record in cluster.placement.tenants.items():
         assert after_add[name] == oracle.node_for(record.key)
 
     # Migrated tenants keep serving, with their warmed caches intact: the

@@ -19,11 +19,11 @@ from repro.cluster import TAOCluster
 from repro.elastic import (
     Autoscaler,
     AutoscalerConfig,
-    ClusterTarget,
     OpenLoopDriver,
     OpenLoopGenerator,
     RateSchedule,
     SLOConfig,
+    ShardTarget,
     SLOTracker,
 )
 from repro.protocol import TAOService
@@ -124,7 +124,7 @@ class TestAutoscaledCluster:
                                   queue_high_per_worker=6.0,
                                   queue_low_per_worker=0.5,
                                   cooldown_ticks=0, scale_down_patience=10)
-        autoscaler = Autoscaler(ClusterTarget(elastic, config), config)
+        autoscaler = Autoscaler(ShardTarget(elastic, config), config)
         elastic_report = self._drive_cluster(
             elastic, elastic_graphs, mlp_thresholds, mlp_input_factory,
             arrivals, autoscaler=autoscaler)

@@ -35,12 +35,12 @@ def rehoming_graphs(mlp_module, mlp_input_factory):
 def _assert_routing_consistent(front_end, hosted_names_by_shard):
     """Every tenant routed to its ring owner, hosted there and only there."""
     for name in front_end.model_names:
-        record = front_end._models[name]
-        assert front_end.ring.node_for(record.key) == record.shard_id, \
+        record = front_end.placement.record(name)
+        assert front_end.placement.ring.node_for(record.key) == record.shard_id, \
             f"{name} routed off its ring owner"
     for shard_id, hosted in hosted_names_by_shard.items():
         routed = {name for name in front_end.model_names
-                  if front_end._models[name].shard_id == shard_id}
+                  if front_end.location(name) == shard_id}
         assert routed == hosted, \
             f"{shard_id}: routing table and hosted entries disagree"
 
@@ -95,7 +95,7 @@ class TestClusterRehoming:
 
 
 class TestFleetRehoming:
-    def test_drain_worker_death_undrain_submit(self, rehoming_graphs,
+    def test_drain_shard_death_undrain_submit(self, rehoming_graphs,
                                                mlp_thresholds,
                                                mlp_input_factory):
         fleet = ProcessFleet(num_workers=3, n_way=2)
@@ -107,7 +107,7 @@ class TestFleetRehoming:
 
             probe = rehoming_graphs[0].name
             first_home = fleet.location(probe)
-            fleet.drain_worker(first_home)
+            fleet.drain_shard(first_home)
             second_home = fleet.location(probe)
             assert second_home != first_home
 
@@ -123,13 +123,13 @@ class TestFleetRehoming:
             assert fleet.location(probe) not in (first_home, second_home)
             assert fleet.failovers >= 2
 
-            fleet.undrain_worker(first_home)
+            fleet.undrain_shard(first_home)
 
             # Undrain re-migration: every tenant back on its ring owner,
             # which by construction excludes the dead worker.
             for name in fleet.model_names:
-                record = fleet._models[name]
-                assert fleet.ring.node_for(record.key) == record.shard_id
+                record = fleet.placement.record(name)
+                assert fleet.placement.ring.node_for(record.key) == record.shard_id
                 assert record.shard_id != second_home
                 assert fleet.workers[record.shard_id].alive
 

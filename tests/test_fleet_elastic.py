@@ -1,14 +1,11 @@
-"""Elastic fleet membership and the hung-worker deadline path.
+"""The hung-worker deadline path of the process fleet.
 
-Satellite pins for the elastic subsystem at the process-fleet layer:
-
-* :class:`TransportTimeout` — a peer that is alive but silent past the
-  configured deadline raises a *subclass* of :class:`TransportClosed`, so
-  every existing failover site treats a wedged worker exactly like a dead
-  one (kill, ring-drain, re-home) and no settlement is lost.
-* ``add_worker`` / ``undrain_worker`` — the scale-up verbs restored to
-  parity with :class:`TAOCluster`, including ring-consistent re-migration
-  and conservation across a full add -> drain -> undrain round trip.
+:class:`TransportTimeout` — a peer that is alive but silent past the
+configured deadline raises a *subclass* of :class:`TransportClosed`, so
+every existing failover site treats a wedged worker exactly like a dead one
+(kill, ring-drain, re-home) and no settlement is lost.  The membership verbs
+the fleet shares with the cluster are pinned for both tiers in
+``tests/test_membership.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import time
 import pytest
 
 from repro.fleet import ProcessFleet
-from repro.fleet.fleet import FleetError
 from repro.fleet.transport import (
     MessageChannel,
     TransportClosed,
@@ -99,71 +95,6 @@ class TestTransportTimeout:
             child.close()
 
 
-class TestScaleUpParity:
-    def test_add_worker_rebalances_on_the_ring(self, tenant_graphs,
-                                               mlp_thresholds):
-        fleet = ProcessFleet(num_workers=1)
-        try:
-            _register_all(fleet, tenant_graphs, mlp_thresholds)
-            new_id = fleet.add_worker()
-            assert new_id == "shard-1"
-            assert fleet.active_worker_count == 2
-            moved = 0
-            for name in fleet.model_names:
-                record = fleet._models[name]
-                assert fleet.ring.node_for(record.key) == record.shard_id
-                moved += record.shard_id == new_id
-            assert moved >= 1, "the ring must hand the new worker tenants"
-        finally:
-            fleet.close()
-
-    def test_add_worker_rejects_duplicate_and_closed(self, tenant_graphs,
-                                                     mlp_thresholds):
-        fleet = ProcessFleet(num_workers=1)
-        try:
-            with pytest.raises(FleetError):
-                fleet.add_worker("shard-0")
-        finally:
-            fleet.close()
-        with pytest.raises(FleetError):
-            fleet.add_worker()
-
-    def test_undrain_worker_restores_service(self, tenant_graphs,
-                                             mlp_thresholds,
-                                             mlp_input_factory):
-        fleet = ProcessFleet(num_workers=1)
-        try:
-            _register_all(fleet, tenant_graphs, mlp_thresholds)
-            new_id = fleet.add_worker()
-            for index, graph in enumerate(tenant_graphs):
-                fleet.submit(graph.name, mlp_input_factory(200 + index))
-            # Drain sends the new worker's tenants *back* to their former
-            # host — the re-registration leg must be idempotent on the
-            # worker's coordinator (same commitment digest).
-            fleet.drain_worker(new_id)
-            assert fleet.active_worker_count == 1
-            fleet.undrain_worker(new_id)
-            assert fleet.active_worker_count == 2
-            for name in fleet.model_names:
-                record = fleet._models[name]
-                assert fleet.ring.node_for(record.key) == record.shard_id
-            results = fleet.process()
-            assert len(results) == len(tenant_graphs)
-            assert _conserved(fleet)
-        finally:
-            fleet.close()
-
-    def test_undrain_worker_error_cases(self, tenant_graphs, mlp_thresholds):
-        fleet = ProcessFleet(num_workers=2)
-        try:
-            with pytest.raises(FleetError):
-                fleet.undrain_worker("shard-0")  # not drained
-            with pytest.raises(FleetError):
-                fleet.undrain_worker("shard-9")  # unknown
-        finally:
-            fleet.close()
-
-
 class TestHungWorkerFailover:
     def test_wedged_worker_is_killed_and_failed_over(self, tenant_graphs,
                                                      mlp_thresholds,
@@ -183,7 +114,7 @@ class TestHungWorkerFailover:
             # then the submit is retried on the new home.
             request_id = fleet.submit(victim_tenant, mlp_input_factory(7))
             assert not fleet.workers["shard-1"].alive
-            assert fleet.ring.is_drained("shard-1")
+            assert fleet.placement.ring.is_drained("shard-1")
             assert fleet.failovers >= 1
             assert fleet.location(victim_tenant) == "shard-0"
             results = fleet.process()

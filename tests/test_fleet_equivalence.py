@@ -18,10 +18,6 @@ and every deployment must produce **byte-identical per-request verdicts**
 leaves the parent: workers reach the one shared chain through nested
 ``chain_call`` messages, which is precisely what makes this exactness
 possible across process boundaries.
-
-The worker pool is also the fleet's Merkle backend:
-``commit_weights_parallel`` must reproduce the serial
-:func:`~repro.merkle.commitments.commit_weights` root byte for byte.
 """
 
 from __future__ import annotations
@@ -34,10 +30,7 @@ import pytest
 from repro.cluster import TAOCluster
 from repro.fleet import ProcessFleet
 from repro.fleet.wire import encode_perturbation
-from repro.merkle.commitments import commit_weights
-from repro.merkle.tree import verify_proof
 from repro.protocol.service import ServiceCore
-from repro.utils.serialization import canonical_bytes
 
 from test_cluster_equivalence import (  # noqa: F401 - fixture re-export
     _fingerprint,
@@ -86,7 +79,7 @@ def _drive_fleet(fleet: ProcessFleet, graphs, thresholds, input_factory,
             fleet._pending,
             key=lambda sid: (len(fleet._pending[sid]), sid),
         )
-        fleet.drain_worker(busiest)
+        fleet.drain_shard(busiest)
     fleet.process()
     return [fleet.request(request_id) for request_id in request_ids]
 
@@ -119,8 +112,7 @@ def test_fleet_matches_plain_service(reference, tenant_graphs, mlp_thresholds,
             # The failover actually happened: requests moved workers.
             assert fleet.failovers >= 1
             assert fleet.redispatched_requests >= 1
-            drained = [sid for sid, handle in fleet.workers.items()
-                       if handle.drained]
+            drained = fleet.placement.drained_shards
             assert drained
             for name in fleet.model_names:
                 assert fleet.location(name) not in drained
@@ -161,28 +153,3 @@ def test_fleet_matches_thread_cluster(reference, tenant_graphs, mlp_thresholds,
     finally:
         fleet.close()
 
-
-def test_parallel_merkle_root_byte_identical(tenant_graphs):
-    """Chunk-parallel weight commitment reproduces the serial root exactly."""
-    parameters = tenant_graphs[0].parameters
-    serial_tree, serial_index = commit_weights(parameters)
-    fleet = ProcessFleet(num_workers=3, n_way=2)
-    try:
-        tree, index = fleet.commit_weights_parallel(parameters)
-        assert bytes(tree.root) == bytes(serial_tree.root)
-        assert index == serial_index
-        # Membership proofs assembled from worker-hashed leaves verify
-        # against the serial root: the trees are the same object shape.
-        name = sorted(parameters)[0]
-        payload = canonical_bytes({"name": name,
-                                   "tensor": np.asarray(parameters[name])})
-        assert verify_proof(payload, tree.prove(index[name]), serial_tree.root)
-
-        # The chunking adapts to fleet topology: after a drain the root is
-        # still byte-identical (only the chunk boundaries move).
-        fleet.drain_worker(fleet._live_workers()[0])
-        tree_after, index_after = fleet.commit_weights_parallel(parameters)
-        assert bytes(tree_after.root) == bytes(serial_tree.root)
-        assert index_after == serial_index
-    finally:
-        fleet.close()

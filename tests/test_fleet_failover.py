@@ -84,7 +84,7 @@ def test_sigkill_mid_drain_fails_over_to_ring_successor(mlp_graph,
         new_home = fleet.location(mlp_graph.name)
         assert new_home != home
         assert fleet.workers[new_home].alive
-        assert home not in fleet.ring.live_nodes
+        assert home not in fleet.placement.live_shards
         assert fleet.failovers >= 1
         assert fleet.redispatched_requests >= 1
 
@@ -119,6 +119,6 @@ def test_dead_worker_is_not_drainable_or_callable(mlp_graph, mlp_thresholds,
         assert not fleet.workers[home].alive
         assert fleet.location(mlp_graph.name) != home
         with pytest.raises(FleetError):
-            fleet.drain_worker(home)
+            fleet.drain_shard(home)
     finally:
         fleet.close()

@@ -573,7 +573,7 @@ def test_multicycle_cluster_drain_redispatches_exactly_once(sim_mlp_workload):
     assert all(record.redispatched == 1 for record in redispatched)
     assert cluster.redispatched_requests == len(redispatched)
     # Withdrawn requests completed exactly once, on the fallback shard.
-    drained = {sid for sid, shard in cluster.shards.items() if shard.drained}
+    drained = set(cluster.placement.drained_shards)
     for record in redispatched:
         assert record.shard_id not in drained
         assert record.resolve().status in TERMINAL_STATUSES
@@ -602,7 +602,7 @@ def test_cluster_failover_under_dispute(sim_mlp_workload):
     assert cluster.failovers >= 1
     assert cluster.redispatched_requests >= 1
     # The drained shard serves nothing and the tenant moved off it.
-    drained = [sid for sid, shard in cluster.shards.items() if shard.drained]
+    drained = cluster.placement.drained_shards
     assert len(drained) == 1
     assert cluster.location("tiny_mlp") != drained[0]
     # Re-dispatched tampers were caught on the fallback shard: disputes
