@@ -99,7 +99,7 @@ def main() -> None:
 
     stats = cluster.stats()
     print("\nFleet statistics:")
-    print(f"  shards                : {stats.num_shards}")
+    print(f"  shards                : {stats.shards}")
     print(f"  completed             : {stats.requests_completed}")
     print(f"  cache hits            : {stats.cache_hits}")
     print(f"  batched requests      : {stats.batched_requests}")
@@ -108,7 +108,8 @@ def main() -> None:
     print(f"  re-dispatched         : {stats.redispatched_requests}")
     print(f"  critical path         : {stats.critical_path_s * 1e3:.1f} ms "
           f"(max shard worker CPU)")
-    print(f"  parallel throughput   : {stats.parallel_throughput_rps:.1f} rps")
+    parallel_rps = stats.requests_completed / stats.critical_path_s
+    print(f"  parallel throughput   : {parallel_rps:.1f} rps")
     print(f"  measured wall         : {stats.measured_wall_s * 1e3:.1f} ms")
     print("  per-shard busy (ms)   : "
           + ", ".join(f"{sid}={busy * 1e3:.1f}"

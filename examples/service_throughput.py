@@ -72,7 +72,7 @@ def main() -> None:
     print(f"  batched requests  : {stats.batched_requests}")
     print(f"  disputes opened   : {stats.disputes_opened}")
     print(f"  throughput        : {stats.throughput_rps:.1f} requests/s")
-    print(f"  mean latency      : {stats.mean_latency_s * 1e3:.2f} ms")
+    print(f"  p50 latency       : {stats.latency.p50 * 1e3:.2f} ms")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ protocol's observable behaviour bit-identical:
 from repro.cluster.cluster import (
     ClusterError,
     ClusterRequest,
-    ClusterStats,
     TAOCluster,
 )
 from repro.cluster.placement import (
@@ -36,7 +35,6 @@ from repro.cluster.shard import Shard
 __all__ = [
     "ClusterError",
     "ClusterRequest",
-    "ClusterStats",
     "ConsistentHashRing",
     "PlacedCore",
     "Placement",

@@ -35,7 +35,7 @@ the same account and device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,53 +78,6 @@ class ClusterRequest:
 
     def resolve(self) -> ServiceRequest:
         return self.service.request(self.local_id)
-
-
-@dataclass
-class ClusterStats(ServiceStats):
-    """Fleet-wide statistics: aggregated shard stats + cluster accounting.
-
-    ``processing_time_s`` (inherited) is the *sum* of shard busy time — the
-    sequential-equivalent cost.  ``critical_path_s`` is the max over shards:
-    the wall-clock a deployment with one worker core per shard observes, and
-    the scaling metric the cluster benchmark reports.  ``measured_wall_s``
-    is the wall clock measured around the shard drains.
-    """
-
-    num_shards: int = 0
-    failovers: int = 0
-    redispatched_requests: int = 0
-    critical_path_s: float = 0.0
-    measured_wall_s: float = 0.0
-    shard_busy_s: Dict[str, float] = field(default_factory=dict)
-    shard_processed: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def parallel_throughput_rps(self) -> float:
-        if self.critical_path_s <= 0:
-            return 0.0
-        return self.requests_completed / self.critical_path_s
-
-    @property
-    def measured_throughput_rps(self) -> float:
-        if self.measured_wall_s <= 0:
-            return 0.0
-        return self.requests_completed / self.measured_wall_s
-
-    def as_dict(self) -> Dict[str, object]:
-        out = super().as_dict()
-        out.update({
-            "num_shards": self.num_shards,
-            "failovers": self.failovers,
-            "redispatched_requests": self.redispatched_requests,
-            "critical_path_s": self.critical_path_s,
-            "measured_wall_s": self.measured_wall_s,
-            "parallel_throughput_rps": self.parallel_throughput_rps,
-            "measured_throughput_rps": self.measured_throughput_rps,
-            "shard_busy_s": dict(self.shard_busy_s),
-            "shard_processed": dict(self.shard_processed),
-        })
-        return out
 
 
 class ClusterError(PlacementError):
@@ -327,7 +280,8 @@ class TAOCluster(PlacedCore):
             shard = self.shards[shard_id]
             if shard.service.pending_count == 0:
                 continue
-            processed = self._drain(shard, remaining)
+            with shard.lock:
+                processed = shard.service.process(remaining)
             if remaining is not None:
                 remaining -= len(processed)
             drained.append((shard, processed))
@@ -343,19 +297,6 @@ class TAOCluster(PlacedCore):
                 ordered.append((cluster_id, request))
         ordered.sort(key=lambda item: item[0])
         return [request for _, request in ordered]
-
-    def _drain(self, shard: Shard, max_requests: Optional[int]) -> List[ServiceRequest]:
-        with shard.lock:
-            # Shard busy time is thread CPU time, not wall: CPU time is the
-            # shard's own demand, and max over shards is the fleet's critical
-            # path on a one-core-per-shard deployment.  The service
-            # accumulates it stage by stage (``ServiceStats.busy_cpu_s``).
-            stats = shard.service.stats_record
-            busy_before = stats.busy_cpu_s
-            processed = shard.service.process(max_requests)
-            shard.busy_s += stats.busy_cpu_s - busy_before
-            shard.processed += len(processed)
-            return processed
 
     # ------------------------------------------------------------------
     # Failover
@@ -440,29 +381,6 @@ class TAOCluster(PlacedCore):
         return [shard.service.coordinator
                 for shard in list(self.shards.values()) + self.retired_shards]
 
-    def stats(self) -> ClusterStats:
-        all_shards = list(self.shards.values()) + self.retired_shards
-        base = ServiceStats.aggregate(s.service.stats() for s in all_shards)
-        stats = ClusterStats(
-            # Cluster-level submission count: a re-dispatched request is one
-            # request, however many shards saw it.
-            requests_submitted=len(self._requests),
-            requests_completed=base.requests_completed,
-            cache_hits=base.cache_hits,
-            batched_requests=base.batched_requests,
-            disputes_opened=base.disputes_opened,
-            dispute_rounds=base.dispute_rounds,
-            processing_time_s=base.processing_time_s,
-            busy_cpu_s=base.busy_cpu_s,
-            stage_busy_s=base.stage_busy_s,
-            latencies_s=base.latencies_s,
-            status_counts=base.status_counts,
-            num_shards=len(self.shards),
-            failovers=self.failovers,
-            redispatched_requests=self.redispatched_requests,
-            critical_path_s=max((s.busy_s for s in all_shards), default=0.0),
-            measured_wall_s=self.measured_wall_s,
-            shard_busy_s={s.shard_id: s.busy_s for s in all_shards},
-            shard_processed={s.shard_id: s.processed for s in all_shards},
-        )
-        return stats
+    def _shard_stats(self) -> Dict[str, ServiceStats]:
+        return {shard.shard_id: shard.service.stats()
+                for shard in list(self.shards.values()) + self.retired_shards}

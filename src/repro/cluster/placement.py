@@ -8,7 +8,8 @@ the tenant records, shard-id reservation, drained and dead membership, and
 the move plans.  Every plan validates first (the last-live guard included),
 then updates membership and returns ``(tenant, target)`` moves in tenant
 name order.  The tiers only execute moves; :class:`PlacedCore` gives both
-the one membership verb set on top of the controller.
+the one membership verb set on top of the controller, and the one
+``stats()`` that merges their shards' records.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.cluster.ring import ConsistentHashRing
 from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
 from repro.merkle.commitments import commit_model
-from repro.protocol.service import ServiceCore
+from repro.protocol.service import ServiceCore, ServiceStats
 from repro.tensorlib.device import DeviceProfile
 
 
@@ -241,10 +242,19 @@ class PlacedCore(ServiceCore):
     """
 
     placement: Placement
+    #: Front-end request records, one per ``submit`` (request id -> record).
+    _requests: Dict[int, object]
+    #: Wall-clock seconds measured around the shard drains.
+    measured_wall_s: float
 
     @abc.abstractmethod
     def _start_shard(self, shard_id: str) -> None:
         """Bring up shard ``shard_id`` (before it joins the ring)."""
+
+    @abc.abstractmethod
+    def _shard_stats(self) -> Dict[str, ServiceStats]:
+        """Every shard's own record (shard id -> stats), retired or dead
+        shards included."""
 
     @abc.abstractmethod
     def _move(self, record: TenantRecord, target_id: str) -> None:
@@ -282,6 +292,20 @@ class PlacedCore(ServiceCore):
     def location(self, name: str) -> str:
         """Shard currently serving ``name``."""
         return self.placement.record(name).shard_id
+
+    def stats(self) -> ServiceStats:
+        """The shards' merged record plus the front end's own accounting.
+
+        ``requests_submitted`` counts front-end submits: a re-dispatched
+        request is one request, however many shards saw it.
+        """
+        stats = ServiceStats.merged(self._shard_stats())
+        stats.requests_submitted = len(self._requests)
+        stats.shards = len(set(self.placement.shards) - self.placement.dead)
+        stats.failovers = self.failovers
+        stats.redispatched_requests = self.redispatched_requests
+        stats.measured_wall_s = self.measured_wall_s
+        return stats
 
     @property
     def failovers(self) -> int:

@@ -5,11 +5,12 @@ this package supplies the *traffic* and the *policy*.  The open-loop
 generator (:mod:`~repro.elastic.loadgen`) materializes seeded arrival
 schedules — Poisson/step/ramp rates, heavy-tail Zipf tenant popularity —
 decoupled from service completion so queues genuinely build.  SLO accounting
-(:mod:`~repro.elastic.slo`) layers per-phase p50/p99/p999 latency quantiles,
-queue age and admission backpressure on ``ServiceStats`` through a
-fixed-memory log-bucketed digest (:mod:`~repro.elastic.digest`) whose merge
-is exactly associative.  The autoscaler (:mod:`~repro.elastic.autoscaler`)
-turns live signals — queue depth, queue-age SLO burn, stage starvation —
+(:mod:`~repro.elastic.slo`) tracks what the tiers cannot see from the
+driver's side — per-phase (queue/service) p50/p99/p999 latency quantiles,
+queue age and admission backpressure — in the same fixed-memory
+log-bucketed digest (:mod:`~repro.utils.digest`) that ``ServiceStats``
+carries, whose merge is exactly associative.  The autoscaler
+(:mod:`~repro.elastic.autoscaler`) turns live signals — queue depth, queue-age SLO burn, stage starvation —
 into the drain/undrain/add verbs ``ProcessFleet`` and ``TAOCluster``
 share (one :class:`ShardTarget` for both), and the virtual-time harness
 (:mod:`~repro.elastic.harness`) ties all three together for the step-load benchmarks: scaling decisions
@@ -24,7 +25,7 @@ from repro.elastic.autoscaler import (
     ScalingDecision,
     ShardTarget,
 )
-from repro.elastic.digest import LatencyDigest
+from repro.utils.digest import LatencyDigest
 from repro.elastic.harness import ElasticRunReport, OpenLoopDriver, TickRecord
 from repro.elastic.loadgen import (
     Arrival,

@@ -1,9 +1,10 @@
-"""SLO accounting layered on :class:`~repro.protocol.service.ServiceStats`.
+"""Driver-side SLO accounting: per-phase latency quantiles and backpressure.
 
-The service tiers already count work (`requests_completed`, busy time,
-status tallies); what they do not carry is *latency distribution* state an
-operator can hold an SLO against.  :class:`SLOTracker` adds exactly that,
-in fixed memory, via :class:`~repro.elastic.digest.LatencyDigest`:
+Every service tier already reports its end-to-end latency distribution in
+``ServiceStats.latency``; what no tier can see is how a request's time
+splits between waiting in the queue and being served, or how stale the
+live backlog is.  :class:`SLOTracker` adds exactly that from the driver's
+side, in fixed memory, via :class:`~repro.utils.digest.LatencyDigest`:
 
 * per-phase latency digests — ``total`` (submit to completion), ``queue``
   (submit to drain start) and ``service`` (drain start to completion), each
@@ -23,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.elastic.digest import LatencyDigest
-from repro.protocol.service import ServiceStats
+from repro.utils.digest import LatencyDigest
 
 #: The latency phases every tracker carries, in reporting order.
 PHASES: Tuple[str, ...] = ("total", "queue", "service")
@@ -79,23 +79,6 @@ class SLOTracker:
 
     def admission_rejected(self, count: int = 1) -> None:
         self.admission_rejections += int(count)
-
-    def ingest_stats(self, stats: ServiceStats) -> None:
-        """Fold a service tier's raw completion latencies into ``total``.
-
-        This is the bridge from the existing accounting: any tier that
-        already fills ``ServiceStats.latencies_s`` gets digest quantiles
-        for free, without the tier itself learning about digests.
-        """
-        self.phases["total"].add_many(max(0.0, float(value))
-                                      for value in stats.latencies_s)
-
-    @classmethod
-    def from_stats(cls, stats: ServiceStats,
-                   config: Optional[SLOConfig] = None) -> "SLOTracker":
-        tracker = cls(config)
-        tracker.ingest_stats(stats)
-        return tracker
 
     # ------------------------------------------------------------------
     # Evaluation

@@ -19,7 +19,6 @@ from repro.fleet.fleet import (
     CoordinatorSnapshot,
     FleetError,
     FleetModel,
-    FleetStats,
     ProcessFleet,
     WorkerError,
     WorkerHandle,
@@ -37,7 +36,6 @@ __all__ = [
     "CoordinatorSnapshot",
     "FleetError",
     "FleetModel",
-    "FleetStats",
     "JournalDivergence",
     "MessageChannel",
     "ProcessFleet",

@@ -55,7 +55,7 @@ from repro.fleet.transport import (
     channel_pair,
 )
 from repro.fleet.journal import JournalDivergence, ShardJournal
-from repro.fleet.wire import graph_to_payload, stats_from_payload
+from repro.fleet.wire import graph_to_payload
 from repro.fleet.worker import worker_main
 from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
@@ -203,30 +203,6 @@ class _RequestRecord:
     challenger_spec: Optional[Dict[str, Any]]
 
 
-@dataclass
-class FleetStats(ServiceStats):
-    """Fleet-wide statistics: per-worker sums plus measured wall-clock."""
-
-    workers: int = 0
-    #: Wall-clock seconds spent inside ``process`` drains, parent-measured.
-    measured_wall_s: float = 0.0
-
-    @property
-    def measured_throughput_rps(self) -> float:
-        if self.measured_wall_s <= 0:
-            return 0.0
-        return self.requests_completed / self.measured_wall_s
-
-    def as_dict(self) -> Dict[str, object]:
-        out = super().as_dict()
-        out.update({
-            "workers": self.workers,
-            "measured_wall_s": self.measured_wall_s,
-            "measured_throughput_rps": self.measured_throughput_rps,
-        })
-        return out
-
-
 class ProcessFleet(PlacedCore):
     """N shard-worker processes behind one consistent-hash front end."""
 
@@ -283,7 +259,7 @@ class ProcessFleet(PlacedCore):
         self.workers: Dict[str, WorkerHandle] = {}
         self._snapshots: Dict[str, CoordinatorSnapshot] = {}
         self._last_stats: Dict[str, ServiceStats] = {}
-        self._records: Dict[int, _RequestRecord] = {}
+        self._requests: Dict[int, _RequestRecord] = {}
         self._by_local: Dict[Tuple[str, int], int] = {}
         self._pending: Dict[str, List[int]] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -594,12 +570,12 @@ class ProcessFleet(PlacedCore):
                 self._fail_over_worker(record.shard_id)
             local_id = int(self._call(self.workers[record.shard_id],
                                       payload)["local_id"])
-        request_id = len(self._records)
+        request_id = len(self._requests)
         request = ServiceRequest(
             request_id=request_id, model_name=model_name, inputs=dict(inputs),
             force_challenge=bool(force_challenge), submitted_s=now(),
         )
-        self._records[request_id] = _RequestRecord(
+        self._requests[request_id] = _RequestRecord(
             request=request, shard_id=record.shard_id, local_id=local_id,
             proposer_spec=proposer, challenger_spec=challenger,
         )
@@ -608,7 +584,7 @@ class ProcessFleet(PlacedCore):
         return request_id
 
     def request(self, request_id: int) -> ServiceRequest:
-        return self._records[request_id].request
+        return self._requests[request_id].request
 
     @property
     def pending_count(self) -> int:
@@ -701,7 +677,7 @@ class ProcessFleet(PlacedCore):
         # Snapshot first: reports built below reference the snapshot tasks.
         snapshot = self._snapshots[shard_id]
         snapshot.apply(value["coordinator"])
-        self._last_stats[shard_id] = stats_from_payload(value["stats"])
+        self._last_stats[shard_id] = ServiceStats.from_payload(value["stats"])
         for name, clones in value.get("clones", []):
             model = self.placement.tenants.get(name)
             if model is not None and model.shard_id == shard_id:
@@ -712,7 +688,7 @@ class ProcessFleet(PlacedCore):
             request_id = self._by_local.get((shard_id, int(row["local_id"])))
             if request_id is None:
                 continue
-            record = self._records[request_id]
+            record = self._requests[request_id]
             self._apply_result(record, row, snapshot)
             if request_id in pending:
                 pending.remove(request_id)
@@ -796,7 +772,7 @@ class ProcessFleet(PlacedCore):
             withdrawn = [
                 request_id
                 for request_id in self._pending.get(model.shard_id, [])
-                if self._records[request_id].request.model_name == model.name
+                if self._requests[request_id].request.model_name == model.name
             ]
             clones = model.challenger_clones
         if not self.workers[target_id].alive:
@@ -814,7 +790,7 @@ class ProcessFleet(PlacedCore):
         model.payload = payload
         model.challenger_clones = int(clones)
         for request_id in withdrawn:
-            record = self._records[request_id]
+            record = self._requests[request_id]
             local_id = int(self._call(self.workers[target_id], {
                 "op": "submit",
                 "model": model.name,
@@ -939,36 +915,27 @@ class ProcessFleet(PlacedCore):
     def queue_ages(self, at_s: Optional[float] = None) -> List[float]:
         """Ages (seconds) of every queued request, oldest first."""
         reference = now() if at_s is None else float(at_s)
-        ages = [max(0.0, reference - self._records[request_id].request.submitted_s)
+        ages = [max(0.0, reference - self._requests[request_id].request.submitted_s)
                 for queue in self._pending.values() for request_id in queue]
         return sorted(ages, reverse=True)
 
     def queued_model_names(self) -> List[str]:
         """Distinct tenants with queued work (the autoscaler's routing grain)."""
-        return sorted({self._records[request_id].request.model_name
+        return sorted({self._requests[request_id].request.model_name
                        for queue in self._pending.values()
                        for request_id in queue})
 
-    def stats(self) -> FleetStats:
+    def _shard_stats(self) -> Dict[str, ServiceStats]:
+        """Live workers' records refreshed over RPC; dead workers keep the
+        last record they sent."""
         for shard_id in self._live_workers():
             try:
                 value = self._call(self.workers[shard_id], {"op": "stats"})
             except TransportClosed:
                 continue
             self._snapshots[shard_id].apply(value["coordinator"])
-            self._last_stats[shard_id] = stats_from_payload(value["stats"])
-        parts = [self._last_stats[shard_id]
-                 for shard_id in sorted(self._last_stats)]
-        total = ServiceStats.aggregate(parts)
-        return FleetStats(
-            **{key: getattr(total, key) for key in (
-                "requests_submitted", "requests_completed", "cache_hits",
-                "batched_requests", "disputes_opened", "dispute_rounds",
-                "processing_time_s", "busy_cpu_s", "stage_busy_s",
-                "latencies_s", "status_counts")},
-            workers=len(self._live_workers()),
-            measured_wall_s=self.measured_wall_s,
-        )
+            self._last_stats[shard_id] = ServiceStats.from_payload(value["stats"])
+        return self._last_stats
 
     # ------------------------------------------------------------------
     # Shutdown

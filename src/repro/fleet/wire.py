@@ -16,9 +16,11 @@ normalizes away, so this module defines the explicit, tagged payload shapes:
 * **Perturbations** — adversarial deltas keep their numpy dtype via a
   ``{"__scalar__": {"dtype", "value"}}`` tag (a bare ``np.float32`` would
   come back as a Python float and change the perturbed trace bits).
-* **Statistics** — :class:`~repro.protocol.service.ServiceStats` as a flat
-  map, lossless in both directions so fleet-wide aggregation sums the same
-  numbers the in-process service would.
+
+Statistics need no builder here: :class:`~repro.protocol.service.ServiceStats`
+ships its own fixed-size ``to_payload()``/``from_payload()`` state (counters
+plus the latency digest), lossless in both directions, so the fleet merges
+the same numbers the in-process service would.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from repro.graph.graph import Graph, GraphModule
 from repro.graph.node import Node
-from repro.protocol.service import ServiceStats
 
 _NODE_TAG = "__node__"
 _TUPLE_TAG = "__tuple__"
@@ -150,41 +151,3 @@ def decode_perturbation(value: Any) -> Any:
         spec = value[_SCALAR_TAG]
         return np.dtype(spec["dtype"]).type(spec["value"])
     return value
-
-
-# ----------------------------------------------------------------------
-# Service statistics
-# ----------------------------------------------------------------------
-
-def stats_to_payload(stats: ServiceStats) -> Dict[str, Any]:
-    return {
-        "requests_submitted": int(stats.requests_submitted),
-        "requests_completed": int(stats.requests_completed),
-        "cache_hits": int(stats.cache_hits),
-        "batched_requests": int(stats.batched_requests),
-        "disputes_opened": int(stats.disputes_opened),
-        "dispute_rounds": int(stats.dispute_rounds),
-        "processing_time_s": float(stats.processing_time_s),
-        "busy_cpu_s": float(stats.busy_cpu_s),
-        "stage_busy_s": {stage: float(seconds)
-                         for stage, seconds in stats.stage_busy_s.items()},
-        "latencies_s": [float(value) for value in stats.latencies_s],
-        "status_counts": {status: int(count)
-                          for status, count in stats.status_counts.items()},
-    }
-
-
-def stats_from_payload(payload: Dict[str, Any]) -> ServiceStats:
-    return ServiceStats(
-        requests_submitted=int(payload["requests_submitted"]),
-        requests_completed=int(payload["requests_completed"]),
-        cache_hits=int(payload["cache_hits"]),
-        batched_requests=int(payload["batched_requests"]),
-        disputes_opened=int(payload["disputes_opened"]),
-        dispute_rounds=int(payload["dispute_rounds"]),
-        processing_time_s=float(payload["processing_time_s"]),
-        busy_cpu_s=float(payload["busy_cpu_s"]),
-        stage_busy_s=dict(payload["stage_busy_s"]),
-        latencies_s=list(payload["latencies_s"]),
-        status_counts=dict(payload["status_counts"]),
-    )

@@ -33,7 +33,7 @@ from repro.calibration.committee import CommitteeEnvelopeProfile
 from repro.calibration.thresholds import ThresholdTable
 from repro.fleet.chainproxy import ChainClient
 from repro.fleet.transport import MessageChannel, TransportClosed
-from repro.fleet.wire import graph_from_payload, stats_to_payload
+from repro.fleet.wire import graph_from_payload
 from repro.protocol.coordinator import Coordinator
 from repro.protocol.service import ServiceRequest, TAOService
 
@@ -191,7 +191,7 @@ class _WorkerState:
             max_requests=None if max_requests is None else int(max_requests))
         return {
             "results": [_request_payload(request) for request in processed],
-            "stats": stats_to_payload(self.service.stats()),
+            "stats": self.service.stats().to_payload(),
             "coordinator": _coordinator_payload(self.coordinator),
             "clones": [[name, int(self.service.model(name).challenger_clones)]
                        for name in self.service.model_names],
@@ -206,7 +206,7 @@ class _WorkerState:
         return {"challenger_clones": int(entry.challenger_clones)}
 
     def op_stats(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        return {"stats": stats_to_payload(self.service.stats()),
+        return {"stats": self.service.stats().to_payload(),
                 "coordinator": _coordinator_payload(self.coordinator)}
 
     def op_ping(self, message: Dict[str, Any]) -> Dict[str, Any]:

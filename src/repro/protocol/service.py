@@ -37,8 +37,9 @@ append + challenge-window bookkeeping) and *dispute* (round-robin
 ``DisputeGame.step_round`` multiplexing) — timing each stage's thread CPU
 into :attr:`ServiceStats.stage_busy_s`.
 
-Throughput/latency statistics are collected per request and aggregated in
-:meth:`TAOService.stats`.
+Throughput/latency statistics are collected per request into one fixed-size
+:class:`ServiceStats` record (:meth:`TAOService.stats`); sharded tiers merge
+their shards' records with :meth:`ServiceStats.merged`.
 
 :class:`ServiceCore` is the front-end contract this module's request/verdict
 types travel through: both :class:`TAOService` (one queue, one coordinator)
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,6 +70,7 @@ from repro.protocol.dispute import ActiveDispute, DisputeGame
 from repro.protocol.lifecycle import SessionReport, TAOSession
 from repro.protocol.roles import Challenger, ProposedResult, Proposer
 from repro.tensorlib.device import DEVICE_FLEET, DeviceProfile
+from repro.utils.digest import LatencyDigest
 from repro.utils.timing import now, thread_now
 
 #: Coordinator task states with no further protocol step pending — a failed
@@ -130,9 +132,22 @@ class ModelEntry:
     challenger_clones: int = 0
 
 
+#: Scalar counters :meth:`ServiceStats.merged` sums across shards.
+_SUMMED = ("requests_submitted", "requests_completed", "cache_hits",
+           "batched_requests", "disputes_opened", "dispute_rounds",
+           "processing_time_s", "busy_cpu_s")
+
+
 @dataclass
 class ServiceStats:
-    """Aggregate service accounting."""
+    """Service accounting, the one record every tier reports.
+
+    A :class:`TAOService` fills the counters itself; a sharded tier builds
+    its record with :meth:`merged` over its shards' records and adds the
+    front end's own accounting (``requests_submitted``, ``shards``,
+    ``failovers``, ``redispatched_requests``, ``measured_wall_s``).  The
+    record is fixed-size: latencies live in a digest, not a list.
+    """
 
     requests_submitted: int = 0
     requests_completed: int = 0
@@ -147,8 +162,17 @@ class ServiceStats:
     busy_cpu_s: float = 0.0
     #: Per-stage busy breakdown (hash / execute / settle / dispute).
     stage_busy_s: Dict[str, float] = field(default_factory=dict)
-    latencies_s: List[float] = field(default_factory=list)
+    #: Submit-to-completion latency of every completed request.
+    latency: LatencyDigest = field(default_factory=LatencyDigest)
     status_counts: Dict[str, int] = field(default_factory=dict)
+    #: Sharded tiers: members that are neither dead nor retired.
+    shards: int = 0
+    failovers: int = 0
+    redispatched_requests: int = 0
+    #: Sharded tiers: wall-clock seconds measured around the shard drains.
+    measured_wall_s: float = 0.0
+    #: Sharded tiers: shard id -> that shard's ``busy_cpu_s``.
+    shard_busy_s: Dict[str, float] = field(default_factory=dict)
 
     @property
     def throughput_rps(self) -> float:
@@ -157,47 +181,49 @@ class ServiceStats:
         return self.requests_completed / self.processing_time_s
 
     @property
-    def mean_latency_s(self) -> float:
-        if not self.latencies_s:
-            return 0.0
-        return float(sum(self.latencies_s) / len(self.latencies_s))
+    def critical_path_s(self) -> float:
+        """Busy time of the busiest shard: the service time a deployment
+        with one core per shard observes (``busy_cpu_s`` unsharded)."""
+        return max(self.shard_busy_s.values(), default=self.busy_cpu_s)
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "requests_submitted": self.requests_submitted,
-            "requests_completed": self.requests_completed,
-            "cache_hits": self.cache_hits,
-            "batched_requests": self.batched_requests,
-            "disputes_opened": self.disputes_opened,
-            "dispute_rounds": self.dispute_rounds,
-            "processing_time_s": self.processing_time_s,
-            "busy_cpu_s": self.busy_cpu_s,
-            "stage_busy_s": dict(self.stage_busy_s),
-            "throughput_rps": self.throughput_rps,
-            "mean_latency_s": self.mean_latency_s,
-            "status_counts": dict(self.status_counts),
-        }
+        out = self.to_payload()
+        out.update(latency=self.latency.summary(),
+                   throughput_rps=self.throughput_rps,
+                   critical_path_s=self.critical_path_s)
+        return out
+
+    def to_payload(self) -> Dict[str, object]:
+        """Canonical-codec-safe state; the digest travels as ``to_dict()``."""
+        out = {item.name: getattr(self, item.name) for item in fields(self)}
+        for name, value in out.items():
+            if isinstance(value, dict):
+                out[name] = dict(value)
+        out["latency"] = self.latency.to_dict()
+        return out
 
     @classmethod
-    def aggregate(cls, parts: Iterable["ServiceStats"]) -> "ServiceStats":
-        """Fleet-wide roll-up of per-shard statistics (sums and concatenation)."""
+    def from_payload(cls, payload: Mapping[str, object]) -> "ServiceStats":
+        state = dict(payload)
+        state["latency"] = LatencyDigest.from_dict(state["latency"])
+        return cls(**state)
+
+    @classmethod
+    def merged(cls, parts: Mapping[str, "ServiceStats"]) -> "ServiceStats":
+        """Roll up per-shard records (shard id -> record) in shard-id order:
+        counters and per-key dicts sum, digests merge, and ``shard_busy_s``
+        maps each shard to its ``busy_cpu_s``."""
         total = cls()
-        for part in parts:
-            total.requests_submitted += part.requests_submitted
-            total.requests_completed += part.requests_completed
-            total.cache_hits += part.cache_hits
-            total.batched_requests += part.batched_requests
-            total.disputes_opened += part.disputes_opened
-            total.dispute_rounds += part.dispute_rounds
-            total.processing_time_s += part.processing_time_s
-            total.busy_cpu_s += part.busy_cpu_s
-            for stage, seconds in part.stage_busy_s.items():
-                total.stage_busy_s[stage] = \
-                    total.stage_busy_s.get(stage, 0.0) + seconds
-            total.latencies_s.extend(part.latencies_s)
-            for status, count in part.status_counts.items():
-                total.status_counts[status] = \
-                    total.status_counts.get(status, 0) + count
+        for shard_id in sorted(parts):
+            part = parts[shard_id]
+            for name in _SUMMED:
+                setattr(total, name, getattr(total, name) + getattr(part, name))
+            for name in ("stage_busy_s", "status_counts"):
+                into = getattr(total, name)
+                for key, value in getattr(part, name).items():
+                    into[key] = into.get(key, 0) + value
+            total.latency.merge(part.latency)
+            total.shard_busy_s[shard_id] = part.busy_cpu_s
         return total
 
 
@@ -835,7 +861,7 @@ class TAOService(ServiceCore):
                 request.status = request.report.final_status
             request.completed_s = completed
             self.stats_record.requests_completed += 1
-            self.stats_record.latencies_s.append(request.latency_s)
+            self.stats_record.latency.add(request.latency_s)
             counts = self.stats_record.status_counts
             counts[request.status] = counts.get(request.status, 0) + 1
         cycle.closed = True

@@ -1,9 +1,10 @@
 """Fixed-memory latency quantile digest with exactly associative merge.
 
-SLO accounting needs p50/p99/p999 over millions of observations without
-keeping raw latency lists (``ServiceStats.latencies_s`` grows without bound —
-fine for a test run, wrong for an open-loop soak).  :class:`LatencyDigest` is
-a log-bucketed histogram: bucket ``i`` covers the half-open interval
+Every service tier reports p50/p99/p999 over millions of observations in a
+record whose size does not grow with the request count
+(``ServiceStats.latency``), and the elastic tier's SLO tracker holds its
+per-phase latencies the same way.  :class:`LatencyDigest` is a log-bucketed
+histogram: bucket ``i`` covers the half-open interval
 ``(min_value * growth**(i-1), min_value * growth**i]``, so the bucket count is
 fixed by the configured dynamic range and the relative value error of any
 quantile is bounded by the bucket width — at the default ``growth=1.02``,

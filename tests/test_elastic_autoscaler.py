@@ -218,11 +218,11 @@ class TestSLOTracker:
         assert a.admission_rejections == 3
         assert a.backpressure_ticks == 1
 
-    def test_from_stats_bridges_existing_accounting(self):
+    def test_tier_latency_digest_merges_into_tracker(self):
         stats = ServiceStats()
-        stats.latencies_s.extend([0.05, 0.10, 0.15])
-        tracker = SLOTracker.from_stats(stats,
-                                        SLOConfig(p99_latency_s=1.0))
+        stats.latency.add_many([0.05, 0.10, 0.15])
+        tracker = SLOTracker(SLOConfig(p99_latency_s=1.0))
+        tracker.phases["total"].merge(stats.latency)
         assert tracker.phases["total"].count == 3
         assert tracker.p99_burn() < 1.0
         assert "phases" in tracker.as_dict()

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.elastic import LatencyDigest
-from repro.elastic.digest import merged
+from repro.utils.digest import merged
 from repro.utils.rng import seeded_rng
 
 QUANTILES = (0.5, 0.9, 0.99, 0.999)

@@ -118,7 +118,7 @@ def test_fleet_matches_plain_service(reference, tenant_graphs, mlp_thresholds,
                 assert fleet.location(name) not in drained
         # Wall-clock accounting is live on the measured path.
         stats = fleet.stats()
-        assert stats.workers == num_workers
+        assert stats.shards == num_workers
         assert stats.measured_wall_s > 0.0
         assert stats.requests_completed == len(fleet_requests)
     finally:

@@ -32,8 +32,6 @@ from repro.fleet.wire import (
     encode_perturbation,
     graph_from_payload,
     graph_to_payload,
-    stats_from_payload,
-    stats_to_payload,
 )
 from repro.calibration.thresholds import ThresholdTable
 from repro.protocol import TAOService
@@ -167,10 +165,31 @@ def test_spawn_roundtrip_model_and_stats_payloads(spawn_echo, mlp_graph,
         batched_requests=3, disputes_opened=1, dispute_rounds=4,
         processing_time_s=0.25, busy_cpu_s=0.125,
         stage_busy_s={"execute": 0.5, "verify": 0.25},
-        latencies_s=[0.03125, 0.0625], status_counts={"finalized": 8},
+        status_counts={"finalized": 8}, shards=2, failovers=1,
+        redispatched_requests=3, measured_wall_s=0.5,
+        shard_busy_s={"shard-0": 0.125, "shard-1": 0.0},
     )
-    echoed = stats_from_payload(_roundtrip(spawn_echo, stats_to_payload(stats)))
-    assert stats_to_payload(echoed) == stats_to_payload(stats)
+    stats.latency.add_many([0.03125, 0.0625])
+    echoed = ServiceStats.from_payload(
+        _roundtrip(spawn_echo, stats.to_payload()))
+    assert canonical_bytes(echoed.to_payload()) == \
+        canonical_bytes(stats.to_payload())
+    assert echoed.latency.p50 == stats.latency.p50
+
+
+def test_stats_payload_stays_fixed_size():
+    """The stats frame every fleet reply carries does not grow with the
+    number of requests: 100x and 10,000x the same latencies fill the same
+    digest buckets, and only the count digits differ."""
+    small, large = ServiceStats(), ServiceStats()
+    for stats, repeats in ((small, 100), (large, 10_000)):
+        for _ in range(repeats):
+            stats.latency.add_many([0.001, 0.004, 0.02, 0.15, 1.5])
+    small_payload, large_payload = small.to_payload(), large.to_payload()
+    assert small_payload["latency"]["buckets"].keys() == \
+        large_payload["latency"]["buckets"].keys()
+    assert abs(len(canonical_bytes(large_payload))
+               - len(canonical_bytes(small_payload))) < 32
 
 
 def test_transport_closed_on_peer_exit():

@@ -146,6 +146,29 @@ def test_drain_undrain_add_round_trip(make_tier, tenant_graphs,
     assert _conserved(front)
 
 
+def test_stats_count_a_redispatched_request_once(make_tier, tenant_graphs,
+                                                 mlp_thresholds,
+                                                 mlp_input_factory):
+    """Both tiers build ``stats()`` the same way: a request re-dispatched
+    by a drain is submitted once, completed once, and the tier's own
+    failover accounting rides on the merged shard records."""
+    front = make_tier(2)
+    _register_all(front, tenant_graphs, mlp_thresholds)
+    for index, graph in enumerate(tenant_graphs):
+        for repeat in range(3):
+            front.submit(graph.name, mlp_input_factory(300 + 3 * index + repeat))
+    front.drain_shard("shard-0")
+    front.process()
+
+    stats = front.stats()
+    assert stats.requests_submitted == 18
+    assert stats.requests_completed == 18
+    assert stats.redispatched_requests == front.redispatched_requests > 0
+    assert stats.failovers == front.failovers
+    assert stats.shards == 2
+    assert set(stats.shard_busy_s) == {"shard-0", "shard-1"}
+
+
 def test_shard_ids_are_reserved(tier, make_tier):
     front = make_tier(2)
     with pytest.raises(ERRORS[tier]):
