@@ -30,7 +30,7 @@ from repro.fleet.transport import (
     TransportTimeout,
     channel_pair,
 )
-from repro.fleet.worker import worker_main
+from repro.fleet.worker import serve, start_worker, stop_worker
 
 __all__ = [
     "CoordinatorSnapshot",
@@ -45,5 +45,7 @@ __all__ = [
     "WorkerError",
     "WorkerHandle",
     "channel_pair",
-    "worker_main",
+    "serve",
+    "start_worker",
+    "stop_worker",
 ]

@@ -6,8 +6,9 @@ transport.  A request instead ships a small *spec* map (``{"type": ...}``)
 and the worker rebuilds the actor against its own session via this module.
 The fleet's hello message names the actor module as a dotted path, so a
 caller with richer actor families (the protocol simulator) points workers at
-its own module (:mod:`repro.sim.fleet_actors`) without the fleet knowing
-those families exist.
+its own module (:mod:`repro.sim.actors`) without the fleet knowing those
+families exist.  Every actor module has this module's three builders;
+``thresholds`` is the table fault overrides are placed against.
 
 Funding happens here, through the worker's chain proxy, with the same
 accounts and amounts the in-process path mints — re-running a schedule
@@ -18,13 +19,17 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict
 
+from repro.calibration.thresholds import ThresholdTable
 from repro.fleet.wire import decode_perturbation
 from repro.protocol.roles import HonestProposer
 from repro.tensorlib.device import DEVICE_FLEET
 
 
-def build_proposer(service: Any, model_name: str, spec: Dict[str, Any]):
-    """Rebuild one proposer from its wire spec against ``service``'s session."""
+def build_proposer(service: Any, model_name: str, spec: Dict[str, Any],
+                   thresholds: ThresholdTable):
+    """Rebuild one proposer from its wire spec against ``service``'s session
+    (this vocabulary places no fault overrides, so ``thresholds`` is unused).
+    """
     session = service.model(model_name).session
     kind = spec["type"]
     if kind == "adversarial":
@@ -56,4 +61,4 @@ def build_committee_factory(majority: int) -> Callable:
     raise ValueError(
         "the default fleet actor module has no committee factory; scenarios "
         "with colluding committees must point the fleet at an actor module "
-        "that provides one (e.g. repro.sim.fleet_actors)")
+        "that provides one (e.g. repro.sim.actors)")

@@ -52,11 +52,15 @@ from repro.fleet.transport import (
     MessageChannel,
     TransportClosed,
     TransportTimeout,
-    channel_pair,
 )
 from repro.fleet.journal import JournalDivergence, ShardJournal
 from repro.fleet.wire import graph_to_payload
-from repro.fleet.worker import worker_main
+from repro.fleet.worker import (
+    ShardWorker,
+    WorkerError,
+    start_worker,
+    stop_worker,
+)
 from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
 from repro.merkle.commitments import ExecutionCommitment
@@ -71,10 +75,6 @@ from repro.utils.timing import now
 
 class FleetError(PlacementError):
     """Raised for fleet-level misuse (unknown tenants, dead workers, ...)."""
-
-
-class WorkerError(RuntimeError):
-    """An error raised inside a worker process, re-surfaced by the parent."""
 
 
 class _UnknownChainMethod(RuntimeError):
@@ -308,24 +308,16 @@ class ProcessFleet(PlacedCore):
         self._launch(shard_id)
 
     def _launch(self, shard_id: str) -> WorkerHandle:
-        """Start the worker process for ``shard_id`` and send its hello."""
-        parent_channel, child_sock = channel_pair(
-            deadline_s=self.worker_timeout_s)
-        process = self._context.Process(
-            target=worker_main, args=(child_sock,),
-            name=f"fleet-{shard_id}", daemon=True,
-        )
-        process.start()
-        child_sock.close()  # the child holds its own copy now
-        handle = WorkerHandle(shard_id=shard_id, process=process,
-                              channel=parent_channel)
-        self.workers[shard_id] = handle
-        self._call(handle, {
+        """Start the worker process for ``shard_id`` and boot it."""
+        process, channel = start_worker(self._context, ShardWorker, {
             "shard_id": shard_id,
             "block_interval_s": self.chain.block_interval_s,
             "service": dict(self._service_knobs),
             "actor_module": self.actor_module,
-        })
+        }, name=f"fleet-{shard_id}", deadline_s=self.worker_timeout_s)
+        handle = WorkerHandle(shard_id=shard_id, process=process,
+                              channel=channel)
+        self.workers[shard_id] = handle
         return handle
 
     def _live_workers(self) -> List[str]:
@@ -461,14 +453,9 @@ class ProcessFleet(PlacedCore):
             return
         handle.alive = False
         self.placement.mark_dead(handle.shard_id)
-        handle.channel.close()
-        handle.process.join(timeout=1.0)
-        if handle.process.is_alive():
-            # Hung-but-alive (the TransportTimeout path): the worker holds
-            # its socket open but will never answer.  Kill it so a wedged
-            # child cannot outlive its failover.
-            handle.process.kill()
-            handle.process.join(timeout=1.0)
+        # A hung-but-alive worker (the TransportTimeout path) is killed, so
+        # a wedged child cannot outlive its failover.
+        stop_worker(handle.process, handle.channel, join_s=1.0)
 
     # ------------------------------------------------------------------
     # Tenant management
@@ -828,10 +815,6 @@ class ProcessFleet(PlacedCore):
         if journal is None:
             raise FleetError(
                 f"worker {shard_id!r} has no journal to recover from")
-        old = self.workers[shard_id]
-        if old.process.is_alive():  # pragma: no cover - raced SIGKILL
-            old.process.kill()
-            old.process.join(timeout=5.0)
         self._replaying.add(shard_id)
         try:
             handle = self._launch(shard_id)
@@ -954,11 +937,7 @@ class ProcessFleet(PlacedCore):
                 except (TransportClosed, WorkerError, FleetError):
                     pass
             handle.alive = False
-            handle.channel.close()
-            handle.process.join(timeout=2.0)
-            if handle.process.is_alive():  # pragma: no cover - stuck worker
-                handle.process.kill()
-                handle.process.join(timeout=1.0)
+            stop_worker(handle.process, handle.channel, join_s=2.0)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None

@@ -1,21 +1,29 @@
-"""The shard worker process: one full TAOService behind the RPC transport.
+"""Worker processes: the one child loop and the one parent-side lifecycle.
 
-:func:`worker_main` is the process entry point.  It is deliberately a plain
-module-level function with zero import-time side effects, so the module is
-importable under the ``spawn`` start method (where the child re-imports it
-fresh) exactly as under ``fork``.
+Every worker process in the repo — the fleet's shard workers and the
+campaign's scenario workers — runs :func:`serve`, and every parent starts
+and stops one with :func:`start_worker` / :func:`stop_worker`.  The loop is
+a plain module-level function with zero import-time side effects, so the
+module is importable under the ``spawn`` start method (where the child
+re-imports it fresh) exactly as under ``fork``.
 
-Boot protocol: the first message on the channel is the parent's hello/config
-(shard id, block interval, service constructor knobs, the dotted path of the
-actor-spec module).  The worker builds its stack —
+Boot protocol: the first message on the channel is the parent's hello.  The
+child builds its *state* object from it (the class rides in the ``Process``
+args), acknowledges with a ``{"kind": "response"}`` boot reply, and enters
+the request loop: each ``{"op": name}`` message is dispatched to the state's
+``op_<name>`` method and answered by one ``{"kind": "response"}`` — until
+``shutdown`` or EOF.
+
+:class:`ShardWorker` is the fleet's state: one full TAOService behind the
+RPC transport.  Its hello carries the shard id, block interval, service
+constructor knobs and the dotted path of the actor-spec module; it builds
 :class:`~repro.fleet.chainproxy.ChainClient` →
 :class:`~repro.protocol.coordinator.Coordinator` →
-:class:`~repro.protocol.service.TAOService` — acknowledges, and enters the
-request loop.  Each request is one ``{"op": ...}`` message answered by one
-``{"kind": "response"}``; in between, chain settlement flows *backwards*
-over the same channel as ``chain_call`` messages (the parent serves them
-inline while waiting for the response, so one channel carries the whole
-nested conversation deterministically).
+:class:`~repro.protocol.service.TAOService`.  In between an op and its
+response, chain settlement flows *backwards* over the same channel as
+``chain_call`` messages (the parent serves them inline while waiting for the
+response, so one channel carries the whole nested conversation
+deterministically).
 
 Every reply carries plain codec values; the structured report/coordinator
 payloads built here are re-materialized parent-side by
@@ -27,21 +35,19 @@ from __future__ import annotations
 
 import importlib
 import socket
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.calibration.committee import CommitteeEnvelopeProfile
 from repro.calibration.thresholds import ThresholdTable
 from repro.fleet.chainproxy import ChainClient
-from repro.fleet.transport import MessageChannel, TransportClosed
+from repro.fleet.transport import MessageChannel, TransportClosed, channel_pair
 from repro.fleet.wire import graph_from_payload
 from repro.protocol.coordinator import Coordinator
 from repro.protocol.service import ServiceRequest, TAOService
 
-#: TAOService constructor knobs the hello message may carry.
-_SERVICE_KNOBS = (
-    "max_batch", "enable_batching", "enable_result_cache", "result_cache_size",
-    "alpha", "n_way", "committee_size", "leaf_path", "cycle_capacity",
-)
+
+class WorkerError(RuntimeError):
+    """An error raised inside a worker process, re-surfaced by the parent."""
 
 
 def _report_payload(request: ServiceRequest) -> Optional[Dict[str, Any]]:
@@ -116,8 +122,8 @@ def _coordinator_payload(coordinator: Coordinator) -> Dict[str, Any]:
     return {"tasks": tasks, "disputes": disputes}
 
 
-class _WorkerState:
-    """The per-process stack plus the op handlers over it."""
+class ShardWorker:
+    """A fleet shard's per-process stack plus the op handlers over it."""
 
     def __init__(self, channel: MessageChannel, hello: Dict[str, Any]) -> None:
         self.channel = channel
@@ -130,11 +136,8 @@ class _WorkerState:
         # parent always journals the transition before applying any of its
         # chain mutations.
         self.coordinator.journal = self._emit_journal
-        knobs = {key: hello["service"][key]
-                 for key in _SERVICE_KNOBS if key in hello["service"]}
-        if knobs.get("cycle_capacity") is not None:
-            knobs["cycle_capacity"] = int(knobs["cycle_capacity"])
-        self.service = TAOService(coordinator=self.coordinator, **knobs)
+        self.service = TAOService(coordinator=self.coordinator,
+                                  **hello["service"])
         self.actors = importlib.import_module(hello["actor_module"])
 
     def _emit_journal(self, entry: Dict[str, Any]) -> None:
@@ -173,8 +176,10 @@ class _WorkerState:
         model_name = message["model"]
         proposer = challenger = None
         if message.get("proposer") is not None:
-            proposer = self.actors.build_proposer(self.service, model_name,
-                                                  message["proposer"])
+            session = self.service.model(model_name).session
+            proposer = self.actors.build_proposer(
+                self.service, model_name, message["proposer"],
+                session.thresholds)
         if message.get("challenger") is not None:
             challenger = self.actors.build_challenger(self.service, model_name,
                                                       message["challenger"])
@@ -217,49 +222,84 @@ class _WorkerState:
         return {}
 
 
-def worker_main(child_socket: socket.socket) -> None:
-    """Run one shard worker over ``child_socket`` until shutdown or EOF."""
+def _failure(exc: BaseException) -> Dict[str, Any]:
+    return {"kind": "response", "ok": False,
+            "error": f"{type(exc).__name__}: {exc}"}
+
+
+def serve(child_socket: socket.socket,
+          state_class: Callable[[MessageChannel, Dict[str, Any]], Any]) -> None:
+    """Run one worker over ``child_socket`` until shutdown or EOF.
+
+    ``state_class(channel, hello)`` builds the worker's state from the hello;
+    its ``op_<name>`` methods answer the ops.  Handler errors are reported
+    to the parent and the loop keeps serving.
+    """
     channel = MessageChannel(child_socket)
     try:
         hello = channel.recv()
-    except TransportClosed:
-        channel.close()
-        return
-    try:
-        state = _WorkerState(channel, hello)
-    except Exception as exc:  # noqa: BLE001 - boot errors go to the parent
         try:
-            channel.send({"kind": "response", "ok": False,
-                          "error": f"{type(exc).__name__}: {exc}"})
-        except TransportClosed:
-            pass
-        channel.close()
-        return
-    channel.send({"kind": "response", "ok": True,
-                  "value": {"shard_id": state.chain.shard_id}})
-
-    try:
+            state = state_class(channel, hello)
+        except Exception as exc:  # noqa: BLE001 - boot errors go to the parent
+            channel.send(_failure(exc))
+            return
+        channel.send({"kind": "response", "ok": True, "value": {}})
         while True:
-            try:
-                message = channel.recv()
-            except TransportClosed:
-                break
+            message = channel.recv()
             op = message.get("op")
-            handler = getattr(state, f"op_{op}", None)
-            if handler is None:
-                channel.send({"kind": "response", "ok": False,
-                              "error": f"unknown op {op!r}"})
-                continue
             try:
-                value = handler(message)
+                handler = getattr(state, f"op_{op}", None)
+                if handler is None:
+                    raise ValueError(f"unknown op {op!r}")
+                reply = {"kind": "response", "ok": True,
+                         "value": handler(message)}
             except TransportClosed:
-                break
+                raise
             except Exception as exc:  # noqa: BLE001 - report, keep serving
-                channel.send({"kind": "response", "ok": False,
-                              "error": f"{type(exc).__name__}: {exc}"})
-                continue
-            channel.send({"kind": "response", "ok": True, "value": value})
-            if op == "shutdown":
+                reply = _failure(exc)
+            channel.send(reply)
+            if op == "shutdown" and reply["ok"]:
                 break
+    except TransportClosed:
+        pass
     finally:
         channel.close()
+
+
+def start_worker(context: Any, state_class: type, hello: Dict[str, Any],
+                 name: str, deadline_s: Optional[float] = None,
+                 ) -> Tuple[Any, MessageChannel]:
+    """Spawn a worker serving ``state_class``, send ``hello``, await its boot.
+
+    Returns the started process and the parent's channel to it;
+    ``deadline_s`` bounds every parent-side channel operation.  A worker
+    that fails to boot is stopped and its error raised as
+    :class:`WorkerError`.
+    """
+    channel, child_sock = channel_pair(deadline_s=deadline_s)
+    process = context.Process(target=serve, args=(child_sock, state_class),
+                              name=name, daemon=True)
+    process.start()
+    child_sock.close()  # the child holds its own copy now
+    try:
+        channel.send(hello)
+        reply = channel.recv()
+    except TransportClosed:
+        stop_worker(process, channel)
+        raise
+    if not reply.get("ok"):
+        stop_worker(process, channel)
+        raise WorkerError(f"[{name}] failed to boot: {reply.get('error')}")
+    return process, channel
+
+
+def stop_worker(process: Any, channel: MessageChannel,
+                join_s: float = 1.0) -> None:
+    """Close the channel, join the process and kill it if it is wedged."""
+    channel.close()
+    process.join(timeout=join_s)
+    if process.is_alive():
+        # Hung-but-alive: the worker holds its socket open but will never
+        # answer.  Kill it so a wedged child cannot outlive its parent's use.
+        process.kill()
+        process.join(timeout=join_s)

@@ -1,31 +1,32 @@
-"""Simulator actor families rebuilt from wire specs inside fleet workers.
+"""The simulator's one actor builder: every role object from its wire spec.
 
-When a scenario sets ``process_fleet=True`` the runner cannot hand role
-objects to the service — fault wrappers hold interpreter-override closures
-that no codec moves.  Instead each event ships a small spec map and the
-fleet worker (pointed at this module through the fleet's ``actor_module``
-hello field) rebuilds the exact actor the in-process runner would have
-built: same names, same funding, same devices, same derived seeds — so the
-fleet run lands on the same verdicts and the same ledger.
+The runner describes each event's actors as small spec maps
+(``{"type": ...}``) and resolves them here — in process for the plain
+service and the thread cluster, and inside worker processes for
+``process_fleet`` scenarios (the fleet's ``actor_module`` hello field names
+this module), because fault wrappers hold interpreter-override closures that
+no codec moves.  One builder on both sides means the same names, funding,
+devices and derived seeds wherever a scenario runs, so a fleet run lands on
+the same verdicts and the same ledger as its in-process reference.
 
-The override closures themselves are reconstructed here with
-:func:`repro.sim.faults.make_fault_overrides` against the worker session's
-*registered* graph and threshold table.  That is only the same computation
-the parent runner performs when the registered table equals the workload
-table — which is why the runner rejects ``process_fleet`` scenarios with
-``threshold_scale != 1.0``.
+The fault-override table is passed in explicitly: the runner passes the
+workload table, a fleet worker its session's registered table.  The two
+differ only when ``threshold_scale != 1.0``, which is why the runner rejects
+``process_fleet`` scenarios with a scaled table.
 
-``stale_trace`` decoys are memoized per (model, decoy seed) at module level:
-one worker process plays every event of its tenant, so the memo mirrors the
-runner's ``honest_results`` cache exactly.
+``stale_trace`` decoys are memoized per session, so they live exactly as
+long as the run that registered the session: a decoy committed under one
+run's model commitment can never be replayed into another run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+import weakref
+from typing import Any, Callable, Dict
 
+from repro.calibration.thresholds import ThresholdTable
 from repro.fleet import actors as default_actors
-from repro.protocol.roles import HonestProposer
+from repro.protocol.roles import CommitteeMember, HonestProposer
 from repro.sim.faults import (
     ColludingCommitteeMember,
     SimChallenger,
@@ -35,20 +36,23 @@ from repro.sim.faults import (
 )
 from repro.tensorlib.device import DEVICE_FLEET
 
-#: Per-process memo of decoy traces for stale_trace events, keyed by
-#: (model name, decoy seed) — the worker-side twin of the runner's
-#: ``honest_results`` map.
-_DECOY_CACHE: Dict[Tuple[str, int], Any] = {}
+#: Decoy traces for stale_trace events: session -> {decoy seed: trace}.
+_DECOYS: "weakref.WeakKeyDictionary[Any, Dict[int, Any]]" = \
+    weakref.WeakKeyDictionary()
 
 
-def build_proposer(service: Any, model_name: str, spec: Dict[str, Any]):
-    """Rebuild one simulator proposer from its wire spec."""
+def build_proposer(service: Any, model_name: str, spec: Dict[str, Any],
+                   thresholds: ThresholdTable):
+    """Build one simulator proposer from its wire spec against ``service``.
+
+    ``thresholds`` is the table fault overrides are placed against.
+    """
     kind = spec["type"]
     session = service.model(model_name).session
     chain = session.coordinator.chain
     if kind == "sim_fault":
         overrides = make_fault_overrides(
-            spec["kind"], session.graph_module, session.thresholds,
+            spec["kind"], session.graph_module, thresholds,
             spec["victim"], spec["magnitude"], int(spec["seed"]),
         )
         chain.fund_once(spec["name"], session.initial_balance)
@@ -56,24 +60,24 @@ def build_proposer(service: Any, model_name: str, spec: Dict[str, Any]):
                            hash_cache=service.hash_cache,
                            partition_delay_s=float(spec["partition_delay_s"]))
     if kind == "stale_trace":
-        key = (model_name, int(spec["decoy_key"]))
-        source = _DECOY_CACHE.get(key)
+        decoys = _DECOYS.setdefault(session, {})
+        source = decoys.get(int(spec["decoy_key"]))
         if source is None:
             scout = HonestProposer(f"{spec['name']}-scout", DEVICE_FLEET[0],
                                    hash_cache=service.hash_cache)
             source = scout.execute(session.graph_module,
                                    session.model_commitment,
                                    spec["decoy_inputs"])
-            _DECOY_CACHE[key] = source
+            decoys[int(spec["decoy_key"])] = source
         chain.fund_once(spec["name"], session.initial_balance)
         return StaleTraceProposer(spec["name"], DEVICE_FLEET[0], source,
                                   hash_cache=service.hash_cache)
     # honest / adversarial specs are the fleet's own vocabulary.
-    return default_actors.build_proposer(service, model_name, spec)
+    return default_actors.build_proposer(service, model_name, spec, thresholds)
 
 
 def build_challenger(service: Any, model_name: str, spec: Dict[str, Any]):
-    """Rebuild one simulator challenger override from its wire spec."""
+    """Build one simulator challenger override from its wire spec."""
     if spec["type"] != "sim_challenger":
         return default_actors.build_challenger(service, model_name, spec)
     session = service.model(model_name).session
@@ -85,12 +89,12 @@ def build_challenger(service: Any, model_name: str, spec: Dict[str, Any]):
 
 
 def build_committee_factory(majority: int) -> Callable:
-    """The runner's bought-majority committee, rebuilt from its one knob."""
+    """A committee whose first ``majority`` seats are bought; the rest stay
+    honest."""
 
     def factory(i, device, _majority=int(majority)):
         if i < _majority:
             return ColludingCommitteeMember(f"colluder-{i}", device)
-        from repro.protocol.roles import CommitteeMember
         return CommitteeMember(f"committee-{i}", device)
 
     return factory

@@ -25,9 +25,10 @@ ran it or in which order their results arrived.  That is the campaign's
 determinism pin: per-scenario verdict fingerprints and the final stake
 ledger from a multi-worker run equal the single-process reference exactly.
 
-Workers speak the fleet transport's canonical-bytes framing
-(:mod:`repro.fleet.transport`) — scenarios travel as codec payloads and
-results come back as canonical frames; there is no pickle on the data path.
+Workers run the fleet's worker machinery (:mod:`repro.fleet.worker`) with a
+:class:`CampaignWorker` state, over the fleet transport's canonical-bytes
+framing — scenarios travel as codec payloads and results come back as
+canonical frames; there is no pickle on the data path.
 
 Early stopping uses one Wald sequential test per invariant family
 (:mod:`repro.sim.sprt`): CI accepts each family after a bounded number of
@@ -39,9 +40,8 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import socket
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +51,8 @@ from repro.calibration.committee import (
     calibrate_committee_envelope,
 )
 from repro.calibration.thresholds import ThresholdTable
-from repro.fleet.transport import MessageChannel, TransportClosed, channel_pair
+from repro.fleet.transport import MessageChannel, TransportClosed
+from repro.fleet.worker import WorkerError, start_worker, stop_worker
 from repro.protocol.chain import SimulatedChain
 from repro.protocol.economics import EconomicParameters
 from repro.sim.adversary import AdaptiveAdversary, BoundaryEstimate
@@ -199,40 +200,25 @@ def run_campaign_scenario(scenario: Scenario, workload: SimWorkload,
 # Worker pool
 # ---------------------------------------------------------------------------
 
-def campaign_worker_main(child_socket: socket.socket) -> None:
-    """Serve campaign scenarios over ``child_socket`` until shutdown or EOF."""
-    channel = MessageChannel(child_socket)
-    workload: Optional[SimWorkload] = None
-    try:
-        while True:
-            try:
-                message = channel.recv()
-            except TransportClosed:
-                break
-            op = message.get("op")
-            try:
-                if op == "init":
-                    workload = campaign_workload(message["workload"])
-                    reply = {"ok": True, "value": {"workload": workload.name}}
-                elif op == "run":
-                    if workload is None:
-                        raise RuntimeError("worker got run before init")
-                    scenario = Scenario.from_payload(message["scenario"])
-                    frame = run_campaign_scenario(
-                        scenario, workload, dict(message["carried"]))
-                    frame["index"] = int(message["index"])
-                    reply = {"ok": True, "value": frame}
-                elif op == "shutdown":
-                    channel.send({"ok": True, "value": {}})
-                    break
-                else:
-                    reply = {"ok": False, "error": f"unknown op {op!r}"}
-            except Exception as exc:  # noqa: BLE001 - errors go to the parent
-                reply = {"ok": False,
-                         "error": f"{type(exc).__name__}: {exc}"}
-            channel.send(reply)
-    finally:
-        channel.close()
+#: Parent-side deadline on every campaign worker reply, in seconds.
+WORKER_DEADLINE_S = 300.0
+
+
+class CampaignWorker:
+    """A campaign worker's state: the workload, resolved by name alone."""
+
+    def __init__(self, channel: MessageChannel, hello: Dict[str, Any]) -> None:
+        self.workload = campaign_workload(hello["workload"])
+
+    def op_run(self, message: Dict[str, Any]) -> Dict[str, object]:
+        frame = run_campaign_scenario(
+            Scenario.from_payload(message["scenario"]), self.workload,
+            dict(message["carried"]))
+        frame["index"] = int(message["index"])
+        return frame
+
+    def op_shutdown(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        return {}
 
 
 class CampaignRunner:
@@ -246,9 +232,7 @@ class CampaignRunner:
     index — arrival interleaving cannot influence anything downstream.
     """
 
-    def __init__(self, workload_name: str, num_workers: int = 0,
-                 start_method: Optional[str] = None,
-                 deadline_s: Optional[float] = 300.0) -> None:
+    def __init__(self, workload_name: str, num_workers: int = 0) -> None:
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0")
         self.workload_name = workload_name
@@ -257,27 +241,16 @@ class CampaignRunner:
         # method every worker inherits the prepared graph/calibration pages
         # instead of re-deriving them.
         self._workload = campaign_workload(workload_name)
-        self._channels: List[MessageChannel] = []
-        self._processes: List[multiprocessing.process.BaseProcess] = []
-        if self.num_workers:
-            context = multiprocessing.get_context(start_method)
+        self._workers: List[Tuple[Any, MessageChannel]] = []
+        context = multiprocessing.get_context()
+        try:
             for index in range(self.num_workers):
-                parent_channel, child_sock = channel_pair(deadline_s=deadline_s)
-                process = context.Process(
-                    target=campaign_worker_main, args=(child_sock,),
-                    name=f"campaign-{index}", daemon=True,
-                )
-                process.start()
-                child_sock.close()
-                parent_channel.send({"op": "init",
-                                     "workload": workload_name})
-                self._channels.append(parent_channel)
-                self._processes.append(process)
-            for channel in self._channels:
-                reply = channel.recv()
-                if not reply.get("ok"):
-                    raise RuntimeError(
-                        f"campaign worker failed to boot: {reply.get('error')}")
+                self._workers.append(start_worker(
+                    context, CampaignWorker, {"workload": workload_name},
+                    name=f"campaign-{index}", deadline_s=WORKER_DEADLINE_S))
+        except BaseException:
+            self.close()
+            raise
 
     def __enter__(self) -> "CampaignRunner":
         return self
@@ -287,20 +260,31 @@ class CampaignRunner:
 
     def run_round(self, jobs: Sequence[Tuple[int, Scenario]],
                   carried: Dict[str, float]) -> Dict[int, Dict[str, object]]:
-        """Run one round of ``(cycle index, scenario)`` jobs on ``carried``."""
+        """Run one round of ``(cycle index, scenario)`` jobs on ``carried``.
+
+        ``process_fleet`` scenarios are refused, at every worker count and
+        before any job runs: a daemonic worker cannot spawn a fleet.
+        """
+        refused = [scenario.name for _, scenario in jobs
+                   if scenario.process_fleet]
+        if refused:
+            raise ValueError(
+                f"campaign rounds cannot run process_fleet scenarios "
+                f"{refused}: a campaign worker cannot spawn a fleet")
         results: Dict[int, Dict[str, object]] = {}
-        if not self._channels:
+        if not self._workers:
             for index, scenario in jobs:
                 frame = run_campaign_scenario(scenario, self._workload, carried)
                 frame["index"] = int(index)
                 results[int(index)] = frame
             return results
+        channels = [channel for _, channel in self._workers]
         assigned: Dict[int, List[int]] = {
-            worker: [] for worker in range(len(self._channels))
+            worker: [] for worker in range(len(channels))
         }
         for position, (index, scenario) in enumerate(jobs):
-            worker = position % len(self._channels)
-            self._channels[worker].send({
+            worker = position % len(channels)
+            channels[worker].send({
                 "op": "run",
                 "index": int(index),
                 "scenario": scenario.to_payload(),
@@ -309,29 +293,23 @@ class CampaignRunner:
             assigned[worker].append(int(index))
         for worker, indices in assigned.items():
             for _ in indices:
-                reply = self._channels[worker].recv()
+                reply = channels[worker].recv()
                 if not reply.get("ok"):
-                    raise RuntimeError(
+                    raise WorkerError(
                         f"campaign worker {worker} failed: {reply.get('error')}")
                 frame = reply["value"]
                 results[int(frame["index"])] = frame
         return results
 
     def close(self) -> None:
-        for channel in self._channels:
+        for process, channel in self._workers:
             try:
                 channel.send({"op": "shutdown"})
                 channel.recv()
             except TransportClosed:
                 pass
-            channel.close()
-        for process in self._processes:
-            process.join(timeout=10.0)
-            if process.is_alive():  # pragma: no cover - wedged worker
-                process.kill()
-                process.join(timeout=5.0)
-        self._channels = []
-        self._processes = []
+            stop_worker(process, channel, join_s=10.0)
+        self._workers = []
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +330,6 @@ class CampaignConfig:
     #: annealing probe (while the bought seats still hold the majority).
     collusion_every: int = 6
     num_workers: int = 0
-    start_method: Optional[str] = None
     sprt: SPRTConfig = field(default_factory=SPRTConfig)
     #: Stop as soon as every invariant family's sequential test has decided
     #: (the CI slice); the nightly sweep leaves this off and runs the full
@@ -505,8 +482,7 @@ class Campaign:
         owned_runner = runner is None
         if owned_runner:
             runner = CampaignRunner(config.workload,
-                                    num_workers=config.num_workers,
-                                    start_method=config.start_method)
+                                    num_workers=config.num_workers)
         try:
             cycle = 0
             while cycle < config.cycles:

@@ -1,16 +1,19 @@
 """Execute scenario schedules against the real protocol stack.
 
-The runner owns *zero* protocol logic: every event is turned into actors
-built from :mod:`repro.protocol.roles` (via the fault wrappers in
+The runner owns *zero* protocol logic: every event is described as small
+actor wire specs, resolved into role objects by the one actor builder
+(:mod:`repro.sim.actors`, over the fault wrappers in
 :mod:`repro.sim.faults`) and submitted to an ordinary
 :class:`~repro.protocol.service.TAOService` over a fresh coordinator and
 chain — or, when the scenario sets ``num_shards`` > 1, to an ordinary
 :class:`~repro.cluster.cluster.TAOCluster` over a fresh shared settlement
 chain (both implement :class:`~repro.protocol.service.ServiceCore`, so the
-drive loop is identical).  ``drain_home_at_cycle`` injects a shard failover
-between a cycle's submissions and its drain, re-dispatching the in-flight
-events across shards; ``undrain_home_at_cycle`` returns the drained shard to
-service before a later cycle's submissions (the elastic scale-up leg).
+drive loop is identical).  A ``process_fleet`` scenario ships the specs
+themselves and its worker processes resolve them through the same builder.
+``drain_home_at_cycle`` injects a shard failover between a cycle's
+submissions and its drain, re-dispatching the in-flight events across
+shards; ``undrain_home_at_cycle`` returns the drained shard to service
+before a later cycle's submissions (the elastic scale-up leg).
 ``Scenario(cycle_capacity=...)`` splits each drain into small cycles, so one
 burst's faulty disputes settle before the next cycle of the same burst
 submits.  What comes back — coordinator statuses, dispute
@@ -46,15 +49,8 @@ from repro.fleet.fleet import ProcessFleet
 from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
 from repro.protocol.coordinator import Coordinator
-from repro.protocol.roles import HonestProposer, Proposer
 from repro.protocol.service import ServiceCore, TAOService
-from repro.sim.faults import (
-    ColludingCommitteeMember,
-    SimChallenger,
-    SimProposer,
-    StaleTraceProposer,
-    make_fault_overrides,
-)
+from repro.sim import actors
 from repro.sim.invariants import (
     EventOutcome,
     InvariantViolation,
@@ -178,12 +174,9 @@ def run_schedule(schedule: ScenarioSchedule, workload: SimWorkload,
     service = _build_service(scenario, workload, journal_recovery=crash_events,
                              chain=chain)
     fleet = isinstance(service, ProcessFleet)
-    # A fleet's sessions live inside worker processes; actors travel as
-    # wire specs instead of objects, so no parent-side session is needed.
-    session = None if fleet else service.model(workload.graph.name).session
+    model_name = workload.graph.name
 
     request_ids: Dict[int, int] = {}
-    honest_results: Dict[int, object] = {}
     drained_home: Optional[str] = None
     for cycle_index, cycle in enumerate(schedule.cycles):
         if (scenario.undrain_home_at_cycle == cycle_index
@@ -195,16 +188,20 @@ def run_schedule(schedule: ScenarioSchedule, workload: SimWorkload,
             service.undrain_shard(drained_home)
             drained_home = None
         for event in cycle:
-            if fleet:
-                proposer = _proposer_spec(event, workload)
-                challenger = _challenger_spec(event)
-            else:
-                proposer = _build_proposer(event, scenario, workload, session,
-                                           honest_results)
-                challenger = _build_challenger(event, scenario, workload,
-                                               service)
+            proposer = _proposer_spec(event, workload)
+            challenger = _challenger_spec(event)
+            if not fleet:
+                # In-process tiers resolve the specs through the builder a
+                # fleet worker runs; a fleet ships them as they are.  Fault
+                # overrides sit against the workload table.
+                if proposer is not None:
+                    proposer = actors.build_proposer(
+                        service, model_name, proposer, workload.thresholds)
+                if challenger is not None:
+                    challenger = actors.build_challenger(
+                        service, model_name, challenger)
             request_ids[event.index] = service.submit(
-                workload.graph.name,
+                model_name,
                 workload.sample_inputs(event.input_seed),
                 proposer=proposer,
                 force_challenge=event.force_challenge,
@@ -216,10 +213,10 @@ def run_schedule(schedule: ScenarioSchedule, workload: SimWorkload,
             # Failover under fire: the cycle's events are already queued on
             # the home shard; draining it withdraws and re-dispatches them
             # to the ring successor before they are processed.
-            drained_home = service.location(workload.graph.name)
+            drained_home = service.location(model_name)
             service.drain_shard(drained_home)
         if fleet and any(event.crash_after for event in cycle):
-            _arm_crash(service, workload.graph.name)
+            _arm_crash(service, model_name)
         service.process()
 
     outcomes = [
@@ -278,7 +275,7 @@ def _build_service(scenario: Scenario, workload: SimWorkload,
             committee_size=scenario.committee_size,
             hash_cache=workload.hash_cache,
             cycle_capacity=scenario.cycle_capacity,
-            actor_module="repro.sim.fleet_actors",
+            actor_module=actors.__name__,
             recovery="journal" if journal_recovery else "failover",
         )
         envelope = workload.committee_envelope \
@@ -313,15 +310,8 @@ def _build_service(scenario: Scenario, workload: SimWorkload,
     session_kwargs = {}
     if scenario.colluding_committee:
         # A majority of the committee is bought; the last seat stays honest.
-        majority = (scenario.committee_size // 2) + 1
-
-        def factory(i, device, _majority=majority):
-            if i < _majority:
-                return ColludingCommitteeMember(f"colluder-{i}", device)
-            from repro.protocol.roles import CommitteeMember
-            return CommitteeMember(f"committee-{i}", device)
-
-        session_kwargs["committee_factory"] = factory
+        session_kwargs["committee_factory"] = actors.build_committee_factory(
+            (scenario.committee_size // 2) + 1)
     if scenario.calibrated_committee and workload.committee_envelope is not None:
         envelope = workload.committee_envelope
         if scenario.threshold_scale != 1.0:
@@ -338,64 +328,12 @@ def _build_service(scenario: Scenario, workload: SimWorkload,
     return service
 
 
-def _build_proposer(event: RequestEvent, scenario: Scenario,
-                    workload: SimWorkload, session,
-                    honest_results: Dict[int, object]) -> Optional[Proposer]:
-    """The proposer actor for one event (None = service default honest path)."""
-    chain = session.coordinator.chain
-    name = f"sim-proposer-{event.index}"
-    if event.kind == "honest":
-        return None
-    if event.kind == "device_drift":
-        chain.fund_once(name, session.initial_balance)
-        return HonestProposer(name, DEVICE_FLEET[event.drift_device % len(DEVICE_FLEET)],
-                              hash_cache=workload.hash_cache)
-    if event.kind == "stale_trace":
-        # index-0 events never expand to stale_trace, so a decoy exists.
-        source = honest_results.get(event.decoy_seed)
-        if source is None:
-            scout = HonestProposer(f"{name}-scout", DEVICE_FLEET[0],
-                                   hash_cache=workload.hash_cache)
-            source = scout.execute(workload.graph, session.model_commitment,
-                                   workload.sample_inputs(event.decoy_seed))
-            honest_results[event.decoy_seed] = source
-        chain.fund_once(name, session.initial_balance)
-        return StaleTraceProposer(name, DEVICE_FLEET[0], source,
-                                  hash_cache=workload.hash_cache)
-    overrides = make_fault_overrides(
-        event.kind, workload.graph, workload.thresholds,
-        event.victim, event.magnitude,
-        derive_seed(event.fault_seed, "fault", event.index),
-    )
-    delay = DROPPED_MOVE_DELAY_S if event.kind == "drop_partition" else 0.0
-    chain.fund_once(name, session.initial_balance)
-    return SimProposer(name, DEVICE_FLEET[0], overrides,
-                       hash_cache=workload.hash_cache, partition_delay_s=delay)
-
-
-def _build_challenger(event: RequestEvent, scenario: Scenario,
-                      workload: SimWorkload, service: ServiceCore):
-    """The per-request challenger override (None = service default)."""
-    if event.kind not in ("drop_selection", "late_move"):
-        return None
-    delay = DROPPED_MOVE_DELAY_S if event.kind == "drop_selection" \
-        else LATE_MOVE_DELAY_S
-    session = service.model(workload.graph.name).session
-    name = f"sim-challenger-{event.index}"
-    session.coordinator.chain.fund_once(name, session.initial_balance)
-    return SimChallenger(name, session.devices[-1], session.thresholds,
-                         hash_cache=workload.hash_cache, selection_delay_s=delay,
-                         committee_envelope=session.committee_envelope)
-
-
 def _proposer_spec(event: RequestEvent,
                    workload: SimWorkload) -> Optional[Dict[str, object]]:
-    """The wire-spec twin of :func:`_build_proposer` for fleet scenarios.
-
-    Ships exactly the inputs the in-process path feeds its actor
-    constructors — names, derived seeds, devices, funding — so
-    :mod:`repro.sim.fleet_actors` rebuilds the identical actor inside the
-    worker process.
+    """The proposer wire spec for one event (None = service default honest
+    path): names, derived seeds, devices and funding — everything
+    :mod:`repro.sim.actors` needs to build the actor, in process or inside
+    a fleet worker.
     """
     name = f"sim-proposer-{event.index}"
     if event.kind == "honest":
@@ -405,8 +343,7 @@ def _proposer_spec(event: RequestEvent,
                 "device_index": event.drift_device % len(DEVICE_FLEET),
                 "fund": True}
     if event.kind == "stale_trace":
-        # The decoy trace is memoized worker-side per (model, seed), the
-        # twin of the runner's honest_results map.
+        # The builder memoizes the decoy trace per session.
         return {"type": "stale_trace", "name": name,
                 "decoy_key": int(event.decoy_seed),
                 "decoy_inputs": workload.sample_inputs(event.decoy_seed)}
@@ -420,7 +357,7 @@ def _proposer_spec(event: RequestEvent,
 
 
 def _challenger_spec(event: RequestEvent) -> Optional[Dict[str, object]]:
-    """The wire-spec twin of :func:`_build_challenger` for fleet scenarios."""
+    """The per-request challenger override spec (None = service default)."""
     if event.kind not in ("drop_selection", "late_move"):
         return None
     delay = DROPPED_MOVE_DELAY_S if event.kind == "drop_selection" \

@@ -98,12 +98,14 @@ class Scenario:
     #: When True the scenario runs against a
     #: :class:`~repro.fleet.fleet.ProcessFleet` of ``num_shards`` worker
     #: *processes* instead of the in-process service/cluster: actors travel
-    #: as wire specs and are rebuilt inside the workers
-    #: (:mod:`repro.sim.fleet_actors`), settlement flows back to the shared
-    #: parent chain, and ``drain_home_at_cycle`` drains a fleet worker.
-    #: Requires ``threshold_scale == 1.0`` (fault overrides are rebuilt
-    #: worker-side from the *registered* table, which must therefore equal
-    #: the workload table the in-process runner uses).
+    #: as wire specs and are built inside the workers by the same builder
+    #: the in-process runner uses (:mod:`repro.sim.actors`), settlement
+    #: flows back to the shared parent chain, and ``drain_home_at_cycle``
+    #: drains a fleet worker.  Requires ``threshold_scale == 1.0`` (a
+    #: worker places fault overrides against its *registered* table, which
+    #: must therefore equal the workload table the in-process runner
+    #: passes).  Campaign rounds refuse it: a campaign worker cannot spawn
+    #: a fleet.
     process_fleet: bool = False
     #: When set (and ``process_fleet`` is True), the workload model's home
     #: worker is SIGKILLed at this cycle's first *fresh* chain mutation —

@@ -25,7 +25,7 @@ import socket
 import numpy as np
 import pytest
 
-from repro.fleet import ProcessFleet
+from repro.fleet import ProcessFleet, WorkerError
 from repro.fleet.transport import MessageChannel, TransportClosed, channel_pair
 from repro.fleet.wire import (
     decode_perturbation,
@@ -205,6 +205,15 @@ def test_transport_closed_on_peer_exit():
         for _ in range(64):
             parent.send({"op": "ping"})
     parent.close()
+
+
+def test_worker_boot_failure_is_raised_and_the_worker_stopped():
+    """A state that cannot boot surfaces as WorkerError; no child lingers."""
+    with pytest.raises(WorkerError, match="fleet-shard-0.*failed to boot.*"
+                       "ModuleNotFoundError"):
+        ProcessFleet(num_workers=1, actor_module="no_such_actor_module")
+    assert not [child for child in multiprocessing.active_children()
+                if child.name == "fleet-shard-0"]
 
 
 def test_spawn_fleet_matches_plain_service(mlp_graph, mlp_thresholds,

@@ -81,14 +81,36 @@ def test_campaign_scenarios_round_trip_the_canonical_codec(campaign_mlp):
 def test_worker_errors_propagate_to_the_parent():
     runner = CampaignRunner("campaign_mlp", num_workers=1)
     try:
-        # process_fleet + scaled thresholds is rejected by the runner's
-        # service builder — inside the worker, whose error must surface.
+        # An unknown leaf path is rejected by the runner's service builder —
+        # inside the worker, whose error must surface.
         bad = Scenario(name="bad", seed=0, model="campaign_mlp",
-                       process_fleet=True, threshold_scale=0.5)
-        with pytest.raises(RuntimeError, match="campaign worker"):
+                       leaf_path="no_such_leaf")
+        with pytest.raises(RuntimeError,
+                           match="campaign worker 0 failed: ValueError"):
             runner.run_round([(0, bad)], {})
     finally:
         runner.close()
+
+
+@pytest.mark.parametrize("num_workers", [0, 1])
+def test_rounds_refuse_process_fleet_scenarios_at_every_worker_count(
+        num_workers):
+    """A campaign worker is daemonic and cannot spawn a fleet, so a round
+    refuses ``process_fleet`` scenarios — inline too, so the verdict never
+    depends on the worker count — before any job is dispatched."""
+    clean = Scenario(name="clean", seed=1, model="campaign_mlp",
+                     num_requests=2, fault_rate=0.0)
+    fleet = Scenario(name="fleet-job", seed=0, model="campaign_mlp",
+                     num_requests=2, process_fleet=True)
+    with CampaignRunner("campaign_mlp", num_workers=num_workers) as runner:
+        with pytest.raises(ValueError, match="fleet-job"):
+            runner.run_round([(0, clean), (1, fleet)], {})
+        # Nothing was dispatched: the next round's replies are its own.
+        frames = runner.run_round([(5, clean)], {})
+    assert list(frames) == [5]
+    assert frames[5]["fingerprint"] == \
+        run_campaign_scenario(clean, campaign_workload("campaign_mlp"),
+                              {})["fingerprint"]
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,8 @@ bit-for-bit repeatable.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -33,8 +35,10 @@ from repro.calibration import (
     calibrate_committee_envelope,
 )
 from repro.protocol.coordinator import TaskStatus
+from repro.sim import actors as sim_actors
 from repro.sim.invariants import TERMINAL_STATUSES
 from repro.sim import (
+    DEFAULT_FAULT_KINDS,
     FAULT_KINDS,
     InvariantViolation,
     Scenario,
@@ -200,10 +204,10 @@ def test_randomized_fleet_scenarios_uphold_all_invariants(sim_mlp_workload):
 
     The same invariant families as the cluster campaign, but the shards are
     genuine worker *processes* behind the serialized RPC transport: actors
-    travel as wire specs and are rebuilt worker-side
-    (:mod:`repro.sim.fleet_actors`), settlement flows back to the shared
-    parent chain as nested chain calls, and liveness/conservation sweeps
-    walk the parent-side coordinator snapshots.  Every fourth scenario
+    travel as wire specs and are built worker-side by the same builder the
+    in-process runs use (:mod:`repro.sim.actors`), settlement flows back to
+    the shared parent chain as nested chain calls, and liveness/conservation
+    sweeps walk the parent-side coordinator snapshots.  Every fourth scenario
     drains the model's home worker with a submitted cycle still queued, so
     the cycle's events (faulty actors and all) are withdrawn and
     re-dispatched to the ring successor across process boundaries.
@@ -345,15 +349,42 @@ def test_fleet_matches_in_process_reference_on_campaign_template(
     through a real 2-worker process fleet; per-event statuses, flags and
     challenge bits must agree exactly, and the shared parent chain must land
     on the in-process ledger to float equality — account by account.
+
+    Those seeds draw no ``wrong_weight`` or ``drop_selection`` event and
+    never buy the committee, so two more templates bring them in: together
+    the runs cover every default fault kind plus a colluding committee,
+    pinning the one actor builder (:mod:`repro.sim.actors`) across both
+    transports for every family.  Both extra templates were scanned at
+    seeds 0-7 (all clean and fleet-equal); the pinned seeds are the first
+    two.
     """
-    for seed in range(6):
-        scenario = Scenario(
+    scenarios = [
+        Scenario(
             name=f"mlp-{seed}", seed=seed, model="tiny_mlp",
             num_requests=5 + seed % 4, burst=BURSTS[seed % 3],
             n_way=2 + (seed % 3), leaf_path=LEAF_PATHS[seed % 3],
             strict_localization=True,
         )
+        for seed in range(6)
+    ]
+    for seed in range(2):
+        scenarios.append(Scenario(
+            name=f"mlp-weights-{seed}", seed=seed, model="tiny_mlp",
+            num_requests=5, fault_rate=0.6,
+            fault_kinds=("wrong_weight", "drop_selection"),
+            burst=BURSTS[seed % 3], n_way=2 + (seed % 3),
+            leaf_path=LEAF_PATHS[seed % 3], strict_localization=True,
+        ))
+        scenarios.append(Scenario(
+            name=f"mlp-collusion-{seed}", seed=seed, model="tiny_mlp",
+            num_requests=5, fault_rate=0.6,
+            fault_kinds=("colluding_committee",), leaf_path="committee",
+            colluding_committee=True,
+        ))
+    kinds = set()
+    for scenario in scenarios:
         reference = run_scenario(scenario, sim_mlp_workload)
+        kinds.update(event.kind for event in reference.schedule.events)
         fleet_run = run_scenario(
             replace(scenario, process_fleet=True, num_shards=2),
             sim_mlp_workload)
@@ -370,6 +401,43 @@ def test_fleet_matches_in_process_reference_on_campaign_template(
         assert dict(fleet_run.service.chain.balances) == \
             dict(ref_chain.balances)
         assert fleet_run.service.chain.minted == ref_chain.minted
+    assert set(DEFAULT_FAULT_KINDS) | {"colluding_committee"} <= kinds
+
+
+def test_stale_trace_decoys_live_as_long_as_their_run(sim_mlp_workload):
+    """The actor builder memoizes decoy traces per session, never across runs.
+
+    The calibrated-committee twin and its reference-tolerance twin commit
+    the same graph under different model commitments but draw the same
+    decoy seeds.  Run in either order in one process, each twin's outcomes
+    must be the same.  The memo is keyed by the run's session — holding
+    exactly that run's decoys — and dies with it.
+    """
+    twins = [
+        Scenario(name="decoy-memo", seed=1, model="tiny_mlp",
+                 num_requests=5, fault_rate=0.7,
+                 fault_kinds=("stale_trace",), calibrated_committee=flag)
+        for flag in (True, False)
+    ]
+    forward = [run_scenario(s, sim_mlp_workload) for s in twins]
+    backward = [run_scenario(s, sim_mlp_workload)
+                for s in reversed(twins)][::-1]
+    sessions = [run.service.model("tiny_mlp").session for run in forward]
+    assert sessions[0].model_commitment.digest() != \
+        sessions[1].model_commitment.digest()
+    for first, second in zip(forward, backward):
+        _assert_clean(first)
+        assert first.outcomes == second.outcomes
+    for run, session in zip(forward, sessions):
+        decoy_seeds = {event.decoy_seed for event in run.schedule.events
+                       if event.kind == "stale_trace"}
+        assert len(decoy_seeds) >= 2
+        assert set(sim_actors._DECOYS[session]) == decoy_seeds
+
+    released = weakref.ref(sessions[0])
+    del forward, backward, sessions, run, session, first, second
+    gc.collect()
+    assert released() is None
 
 
 def test_fleet_rejects_scaled_thresholds(sim_mlp_workload):
