@@ -5,6 +5,12 @@ pytest-benchmark timing entry, each benchmark emits its rows/series through
 :func:`emit_table`, which prints the table and writes it as Markdown under
 ``benchmarks/results/`` so the numbers survive the pytest capture and can be
 referenced from EXPERIMENTS.md.
+
+A results file is rewritten only when its content changes beyond timing
+noise: a rerun whose text differs from the file on disk only in float tokens
+and the host stamp leaves the file untouched, so a test run does not churn
+the working tree.  Any change to a header, a row label, an integer count or
+the wording of the notes still rewrites it.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import platform
+import re
 from typing import Iterable, List, Sequence
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -30,8 +37,19 @@ def host_provenance() -> str:
             f"mp start method: {multiprocessing.get_start_method()}")
 
 
-def _format_cell(value) -> str:
+#: Stands in for a float-valued table cell in a file's skeleton.
+_FLOAT_CELL = "\x00"
+
+#: Float literals as the tables and notes print them (``4.541``, ``2.5e+03``,
+#: ``nan``); integers carry no point or exponent and are not matched.
+_FLOAT_TOKEN = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][-+]?\d+)?"
+                          r"|\b(?:nan|inf)\b")
+
+
+def _format_cell(value, skeleton: bool = False) -> str:
     if isinstance(value, float):
+        if skeleton:
+            return _FLOAT_CELL
         if value == 0:
             return "0"
         if abs(value) >= 1000 or abs(value) < 1e-3:
@@ -40,13 +58,64 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
+                 skeleton: bool = False) -> str:
+    """Markdown table; ``skeleton`` renders every float cell as :data:`_FLOAT_CELL`."""
     lines: List[str] = []
     lines.append("| " + " | ".join(str(h) for h in headers) + " |")
     lines.append("|" + "|".join("---" for _ in headers) + "|")
     for row in rows:
-        lines.append("| " + " | ".join(_format_cell(cell) for cell in row) + " |")
+        lines.append("| " + " | ".join(_format_cell(cell, skeleton) for cell in row) + " |")
     return "\n".join(lines)
+
+
+def _cells(line: str) -> List[str]:
+    return [cell.strip() for cell in line.strip().strip("|").split("|")]
+
+
+def _only_floats_differ(old: str, skeleton: str) -> bool:
+    """Whether ``old`` matches ``skeleton`` up to float tokens and the host stamp."""
+    old_lines, new_lines = old.splitlines(), skeleton.splitlines()
+    if len(old_lines) != len(new_lines):
+        return False
+    for old_line, new_line in zip(old_lines, new_lines):
+        if new_line.startswith("_Host:") and old_line.startswith("_Host:"):
+            continue
+        if new_line.startswith("| ") and old_line.startswith("| "):
+            old_cells, new_cells = _cells(old_line), _cells(new_line)
+            if len(old_cells) != len(new_cells):
+                return False
+            if any(new_cell != _FLOAT_CELL
+                   and _FLOAT_TOKEN.sub("#", new_cell) != _FLOAT_TOKEN.sub("#", old_cell)
+                   for old_cell, new_cell in zip(old_cells, new_cells)):
+                return False
+        elif _FLOAT_TOKEN.sub("#", new_line) != _FLOAT_TOKEN.sub("#", old_line):
+            return False
+    return True
+
+
+def _write_results(experiment_id: str, text: str, skeleton: str) -> str:
+    """Write ``results/<experiment_id>.md`` unless only float tokens moved."""
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    path = os.path.join(RESULTS_DIR, f"{experiment_id}.md")
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as handle:
+            if _only_floats_differ(handle.read(), skeleton):
+                return path
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return path
+
+
+def _results_text(experiment_id: str, title: str, blocks: Sequence[tuple],
+                  notes: str, stamp: str) -> str:
+    """The Markdown file body; ``blocks`` are ``(subtitle or None, table)``."""
+    text = f"# {experiment_id}: {title}\n"
+    for subtitle, table in blocks:
+        text += f"\n{table}\n" if subtitle is None else f"\n## {subtitle}\n\n{table}\n"
+    if notes:
+        text += f"\n{notes}\n"
+    return text + f"\n_{stamp}_\n"
 
 
 def emit_report(experiment_id: str, title: str,
@@ -59,9 +128,10 @@ def emit_report(experiment_id: str, title: str,
     quantile breakdown).
     """
     stamp = host_provenance()
-    blocks = []
-    for subtitle, headers, rows in sections:
-        blocks.append((subtitle, format_table(headers, [list(r) for r in rows])))
+    sections = [(subtitle, headers, [list(r) for r in rows])
+                for subtitle, headers, rows in sections]
+    blocks = [(subtitle, format_table(headers, rows))
+              for subtitle, headers, rows in sections]
     text = f"== {experiment_id}: {title} ==\n"
     for subtitle, table in blocks:
         text += f"\n-- {subtitle} --\n{table}\n"
@@ -69,16 +139,11 @@ def emit_report(experiment_id: str, title: str,
         text += f"\n{notes}\n"
     text += f"\n{stamp}\n"
     print("\n" + text)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{experiment_id}.md")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# {experiment_id}: {title}\n")
-        for subtitle, table in blocks:
-            handle.write(f"\n## {subtitle}\n\n{table}\n")
-        if notes:
-            handle.write(f"\n{notes}\n")
-        handle.write(f"\n_{stamp}_\n")
-    return path
+    skeleton = [(subtitle, format_table(headers, rows, skeleton=True))
+                for subtitle, headers, rows in sections]
+    return _write_results(
+        experiment_id, _results_text(experiment_id, title, blocks, notes, stamp),
+        _results_text(experiment_id, title, skeleton, notes, stamp))
 
 
 def emit_table(experiment_id: str, title: str, headers: Sequence[str],
@@ -93,11 +158,7 @@ def emit_table(experiment_id: str, title: str, headers: Sequence[str],
         text += f"\n{notes}\n"
     text += f"\n{stamp}\n"
     print("\n" + text)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{experiment_id}.md")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# {experiment_id}: {title}\n\n{table}\n")
-        if notes:
-            handle.write(f"\n{notes}\n")
-        handle.write(f"\n_{stamp}_\n")
-    return path
+    skeleton = format_table(headers, rows, skeleton=True)
+    return _write_results(
+        experiment_id, _results_text(experiment_id, title, [(None, table)], notes, stamp),
+        _results_text(experiment_id, title, [(None, skeleton)], notes, stamp))

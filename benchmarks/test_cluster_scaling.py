@@ -195,8 +195,8 @@ def test_cluster_scaling(benchmark):
                "reported and not gated (thread-CPU and wall ratios move with "
                "the rest of the test process): modeled 4-shard speedup "
                f"{modeled_4:.2f}x (target >= 2x); 8-shard parallel rps "
-               f"{scaling[8]['parallel_rps']:.4g} vs 2-shard "
-               f"{scaling[2]['parallel_rps']:.4g} (target: 8 above 2); "
+               f"{scaling[8]['parallel_rps']:.3e} vs 2-shard "
+               f"{scaling[2]['parallel_rps']:.3e} (target: 8 above 2); "
                f"measured 4-shard wall ratio {measured_4:.2f}x."),
     )
     emit_table(

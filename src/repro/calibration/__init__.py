@@ -3,8 +3,9 @@
 Offline, the model owner runs a representative input set on every device in
 the fleet, forms element-wise absolute/relative errors between each pair of
 devices for every operator, reduces each error tensor to a percentile-value
-vector over the grid ``P = {0, 1, 5, 10, ..., 90, 95, 99, 100}``, and takes a
-max-envelope across device pairs and inputs.  Multiplying the envelope by a
+vector over the grid ``P = {0, 1, 5, 10, ..., 90, 95, 99, 100}`` (all pairs of
+one input and operator in one sorted pass, :func:`percentile_profiles`), and
+takes a max-envelope across device pairs and inputs.  Multiplying the envelope by a
 safety factor ``alpha = 3`` yields the committed per-operator thresholds that
 (i) guide the dispute game's selection rule and (ii) back the committee vote
 at the leaf.
@@ -30,6 +31,7 @@ from repro.calibration.profiles import (
     OperatorCalibration,
     PercentileProfile,
     percentile_profile,
+    percentile_profiles,
 )
 from repro.calibration.calibrator import CalibrationConfig, CalibrationResult, Calibrator
 from repro.calibration.thresholds import ExceedanceReport, ThresholdTable
@@ -58,6 +60,7 @@ __all__ = [
     "OperatorCalibration",
     "PercentileProfile",
     "percentile_profile",
+    "percentile_profiles",
     "CalibrationConfig",
     "CalibrationResult",
     "Calibrator",

@@ -3,8 +3,10 @@
 For every calibration input the traced model is executed on each device of
 the fleet with full trace recording; for every operator and every device
 pair, element-wise absolute/relative errors are reduced to percentile
-profiles; the per-operator envelope over pairs and inputs becomes the raw
-material for threshold construction.
+profiles in one sorted pass per (sample, operator) over all pairs
+(:func:`~repro.calibration.profiles.max_over_pairs`); the per-operator
+envelope over pairs and inputs becomes the raw material for threshold
+construction.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.calibration.profiles import (
     OperatorCalibration,
     PercentileProfile,
     elementwise_errors,
+    max_over_pairs,
 )
 from repro.graph.graph import GraphModule
 from repro.graph.interpreter import Interpreter
@@ -137,7 +140,8 @@ class Calibrator:
                 interp.run(graph_module, sample, record=True) for interp in interpreters
             ]
             for name in positions:
-                sample_profile: Optional[PercentileProfile] = None
+                abs_rows: List[np.ndarray] = []
+                rel_rows: List[np.ndarray] = []
                 for j in range(len(traces)):
                     for k in range(j + 1, len(traces)):
                         y_j = traces[j].values[name]
@@ -154,19 +158,15 @@ class Calibrator:
                         _, rel_err_rev = elementwise_errors(
                             y_k, y_j, config.relative_epsilon
                         )
-                        profile = PercentileProfile.from_errors(
-                            abs_err, np.maximum(rel_err, rel_err_rev),
-                            config.percentile_grid
-                        )
-                        sample_profile = (
-                            profile if sample_profile is None else sample_profile.max_with(profile)
-                        )
+                        abs_rows.append(abs_err)
+                        rel_rows.append(np.maximum(rel_err, rel_err_rev))
                         err_sums[name] += float(abs_err.mean())
                         rel_sums[name] += float(rel_err.mean())
                         err_max[name] = max(err_max[name], float(abs_err.max()))
                         err_counts[name] += 1
-                if sample_profile is None:
+                if not abs_rows:
                     continue
+                sample_profile = max_over_pairs(abs_rows, rel_rows, config.percentile_grid)
                 per_sample[name].append(sample_profile)
                 current = envelopes[name]
                 envelopes[name] = (

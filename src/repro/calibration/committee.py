@@ -18,9 +18,10 @@ device pair *(proposer device j, committee device k)*, the proposer's traced
 output is compared against a single-operator re-execution on the member's
 device from the proposer's own operand values — exactly the comparison a
 :class:`~repro.protocol.roles.CommitteeMember` performs at the leaf.  The
-element-wise errors reduce to percentile profiles (reusing the
-:mod:`~repro.calibration.profiles` machinery), the per-sample max over pairs
-forms the stability series analysed with the Appendix-B diagnostics
+element-wise errors of all pairs reduce to percentile profiles in one sorted
+pass per (sample, operator)
+(:func:`~repro.calibration.profiles.max_over_pairs`), the per-sample max over
+pairs forms the stability series analysed with the Appendix-B diagnostics
 (:mod:`~repro.calibration.stability`), and the across-sample aggregation at
 ``envelope_percentile`` scaled by ``safety_factor`` becomes the
 :class:`CommitteeEnvelopeProfile` — committed on chain next to the threshold
@@ -46,6 +47,8 @@ import numpy as np
 from repro.calibration.profiles import (
     PERCENTILE_GRID,
     PercentileProfile,
+    max_over_pairs,
+    non_finite_errors,
     percentile_profile,
 )
 from repro.calibration.stability import DEFAULT_WINDOW, sup_norm_drift
@@ -82,14 +85,22 @@ def leaf_elementwise_errors(
     The denominator of the relative error is ``max(|proposed|,
     rel_scale_floor * max|proposed|)`` — near-zero elements are measured
     against the tensor's own magnitude scale instead of their vanishing
-    selves.  Calibration and the committee check share this one statistic.
+    selves; the scale is the largest *finite* claimed magnitude, and
+    non-finite elements follow
+    :func:`~repro.calibration.profiles.non_finite_errors`.  Calibration and
+    the committee check share this one statistic.
     """
     a64 = np.asarray(proposed, dtype=np.float64)
     b64 = np.asarray(reference, dtype=np.float64)
-    abs_err = np.abs(a64 - b64)
-    scale = rel_scale_floor * float(np.max(np.abs(a64))) if a64.size else 0.0
-    rel_err = abs_err / np.maximum(np.abs(a64), max(scale, epsilon))
-    return abs_err, rel_err
+    magnitude = np.abs(a64)
+    peak = float(np.max(magnitude)) if a64.size else 0.0
+    if not np.isfinite(peak):
+        finite = magnitude[np.isfinite(magnitude)]
+        peak = float(np.max(finite)) if finite.size else 0.0
+    with np.errstate(invalid="ignore"):
+        abs_err = np.abs(a64 - b64)
+        rel_err = abs_err / np.maximum(magnitude, max(rel_scale_floor * peak, epsilon))
+    return non_finite_errors(a64, b64, abs_err, rel_err)
 
 
 @dataclass(frozen=True)
@@ -341,7 +352,8 @@ def calibrate_committee_envelope(
             for interp in interpreters
         ]
         for node in operators:
-            sample_profile: Optional[PercentileProfile] = None
+            abs_rows: List[np.ndarray] = []
+            rel_rows: List[np.ndarray] = []
             for j, trace in enumerate(traces):
                 proposed = np.asarray(trace.values[node.name])
                 if config.skip_integer_outputs and proposed.dtype.kind in "iub":
@@ -365,16 +377,11 @@ def calibrate_committee_envelope(
                         reference, proposed, config.rel_scale_floor,
                         config.relative_epsilon,
                     )
-                    profile = PercentileProfile.from_errors(
-                        abs_err, np.maximum(rel_err, rel_err_rev),
-                        config.percentile_grid,
-                    )
-                    sample_profile = (
-                        profile if sample_profile is None
-                        else sample_profile.max_with(profile)
-                    )
-            if sample_profile is not None:
-                per_sample[node.name].append(sample_profile)
+                    abs_rows.append(abs_err)
+                    rel_rows.append(np.maximum(rel_err, rel_err_rev))
+            if abs_rows:
+                per_sample[node.name].append(
+                    max_over_pairs(abs_rows, rel_rows, config.percentile_grid))
 
     n_devices = len(config.devices)
     profile = CommitteeEnvelopeProfile(

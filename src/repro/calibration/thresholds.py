@@ -5,7 +5,8 @@ absolute and relative error percentile thresholds.  Its :meth:`check` method
 implements the challenger's selection statistic: given an observed error
 tensor for an operator, compute its percentile profile and return the maximum
 ratio of observed percentile to committed threshold; a ratio above 1 flags
-the operator (Eq. 15).
+the operator (Eq. 15).  A non-finite ratio (a NaN or infinite observed
+percentile) always flags, with ratio +inf.
 
 The serialized table is part of the model commitment — the coordinator
 records its Merkle root ``r_e`` alongside the weight and graph roots, so the
@@ -152,6 +153,18 @@ class ThresholdTable:
         tau_rel = np.maximum(self.rel_thresholds[node_name], THRESHOLD_FLOOR)
         ratios_abs = np.asarray(observed_abs, dtype=np.float64) / tau_abs
         ratios_rel = np.asarray(observed_rel, dtype=np.float64) / tau_rel
+        # A NaN ratio compares False against every bound; any non-finite
+        # ratio is therefore reported as an unbounded exceedance.
+        for kind, ratios in (("abs", ratios_abs), ("rel", ratios_rel)):
+            finite = np.isfinite(ratios)
+            if not finite.all():
+                return ExceedanceReport(
+                    node_name=node_name,
+                    max_ratio=float("inf"),
+                    worst_percentile=float(self.grid[int(np.argmin(finite))]),
+                    worst_kind=kind,
+                    exceeded=True,
+                )
         max_abs_idx = int(np.argmax(ratios_abs))
         max_rel_idx = int(np.argmax(ratios_rel))
         if ratios_abs[max_abs_idx] >= ratios_rel[max_rel_idx]:

@@ -93,3 +93,24 @@ def test_check_profile_equivalent_to_check(mlp_graph, mlp_thresholds, mlp_input_
     direct = mlp_thresholds.check(name, trace_a.values[name], trace_b.values[name])
     via_profile = mlp_thresholds.check_profile(name, profile)
     assert direct.max_ratio == pytest.approx(via_profile.max_ratio)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_proposed_element_is_flagged(mlp_graph, mlp_thresholds,
+                                                mlp_input_factory, value):
+    from repro.calibration.committee import calibrate_committee_envelope
+
+    trace = Interpreter(DEVICE_FLEET[0]).run(mlp_graph, mlp_input_factory(888),
+                                             record=True)
+    reference = trace.values["softmax"]
+    proposed = reference.copy()
+    proposed[0, 0] = value
+    envelope = calibrate_committee_envelope(mlp_graph, [mlp_input_factory(1000)])
+    for checker in (mlp_thresholds, envelope):
+        report = checker.check("softmax", proposed, reference)
+        assert report.exceeded
+        assert report.max_ratio == float("inf")
+        # Matching non-finite elements on both sides are agreement, not error.
+        both = reference.copy()
+        both[0, 0] = value
+        assert not checker.check("softmax", both, both.copy()).exceeded

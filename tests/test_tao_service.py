@@ -74,6 +74,29 @@ def test_interleaved_honest_and_adversarial_requests(service, mlp_graph,
     assert stats.throughput_rps > 0
 
 
+@pytest.mark.parametrize("perturbation", [
+    {"softmax": np.float32(np.nan)},
+    {"gelu": np.float32(np.nan)},
+    {"softmax": np.float32(np.inf)},
+], ids=["softmax-nan", "gelu-nan", "softmax-inf"])
+def test_non_finite_tamper_is_slashed_at_the_tampered_operator(
+        mlp_graph, mlp_thresholds, mlp_input_factory, perturbation):
+    from repro.calibration.committee import calibrate_committee_envelope
+
+    envelope = calibrate_committee_envelope(
+        mlp_graph, [mlp_input_factory(2000 + i) for i in range(3)])
+    service = TAOService()
+    service.register_model(mlp_graph, threshold_table=mlp_thresholds,
+                           committee_envelope=envelope)
+    session = service.model("tiny_mlp").session
+    proposer = session.make_adversarial_proposer("nan-cheater", perturbation)
+    request_id = service.submit("tiny_mlp", mlp_input_factory(81), proposer=proposer)
+    service.process()
+    request = service.request(request_id)
+    assert request.status == TaskStatus.PROPOSER_SLASHED.value
+    assert request.report.dispute.localized_operator == next(iter(perturbation))
+
+
 def test_dispute_outcomes_match_single_session(service, mlp_graph, mlp_thresholds,
                                                mlp_input_factory):
     """The multiplexed service path and the seed session path agree per request."""
