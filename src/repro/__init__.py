@@ -24,11 +24,11 @@ The package provides the full TAO stack built from scratch on NumPy:
 * :mod:`repro.sim` — the adversarial protocol simulator: seedable
   multi-actor fault injection with safety / liveness / conservation
   invariant checking and counterexample shrinking;
-* :mod:`repro.cluster` — the sharded serving tier: one placement
-  controller (consistent-hash tenant routing, membership, failover plans)
-  shared with the process fleet, in-process shards over one settlement
-  chain, failover re-dispatch — bit-identical to a single service by
-  construction.
+* :mod:`repro.cluster` — the sharded serving tier: one front end
+  (placement by commitment digest, request records, drains, failover
+  re-dispatch, slash quarantine) over in-process shards on one settlement
+  chain, shared with the process fleet's worker backend — bit-identical to
+  a single service by construction.
 
 Quickstart::
 

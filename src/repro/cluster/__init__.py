@@ -1,4 +1,4 @@
-"""Sharded serving: consistent-hash placement, in-process shards, failover.
+"""Sharded serving: consistent-hash placement, one front end, two backends.
 
 ``repro.cluster`` scales the single-process
 :class:`~repro.protocol.service.TAOService` horizontally while keeping the
@@ -7,24 +7,25 @@ protocol's observable behaviour bit-identical:
 * :mod:`repro.cluster.ring` — deterministic consistent-hash ring (virtual
   nodes, drain support, next-node failover rule, minimal-migration resize);
 * :mod:`repro.cluster.placement` — :class:`Placement`, the one controller
-  that decides where tenants live for the cluster and the process fleet
-  alike: the ring, tenant records, shard-id reservation, drained/dead
-  membership and ``(tenant, target)`` move plans;
-* :mod:`repro.cluster.shard` — one shard: a full ``TAOService`` over a
-  per-shard chain view, behind a lock;
-* :mod:`repro.cluster.cluster` — :class:`TAOCluster`: executes the
-  controller's moves in process (failover with re-dispatch and scoped
-  result-cache invalidation), drains shards in shard-id order, settles
-  fleet-wide on one chain.
+  that decides where tenants live (the ring, tenant records, shard-id
+  reservation, drained/dead membership and ``(tenant, target)`` move
+  plans), and :class:`PlacedCore`, the one sharded front end both tiers
+  are: request records, submit and queue reads, drains, move execution
+  with re-dispatch, the slash quarantine and the membership verbs, driving
+  each shard through one small backend vocabulary;
+* :mod:`repro.cluster.shard` — :class:`Shard`, the in-process backend: a
+  full ``TAOService`` over a per-shard chain view, called directly;
+* :mod:`repro.cluster.cluster` — :class:`TAOCluster`: the front end over
+  in-process shards, drained in shard-id order and settling on one chain.
+
+The process backend — a worker process behind RPC — is
+:class:`~repro.fleet.fleet.ProcessFleet`'s.
 """
 
-from repro.cluster.cluster import (
-    ClusterError,
-    ClusterRequest,
-    TAOCluster,
-)
+from repro.cluster.cluster import ClusterError, TAOCluster
 from repro.cluster.placement import (
     PlacedCore,
+    PlacedRequest,
     Placement,
     PlacementError,
     TenantRecord,
@@ -34,9 +35,9 @@ from repro.cluster.shard import Shard
 
 __all__ = [
     "ClusterError",
-    "ClusterRequest",
     "ConsistentHashRing",
     "PlacedCore",
+    "PlacedRequest",
     "Placement",
     "PlacementError",
     "RingError",

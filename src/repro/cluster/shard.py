@@ -1,30 +1,37 @@
-"""One cluster shard: a full TAOService behind a lock.
+"""The in-process shard backend: a full TAOService, called directly.
 
 A shard is not a reduced replica — it is an ordinary
 :class:`~repro.protocol.service.TAOService` (its own
 :class:`~repro.protocol.coordinator.Coordinator`, queue, tenants, result
 caches) whose chain is a :class:`~repro.protocol.chain.ShardChainView` over
-the cluster's shared settlement chain.  ``lock`` serializes a shard's own
-processing against tenant moves, and ``busy_s`` reads the shard's measured
-processing time — the per-shard critical-path clock the scaling benchmark
-reports.
+the cluster's shared settlement chain.  :class:`Shard` speaks the front
+end's backend vocabulary (:class:`~repro.cluster.placement.PlacedCore`) as
+plain method calls, with no wire loopback, and a move carries the tenant's
+:class:`~repro.protocol.service.ModelEntry` whole, so its caches stay warm.
+``busy_s`` reads the shard's measured processing time — the per-shard
+critical-path clock the scaling benchmark reports.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from repro.protocol.service import TAOService
+from repro.protocol.service import ModelEntry, ServiceRequest, ServiceStats, TAOService
 
 
 @dataclass
 class Shard:
-    """A shard's service and drain bookkeeping."""
+    """One in-process shard: its service, behind the backend vocabulary."""
 
     shard_id: str
     service: TAOService
-    lock: threading.Lock = field(default_factory=threading.Lock)
+    #: In-process shards never die.
+    alive = True
+
+    @property
+    def coordinator(self):
+        return self.service.coordinator
 
     @property
     def busy_s(self) -> float:
@@ -35,5 +42,30 @@ class Shard:
         deployment, whatever this host's core count."""
         return self.service.stats_record.busy_cpu_s
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        return f"Shard({self.shard_id!r}, models={self.service.model_names})"
+    def enqueue(self, record) -> Tuple[int, ServiceRequest]:
+        local_id = self.service.submit(
+            record.model_name, record.inputs, proposer=record.proposer,
+            force_challenge=record.force_challenge, challenger=record.challenger)
+        return local_id, self.service.request(local_id)
+
+    def drain(self, max_requests: Optional[int]) -> List[Tuple[int, ServiceRequest]]:
+        return [(request.request_id, request)
+                for request in self.service.process(max_requests)]
+
+    def withdraw(self, name: str) -> List[int]:
+        return [request.request_id for request in self.service.withdraw_queued(name)]
+
+    def detach(self, record) -> ModelEntry:
+        return self.service.detach_model(record.name)
+
+    def adopt(self, record, entry: ModelEntry) -> None:
+        self.service.adopt_model(entry)
+
+    def quarantine(self, name: str) -> None:
+        self.service.quarantine_model(name)
+
+    def stats(self) -> ServiceStats:
+        return self.service.stats()
+
+    def stop(self) -> None:
+        self.service.close()

@@ -70,9 +70,8 @@ class ExecutionEngine:
         """Execute ``graph_module`` over a cached plan.
 
         Semantics (including override/delta handling, recorded values and
-        error messages) are identical to the seed interpreter loop, which is
-        preserved as :meth:`~repro.graph.interpreter.Interpreter.run_reference`
-        and pinned by ``tests/test_engine_parity.py``.
+        error messages) are identical to the seed interpreter loop, which
+        ``tests/test_engine_parity.py`` keeps as its oracle and pins.
         """
         plan = plan_for(graph_module)
         missing = [n for n in plan.input_names if n not in inputs]

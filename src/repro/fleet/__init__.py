@@ -1,10 +1,10 @@
 """Multi-process shard fleet: measured wall-clock parallelism for the service.
 
-The thread cluster (:mod:`repro.cluster`) models parallel speedup under one
-GIL; this package measures it.  :class:`~repro.fleet.fleet.ProcessFleet`
-fronts N worker processes — each a full
-:class:`~repro.protocol.service.TAOService` shard
-(:mod:`repro.fleet.worker`) — over a length-prefixed RPC transport that
+The in-process cluster (:mod:`repro.cluster`) models parallel speedup under
+one GIL; this package measures it.  :class:`~repro.fleet.fleet.ProcessFleet`
+is the cluster's sharded front end over the process backend: N worker
+processes — each a full :class:`~repro.protocol.service.TAOService` shard
+(:mod:`repro.fleet.worker`) — behind a length-prefixed RPC transport that
 speaks only the repo's canonical codec (:mod:`repro.fleet.transport`; no
 pickle on the data path).  Tenants are placed by the same
 :class:`~repro.cluster.placement.Placement` controller the cluster uses

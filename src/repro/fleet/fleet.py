@@ -1,18 +1,18 @@
-"""Multi-process shard fleet behind the :class:`ServiceCore` front-end contract.
+"""Multi-process shard fleet: the sharded front end over worker processes.
 
 :class:`ProcessFleet` is the out-of-process sibling of
-:class:`~repro.cluster.cluster.TAOCluster`: the same consistent-hash tenant
-placement (the routing key *is* the model commitment digest), the same shared
-settlement ledger, the same failover choreography — but each shard is a full
+:class:`~repro.cluster.cluster.TAOCluster`.  Both are the one sharded front
+end, :class:`~repro.cluster.placement.PlacedCore` — consistent-hash tenant
+placement (the routing key *is* the model commitment digest), request
+records, drains, move execution with re-dispatch and the slash quarantine —
+over a different shard backend.  Here each shard is a full
 :class:`~repro.protocol.service.TAOService` living in its **own process**
-(:mod:`repro.fleet.worker`), driven over the serialized RPC transport
-(:mod:`repro.fleet.transport`).  Where the thread cluster's shards share one
-interpreter, the fleet's drains run on distinct interpreters, turning the
-cluster's *modeled* parallel speedup into a *measured* wall-clock one.
-Placement — ring home, failover targets, shard-id reservation, drained and
-dead membership — is decided by the same
-:class:`~repro.cluster.placement.Placement` controller the cluster uses; the
-fleet only executes its moves over RPC.
+(:mod:`repro.fleet.worker`), and :class:`WorkerHandle` speaks the front
+end's backend vocabulary as ops over the serialized RPC transport
+(:mod:`repro.fleet.transport`).  Unbounded drains of several workers run
+concurrently, on distinct interpreters, so the fleet measures parallel
+wall clock.  Dead-worker failover and write-ahead-journal recovery are the
+fleet's own.
 
 Settlement stays exact: workers never hold ledger state.  Every fund,
 transfer and transaction append flows back over the worker's channel as a
@@ -21,8 +21,8 @@ nested ``chain_call`` served by the parent against the one shared
 the chain lock, stamped with the worker's own shard clock).  Per-account
 balances, the minted total and shard-tagged dispute gas are therefore
 byte-identical to the in-process paths — the differential pin in
-``tests/test_fleet_equivalence.py`` drives one schedule through the plain
-service, the thread cluster and the fleet and asserts identical verdict
+``tests/test_sharded_equivalence.py`` drives one schedule through the plain
+service, the cluster and the fleet and asserts identical verdict
 fingerprints and an exactly equal ledger.
 
 The parent keeps lightweight mirrors of worker protocol state
@@ -34,17 +34,16 @@ fleet exactly as they walk in-process coordinators.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from threading import Lock
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.calibration.thresholds import ThresholdTable
 from repro.cluster.placement import (
     PlacedCore,
-    Placement,
+    PlacedRequest,
     PlacementError,
     TenantRecord,
 )
@@ -93,6 +92,8 @@ class TaskSnapshot:
     model_name: str
     status: TaskStatus
     dispute_id: Optional[int] = None
+    #: Set from the first processed request this task served.
+    proposer: str = ""
 
 
 @dataclass
@@ -167,20 +168,8 @@ class CoordinatorSnapshot:
 
 
 # ----------------------------------------------------------------------
-# Parent-side worker / tenant / request records
+# The process shard backend and the parent-side tenant record
 # ----------------------------------------------------------------------
-
-@dataclass
-class WorkerHandle:
-    """One spawned shard worker and its channel."""
-
-    shard_id: str
-    process: multiprocessing.process.BaseProcess
-    channel: MessageChannel
-    alive: bool = True
-    #: Serializes channel use: one request/response conversation at a time.
-    lock: Lock = field(default_factory=Lock)
-
 
 @dataclass
 class FleetModel(TenantRecord):
@@ -192,19 +181,195 @@ class FleetModel(TenantRecord):
     challenger_clones: int = 0
 
 
-@dataclass
-class _RequestRecord:
-    """One submitted request: the parent-visible snapshot plus re-dispatch state."""
+@dataclass(eq=False)
+class WorkerHandle:
+    """One shard worker process: the fleet's shard backend.
 
-    request: ServiceRequest
+    Speaks the front end's backend vocabulary
+    (:class:`~repro.cluster.placement.PlacedCore`) as worker ops.  The
+    parent-side mirrors — the coordinator snapshot, the last stats record
+    and the views of queued requests — live here, so a dead worker still
+    answers ``withdraw``/``detach``/``stats`` from them, and they survive a
+    journal recovery, which relaunches the worker in place.
+    """
+
+    fleet: "ProcessFleet" = field(repr=False)
     shard_id: str
-    local_id: int
-    proposer_spec: Optional[Dict[str, Any]]
-    challenger_spec: Optional[Dict[str, Any]]
+    process: multiprocessing.process.BaseProcess
+    channel: MessageChannel
+    alive: bool = True
+    #: Serializes channel use: one request/response conversation at a time.
+    lock: Lock = field(default_factory=Lock)
+    coordinator: Optional[CoordinatorSnapshot] = None
+    last_stats: Optional[ServiceStats] = None
+    #: Local request id -> the front end's view of a queued request.
+    views: Dict[int, ServiceRequest] = field(default_factory=dict)
+
+    def call(self, payload: Dict[str, Any]) -> Any:
+        return self.fleet._call(self, payload)
+
+    def register(self, record: FleetModel) -> None:
+        value = self.call(record.payload)
+        if bytes(value["digest"]) != record.key:
+            raise FleetError(
+                f"worker {self.shard_id} committed a different model digest "
+                f"for {record.name!r}; the wire round-trip is not "
+                "commitment-exact")
+
+    def enqueue(self, record: PlacedRequest) -> Tuple[int, ServiceRequest]:
+        """Enqueue one request; ``proposer``/``challenger`` must be **actor
+        specs** (plain maps resolved by the workers' actor module) — role
+        objects hold devices and closures that cannot cross the transport."""
+        for label, spec in (("proposer", record.proposer),
+                            ("challenger", record.challenger)):
+            if spec is not None and not isinstance(spec, dict):
+                raise TypeError(
+                    f"fleet {label} must be an actor-spec dict, not "
+                    f"{type(spec).__name__}; role objects cannot cross the "
+                    "process boundary")
+        local_id = int(self.call({
+            "op": "submit",
+            "model": record.model_name,
+            "inputs": {name: np.asarray(value)
+                       for name, value in record.inputs.items()},
+            "proposer": record.proposer,
+            "challenger": record.challenger,
+            "force_challenge": record.force_challenge,
+        })["local_id"])
+        view = record.view or ServiceRequest(
+            request_id=record.request_id, model_name=record.model_name,
+            inputs=record.inputs, force_challenge=record.force_challenge,
+            submitted_s=now())
+        view.status = "queued"
+        self.views[local_id] = view
+        return local_id, view
+
+    def drain(self, max_requests: Optional[int],
+              ) -> List[Tuple[int, ServiceRequest]]:
+        value = self.call({"op": "process", "max_requests": max_requests})
+        # Snapshot first: the reports settled below reference its tasks.
+        self._absorb(value)
+        for name, clones in value.get("clones", []):
+            model = self.fleet.placement.tenants.get(name)
+            if model is not None and model.shard_id == self.shard_id:
+                model.challenger_clones = int(clones)
+        done = []
+        for row in value["results"]:
+            view = self.views.pop(int(row["local_id"]), None)
+            if view is not None:
+                self._settle(view, row)
+                done.append((int(row["local_id"]), view))
+        return done
+
+    def withdraw(self, name: str) -> List[int]:
+        """A live worker withdraws over RPC; a dead one from the mirror."""
+        if self.alive:
+            local_ids = [int(local_id) for local_id in self.call(
+                {"op": "withdraw", "model": name})["local_ids"]]
+        else:
+            local_ids = [local_id for local_id, view in self.views.items()
+                         if view.model_name == name]
+        for local_id in local_ids:
+            self.views.pop(local_id, None)
+        return local_ids
+
+    def detach(self, record: FleetModel) -> int:
+        """The tenant's challenger-clone count (mirrored if the worker died)."""
+        if not self.alive:
+            return record.challenger_clones
+        return int(self.call({"op": "detach",
+                              "model": record.name})["challenger_clones"])
+
+    def adopt(self, record: FleetModel, clones: int) -> None:
+        """Replay the stored registration with ``fund_accounts=False``: the
+        tenant's accounts already exist on the shared chain, and no
+        membership change may create money."""
+        record.payload = dict(record.payload, fund_accounts=False,
+                              challenger_clones=int(clones))
+        record.challenger_clones = int(clones)
+        self.register(record)
+
+    def quarantine(self, name: str) -> None:
+        self.call({"op": "quarantine", "model": name})
+
+    def stats(self) -> Optional[ServiceStats]:
+        """Refreshed over RPC while alive; a dead or stopped worker keeps
+        the last record it sent."""
+        if self.alive:
+            try:
+                self._absorb(self.call({"op": "stats"}))
+            except TransportClosed:
+                pass
+        return self.last_stats
+
+    def stop(self) -> None:
+        if self.alive:
+            try:
+                self.call({"op": "shutdown"})
+            except (TransportClosed, WorkerError, FleetError):
+                pass
+        self.alive = False
+        stop_worker(self.process, self.channel, join_s=2.0)
+
+    def _absorb(self, value: Dict[str, Any]) -> None:
+        self.coordinator.apply(value["coordinator"])
+        self.last_stats = ServiceStats.from_payload(value["stats"])
+
+    def _settle(self, view: ServiceRequest, row: Dict[str, Any]) -> None:
+        view.status = row["status"]
+        view.error = row["error"]
+        view.cache_hit = bool(row["cache_hit"])
+        view.batched = bool(row["batched"])
+        view.completed_s = now()
+        payload = row["report"]
+        if payload is None:
+            view.report = None
+            return
+        task = self.coordinator.tasks[int(payload["task_id"])]
+        task.proposer = payload["proposer"]
+        commitment = ExecutionCommitment(
+            value=bytes(payload["commitment"]["value"]),
+            input_hash=bytes(payload["commitment"]["input_hash"]),
+            output_hash=bytes(payload["commitment"]["output_hash"]),
+            meta=dict(payload["commitment"]["meta"]),
+        )
+        dispute = None
+        if payload["dispute"] is not None:
+            spec = payload["dispute"]
+            stats = spec["statistics"]
+            dispute = DisputeOutcome(
+                dispute_id=int(spec["dispute_id"]),
+                task_id=int(spec["task_id"]),
+                proposer_cheated=bool(spec["proposer_cheated"]),
+                winner=spec["winner"],
+                localized_operator=spec["localized_operator"],
+                adjudication=None,
+                statistics=DisputeStatistics(
+                    rounds=int(stats["rounds"]),
+                    dispute_time_s=float(stats["dispute_time_s"]),
+                    merkle_checks=int(stats["merkle_checks"]),
+                    challenger_flops=float(stats["challenger_flops"]),
+                    adjudication_flops=float(stats["adjudication_flops"]),
+                    gas_used=int(stats["gas_used"]),
+                ),
+                resolved_by_timeout=bool(spec["resolved_by_timeout"]),
+            )
+        view.report = SessionReport(
+            task=task,
+            result=_ResultSnapshot(commitment=commitment),
+            challenged=bool(payload["challenged"]),
+            finalized_optimistically=bool(payload["finalized_optimistically"]),
+            verification_reports=[_VerificationFlag(exceeded=flag)
+                                  for flag in payload["verification"]],
+            dispute=dispute,
+        )
 
 
 class ProcessFleet(PlacedCore):
-    """N shard-worker processes behind one consistent-hash front end."""
+    """N shard-worker processes behind the shared sharded front end."""
+
+    _shard_lost = (TransportClosed,)
+    _concurrent_drains = True
 
     def __init__(
         self,
@@ -231,10 +396,13 @@ class ProcessFleet(PlacedCore):
         if recovery not in ("failover", "journal"):
             raise ValueError(
                 f"recovery must be 'failover' or 'journal', not {recovery!r}")
-        self.chain = chain or SimulatedChain()
-        self.devices = tuple(devices)
-        self.alpha = float(alpha)
-        self.hash_cache = hash_cache or HashCache()
+        super().__init__(
+            chain, devices, hash_cache, FleetError, alpha, max_batch=max_batch,
+            enable_batching=enable_batching,
+            enable_result_cache=enable_result_cache,
+            result_cache_size=result_cache_size, n_way=n_way,
+            committee_size=committee_size, leaf_path=leaf_path,
+            cycle_capacity=cycle_capacity)
         self.actor_module = actor_module
         #: Hung-worker deadline: every parent-side channel operation must
         #: complete within this many seconds or the worker is declared
@@ -242,30 +410,8 @@ class ProcessFleet(PlacedCore):
         #: one.  ``None`` waits forever (the pre-timeout behavior).
         self.worker_timeout_s = (None if worker_timeout_s is None
                                  else float(worker_timeout_s))
-        self._service_knobs = {
-            "max_batch": int(max_batch),
-            "enable_batching": bool(enable_batching),
-            "enable_result_cache": bool(enable_result_cache),
-            "result_cache_size": int(result_cache_size),
-            "alpha": float(alpha),
-            "n_way": int(n_way),
-            "committee_size": int(committee_size),
-            "leaf_path": leaf_path,
-            "cycle_capacity": cycle_capacity,
-        }
         self._context = multiprocessing.get_context(start_method)
-        self.placement = Placement(self.devices, self.alpha, self.hash_cache,
-                                   error=FleetError)
-        self.workers: Dict[str, WorkerHandle] = {}
-        self._snapshots: Dict[str, CoordinatorSnapshot] = {}
-        self._last_stats: Dict[str, ServiceStats] = {}
-        self._requests: Dict[int, _RequestRecord] = {}
-        self._by_local: Dict[Tuple[str, int], int] = {}
-        self._pending: Dict[str, List[int]] = {}
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_workers = 0
         self._closed = False
-        self.measured_wall_s = 0.0
         #: Dead-worker policy: ``"failover"`` re-homes tenants on ring
         #: successors (in-flight disputes are forfeited and reported in
         #: :attr:`forfeited_disputes`); ``"journal"`` restarts the worker in
@@ -295,34 +441,31 @@ class ProcessFleet(PlacedCore):
         for index in range(int(num_workers)):
             self.add_shard(f"shard-{index}")
 
+    @property
+    def workers(self) -> Dict[str, WorkerHandle]:
+        """Member workers by shard id (the front end's ``shards``)."""
+        return self.shards
+
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
 
-    def _start_shard(self, shard_id: str) -> None:
+    def _start_shard(self, shard_id: str) -> WorkerHandle:
         if self._closed:
             raise FleetError("the fleet is closed")
-        self._snapshots[shard_id] = CoordinatorSnapshot(shard_id)
-        self._pending[shard_id] = []
         self.journals[shard_id] = ShardJournal(shard_id)
-        self._launch(shard_id)
+        process, channel = self._launch(shard_id)
+        return WorkerHandle(self, shard_id, process, channel,
+                            coordinator=CoordinatorSnapshot(shard_id))
 
-    def _launch(self, shard_id: str) -> WorkerHandle:
+    def _launch(self, shard_id: str):
         """Start the worker process for ``shard_id`` and boot it."""
-        process, channel = start_worker(self._context, ShardWorker, {
+        return start_worker(self._context, ShardWorker, {
             "shard_id": shard_id,
             "block_interval_s": self.chain.block_interval_s,
             "service": dict(self._service_knobs),
             "actor_module": self.actor_module,
         }, name=f"fleet-{shard_id}", deadline_s=self.worker_timeout_s)
-        handle = WorkerHandle(shard_id=shard_id, process=process,
-                              channel=channel)
-        self.workers[shard_id] = handle
-        return handle
-
-    def _live_workers(self) -> List[str]:
-        return [shard_id for shard_id in sorted(self.workers)
-                if self.workers[shard_id].alive]
 
     # ------------------------------------------------------------------
     # RPC with nested chain settlement
@@ -331,7 +474,7 @@ class ProcessFleet(PlacedCore):
     #: Ops always journaled on completion: they mutate worker state a
     #: recovered incarnation must rebuild.
     _JOURNALED_OPS = frozenset({"register", "submit", "process", "withdraw",
-                                "detach"})
+                                "detach", "quarantine"})
 
     def _should_journal(self, payload: Dict[str, Any],
                         chain_frames: int) -> bool:
@@ -497,13 +640,10 @@ class ProcessFleet(PlacedCore):
             "fund_accounts": True,
             "challenger_clones": 0,
         }
-        value = self._call(self.workers[home], payload)
-        if bytes(value["digest"]) != key:
-            raise FleetError(
-                f"worker {home} committed a different model digest for "
-                f"{name!r}; the wire round-trip is not commitment-exact")
-        return self.placement.admit(FleetModel(
-            name=name, key=key, shard_id=home, home_id=home, payload=payload))
+        record = FleetModel(name=name, key=key, shard_id=home, home_id=home,
+                            payload=payload)
+        self.workers[home].register(record)
+        return self.placement.admit(record)
 
     def model(self, name: str):
         raise FleetError(
@@ -511,290 +651,14 @@ class ProcessFleet(PlacedCore):
             "stats() or the coordinator snapshots instead of model()")
 
     # ------------------------------------------------------------------
-    # Request intake
+    # Dead workers
     # ------------------------------------------------------------------
 
-    def submit(
-        self,
-        model_name: str,
-        inputs: Mapping[str, np.ndarray],
-        proposer: Optional[Dict[str, Any]] = None,
-        force_challenge: bool = False,
-        challenger: Optional[Dict[str, Any]] = None,
-    ) -> int:
-        """Enqueue one request on the tenant's home worker.
-
-        ``proposer``/``challenger`` are **actor specs** (plain maps resolved
-        by the workers' actor module), not role objects — role objects hold
-        devices and closures that cannot cross the serialized transport.
-        """
-        record = self.placement.record(model_name)
-        for label, spec in (("proposer", proposer), ("challenger", challenger)):
-            if spec is not None and not isinstance(spec, dict):
-                raise TypeError(
-                    f"fleet {label} must be an actor-spec dict, not "
-                    f"{type(spec).__name__}; role objects cannot cross the "
-                    "process boundary")
-        payload = {
-            "op": "submit",
-            "model": model_name,
-            "inputs": {name: np.asarray(value) for name, value in inputs.items()},
-            "proposer": proposer,
-            "challenger": challenger,
-            "force_challenge": bool(force_challenge),
-        }
-        try:
-            local_id = int(self._call(self.workers[record.shard_id],
-                                      payload)["local_id"])
-        except TransportClosed:
-            # The home worker died — or wedged past its deadline — under our
-            # feet.  It is already marked dead and ring-drained; either
-            # restart it in place from its journal or re-home its tenants
-            # (and queue), then retry once.
-            if self.recovery == "journal":
-                self._recover_worker(record.shard_id)
-            else:
-                self._fail_over_worker(record.shard_id)
-            local_id = int(self._call(self.workers[record.shard_id],
-                                      payload)["local_id"])
-        request_id = len(self._requests)
-        request = ServiceRequest(
-            request_id=request_id, model_name=model_name, inputs=dict(inputs),
-            force_challenge=bool(force_challenge), submitted_s=now(),
-        )
-        self._requests[request_id] = _RequestRecord(
-            request=request, shard_id=record.shard_id, local_id=local_id,
-            proposer_spec=proposer, challenger_spec=challenger,
-        )
-        self._by_local[(record.shard_id, local_id)] = request_id
-        self._pending[record.shard_id].append(request_id)
-        return request_id
-
-    def request(self, request_id: int) -> ServiceRequest:
-        return self._requests[request_id].request
-
-    @property
-    def pending_count(self) -> int:
-        return sum(len(queue) for queue in self._pending.values())
-
-    # ------------------------------------------------------------------
-    # Processing
-    # ------------------------------------------------------------------
-
-    def process(self, max_requests: Optional[int] = None) -> List[ServiceRequest]:
-        """Drain every busy worker concurrently; failover dead ones."""
-        started = now()
-        processed = self._process_round(max_requests)
-        self.measured_wall_s += now() - started
-        return sorted(processed, key=lambda request: request.request_id)
-
-    def _process_round(self, max_requests: Optional[int]) -> List[ServiceRequest]:
-        busy = [shard_id for shard_id in self._live_workers()
-                if self._pending[shard_id]]
-        if not busy:
-            return []
-        processed: List[ServiceRequest] = []
-        died: List[str] = []
-
-        if max_requests is not None:
-            # Bounded drains run sequentially in shard order: determinism
-            # beats parallelism for the partial-drain administrative path.
-            remaining = int(max_requests)
-            for shard_id in busy:
-                if remaining <= 0:
-                    break
-                take = min(remaining, len(self._pending[shard_id]))
-                try:
-                    value = self._call(self.workers[shard_id],
-                                       {"op": "process", "max_requests": take})
-                except TransportClosed:
-                    died.append(shard_id)
-                    continue
-                results = self._apply_process_response(shard_id, value)
-                processed.extend(results)
-                remaining -= len(results)
+    def _lose_shard(self, shard_id: str) -> None:
+        if self.recovery == "journal":
+            self._recover_worker(shard_id)
         else:
-            if len(busy) == 1:
-                outcomes = [(busy[0], self._drain_one(busy[0]))]
-            else:
-                pool = self._drain_pool(len(busy))
-                futures = [(shard_id, pool.submit(self._drain_one, shard_id))
-                           for shard_id in busy]
-                outcomes = [(shard_id, future.result())
-                            for shard_id, future in futures]
-            for shard_id, value in outcomes:
-                if value is None:
-                    died.append(shard_id)
-                else:
-                    processed.extend(self._apply_process_response(shard_id, value))
-
-        for shard_id in died:
-            if self.recovery == "journal":
-                self._recover_worker(shard_id)
-            else:
-                self._fail_over_worker(shard_id)
-        if died and self.pending_count:
-            # Failover queues re-dispatched requests on ring successors;
-            # journal recovery leaves them queued on the restarted worker.
-            # Either way, finish the drain so the caller still gets every
-            # admitted request back in terminal state.
-            processed.extend(self._process_round(max_requests))
-        return processed
-
-    def _drain_one(self, shard_id: str) -> Optional[Dict[str, Any]]:
-        try:
-            return self._call(self.workers[shard_id], {"op": "process",
-                                                       "max_requests": None})
-        except TransportClosed:
-            return None
-
-    def _drain_pool(self, workers: int) -> ThreadPoolExecutor:
-        """The persistent drain executor, grown (never shrunk) on demand."""
-        if self._executor is not None and self._executor_workers < workers:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="fleet-drain")
-            self._executor_workers = workers
-        return self._executor
-
-    def _apply_process_response(self, shard_id: str,
-                                value: Dict[str, Any]) -> List[ServiceRequest]:
-        # Snapshot first: reports built below reference the snapshot tasks.
-        snapshot = self._snapshots[shard_id]
-        snapshot.apply(value["coordinator"])
-        self._last_stats[shard_id] = ServiceStats.from_payload(value["stats"])
-        for name, clones in value.get("clones", []):
-            model = self.placement.tenants.get(name)
-            if model is not None and model.shard_id == shard_id:
-                model.challenger_clones = int(clones)
-        results: List[ServiceRequest] = []
-        pending = self._pending[shard_id]
-        for row in value["results"]:
-            request_id = self._by_local.get((shard_id, int(row["local_id"])))
-            if request_id is None:
-                continue
-            record = self._requests[request_id]
-            self._apply_result(record, row, snapshot)
-            if request_id in pending:
-                pending.remove(request_id)
-            results.append(record.request)
-        return results
-
-    def _apply_result(self, record: _RequestRecord, row: Dict[str, Any],
-                      snapshot: CoordinatorSnapshot) -> None:
-        request = record.request
-        request.status = row["status"]
-        request.error = row["error"]
-        request.cache_hit = bool(row["cache_hit"])
-        request.batched = bool(row["batched"])
-        request.completed_s = now()
-        payload = row["report"]
-        if payload is None:
-            request.report = None
-            return
-        task = snapshot.tasks[int(payload["task_id"])]
-        commitment = ExecutionCommitment(
-            value=bytes(payload["commitment"]["value"]),
-            input_hash=bytes(payload["commitment"]["input_hash"]),
-            output_hash=bytes(payload["commitment"]["output_hash"]),
-            meta=dict(payload["commitment"]["meta"]),
-        )
-        dispute = None
-        if payload["dispute"] is not None:
-            spec = payload["dispute"]
-            stats = spec["statistics"]
-            dispute = DisputeOutcome(
-                dispute_id=int(spec["dispute_id"]),
-                task_id=int(spec["task_id"]),
-                proposer_cheated=bool(spec["proposer_cheated"]),
-                winner=spec["winner"],
-                localized_operator=spec["localized_operator"],
-                adjudication=None,
-                statistics=DisputeStatistics(
-                    rounds=int(stats["rounds"]),
-                    dispute_time_s=float(stats["dispute_time_s"]),
-                    merkle_checks=int(stats["merkle_checks"]),
-                    challenger_flops=float(stats["challenger_flops"]),
-                    adjudication_flops=float(stats["adjudication_flops"]),
-                    gas_used=int(stats["gas_used"]),
-                ),
-                resolved_by_timeout=bool(spec["resolved_by_timeout"]),
-            )
-        request.report = SessionReport(
-            task=task,
-            result=_ResultSnapshot(commitment=commitment),
-            challenged=bool(payload["challenged"]),
-            finalized_optimistically=bool(payload["finalized_optimistically"]),
-            verification_reports=[_VerificationFlag(exceeded=flag)
-                                  for flag in payload["verification"]],
-            dispute=dispute,
-        )
-
-    # ------------------------------------------------------------------
-    # Failover
-    # ------------------------------------------------------------------
-
-    def _move(self, model: FleetModel, target_id: str) -> None:
-        """Execute one planned move: re-register ``model`` on ``target_id``
-        and re-submit its queue there.
-
-        A live source is withdrawn and detached (clone accounting
-        preserved); a dead one is replayed from the parent's own records.
-        The stored registration payload is replayed with
-        ``fund_accounts=False`` — the tenant's accounts already exist on the
-        shared chain, and no membership change may create money.
-        """
-        source = self.workers.get(model.shard_id)
-        if source is not None and source.alive:
-            withdrawn = [
-                self._by_local[(model.shard_id, int(local_id))]
-                for local_id in self._call(source, {
-                    "op": "withdraw", "model": model.name})["local_ids"]
-            ]
-            clones = int(self._call(source, {
-                "op": "detach", "model": model.name})["challenger_clones"])
-        else:
-            withdrawn = [
-                request_id
-                for request_id in self._pending.get(model.shard_id, [])
-                if self._requests[request_id].request.model_name == model.name
-            ]
-            clones = model.challenger_clones
-        if not self.workers[target_id].alive:
-            raise FleetError(
-                f"placement target {target_id!r} for {model.name!r} is dead")
-        old_shard = model.shard_id
-        payload = dict(model.payload)
-        payload["fund_accounts"] = False
-        payload["challenger_clones"] = int(clones)
-        value = self._call(self.workers[target_id], payload)
-        if bytes(value["digest"]) != model.key:
-            raise FleetError(
-                f"failover re-registration of {model.name!r} changed its digest")
-        model.shard_id = target_id
-        model.payload = payload
-        model.challenger_clones = int(clones)
-        for request_id in withdrawn:
-            record = self._requests[request_id]
-            local_id = int(self._call(self.workers[target_id], {
-                "op": "submit",
-                "model": model.name,
-                "inputs": {name: np.asarray(value)
-                           for name, value in record.request.inputs.items()},
-                "proposer": record.proposer_spec,
-                "challenger": record.challenger_spec,
-                "force_challenge": bool(record.request.force_challenge),
-            })["local_id"])
-            if request_id in self._pending[old_shard]:
-                self._pending[old_shard].remove(request_id)
-            record.shard_id = target_id
-            record.local_id = local_id
-            record.request.status = "queued"
-            self._by_local[(target_id, local_id)] = request_id
-            self._pending[target_id].append(request_id)
-            self.placement.redispatched_requests += 1
+            self._fail_over_worker(shard_id)
 
     def _recover_worker(self, shard_id: str) -> None:
         """Restart a dead worker in place and replay its write-ahead journal.
@@ -817,7 +681,9 @@ class ProcessFleet(PlacedCore):
                 f"worker {shard_id!r} has no journal to recover from")
         self._replaying.add(shard_id)
         try:
-            handle = self._launch(shard_id)
+            handle = self.workers[shard_id]
+            handle.process, handle.channel = self._launch(shard_id)
+            handle.alive = True
             for entry in journal.commands():
                 payload = entry["payload"]
                 try:
@@ -873,10 +739,6 @@ class ProcessFleet(PlacedCore):
     # Observability
     # ------------------------------------------------------------------
 
-    def coordinators(self) -> List[CoordinatorSnapshot]:
-        """Every worker coordinator mirror, dead workers included."""
-        return [self._snapshots[shard_id] for shard_id in sorted(self._snapshots)]
-
     def journal_for(self, shard_id: str) -> ShardJournal:
         """The write-ahead journal of one shard (dead workers included)."""
         try:
@@ -890,55 +752,13 @@ class ProcessFleet(PlacedCore):
         return {shard_id: journal.spec_entries()
                 for shard_id, journal in sorted(self.journals.items())}
 
-    def queue_depths(self) -> Dict[str, int]:
-        """Parent-tracked pending requests per live worker."""
-        return {shard_id: len(self._pending[shard_id])
-                for shard_id in self._live_workers()}
-
-    def queue_ages(self, at_s: Optional[float] = None) -> List[float]:
-        """Ages (seconds) of every queued request, oldest first."""
-        reference = now() if at_s is None else float(at_s)
-        ages = [max(0.0, reference - self._requests[request_id].request.submitted_s)
-                for queue in self._pending.values() for request_id in queue]
-        return sorted(ages, reverse=True)
-
-    def queued_model_names(self) -> List[str]:
-        """Distinct tenants with queued work (the autoscaler's routing grain)."""
-        return sorted({self._requests[request_id].request.model_name
-                       for queue in self._pending.values()
-                       for request_id in queue})
-
-    def _shard_stats(self) -> Dict[str, ServiceStats]:
-        """Live workers' records refreshed over RPC; dead workers keep the
-        last record they sent."""
-        for shard_id in self._live_workers():
-            try:
-                value = self._call(self.workers[shard_id], {"op": "stats"})
-            except TransportClosed:
-                continue
-            self._snapshots[shard_id].apply(value["coordinator"])
-            self._last_stats[shard_id] = ServiceStats.from_payload(value["stats"])
-        return self._last_stats
-
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop every worker and release the drain executor (idempotent)."""
+        """Stop every worker (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        for shard_id in sorted(self.workers):
-            handle = self.workers[shard_id]
-            if handle.alive:
-                try:
-                    self._call(handle, {"op": "shutdown"})
-                except (TransportClosed, WorkerError, FleetError):
-                    pass
-            handle.alive = False
-            stop_worker(handle.process, handle.channel, join_s=2.0)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-            self._executor_workers = 0
+        super().close()

@@ -77,6 +77,7 @@ def _report_payload(request: ServiceRequest) -> Optional[Dict[str, Any]]:
     commitment = report.result.commitment
     return {
         "task_id": int(report.task.task_id),
+        "proposer": report.task.proposer,
         "challenged": bool(report.challenged),
         "finalized_optimistically": bool(report.finalized_optimistically),
         "commitment": {
@@ -209,6 +210,10 @@ class ShardWorker:
     def op_detach(self, message: Dict[str, Any]) -> Dict[str, Any]:
         entry = self.service.detach_model(message["model"])
         return {"challenger_clones": int(entry.challenger_clones)}
+
+    def op_quarantine(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        self.service.quarantine_model(message["model"])
+        return {}
 
     def op_stats(self, message: Dict[str, Any]) -> Dict[str, Any]:
         return {"stats": self.service.stats().to_payload(),

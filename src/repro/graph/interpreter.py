@@ -12,22 +12,20 @@ The interpreter is used in three places that the paper distinguishes:
 All three paths go through :meth:`Interpreter.run`, so there is exactly one
 execution semantics in the system.  :meth:`Interpreter.run` dispatches over a
 precompiled, cached :class:`~repro.engine.plan.ExecutionPlan` via
-:class:`~repro.engine.engine.ExecutionEngine`; the original node-by-node
-reference loop is retained as :meth:`Interpreter.run_reference` and the two
-are pinned bit-identical by ``tests/test_engine_parity.py``.
+:class:`~repro.engine.engine.ExecutionEngine`; ``tests/test_engine_parity.py``
+pins it bit-identical to the original node-by-node loop, which lives there
+as the test's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.graph import GraphModule
-from repro.graph.node import Node
 from repro.ops.registry import get_op
-from repro.utils.timing import now
 from repro.tensorlib.device import DeviceProfile
 from repro.tensorlib.flops import FlopCounter
 
@@ -95,7 +93,8 @@ class Interpreter:
         """Execute ``graph_module`` on ``inputs``.
 
         Dispatches over the cached execution plan; semantics are identical
-        to :meth:`run_reference` (enforced by the engine parity tests).
+        to the node-by-node reference loop (enforced by the engine parity
+        tests).
 
         Parameters
         ----------
@@ -125,87 +124,6 @@ class Interpreter:
             overrides=overrides, delta_overrides=delta_overrides,
         )
 
-    def run_reference(
-        self,
-        graph_module: GraphModule,
-        inputs: Dict[str, np.ndarray],
-        record: bool = False,
-        count_flops: bool = False,
-        overrides: Optional[Dict[str, np.ndarray]] = None,
-        delta_overrides: Optional[Dict[str, np.ndarray]] = None,
-    ) -> ExecutionTrace:
-        """The original node-by-node execution loop (reference semantics).
-
-        Kept as the specification the plan-based engine must match bit for
-        bit; the parity tests execute every zoo model through both paths and
-        compare outputs, traces and commitment hashes.
-        """
-        graph = graph_module.graph
-        missing = [n for n in graph_module.input_names if n not in inputs]
-        if missing:
-            raise ValueError(f"missing graph inputs: {missing}")
-
-        env: Dict[str, np.ndarray] = {}
-        flops = FlopCounter()
-        overrides = overrides or {}
-        delta_overrides = delta_overrides or {}
-        start = now()
-
-        for node in graph.nodes:
-            if node.op == "placeholder":
-                value = np.asarray(inputs[node.name])
-            elif node.op == "get_param":
-                value = np.asarray(graph_module.parameters[node.target])
-            elif node.op == "constant":
-                value = np.asarray(graph.constants[node.target])
-            elif node.op == "call_op":
-                spec = get_op(node.target)
-                args = [self._resolve(arg, env) for arg in node.args]
-                value = spec.forward(self.device, *args, **node.kwargs)
-                if count_flops:
-                    flops.add(node.target, spec.estimate_flops(value, *args, **node.kwargs))
-            elif node.op == "output":
-                continue
-            else:  # pragma: no cover - Node validates op kinds
-                raise ValueError(f"unknown node op {node.op!r}")
-
-            if node.name in overrides:
-                override = np.asarray(overrides[node.name])
-                if override.shape != np.shape(value):
-                    raise ValueError(
-                        f"override for {node.name!r} has shape {override.shape}, "
-                        f"expected {np.shape(value)}"
-                    )
-                value = override.astype(np.float32)
-            if node.name in delta_overrides:
-                delta = np.asarray(delta_overrides[node.name], dtype=np.float32)
-                if delta.shape != np.shape(value):
-                    raise ValueError(
-                        f"delta override for {node.name!r} has shape {delta.shape}, "
-                        f"expected {np.shape(value)}"
-                    )
-                value = (np.asarray(value, dtype=np.float32) + delta).astype(np.float32)
-            env[node.name] = value
-
-        output_node = graph.output_node
-        output_names = tuple(arg.name for arg in output_node.args if isinstance(arg, Node))
-        outputs = tuple(env[name] for name in output_names)
-        elapsed = now() - start
-
-        values: Dict[str, np.ndarray]
-        if record:
-            values = env
-        else:
-            values = {name: env[name] for name in output_names}
-        return ExecutionTrace(
-            device_name=self.device.name,
-            outputs=outputs,
-            output_names=output_names,
-            values=values,
-            flops=flops,
-            wall_time_s=elapsed,
-        )
-
     def run_single_operator(
         self,
         graph_module: GraphModule,
@@ -223,9 +141,3 @@ class Interpreter:
             raise ValueError(f"{operator_name!r} is not an operator node")
         spec = get_op(node.target)
         return spec.forward(self.device, *operand_values, **node.kwargs)
-
-    @staticmethod
-    def _resolve(arg: Any, env: Dict[str, np.ndarray]) -> Any:
-        if isinstance(arg, Node):
-            return env[arg.name]
-        return arg

@@ -68,7 +68,7 @@ from repro.merkle.commitments import execution_input_hash, make_execution_commit
 from repro.protocol.coordinator import Coordinator
 from repro.protocol.dispute import ActiveDispute, DisputeGame
 from repro.protocol.lifecycle import SessionReport, TAOSession
-from repro.protocol.roles import Challenger, ProposedResult, Proposer
+from repro.protocol.roles import Challenger, HonestProposer, ProposedResult, Proposer
 from repro.tensorlib.device import DEVICE_FLEET, DeviceProfile
 from repro.utils.digest import LatencyDigest
 from repro.utils.timing import now, thread_now
@@ -545,6 +545,20 @@ class TAOService(ServiceCore):
         # The entry arrives with the *source* service's cache bound; enforce
         # this service's bound immediately rather than on the next insert.
         self._trim_result_cache(entry)
+
+    def quarantine_model(self, name: str) -> None:
+        """Invalidate a tenant's result cache and re-provision its proposer.
+
+        The sharded front ends call this once a tenant's standing proposer
+        is slashed.  Scoped: only this tenant's memo (verdicts the slashed
+        proposer vouched for) dies; sibling tenants keep their hot caches.
+        The proposer keeps its name, ledger account and device, so
+        execution — and therefore every commitment — is unchanged.
+        """
+        entry = self.model(name)
+        entry.result_cache.clear()
+        entry.proposer = HonestProposer(entry.proposer.name, entry.proposer.device,
+                                        hash_cache=self.hash_cache)
 
     # ------------------------------------------------------------------
     # Processing

@@ -2,7 +2,7 @@
 
 The runner describes each event's actors as small spec maps
 (``{"type": ...}``) and resolves them here — in process for the plain
-service and the thread cluster, and inside worker processes for
+service and the in-process cluster, and inside worker processes for
 ``process_fleet`` scenarios (the fleet's ``actor_module`` hello field names
 this module), because fault wrappers hold interpreter-override closures that
 no codec moves.  One builder on both sides means the same names, funding,

@@ -28,7 +28,7 @@ from repro.elastic import (
 )
 from repro.protocol import TAOService
 
-from test_cluster_equivalence import _fingerprint  # noqa: F401 - shared pin
+from test_sharded_equivalence import _fingerprint  # noqa: F401 - shared pin
 from repro.protocol.service import TERMINAL_TASK_STATUSES
 
 NUM_TENANTS = 4

@@ -3,8 +3,8 @@ bit for bit on every zoo model.
 
 The refactor's contract is that ``Interpreter.run`` (now a dispatch over a
 cached :class:`~repro.engine.plan.ExecutionPlan`) is observationally
-identical to the seed node-by-node loop retained as
-``Interpreter.run_reference``: same outputs, same recorded trace, same FLOP
+identical to the seed node-by-node loop, kept here as the oracle
+:func:`run_reference`: same outputs, same recorded trace, same FLOP
 accounting, and therefore identical execution-commitment hashes.  These
 tests pin that contract for every model in :mod:`repro.models.zoo` on two
 device profiles, and additionally pin the batched path (stacked execution
@@ -19,10 +19,13 @@ import numpy as np
 import pytest
 
 from repro.engine import ExecutionEngine, plan_for
-from repro.graph.interpreter import Interpreter
+from repro.graph.interpreter import ExecutionTrace, Interpreter
+from repro.graph.node import Node
 from repro.merkle.commitments import hash_tensor
 from repro.models import available_models, get_model_spec
+from repro.ops.registry import get_op
 from repro.tensorlib.device import DEVICE_FLEET
+from repro.tensorlib.flops import FlopCounter
 from repro.utils.hashing import sha256_bytes
 from repro.utils.serialization import canonical_bytes
 
@@ -30,6 +33,41 @@ from repro.utils.serialization import canonical_bytes
 PARITY_DEVICES = (DEVICE_FLEET[0], DEVICE_FLEET[2])
 
 _TRACED: Dict[str, tuple] = {}
+
+
+def run_reference(interpreter: Interpreter, graph_module, inputs,
+                  record: bool = False, count_flops: bool = False) -> ExecutionTrace:
+    """The seed node-by-node execution loop: the specification the
+    plan-based engine must match bit for bit."""
+    graph = graph_module.graph
+    env: Dict[str, np.ndarray] = {}
+    flops = FlopCounter()
+    for node in graph.nodes:
+        if node.op == "placeholder":
+            value = np.asarray(inputs[node.name])
+        elif node.op == "get_param":
+            value = np.asarray(graph_module.parameters[node.target])
+        elif node.op == "constant":
+            value = np.asarray(graph.constants[node.target])
+        elif node.op == "call_op":
+            spec = get_op(node.target)
+            args = [env[arg.name] if isinstance(arg, Node) else arg
+                    for arg in node.args]
+            value = spec.forward(interpreter.device, *args, **node.kwargs)
+            if count_flops:
+                flops.add(node.target, spec.estimate_flops(value, *args, **node.kwargs))
+        else:  # the output node
+            continue
+        env[node.name] = value
+    output_names = tuple(arg.name for arg in graph.output_node.args
+                         if isinstance(arg, Node))
+    return ExecutionTrace(
+        device_name=interpreter.device.name,
+        outputs=tuple(env[name] for name in output_names),
+        output_names=output_names,
+        values=env if record else {name: env[name] for name in output_names},
+        flops=flops,
+    )
 
 
 def traced_model(name: str):
@@ -67,8 +105,8 @@ def test_engine_matches_reference_interpreter(model_name, device):
     interpreter = Interpreter(device)
 
     engine_trace = interpreter.run(graph, requests[0], record=True, count_flops=True)
-    reference_trace = interpreter.run_reference(graph, requests[0], record=True,
-                                                count_flops=True)
+    reference_trace = run_reference(interpreter, graph, requests[0], record=True,
+                                    count_flops=True)
     assert_traces_identical(engine_trace, reference_trace, model_name, device.name)
 
     # The canonical tensor hashes over the trace (what commitments and
@@ -87,7 +125,7 @@ def test_engine_commitment_hashes_match(model_name):
     device = PARITY_DEVICES[0]
     interpreter = Interpreter(device)
     engine_trace = interpreter.run(graph, requests[1])
-    reference_trace = interpreter.run_reference(graph, requests[1])
+    reference_trace = run_reference(interpreter, graph, requests[1])
     assert interface_hash(list(engine_trace.outputs)) == \
         interface_hash(list(reference_trace.outputs))
 

@@ -27,7 +27,7 @@ import pytest
 from repro.fleet import FleetError, ProcessFleet
 from repro.fleet.wire import encode_perturbation
 
-from test_cluster_equivalence import _victim
+from test_sharded_equivalence import _victim
 
 TERMINAL = {"finalized", "proposer_slashed", "challenger_slashed"}
 

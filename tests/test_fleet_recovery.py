@@ -29,7 +29,7 @@ from repro.fleet.wire import encode_perturbation
 from repro.spec import validate_journal
 from repro.utils.serialization import canonical_bytes
 
-from test_cluster_equivalence import _victim
+from test_sharded_equivalence import _victim
 
 TERMINAL = {"finalized", "proposer_slashed", "challenger_slashed"}
 

@@ -38,7 +38,7 @@ from repro.protocol import TAOService
 from repro.protocol.service import ServiceStats
 from repro.utils.serialization import canonical_bytes
 
-from test_cluster_equivalence import _fingerprint, _victim
+from test_sharded_equivalence import _fingerprint, _victim
 
 
 def _echo_main(child_socket: socket.socket) -> None:

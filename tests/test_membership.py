@@ -1,17 +1,20 @@
 """One membership suite for both sharded tiers.
 
 :class:`~repro.cluster.cluster.TAOCluster` and
-:class:`~repro.fleet.fleet.ProcessFleet` share one placement controller
-(:class:`~repro.cluster.placement.Placement`) and one verb set:
-``add_shard`` / ``drain_shard`` / ``undrain_shard`` /
-``active_shard_count``.  Every check here runs on both tiers — the
-drain -> undrain -> add round trip, shard-id reservation, the last-live
-guard — plus the autoscaler's one target over those verbs and the
-controller's plans on their own.
+:class:`~repro.fleet.fleet.ProcessFleet` are one front end
+(:class:`~repro.cluster.placement.PlacedCore`) over one placement
+controller (:class:`~repro.cluster.placement.Placement`), with one verb
+set: ``add_shard`` / ``remove_shard`` / ``drain_shard`` /
+``undrain_shard`` / ``active_shard_count``.  Every check here runs on both
+tiers — the drain -> undrain -> add round trip, removal, shard-id
+reservation, the last-live guard, the slash quarantine — plus the
+autoscaler's one target over those verbs and the controller's plans on
+their own.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -23,9 +26,13 @@ from repro.cluster import (
 )
 from repro.elastic import AutoscalerConfig, ShardTarget
 from repro.fleet import FleetError, ProcessFleet
+from repro.fleet.wire import encode_perturbation
 from repro.graph import trace_module
 from repro.merkle.cache import HashCache
+from repro.protocol.roles import HonestProposer
 from repro.protocol.service import TERMINAL_TASK_STATUSES
+
+from test_sharded_equivalence import _victim
 
 ERRORS = {"cluster": ClusterError, "fleet": FleetError}
 
@@ -207,6 +214,93 @@ def test_shard_target_drives_both_tiers(make_tier, tenant_graphs,
     assert target.scale_up() == "shard-0"  # undrained, not added
     assert sorted(front.placement.shards) == ["shard-0", "shard-1"]
     _assert_on_ring_owners(front)
+
+
+def test_remove_shard_rehomes_and_retires(tier, make_tier, tenant_graphs,
+                                          mlp_thresholds, mlp_input_factory):
+    """Removal moves the shard's tenants and queued requests to their new
+    ring owners and stops the shard; its coordinator (a fleet worker's
+    snapshot) stays visible to settlement, and its id is never reissued."""
+    front = make_tier(3)
+    _register_all(front, tenant_graphs, mlp_thresholds)
+    request_ids = [front.submit(graph.name, mlp_input_factory(400 + index))
+                   for index, graph in enumerate(tenant_graphs)]
+    depths = front.queue_depths()
+    victim = max(depths, key=lambda sid: (depths[sid], sid))
+    moved = [name for name in front.model_names if front.location(name) == victim]
+    assert moved, "the busiest shard hosts a tenant"
+
+    front.remove_shard(victim)
+    assert victim not in front.shards
+    assert front.placement.retired == [victim]
+    assert front.active_shard_count == 2
+    assert all(front.location(name) != victim for name in front.model_names)
+    _assert_on_ring_owners(front)
+    assert front.redispatched_requests == len(moved)
+    assert victim not in front.queue_depths()
+
+    retired = front.retired_shards[0]
+    assert retired.shard_id == victim
+    assert retired.coordinator in front.coordinators()
+    if tier == "fleet":
+        assert not retired.alive and not retired.process.is_alive()
+        assert victim not in front.workers
+        assert front.journal_for(victim).command_count > 0
+    front.process()
+    for request_id in request_ids:
+        assert front.request(request_id).status in TERMINAL_TASK_STATUSES
+    assert front.stats().requests_completed == len(request_ids)
+    assert _conserved(front)
+
+    with pytest.raises(ERRORS[tier]):
+        front.add_shard(victim)
+    with pytest.raises(ERRORS[tier]):
+        front.remove_shard(victim)
+    assert front.add_shard() == "shard-3"
+
+
+@pytest.mark.parametrize("live", [1, 2], ids=["in-place", "failover"])
+def test_slashed_standing_proposer_is_quarantined(
+        tier, make_tier, mlp_graph, mlp_thresholds, mlp_input_factory, live):
+    """A slash of the tenant's standing proposer quarantines the tenant.
+
+    The cheat is a per-request adversarial proposer under the standing
+    name ``<tenant>-proposer``.  With another live shard the tenant fails
+    over; with none it is quarantined in place.  Either way a payload
+    cached before the slash re-executes, and the proposer is re-provisioned
+    honest under the same name.
+    """
+    front = make_tier(live)
+    session = front.register_model(mlp_graph, threshold_table=mlp_thresholds)
+    name = mlp_graph.name
+    standing = f"{name}-proposer"
+    payload = mlp_input_factory(21)
+    warm = [front.submit(name, payload) for _ in range(2)]
+    front.process()
+    assert front.request(warm[1]).cache_hit
+    home = front.location(name)
+
+    delta = np.float32(0.5)
+    cheat = ({"type": "adversarial", "name": standing,
+              "perturbations": {_victim(mlp_graph): encode_perturbation(delta)}}
+             if tier == "fleet" else
+             session.make_adversarial_proposer(standing, {_victim(mlp_graph): delta}))
+    cheated = front.submit(name, mlp_input_factory(22), proposer=cheat)
+    front.process()
+    assert front.request(cheated).status == "proposer_slashed"
+    assert front.request(cheated).report.task.proposer == standing
+    assert front.failovers == live - 1
+    assert (front.location(name) != home) == (live > 1)
+
+    repeat = front.submit(name, payload)
+    front.process()
+    assert front.request(repeat).status == "finalized"
+    assert not front.request(repeat).cache_hit
+    assert front.request(repeat).report.task.proposer == standing
+    if tier == "cluster":
+        proposer = front.model(name).proposer
+        assert isinstance(proposer, HonestProposer) and proposer.name == standing
+    assert _conserved(front)
 
 
 def test_fleet_add_shard_after_close_is_refused():
