@@ -31,7 +31,7 @@ import numpy as np
 from repro.calibration import CommitteeEnvelopeConfig, calibrate_committee_envelope
 from repro.calibration.committee import leaf_operands
 from repro.graph.interpreter import Interpreter
-from repro.protocol.adjudication import committee_vote, committee_vote_reference
+from repro.protocol.adjudication import committee_vote
 from repro.protocol.roles import CommitteeMember
 from repro.sim.faults import bound_edge_delta, flip_low_bits
 from repro.tensorlib.device import DEVICE_FLEET
@@ -86,13 +86,8 @@ def _adjudicate_all(bench_model, trials, committee, envelope) -> Dict[str, float
     graph, thresholds = bench_model.graph, bench_model.thresholds
 
     def vote(name, operands, claim) -> bool:
-        if envelope is None:
-            result = committee_vote_reference(graph, name, operands, claim,
-                                              committee, thresholds)
-        else:
-            result = committee_vote(graph, name, operands, claim, committee,
-                                    thresholds, committee_envelope=envelope)
-        return result.proposer_cheated
+        return committee_vote(graph, name, operands, claim, committee,
+                              thresholds, committee_envelope=envelope).proposer_cheated
 
     false_slashes = honest_total = 0
     escapes: Dict[str, int] = {}

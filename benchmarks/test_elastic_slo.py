@@ -5,10 +5,10 @@ processes: an open-loop step-load spike (seeded, regenerable from the seed
 alone) drives a :class:`~repro.fleet.fleet.ProcessFleet` that starts at one
 worker behind an :class:`~repro.elastic.autoscaler.Autoscaler`.  The spike
 must force the fleet to 4 workers from live signals only, and after
-convergence the elastic fleet must hold the p99 latency SLO — defined
-relative to what a *static* 4-worker fleet achieves on the identical
-arrival schedule, so the gate measures elasticity overhead rather than host
-speed.
+convergence the elastic fleet must keep up.  Ticks are virtual, so "keeps
+up" is an exact count: it stays at 4 workers and clears the spike's backlog
+in the same number of ticks as a *static* 4-worker fleet on the identical
+arrival schedule.
 
 The transparency half of the contract is enforced unconditionally: the
 autoscaled run must be **verdict-byte-identical and ledger-exact** against
@@ -16,13 +16,13 @@ the static fleet — same per-request fingerprints in admission order, equal
 balances on every account, equal minted totals.  Scaling events may never
 change what the protocol decides, only when it gets decided.
 
-The p99 gate is only enforced on hosts with >= 4 cores (fewer cores cannot
-realize 4-way parallelism by physics); the report is emitted either way.
+The post-convergence p99 latency against the SLO (3x the static fleet's
+p99) is wall-clock on a shared host, so the report carries it and nothing
+gates on it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Tuple
 
 from repro.elastic import (
@@ -45,11 +45,11 @@ NUM_TENANTS = 6
 SEED = 20260808
 MAX_WORKERS = 4
 PER_WORKER_CAPACITY = 6
-#: Post-convergence p99 must stay within this factor of the static fleet's
-#: p99 on the same arrivals (floored so micro-latency hosts don't divide by
-#: noise).  Relative, so the gate survives slow CI hardware.
-GATE_P99_FACTOR = 3.0
-GATE_P99_FLOOR_S = 0.5
+#: Latency SLO reported for the post-convergence phase: this factor of the
+#: static fleet's p99 on the same arrivals, floored so micro-latency hosts
+#: don't divide by noise.
+SLO_P99_FACTOR = 3.0
+SLO_P99_FLOOR_S = 0.5
 
 
 def _arrivals():
@@ -151,15 +151,13 @@ def test_elastic_slo(benchmark):
      static_report, static_prints, static_ledger, static_post,
      conv_tick) = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    cores = os.cpu_count() or 1
-    gated = cores >= MAX_WORKERS
     timeline = elastic_report.workers_timeline()
     matches = sum(a == b for a, b in zip(elastic_prints, static_prints))
 
     elastic_summary = elastic_post.summary()
     static_summary = static_post.summary()
-    slo_p99_s = max(GATE_P99_FLOOR_S,
-                    GATE_P99_FACTOR * float(static_summary["p99"]))
+    slo_p99_s = max(SLO_P99_FLOOR_S,
+                    SLO_P99_FACTOR * float(static_summary["p99"]))
 
     timeline_rows: List[List[object]] = [
         [tick.index, tick.arrivals, tick.completed, tick.queue_depth,
@@ -198,13 +196,14 @@ def test_elastic_slo(benchmark):
         notes=(
             f"Exactness differential: {matches}/{len(arrivals)} verdict "
             "fingerprints byte-identical in admission order; ledger equal: "
-            f"{elastic_ledger == static_ledger}.  p99 gate: elastic "
-            f"post-convergence p99 <= {GATE_P99_FACTOR}x static p99 "
-            f"(= {slo_p99_s:.4f}s), "
-            + ("ENFORCED on this host."
-               if gated else
-               f"SKIPPED on this host ({cores} core(s) < {MAX_WORKERS}: "
-               "4-way parallelism cannot be realized by physics).")),
+            f"{elastic_ledger == static_ledger}.  Keep-up gate (exact): "
+            f"the elastic fleet stays at {MAX_WORKERS} workers after "
+            f"convergence and clears the backlog in "
+            f"{len(elastic_report.ticks)} ticks (static fleet: "
+            f"{len(static_report.ticks)}).  Reported, not gated (wall clock "
+            f"on a shared host): elastic post-convergence p99 "
+            f"{float(elastic_summary['p99']):.4f}s vs SLO "
+            f"{SLO_P99_FACTOR:.1f}x static p99 = {slo_p99_s:.4f}s."),
     )
 
     # -- Transparency gates: unconditional, host-independent. --------------
@@ -222,9 +221,10 @@ def test_elastic_slo(benchmark):
     assert max(timeline) == MAX_WORKERS
     assert any(d.action == "up" for d in elastic_report.decisions)
 
-    # -- SLO gate: post-convergence p99, relative to the static fleet. -----
+    # -- Keep-up gate: after convergence the elastic fleet holds 4 workers
+    # and clears the spike in as many (virtual) ticks as the static fleet.
     assert elastic_summary["count"] > 0 and static_summary["count"] > 0
-    if gated:
-        assert float(elastic_summary["p99"]) <= slo_p99_s, (
-            f"post-convergence p99 {elastic_summary['p99']:.4f}s exceeds "
-            f"SLO {slo_p99_s:.4f}s")
+    assert timeline[conv_tick:] == [MAX_WORKERS] * (len(timeline) - conv_tick)
+    assert len(elastic_report.ticks) == len(static_report.ticks), (
+        len(elastic_report.ticks), len(static_report.ticks))
+    assert elastic_report.ticks[-1].queue_depth == 0

@@ -89,6 +89,10 @@ class ChainClient:
         self._call("transfer", source=source, destination=destination,
                    amount=float(amount))
 
+    def transfer_all(self, moves) -> None:
+        self._call("transfer_all", moves=[[source, destination, float(amount)]
+                                          for source, destination, amount in moves])
+
     def balance(self, account: str) -> float:
         return float(self._call("balance", account=account))
 

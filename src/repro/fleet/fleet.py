@@ -382,9 +382,6 @@ class ProcessFleet(PlacedCore):
         leaf_path: str = "routed",
         hash_cache: Optional[HashCache] = None,
         cycle_capacity: Optional[int] = None,
-        max_batch: int = 32,
-        enable_batching: bool = True,
-        enable_result_cache: bool = True,
         result_cache_size: int = 256,
         actor_module: str = "repro.fleet.actors",
         start_method: Optional[str] = None,
@@ -397,9 +394,7 @@ class ProcessFleet(PlacedCore):
             raise ValueError(
                 f"recovery must be 'failover' or 'journal', not {recovery!r}")
         super().__init__(
-            chain, devices, hash_cache, FleetError, alpha, max_batch=max_batch,
-            enable_batching=enable_batching,
-            enable_result_cache=enable_result_cache,
+            chain, devices, hash_cache, FleetError, alpha,
             result_cache_size=result_cache_size, n_way=n_way,
             committee_size=committee_size, leaf_path=leaf_path,
             cycle_capacity=cycle_capacity)
@@ -562,6 +557,9 @@ class ProcessFleet(PlacedCore):
             elif method == "transfer":
                 self.chain.transfer(args["source"], args["destination"],
                                     args["amount"])
+                value = None
+            elif method == "transfer_all":
+                self.chain.transfer_all(args["moves"])
                 value = None
             elif method == "balance":
                 value = self.chain.balance(args["account"])

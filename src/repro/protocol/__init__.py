@@ -30,7 +30,6 @@ from repro.protocol.adjudication import (
     AdjudicationDecision,
     AdjudicationResult,
     committee_vote,
-    committee_vote_reference,
     route_and_adjudicate,
     theoretical_bound_check,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "AdjudicationDecision",
     "AdjudicationResult",
     "committee_vote",
-    "committee_vote_reference",
     "route_and_adjudicate",
     "theoretical_bound_check",
     "EconomicParameters",

@@ -19,8 +19,8 @@ the dispute immediately, otherwise path (ii) applies the tighter empirical
 thresholds.
 
 The committee's acceptance envelope has two committed forms.  The *reference*
-tolerance (:func:`committee_vote_reference`, the pre-calibration protocol)
-votes against the full-trace threshold table ``r_e`` directly — a table
+tolerance (:func:`committee_vote` with ``committee_envelope=None``, the
+pre-calibration protocol) votes against the full-trace threshold table ``r_e`` directly — a table
 calibrated on error *accumulated through the whole graph prefix*, which is
 systematically mis-scaled for the leaf's single-operator comparison: too
 loose deep in a graph (tampers survive the vote) and zero-floored at low
@@ -130,8 +130,7 @@ def committee_vote(
 
     With a calibrated ``committee_envelope`` each member votes against the
     committed single-operator envelope (root ``r_c``); without one, against
-    the full-trace threshold table — the reference tolerance, also reachable
-    explicitly via :func:`committee_vote_reference`.
+    the full-trace threshold table — the reference tolerance.
     """
     if not committee:
         raise ValueError("committee vote requires at least one member")
@@ -164,26 +163,6 @@ def committee_vote(
         },
         committee_votes=votes,
         flops=flops,
-    )
-
-
-def committee_vote_reference(
-    graph_module: GraphModule,
-    operator_name: str,
-    operand_values: Sequence[np.ndarray],
-    proposer_output: np.ndarray,
-    committee: Sequence[CommitteeMember],
-    thresholds: ThresholdTable,
-) -> AdjudicationResult:
-    """The pre-calibration committee vote: fixed full-trace tolerance.
-
-    Kept as the differential reference for the calibrated envelope — the
-    regression tests replay the ROADMAP defect seeds through this path and
-    assert the calibrated path resolves them.
-    """
-    return committee_vote(
-        graph_module, operator_name, operand_values, proposer_output,
-        committee, thresholds, committee_envelope=None,
     )
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -169,20 +169,32 @@ class SimulatedChain:
         return self.balances.get(account, 0.0)
 
     def transfer(self, source: str, destination: str, amount: float) -> None:
-        if amount < 0:
-            raise ValueError("cannot transfer a negative amount")
+        self.transfer_all([(source, destination, amount)])
+
+    def transfer_all(self, moves: Sequence[Tuple[str, str, float]]) -> None:
+        """Apply ``(source, destination, amount)`` moves all-or-nothing.
+
+        The moves are replayed in order on a scratch copy of the touched
+        balances first; only if every source covers its move does the
+        ledger change, so a short account leaves every balance untouched.
+        """
         with self._lock:
-            # Exact check, no epsilon slack: every equivalence pin in the
-            # repo claims bit-exact balance/minted equality, and protocol
-            # amounts (fees, bonds, reward splits) are all exactly
-            # representable, so a shortfall of any size is a real overdraw.
-            if self.balances.get(source, 0.0) < amount:
-                raise ValueError(
-                    f"insufficient balance: {source} has {self.balances.get(source, 0.0)}, "
-                    f"needs {amount}"
-                )
-            self.balances[source] = self.balances.get(source, 0.0) - amount
-            self.balances[destination] = self.balances.get(destination, 0.0) + amount
+            after: Dict[str, float] = {}
+            for source, destination, amount in moves:
+                if amount < 0:
+                    raise ValueError("cannot transfer a negative amount")
+                have = after.get(source, self.balances.get(source, 0.0))
+                # Exact check, no epsilon slack: every equivalence pin in the
+                # repo claims bit-exact balance/minted equality, and protocol
+                # amounts (fees, bonds, reward splits) are all exactly
+                # representable, so a shortfall of any size is a real overdraw.
+                if have < amount:
+                    raise ValueError(
+                        f"insufficient balance: {source} has {have}, needs {amount}")
+                after[source] = have - amount
+                after[destination] = after.get(
+                    destination, self.balances.get(destination, 0.0)) + amount
+            self.balances.update(after)
 
     # ------------------------------------------------------------------
     # Transactions
@@ -334,6 +346,9 @@ class ShardChainView:
 
     def transfer(self, source: str, destination: str, amount: float) -> None:
         self.parent.transfer(source, destination, amount)
+
+    def transfer_all(self, moves: Sequence[Tuple[str, str, float]]) -> None:
+        self.parent.transfer_all(moves)
 
     # -- per-shard protocol time (the chain's own rules, on this clock) ----
 

@@ -185,8 +185,13 @@ class Coordinator:
         bond = self.default_proposer_bond if proposer_bond is None else float(proposer_bond)
         self._journal_entry(event="submit", task=len(self.tasks),
                             state="queued", next="pending")
-        self.chain.transfer(user, self._escrow_account, float(fee))
-        self.chain.transfer(proposer, self._escrow_account, bond)
+        try:
+            # Fee and bond move together or not at all: a short proposer
+            # bond must not strand the user's fee in escrow.
+            self.chain.transfer_all([(user, self._escrow_account, float(fee)),
+                                     (proposer, self._escrow_account, bond)])
+        except ValueError as exc:
+            raise CoordinatorError(f"cannot escrow task {len(self.tasks)}: {exc}") from None
         task = TaskRecord(
             task_id=len(self.tasks),
             model_name=model_name,

@@ -22,9 +22,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bounds.fp_model import BoundMode
+from repro.calibration.committee import leaf_operands
 from repro.calibration.thresholds import ThresholdTable
 from repro.graph.graph import GraphModule
-from repro.graph.node import Node
 from repro.graph.subgraph import SubgraphSlice
 from repro.merkle.commitments import ModelCommitment
 from repro.protocol.adjudication import (
@@ -330,17 +330,7 @@ class DisputeGame:
         has been implicitly accepted by the challenger.
         """
         operator = self.graph_module.graph.operators[dispute.current_start]
-        operand_values: List[np.ndarray] = []
-        for arg in operator.args:
-            if isinstance(arg, Node):
-                if arg.op == "get_param":
-                    operand_values.append(np.asarray(self.graph_module.parameters[arg.target]))
-                elif arg.op == "constant":
-                    operand_values.append(np.asarray(self.graph_module.graph.constants[arg.target]))
-                else:
-                    operand_values.append(np.asarray(result.trace_values[arg.name]))
-            else:
-                operand_values.append(arg)
+        operand_values = leaf_operands(self.graph_module, operator, result.trace_values)
         proposer_output = np.asarray(result.trace_values[operator.name])
         return operator.name, operand_values, proposer_output
 

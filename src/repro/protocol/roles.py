@@ -106,12 +106,27 @@ class Proposer:
         """Hook for adversarial subclasses; honest proposers never override."""
         return {}
 
-    def execute(self, graph_module: GraphModule, model_commitment: ModelCommitment,
-                inputs: Mapping[str, np.ndarray]) -> ProposedResult:
+    def trace(self, graph_module: GraphModule,
+              inputs: Mapping[str, np.ndarray]) -> ExecutionTrace:
+        """Run the graph on this proposer's device: the trace it commits to."""
         overrides = self._overrides_for(graph_module, inputs)
-        trace = self.interpreter.run(
+        return self.interpreter.run(
             graph_module, dict(inputs), record=True, count_flops=True, overrides=overrides
         )
+
+    def execute(self, graph_module: GraphModule, model_commitment: ModelCommitment,
+                inputs: Mapping[str, np.ndarray]) -> ProposedResult:
+        return self.commit(graph_module, model_commitment, inputs,
+                           self.trace(graph_module, inputs))
+
+    def commit(self, graph_module: GraphModule, model_commitment: ModelCommitment,
+               inputs: Mapping[str, np.ndarray], trace: ExecutionTrace) -> ProposedResult:
+        """Commit to ``trace`` as this proposer's execution of ``inputs``.
+
+        The one builder of the Phase 1 commitment ``C0 = (H(x), H(y), meta)``:
+        a service that executed a batch through the engine commits each
+        request's trace here, exactly as :meth:`execute` does.
+        """
         commitment = make_execution_commitment(
             model_commitment, dict(inputs), list(trace.outputs),
             meta={
@@ -238,7 +253,6 @@ class Challenger:
         self.device = device
         self.thresholds = threshold_table
         self.committee_envelope = committee_envelope
-        self._selection_thresholds = None
         self.interpreter = Interpreter(device)
         self.stopwatch = Stopwatch()
         self.hash_cache = hash_cache
@@ -249,23 +263,6 @@ class Challenger:
         self.dispute_flops = 0.0
         self.merkle_checks = 0
         self.stopwatch = Stopwatch()
-
-    @property
-    def selection_thresholds(self) -> ThresholdTable:
-        """The committed table floored by the envelope, name-matched.
-
-        The operator-wise baseline of the selection rule's tolerance (each
-        dispute round actually floors *slice-aware* via
-        :meth:`_slice_checker`).  Built lazily: services construct one
-        challenger clone per concurrent dispute, and most never need the
-        full-table merge.
-        """
-        if self._selection_thresholds is None:
-            self._selection_thresholds = (
-                self.committee_envelope.floor(self.thresholds)
-                if self.committee_envelope is not None else self.thresholds
-            )
-        return self._selection_thresholds
 
     def move_delay_s(self, round_index: int) -> float:
         """Seconds this challenger stalls before its next dispute move.
@@ -411,11 +408,6 @@ class Challenger:
             graph_module.graph.operators[record.slice_start:record.slice_end]
         ]
         return self.committee_envelope.floor(self.thresholds, slice_ops)
-
-
-def record_inputs(record: SubgraphRecord) -> Dict[str, np.ndarray]:
-    """The challenger-side input dictionary for re-executing a child slice."""
-    return dict(record.live_in_values)
 
 
 @dataclass

@@ -12,15 +12,21 @@ Request life cycle inside :meth:`TAOService.process`:
    built once, not per request).
 2. **Execute** — queued requests for the same model and the default honest
    proposer are executed through
-   :meth:`~repro.engine.engine.ExecutionEngine.run_batch`, which stacks them
-   along the leading batch axis when the graph is certified batchable;
-   adversarial / custom proposers run their own (override-bearing) path.
-   A **content-addressed result cache** keyed by the execution commitment's
-   input hash short-circuits repeated requests: the proposer's committed
-   trace and the challenger's verdict for identical payloads are reused.
+   :meth:`~repro.engine.engine.ExecutionEngine.run_batch` (up to
+   :data:`MAX_BATCH` at a time), which stacks them along the leading batch
+   axis when the graph is certified batchable; a request naming its own
+   proposer runs one at a time through that proposer's
+   :meth:`~repro.protocol.roles.Proposer.execute`.  Either way the
+   commitment comes from :meth:`~repro.protocol.roles.Proposer.commit` and
+   the request ends the stage with one :class:`CachedVerdict`.  A
+   **content-addressed result cache** keyed by the execution commitment's
+   input hash short-circuits repeated default-path requests: the proposer's
+   committed trace and the challenger's verdict for identical payloads are
+   reused.
 3. **Submit + verify** — every request becomes its own coordinator task
-   (fees, bonds and challenge windows per request); the default challenger's
-   re-execution is batched the same way and threshold-checked per request.
+   (fees, bonds and challenge windows per request) in one settle loop; the
+   default challenger's re-execution is batched the same way and
+   threshold-checked per request.
 4. **Dispute** — flagged (or force-challenged) tasks open disputes while
    every challenge window is still live, then the active dispute games are
    **multiplexed**: advanced round-robin one partition/selection round at a
@@ -64,7 +70,7 @@ import numpy as np
 from repro.calibration.thresholds import ExceedanceReport
 from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
-from repro.merkle.commitments import execution_input_hash, make_execution_commitment
+from repro.merkle.commitments import execution_input_hash
 from repro.protocol.coordinator import Coordinator
 from repro.protocol.dispute import ActiveDispute, DisputeGame
 from repro.protocol.lifecycle import SessionReport, TAOSession
@@ -78,10 +84,17 @@ from repro.utils.timing import now, thread_now
 TERMINAL_TASK_STATUSES = frozenset(
     {"finalized", "proposer_slashed", "challenger_slashed"})
 
+#: Most default-path requests one ``run_batch`` call stacks.
+MAX_BATCH = 32
+
 
 @dataclass
 class CachedVerdict:
-    """Proposer trace + challenger verdict memoized for one input hash."""
+    """One request's committed result + challenger verdict.
+
+    Every executed request ends the execute stage with one; default-path
+    verdicts are also memoized per input hash in the tenant's result cache.
+    """
 
     result: ProposedResult
     looks_honest: bool
@@ -239,18 +252,16 @@ class _CycleState:
 
     index: int
     batch: List[ServiceRequest]
-    #: Default-path requests grouped per model in first-seen order (the
-    #: grouping fixes the chain submission order, so it is computed once in
-    #: the hash stage and replayed identically by settle).
+    #: Default-path requests grouped per model in first-seen order, then
+    #: requests naming their own proposer in arrival order: together they
+    #: fix the chain submission order, so they are computed once in the
+    #: hash stage and replayed identically by settle.
     default_path: Dict[str, List[ServiceRequest]] = field(default_factory=dict)
     custom_path: List[ServiceRequest] = field(default_factory=list)
     #: request_id -> execution input hash (cache key == commitment H(x)).
     input_hashes: Dict[int, bytes] = field(default_factory=dict)
     #: request_id -> memoized/fresh verdict, filled by the execute stage.
     verdicts: Dict[int, CachedVerdict] = field(default_factory=dict)
-    #: request_id -> (result, looks_honest, reports) for custom proposers.
-    custom_results: Dict[int, Tuple[ProposedResult, bool, List[ExceedanceReport]]] = \
-        field(default_factory=dict)
     #: Disputes opened by the settle stage, multiplexed by the dispute stage.
     actives: List[Tuple[ServiceRequest, DisputeGame, ActiveDispute]] = \
         field(default_factory=list)
@@ -341,9 +352,6 @@ class TAOService(ServiceCore):
         self,
         coordinator: Optional[Coordinator] = None,
         devices: Sequence[DeviceProfile] = DEVICE_FLEET,
-        max_batch: int = 32,
-        enable_batching: bool = True,
-        enable_result_cache: bool = True,
         result_cache_size: int = 256,
         alpha: float = 3.0,
         n_way: int = 2,
@@ -354,9 +362,6 @@ class TAOService(ServiceCore):
     ) -> None:
         self.coordinator = coordinator or Coordinator()
         self.devices = tuple(devices)
-        self.max_batch = int(max_batch)
-        self.enable_batching = bool(enable_batching)
-        self.enable_result_cache = bool(enable_result_cache)
         self.result_cache_size = int(result_cache_size)
         self.alpha = float(alpha)
         self.n_way = int(n_way)
@@ -724,39 +729,37 @@ class TAOService(ServiceCore):
                 if request.status == "rejected":  # unhashable payload
                     continue
                 key = cycle.input_hashes[request.request_id]
-                if self.enable_result_cache:
-                    cached = entry.result_cache.get(key)
-                    if cached is not None:
-                        entry.result_cache.move_to_end(key)
-                        # Content-addressed hit from an earlier cycle.
-                        cycle.verdicts[request.request_id] = cached
-                        request.cache_hit = True
-                        self.stats_record.cache_hits += 1
-                        continue
-                    if key in pending:
-                        # Duplicate payload within this cycle: executed once.
-                        pending[key].append(request)
-                        request.cache_hit = True
-                        self.stats_record.cache_hits += 1
-                        continue
-                    pending[key] = []
+                cached = entry.result_cache.get(key)
+                if cached is not None:
+                    entry.result_cache.move_to_end(key)
+                    # Content-addressed hit from an earlier cycle.
+                    cycle.verdicts[request.request_id] = cached
+                    request.cache_hit = True
+                    self.stats_record.cache_hits += 1
+                    continue
+                if key in pending:
+                    # Duplicate payload within this cycle: executed once.
+                    pending[key].append(request)
+                    request.cache_hit = True
+                    self.stats_record.cache_hits += 1
+                    continue
+                pending[key] = []
                 misses.append(request)
 
-            for chunk_start in range(0, len(misses), self.max_batch):
-                chunk = misses[chunk_start:chunk_start + self.max_batch]
+            for chunk_start in range(0, len(misses), MAX_BATCH):
+                chunk = misses[chunk_start:chunk_start + MAX_BATCH]
                 fresh = self._execute_default(entry, chunk)
                 for request, verdict in zip(chunk, fresh):
                     key = cycle.input_hashes[request.request_id]
                     if verdict is None:
                         # Rejected; duplicates of the same payload fail alike.
-                        for waiter in pending.get(key, ()):
+                        for waiter in pending[key]:
                             self._reject(waiter, request.error)
                         continue
                     cycle.verdicts[request.request_id] = verdict
-                    if self.enable_result_cache:
-                        self._cache_store(entry, key, verdict)
-                        for waiter in pending.get(key, ()):
-                            cycle.verdicts[waiter.request_id] = verdict
+                    self._cache_store(entry, key, verdict)
+                    for waiter in pending[key]:
+                        cycle.verdicts[waiter.request_id] = verdict
 
         for request in cycle.custom_path:
             entry = self.model(request.model_name)
@@ -769,7 +772,8 @@ class TAOService(ServiceCore):
                 continue
             looks_honest, reports = (request.challenger or entry.challenger) \
                 .verify_result(entry.session.graph_module, result)
-            cycle.custom_results[request.request_id] = (result, looks_honest, reports)
+            cycle.verdicts[request.request_id] = CachedVerdict(
+                result=result, looks_honest=looks_honest, reports=reports)
         return cycle
 
     def _stage_settle(self, cycle: _CycleState) -> _CycleState:
@@ -777,44 +781,29 @@ class TAOService(ServiceCore):
 
         Submits every request as its own coordinator task — default-path
         groups first (in the order the hash stage grouped them), then custom
-        proposers — then opens every dispute while all of the cycle's
-        challenge windows are still live (chain time moves with every
-        transaction, so disputes must open before windows may lapse).
+        proposers in arrival order — then opens every dispute while all of
+        the cycle's challenge windows are still live (chain time moves with
+        every transaction, so disputes must open before windows may lapse).
         """
-        for model_name, requests in cycle.default_path.items():
-            entry = self.model(model_name)
-            for request in requests:
-                if request.status == "rejected":
-                    continue
-                verdict = cycle.verdicts[request.request_id]
-                task = self.coordinator.submit_result(
-                    model_name, entry.user.name, entry.proposer.name,
-                    verdict.result.commitment, fee=entry.user.fee_per_request,
-                )
-                request.report = SessionReport(
-                    task=task,
-                    result=verdict.result,
-                    challenged=False,
-                    finalized_optimistically=verdict.looks_honest
-                    and not request.force_challenge,
-                    verification_reports=list(verdict.reports),
-                )
-
-        for request in cycle.custom_path:
-            if request.status == "rejected":  # execution failed in stage 2
+        settle_order = [request for requests in cycle.default_path.values()
+                        for request in requests] + cycle.custom_path
+        for request in settle_order:
+            if request.status == "rejected":  # never reached a verdict
                 continue
             entry = self.model(request.model_name)
-            result, looks_honest, reports = cycle.custom_results[request.request_id]
+            verdict = cycle.verdicts[request.request_id]
             task = self.coordinator.submit_result(
-                request.model_name, entry.user.name, request.proposer.name,
-                result.commitment, fee=entry.user.fee_per_request,
+                request.model_name, entry.user.name,
+                (request.proposer or entry.proposer).name,
+                verdict.result.commitment, fee=entry.user.fee_per_request,
             )
             request.report = SessionReport(
                 task=task,
-                result=result,
+                result=verdict.result,
                 challenged=False,
-                finalized_optimistically=looks_honest and not request.force_challenge,
-                verification_reports=reports,
+                finalized_optimistically=verdict.looks_honest
+                and not request.force_challenge,
+                verification_reports=list(verdict.reports),
             )
 
         for request in cycle.batch:
@@ -919,7 +908,7 @@ class TAOService(ServiceCore):
 
         pairs: Optional[List] = None
         batched = False
-        if self.enable_batching and len(requests) > 1:
+        if len(requests) > 1:
             try:
                 proposer_traces = entry.proposer.interpreter.engine.run_batch(
                     graph_module, inputs_list, record=True, count_flops=True,
@@ -955,28 +944,8 @@ class TAOService(ServiceCore):
             request.batched = batched
             if batched:
                 self.stats_record.batched_requests += 1
-            commitment = make_execution_commitment(
-                entry.session.model_commitment, dict(request.inputs),
-                list(trace.outputs),
-                meta={
-                    "device": entry.proposer.device.name,
-                    "dtype": "float32",
-                    "proposer": entry.proposer.name,
-                    "kernel_stack": entry.proposer.device.signature(),
-                },
-                cache=self.hash_cache,
-            )
-            result = ProposedResult(
-                model_name=graph_module.name,
-                inputs=dict(request.inputs),
-                outputs=trace.outputs,
-                output_names=trace.output_names,
-                trace_values=dict(trace.values),
-                commitment=commitment,
-                forward_flops=trace.flops.total,
-                wall_time_s=trace.wall_time_s,
-                device_name=entry.proposer.device.name,
-            )
+            result = entry.proposer.commit(graph_module, entry.session.model_commitment,
+                                           request.inputs, trace)
             looks_honest, reports = entry.challenger.verify_with_trace(result, check)
             verdicts.append(CachedVerdict(result=result, looks_honest=looks_honest,
                                           reports=reports))

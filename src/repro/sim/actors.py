@@ -65,9 +65,7 @@ def build_proposer(service: Any, model_name: str, spec: Dict[str, Any],
         if source is None:
             scout = HonestProposer(f"{spec['name']}-scout", DEVICE_FLEET[0],
                                    hash_cache=service.hash_cache)
-            source = scout.execute(session.graph_module,
-                                   session.model_commitment,
-                                   spec["decoy_inputs"])
+            source = scout.trace(session.graph_module, spec["decoy_inputs"])
             decoys[int(spec["decoy_key"])] = source
         chain.fund_once(spec["name"], session.initial_balance)
         return StaleTraceProposer(spec["name"], DEVICE_FLEET[0], source,

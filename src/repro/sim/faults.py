@@ -56,14 +56,13 @@ import numpy as np
 from repro.attacks.projections import project_empirical
 from repro.calibration.thresholds import ThresholdTable
 from repro.graph.graph import GraphModule
+from repro.graph.interpreter import ExecutionTrace
 from repro.merkle.cache import HashCache
-from repro.merkle.commitments import ModelCommitment, make_execution_commitment
 from repro.protocol.roles import (
     AdversarialProposer,
     Challenger,
     CommitteeMember,
     CommitteeVoteRecord,
-    ProposedResult,
     Proposer,
 )
 from repro.tensorlib.device import DeviceProfile
@@ -153,34 +152,13 @@ class StaleTraceProposer(Proposer):
     catches.
     """
 
-    def __init__(self, name: str, device: DeviceProfile, source: ProposedResult,
+    def __init__(self, name: str, device: DeviceProfile, source: ExecutionTrace,
                  hash_cache: Optional[HashCache] = None) -> None:
         super().__init__(name, device, hash_cache=hash_cache)
         self.source = source
 
-    def execute(self, graph_module: GraphModule, model_commitment: ModelCommitment,
-                inputs) -> ProposedResult:
-        commitment = make_execution_commitment(
-            model_commitment, dict(inputs), list(self.source.outputs),
-            meta={
-                "device": self.device.name,
-                "dtype": "float32",
-                "proposer": self.name,
-                "kernel_stack": self.device.signature(),
-            },
-            cache=self.hash_cache,
-        )
-        return ProposedResult(
-            model_name=graph_module.name,
-            inputs=dict(inputs),
-            outputs=self.source.outputs,
-            output_names=self.source.output_names,
-            trace_values=dict(self.source.trace_values),
-            commitment=commitment,
-            forward_flops=self.source.forward_flops,
-            wall_time_s=self.source.wall_time_s,
-            device_name=self.device.name,
-        )
+    def trace(self, graph_module: GraphModule, inputs) -> ExecutionTrace:
+        return self.source
 
 
 class SimChallenger(Challenger):

@@ -7,6 +7,8 @@ the envelope every adjudication of that model consults, wherever the tenant
 currently lives.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -70,12 +72,19 @@ def test_session_threads_envelope_everywhere(mlp_graph, mlp_input_factory,
     assert session.model_commitment.committee_root is not None
     challenger = session.make_challenger()
     assert challenger.committee_envelope is envelope
-    # The selection rule consults the floored table, not the raw one.
-    assert isinstance(challenger.selection_thresholds, CommitteeEnvelopeProfile)
-    floored = challenger.selection_thresholds
+    # The selection rule checks each child slice against the committed table
+    # floored slice-aware: every entry at least the raw one and at least the
+    # noisiest single-op envelope inside the slice.
+    operators = mlp_graph.graph.operators
+    record = SimpleNamespace(slice_start=0, slice_end=len(operators))
+    floored = challenger._slice_checker(mlp_graph, record)
+    assert isinstance(floored, CommitteeEnvelopeProfile)
+    slice_floor = np.max([envelope.abs_thresholds[node.name] for node in operators
+                          if envelope.has_operator(node.name)], axis=0)
     for name in mlp_thresholds.operator_names():
         assert np.all(floored.abs_thresholds[name]
                       >= mlp_thresholds.abs_thresholds[name])
+        assert np.all(floored.abs_thresholds[name] >= slice_floor)
     game = session.make_dispute_game()
     assert game.committee_envelope is envelope
 

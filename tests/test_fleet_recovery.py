@@ -39,7 +39,7 @@ TERMINAL = {"finalized", "proposer_slashed", "challenger_slashed"}
 #: FIFO); ``_chain_reply_hook`` fires after apply+journal but before the ack.
 BOUNDARIES = [
     ("post_journal_pre_chain", "_chain_call_hook",
-     lambda m: m.get("method") == "transfer"),
+     lambda m: m.get("method") == "transfer_all"),  # the submit escrow
     ("post_chain_pre_ack", "_chain_reply_hook",
      lambda m: m.get("method") == "submit"
      and m["args"].get("action") == "post_partition"),
@@ -194,7 +194,7 @@ def test_journal_recovery_on_a_multi_worker_fleet(mlp_graph, mlp_thresholds,
 
         def kill_home_once(shard_id, message):
             if shard_id == home and not killed \
-                    and message.get("method") == "transfer":
+                    and message.get("method") == "transfer_all":
                 killed.append(shard_id)
                 handle = fleet.workers[shard_id]
                 os.kill(handle.process.pid, signal.SIGKILL)

@@ -114,7 +114,7 @@ def test_spawn_roundtrip_protocol_frames(spawn_echo):
         "shard_id": "shard-3",
         "block_interval_s": 12.0,
         "service": {"n_way": 2, "cycle_capacity": None, "leaf_path": "routed",
-                    "enable_batching": True},
+                    "result_cache_size": 256},
         "actor_module": "repro.fleet.actors",
     }
     assert _roundtrip(spawn_echo, hello) == hello

@@ -10,7 +10,6 @@ from repro.graph.node import Node
 from repro.protocol.adjudication import (
     AdjudicationDecision,
     committee_vote,
-    committee_vote_reference,
     route_and_adjudicate,
     theoretical_bound_check,
 )
@@ -166,17 +165,17 @@ def committee_envelope(mlp_graph, mlp_input_factory):
 
 def test_committee_vote_reference_is_the_envelope_free_path(
         mlp_graph, mlp_inputs, mlp_thresholds, committee):
-    """The reference entry point equals committee_vote without an envelope."""
+    """Without an envelope every member votes against the full-trace table."""
     name, operands, honest_output = _leaf_state(mlp_graph, mlp_inputs)
-    ref = committee_vote_reference(mlp_graph, name, operands, honest_output,
-                                   committee, mlp_thresholds)
-    plain = committee_vote(mlp_graph, name, operands, honest_output,
-                           committee, mlp_thresholds, committee_envelope=None)
+    ref = committee_vote(mlp_graph, name, operands, honest_output,
+                         committee, mlp_thresholds, committee_envelope=None)
+    direct = [member.vote(mlp_graph, name, operands, honest_output, mlp_thresholds)
+              for member in committee]
     assert ref.details["envelope"] == "reference"
-    assert ref.decision is plain.decision
-    assert ref.max_violation_ratio == plain.max_violation_ratio
     assert [v.within_threshold for v in ref.committee_votes] == \
-        [v.within_threshold for v in plain.committee_votes]
+        [v.within_threshold for v in direct]
+    assert [v.report.max_ratio for v in ref.committee_votes] == \
+        [v.report.max_ratio for v in direct]
 
 
 def test_calibrated_envelope_vote_is_marked_and_accepts_honest(
@@ -213,8 +212,8 @@ def test_calibrated_envelope_catches_tamper_inside_full_trace_tolerance(
     tampered = (honest_output + delta).astype(np.float32)
     assert float(np.abs(delta).max()) > 0
 
-    reference = committee_vote_reference(mlp_graph, name, operands, tampered,
-                                         committee, mlp_thresholds)
+    reference = committee_vote(mlp_graph, name, operands, tampered,
+                               committee, mlp_thresholds, committee_envelope=None)
     calibrated = committee_vote(mlp_graph, name, operands, tampered,
                                 committee, mlp_thresholds,
                                 committee_envelope=committee_envelope)

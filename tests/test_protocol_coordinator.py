@@ -5,7 +5,7 @@ import pytest
 
 from repro.graph.interpreter import Interpreter
 from repro.merkle.commitments import commit_model, make_execution_commitment
-from repro.protocol.chain import SimulatedChain
+from repro.protocol.chain import ShardChainView, SimulatedChain
 from repro.protocol.coordinator import (
     Coordinator,
     CoordinatorError,
@@ -48,6 +48,53 @@ def test_submission_escrows_fee_and_bond(coordinator_setup):
     coordinator, _, task = coordinator_setup
     assert coordinator.chain.balance("user") == pytest.approx(10_000.0 - task.fee)
     assert coordinator.chain.balance("proposer") == pytest.approx(10_000.0 - task.proposer_bond)
+
+
+@pytest.mark.parametrize("chain_kind", ["chain", "shard_view"])
+@pytest.mark.parametrize("short", ["proposer", "user"])
+def test_short_escrow_moves_nothing(coordinator_setup, chain_kind, short):
+    """Fee and bond escrow all-or-nothing: a short account strands nothing.
+
+    The fee is checked (and moved) before the bond, so a short proposer
+    bond is the case that used to leave the user's fee in escrow.
+    """
+    _, commitment, task = coordinator_setup
+    chain = SimulatedChain()
+    if chain_kind == "shard_view":
+        chain = ShardChainView(chain, "shard-0")
+    coordinator = Coordinator(chain)
+    chain.fund("owner", 10_000.0)
+    coordinator.register_model(commitment, owner="owner")
+    chain.fund("user", 1_000.0 if short == "proposer" else 5.0)
+    chain.fund("proposer", 50.0 if short == "proposer" else 1_000.0)
+    before = dict(chain.balances)
+    transactions = len(chain.transactions)
+
+    with pytest.raises(CoordinatorError, match=f"insufficient balance: {short} has"):
+        coordinator.submit_result("tiny_mlp", "user", "proposer", task.commitment,
+                                  fee=10.0)
+    assert chain.balances == before
+    assert chain.balance("coordinator-escrow") == 0.0
+    assert coordinator.tasks == {}
+    assert len(chain.transactions) == transactions
+
+
+def test_short_bond_through_a_fleet_worker_moves_nothing(mlp_graph, mlp_thresholds,
+                                                         mlp_input_factory):
+    """The same all-or-nothing escrow across the worker's chain proxy."""
+    from repro.fleet import ProcessFleet
+
+    with ProcessFleet(num_workers=1) as fleet:
+        fleet.register_model(mlp_graph, threshold_table=mlp_thresholds)
+        fleet.chain.fund("broke-proposer", 50.0)
+        before = dict(fleet.chain.balances)
+        fleet.submit(mlp_graph.name, mlp_input_factory(7),
+                     proposer={"type": "honest", "name": "broke-proposer",
+                               "fund": False})
+        with pytest.raises(Exception, match="insufficient balance: broke-proposer"):
+            fleet.process()
+        assert fleet.chain.balances == before
+        assert sum(fleet.chain.balances.values()) == fleet.chain.minted
 
 
 def test_cannot_finalize_before_window(coordinator_setup):

@@ -579,3 +579,78 @@ def test_stage_failure_after_finalize_adopts_task_status(mlp_graph,
     counts = service.stats().status_counts
     assert counts.get(TaskStatus.FINALIZED.value, 0) >= 1
     assert counts.get("stranded") == 1
+
+
+def test_mixed_cycle_submission_order_is_pinned(service, mlp_module, mlp_graph,
+                                                mlp_thresholds, mlp_input_factory):
+    """One cycle mixing two tenants, a duplicate payload, cheats and a forced
+    challenge lands on chain in a fixed order.
+
+    Default-path requests settle first, grouped per tenant in first-seen
+    order (here ``tiny_mlp_b`` arrives first), then requests with their own
+    proposer in arrival order; disputes open in that submission order and
+    are stepped round-robin.  The sequence is the protocol's observable
+    settlement order, so it must not move under refactors of the request
+    path.
+    """
+    service.register_model(trace_module(mlp_module, mlp_input_factory(0),
+                                        name="tiny_mlp_b"),
+                           threshold_table=mlp_thresholds)
+    victim = _victim_operator(mlp_graph)
+    cheat_a = service.model("tiny_mlp").session.make_adversarial_proposer(
+        "cheat-a", {victim: np.float32(0.05)})
+    cheat_b = service.model("tiny_mlp_b").session.make_adversarial_proposer(
+        "cheat-b", {victim: np.float32(0.05)})
+    start = len(service.coordinator.chain.transactions)
+    ids = [
+        service.submit("tiny_mlp_b", mlp_input_factory(610)),
+        service.submit("tiny_mlp", mlp_input_factory(600)),
+        service.submit("tiny_mlp_b", mlp_input_factory(602), proposer=cheat_b),
+        service.submit("tiny_mlp", mlp_input_factory(603), proposer=cheat_a),
+        service.submit("tiny_mlp", mlp_input_factory(600)),  # duplicate payload
+        service.submit("tiny_mlp_b", mlp_input_factory(612), force_challenge=True),
+        service.submit("tiny_mlp", mlp_input_factory(613)),
+    ]
+    service.process()
+
+    requests = [service.request(request_id) for request_id in ids]
+    assert [r.status for r in requests] == [
+        "finalized", "finalized", "proposer_slashed", "proposer_slashed",
+        "finalized", "challenger_slashed", "finalized"]
+    assert [r.report.task.task_id for r in requests] == [0, 2, 5, 6, 3, 1, 4]
+    assert [r.cache_hit for r in requests] == [False] * 4 + [True] + [False] * 2
+
+    a, b = "tiny_mlp", "tiny_mlp_b"
+    a_clone, b_clone, b_forced = f"{a}-challenger-1", f"{b}-challenger-1", f"{b}-challenger-2"
+    cheat_rounds = [("post_partition", "cheat-b", None),
+                    ("post_selection", b_clone, None),
+                    ("post_partition", "cheat-a", None),
+                    ("post_selection", a_clone, None)]
+    expected = [
+        ("submit_result", f"{b}-proposer", 0),
+        ("submit_result", f"{b}-proposer", 1),
+        ("submit_result", f"{a}-proposer", 2),
+        ("submit_result", f"{a}-proposer", 3),
+        ("submit_result", f"{a}-proposer", 4),
+        ("submit_result", "cheat-b", 5),
+        ("submit_result", "cheat-a", 6),
+        ("open_dispute", b_clone, 5),
+        ("open_dispute", a_clone, 6),
+        ("open_dispute", b_forced, 1),
+        *cheat_rounds,
+        ("post_partition", f"{b}-proposer", None),
+        ("slash", "coordinator", None),
+        ("slash", b_forced, None),
+        *cheat_rounds,
+        *cheat_rounds,
+        ("post_adjudication", b_clone, None),
+        ("slash", "coordinator", None),
+        ("post_adjudication", a_clone, None),
+        ("slash", "coordinator", None),
+        ("finalize", f"{b}-proposer", 0),
+        ("finalize", f"{a}-proposer", 2),
+        ("finalize", f"{a}-proposer", 3),
+        ("finalize", f"{a}-proposer", 4),
+    ]
+    assert [(tx.action, tx.sender, tx.details.get("task_id"))
+            for tx in service.coordinator.chain.transactions[start:]] == expected
