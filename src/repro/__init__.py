@@ -7,7 +7,7 @@ The package provides the full TAO stack built from scratch on NumPy:
   whose reduction orders genuinely diverge (the source of the floating-point
   nondeterminism TAO tolerates);
 * :mod:`repro.graph` / :mod:`repro.ops` — an operator-granular traced
-  dataflow graph with subgraph extraction, the PyTorch-FX analogue;
+  dataflow graph with contiguous-slice re-execution, the PyTorch-FX analogue;
 * :mod:`repro.bounds` — per-operator theoretical IEEE-754 error envelopes
   (deterministic and probabilistic);
 * :mod:`repro.calibration` — cross-device empirical error percentile
@@ -54,7 +54,7 @@ from repro.calibration import (
     calibrate_committee_envelope,
 )
 from repro.cluster import ConsistentHashRing, TAOCluster
-from repro.engine import ExecutionEngine, ExecutionPlan
+from repro.engine import ExecutionPlan
 from repro.graph import GraphModule, Interpreter, Module, Parameter, Tracer, trace_module
 from repro.merkle import HashCache, MerkleTree, commit_model
 from repro.models import available_models, build_model, get_model_spec
@@ -81,7 +81,6 @@ __all__ = [
     "CommitteeEnvelopeProfile",
     "calibrate_committee_envelope",
     "ThresholdTable",
-    "ExecutionEngine",
     "ExecutionPlan",
     "GraphModule",
     "HashCache",

@@ -1,8 +1,10 @@
 """Co-execution of values and theoretical error bounds (paper Sec. 3.1).
 
-The :class:`BoundInterpreter` walks a traced graph exactly like the ordinary
-:class:`~repro.graph.interpreter.Interpreter`, but additionally evaluates the
-per-operator bound template for every ``call_op`` node, yielding a same-shape
+The :class:`BoundInterpreter` runs a traced graph through the ordinary
+:class:`~repro.graph.interpreter.Interpreter` walk (a recorded run over the
+graph's cached execution plan) and then evaluates the per-operator bound
+template for every operator step, reading the operands from the recorded
+values through the step's ``arg_specs``; the result is a same-shape
 ``tau_theo`` envelope per operator.  Bounds are *not* propagated across
 operator boundaries: every operator's inputs are treated as exact, matching
 the paper's "turn composition into localization" design.
@@ -15,15 +17,15 @@ bounds themselves is ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.bounds.fp_model import BoundMode, FloatingPointModel, FP32_MODEL
 from repro.bounds.templates import BoundContext, bound_for_operator
+from repro.engine.plan import KIND_OP, plan_for
 from repro.graph.graph import GraphModule
-from repro.graph.node import Node
-from repro.ops.registry import get_op
+from repro.graph.interpreter import Interpreter
 from repro.tensorlib.device import DeviceProfile, REFERENCE_DEVICE
 
 
@@ -74,6 +76,7 @@ class BoundInterpreter:
     ) -> None:
         self.device = device
         self.ctx = BoundContext(fp=fp_model, mode=mode)
+        self.interpreter = Interpreter(device)
 
     def run(
         self,
@@ -88,44 +91,24 @@ class BoundInterpreter:
         node names — used at the dispute leaf where only one operator's bound
         is required.
         """
-        graph = graph_module.graph
-        missing = [n for n in graph_module.input_names if n not in inputs]
-        if missing:
-            raise ValueError(f"missing graph inputs: {missing}")
-
-        env: Dict[str, np.ndarray] = {}
+        trace = self.interpreter.run(graph_module, inputs, record=True)
+        env = trace.values
         bounds: Dict[str, np.ndarray] = {}
-
-        for node in graph.nodes:
-            if node.op == "placeholder":
-                value = np.asarray(inputs[node.name])
-            elif node.op == "get_param":
-                value = np.asarray(graph_module.parameters[node.target])
-            elif node.op == "constant":
-                value = np.asarray(graph.constants[node.target])
-            elif node.op == "call_op":
-                spec = get_op(node.target)
-                args = [self._resolve(arg, env) for arg in node.args]
-                value = spec.forward(self.device, *args, **node.kwargs)
-                if only_operators is None or node.name in only_operators:
-                    bounds[node.name] = bound_for_operator(
-                        self.ctx, node.target, value, args, node.kwargs
-                    )
-            elif node.op == "output":
+        for step in plan_for(graph_module).steps:
+            if step.kind != KIND_OP:
                 continue
-            else:  # pragma: no cover - Node validates op kinds
-                raise ValueError(f"unknown node op {node.op!r}")
-            env[node.name] = value
-
-        output_node = graph.output_node
-        output_names = tuple(arg.name for arg in output_node.args if isinstance(arg, Node))
-        outputs = tuple(env[name] for name in output_names)
-        values = env if record_values else {name: env[name] for name in output_names}
+            if only_operators is not None and step.name not in only_operators:
+                continue
+            args = [env[ref] if is_node else ref for is_node, ref in step.arg_specs]
+            bounds[step.name] = bound_for_operator(
+                self.ctx, step.target, env[step.name], args, step.kwargs
+            )
+        values = env if record_values else {name: env[name] for name in trace.output_names}
         return BoundedExecution(
             device_name=self.device.name,
             mode=self.ctx.mode,
-            outputs=outputs,
-            output_names=output_names,
+            outputs=trace.outputs,
+            output_names=trace.output_names,
             values=values,
             bounds=bounds,
         )
@@ -142,16 +125,9 @@ class BoundInterpreter:
         operator attributes come from the graph, the operand tensors from the
         agreed dispute state; the returned pair is (y_ref, tau_theo).
         """
+        value = self.interpreter.run_single_operator(
+            graph_module, operator_name, operand_values
+        )
         node = graph_module.graph.node(operator_name)
-        if not node.is_operator:
-            raise ValueError(f"{operator_name!r} is not an operator node")
-        spec = get_op(node.target)
-        value = spec.forward(self.device, *operand_values, **node.kwargs)
         tau = bound_for_operator(self.ctx, node.target, value, operand_values, node.kwargs)
         return value, tau
-
-    @staticmethod
-    def _resolve(arg: Any, env: Dict[str, np.ndarray]) -> Any:
-        if isinstance(arg, Node):
-            return env[arg.name]
-        return arg

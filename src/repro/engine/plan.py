@@ -28,11 +28,14 @@ execution on every :class:`~repro.tensorlib.device.DeviceProfile`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.graph.graph import GraphModule
-from repro.graph.node import Node
 from repro.ops.registry import OpSpec, get_op
+
+if TYPE_CHECKING:  # the interpreter in repro.graph imports this module
+    from repro.graph.graph import GraphModule
+    from repro.graph.node import Node
+    from repro.graph.subgraph import SubgraphSlice
 
 #: Pre-classified node kinds (faster than string comparison per node per run).
 KIND_INPUT = 0
@@ -87,16 +90,34 @@ class ExecutionPlan:
     #: mutated/retraced graph and recompile.
     num_nodes: int
     #: Batched-execution certifications keyed by (device name, input
-    #: signature); populated lazily by the engine's empirical probe.
+    #: signature); populated lazily by the interpreter's empirical probe.
     batch_certified: Dict[Tuple[str, Tuple], bool] = field(default_factory=dict)
 
     @property
     def num_operators(self) -> int:
         return sum(1 for step in self.steps if step.kind == KIND_OP)
 
+    def slice_steps(self, slice_: SubgraphSlice) -> Tuple[PlanStep, ...]:
+        """The steps a run of ``slice_`` executes, in plan order.
+
+        These are the slice's operator steps plus the parameter and constant
+        steps they read; live-in values are seeded by the caller.
+        """
+        operators = [step for step in self.steps if step.kind == KIND_OP]
+        inside = {step.name for step in operators[slice_.start:slice_.end]}
+        read = {dep.name for step in operators[slice_.start:slice_.end]
+                for dep in step.node.input_nodes}
+        return tuple(
+            step for step in self.steps
+            if step.name in inside
+            or (step.kind in (KIND_PARAM, KIND_CONST) and step.name in read)
+        )
+
 
 def compile_plan(graph_module: GraphModule) -> ExecutionPlan:
     """Compile ``graph_module`` into an :class:`ExecutionPlan`."""
+    from repro.graph.node import Node
+
     graph = graph_module.graph
     nodes = graph.nodes
 
@@ -161,8 +182,9 @@ def compile_plan(graph_module: GraphModule) -> ExecutionPlan:
 def plan_for(graph_module: GraphModule) -> ExecutionPlan:
     """Return the cached plan for ``graph_module``, compiling on first use.
 
-    The plan is cached on the module instance itself so every engine (and
-    every device) executing the same committed model shares one compilation.
+    The plan is cached on the module instance itself so every interpreter
+    (on every device) executing the same committed model, and every slice of
+    it a dispute re-executes, shares one compilation.
     A changed node count (retrace/mutation) invalidates the cache.
     """
     plan = getattr(graph_module, PLAN_ATTR, None)

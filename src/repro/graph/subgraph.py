@@ -1,23 +1,22 @@
-"""Cut sets and verifiable subgraph extraction (paper Sec. 5.2).
+"""Cut sets of contiguous operator slices (paper Sec. 5.2).
 
 A dispute round partitions the currently disputed operator range into N
-contiguous slices of the canonical topological order.  Each slice ``S`` is
-materialized as a standalone :class:`~repro.graph.graph.GraphModule` whose
-placeholders are the slice's live-in activations ``In(S)``, whose outputs are
-its live-out activations ``Out(S)``, and which reuses parameters by reference
-(each referenced parameter carries a Merkle inclusion proof into the weight
-tree).  The challenger re-executes these modules from the committed live-in
-tensors when running the selection rule.
+contiguous slices of the canonical topological order.  A slice ``S`` is
+described, never materialized: :func:`live_in` names its live-in activations
+``In(S)`` and :func:`live_out` its live-out activations ``Out(S)``, while its
+parameters are reused by reference from the committed model (each referenced
+parameter carries a Merkle inclusion proof into the weight tree).  The
+challenger re-executes a slice on the committed graph's own plan from the
+proposer's live-in tensors
+(:meth:`~repro.graph.interpreter.Interpreter.run` with ``slice_``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import List, Set
 
-import numpy as np
-
-from repro.graph.graph import Graph, GraphModule
+from repro.graph.graph import Graph
 from repro.graph.node import Node
 
 
@@ -116,98 +115,3 @@ def live_out(graph: Graph, slice_: SubgraphSlice) -> List[str]:
     # Preserve canonical (topological) order of the escaping values.
     order = {node.name: idx for idx, node in enumerate(graph.nodes)}
     return sorted(escaping, key=lambda name: order[name])
-
-
-def extract_subgraph(graph_module: GraphModule, slice_: SubgraphSlice) -> GraphModule:
-    """Materialize ``slice_`` of ``graph_module`` as a standalone GraphModule.
-
-    The extracted module's placeholders are the live-in activation names (so
-    a recorded trace of the parent graph can feed it directly), its outputs
-    are the live-out activations, and its parameter dictionary is restricted
-    to parameters actually referenced inside the slice.
-    """
-    parent_graph = graph_module.graph
-    operators = _operator_nodes(parent_graph, slice_)
-    in_names = live_in(parent_graph, slice_)
-    out_names = live_out(parent_graph, slice_)
-
-    new_graph = Graph()
-    mapping: Dict[str, Node] = {}
-
-    for name in in_names:
-        parent_node = parent_graph.node(name)
-        node = Node(
-            name=name,
-            op="placeholder",
-            target=name,
-            shape=parent_node.shape,
-            dtype=parent_node.dtype,
-        )
-        new_graph.add_node(node)
-        mapping[name] = node
-
-    used_params: Dict[str, np.ndarray] = {}
-
-    def _map_arg(arg):
-        if isinstance(arg, Node):
-            if arg.name in mapping:
-                return mapping[arg.name]
-            if arg.op == "get_param":
-                clone = Node(name=arg.name, op="get_param", target=arg.target,
-                             shape=arg.shape, dtype=arg.dtype)
-                new_graph.add_node(clone)
-                mapping[arg.name] = clone
-                used_params[arg.target] = graph_module.parameters[arg.target]
-                return clone
-            if arg.op == "constant":
-                clone = Node(name=arg.name, op="constant", target=arg.target,
-                             shape=arg.shape, dtype=arg.dtype)
-                new_graph.add_node(clone)
-                new_graph.add_constant(arg.target, parent_graph.constants[arg.target])
-                mapping[arg.name] = clone
-                return clone
-            raise ValueError(
-                f"operator {arg.name!r} escapes the slice boundary unexpectedly"
-            )
-        if isinstance(arg, (list, tuple)):
-            return type(arg)(_map_arg(a) for a in arg)
-        return arg
-
-    for node in operators:
-        clone = Node(
-            name=node.name,
-            op="call_op",
-            target=node.target,
-            args=tuple(_map_arg(a) for a in node.args),
-            kwargs=dict(node.kwargs),
-            shape=node.shape,
-            dtype=node.dtype,
-        )
-        new_graph.add_node(clone)
-        mapping[node.name] = clone
-
-    output_node = Node(
-        name="output",
-        op="output",
-        target="output",
-        args=tuple(mapping[name] for name in out_names),
-    )
-    new_graph.add_node(output_node)
-
-    return GraphModule(
-        graph=new_graph,
-        parameters=used_params,
-        input_names=in_names,
-        name=f"{graph_module.name}[{slice_.start}:{slice_.end}]",
-        metadata={
-            "parent": graph_module.name,
-            "slice_start": slice_.start,
-            "slice_end": slice_.end,
-        },
-    )
-
-
-def slice_interface_names(graph_module: GraphModule,
-                          slice_: SubgraphSlice) -> Tuple[List[str], List[str]]:
-    """Return (live-in, live-out) activation names for ``slice_``."""
-    return live_in(graph_module.graph, slice_), live_out(graph_module.graph, slice_)

@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.bounds.coexec import BoundInterpreter
 from repro.bounds.fp_model import BoundMode
+from repro.calibration.profiles import non_finite_errors
 from repro.calibration.thresholds import ThresholdTable
 from repro.graph.graph import GraphModule
 from repro.ops.registry import get_op
@@ -89,17 +90,28 @@ def theoretical_bound_check(
     device: DeviceProfile,
     mode: BoundMode = BoundMode.PROBABILISTIC,
 ) -> AdjudicationResult:
-    """Path (i): accept iff |y_P - y_ref| <= tau_theo element-wise."""
+    """Path (i): accept iff |y_P - y_ref| <= tau_theo element-wise.
+
+    Non-finite elements follow
+    :func:`~repro.calibration.profiles.non_finite_errors`: both sides NaN,
+    or the same infinity, agree; a claim and reference that disagree on
+    finiteness are a violation of ratio ``inf`` whatever ``tau`` is.
+    """
     bound_interp = BoundInterpreter(device=device, mode=mode)
     reference, tau = bound_interp.bound_single_operator(
         graph_module, operator_name, list(operand_values)
     )
-    diff = np.abs(np.asarray(proposer_output, dtype=np.float64)
-                  - np.asarray(reference, dtype=np.float64))
+    claim64 = np.asarray(proposer_output, dtype=np.float64)
+    reference64 = np.asarray(reference, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(claim64 - reference64)
+    diff, _ = non_finite_errors(claim64, reference64, diff, diff)
+    disagree = np.isinf(diff)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(tau > 0, diff / np.maximum(tau, 1e-300), np.where(diff > 0, np.inf, 0.0))
+    ratios = np.where(disagree, np.inf, ratios)
     max_ratio = float(np.max(ratios)) if ratios.size else 0.0
-    cheated = bool(np.any(diff > tau))
+    cheated = bool(np.any((diff > tau) | disagree))
     node = graph_module.graph.node(operator_name)
     return AdjudicationResult(
         decision=(AdjudicationDecision.PROPOSER_CHEATED if cheated

@@ -24,7 +24,7 @@ import numpy as np
 from repro.calibration.thresholds import ExceedanceReport, ThresholdTable
 from repro.graph.graph import GraphModule
 from repro.graph.interpreter import ExecutionTrace, Interpreter
-from repro.graph.subgraph import SubgraphSlice, extract_subgraph
+from repro.graph.subgraph import SubgraphSlice
 from repro.merkle.cache import HashCache
 from repro.merkle.commitments import (
     ExecutionCommitment,
@@ -124,7 +124,7 @@ class Proposer:
         """Commit to ``trace`` as this proposer's execution of ``inputs``.
 
         The one builder of the Phase 1 commitment ``C0 = (H(x), H(y), meta)``:
-        a service that executed a batch through the engine commits each
+        a service that executed a batch through ``Interpreter.run_batch`` commits each
         request's trace here, exactly as :meth:`execute` does.
         """
         commitment = make_execution_commitment(
@@ -319,7 +319,7 @@ class Challenger:
         """Threshold-check ``result`` against an already computed re-execution.
 
         Split out of :meth:`verify_result` so a service can batch the
-        re-execution of many queued requests through the engine and feed the
+        re-execution of many queued requests through ``Interpreter.run_batch`` and feed the
         per-request traces here; the checking semantics are shared.
         """
         self.dispute_flops += trace.flops.total
@@ -341,8 +341,8 @@ class Challenger:
         """Identify the first offending child (Eq. 15) in topological order.
 
         For each child in order the challenger (1) verifies the Merkle record,
-        (2) re-executes the child subgraph from the proposer's claimed live-in
-        tensors on its own device, and (3) compares the proposer's claimed
+        (2) re-executes the child slice of the committed graph from the
+        proposer's claimed live-in tensors on its own device, and (3) compares the proposer's claimed
         live-out tensors against its own via the committed percentile
         thresholds.  The first child with an exceedance is selected; earlier
         children (and hence the selected child's inputs) are implicitly agreed.
@@ -362,9 +362,9 @@ class Challenger:
                     all_valid = False
                     selected = index
                     break
-                subgraph = extract_subgraph(graph_module, record.slice)
                 local = self.interpreter.run(
-                    subgraph, dict(record.live_in_values), record=True, count_flops=True
+                    graph_module, record.live_in_values, record=True,
+                    count_flops=True, slice_=record.slice,
                 )
                 flops += local.flops.total
                 checker = self._slice_checker(graph_module, record)

@@ -12,7 +12,7 @@ Request life cycle inside :meth:`TAOService.process`:
    built once, not per request).
 2. **Execute** — queued requests for the same model and the default honest
    proposer are executed through
-   :meth:`~repro.engine.engine.ExecutionEngine.run_batch` (up to
+   :meth:`~repro.graph.interpreter.Interpreter.run_batch` (up to
    :data:`MAX_BATCH` at a time), which stacks them along the leading batch
    axis when the graph is certified batchable; a request naming its own
    proposer runs one at a time through that proposer's
@@ -38,7 +38,7 @@ Request life cycle inside :meth:`TAOService.process`:
 
 A drain admits the queue in bounded cycles and runs each cycle through four
 stages strictly in sequence — *hash* (HashCache + Merkle input digests),
-*execute* (ExecutionEngine batch + challenger verification), *settle* (chain
+*execute* (interpreter batch + challenger verification), *settle* (chain
 append + challenge-window bookkeeping) and *dispute* (round-robin
 ``DisputeGame.step_round`` multiplexing) — timing each stage's thread CPU
 into :attr:`ServiceStats.stage_busy_s`.
@@ -910,11 +910,11 @@ class TAOService(ServiceCore):
         batched = False
         if len(requests) > 1:
             try:
-                proposer_traces = entry.proposer.interpreter.engine.run_batch(
+                proposer_traces = entry.proposer.interpreter.run_batch(
                     graph_module, inputs_list, record=True, count_flops=True,
                 )
-                batched = entry.proposer.interpreter.engine.last_batch_stacked
-                challenger_traces = entry.challenger.interpreter.engine.run_batch(
+                batched = entry.proposer.interpreter.last_batch_stacked
+                challenger_traces = entry.challenger.interpreter.run_batch(
                     graph_module, inputs_list, record=True, count_flops=True,
                 )
                 pairs = list(zip(proposer_traces, challenger_traces))

@@ -3,8 +3,8 @@
 :class:`TracedRuntime` is the library's convenience layer: it instruments a
 model (traces it to an operator graph), executes it on any simulated device
 with optional trace recording, FLOP counting and bound co-execution, and
-re-executes extracted subgraphs — the operations the paper's PyTorch runtime
-performs.  :mod:`repro.runtime.determinism` models the software-determinism
+re-executes contiguous operator slices from their live-in tensors — the
+operations the paper's PyTorch runtime performs.  :mod:`repro.runtime.determinism` models the software-determinism
 configuration and its latency overhead; :mod:`repro.runtime.verifier`
 provides standalone challenger-side verification helpers usable without the
 full protocol stack.

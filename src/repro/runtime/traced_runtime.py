@@ -3,8 +3,9 @@
 This is the user-facing convenience wrapper mirroring the paper's
 PyTorch-compatible runtime: it traces a model into an operator graph,
 executes it (optionally recording the full intermediate trace, per-operator
-FLOPs, or co-executed theoretical error bounds), extracts and re-executes
-verifiable subgraphs, and produces the Phase 0 model commitment.
+FLOPs, or co-executed theoretical error bounds), re-executes contiguous
+operator slices from their live-in tensors, and produces the Phase 0 model
+commitment.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from repro.bounds.coexec import BoundedExecution, BoundInterpreter
 from repro.bounds.fp_model import BoundMode
 from repro.calibration.calibrator import CalibrationConfig, CalibrationResult, Calibrator
 from repro.calibration.thresholds import ThresholdTable
-from repro.engine.engine import ExecutionEngine
 from repro.graph.graph import GraphModule
 from repro.graph.interpreter import ExecutionTrace, Interpreter
 from repro.graph.module import Module
-from repro.graph.subgraph import SubgraphSlice, extract_subgraph
+from repro.graph.subgraph import SubgraphSlice
 from repro.graph.tracer import trace_module
 from repro.merkle.commitments import ModelCommitment, commit_model
 from repro.tensorlib.device import DeviceProfile, DEVICE_FLEET, REFERENCE_DEVICE
@@ -48,19 +48,6 @@ class TracedRuntime:
         self.graph_module: GraphModule = trace_module(
             module, dict(example_inputs), device=trace_device, name=name
         )
-        self._engines: Dict[str, ExecutionEngine] = {}
-
-    def engine(self, device: DeviceProfile) -> ExecutionEngine:
-        """The (cached) execution engine for ``device``.
-
-        All engines share the plan compiled once for this runtime's graph, so
-        repeated :meth:`execute` / :meth:`execute_batch` calls skip operator
-        resolution and graph walking entirely.
-        """
-        key = device.name
-        if key not in self._engines:
-            self._engines[key] = ExecutionEngine(device)
-        return self._engines[key]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -81,7 +68,7 @@ class TracedRuntime:
                 record: bool = False, count_flops: bool = False,
                 overrides: Optional[Dict[str, np.ndarray]] = None) -> ExecutionTrace:
         """Run the full graph on ``device`` over the cached execution plan."""
-        return self.engine(device).run(self.graph_module, dict(inputs), record=record,
+        return Interpreter(device).run(self.graph_module, dict(inputs), record=record,
                                        count_flops=count_flops, overrides=overrides)
 
     def execute_batch(self, inputs_list: Sequence[Mapping[str, np.ndarray]],
@@ -90,9 +77,9 @@ class TracedRuntime:
         """Run many independent requests, vectorized where certified bit-exact.
 
         Returns one trace per request (see
-        :meth:`~repro.engine.engine.ExecutionEngine.run_batch`).
+        :meth:`~repro.graph.interpreter.Interpreter.run_batch`).
         """
-        return self.engine(device).run_batch(self.graph_module, inputs_list,
+        return Interpreter(device).run_batch(self.graph_module, inputs_list,
                                              record=record, count_flops=count_flops)
 
     def execute_with_bounds(self, inputs: Mapping[str, np.ndarray],
@@ -102,19 +89,19 @@ class TracedRuntime:
         return BoundInterpreter(device=device, mode=mode).run(self.graph_module, dict(inputs))
 
     # ------------------------------------------------------------------
-    # Subgraphs
+    # Slices
     # ------------------------------------------------------------------
-
-    def extract(self, start: int, end: int) -> GraphModule:
-        """Materialize operators [start, end) as a standalone GraphModule."""
-        return extract_subgraph(self.graph_module, SubgraphSlice(start, end))
 
     def execute_subgraph(self, start: int, end: int,
                          boundary_inputs: Mapping[str, np.ndarray],
                          device: DeviceProfile) -> ExecutionTrace:
-        """Re-execute a slice from its live-in tensors (the challenger's primitive)."""
-        subgraph = self.extract(start, end)
-        return Interpreter(device).run(subgraph, dict(boundary_inputs), record=True)
+        """Re-execute operators [start, end) from their live-in tensors.
+
+        The challenger's primitive: the slice runs on the full graph's plan,
+        and the trace's outputs are the slice's live-out values.
+        """
+        return Interpreter(device).run(self.graph_module, boundary_inputs, record=True,
+                                       slice_=SubgraphSlice(start, end))
 
     # ------------------------------------------------------------------
     # Calibration and commitment

@@ -1,8 +1,8 @@
-"""Engine parity: the plan-based engine must match the reference interpreter
+"""Engine parity: the plan-based interpreter must match the reference loop
 bit for bit on every zoo model.
 
-The refactor's contract is that ``Interpreter.run`` (now a dispatch over a
-cached :class:`~repro.engine.plan.ExecutionPlan`) is observationally
+The contract is that ``Interpreter.run`` (a walk over a cached
+:class:`~repro.engine.plan.ExecutionPlan`) is observationally
 identical to the seed node-by-node loop, kept here as the oracle
 :func:`run_reference`: same outputs, same recorded trace, same FLOP
 accounting, and therefore identical execution-commitment hashes.  These
@@ -18,7 +18,7 @@ from typing import Dict
 import numpy as np
 import pytest
 
-from repro.engine import ExecutionEngine, plan_for
+from repro.engine import plan_for
 from repro.graph.interpreter import ExecutionTrace, Interpreter
 from repro.graph.node import Node
 from repro.merkle.commitments import hash_tensor
@@ -38,7 +38,7 @@ _TRACED: Dict[str, tuple] = {}
 def run_reference(interpreter: Interpreter, graph_module, inputs,
                   record: bool = False, count_flops: bool = False) -> ExecutionTrace:
     """The seed node-by-node execution loop: the specification the
-    plan-based engine must match bit for bit."""
+    plan-based interpreter must match bit for bit."""
     graph = graph_module.graph
     env: Dict[str, np.ndarray] = {}
     flops = FlopCounter()
@@ -84,7 +84,7 @@ def traced_model(name: str):
 def assert_traces_identical(got, expected, model_name: str, device_name: str) -> None:
     assert got.output_names == expected.output_names
     assert set(got.values) == set(expected.values), (
-        f"{model_name}@{device_name}: engine trace records different nodes"
+        f"{model_name}@{device_name}: plan walk records different nodes"
     )
     for node_name, reference in expected.values.items():
         reference = np.asarray(reference)
@@ -104,15 +104,15 @@ def test_engine_matches_reference_interpreter(model_name, device):
     _, _, graph, requests = traced_model(model_name)
     interpreter = Interpreter(device)
 
-    engine_trace = interpreter.run(graph, requests[0], record=True, count_flops=True)
+    plan_trace = interpreter.run(graph, requests[0], record=True, count_flops=True)
     reference_trace = run_reference(interpreter, graph, requests[0], record=True,
                                     count_flops=True)
-    assert_traces_identical(engine_trace, reference_trace, model_name, device.name)
+    assert_traces_identical(plan_trace, reference_trace, model_name, device.name)
 
     # The canonical tensor hashes over the trace (what commitments and
     # dispute records are built from) are consequently identical too.
     for node_name in reference_trace.values:
-        assert hash_tensor(engine_trace.values[node_name]) == \
+        assert hash_tensor(plan_trace.values[node_name]) == \
             hash_tensor(reference_trace.values[node_name])
 
 
@@ -124,9 +124,9 @@ def test_engine_commitment_hashes_match(model_name):
     _, _, graph, requests = traced_model(model_name)
     device = PARITY_DEVICES[0]
     interpreter = Interpreter(device)
-    engine_trace = interpreter.run(graph, requests[1])
+    plan_trace = interpreter.run(graph, requests[1])
     reference_trace = run_reference(interpreter, graph, requests[1])
-    assert interface_hash(list(engine_trace.outputs)) == \
+    assert interface_hash(list(plan_trace.outputs)) == \
         interface_hash(list(reference_trace.outputs))
 
 
@@ -140,10 +140,10 @@ def test_batched_execution_matches_sequential(model_name):
     """
     _, _, graph, requests = traced_model(model_name)
     device = PARITY_DEVICES[1]
-    engine = ExecutionEngine(device)
+    interpreter = Interpreter(device)
 
-    batched = engine.run_batch(graph, requests, record=True, count_flops=True)
-    sequential = [engine.run(graph, req, record=True, count_flops=True)
+    batched = interpreter.run_batch(graph, requests, record=True, count_flops=True)
+    sequential = [interpreter.run(graph, req, record=True, count_flops=True)
                   for req in requests]
     assert len(batched) == len(sequential)
     for got, expected in zip(batched, sequential):
@@ -166,9 +166,9 @@ def test_batched_execution_matches_sequential(model_name):
 THIRD_DEVICE = DEVICE_FLEET[3]
 
 
-def assert_batch_matches_sequential(engine, graph, requests, model_name):
-    batched = engine.run_batch(graph, requests, record=True, count_flops=True)
-    sequential = [engine.run(graph, req, record=True, count_flops=True)
+def assert_batch_matches_sequential(interpreter, graph, requests, model_name):
+    batched = interpreter.run_batch(graph, requests, record=True, count_flops=True)
+    sequential = [interpreter.run(graph, req, record=True, count_flops=True)
                   for req in requests]
     assert len(batched) == len(sequential)
     for got, expected in zip(batched, sequential):
@@ -202,9 +202,9 @@ def test_run_batch_ragged_dtype_signature_falls_back(model_name):
         for name, value in spec.sample_inputs(module, 1, seed=301).items()
     }
     requests = [normal, widened, spec.sample_inputs(module, 1, seed=302)]
-    engine = ExecutionEngine(THIRD_DEVICE)
-    assert_batch_matches_sequential(engine, graph, requests, model_name)
-    assert not engine.last_batch_stacked, (
+    interpreter = Interpreter(THIRD_DEVICE)
+    assert_batch_matches_sequential(interpreter, graph, requests, model_name)
+    assert not interpreter.last_batch_stacked, (
         "ragged dtype signatures must not take the stacked path"
     )
 
@@ -219,8 +219,8 @@ def test_run_batch_mixed_batch_sizes_parity_on_third_device(model_name):
     """
     spec, module, graph, _ = traced_model(model_name)
     requests = [spec.sample_inputs(module, b, seed=310 + b) for b in (1, 2, 3)]
-    engine = ExecutionEngine(THIRD_DEVICE)
-    assert_batch_matches_sequential(engine, graph, requests, model_name)
+    interpreter = Interpreter(THIRD_DEVICE)
+    assert_batch_matches_sequential(interpreter, graph, requests, model_name)
 
 
 def test_run_batch_mixed_batch_sizes_stack_on_third_device(mlp_graph):
@@ -236,9 +236,9 @@ def test_run_batch_mixed_batch_sizes_stack_on_third_device(mlp_graph):
         {"x": rng.standard_normal((batch, 32)).astype(np.float32)}
         for batch in (4, 2, 6)
     ]
-    engine = ExecutionEngine(THIRD_DEVICE)
-    assert_batch_matches_sequential(engine, mlp_graph, requests, "tiny_mlp")
-    assert engine.last_batch_stacked, (
+    interpreter = Interpreter(THIRD_DEVICE)
+    assert_batch_matches_sequential(interpreter, mlp_graph, requests, "tiny_mlp")
+    assert interpreter.last_batch_stacked, (
         "the batch-polymorphic MLP should certify and stack ragged batch sizes"
     )
 
@@ -254,9 +254,9 @@ def test_run_batch_spatially_ragged_shapes_fall_back():
         {"images": rng.standard_normal((1, channels, side - 8, side - 8)
                                        ).astype(np.float32)},
     ]
-    engine = ExecutionEngine(THIRD_DEVICE)
-    assert_batch_matches_sequential(engine, graph, requests, "resnet_mini")
-    assert not engine.last_batch_stacked
+    interpreter = Interpreter(THIRD_DEVICE)
+    assert_batch_matches_sequential(interpreter, graph, requests, "resnet_mini")
+    assert not interpreter.last_batch_stacked
 
 
 def test_streaming_tensor_hash_matches_canonical_bytes():

@@ -67,6 +67,40 @@ def test_theoretical_check_deterministic_mode_is_more_permissive(mlp_graph, mlp_
     assert det.max_violation_ratio <= prob.max_violation_ratio
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_theoretical_check_rejects_a_non_finite_claim_whatever_tau(
+        mlp_graph, mlp_inputs, bad):
+    """A claim that disagrees with the reference on finiteness is a violation
+    of ratio inf, in the loosest bound mode too."""
+    name, operands, honest_output = _leaf_state(mlp_graph, mlp_inputs)
+    claim = np.array(honest_output, dtype=np.float32)
+    claim.flat[3] = bad
+    for mode in BoundMode:
+        result = theoretical_bound_check(mlp_graph, name, operands, claim,
+                                         device=DEVICE_FLEET[1], mode=mode)
+        assert result.proposer_cheated
+        assert result.max_violation_ratio == np.inf
+
+
+def test_theoretical_check_accepts_matching_non_finite_values(mlp_graph, mlp_inputs):
+    """NaN against NaN, or the same infinity, is no violation."""
+    name, operands, _ = _leaf_state(mlp_graph, mlp_inputs, op_target="gelu")
+    operands = [np.array(operand, dtype=np.float32) for operand in operands]
+    operands[0].flat[0] = np.nan
+    operands[0].flat[1] = np.inf
+    reference = Interpreter(DEVICE_FLEET[1]).run_single_operator(mlp_graph, name, operands)
+    assert np.isnan(reference.flat[0]) and reference.flat[1] == np.inf
+    result = theoretical_bound_check(mlp_graph, name, operands, reference,
+                                     device=DEVICE_FLEET[1])
+    assert not result.proposer_cheated
+    assert result.max_violation_ratio == 0.0
+
+    flipped = np.array(reference)
+    flipped.flat[1] = -np.inf
+    assert theoretical_bound_check(mlp_graph, name, operands, flipped,
+                                   device=DEVICE_FLEET[1]).proposer_cheated
+
+
 def test_committee_vote_accepts_honest_and_rejects_cheat(mlp_graph, mlp_inputs, mlp_thresholds,
                                                          committee):
     name, operands, honest_output = _leaf_state(mlp_graph, mlp_inputs)

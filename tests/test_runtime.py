@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graph.subgraph import SubgraphSlice, live_in, live_out
 from repro.runtime.determinism import deterministic_profile, measure_determinism_overhead
 from repro.runtime.traced_runtime import TracedRuntime
 from repro.runtime.verifier import verify_execution, verify_model_commitment
@@ -42,11 +43,12 @@ def test_runtime_execute_with_bounds(runtime):
 def test_runtime_subgraph_roundtrip(runtime):
     rt, inputs = runtime
     full = rt.execute(inputs, DEVICE_FLEET[2], record=True)
-    sub = rt.extract(2, 5)
-    boundary = {name: full.values[name] for name in sub.input_names}
+    slice_ = SubgraphSlice(2, 5)
+    boundary = {name: full.values[name] for name in live_in(rt.graph_module.graph, slice_)}
     sub_trace = rt.execute_subgraph(2, 5, boundary, DEVICE_FLEET[2])
+    assert sub_trace.output_names == tuple(live_out(rt.graph_module.graph, slice_))
     for name, value in zip(sub_trace.output_names, sub_trace.outputs):
-        assert np.array_equal(value, full.values[name])
+        assert np.array_equal(value.view(np.uint8), full.values[name].view(np.uint8))
 
 
 def test_runtime_calibrate_commit_verify(runtime):

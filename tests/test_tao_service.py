@@ -79,13 +79,14 @@ def test_interleaved_honest_and_adversarial_requests(service, mlp_graph,
     {"gelu": np.float32(np.nan)},
     {"softmax": np.float32(np.inf)},
 ], ids=["softmax-nan", "gelu-nan", "softmax-inf"])
+@pytest.mark.parametrize("leaf_path", ["routed", "theoretical"])
 def test_non_finite_tamper_is_slashed_at_the_tampered_operator(
-        mlp_graph, mlp_thresholds, mlp_input_factory, perturbation):
+        mlp_graph, mlp_thresholds, mlp_input_factory, perturbation, leaf_path):
     from repro.calibration.committee import calibrate_committee_envelope
 
     envelope = calibrate_committee_envelope(
         mlp_graph, [mlp_input_factory(2000 + i) for i in range(3)])
-    service = TAOService()
+    service = TAOService(leaf_path=leaf_path)
     service.register_model(mlp_graph, threshold_table=mlp_thresholds,
                            committee_envelope=envelope)
     session = service.model("tiny_mlp").session
@@ -404,7 +405,7 @@ def _elastic_inputs(seed: int, width: int = 8) -> dict:
 def test_ragged_trailing_batch_falls_back_per_request(mlp_input_factory):
     """A batch with ragged trailing shapes completes with correct verdicts.
 
-    ``ExecutionEngine.run_batch`` cannot stack requests whose trailing
+    ``Interpreter.run_batch`` cannot stack requests whose trailing
     shapes disagree; its signature probe returns ``None`` and the service
     must fall back to per-request execution — never crash on a failed
     ``concatenate`` and never drop the odd-shaped request.
