@@ -8,9 +8,11 @@ processes — each a full :class:`~repro.protocol.service.TAOService` shard
 speaks only the repo's canonical codec (:mod:`repro.fleet.transport`; no
 pickle on the data path).  Tenants are placed by the same
 :class:`~repro.cluster.placement.Placement` controller the cluster uses
-(homed by commitment digest on the consistent-hash ring), and all
+(homed by commitment digest on the consistent-hash ring).  Each worker
+settles through the same :class:`~repro.protocol.chain.ShardChainView` as an
+in-process shard, over a :class:`~repro.fleet.chainproxy.RemoteLedger`: all
 settlement flows back to one shared parent-side chain as nested
-``chain_call`` messages (:mod:`repro.fleet.chainproxy`), keeping balances,
+``chain_call`` messages, served from one verb table, keeping balances,
 minted totals and shard-tagged dispute gas exactly equal to the in-process
 paths.
 """

@@ -1,59 +1,87 @@
-"""Worker-side proxy over the parent's settlement chain.
+"""A fleet worker's ledger, and the one table of chain verbs on the wire.
 
-A fleet worker runs a full coordinator, and the coordinator needs a chain.
-:class:`ChainClient` gives it one with exactly the split a
-:class:`~repro.protocol.chain.ShardChainView` has in-process:
+A fleet worker settles exactly as an in-process shard does: its coordinator
+runs over a :class:`~repro.protocol.chain.ShardChainView`, which owns the
+shard's block clock and the transactions the shard appended.  Only the
+view's *ledger* differs.  In a worker it is a :class:`RemoteLedger`, which
+turns every ledger call — fund / transfer, the balance reads and the
+transaction append — into a nested ``chain_call`` frame to the parent.  The
+parent serves the frame against its one shared
+:class:`~repro.protocol.chain.SimulatedChain` with :func:`apply_chain_call`,
+so gas is costed by :meth:`~repro.protocol.chain.SimulatedChain.append`
+under the chain's own schedule and lock.  Balances, the minted total and
+shard-tagged gas therefore stay exact fleet-wide.
 
-* **Owned locally** — the shard's block clock (``block_number`` /
-  ``timestamp``, advanced one block per transaction) and a mirror of the
-  transactions this shard appended.  Protocol time is a per-shard notion and
-  the coordinator's per-dispute gas accounting indexes into *its own* shard's
-  transaction sequence (``gas_start_index``), so both must live with the
-  coordinator, not behind an RPC.
-* **Delegated over RPC** — every ledger mutation (fund / transfer) and read
-  (balance / balances / minted), plus the append itself: the worker ships
-  its clock stamp with the call, the parent costs gas under the shared
-  chain's own :class:`~repro.protocol.chain.GasSchedule` and appends under
-  the chain lock (:meth:`~repro.protocol.chain.SimulatedChain.append_stamped`),
-  and the returned gas figure lands in the local mirror.  Balances, the
-  minted total and shard-tagged gas therefore stay exact fleet-wide.
-
-Insufficient-balance failures re-raise as :class:`ValueError` with the
-parent's message, matching the in-process chain's contract, so coordinator
-escrow logic is oblivious to the process boundary.
+:data:`CHAIN_VERBS` is the one verb table of that conversation: the ledger
+names each frame's arguments from it and the parent binds them against it.
+An unknown verb or arguments that do not bind raise ``TypeError``, which the
+parent answers with an error reply, never by raising mid-conversation.
+Insufficient-balance and other ``ValueError`` replies re-raise in the worker
+as :class:`ValueError` with the parent's message, matching the in-process
+chain's contract, so coordinator escrow logic is oblivious to the process
+boundary.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, Tuple
 
 from repro.fleet.transport import MessageChannel
-from repro.protocol.chain import GasSchedule, SimulatedChain, Transaction
+from repro.protocol.chain import SimulatedChain, Transaction
 
 
-class ChainClient:
-    """Quacks like a :class:`~repro.protocol.chain.ShardChainView`."""
+def _receipt(chain: SimulatedChain, *args: Any) -> Dict[str, int]:
+    tx = chain.append(*args)
+    return {"gas_used": tx.gas_used, "index": tx.index}
 
-    def __init__(self, channel: MessageChannel, shard_id: str,
+
+#: Wire verb -> (argument names, the parent-side call on its chain that
+#: returns the reply value).  The append travels as ``submit``.
+CHAIN_VERBS: Dict[str, Tuple[Tuple[str, ...], Callable[..., Any]]] = {
+    "fund": (("account", "amount"), SimulatedChain.fund),
+    "fund_once": (("account", "amount"), SimulatedChain.fund_once),
+    "transfer": (("source", "destination", "amount"), SimulatedChain.transfer),
+    "transfer_all": (("moves",), SimulatedChain.transfer_all),
+    "balance": (("account",), SimulatedChain.balance),
+    "balances": ((), lambda chain: dict(chain.balances)),
+    "minted": ((), lambda chain: chain.minted),
+    "submit": (("sender", "action", "payload_bytes", "storage_writes",
+                "merkle_checks", "details", "block", "timestamp", "shard"),
+               _receipt),
+}
+
+
+def apply_chain_call(chain: SimulatedChain, verb: Any, args: Any) -> Any:
+    """Apply one ``chain_call`` frame to ``chain``; returns the reply value.
+
+    Raises ``TypeError`` before touching the chain when ``verb`` is not in
+    :data:`CHAIN_VERBS` or ``args`` does not name exactly its arguments.
+    """
+    if verb not in CHAIN_VERBS:
+        raise TypeError(f"unknown chain verb {verb!r}")
+    names, call = CHAIN_VERBS[verb]
+    if not isinstance(args, dict) or set(args) != set(names):
+        raise TypeError(f"chain verb {verb!r} takes arguments {list(names)}, "
+                        f"got {args!r}")
+    return call(chain, *(args[name] for name in names))
+
+
+class RemoteLedger:
+    """The parent's chain, reached over a worker's channel.
+
+    Holds only the RPC plumbing: the block interval the parent announced and
+    the per-incarnation sequence id stamped on every call.  A worker
+    restarted from its journal re-issues the same deterministic call stream
+    from seq 1; the parent answers ids at or below its journal tail from the
+    journal instead of re-applying them — at-most-once for every ledger
+    mutation.
+    """
+
+    def __init__(self, channel: MessageChannel,
                  block_interval_s: float = 12.0) -> None:
         self._channel = channel
-        self.shard_id = str(shard_id)
         self.block_interval_s = float(block_interval_s)
-        self.block_number = 0
-        self.timestamp = 0.0
-        self.gas_schedule = GasSchedule()
-        self._transactions: List[Transaction] = []
-        #: Per-incarnation sequence id stamped on every chain call.  A
-        #: worker restarted from its journal re-issues the same
-        #: deterministic call stream from seq 1; the parent answers ids at
-        #: or below its journal tail from the journal instead of
-        #: re-applying them — at-most-once for every ledger mutation.
         self._seq = 0
-
-    # -- per-shard protocol time (the chain's own rules, on this clock) ----
-
-    advance_blocks = SimulatedChain.advance_blocks
-    advance_time = SimulatedChain.advance_time
 
     @property
     def next_seq(self) -> int:
@@ -62,12 +90,11 @@ class ChainClient:
         records land at the same position and dedupe exactly."""
         return self._seq + 1
 
-    # -- RPC plumbing ------------------------------------------------------
-
-    def _call(self, method: str, **kwargs: Any) -> Any:
+    def _call(self, verb: str, *values: Any) -> Any:
         self._seq += 1
-        self._channel.send({"kind": "chain_call", "method": method,
-                            "args": kwargs, "seq": self._seq})
+        self._channel.send({"kind": "chain_call", "method": verb,
+                            "args": dict(zip(CHAIN_VERBS[verb][0], values)),
+                            "seq": self._seq})
         reply = self._channel.recv()
         if not reply.get("ok"):
             message = str(reply.get("error", "chain call failed"))
@@ -76,25 +103,21 @@ class ChainClient:
             raise RuntimeError(message)
         return reply.get("value")
 
-    # -- shared ledger state (delegated) --------------------------------
-
     def fund(self, account: str, amount: float) -> None:
-        self._call("fund", account=account, amount=float(amount))
+        self._call("fund", account, float(amount))
 
     def fund_once(self, account: str, amount: float) -> bool:
-        return bool(self._call("fund_once", account=account,
-                               amount=float(amount)))
+        return bool(self._call("fund_once", account, float(amount)))
 
     def transfer(self, source: str, destination: str, amount: float) -> None:
-        self._call("transfer", source=source, destination=destination,
-                   amount=float(amount))
+        self._call("transfer", source, destination, float(amount))
 
     def transfer_all(self, moves) -> None:
-        self._call("transfer_all", moves=[[source, destination, float(amount)]
-                                          for source, destination, amount in moves])
+        self._call("transfer_all", [[source, destination, float(amount)]
+                                    for source, destination, amount in moves])
 
     def balance(self, account: str) -> float:
-        return float(self._call("balance", account=account))
+        return float(self._call("balance", account))
 
     @property
     def balances(self) -> Dict[str, float]:
@@ -104,63 +127,15 @@ class ChainClient:
     def minted(self) -> float:
         return float(self._call("minted"))
 
-    # -- transactions ------------------------------------------------------
-
-    @property
-    def transactions(self) -> List[Transaction]:
-        """This shard's own appended transactions, in append order.
-
-        The coordinator records ``gas_start_index = len(chain.transactions)``
-        when a dispute opens and scans forward from it; the mirror is exactly
-        that per-shard sequence (what a ShardChainView's shard-filtered slice
-        of the global log would contain).
-        """
-        return self._transactions
-
-    def submit(self, sender: str, action: str, payload_bytes: int = 0,
-               storage_writes: int = 1, merkle_checks: int = 0,
-               details: Optional[Dict[str, object]] = None) -> Transaction:
-        """Append one shard-stamped transaction to the parent's shared log."""
-        value = self._call(
-            "submit", sender=sender, action=action,
-            payload_bytes=int(payload_bytes),
-            storage_writes=int(storage_writes),
-            merkle_checks=int(merkle_checks),
-            details=dict(details or {}),
-            block=self.block_number, timestamp=self.timestamp,
-            shard=self.shard_id,
-        )
-        tx = Transaction(
-            index=len(self._transactions),
-            block=self.block_number,
-            timestamp=self.timestamp,
-            sender=sender,
-            action=action,
-            gas_used=int(value["gas_used"]),
-            payload_bytes=int(payload_bytes),
-            details=dict(details or {}),
-            shard=self.shard_id,
-        )
-        self._transactions.append(tx)
-        # Every transaction lands in a (new) block, as on the parent chain.
-        self.advance_blocks(1)
-        return tx
-
-    # -- accounting (this shard's own view) --------------------------------
-
-    def total_gas(self, actions: Optional[List[str]] = None,
-                  since_index: int = 0) -> int:
-        txs = self._transactions[since_index:]
-        if actions is not None:
-            wanted = set(actions)
-            txs = [tx for tx in txs if tx.action in wanted]
-        return int(sum(tx.gas_used for tx in txs))
-
-    def gas_by_action(self, since_index: int = 0) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for tx in self._transactions[since_index:]:
-            out[tx.action] = out.get(tx.action, 0) + tx.gas_used
-        return out
-
-    def shard_gas(self) -> int:
-        return self.total_gas()
+    def append(self, sender: str, action: str, payload_bytes: int,
+               storage_writes: int, merkle_checks: int, details,
+               block: int, timestamp: float, shard: str) -> Transaction:
+        """Append on the parent's log; returns the logged transaction."""
+        details = dict(details or {})
+        receipt = self._call("submit", sender, action, int(payload_bytes),
+                             int(storage_writes), int(merkle_checks), details,
+                             block, timestamp, shard)
+        return Transaction(
+            index=int(receipt["index"]), block=block, timestamp=timestamp,
+            sender=sender, action=action, gas_used=int(receipt["gas_used"]),
+            payload_bytes=int(payload_bytes), details=details, shard=shard)

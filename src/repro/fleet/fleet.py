@@ -14,11 +14,14 @@ concurrently, on distinct interpreters, so the fleet measures parallel
 wall clock.  Dead-worker failover and write-ahead-journal recovery are the
 fleet's own.
 
-Settlement stays exact: workers never hold ledger state.  Every fund,
-transfer and transaction append flows back over the worker's channel as a
-nested ``chain_call`` served by the parent against the one shared
-:class:`~repro.protocol.chain.SimulatedChain` (gas costed parent-side, under
-the chain lock, stamped with the worker's own shard clock).  Per-account
+Settlement stays exact: workers never hold ledger state.  A worker's
+shard view sits over a :class:`~repro.fleet.chainproxy.RemoteLedger`, so
+every fund, transfer and transaction append flows back over the worker's
+channel as a nested ``chain_call``, which the parent serves from the one verb
+table (:func:`~repro.fleet.chainproxy.apply_chain_call`) against the one
+shared :class:`~repro.protocol.chain.SimulatedChain` (gas costed
+parent-side, under the chain lock, stamped with the worker's own shard
+clock).  Per-account
 balances, the minted total and shard-tagged dispute gas are therefore
 byte-identical to the in-process paths — the differential pin in
 ``tests/test_sharded_equivalence.py`` drives one schedule through the plain
@@ -47,6 +50,7 @@ from repro.cluster.placement import (
     PlacementError,
     TenantRecord,
 )
+from repro.fleet.chainproxy import apply_chain_call
 from repro.fleet.transport import (
     MessageChannel,
     TransportClosed,
@@ -74,10 +78,6 @@ from repro.utils.timing import now
 
 class FleetError(PlacementError):
     """Raised for fleet-level misuse (unknown tenants, dead workers, ...)."""
-
-
-class _UnknownChainMethod(RuntimeError):
-    """Internal: a chain_call named a method the parent does not serve."""
 
 
 # ----------------------------------------------------------------------
@@ -546,43 +546,14 @@ class ProcessFleet(PlacedCore):
                 # Replay duplicate: answer from the journal, do not
                 # re-apply — at-most-once for every ledger mutation.
                 return recorded
-        method = message.get("method")
-        args = message.get("args", {})
         try:
-            if method == "fund":
-                self.chain.fund(args["account"], args["amount"])
-                value: Any = None
-            elif method == "fund_once":
-                value = self.chain.fund_once(args["account"], args["amount"])
-            elif method == "transfer":
-                self.chain.transfer(args["source"], args["destination"],
-                                    args["amount"])
-                value = None
-            elif method == "transfer_all":
-                self.chain.transfer_all(args["moves"])
-                value = None
-            elif method == "balance":
-                value = self.chain.balance(args["account"])
-            elif method == "balances":
-                value = dict(self.chain.balances)
-            elif method == "minted":
-                value = self.chain.minted
-            elif method == "submit":
-                tx = self.chain.append_stamped(
-                    args["sender"], args["action"], args["payload_bytes"],
-                    args["storage_writes"], args["merkle_checks"],
-                    args["details"], args["block"], args["timestamp"],
-                    args["shard"],
-                )
-                value = {"gas_used": int(tx.gas_used), "index": int(tx.index)}
-            else:
-                raise _UnknownChainMethod(f"unknown chain method {method!r}")
-        except _UnknownChainMethod as exc:
+            value = apply_chain_call(self.chain, message.get("method"),
+                                     message.get("args", {}))
+        except (TypeError, ValueError) as exc:
+            # A refused or malformed call still gets its one reply: raising
+            # here would leave the worker reading the next op as this reply.
             reply = {"kind": "chain_reply", "ok": False,
-                     "error_type": "RuntimeError", "error": str(exc)}
-        except ValueError as exc:
-            reply = {"kind": "chain_reply", "ok": False,
-                     "error_type": "ValueError", "error": str(exc)}
+                     "error_type": type(exc).__name__, "error": str(exc)}
         else:
             reply = {"kind": "chain_reply", "ok": True, "value": value}
         if journal is not None and seq is not None:

@@ -21,7 +21,8 @@ Three streams, with distinct write points:
   recorded *after* the parent applied it.  A restarted worker re-issues the
   same deterministic sequence; replies at-or-below the journal tail are
   answered from the journal without re-applying — the at-most-once
-  guarantee for ``fund``/``transfer``/``append_stamped``.
+  guarantee for ``fund``/``transfer`` and the transaction append
+  (``submit`` on the wire).
 * **commands** — completed op conversations (``register``/``submit``/
   ``process``/…), recorded only once their response arrived.  Replaying them
   against a fresh worker rebuilds its entire in-memory stack; the op that

@@ -17,12 +17,14 @@ the request loop: each ``{"op": name}`` message is dispatched to the state's
 :class:`ShardWorker` is the fleet's state: one full TAOService behind the
 RPC transport.  Its hello carries the shard id, block interval, service
 constructor knobs and the dotted path of the actor-spec module; it builds
-:class:`~repro.fleet.chainproxy.ChainClient` →
+a :class:`~repro.protocol.chain.ShardChainView` over a
+:class:`~repro.fleet.chainproxy.RemoteLedger` →
 :class:`~repro.protocol.coordinator.Coordinator` →
-:class:`~repro.protocol.service.TAOService`.  In between an op and its
-response, chain settlement flows *backwards* over the same channel as
-``chain_call`` messages (the parent serves them inline while waiting for the
-response, so one channel carries the whole nested conversation
+:class:`~repro.protocol.service.TAOService` — the same view an in-process
+shard settles on, over a ledger that lives in the parent.  In between an op
+and its response, chain settlement flows *backwards* over the same channel
+as ``chain_call`` messages (the parent serves them inline while waiting for
+the response, so one channel carries the whole nested conversation
 deterministically).
 
 Every reply carries plain codec values; the structured report/coordinator
@@ -39,9 +41,10 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.calibration.committee import CommitteeEnvelopeProfile
 from repro.calibration.thresholds import ThresholdTable
-from repro.fleet.chainproxy import ChainClient
+from repro.fleet.chainproxy import RemoteLedger
 from repro.fleet.transport import MessageChannel, TransportClosed, channel_pair
 from repro.fleet.wire import graph_from_payload
+from repro.protocol.chain import ShardChainView
 from repro.protocol.coordinator import Coordinator
 from repro.protocol.service import ServiceRequest, TAOService
 
@@ -128,8 +131,9 @@ class ShardWorker:
 
     def __init__(self, channel: MessageChannel, hello: Dict[str, Any]) -> None:
         self.channel = channel
-        self.chain = ChainClient(channel, hello["shard_id"],
-                                 block_interval_s=hello.get("block_interval_s", 12.0))
+        self.ledger = RemoteLedger(
+            channel, block_interval_s=hello.get("block_interval_s", 12.0))
+        self.chain = ShardChainView(self.ledger, hello["shard_id"])
         self.coordinator = Coordinator(chain=self.chain)
         # Write-ahead journal: ship every (state, event) transition record
         # to the parent as a one-way frame.  The coordinator emits it before
@@ -148,7 +152,7 @@ class ShardWorker:
         # same stamps, so the parent journal can drop the duplicates while
         # still catching any divergence.
         entry = dict(entry)
-        entry["chain_seq"] = self.chain.next_seq
+        entry["chain_seq"] = self.ledger.next_seq
         self.channel.send({"kind": "journal", "entry": entry})
 
     # -- op handlers -----------------------------------------------------

@@ -14,23 +14,39 @@ accounting (21k base per transaction, 16 gas per non-zero calldata byte) plus
 per-action execution surcharges tuned so that a typical 11-13 round dispute
 lands near the paper's ~2M gas figure.
 
-**Sharding.**  A :class:`~repro.cluster.cluster.TAOCluster` settles every
-shard on one chain: balances, the minted total and the transaction log are
-shared fleet-wide (appends and transfers are serialized by an internal lock,
-so concurrent shard workers never corrupt the ledger), while each shard holds
-a :class:`ShardChainView` with its **own block clock**.  Protocol time is a
+**Sharding.**  Both sharded tiers settle every shard on one chain:
+balances, the minted total and the transaction log are shared fleet-wide
+(appends and transfers are serialized by an internal lock, so concurrent
+shard workers never corrupt the ledger), while each shard holds a
+:class:`ShardChainView` with its **own block clock**.  Protocol time is a
 per-shard notion — one shard advancing past its challenge windows must never
 lapse another shard's still-open windows — so views advance independently and
 stamp every transaction they append with their shard id, which is what makes
 per-shard gas attribution (:meth:`SimulatedChain.gas_by_shard`) and exact
-per-dispute gas accounting across shards possible.
+per-dispute gas accounting across shards possible.  A view sits over a
+*ledger*: the :class:`SimulatedChain` itself in process, or a
+:class:`~repro.fleet.chainproxy.RemoteLedger` in a fleet worker, which
+forwards the same calls to the parent's chain.  Either way
+:meth:`SimulatedChain.append` is the one place gas is costed and a
+transaction is logged.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+
+def _require_finite(amount: float) -> None:
+    """The ledger's amount gate: NaN or an infinity never reaches a balance.
+
+    ``have < nan`` is False, so a NaN would pass every overdraw check and
+    break ``sum(balances) == minted``.  A non-number raises ``TypeError``.
+    """
+    if not math.isfinite(amount):
+        raise ValueError(f"amount must be finite, got {amount!r}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +116,6 @@ class SimulatedChain:
         #: satisfy ``sum(balances.values()) == minted`` — the conservation
         #: invariant the protocol simulator checks after every scenario.
         self.minted = 0.0
-        #: Shard tag stamped on this chain's own transactions; None for a
-        #: standalone chain, set on :class:`ShardChainView` instances.
-        self.shard_id: Optional[str] = None
         #: Serializes ledger mutation (balances/minted/log append) so that
         #: concurrent shard workers settling on one chain stay exact.
         self._lock = threading.RLock()
@@ -128,6 +141,7 @@ class SimulatedChain:
     # ------------------------------------------------------------------
 
     def fund(self, account: str, amount: float) -> None:
+        _require_finite(amount)
         if amount < 0:
             raise ValueError("cannot fund a negative amount")
         with self._lock:
@@ -145,6 +159,7 @@ class SimulatedChain:
         the behaviour is exactly :meth:`fund` — the seed path is unchanged.
         Returns whether a mint happened.
         """
+        _require_finite(amount)
         if amount < 0:
             raise ValueError("cannot fund a negative amount")
         with self._lock:
@@ -181,6 +196,7 @@ class SimulatedChain:
         with self._lock:
             after: Dict[str, float] = {}
             for source, destination, amount in moves:
+                _require_finite(amount)
                 if amount < 0:
                     raise ValueError("cannot transfer a negative amount")
                 have = after.get(source, self.balances.get(source, 0.0))
@@ -200,56 +216,17 @@ class SimulatedChain:
     # Transactions
     # ------------------------------------------------------------------
 
-    def _append(self, clock, sender: str, action: str,
-                payload_bytes: int, storage_writes: int, merkle_checks: int,
-                details: Optional[Dict[str, object]]) -> Transaction:
-        """Build and append one transaction, stamped with ``clock``'s time.
+    def append(self, sender: str, action: str, payload_bytes: int,
+               storage_writes: int, merkle_checks: int,
+               details: Optional[Dict[str, object]], block: int,
+               timestamp: float, shard: Optional[str]) -> Transaction:
+        """Cost and log one transaction stamped with the caller's clock.
 
-        Shared by the chain itself and every :class:`ShardChainView` over it
-        (``clock`` is whichever of the two is submitting), so the gas
-        costing, transaction shape and one-block-per-transaction rule exist
-        exactly once.
-        """
-        gas = self.gas_schedule.cost(action, payload_bytes, storage_writes,
-                                     merkle_checks)
-        with self._lock:
-            tx = Transaction(
-                index=len(self.transactions),
-                block=clock.block_number,
-                timestamp=clock.timestamp,
-                sender=sender,
-                action=action,
-                gas_used=gas,
-                payload_bytes=int(payload_bytes),
-                details=dict(details or {}),
-                shard=clock.shard_id,
-            )
-            self.transactions.append(tx)
-        # Every transaction lands in a (new) block to keep timeouts simple.
-        clock.advance_blocks(1)
-        return tx
-
-    def submit(self, sender: str, action: str, payload_bytes: int = 0,
-               storage_writes: int = 1, merkle_checks: int = 0,
-               details: Optional[Dict[str, object]] = None) -> Transaction:
-        """Record a transaction; returns the logged entry with its gas cost."""
-        return self._append(self, sender, action, payload_bytes,
-                            storage_writes, merkle_checks, details)
-
-    def append_stamped(self, sender: str, action: str, payload_bytes: int,
-                       storage_writes: int, merkle_checks: int,
-                       details: Optional[Dict[str, object]],
-                       block: int, timestamp: float,
-                       shard: Optional[str]) -> Transaction:
-        """Append a transaction stamped with an *externally supplied* clock.
-
-        This is the settlement entry point for out-of-process shard workers
-        (:mod:`repro.fleet`): the worker owns its shard clock — exactly as a
-        :class:`ShardChainView` does in-process — and ships the block height,
-        timestamp and shard tag alongside the call, while gas is costed here
-        with the chain's own schedule and the append is serialized under the
-        chain lock.  No clock is advanced: the remote clock already advanced
-        itself by the one-block-per-transaction rule.
+        The only transaction builder: the chain's own :meth:`submit`, every
+        in-process :class:`ShardChainView` and every fleet worker's view
+        (over the wire) append through it.  Gas is costed with this chain's
+        schedule and the log append is serialized under the chain lock.  No
+        clock advances here; the caller owns the clock it stamped with.
         """
         gas = self.gas_schedule.cost(action, payload_bytes, storage_writes,
                                      merkle_checks)
@@ -266,6 +243,17 @@ class SimulatedChain:
                 shard=shard,
             )
             self.transactions.append(tx)
+        return tx
+
+    def submit(self, sender: str, action: str, payload_bytes: int = 0,
+               storage_writes: int = 1, merkle_checks: int = 0,
+               details: Optional[Dict[str, object]] = None) -> Transaction:
+        """Record a transaction; returns the logged entry with its gas cost."""
+        tx = self.append(sender, action, payload_bytes, storage_writes,
+                         merkle_checks, details, self.block_number,
+                         self.timestamp, None)
+        # Every transaction lands in a (new) block to keep timeouts simple.
+        self.advance_blocks(1)
         return tx
 
     # ------------------------------------------------------------------
@@ -295,60 +283,59 @@ class SimulatedChain:
 
 
 class ShardChainView:
-    """One shard's clock over a shared settlement :class:`SimulatedChain`.
+    """One shard's clock over a shared settlement *ledger*.
 
-    The view **shares** the parent's ledger — balances, minted total, gas
-    schedule and the global transaction log — and **owns** its block number
-    and timestamp.  Challenge windows and round timeouts are judged against
-    the owning shard's clock, so a shard advancing time past its own windows
-    (the finalization sweep at the end of a processing cycle) can never lapse
-    a sibling shard's still-open windows.  Every transaction appended through
+    The ledger is either the shared :class:`SimulatedChain` itself (a
+    :class:`~repro.cluster.cluster.TAOCluster` shard, in process) or a
+    :class:`~repro.fleet.chainproxy.RemoteLedger` that forwards the same
+    calls to the parent's chain (a :class:`~repro.fleet.fleet.ProcessFleet`
+    worker).  Either way the view **delegates** balances, the minted total,
+    funding, transfers and the transaction append to the ledger, and **owns**
+    its block number, timestamp and the list of transactions it appended.
+    Challenge windows and round timeouts are judged against the owning
+    shard's clock, so a shard advancing time past its own windows (the
+    finalization sweep at the end of a processing cycle) can never lapse a
+    sibling shard's still-open windows.  Every transaction appended through
     the view is stamped with the shard id at the view's local block height.
 
     The view quacks like a :class:`SimulatedChain` (same method surface), so
     a :class:`~repro.protocol.coordinator.Coordinator` runs over it
-    unmodified.
+    unmodified; its ``transactions`` are the shard's own, in append order
+    (in process, the very objects of the shared log).
     """
 
-    def __init__(self, parent: SimulatedChain, shard_id: str) -> None:
-        self.parent = parent
+    def __init__(self, ledger, shard_id: str) -> None:
+        self.ledger = ledger
         self.shard_id = str(shard_id)
-        self.block_interval_s = parent.block_interval_s
+        self.block_interval_s = ledger.block_interval_s
         self.block_number = 0
         self.timestamp = 0.0
+        self.transactions: List[Transaction] = []
 
     # -- shared ledger state (delegated) --------------------------------
 
     @property
-    def gas_schedule(self) -> GasSchedule:
-        return self.parent.gas_schedule
-
-    @property
     def balances(self) -> Dict[str, float]:
-        return self.parent.balances
+        return self.ledger.balances
 
     @property
     def minted(self) -> float:
-        return self.parent.minted
-
-    @property
-    def transactions(self) -> List[Transaction]:
-        return self.parent.transactions
+        return self.ledger.minted
 
     def fund(self, account: str, amount: float) -> None:
-        self.parent.fund(account, amount)
+        self.ledger.fund(account, amount)
 
     def fund_once(self, account: str, amount: float) -> bool:
-        return self.parent.fund_once(account, amount)
+        return self.ledger.fund_once(account, amount)
 
     def balance(self, account: str) -> float:
-        return self.parent.balance(account)
+        return self.ledger.balance(account)
 
     def transfer(self, source: str, destination: str, amount: float) -> None:
-        self.parent.transfer(source, destination, amount)
+        self.ledger.transfer(source, destination, amount)
 
     def transfer_all(self, moves: Sequence[Tuple[str, str, float]]) -> None:
-        self.parent.transfer_all(moves)
+        self.ledger.transfer_all(moves)
 
     # -- per-shard protocol time (the chain's own rules, on this clock) ----
 
@@ -360,22 +347,11 @@ class ShardChainView:
     def submit(self, sender: str, action: str, payload_bytes: int = 0,
                storage_writes: int = 1, merkle_checks: int = 0,
                details: Optional[Dict[str, object]] = None) -> Transaction:
-        """Append a shard-stamped transaction to the shared log."""
-        return self.parent._append(self, sender, action, payload_bytes,
-                                   storage_writes, merkle_checks, details)
-
-    # -- accounting (fleet-wide, delegated) --------------------------------
-
-    def total_gas(self, actions: Optional[List[str]] = None,
-                  since_index: int = 0) -> int:
-        return self.parent.total_gas(actions, since_index)
-
-    def gas_by_action(self, since_index: int = 0) -> Dict[str, int]:
-        return self.parent.gas_by_action(since_index)
-
-    def gas_by_shard(self, since_index: int = 0) -> Dict[Optional[str], int]:
-        return self.parent.gas_by_shard(since_index)
-
-    def shard_gas(self) -> int:
-        """Gas of this shard's own transactions."""
-        return self.gas_by_shard().get(self.shard_id, 0)
+        """Append a shard-stamped transaction to the ledger's shared log."""
+        tx = self.ledger.append(sender, action, payload_bytes, storage_writes,
+                                merkle_checks, details, self.block_number,
+                                self.timestamp, self.shard_id)
+        self.transactions.append(tx)
+        # Every transaction lands in a (new) block, as on the chain itself.
+        self.advance_blocks(1)
+        return tx

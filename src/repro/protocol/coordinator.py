@@ -453,9 +453,10 @@ class Coordinator:
         multiplexes several dispute games over the same chain (for a single
         sequential dispute this matches counting everything since
         ``gas_start_index``, which is how the seed accounted it).  Dispute ids
-        are only unique per coordinator, and a cluster settles many
-        coordinators on one shared log, so the filter additionally matches the
-        shard tag this coordinator's chain (view) stamps on its transactions.
+        are only unique per coordinator.  A shard's chain view lists only the
+        transactions it appended; the shard-tag match keeps the count exact
+        for a coordinator on a bare chain whose log also holds shard-tagged
+        transactions.
         """
         dispute = self.dispute(dispute_id)
         own_shard = getattr(self.chain, "shard_id", None)

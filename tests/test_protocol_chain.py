@@ -1,8 +1,12 @@
 """Unit tests for the simulated ledger and gas schedule."""
 
+import math
+import pathlib
+
 import pytest
 
-from repro.protocol.chain import GasSchedule, SimulatedChain
+import repro
+from repro.protocol.chain import GasSchedule, ShardChainView, SimulatedChain
 
 
 def test_gas_schedule_components():
@@ -90,3 +94,44 @@ def test_gas_accounting_helpers():
     assert chain.total_gas(actions=["post_selection"], since_index=marker) == \
         by_action["post_selection"]
     assert chain.total_gas() > total
+
+
+#: Calls that would move a non-finite amount into or across the ledger.
+NON_FINITE_CALLS = {
+    "fund_nan": lambda ledger: ledger.fund("alice", math.nan),
+    "fund_inf": lambda ledger: ledger.fund("alice", math.inf),
+    "fund_once_nan": lambda ledger: ledger.fund_once("carol", math.nan),
+    "transfer_nan": lambda ledger: ledger.transfer("alice", "bob", math.nan),
+    "transfer_all_inf": lambda ledger: ledger.transfer_all(
+        [("alice", "bob", 1.0), ("bob", "carol", math.inf)]),
+}
+
+
+@pytest.mark.parametrize("over_view", [False, True], ids=["chain", "view"])
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_non_finite_amounts_are_rejected_before_any_mutation(call, over_view):
+    """``have < nan`` is False, so without a guard a NaN transfer passes the
+    overdraw check and poisons both balances and the conservation sum."""
+    chain = SimulatedChain()
+    chain.fund("alice", 10.0)
+    ledger = ShardChainView(chain, "shard-0") if over_view else chain
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_CALLS[call](ledger)
+    assert chain.balances == {"alice": 10.0}
+    assert chain.minted == 10.0
+
+
+def test_gas_is_costed_in_one_place():
+    """One transaction builder: ``SimulatedChain.append`` is the only code
+    that costs gas, and the retired worker-side chain twin and stamped-append
+    entry point do not come back under any name this guard knows."""
+    package_root = pathlib.Path(repro.__file__).parent
+    cost_sites, retired = [], []
+    for path in sorted(package_root.rglob("*.py")):
+        relative = path.relative_to(package_root).as_posix()
+        text = path.read_text(encoding="utf-8")
+        cost_sites += [relative] * text.count("gas_schedule.cost(")
+        retired += [relative for name in ("ChainClient", "append_stamped")
+                    if name in text]
+    assert cost_sites == ["protocol/chain.py"], cost_sites
+    assert not retired, retired
