@@ -1,4 +1,4 @@
-"""Service throughput: batched multi-request serving vs. the seed loop.
+"""Service throughput: multi-request serving vs. the seed loop.
 
 The seed entry point serves exactly one request per ``TAOSession.run_request``
 call: the proposer executes and commits, a challenger re-executes, and the
@@ -6,24 +6,20 @@ task finalizes — twice the model's forward cost plus per-request hashing and
 bookkeeping, repeated from scratch for every request.
 
 :class:`~repro.protocol.service.TAOService` amortizes that across a stream:
-per-model session/commitment reuse, a content-addressed result cache that
-recognizes repeated payloads by their input hash, and engine-level batched
-execution (stacking independent requests along the leading axis where that
-is empirically certified bit-identical for the graph/device).
+per-model session/commitment reuse, one compiled plan per model, and a
+content-addressed result cache that recognizes repeated payloads by their
+input hash.  Every request that misses the cache runs alone, exactly as the
+seed loop runs it.
 
 Scenarios, each a 16-request stream against one model, measured at steady
-state (one warmup cycle absorbs plan compilation and batch certification):
+state (one warmup cycle absorbs plan compilation):
 
 * **repeated stream**: 4 distinct payloads x 4 on MiniBERT — the cache
   serves every repeat without re-execution (gate: 12 cache hits);
-* **distinct stream, batchable**: 16 unique payloads on an MLP serving head
-  whose stacked execution certifies — proposer + challenger runs are each
-  one stacked pass instead of 16 (gate: 16 batched requests when
-  certification accepts);
-* **distinct stream, unbatchable**: 16 unique payloads on MiniResNet, whose
-  final classifier ``linear`` is not row-bitstable under stacking on BLAS,
-  so the probe rejects stacking and the service falls back to sequential
-  engine runs (gate: all 16 complete).
+* **distinct stream**: 16 unique payloads on an MLP serving head (gate: all
+  16 complete);
+* **distinct stream**: 16 unique payloads on MiniResNet (gate: all 16
+  complete).
 
 Speedups are wall-clock and only reported; every gate is an exact counter.
 """
@@ -36,7 +32,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.calibration import CalibrationConfig, Calibrator, ThresholdTable
-from repro.engine import plan_for
 from repro.graph import Module, Parameter, trace_module
 from repro.graph import functional as F
 from repro.protocol import TAOService, TAOSession
@@ -105,8 +100,8 @@ def _measure(name: str, graph, thresholds, sampler, distinct: int) -> Dict[str, 
     service = TAOService()
     service.register_model(graph, threshold_table=thresholds)
     service.submit_many(name, warmup)
-    service.process()  # absorbs plan compilation + batch certification
-    warm_hits, warm_batched = service.stats().cache_hits, service.stats().batched_requests
+    service.process()  # absorbs plan compilation
+    warm_hits = service.stats().cache_hits
     start = time.perf_counter()
     service.submit_many(name, stream)
     processed = service.process()
@@ -120,9 +115,7 @@ def _measure(name: str, graph, thresholds, sampler, distinct: int) -> Dict[str, 
         "service_s": service_s,
         "speedup": seed_s / service_s if service_s > 0 else float("inf"),
         "cache_hits": stats.cache_hits - warm_hits,
-        "batched": stats.batched_requests - warm_batched,
         "completed": sum(request.status == "finalized" for request in processed),
-        "certified": any(plan_for(graph).batch_certified.values()),
     }
 
 
@@ -133,9 +126,9 @@ def test_service_throughput(benchmark, bench_bert, bench_resnet):
             "repeated x4 (bert_mini)": _measure(
                 "bert_mini", bench_bert.graph, bench_bert.thresholds,
                 lambda seed: bench_bert.inputs(seed=seed), DISTINCT_PAYLOADS),
-            "distinct, stacked (mlp_head)": _measure(
+            "distinct (mlp_head)": _measure(
                 "mlp_head", head_graph, head_thresholds, head_sampler, NUM_REQUESTS),
-            "distinct, fallback (resnet_mini)": _measure(
+            "distinct (resnet_mini)": _measure(
                 "resnet_mini", bench_resnet.graph, bench_resnet.thresholds,
                 lambda seed: bench_resnet.inputs(seed=seed), NUM_REQUESTS),
         }
@@ -147,19 +140,18 @@ def test_service_throughput(benchmark, bench_bert, bench_resnet):
         "TAOService vs. looping seed TAOSession.run_request "
         f"({NUM_REQUESTS}-request streams, steady state)",
         ["scenario", "seed loop (s)", "service (s)", "speedup",
-         "seed rps", "service rps", "cache hits", "batched"],
+         "seed rps", "service rps", "cache hits"],
         [[label, r["seed_s"], r["service_s"], r["speedup"],
           NUM_REQUESTS / r["seed_s"], NUM_REQUESTS / r["service_s"],
-          r["cache_hits"], r["batched"]]
+          r["cache_hits"]]
          for label, r in results.items()],
         notes=("Repeated stream: the content-addressed result cache serves each "
-               "repeat after one execution per distinct payload.  Distinct/stacked: "
-               "proposer and challenger each execute one stacked pass over the "
-               "whole stream (certified bit-identical before use).  "
-               "Distinct/fallback: the certification probe rejects stacking "
-               "(BLAS matmul is not row-bitstable across batch size for the "
-               "classifier linear), so the service runs sequentially over the "
-               "cached plan — the fallback must not regress materially."),
+               "repeat after one execution per distinct payload.  Distinct "
+               "streams: every request runs alone over the cached plan, one "
+               "proposer run and one challenger re-execution each, so a "
+               "committed trace never depends on the other requests of its "
+               "cycle; the service saves only the per-request set-up the seed "
+               "loop repeats."),
     )
 
     # Gates are the exact counters each speedup stands for; the wall-clock
@@ -168,11 +160,6 @@ def test_service_throughput(benchmark, bench_bert, bench_resnet):
     # distinct payload.
     assert results["repeated x4 (bert_mini)"]["cache_hits"] == \
         NUM_REQUESTS - DISTINCT_PAYLOADS
-    # Stacked stream: batch certification is BLAS-dependent; when it accepts,
-    # every request of the stream runs in the stacked pass.
-    stacked = results["distinct, stacked (mlp_head)"]
-    if stacked["certified"]:
-        assert stacked["batched"] == NUM_REQUESTS
-    # Every scenario, the uncertified fallback included, completes its stream.
+    # Every scenario completes its stream.
     for result in results.values():
         assert result["completed"] == NUM_REQUESTS

@@ -102,7 +102,6 @@ def main() -> None:
     print(f"  shards                : {stats.shards}")
     print(f"  completed             : {stats.requests_completed}")
     print(f"  cache hits            : {stats.cache_hits}")
-    print(f"  batched requests      : {stats.batched_requests}")
     print(f"  disputes opened       : {stats.disputes_opened}")
     print(f"  failovers             : {stats.failovers}")
     print(f"  re-dispatched         : {stats.redispatched_requests}")

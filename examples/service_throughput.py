@@ -1,4 +1,4 @@
-"""TAOService demo: a mixed request stream through the batched service layer.
+"""TAOService demo: a mixed request stream through the service layer.
 
 This drives the multi-request front end end to end on the MiniBERT workload:
 
@@ -7,8 +7,8 @@ This drives the multi-request front end end to end on the MiniBERT workload:
 2. submit a mixed stream: unique honest requests, repeated payloads (served
    from the content-addressed result cache), one cheating proposer and one
    spamming force-challenge;
-3. process the queue — batched execution where certified, multiplexed
-   dispute games over the shared coordinator, one finalization sweep;
+3. process the queue — one run per request, multiplexed dispute games
+   over the shared coordinator, one finalization sweep;
 4. print per-request outcomes and the service throughput statistics.
 
 Run with:  python examples/service_throughput.py
@@ -54,8 +54,6 @@ def main() -> None:
         flags = []
         if request.cache_hit:
             flags.append("cache-hit")
-        if request.batched:
-            flags.append("batched")
         if request.report.dispute is not None:
             flags.append(f"dispute->{request.report.dispute.localized_operator}")
         print(f"  #{request.request_id:<3} {request.status:<20} {' '.join(flags)}")
@@ -69,7 +67,6 @@ def main() -> None:
     print(f"\nService statistics:")
     print(f"  completed         : {stats.requests_completed}")
     print(f"  cache hits        : {stats.cache_hits}")
-    print(f"  batched requests  : {stats.batched_requests}")
     print(f"  disputes opened   : {stats.disputes_opened}")
     print(f"  throughput        : {stats.throughput_rps:.1f} requests/s")
     print(f"  p50 latency       : {stats.latency.p50 * 1e3:.2f} ms")

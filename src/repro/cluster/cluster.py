@@ -16,8 +16,8 @@ produces byte-identical per-request verdicts and an exactly equal ledger
 ``TAOService``, a 1-shard cluster, an N-shard cluster with failover
 injected, or the process fleet — the equivalence pinned by
 ``tests/test_sharded_equivalence.py``.  Tenants (not requests) are the
-routing unit, so per-model sessions, engine plans, batch certification and
-the result cache stay shard-local and hot, and a move carries the tenant
+routing unit, so per-model sessions, engine plans and the result cache
+stay shard-local and hot, and a move carries the tenant
 entry whole (session, roles, clone accounting): not a single ledger unit is
 minted or lost.  Protocol time is per shard, so one shard's finalization
 sweep never lapses a sibling's challenge windows.

@@ -16,10 +16,7 @@ and freezes it into an :class:`ExecutionPlan`:
 * the graph's output names, resolved once;
 * output liveness: for every step, the set of upstream values whose last
   consumer is that step, so non-recording executions can free intermediate
-  tensors as soon as they are dead;
-* an input-dependence set used by the batched execution path to tell which
-  node values vary per request (and therefore must be split along the batch
-  axis) versus which are pure functions of weights/constants.
+  tensors as soon as they are dead.
 
 Plans contain no tensors and are device independent; the same plan drives
 execution on every :class:`~repro.tensorlib.device.DeviceProfile`.
@@ -28,7 +25,7 @@ execution on every :class:`~repro.tensorlib.device.DeviceProfile`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.ops.registry import OpSpec, get_op
 
@@ -71,9 +68,6 @@ class PlanStep:
     #: Env entries whose last consumer is this step (excluding outputs);
     #: non-recording runs drop them right after the step executes.
     release: Tuple[str, ...] = ()
-    #: True when this node's value depends on at least one graph input, i.e.
-    #: varies per request.  Pure functions of weights/constants are False.
-    depends_on_input: bool = True
 
 
 @dataclass
@@ -84,14 +78,9 @@ class ExecutionPlan:
     steps: Tuple[PlanStep, ...]
     input_names: Tuple[str, ...]
     output_names: Tuple[str, ...]
-    #: Names of node values that depend on graph inputs (vary per request).
-    input_dependent: FrozenSet[str]
     #: Length of the graph this plan was compiled from; used to detect a
     #: mutated/retraced graph and recompile.
     num_nodes: int
-    #: Batched-execution certifications keyed by (device name, input
-    #: signature); populated lazily by the interpreter's empirical probe.
-    batch_certified: Dict[Tuple[str, Tuple], bool] = field(default_factory=dict)
 
     @property
     def num_operators(self) -> int:
@@ -141,22 +130,17 @@ def compile_plan(graph_module: GraphModule) -> ExecutionPlan:
             continue
         release_at.setdefault(index, []).append(name)
 
-    input_dependent: set = set()
     steps: List[PlanStep] = []
     for index, node in enumerate(compute_steps):
         kind = _KIND_BY_OP[node.op]
         spec: Optional[OpSpec] = None
         arg_specs: Tuple[Tuple[bool, Any], ...] = ()
-        if kind == KIND_INPUT:
-            input_dependent.add(node.name)
-        elif kind == KIND_OP:
+        if kind == KIND_OP:
             spec = get_op(node.target)
             arg_specs = tuple(
                 (True, arg.name) if isinstance(arg, Node) else (False, arg)
                 for arg in node.args
             )
-            if any(dep.name in input_dependent for dep in node.input_nodes):
-                input_dependent.add(node.name)
         steps.append(PlanStep(
             node=node,
             kind=kind,
@@ -166,7 +150,6 @@ def compile_plan(graph_module: GraphModule) -> ExecutionPlan:
             arg_specs=arg_specs,
             kwargs=node.kwargs,
             release=tuple(release_at.get(index, ())),
-            depends_on_input=node.name in input_dependent,
         ))
 
     return ExecutionPlan(
@@ -174,7 +157,6 @@ def compile_plan(graph_module: GraphModule) -> ExecutionPlan:
         steps=tuple(steps),
         input_names=tuple(graph_module.input_names),
         output_names=output_names,
-        input_dependent=frozenset(input_dependent),
         num_nodes=len(graph),
     )
 

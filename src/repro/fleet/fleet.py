@@ -319,7 +319,6 @@ class WorkerHandle:
         view.status = row["status"]
         view.error = row["error"]
         view.cache_hit = bool(row["cache_hit"])
-        view.batched = bool(row["batched"])
         view.completed_s = now()
         payload = row["report"]
         if payload is None:

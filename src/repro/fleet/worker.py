@@ -100,7 +100,6 @@ def _request_payload(request: ServiceRequest) -> Dict[str, Any]:
         "status": request.status,
         "error": request.error,
         "cache_hit": bool(request.cache_hit),
-        "batched": bool(request.batched),
         "report": _report_payload(request),
     }
 

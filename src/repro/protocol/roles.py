@@ -123,9 +123,8 @@ class Proposer:
                inputs: Mapping[str, np.ndarray], trace: ExecutionTrace) -> ProposedResult:
         """Commit to ``trace`` as this proposer's execution of ``inputs``.
 
-        The one builder of the Phase 1 commitment ``C0 = (H(x), H(y), meta)``:
-        a service that executed a batch through ``Interpreter.run_batch`` commits each
-        request's trace here, exactly as :meth:`execute` does.
+        The one builder of the Phase 1 commitment ``C0 = (H(x), H(y), meta)``;
+        :meth:`execute` is :meth:`trace` followed by this call.
         """
         commitment = make_execution_commitment(
             model_commitment, dict(inputs), list(trace.outputs),
@@ -312,16 +311,6 @@ class Challenger:
         """
         trace = self.interpreter.run(graph_module, result.inputs, record=True,
                                      count_flops=True)
-        return self.verify_with_trace(result, trace)
-
-    def verify_with_trace(self, result: ProposedResult, trace: ExecutionTrace,
-                          ) -> Tuple[bool, List[ExceedanceReport]]:
-        """Threshold-check ``result`` against an already computed re-execution.
-
-        Split out of :meth:`verify_result` so a service can batch the
-        re-execution of many queued requests through ``Interpreter.run_batch`` and feed the
-        per-request traces here; the checking semantics are shared.
-        """
         self.dispute_flops += trace.flops.total
         reports: List[ExceedanceReport] = []
         for name, proposed in zip(result.output_names, result.outputs):

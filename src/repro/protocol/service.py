@@ -1,4 +1,4 @@
-"""Batched multi-request verification service (the serving front end).
+"""Multi-request verification service (the serving front end).
 
 :class:`TAOSession` serves exactly one request per call; this module adds the
 layer the ROADMAP's production goal needs on top of it: a **multi-tenant
@@ -10,23 +10,18 @@ Request life cycle inside :meth:`TAOService.process`:
    tenants are models registered once via :meth:`TAOService.register_model`
    (per-model session reuse: calibration, commitments and role objects are
    built once, not per request).
-2. **Execute** — queued requests for the same model and the default honest
-   proposer are executed through
-   :meth:`~repro.graph.interpreter.Interpreter.run_batch` (up to
-   :data:`MAX_BATCH` at a time), which stacks them along the leading batch
-   axis when the graph is certified batchable; a request naming its own
-   proposer runs one at a time through that proposer's
-   :meth:`~repro.protocol.roles.Proposer.execute`.  Either way the
-   commitment comes from :meth:`~repro.protocol.roles.Proposer.commit` and
-   the request ends the stage with one :class:`CachedVerdict`.  A
+2. **Execute** — every request that misses the result cache runs alone:
+   one :meth:`~repro.protocol.roles.Proposer.execute` (the tenant's standing
+   proposer, or the one the request names) and one
+   :meth:`~repro.protocol.roles.Challenger.verify_result`, so its committed
+   trace depends on its own payload and never on the rest of the cycle.
+   The request ends the stage with one :class:`CachedVerdict`.  A
    **content-addressed result cache** keyed by the execution commitment's
-   input hash short-circuits repeated default-path requests: the proposer's
-   committed trace and the challenger's verdict for identical payloads are
-   reused.
-3. **Submit + verify** — every request becomes its own coordinator task
-   (fees, bonds and challenge windows per request) in one settle loop; the
-   default challenger's re-execution is batched the same way and
-   threshold-checked per request.
+   input hash short-circuits repeated standing-proposer requests: the
+   proposer's committed trace and the challenger's verdict for identical
+   payloads are reused.
+3. **Submit** — every request becomes its own coordinator task (fees, bonds
+   and challenge windows per request) in one settle loop.
 4. **Dispute** — flagged (or force-challenged) tasks open disputes while
    every challenge window is still live, then the active dispute games are
    **multiplexed**: advanced round-robin one partition/selection round at a
@@ -38,7 +33,7 @@ Request life cycle inside :meth:`TAOService.process`:
 
 A drain admits the queue in bounded cycles and runs each cycle through four
 stages strictly in sequence — *hash* (HashCache + Merkle input digests),
-*execute* (interpreter batch + challenger verification), *settle* (chain
+*execute* (proposer run + challenger verification), *settle* (chain
 append + challenge-window bookkeeping) and *dispute* (round-robin
 ``DisputeGame.step_round`` multiplexing) — timing each stage's thread CPU
 into :attr:`ServiceStats.stage_busy_s`.
@@ -84,9 +79,6 @@ from repro.utils.timing import now, thread_now
 TERMINAL_TASK_STATUSES = frozenset(
     {"finalized", "proposer_slashed", "challenger_slashed"})
 
-#: Most default-path requests one ``run_batch`` call stacks.
-MAX_BATCH = 32
-
 
 @dataclass
 class CachedVerdict:
@@ -121,7 +113,6 @@ class ServiceRequest:
     #: the coordinator; the rest of the batch is unaffected).
     error: Optional[str] = None
     cache_hit: bool = False
-    batched: bool = False
     submitted_s: float = 0.0
     completed_s: float = 0.0
 
@@ -165,6 +156,8 @@ class ServiceStats:
     requests_submitted: int = 0
     requests_completed: int = 0
     cache_hits: int = 0
+    #: Always 0: every request runs alone.  Kept in the payload because
+    #: external benchmark harnesses read it.
     batched_requests: int = 0
     disputes_opened: int = 0
     dispute_rounds: int = 0
@@ -346,7 +339,7 @@ class ServiceCore(abc.ABC):
 
 
 class TAOService(ServiceCore):
-    """Multi-tenant, batching front end over the TAO protocol stack."""
+    """Multi-tenant front end over the TAO protocol stack."""
 
     def __init__(
         self,
@@ -715,7 +708,7 @@ class TAOService(ServiceCore):
         return cycle
 
     def _stage_execute(self, cycle: _CycleState) -> _CycleState:
-        """Stage 2 — execute: result-cache lookups, batched runs, verdicts.
+        """Stage 2 — execute: result-cache lookups, one run per miss, verdicts.
 
         The only stage that touches the per-model result caches (lookups,
         inserts and LRU eviction), so cache state advances in exact cycle
@@ -746,34 +739,25 @@ class TAOService(ServiceCore):
                 pending[key] = []
                 misses.append(request)
 
-            for chunk_start in range(0, len(misses), MAX_BATCH):
-                chunk = misses[chunk_start:chunk_start + MAX_BATCH]
-                fresh = self._execute_default(entry, chunk)
-                for request, verdict in zip(chunk, fresh):
-                    key = cycle.input_hashes[request.request_id]
-                    if verdict is None:
-                        # Rejected; duplicates of the same payload fail alike.
-                        for waiter in pending[key]:
-                            self._reject(waiter, request.error)
-                        continue
-                    cycle.verdicts[request.request_id] = verdict
-                    self._cache_store(entry, key, verdict)
+            for request in misses:
+                key = cycle.input_hashes[request.request_id]
+                verdict = self._execute(entry, request, entry.proposer, entry.challenger)
+                if verdict is None:
+                    # Rejected; duplicates of the same payload fail alike.
                     for waiter in pending[key]:
-                        cycle.verdicts[waiter.request_id] = verdict
+                        self._reject(waiter, request.error)
+                    continue
+                cycle.verdicts[request.request_id] = verdict
+                self._cache_store(entry, key, verdict)
+                for waiter in pending[key]:
+                    cycle.verdicts[waiter.request_id] = verdict
 
         for request in cycle.custom_path:
             entry = self.model(request.model_name)
-            try:
-                result = request.proposer.execute(
-                    entry.session.graph_module,
-                    entry.session.model_commitment, request.inputs)
-            except Exception as exc:
-                self._reject(request, str(exc))
-                continue
-            looks_honest, reports = (request.challenger or entry.challenger) \
-                .verify_result(entry.session.graph_module, result)
-            cycle.verdicts[request.request_id] = CachedVerdict(
-                result=result, looks_honest=looks_honest, reports=reports)
+            verdict = self._execute(entry, request, request.proposer,
+                                    request.challenger or entry.challenger)
+            if verdict is not None:
+                cycle.verdicts[request.request_id] = verdict
         return cycle
 
     def _stage_settle(self, cycle: _CycleState) -> _CycleState:
@@ -895,61 +879,22 @@ class TAOService(ServiceCore):
         while len(entry.result_cache) > self.result_cache_size:
             entry.result_cache.popitem(last=False)
 
-    def _execute_default(self, entry: ModelEntry,
-                         requests: List[ServiceRequest]) -> List[Optional[CachedVerdict]]:
-        """Honest-proposer execution + challenger verification, batched.
+    def _execute(self, entry: ModelEntry, request: ServiceRequest,
+                 proposer: Proposer, challenger: Challenger) -> Optional[CachedVerdict]:
+        """One request's proposer run and commitment, then the challenger's check.
 
-        Returns one verdict per request; a request whose execution raises
-        (malformed payload) is rejected in place and yields ``None`` — the
-        rest of the chunk is unaffected.
+        A request whose execution raises (a malformed payload) is rejected in
+        place and yields ``None``; the rest of the cycle is unaffected.
         """
         graph_module = entry.session.graph_module
-        inputs_list = [request.inputs for request in requests]
-
-        pairs: Optional[List] = None
-        batched = False
-        if len(requests) > 1:
-            try:
-                proposer_traces = entry.proposer.interpreter.run_batch(
-                    graph_module, inputs_list, record=True, count_flops=True,
-                )
-                batched = entry.proposer.interpreter.last_batch_stacked
-                challenger_traces = entry.challenger.interpreter.run_batch(
-                    graph_module, inputs_list, record=True, count_flops=True,
-                )
-                pairs = list(zip(proposer_traces, challenger_traces))
-            except Exception:
-                pairs = None  # isolate the failure per request below
-                batched = False
-        if pairs is None:
-            pairs = []
-            for request, inputs in zip(requests, inputs_list):
-                try:
-                    pairs.append((
-                        entry.proposer.interpreter.run(graph_module, inputs,
-                                                       record=True, count_flops=True),
-                        entry.challenger.interpreter.run(graph_module, inputs,
-                                                         record=True, count_flops=True),
-                    ))
-                except Exception as exc:
-                    self._reject(request, str(exc))
-                    pairs.append(None)
-
-        verdicts: List[Optional[CachedVerdict]] = []
-        for request, pair in zip(requests, pairs):
-            if pair is None:
-                verdicts.append(None)
-                continue
-            trace, check = pair
-            request.batched = batched
-            if batched:
-                self.stats_record.batched_requests += 1
-            result = entry.proposer.commit(graph_module, entry.session.model_commitment,
-                                           request.inputs, trace)
-            looks_honest, reports = entry.challenger.verify_with_trace(result, check)
-            verdicts.append(CachedVerdict(result=result, looks_honest=looks_honest,
-                                          reports=reports))
-        return verdicts
+        try:
+            result = proposer.execute(graph_module, entry.session.model_commitment,
+                                      request.inputs)
+        except Exception as exc:
+            self._reject(request, str(exc))
+            return None
+        looks_honest, reports = challenger.verify_result(graph_module, result)
+        return CachedVerdict(result=result, looks_honest=looks_honest, reports=reports)
 
     def _challenger_clone(self, entry: ModelEntry) -> Challenger:
         """A fresh challenger for one dispute (isolated per-dispute accounting).

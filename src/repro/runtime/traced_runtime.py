@@ -10,7 +10,7 @@ commitment.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -70,17 +70,6 @@ class TracedRuntime:
         """Run the full graph on ``device`` over the cached execution plan."""
         return Interpreter(device).run(self.graph_module, dict(inputs), record=record,
                                        count_flops=count_flops, overrides=overrides)
-
-    def execute_batch(self, inputs_list: Sequence[Mapping[str, np.ndarray]],
-                      device: DeviceProfile, record: bool = False,
-                      count_flops: bool = False) -> List[ExecutionTrace]:
-        """Run many independent requests, vectorized where certified bit-exact.
-
-        Returns one trace per request (see
-        :meth:`~repro.graph.interpreter.Interpreter.run_batch`).
-        """
-        return Interpreter(device).run_batch(self.graph_module, inputs_list,
-                                             record=record, count_flops=count_flops)
 
     def execute_with_bounds(self, inputs: Mapping[str, np.ndarray],
                             device: DeviceProfile,

@@ -7,8 +7,9 @@ identical to the seed node-by-node loop, kept here as the oracle
 :func:`run_reference`: same outputs, same recorded trace, same FLOP
 accounting, and therefore identical execution-commitment hashes.  These
 tests pin that contract for every model in :mod:`repro.models.zoo` on two
-device profiles, and additionally pin the batched path (stacked execution
-must be certified bit-identical or fall back to sequential).
+device profiles, and pin that every request runs alone: what one
+interpreter ran before, in whatever order and at whatever shapes and
+dtypes, never changes a request's trace.
 """
 
 from __future__ import annotations
@@ -130,69 +131,37 @@ def test_engine_commitment_hashes_match(model_name):
         interface_hash(list(reference_trace.outputs))
 
 
-@pytest.mark.parametrize("model_name", available_models())
-def test_batched_execution_matches_sequential(model_name):
-    """run_batch returns per-request traces bit-identical to sequential runs.
-
-    Batch-polymorphic graphs take the certified stacked path; the rest
-    (e.g. transformers with traced-batch reshape attributes) must fall back
-    — either way the observable results are identical.
-    """
-    _, _, graph, requests = traced_model(model_name)
-    device = PARITY_DEVICES[1]
-    interpreter = Interpreter(device)
-
-    batched = interpreter.run_batch(graph, requests, record=True, count_flops=True)
-    sequential = [interpreter.run(graph, req, record=True, count_flops=True)
-                  for req in requests]
-    assert len(batched) == len(sequential)
-    for got, expected in zip(batched, sequential):
-        assert got.output_names == expected.output_names
-        assert set(got.values) == set(expected.values)
-        for node_name, reference in expected.values.items():
-            value = np.asarray(got.values[node_name])
-            reference = np.asarray(reference)
-            assert value.shape == reference.shape
-            assert value.dtype == reference.dtype
-            assert value.tobytes() == reference.tobytes(), (
-                f"{model_name}: batched value for {node_name!r} diverges"
-            )
-        # FLOPs are attributed proportionally in the stacked path; equal-size
-        # requests must therefore match the sequential accounting closely.
-        assert got.flops.total == pytest.approx(expected.flops.total, rel=1e-6)
-
-
 #: A third profile (deep split-K tree) never covered by PARITY_DEVICES.
 THIRD_DEVICE = DEVICE_FLEET[3]
 
 
-def assert_batch_matches_sequential(interpreter, graph, requests, model_name):
-    batched = interpreter.run_batch(graph, requests, record=True, count_flops=True)
-    sequential = [interpreter.run(graph, req, record=True, count_flops=True)
-                  for req in requests]
-    assert len(batched) == len(sequential)
-    for got, expected in zip(batched, sequential):
-        assert got.output_names == expected.output_names
-        assert set(got.values) == set(expected.values)
-        for node_name, reference in expected.values.items():
-            value = np.asarray(got.values[node_name])
-            reference = np.asarray(reference)
-            assert value.shape == reference.shape, f"{model_name}:{node_name}"
-            assert value.dtype == reference.dtype, f"{model_name}:{node_name}"
-            assert value.tobytes() == reference.tobytes(), (
-                f"{model_name}: batched value for {node_name!r} diverges"
-            )
-        assert got.flops.total == pytest.approx(expected.flops.total, rel=1e-6)
+def assert_runs_match_fresh(device, graph, requests, model_name: str) -> None:
+    """One interpreter serving ``requests`` in turn, forwards then backwards,
+    records for each the trace a fresh interpreter records for it alone."""
+    fresh = [Interpreter(device).run(graph, req, record=True, count_flops=True)
+             for req in requests]
+    shared = Interpreter(device)
+    order = list(range(len(requests)))
+    for index in order + order[::-1]:
+        got = shared.run(graph, requests[index], record=True, count_flops=True)
+        assert_traces_identical(got, fresh[index], f"{model_name}[{index}]",
+                                device.name)
+        assert got.flops.total == fresh[index].flops.total
 
 
 @pytest.mark.parametrize("model_name", available_models())
-def test_run_batch_ragged_dtype_signature_falls_back(model_name):
-    """A request with widened input dtypes makes the signature ragged.
+def test_shared_interpreter_runs_match_fresh_runs(model_name):
+    """A request's trace does not depend on what ran before it."""
+    _, _, graph, requests = traced_model(model_name)
+    assert_runs_match_fresh(PARITY_DEVICES[1], graph, requests, model_name)
 
-    Stacking is impossible (the trailing signatures disagree), so run_batch
-    must fall back to sequential execution — and the fallback must be
-    bit-identical to per-request run() calls, on a third device profile the
-    regular parity matrix never exercises.
+
+@pytest.mark.parametrize("model_name", available_models())
+def test_ragged_dtype_requests_run_alone_on_third_device(model_name):
+    """A request with widened input dtypes between two normal ones.
+
+    Neither the widened request nor its neighbours may see the other's
+    dtypes, on a third device profile the parity matrix never exercises.
     """
     spec, module, graph, _ = traced_model(model_name)
     normal = spec.sample_inputs(module, 1, seed=300)
@@ -202,49 +171,29 @@ def test_run_batch_ragged_dtype_signature_falls_back(model_name):
         for name, value in spec.sample_inputs(module, 1, seed=301).items()
     }
     requests = [normal, widened, spec.sample_inputs(module, 1, seed=302)]
-    interpreter = Interpreter(THIRD_DEVICE)
-    assert_batch_matches_sequential(interpreter, graph, requests, model_name)
-    assert not interpreter.last_batch_stacked, (
-        "ragged dtype signatures must not take the stacked path"
-    )
+    assert_runs_match_fresh(THIRD_DEVICE, graph, requests, model_name)
 
 
 @pytest.mark.parametrize("model_name", ["resnet_mini", "resnet_deep"])
-def test_run_batch_mixed_batch_sizes_parity_on_third_device(model_name):
-    """Unequal leading batch sizes: parity must hold whichever path runs.
-
-    (The conv kernels' reduction tiling is not batch-bit-stable, so these
-    graphs fail certification and take the fallback — the point is that the
-    observable results are identical either way.)
-    """
+def test_mixed_batch_sizes_parity_on_third_device(model_name):
+    """Unequal leading batch sizes on the conv graphs run alone, bit-exact."""
     spec, module, graph, _ = traced_model(model_name)
     requests = [spec.sample_inputs(module, b, seed=310 + b) for b in (1, 2, 3)]
-    interpreter = Interpreter(THIRD_DEVICE)
-    assert_batch_matches_sequential(interpreter, graph, requests, model_name)
+    assert_runs_match_fresh(THIRD_DEVICE, graph, requests, model_name)
 
 
-def test_run_batch_mixed_batch_sizes_stack_on_third_device(mlp_graph):
-    """A certified-stackable graph stacks ragged batch sizes bit-exactly.
-
-    The MLP is batch-polymorphic down to the reduction tiling, so unequal
-    leading sizes (4/2/6 rows) concatenate into one stacked pass whose
-    per-request slices — and proportionally attributed FLOPs — must match
-    sequential execution exactly, on the third device profile.
-    """
+def test_mlp_mixed_batch_sizes_parity_on_third_device(mlp_graph):
+    """Unequal leading sizes (4/2/6 rows) through the MLP, bit-exact."""
     rng = np.random.default_rng(17)
     requests = [
         {"x": rng.standard_normal((batch, 32)).astype(np.float32)}
         for batch in (4, 2, 6)
     ]
-    interpreter = Interpreter(THIRD_DEVICE)
-    assert_batch_matches_sequential(interpreter, mlp_graph, requests, "tiny_mlp")
-    assert interpreter.last_batch_stacked, (
-        "the batch-polymorphic MLP should certify and stack ragged batch sizes"
-    )
+    assert_runs_match_fresh(THIRD_DEVICE, mlp_graph, requests, "tiny_mlp")
 
 
-def test_run_batch_spatially_ragged_shapes_fall_back():
-    """Same dtype, different spatial trailing shape: fallback, bit-exact."""
+def test_spatially_ragged_shapes_parity_on_third_device():
+    """Same dtype, different spatial trailing shape: each runs alone."""
     spec, module, graph, _ = traced_model("resnet_mini")
     rng = np.random.default_rng(5)
     channels = module.config.in_channels
@@ -254,9 +203,7 @@ def test_run_batch_spatially_ragged_shapes_fall_back():
         {"images": rng.standard_normal((1, channels, side - 8, side - 8)
                                        ).astype(np.float32)},
     ]
-    interpreter = Interpreter(THIRD_DEVICE)
-    assert_batch_matches_sequential(interpreter, graph, requests, "resnet_mini")
-    assert not interpreter.last_batch_stacked
+    assert_runs_match_fresh(THIRD_DEVICE, graph, requests, "resnet_mini")
 
 
 def test_streaming_tensor_hash_matches_canonical_bytes():
