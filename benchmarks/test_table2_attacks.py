@@ -7,9 +7,10 @@ margin percentile, once per verification regime:
 * theoretical bounds, deterministic (x1) and probabilistic (x1, x0.5).
 
 Reported per regime: ASR and the mean margin progress of failed attacks, plus
-the honest-run false-positive rate of the full pipeline.  The paper finds 0%
-ASR and 0% false positives under empirical thresholds for every model, while
-worst-case theoretical bounds leave a small window on the LLM (up to 2.4%).
+the false-positive rate of honest requests served by ``TAOService``.  The
+paper finds 0% ASR and 0% false positives under empirical thresholds for
+every model, while worst-case theoretical bounds leave a small window on the
+LLM (up to 2.4%).
 
 This reproduction uses a reduced campaign (3 inputs x 5 buckets x 12 PGD
 steps per regime) so the whole table regenerates in a few minutes on a CPU.
@@ -22,7 +23,7 @@ from typing import Dict, List
 from repro.attacks.evaluation import false_positive_rate, run_attack_campaign
 from repro.attacks.pgd import AttackConfig
 from repro.bounds.fp_model import BoundMode
-from repro.protocol.lifecycle import TAOSession
+from repro.protocol.service import TAOService
 from repro.tensorlib.device import DEVICE_FLEET
 
 from benchmarks.reporting import emit_table
@@ -56,11 +57,11 @@ def _run_campaigns(bench_model) -> Dict[str, object]:
 
 
 def _false_positives(bench_model) -> float:
-    session = TAOSession(bench_model.graph, threshold_table=bench_model.thresholds,
-                         calibration_result=bench_model.calibration, n_way=4)
-    session.setup()
-    proposer = session.make_honest_proposer("honest-fp", DEVICE_FLEET[1])
-    return false_positive_rate(session, proposer, bench_model.dataset(3, seed=2025))
+    service = TAOService(n_way=4)
+    service.register_model(bench_model.graph, threshold_table=bench_model.thresholds,
+                           proposer_device=DEVICE_FLEET[1])
+    return false_positive_rate(service, bench_model.graph.name,
+                               bench_model.dataset(3, seed=2025))
 
 
 def test_table2_attacks(benchmark, bench_all):

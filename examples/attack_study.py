@@ -7,8 +7,8 @@ Reproduces the Sec. 4 methodology at example scale on the MiniBERT workload:
 * run the PGD/Adam attack projected onto (a) the empirical-threshold feasible
   set at several scale factors alpha and (b) the theoretical IEEE-754
   envelopes (deterministic and probabilistic);
-* report ASR and the margin progress of failed attacks, plus the honest-run
-  false positive rate through the full pipeline.
+* report ASR and the margin progress of failed attacks, plus the false
+  positive rate of honest requests served by ``TAOService``.
 
 Run with:  python examples/attack_study.py            (≈ a minute on a laptop)
 """
@@ -17,7 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import BoundMode, TAOSession, ThresholdTable, get_model_spec
+from repro import (
+    BoundMode,
+    TAOService,
+    ThresholdTable,
+    calibrate_committee_envelope,
+    get_model_spec,
+)
 from repro.attacks import AttackConfig, false_positive_rate, run_attack_campaign
 from repro.calibration import Calibrator
 
@@ -64,11 +70,13 @@ def main() -> None:
         )
         print_campaign(label, campaign)
 
-    # False positives: honest executions through the full pipeline.
-    session = TAOSession(graph, threshold_table=thresholds, calibration_result=calibration)
-    session.setup()
-    honest = session.make_honest_proposer("honest")
-    fp = false_positive_rate(session, honest, spec.dataset(module, 5, seed=303, batch_size=1))
+    # False positives: honest requests served through the full pipeline.
+    service = TAOService()
+    service.register_model(
+        graph, threshold_table=thresholds,
+        committee_envelope=calibrate_committee_envelope(graph, calibration_inputs))
+    fp = false_positive_rate(service, graph.name,
+                             spec.dataset(module, 5, seed=303, batch_size=1))
     print(f"\nHonest-run false positive rate through the full pipeline: {fp:.1%}")
 
 

@@ -27,6 +27,7 @@ from repro import (
     DEVICE_FLEET,
     TAOCluster,
     ThresholdTable,
+    calibrate_committee_envelope,
     get_model_spec,
     trace_module,
 )
@@ -41,16 +42,17 @@ def main() -> None:
                            name=f"bert_tenant_{i}")
               for i in range(6)]
     # One calibration serves every replica (identical node names/weights).
+    calibration_inputs = spec.dataset(module, 12, seed=7, batch_size=1)
     calibrator = Calibrator(CalibrationConfig(devices=DEVICE_FLEET))
-    calibration = calibrator.calibrate(
-        graphs[0], spec.dataset(module, 12, seed=7, batch_size=1))
+    calibration = calibrator.calibrate(graphs[0], calibration_inputs)
     thresholds = ThresholdTable.from_calibration(calibration, alpha=4.0)
+    envelope = calibrate_committee_envelope(graphs[0], calibration_inputs)
 
     cluster = TAOCluster(num_shards=4)
     sessions = {}
     for graph in graphs:
         sessions[graph.name] = cluster.register_model(
-            graph, threshold_table=thresholds)
+            graph, threshold_table=thresholds, committee_envelope=envelope)
     print("Tenant placement (consistent hash of commitment digest):")
     for graph in graphs:
         print(f"  {graph.name:<16} -> {cluster.location(graph.name)}")

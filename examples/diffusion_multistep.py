@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from repro import DEVICE_FLEET, TAOSession, get_model_spec
+from repro import DEVICE_FLEET, TAOService, calibrate_committee_envelope, get_model_spec
 from repro.merkle.commitments import hash_tensor
 from repro.models.diffusion import DiffusionSampler, sinusoidal_time_embedding
 
@@ -33,12 +33,11 @@ def main() -> None:
     print(f"Diffusion denoiser ({spec.paper_analogue} analogue): "
           f"{graph.num_operators} operators per step")
 
-    session = TAOSession(
-        graph,
-        calibration_inputs=spec.dataset(module, num_samples=8, seed=9, batch_size=1),
-        n_way=4,
-    )
-    session.setup()
+    calibration_inputs = spec.dataset(module, num_samples=8, seed=9, batch_size=1)
+    service = TAOService(n_way=4)
+    session = service.register_model(
+        graph, calibration_inputs=calibration_inputs,
+        committee_envelope=calibrate_committee_envelope(graph, calibration_inputs))
 
     # ------------------------------------------------------------------
     # The proposer samples with a committed per-step chain.
@@ -92,7 +91,9 @@ def main() -> None:
             np.full((1,), timesteps[tampered_step]), config.time_embed_dim
         ),
     }
-    report = session.run_request(step_inputs, cheater)
+    request_id = service.submit(graph.name, step_inputs, proposer=cheater)
+    service.process()
+    report = service.request(request_id).report
     print(f"In-step dispute: status={report.final_status}")
     if report.dispute is not None:
         print(f"  localized operator: {report.dispute.localized_operator} "

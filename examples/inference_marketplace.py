@@ -21,7 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import DEVICE_FLEET, EconomicParameters, TAOSession, analyze_incentives, get_model_spec
+from repro import (
+    DEVICE_FLEET,
+    EconomicParameters,
+    TAOService,
+    analyze_incentives,
+    calibrate_committee_envelope,
+    get_model_spec,
+)
 
 
 def quantize_to_grid(step: float):
@@ -39,22 +46,26 @@ def main() -> None:
     graph = spec.trace(module, batch_size=1)
     print(f"Open model: {spec.paper_analogue} analogue with {graph.num_operators} operators")
 
-    session = TAOSession(
-        graph,
-        calibration_inputs=spec.dataset(module, num_samples=8, seed=3, batch_size=1),
-        n_way=4,
-    )
-    session.setup()
+    calibration_inputs = spec.dataset(module, num_samples=8, seed=3, batch_size=1)
+    service = TAOService(n_way=4)
+    session = service.register_model(
+        graph, calibration_inputs=calibration_inputs,
+        committee_envelope=calibrate_committee_envelope(graph, calibration_inputs))
 
     # ------------------------------------------------------------------
     # Honest providers on heterogeneous accelerators.
     # ------------------------------------------------------------------
     print("\n-- honest marketplace round ------------------------------------")
-    for i, device in enumerate(DEVICE_FLEET):
-        provider = session.make_honest_proposer(f"provider-{device.name}", device)
-        request = spec.sample_inputs(module, 1, seed=500 + i)
-        report = session.run_request(request, provider)
-        print(f"  {device.name:12s} -> {report.final_status:10s} "
+    request_ids = {
+        device.name: service.submit(
+            graph.name, spec.sample_inputs(module, 1, seed=500 + i),
+            proposer=session.make_honest_proposer(f"provider-{device.name}", device))
+        for i, device in enumerate(DEVICE_FLEET)
+    }
+    service.process()
+    for device_name, request_id in request_ids.items():
+        report = service.request(request_id).report
+        print(f"  {device_name:12s} -> {report.final_status:10s} "
               f"(challenged={report.challenged})")
 
     # ------------------------------------------------------------------
@@ -67,7 +78,10 @@ def main() -> None:
         {name: quantize_to_grid(step=1e-2) for name in ffn_outputs},
         DEVICE_FLEET[0],
     )
-    report = session.run_request(spec.sample_inputs(module, 1, seed=999), downgrader)
+    request_id = service.submit(graph.name, spec.sample_inputs(module, 1, seed=999),
+                                proposer=downgrader)
+    service.process()
+    report = service.request(request_id).report
     print(f"  status      : {report.final_status}")
     if report.dispute is not None:
         stats = report.dispute.statistics

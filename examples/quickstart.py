@@ -1,9 +1,11 @@
 """Quickstart: commit a model, serve requests, catch a cheating proposer.
 
-This walks through all four protocol phases on the MiniBERT workload:
+This walks through all four protocol phases on the MiniBERT workload, every
+request served by ``TAOService``:
 
-1. Phase 0 — calibrate empirical error percentile thresholds across the
-   simulated device fleet and commit the model (weights, graph, thresholds).
+1. Phase 0 — calibrate empirical error percentile thresholds and the
+   committee-leaf envelope across the simulated device fleet and commit the
+   model (weights, graph, thresholds, envelope).
 2. Phase 1 — an honest proposer serves a request; the challenger re-executes,
    finds the result within tolerance, and the result finalizes after the
    challenge window.
@@ -18,7 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import DEVICE_FLEET, TAOSession, get_model_spec
+from repro import DEVICE_FLEET, TAOService, calibrate_committee_envelope, get_model_spec
+
+
+def serve(service, model_name, inputs, proposer):
+    """Submit one request for ``proposer`` and drain it; returns its report."""
+    request_id = service.submit(model_name, inputs, proposer=proposer)
+    service.process()
+    return service.request(request_id).report
 
 
 def main() -> None:
@@ -32,18 +41,22 @@ def main() -> None:
           f"{len(graph.parameters)} parameter tensors")
 
     calibration_inputs = spec.dataset(module, num_samples=10, seed=7)
-    session = TAOSession(graph, calibration_inputs=calibration_inputs, n_way=4)
-    commitment = session.setup()
+    service = TAOService(n_way=4)
+    session = service.register_model(
+        graph, calibration_inputs=calibration_inputs,
+        committee_envelope=calibrate_committee_envelope(graph, calibration_inputs))
+    commitment = session.model_commitment
     print(f"Committed model: r_w={commitment.weight_root.hex()[:16]}..., "
           f"r_g={commitment.graph_root.hex()[:16]}..., "
-          f"r_e={commitment.threshold_root.hex()[:16]}...")
+          f"r_e={commitment.threshold_root.hex()[:16]}..., "
+          f"r_c={commitment.committee_root.hex()[:16]}...")
 
     # ------------------------------------------------------------------
     # Phase 1: an honest request finalizes optimistically.
     # ------------------------------------------------------------------
     request = spec.sample_inputs(module, 2, seed=101)
     honest = session.make_honest_proposer("honest-gpu-provider", DEVICE_FLEET[1])
-    report = session.run_request(request, honest)
+    report = serve(service, graph.name, request, honest)
     print(f"\nHonest request:   status={report.final_status}, "
           f"challenged={report.challenged}, "
           f"forward={report.result.forward_flops / 1e6:.1f} MFLOPs")
@@ -58,7 +71,7 @@ def main() -> None:
     cheater = session.make_adversarial_proposer(
         "cheating-provider", {victim_operator: np.float32(0.05)}, DEVICE_FLEET[1]
     )
-    report = session.run_request(spec.sample_inputs(module, 2, seed=202), cheater)
+    report = serve(service, graph.name, spec.sample_inputs(module, 2, seed=202), cheater)
     outcome = report.dispute
     print(f"\nCheating request: status={report.final_status}, challenged={report.challenged}")
     if outcome is not None:

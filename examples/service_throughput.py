@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import TAOService, get_model_spec
+from repro import TAOService, calibrate_committee_envelope, get_model_spec
 
 
 def main() -> None:
@@ -27,8 +27,10 @@ def main() -> None:
     graph = spec.trace(module, batch_size=1)
 
     service = TAOService()
+    calibration_inputs = spec.dataset(module, 10, seed=7, batch_size=1)
     session = service.register_model(
-        graph, calibration_inputs=spec.dataset(module, 10, seed=7, batch_size=1)
+        graph, calibration_inputs=calibration_inputs,
+        committee_envelope=calibrate_committee_envelope(graph, calibration_inputs),
     )
     print(f"Registered {spec.paper_analogue} analogue with the service: "
           f"{graph.num_operators} operators committed once, roles standing by.")

@@ -19,8 +19,6 @@ The package provides the full TAO stack built from scratch on NumPy:
 * :mod:`repro.attacks` — bound-aware PGD attacks and their evaluation;
 * :mod:`repro.models` / :mod:`repro.workloads` — mini-scale analogues of the
   paper's four workloads and synthetic datasets;
-* :mod:`repro.runtime` — the deployable runtime facade, determinism-mode
-  measurement and standalone verification helpers;
 * :mod:`repro.sim` — the adversarial protocol simulator: seedable
   multi-actor fault injection with safety / liveness / conservation
   invariant checking and counterexample shrinking;
@@ -30,18 +28,21 @@ The package provides the full TAO stack built from scratch on NumPy:
   chain, shared with the process fleet's worker backend — bit-identical to
   a single service by construction.
 
-Quickstart::
+Quickstart (every request goes through :class:`TAOService`)::
 
-    from repro import TAOSession, get_model_spec
+    from repro import TAOService, calibrate_committee_envelope, get_model_spec
 
     spec = get_model_spec("bert_mini")
     module = spec.build_module()
     graph = spec.trace(module)
-    session = TAOSession(graph, calibration_inputs=spec.dataset(module, 10))
-    session.setup()
-    proposer = session.make_honest_proposer()
-    report = session.run_request(spec.sample_inputs(module, 2, seed=1), proposer)
-    assert report.final_status == "finalized"
+    calibration_set = spec.dataset(module, 10)
+    service = TAOService()
+    service.register_model(
+        graph, calibration_inputs=calibration_set,
+        committee_envelope=calibrate_committee_envelope(graph, calibration_set))
+    request_id = service.submit("bert_mini", spec.sample_inputs(module, 2, seed=1))
+    service.process()
+    assert service.request(request_id).status == "finalized"
 """
 
 from repro.bounds import BoundInterpreter, BoundMode
@@ -66,7 +67,6 @@ from repro.protocol import (
     TAOSession,
     analyze_incentives,
 )
-from repro.runtime import TracedRuntime, measure_determinism_overhead
 from repro.sim import Scenario, SimWorkload, run_scenario
 from repro.tensorlib import DEVICE_FLEET, REFERENCE_DEVICE, DeviceProfile
 
@@ -102,8 +102,6 @@ __all__ = [
     "TAOService",
     "TAOSession",
     "analyze_incentives",
-    "TracedRuntime",
-    "measure_determinism_overhead",
     "Scenario",
     "SimWorkload",
     "run_scenario",

@@ -9,8 +9,8 @@ Reproduces the paper's Table 2 / Fig. 5 measurement methodology:
   check and scale; success flips the prediction while staying admissible;
 * failed attacks report the mean margin change ``delta m_fail`` and the
   normalized change ``delta_fail``;
-* false positives are measured by running honest executions through the full
-  verification pipeline and counting spurious disputes.
+* false positives are measured by serving honest requests through
+  :class:`~repro.protocol.service.TAOService` and counting spurious disputes.
 """
 
 from __future__ import annotations
@@ -181,22 +181,27 @@ def run_attack_campaign(
 
 
 def false_positive_rate(
-    session,
-    proposer,
+    service,
+    model_name: str,
     dataset: Sequence[Mapping[str, np.ndarray]],
 ) -> float:
-    """Honest-run dispute rate over ``dataset`` through the full pipeline.
+    """Share of honest requests over ``dataset`` that the challenger disputes.
 
-    ``session`` is a :class:`~repro.protocol.lifecycle.TAOSession` whose model
-    is already set up; ``proposer`` is an honest proposer on any device.  The
+    ``service`` is a :class:`~repro.protocol.service.ServiceCore` front end
+    with ``model_name`` registered; every payload is submitted to the
+    tenant's standing honest proposer and the queue is drained.  The
     returned fraction is the Table 2 "False Positive (%)" column divided by
     100 — with calibrated thresholds it should be exactly 0.
     """
     if not dataset:
         return 0.0
-    disputes = 0
-    for inputs in dataset:
-        report = session.run_request(dict(inputs), proposer)
-        if report.challenged:
-            disputes += 1
-    return disputes / len(dataset)
+    request_ids = service.submit_many(model_name, dataset)
+    service.process()
+    challenged = 0
+    for request_id in request_ids:
+        request = service.request(request_id)
+        if request.report is None:
+            raise ValueError(f"honest request {request_id} was {request.status}: "
+                             f"{request.error}")
+        challenged += request.report.challenged
+    return challenged / len(request_ids)

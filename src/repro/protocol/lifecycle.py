@@ -1,28 +1,24 @@
-"""End-to-end protocol lifecycle (paper Sec. 2.2, Phases 0-3).
+"""Phase 0 of the protocol (paper Sec. 2.2): one committed model.
 
-:class:`TAOSession` is the highest-level entry point of the library: it wires
-together calibration, commitments, the coordinator, and the role objects, and
-exposes two operations that mirror the protocol's life of a request:
-
-* :meth:`TAOSession.setup` — Phase 0: calibrate empirical thresholds across
-  the device fleet, commit weights/graph/thresholds, register with the
-  coordinator;
-* :meth:`TAOSession.run_request` — Phases 1-3: the proposer executes and
-  commits, the challenger re-executes and (if the committed thresholds are
-  exceeded) opens a dispute that is localized and adjudicated.
-
-Examples and benchmarks drive the system exclusively through this class.
+:class:`TAOSession` is the record a tenant registration builds and
+:meth:`~repro.protocol.service.TAOService.register_model` returns: it
+calibrates empirical thresholds across the device fleet (unless a table is
+given), commits weights/graph/thresholds (and the committee envelope),
+registers the model with the coordinator, and builds the role objects and
+dispute games every request of that model uses.  Requests (Phases 1-3) are
+served by :class:`~repro.protocol.service.TAOService`, the one request path;
+:class:`SessionReport` is what happened to one of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.bounds.fp_model import BoundMode
-from repro.calibration.calibrator import CalibrationConfig, CalibrationResult, Calibrator
+from repro.calibration.calibrator import CalibrationConfig, Calibrator
 from repro.calibration.thresholds import ExceedanceReport, ThresholdTable
 from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
@@ -35,7 +31,6 @@ from repro.protocol.roles import (
     CommitteeMember,
     HonestProposer,
     ProposedResult,
-    Proposer,
     User,
 )
 from repro.tensorlib.device import DEVICE_FLEET, DeviceProfile
@@ -69,7 +64,6 @@ class TAOSession:
         graph_module: GraphModule,
         calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
         threshold_table: Optional[ThresholdTable] = None,
-        calibration_result: Optional[CalibrationResult] = None,
         devices: Sequence[DeviceProfile] = DEVICE_FLEET,
         coordinator: Optional[Coordinator] = None,
         alpha: float = 3.0,
@@ -104,7 +98,6 @@ class TAOSession:
         self.committee_envelope = committee_envelope
 
         self._calibration_inputs = list(calibration_inputs) if calibration_inputs is not None else None
-        self.calibration: Optional[CalibrationResult] = calibration_result
         self.thresholds: Optional[ThresholdTable] = threshold_table
         self.model_commitment: Optional[ModelCommitment] = None
         self.committee: List[CommitteeMember] = []
@@ -126,17 +119,13 @@ class TAOSession:
         instead of re-minting them.
         """
         if self.thresholds is None:
-            if self.calibration is None:
-                if self._calibration_inputs is None:
-                    raise ValueError(
-                        "setup requires calibration inputs, a calibration result, "
-                        "or a pre-built threshold table"
-                    )
-                calibrator = Calibrator(CalibrationConfig(devices=self.devices))
-                self.calibration = calibrator.calibrate(
-                    self.graph_module, self._calibration_inputs
+            if self._calibration_inputs is None:
+                raise ValueError(
+                    "setup requires calibration inputs or a pre-built threshold table"
                 )
-            self.thresholds = ThresholdTable.from_calibration(self.calibration, alpha=self.alpha)
+            calibrator = Calibrator(CalibrationConfig(devices=self.devices))
+            calibration = calibrator.calibrate(self.graph_module, self._calibration_inputs)
+            self.thresholds = ThresholdTable.from_calibration(calibration, alpha=self.alpha)
 
         self.model_commitment = commit_model(
             self.graph_module, self.thresholds,
@@ -168,7 +157,7 @@ class TAOSession:
 
     def require_setup(self) -> None:
         if not self._is_setup:
-            raise RuntimeError("TAOSession.setup() must be called before running requests")
+            raise RuntimeError("TAOSession.setup() must be called before serving requests")
 
     # ------------------------------------------------------------------
     # Role factories
@@ -206,9 +195,8 @@ class TAOSession:
     def make_dispute_game(self) -> DisputeGame:
         """A dispute game wired to this session's commitments and policies.
 
-        Used by :meth:`run_request` and by :class:`~repro.protocol.service.TAOService`,
-        which multiplexes several of these games round-robin over the shared
-        coordinator.
+        :class:`~repro.protocol.service.TAOService` opens one per dispute and
+        multiplexes them round-robin over the shared coordinator.
         """
         self.require_setup()
         return DisputeGame(
@@ -221,49 +209,4 @@ class TAOSession:
             bound_mode=self.bound_mode,
             leaf_path=self.leaf_path,
             committee_envelope=self.committee_envelope,
-        )
-
-    # ------------------------------------------------------------------
-    # Phases 1-3
-    # ------------------------------------------------------------------
-
-    def run_request(
-        self,
-        inputs: Mapping[str, np.ndarray],
-        proposer: Proposer,
-        challenger: Optional[Challenger] = None,
-        user: Optional[User] = None,
-        force_challenge: bool = False,
-    ) -> SessionReport:
-        """Serve one request end to end.
-
-        The challenger re-executes and opens a dispute only when its committed
-        thresholds flag the result (or when ``force_challenge`` is set, which
-        models a spamming / overly eager challenger).
-        """
-        self.require_setup()
-        user = user or self.make_user()
-        challenger = challenger or self.make_challenger()
-
-        result = proposer.execute(self.graph_module, self.model_commitment, inputs)
-        task = self.coordinator.submit_result(
-            self.graph_module.name, user.name, proposer.name, result.commitment,
-            fee=user.fee_per_request,
-        )
-
-        looks_honest, reports = challenger.verify_result(self.graph_module, result)
-        should_challenge = force_challenge or not looks_honest
-        if not should_challenge:
-            self.coordinator.chain.advance_time(self.coordinator.challenge_window_s + 1.0)
-            self.coordinator.try_finalize(task.task_id, caller=proposer.name)
-            return SessionReport(
-                task=task, result=result, challenged=False,
-                finalized_optimistically=True, verification_reports=reports,
-            )
-
-        outcome = self.make_dispute_game().run(task, proposer, challenger, result)
-        return SessionReport(
-            task=task, result=result, challenged=True,
-            finalized_optimistically=False, verification_reports=reports,
-            dispute=outcome,
         )

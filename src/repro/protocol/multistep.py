@@ -158,10 +158,10 @@ class MultiStepDispute:
     """Resolve a temporal commitment: prefix finality + in-step dispute.
 
     The in-step dispute reuses the ordinary operator-level machinery via a
-    caller-supplied ``dispute_step`` callback (typically wrapping
-    :class:`~repro.protocol.lifecycle.TAOSession.run_request` for the
-    offending step's inputs), keeping this class agnostic of coordinator
-    wiring.
+    caller-supplied ``dispute_step`` callback (typically submitting the
+    offending step's inputs to a
+    :class:`~repro.protocol.service.TAOService` and draining it), keeping
+    this class agnostic of coordinator wiring.
     """
 
     def __init__(

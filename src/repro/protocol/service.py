@@ -1,8 +1,9 @@
 """Multi-request verification service (the serving front end).
 
-:class:`TAOSession` serves exactly one request per call; this module adds the
-layer the ROADMAP's production goal needs on top of it: a **multi-tenant
-service** that keeps many requests in flight against one coordinator.
+The library's one request path: a **multi-tenant service** that keeps many
+requests in flight against one coordinator.  Every request, whoever proposes
+or challenges it, is served here over the Phase-0 record
+(:class:`~repro.protocol.lifecycle.TAOSession`) its model registered.
 
 Request life cycle inside :meth:`TAOService.process`:
 

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.attacks.evaluation import bucket_target_classes, run_attack_campaign
+from repro.attacks.evaluation import (
+    bucket_target_classes,
+    false_positive_rate,
+    run_attack_campaign,
+)
 from repro.attacks.pgd import AttackConfig, PGDAttack
 from repro.attacks.projections import empirical_quantile_violation
 from repro.bounds.coexec import BoundInterpreter
 from repro.bounds.fp_model import BoundMode
 from repro.graph.interpreter import Interpreter
+from repro.protocol.service import TAOService
 from repro.tensorlib.device import REFERENCE_DEVICE
 from repro.utils.rng import seeded_rng
 
@@ -123,3 +128,41 @@ def test_run_attack_campaign_aggregation(mlp_graph, mlp_thresholds, mlp_input_fa
     # Failed attacks under tight thresholds make almost no progress.
     if campaign.failed_normalized_changes:
         assert max(campaign.failed_normalized_changes) < 0.5
+
+
+@pytest.mark.parametrize("factor, expected", [(None, 0.0), (0.0, 1.0)],
+                         ids=["calibrated", "zero-thresholds"])
+def test_false_positive_rate_serves_honest_requests(mlp_graph, mlp_thresholds,
+                                                    mlp_input_factory, factor, expected):
+    """Calibrated thresholds never dispute honest work; zero thresholds always do."""
+    thresholds = mlp_thresholds if factor is None else mlp_thresholds.scaled(factor)
+    service = TAOService()
+    service.register_model(mlp_graph, threshold_table=thresholds)
+    dataset = [mlp_input_factory(5000 + i) for i in range(6)]
+    assert false_positive_rate(service, "tiny_mlp", dataset) == expected
+    stats = service.stats()
+    assert stats.requests_completed == 6 and stats.cache_hits == 0
+    assert stats.disputes_opened == 6 * expected
+
+
+def test_false_positive_rate_counts_only_its_dataset(mlp_graph, mlp_thresholds,
+                                                     mlp_input_factory):
+    """Earlier disputes on the same service do not leak into the rate."""
+    service = TAOService()
+    service.register_model(mlp_graph, threshold_table=mlp_thresholds)
+    service.submit("tiny_mlp", mlp_input_factory(4999), force_challenge=True)
+    service.process()
+    assert service.stats().disputes_opened == 1
+    dataset = [mlp_input_factory(5000 + i) for i in range(6)]
+    assert false_positive_rate(service, "tiny_mlp", dataset) == 0.0
+    assert false_positive_rate(service, "tiny_mlp", []) == 0.0
+    assert service.stats().disputes_opened == 1
+
+
+def test_false_positive_rate_refuses_a_rejected_request(mlp_graph, mlp_thresholds,
+                                                         mlp_input_factory):
+    """A payload that never reaches the chain is an error, not a non-dispute."""
+    service = TAOService()
+    service.register_model(mlp_graph, threshold_table=mlp_thresholds)
+    with pytest.raises(ValueError, match="rejected: missing graph inputs"):
+        false_positive_rate(service, "tiny_mlp", [mlp_input_factory(5000), {}])

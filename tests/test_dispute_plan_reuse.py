@@ -18,7 +18,7 @@ import repro.engine.plan as plan_module
 from repro.graph import trace_module
 from repro.graph.graph import GraphModule
 from repro.models import get_model_spec
-from repro.protocol.lifecycle import TAOSession
+from repro.protocol.service import TAOService
 from repro.tensorlib.device import DEVICE_FLEET
 
 from tests.conftest import TinyMLP, _mlp_inputs
@@ -62,10 +62,12 @@ def test_multi_round_dispute_compiles_one_plan_and_builds_no_graph(monkeypatch, 
     monkeypatch.setattr(plan_module, "compile_plan", counting_compile)
     monkeypatch.setattr(GraphModule, "__post_init__", counting_post_init)
 
-    session = TAOSession(graph, calibration_inputs=calibration, n_way=2)
-    session.setup()
+    service = TAOService(n_way=2)
+    session = service.register_model(graph, calibration_inputs=calibration)
     cheater = session.make_adversarial_proposer("cheater", perturbation, DEVICE_FLEET[0])
-    report = session.run_request(inputs, cheater)
+    request_id = service.submit(graph.name, inputs, proposer=cheater)
+    service.process()
+    report = service.request(request_id).report
 
     assert report.final_status == "proposer_slashed"
     assert report.dispute.localized_operator == victim

@@ -1,5 +1,7 @@
 """Execute every fenced python block in docs/*.md and README.md.
 
+The quickstart in the ``repro`` package docstring runs too.
+
 Documentation examples rot silently; this harness keeps them honest.  Every
 fenced code block tagged ``python`` is extracted and executed, top to bottom,
 with all blocks of one page sharing a namespace (pages are written as
@@ -14,9 +16,12 @@ Run standalone (the CI docs job does):
 from __future__ import annotations
 
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
+
+import repro
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DOC_PAGES = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
@@ -42,3 +47,11 @@ def test_docs_examples_execute(page):
     for index, block in enumerate(blocks):
         code = compile(block, f"{page.name}[block {index}]", "exec")
         exec(code, namespace)  # noqa: S102 - executing our own documentation
+
+
+def test_package_docstring_quickstart_executes():
+    _, _, quickstart = repro.__doc__.partition("Quickstart")
+    code = textwrap.dedent(quickstart.split("::\n", 1)[-1])
+    assert "service.process()" in code, "the package docstring has no quickstart"
+    exec(compile(code, "repro.__doc__[quickstart]", "exec"),  # noqa: S102
+         {"__name__": "docs_example_package"})

@@ -47,6 +47,22 @@ def test_weight_commitment_changes_with_any_parameter(mlp_graph):
     assert tree.root != tree2.root
 
 
+def test_weight_tamper_moves_only_the_weight_root(mlp_graph, mlp_thresholds,
+                                                 model_commitment):
+    tampered = dict(mlp_graph.parameters)
+    key = sorted(tampered)[0]
+    tampered[key] = np.asarray(tampered[key]) + 1e-4
+    from repro.graph.graph import GraphModule
+
+    tampered_graph = GraphModule(graph=mlp_graph.graph, parameters=tampered,
+                                 input_names=mlp_graph.input_names, name="tampered")
+    tampered_commitment = commit_model(tampered_graph, mlp_thresholds,
+                                       metadata={"alpha": 3.0})
+    assert tampered_commitment.weight_root != model_commitment.weight_root
+    assert tampered_commitment.graph_root == model_commitment.graph_root
+    assert tampered_commitment.threshold_root == model_commitment.threshold_root
+
+
 def test_graph_commitment_covers_all_nodes(mlp_graph):
     tree, index = commit_graph(mlp_graph)
     assert len(index) == len(mlp_graph.graph.nodes)

@@ -1,9 +1,14 @@
-"""Unit tests for the zk cost baseline and the end-to-end TAOSession lifecycle."""
+"""Unit tests for the zk cost baseline and the protocol lifecycle.
+
+Phase 0 is the :class:`TAOSession` record a registration builds; Phases 1-3
+are requests served over it by :class:`TAOService`.
+"""
 
 import numpy as np
 import pytest
 
 from repro.protocol.lifecycle import TAOSession
+from repro.protocol.service import TAOService
 from repro.protocol.zk_baseline import ZkProverModel, compare_with_tao, estimate_zk_cost
 from repro.tensorlib.device import DEVICE_FLEET
 
@@ -41,15 +46,25 @@ def test_custom_prover_model():
 
 
 # ---------------------------------------------------------------------------
-# TAOSession lifecycle
+# Protocol lifecycle: Phase 0 record, requests served by TAOService
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def session(mlp_graph, mlp_calibration, mlp_thresholds):
-    sess = TAOSession(mlp_graph, threshold_table=mlp_thresholds,
-                      calibration_result=mlp_calibration, n_way=3, committee_size=3)
-    sess.setup()
-    return sess
+def service(mlp_graph, mlp_thresholds):
+    service = TAOService(n_way=3, committee_size=3)
+    service.register_model(mlp_graph, threshold_table=mlp_thresholds)
+    return service
+
+
+@pytest.fixture(scope="module")
+def session(service):
+    return service.model("tiny_mlp").session
+
+
+def _serve(service, inputs, **request_options):
+    request_id = service.submit("tiny_mlp", inputs, **request_options)
+    service.process()
+    return service.request(request_id).report
 
 
 def test_setup_requires_some_calibration_source(mlp_graph):
@@ -57,26 +72,27 @@ def test_setup_requires_some_calibration_source(mlp_graph):
         TAOSession(mlp_graph).setup()
 
 
-def test_run_request_requires_setup(mlp_graph, mlp_inputs):
-    sess = TAOSession(mlp_graph, threshold_table=None, calibration_inputs=[mlp_inputs])
-    proposer_like = object()
+def test_role_factories_require_setup(mlp_graph, mlp_thresholds):
+    sess = TAOSession(mlp_graph, threshold_table=mlp_thresholds)
     with pytest.raises(RuntimeError):
-        sess.run_request(mlp_inputs, proposer_like)  # type: ignore[arg-type]
+        sess.make_challenger()
+    with pytest.raises(RuntimeError):
+        sess.make_dispute_game()
 
 
-def test_honest_request_finalizes(session, mlp_input_factory):
+def test_honest_request_finalizes(service, session, mlp_input_factory):
     proposer = session.make_honest_proposer("honest-1", DEVICE_FLEET[1])
-    report = session.run_request(mlp_input_factory(41), proposer)
+    report = _serve(service, mlp_input_factory(41), proposer=proposer)
     assert report.final_status == "finalized"
     assert report.finalized_optimistically
     assert not report.challenged
     assert not report.proposer_cheated
 
 
-def test_cheating_request_is_slashed(session, mlp_graph, mlp_input_factory):
+def test_cheating_request_is_slashed(service, session, mlp_input_factory):
     cheater = session.make_adversarial_proposer("cheater-1", {"relu": np.float32(0.03)},
                                                 DEVICE_FLEET[1])
-    report = session.run_request(mlp_input_factory(42), cheater)
+    report = _serve(service, mlp_input_factory(42), proposer=cheater)
     assert report.challenged
     assert report.final_status == "proposer_slashed"
     assert report.proposer_cheated
@@ -84,23 +100,27 @@ def test_cheating_request_is_slashed(session, mlp_graph, mlp_input_factory):
     assert report.dispute.statistics.gas_used > 0
 
 
-def test_forced_challenge_on_honest_result_slashes_challenger(session, mlp_input_factory):
+def test_forced_challenge_on_honest_result_slashes_challenger(service, session,
+                                                              mlp_input_factory):
     proposer = session.make_honest_proposer("honest-2", DEVICE_FLEET[0])
     challenger = session.make_challenger("eager-challenger", DEVICE_FLEET[2])
-    report = session.run_request(mlp_input_factory(43), proposer, challenger=challenger,
-                                 force_challenge=True)
+    before = service.coordinator.chain.balances["eager-challenger"]
+    report = _serve(service, mlp_input_factory(43), proposer=proposer,
+                    challenger=challenger, force_challenge=True)
     assert report.challenged
     assert report.final_status == "challenger_slashed"
     assert not report.proposer_cheated
+    # The named challenger fought the dispute and lost its bond.
+    assert service.coordinator.chain.balances["eager-challenger"] < before
 
 
-def test_session_reuses_committed_model_for_many_requests(session, mlp_input_factory):
+def test_session_reuses_committed_model_for_many_requests(service, session,
+                                                          mlp_input_factory):
     proposer = session.make_honest_proposer("honest-3", DEVICE_FLEET[3])
-    statuses = set()
-    for i in range(3):
-        report = session.run_request(mlp_input_factory(100 + i), proposer)
-        statuses.add(report.final_status)
-    assert statuses == {"finalized"}
+    request_ids = [service.submit("tiny_mlp", mlp_input_factory(100 + i),
+                                  proposer=proposer) for i in range(3)]
+    service.process()
+    assert {service.request(i).status for i in request_ids} == {"finalized"}
 
 
 def test_setup_with_calibration_inputs(mlp_graph, mlp_input_factory):

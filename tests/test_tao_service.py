@@ -1,10 +1,10 @@
 """TAOService: concurrent honest + adversarial requests over one coordinator.
 
 The service must (1) bring every submitted request to a terminal coordinator
-status, (2) reach the same dispute outcomes the single-request
-``TAOSession.run_request`` path reaches for the same inputs/perturbations,
-and (3) keep its performance machinery (batched execution, content-addressed
-result cache, multiplexed dispute games) observationally transparent.
+status, (2) reach the recorded dispute outcomes (localized operator, rounds,
+adjudication path, gas) a cheat reaches when it is served alone, and (3) keep
+its performance machinery (content-addressed result cache, multiplexed
+dispute games) observationally transparent.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from repro.graph import Module, Parameter, trace_module
 from repro.graph import functional as F
-from repro.protocol import TAOService, TAOSession
+from repro.protocol import TAOService
 from repro.protocol.coordinator import TaskStatus
 
 TERMINAL = {
@@ -98,38 +98,45 @@ def test_non_finite_tamper_is_slashed_at_the_tampered_operator(
     assert request.report.dispute.localized_operator == next(iter(perturbation))
 
 
-def test_dispute_outcomes_match_single_session(service, mlp_graph, mlp_thresholds,
-                                               mlp_input_factory):
-    """The multiplexed service path and the seed session path agree per request."""
+#: What a ``0.05`` cheat on ``tiny_mlp``'s first ``linear`` (payload seed 321)
+#: reaches when it is served alone on a fresh ``n_way=2`` deployment, recorded
+#: at commit 2848446.
+ALONE_OUTCOME = {
+    "final_status": "proposer_slashed",
+    "proposer_cheated": True,
+    "localized_operator": "linear",
+    "rounds": 3,
+    "adjudication_path": "theoretical_bound",
+    "gas_used": 759_624,
+}
+
+#: Dispute gas of a ``0.05`` cheat on each victim (payload seed ``700 + i``)
+#: served alone on a fresh ``n_way=2`` deployment, recorded at commit 2848446.
+ALONE_DISPUTE_GAS = {"layer_norm": 759_624, "gelu": 759_624, "relu": 759_624}
+
+
+def test_dispute_outcomes_match_the_recorded_alone_outcome(service, mlp_graph,
+                                                           mlp_input_factory):
+    """A cheat interleaved with honest traffic ends as it ends served alone."""
     victim = _victim_operator(mlp_graph)
-    inputs = mlp_input_factory(321)
-    perturbation = {victim: np.float32(0.05)}
-
-    # Seed path: one request through an isolated TAOSession.
-    reference_session = TAOSession(mlp_graph, threshold_table=mlp_thresholds, n_way=2)
-    reference_session.setup()
-    reference_proposer = reference_session.make_adversarial_proposer(
-        "ref-cheater", perturbation)
-    reference_report = reference_session.run_request(inputs, reference_proposer)
-
-    # Service path: the same cheat interleaved with honest traffic.
     session = service.model("tiny_mlp").session
     service.submit("tiny_mlp", mlp_input_factory(11))
     cheat_id = service.submit(
-        "tiny_mlp", inputs,
-        proposer=session.make_adversarial_proposer("svc-cheater", perturbation))
+        "tiny_mlp", mlp_input_factory(321),
+        proposer=session.make_adversarial_proposer(
+            "svc-cheater", {victim: np.float32(0.05)}))
     service.submit("tiny_mlp", mlp_input_factory(12))
     service.process()
 
-    service_report = service.request(cheat_id).report
-    assert service_report.final_status == reference_report.final_status
-    assert service_report.proposer_cheated == reference_report.proposer_cheated
-    assert service_report.dispute.localized_operator == \
-        reference_report.dispute.localized_operator
-    assert service_report.dispute.statistics.rounds == \
-        reference_report.dispute.statistics.rounds
-    assert service_report.dispute.adjudication.path == \
-        reference_report.dispute.adjudication.path
+    report = service.request(cheat_id).report
+    assert {
+        "final_status": report.final_status,
+        "proposer_cheated": report.proposer_cheated,
+        "localized_operator": report.dispute.localized_operator,
+        "rounds": report.dispute.statistics.rounds,
+        "adjudication_path": report.dispute.adjudication.path,
+        "gas_used": report.dispute.statistics.gas_used,
+    } == ALONE_OUTCOME
 
 
 def test_forced_challenge_on_honest_result_slashes_challenger(service,
@@ -200,6 +207,24 @@ def test_malformed_request_is_rejected_in_isolation(service, mlp_input_factory):
         assert request.error
 
 
+@pytest.mark.parametrize("named_proposer", [False, True], ids=["standing", "named"])
+def test_empty_payload_is_rejected_naming_the_missing_input(service, mlp_input_factory,
+                                                            named_proposer):
+    """An empty payload never reaches the chain, on either proposer path."""
+    proposer = None
+    if named_proposer:
+        proposer = service.model("tiny_mlp").session.make_honest_proposer("named")
+    empty = service.submit("tiny_mlp", {}, proposer=proposer)
+    good = service.submit("tiny_mlp", mlp_input_factory(410), proposer=proposer)
+    service.process()
+
+    request = service.request(empty)
+    assert request.status == "rejected"
+    assert request.report is None
+    assert request.error == "missing graph inputs: ['x']"
+    assert service.request(good).status == TaskStatus.FINALIZED.value
+
+
 def test_large_drain_exceeding_challenge_window_blocks(service, mlp_input_factory):
     """Draining more requests than fit one challenge window still terminates.
 
@@ -229,8 +254,9 @@ def test_interleaved_dispute_gas_accounting_is_exact(service, mlp_graph,
     """Per-dispute gas under 3+ multiplexed disputes matches isolated runs.
 
     Pins the ``dispute_id``-filtered accounting path: (1) each multiplexed
-    dispute's gas equals the gas of the identical dispute run alone in a
-    fresh session (same perturbation, same inputs, same action sequence);
+    dispute's gas equals the recorded gas of the identical dispute served
+    alone on a fresh deployment (same perturbation, same inputs, same action
+    sequence);
     (2) the per-dispute numbers partition the dispute-tagged portion of the
     shared chain exactly, with nothing double-counted or dropped.
     """
@@ -271,15 +297,8 @@ def test_interleaved_dispute_gas_accounting_is_exact(service, mlp_graph,
     assert sum(per_dispute.values()) == all_tagged
     assert len(per_dispute) >= 3
 
-    # Isolated reference runs reproduce the multiplexed numbers exactly.
-    for i, victim in enumerate(victims):
-        reference = TAOSession(mlp_graph, threshold_table=mlp_thresholds, n_way=2)
-        reference.setup()
-        proposer = reference.make_adversarial_proposer(
-            f"ref-cheater-{i}", {victim: np.float32(0.05)})
-        report = reference.run_request(mlp_input_factory(700 + i), proposer)
-        assert report.dispute is not None
-        assert report.dispute.statistics.gas_used == multiplexed_gas[victim], victim
+    # Each multiplexed dispute costs exactly what it costs served alone.
+    assert multiplexed_gas == ALONE_DISPUTE_GAS
 
 
 def test_multicycle_drain_accounts_busy_time_per_stage(mlp_graph, mlp_thresholds,
