@@ -3,12 +3,13 @@
 Offline, the model owner runs a representative input set on every device in
 the fleet, forms element-wise absolute/relative errors between each pair of
 devices for every operator, reduces each error tensor to a percentile-value
-vector over the grid ``P = {0, 1, 5, 10, ..., 90, 95, 99, 100}`` (all pairs of
-one input and operator in one sorted pass, :func:`percentile_profiles`), and
-takes a max-envelope across device pairs and inputs.  Multiplying the envelope by a
-safety factor ``alpha = 3`` yields the committed per-operator thresholds that
-(i) guide the dispute game's selection rule and (ii) back the committee vote
-at the leaf.
+vector over the grid ``P = {0, 1, 5, 10, ..., 90, 95, 99, 100}``, and takes a
+max-envelope across device pairs and inputs.  Per input and operator, both
+calibration passes stack the error rows of all device pairs: one stacked
+error call per direction, one sorted pass (:func:`percentile_profiles`).
+Multiplying the envelope by a safety factor ``alpha = 3`` yields the
+committed per-operator thresholds that (i) guide the dispute game's
+selection rule and (ii) back the committee vote at the leaf.
 
 :mod:`repro.calibration.stability` implements the Appendix-B diagnostics
 (SupNorm, Jackknife, TailAdj, RollSD) that validate the profiles are stable

@@ -1,9 +1,11 @@
 """Cross-device calibration procedure (paper Sec. 3.2).
 
 For every calibration input the traced model is executed on each device of
-the fleet with full trace recording; for every operator and every device
-pair, element-wise absolute/relative errors are reduced to percentile
-profiles in one sorted pass per (sample, operator) over all pairs
+the fleet with full trace recording.  Per (sample, operator), the device
+outputs are stacked once as float64 rows, the element-wise absolute/relative
+errors of every device pair come from one stacked call per direction
+(:func:`~repro.calibration.profiles.elementwise_errors`), and all pairs reduce
+to percentile profiles in one sorted pass
 (:func:`~repro.calibration.profiles.max_over_pairs`); the per-operator
 envelope over pairs and inputs becomes the raw material for threshold
 construction.
@@ -22,6 +24,7 @@ from repro.calibration.profiles import (
     PercentileProfile,
     elementwise_errors,
     max_over_pairs,
+    stack_rows,
 )
 from repro.graph.graph import GraphModule
 from repro.graph.interpreter import Interpreter
@@ -133,6 +136,10 @@ class Calibrator:
 
         interpreters = [Interpreter(device) for device in config.devices]
         num_samples = 0
+        # Row p of a pair stack is pair (first[p], second[p]), j < k, in
+        # (j, k) order.
+        first, second = np.triu_indices(len(interpreters), 1)
+        n_pairs = len(first)
 
         for sample in dataset:
             num_samples += 1
@@ -140,33 +147,31 @@ class Calibrator:
                 interp.run(graph_module, sample, record=True) for interp in interpreters
             ]
             for name in positions:
-                abs_rows: List[np.ndarray] = []
-                rel_rows: List[np.ndarray] = []
-                for j in range(len(traces)):
-                    for k in range(j + 1, len(traces)):
-                        y_j = traces[j].values[name]
-                        y_k = traces[k].values[name]
-                        if config.skip_integer_outputs and np.asarray(y_j).dtype.kind in ("i", "u", "b"):
-                            continue
-                        abs_err, rel_err = elementwise_errors(
-                            y_j, y_k, config.relative_epsilon
-                        )
-                        # Relative error is asymmetric in its denominator
-                        # (Eq. 2 normalizes by the first device's output);
-                        # take both directions so the committed thresholds
-                        # cover whichever side a future checker normalizes by.
-                        _, rel_err_rev = elementwise_errors(
-                            y_k, y_j, config.relative_epsilon
-                        )
-                        abs_rows.append(abs_err)
-                        rel_rows.append(np.maximum(rel_err, rel_err_rev))
-                        err_sums[name] += float(abs_err.mean())
-                        rel_sums[name] += float(rel_err.mean())
-                        err_max[name] = max(err_max[name], float(abs_err.max()))
-                        err_counts[name] += 1
-                if not abs_rows:
+                outputs = [trace.values[name] for trace in traces]
+                if config.skip_integer_outputs and np.asarray(outputs[0]).dtype.kind in "iub":
                     continue
-                sample_profile = max_over_pairs(abs_rows, rel_rows, config.percentile_grid)
+                rows = stack_rows(outputs)
+                y_j, y_k = rows[first], rows[second]
+                abs_err, rel_err = elementwise_errors(y_j, y_k, config.relative_epsilon)
+                for mean_abs, mean_rel, max_abs in zip(
+                    abs_err.mean(axis=1).tolist(),
+                    rel_err.mean(axis=1).tolist(),
+                    abs_err.max(axis=1).tolist(),
+                ):
+                    err_sums[name] += mean_abs
+                    rel_sums[name] += mean_rel
+                    err_max[name] = max(err_max[name], max_abs)
+                err_counts[name] += n_pairs
+                # Relative error is asymmetric in its denominator (Eq. 2
+                # normalizes by the first device's output); take both
+                # directions so the committed thresholds cover whichever
+                # side a future checker normalizes by.
+                np.maximum(rel_err, elementwise_errors(
+                    y_k, y_j, config.relative_epsilon)[1], out=rel_err)
+                # Drop the input stacks before the sort copies its rows: a smaller
+                # peak keeps fresh pages (and their faults) off the hot loop.
+                del rows, y_j, y_k
+                sample_profile = max_over_pairs(abs_err, rel_err, config.percentile_grid)
                 per_sample[name].append(sample_profile)
                 current = envelopes[name]
                 envelopes[name] = (
@@ -176,7 +181,6 @@ class Calibrator:
         result = CalibrationResult(
             model_name=graph_module.name, config=config, num_samples=num_samples
         )
-        n_pairs = len(config.devices) * (len(config.devices) - 1) // 2
         for name, envelope in envelopes.items():
             if envelope is None:
                 continue

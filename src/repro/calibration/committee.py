@@ -17,9 +17,12 @@ envelope: for every operator, every calibration input, and every ordered
 device pair *(proposer device j, committee device k)*, the proposer's traced
 output is compared against a single-operator re-execution on the member's
 device from the proposer's own operand values — exactly the comparison a
-:class:`~repro.protocol.roles.CommitteeMember` performs at the leaf.  The
-element-wise errors of all pairs reduce to percentile profiles in one sorted
-pass per (sample, operator)
+:class:`~repro.protocol.roles.CommitteeMember` performs at the leaf.  Each
+re-execution is its own single-operator run (a stacked run would change the
+batch shape, and with it the BLAS bits); per (sample, operator) the proposer
+rows and the re-executed references are then stacked, the scale-floored
+errors of all pairs come from one :func:`leaf_error_rows` call per direction
+(a per-row peak), and they reduce to percentile profiles in one sorted pass
 (:func:`~repro.calibration.profiles.max_over_pairs`), the per-sample max over
 pairs forms the stability series analysed with the Appendix-B diagnostics
 (:mod:`~repro.calibration.stability`), and the across-sample aggregation at
@@ -49,7 +52,8 @@ from repro.calibration.profiles import (
     PercentileProfile,
     max_over_pairs,
     non_finite_errors,
-    percentile_profile,
+    percentile_profiles,
+    stack_rows,
 )
 from repro.calibration.stability import DEFAULT_WINDOW, sup_norm_drift
 from repro.calibration.thresholds import ThresholdTable
@@ -74,33 +78,55 @@ DEFAULT_COMMITTEE_SAFETY_FACTOR = 3.0
 DEFAULT_REL_SCALE_FLOOR = 1e-3
 
 
-def leaf_elementwise_errors(
+def leaf_error_rows(
     proposed: np.ndarray,
     reference: np.ndarray,
     rel_scale_floor: float = DEFAULT_REL_SCALE_FLOOR,
     epsilon: float = 1e-12,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Element-wise absolute and scale-floored relative leaf errors.
+    """Element-wise absolute and scale-floored relative leaf errors, row-wise.
 
-    The denominator of the relative error is ``max(|proposed|,
-    rel_scale_floor * max|proposed|)`` — near-zero elements are measured
-    against the tensor's own magnitude scale instead of their vanishing
-    selves; the scale is the largest *finite* claimed magnitude, and
-    non-finite elements follow
+    ``proposed`` and ``reference`` are ``(P, n)`` stacks of P comparisons.
+    The denominator of row ``i``'s relative error is ``max(|proposed[i]|,
+    rel_scale_floor * peak_i)`` — near-zero elements are measured against
+    the row's own magnitude scale instead of their vanishing selves; the
+    scale ``peak_i`` is the largest *finite* magnitude of ``proposed[i]``
+    (0 if it has none), and non-finite elements follow
     :func:`~repro.calibration.profiles.non_finite_errors`.  Calibration and
     the committee check share this one statistic.
     """
     a64 = np.asarray(proposed, dtype=np.float64)
     b64 = np.asarray(reference, dtype=np.float64)
     magnitude = np.abs(a64)
-    peak = float(np.max(magnitude)) if a64.size else 0.0
-    if not np.isfinite(peak):
-        finite = magnitude[np.isfinite(magnitude)]
-        peak = float(np.max(finite)) if finite.size else 0.0
+    # Magnitudes are >= 0, so an initial 0 changes no peak but an empty row's.
+    peak = magnitude.max(axis=1, initial=0.0)
+    unbounded = ~np.isfinite(peak)
+    if unbounded.any():
+        rows = magnitude[unbounded]
+        peak[unbounded] = np.where(np.isfinite(rows), rows, 0.0).max(axis=1)
+    scale = np.maximum(rel_scale_floor * peak, epsilon)[:, None]
     with np.errstate(invalid="ignore"):
-        abs_err = np.abs(a64 - b64)
-        rel_err = abs_err / np.maximum(magnitude, max(rel_scale_floor * peak, epsilon))
+        # In place on fresh arrays: large stacks pay for every allocation.
+        abs_err = a64 - b64
+        np.abs(abs_err, out=abs_err)
+        rel_err = np.divide(abs_err, np.maximum(magnitude, scale, out=magnitude),
+                            out=magnitude)
     return non_finite_errors(a64, b64, abs_err, rel_err)
+
+
+def leaf_elementwise_errors(
+    proposed: np.ndarray,
+    reference: np.ndarray,
+    rel_scale_floor: float = DEFAULT_REL_SCALE_FLOOR,
+    epsilon: float = 1e-12,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`leaf_error_rows` of one tensor pair, shaped like ``proposed``."""
+    shape = np.shape(proposed)
+    abs_err, rel_err = leaf_error_rows(
+        np.reshape(proposed, (1, -1)), np.reshape(reference, (1, -1)),
+        rel_scale_floor, epsilon,
+    )
+    return abs_err.reshape(shape), rel_err.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -167,8 +193,7 @@ class CommitteeEnvelopeProfile(ThresholdTable):
         abs_err, rel_err = leaf_elementwise_errors(
             proposed, reference, self.rel_scale_floor, epsilon
         )
-        observed_abs = percentile_profile(abs_err, self.grid)
-        observed_rel = percentile_profile(rel_err, self.grid)
+        observed_abs, observed_rel = percentile_profiles([abs_err, rel_err], self.grid)
         return self._ratio_report(node_name, observed_abs, observed_rel)
 
     def scaled(self, factor: float) -> "CommitteeEnvelopeProfile":
@@ -345,6 +370,12 @@ def calibrate_committee_envelope(
     op_types = {node.name: node.target for node in operators}
     num_samples = 0
 
+    # Row p of a pair stack is ordered pair p, (proposer j, member k != j)
+    # in j-major order; proposers[p] is its j.
+    proposers = [j for j in range(len(interpreters))
+                 for k in range(len(interpreters)) if k != j]
+    n_pairs = len(proposers)
+
     for sample in dataset:
         num_samples += 1
         traces = [
@@ -352,38 +383,36 @@ def calibrate_committee_envelope(
             for interp in interpreters
         ]
         for node in operators:
-            abs_rows: List[np.ndarray] = []
-            rel_rows: List[np.ndarray] = []
+            outputs = [trace.values[node.name] for trace in traces]
+            if config.skip_integer_outputs and np.asarray(outputs[0]).dtype.kind in "iub":
+                continue
+            # One single-operator run per ordered pair: a stacked run would
+            # change the batch shape, and with it the BLAS bits.
+            references = []
             for j, trace in enumerate(traces):
-                proposed = np.asarray(trace.values[node.name])
-                if config.skip_integer_outputs and proposed.dtype.kind in "iub":
-                    continue
                 operands = leaf_operands(graph_module, node, trace.values)
-                for k, member in enumerate(interpreters):
-                    if k == j:
-                        continue
-                    reference = member.run_single_operator(
-                        graph_module, node.name, operands
-                    )
-                    abs_err, rel_err = leaf_elementwise_errors(
-                        proposed, reference, config.rel_scale_floor,
-                        config.relative_epsilon,
-                    )
-                    # Cover both normalization directions, as the threshold
-                    # calibrator does: the leaf check normalizes by the
-                    # proposer's claim, but the committed envelope must hold
-                    # whichever side a checker divides by.
-                    _, rel_err_rev = leaf_elementwise_errors(
-                        reference, proposed, config.rel_scale_floor,
-                        config.relative_epsilon,
-                    )
-                    abs_rows.append(abs_err)
-                    rel_rows.append(np.maximum(rel_err, rel_err_rev))
-            if abs_rows:
-                per_sample[node.name].append(
-                    max_over_pairs(abs_rows, rel_rows, config.percentile_grid))
+                references.extend(
+                    member.run_single_operator(graph_module, node.name, operands)
+                    for k, member in enumerate(interpreters) if k != j
+                )
+            proposed = stack_rows(outputs)[proposers]
+            reference = stack_rows(references)
+            abs_err, rel_err = leaf_error_rows(
+                proposed, reference, config.rel_scale_floor, config.relative_epsilon
+            )
+            # Cover both normalization directions, as the threshold
+            # calibrator does: the leaf check normalizes by the proposer's
+            # claim, but the committed envelope must hold whichever side a
+            # checker divides by.
+            np.maximum(rel_err, leaf_error_rows(
+                reference, proposed, config.rel_scale_floor, config.relative_epsilon
+            )[1], out=rel_err)
+            # Drop the input stacks before the sort copies its rows: a smaller
+            # peak keeps fresh pages (and their faults) off the hot loop.
+            del proposed, reference
+            per_sample[node.name].append(
+                max_over_pairs(abs_err, rel_err, config.percentile_grid))
 
-    n_devices = len(config.devices)
     profile = CommitteeEnvelopeProfile(
         model_name=graph_module.name,
         alpha=float(config.safety_factor),
@@ -391,7 +420,7 @@ def calibrate_committee_envelope(
         envelope_percentile=float(config.envelope_percentile),
         rel_scale_floor=float(config.rel_scale_floor),
         num_samples=num_samples,
-        num_pairs=n_devices * (n_devices - 1),
+        num_pairs=n_pairs,
     )
     for node in operators:
         profiles = per_sample[node.name]

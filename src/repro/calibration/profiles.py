@@ -7,13 +7,16 @@ profiles of one operator together with their max-envelope (Eqs. 5-6) and the
 summary statistics used by the attack-headroom and heatmap experiments.
 
 :func:`percentile_profiles` is the one routine that turns error tensors into
-percentile vectors: both calibration passes hand it every device pair of one
-(sample, operator) at once, and the Eq. 15 checks use its one-row case.
+percentile vectors: both calibration passes hand it the stacked error rows of
+every device pair of one (sample, operator) at once, and each Eq. 15 check
+hands it its abs and rel tensors together.  :func:`elementwise_errors` is
+element-wise, so one call covers the stacked rows of all pairs.
 :func:`non_finite_errors` is the element-wise rule for NaN and inf.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,25 +31,14 @@ PERCENTILE_GRID: Tuple[float, ...] = tuple(
 RELATIVE_ERROR_EPSILON = 1e-12
 
 
-def percentile_profiles(rows: Sequence[np.ndarray],
-                        grid: Sequence[float] = PERCENTILE_GRID) -> np.ndarray:
-    """Percentile-value vectors of equally sized error rows, one sorted pass.
+@functools.lru_cache(maxsize=1024)
+def _linear_rule(n: int, grid: Tuple[float, ...]) -> Tuple[np.ndarray, ...]:
+    """NumPy's linear-rule neighbours and weights for ``n`` sorted values.
 
-    Returns a ``(len(rows), len(grid))`` array whose row ``i`` is
-    ``np.percentile(rows[i], grid)`` bit for bit: the rows are stacked as
-    float64 and sorted together, the floor/ceil order statistics are
-    gathered at NumPy's linear virtual indices ``(n - 1) * grid / 100``, and
-    interpolated with NumPy's ``_lerp`` rule.  A row holding a NaN yields an
-    all-NaN vector, as ``np.percentile`` does; empty rows yield zeros.
+    Returns read-only ``(lower, upper, t, 1 - t, t >= 0.5)`` over the grid,
+    computed as ``np.percentile`` does; cached, since the calibration passes
+    ask for the same few row lengths thousands of times.
     """
-    if not len(rows):
-        return np.zeros((0, len(grid)), dtype=np.float64)
-    # np.stack copies, so the in-place sort never touches the caller's rows.
-    stacked = np.stack([np.asarray(row, dtype=np.float64).ravel() for row in rows])
-    n = stacked.shape[1]
-    if n == 0:
-        return np.zeros((len(rows), len(grid)), dtype=np.float64)
-    stacked.sort(axis=1)
     virtual = (n - 1) * np.true_divide(np.asarray(grid, dtype=np.float64), 100)
     lower = np.floor(virtual)
     upper = lower + 1
@@ -56,11 +48,47 @@ def percentile_profiles(rows: Sequence[np.ndarray],
     upper[last] = -1
     lower = lower.astype(np.intp)
     t = virtual - lower
+    rule = (lower, upper.astype(np.intp), t, 1 - t, t >= 0.5)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
+def stack_rows(tensors: Sequence[np.ndarray]) -> np.ndarray:
+    """Equally shaped tensors as the flattened float64 rows of a fresh 2-D array."""
+    return np.array(tensors, dtype=np.float64).reshape(len(tensors), -1)
+
+
+def percentile_profiles(rows: Sequence[np.ndarray],
+                        grid: Sequence[float] = PERCENTILE_GRID) -> np.ndarray:
+    """Percentile-value vectors of equally sized error rows, one sorted pass.
+
+    ``rows`` is either a 2-D array whose rows are used as they are, or a
+    sequence of equally shaped tensors, each flattened into one row.
+    Returns a ``(len(rows), len(grid))`` array whose row ``i`` is
+    ``np.percentile(rows[i], grid)`` bit for bit: the rows are stacked as
+    float64 and sorted together, the floor/ceil order statistics are
+    gathered at NumPy's linear virtual indices ``(n - 1) * grid / 100``, and
+    interpolated with NumPy's ``_lerp`` rule.  A row holding a NaN yields an
+    all-NaN vector, as ``np.percentile`` does; empty rows yield zeros.
+    """
+    if not len(rows):
+        return np.zeros((0, len(grid)), dtype=np.float64)
+    # Both branches copy, so the in-place sort never touches the caller's rows.
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        stacked = rows.astype(np.float64)
+    else:
+        stacked = stack_rows(rows)
+    n = stacked.shape[1]
+    if n == 0:
+        return np.zeros((len(rows), len(grid)), dtype=np.float64)
+    stacked.sort(axis=1)
+    lower, upper, t, one_minus_t, upper_side = _linear_rule(n, tuple(grid))
     a = stacked[:, lower]
-    b = stacked[:, upper.astype(np.intp)]
+    b = stacked[:, upper]
     with np.errstate(invalid="ignore"):
         diff = b - a
-        values = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+        values = np.where(upper_side, b - diff * one_minus_t, a + diff * t)
     has_nan = np.isnan(stacked[:, -1])
     if has_nan.any():
         values[has_nan] = stacked[has_nan, -1:]
@@ -96,13 +124,20 @@ def elementwise_errors(a: np.ndarray, b: np.ndarray,
                        ) -> Tuple[np.ndarray, np.ndarray]:
     """Element-wise absolute and relative errors between two tensors (Eqs. 1-2).
 
+    Purely element-wise, so stacked ``(P, n)`` rows of P device pairs go
+    through one call and each row equals that pair's own call bit for bit.
     Non-finite elements follow :func:`non_finite_errors`.
     """
     a64 = np.asarray(a, dtype=np.float64)
     b64 = np.asarray(b, dtype=np.float64)
     with np.errstate(invalid="ignore"):
-        abs_err = np.abs(a64 - b64)
-        rel_err = abs_err / (np.abs(a64) + epsilon)
+        # In place on fresh arrays (0-d ones too): large stacks pay for
+        # every allocation, and the bits are those of the plain expressions.
+        abs_err = np.asarray(a64 - b64)
+        np.abs(abs_err, out=abs_err)
+        rel_err = np.asarray(np.abs(a64))
+        rel_err += epsilon
+        np.divide(abs_err, rel_err, out=rel_err)
     return non_finite_errors(a64, b64, abs_err, rel_err)
 
 
@@ -160,14 +195,14 @@ class PercentileProfile:
                    np.asarray(payload["rel"]))
 
 
-def max_over_pairs(abs_rows: List[np.ndarray], rel_rows: List[np.ndarray],
+def max_over_pairs(abs_rows: np.ndarray, rel_rows: np.ndarray,
                    grid: Sequence[float] = PERCENTILE_GRID) -> PercentileProfile:
     """One sample's profile: the pointwise max over device pairs (Eqs. 5-6).
 
-    ``abs_rows[i]`` and ``rel_rows[i]`` are pair ``i``'s error tensors; all
-    of them go through one :func:`percentile_profiles` call.
+    ``abs_rows[i]`` and ``rel_rows[i]`` are pair ``i``'s error rows; all of
+    them go through one :func:`percentile_profiles` call.
     """
-    values = percentile_profiles(abs_rows + rel_rows, grid)
+    values = percentile_profiles(np.concatenate((abs_rows, rel_rows)), grid)
     pairs = len(abs_rows)
     return PercentileProfile(tuple(grid), values[:pairs].max(axis=0),
                              values[pairs:].max(axis=0))

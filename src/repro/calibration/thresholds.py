@@ -25,7 +25,7 @@ from repro.calibration.profiles import (
     PERCENTILE_GRID,
     PercentileProfile,
     elementwise_errors,
-    percentile_profile,
+    percentile_profiles,
 )
 from repro.utils.serialization import canonical_bytes
 
@@ -139,8 +139,7 @@ class ThresholdTable:
         if not self.has_operator(node_name):
             raise KeyError(f"no thresholds calibrated for operator {node_name!r}")
         abs_err, rel_err = elementwise_errors(proposed, reference, epsilon)
-        observed_abs = percentile_profile(abs_err, self.grid)
-        observed_rel = percentile_profile(rel_err, self.grid)
+        observed_abs, observed_rel = percentile_profiles([abs_err, rel_err], self.grid)
         return self._ratio_report(node_name, observed_abs, observed_rel)
 
     def check_profile(self, node_name: str, profile: PercentileProfile) -> ExceedanceReport:

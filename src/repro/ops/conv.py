@@ -16,7 +16,7 @@ import numpy as np
 from repro.ops.registry import OpSpec, register_op
 from repro.tensorlib.device import DeviceProfile
 from repro.tensorlib.flops import conv2d_flops, elementwise_flops, reduction_flops
-from repro.tensorlib.kernels import device_conv2d, device_mean, im2col
+from repro.tensorlib.kernels import device_conv2d, device_mean, im2col, pad_nchw
 
 
 def _pair(value) -> Tuple[int, int]:
@@ -84,8 +84,7 @@ def _pool_windows(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int
     sh, sw = stride
     ph, pw = padding
     n, c, h, w = x.shape
-    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant",
-                    constant_values=pad_value)
+    padded = pad_nchw(x, (ph, pw), pad_value)
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (w + 2 * pw - kw) // sw + 1
     strides = padded.strides
@@ -118,8 +117,7 @@ def _max_pool2d_vjp(device, grad_out, out, x, *, kernel_size=(2, 2), stride=None
     n, c, h, w = x64.shape
     _, _, oh, ow = grad.shape
 
-    padded = np.pad(x64, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant",
-                    constant_values=-np.inf)
+    padded = pad_nchw(x64, (ph, pw), -np.inf)
     # Recompute the per-window maxima in float64 (the forward output is
     # float32, so float64 inputs would never compare equal against it).
     out64 = np.full((n, c, oh, ow), -np.inf, dtype=np.float64)

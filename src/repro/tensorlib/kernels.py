@@ -163,11 +163,18 @@ def device_var(
     return (total / np.float32(denom)).astype(np.float32)
 
 
-def _pad_input(x: np.ndarray, padding: Tuple[int, int]) -> np.ndarray:
+def pad_nchw(x: np.ndarray, padding: Tuple[int, int], value: float = 0.0) -> np.ndarray:
+    """Pad the spatial axes of an (N, C, H, W) tensor with a constant.
+
+    The bytes and memory order ``np.pad(mode="constant")`` returns, from one
+    filled allocation and one slice assignment.
+    """
     ph, pw = padding
-    if ph == 0 and pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+    n, c, h, w = x.shape
+    padded = np.full((n, c, h + 2 * ph, w + 2 * pw), value, dtype=x.dtype,
+                     order="F" if x.flags.fnc else "C")
+    padded[:, :, ph:ph + h, pw:pw + w] = x
+    return padded
 
 
 def im2col(
@@ -192,7 +199,7 @@ def im2col(
             f"conv output would be empty: input {h}x{w}, kernel {kh}x{kw}, "
             f"stride {sh}x{sw}, padding {ph}x{pw}"
         )
-    padded = _pad_input(x, (ph, pw))
+    padded = pad_nchw(x, (ph, pw)) if ph or pw else x
     # Gather patches with stride tricks for speed, then reorder to columns.
     strides = padded.strides
     view = np.lib.stride_tricks.as_strided(

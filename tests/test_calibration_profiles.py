@@ -212,9 +212,14 @@ def test_max_over_pairs_is_the_per_pair_max_of_np_percentile(rng):
 
 def test_each_pass_sorts_once_per_sample_and_float_operator(monkeypatch, mlp_graph,
                                                             mlp_input_factory):
+    """One percentile call and at most two error calls per (sample, operator)
+    and pass, whatever the number of device pairs."""
     from repro.calibration import CalibrationConfig, Calibrator
-    from repro.calibration import profiles
-    from repro.calibration.committee import calibrate_committee_envelope
+    from repro.calibration import calibrator, committee, profiles
+    from repro.calibration.committee import (
+        CommitteeEnvelopeConfig,
+        calibrate_committee_envelope,
+    )
     from repro.graph.interpreter import Interpreter
     from repro.tensorlib import DEVICE_FLEET
 
@@ -226,17 +231,208 @@ def test_each_pass_sorts_once_per_sample_and_float_operator(monkeypatch, mlp_gra
         return routine(rows, grid)
 
     monkeypatch.setattr(profiles, "percentile_profiles", spy)
+    error_calls = []
+    for module, name in ((calibrator, "elementwise_errors"),
+                         (profiles, "elementwise_errors"),
+                         (committee, "leaf_error_rows"),
+                         (committee, "leaf_elementwise_errors")):
+        def error_spy(*args, _inner=getattr(module, name), **kwargs):
+            error_calls.append(np.shape(args[0]))
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, error_spy)
+
     samples = [mlp_input_factory(3000 + i) for i in range(3)]
     trace = Interpreter(DEVICE_FLEET[0]).run(mlp_graph, samples[0], record=True)
     float_ops = [node.name for node in mlp_graph.graph.operators
                  if np.asarray(trace.values[node.name]).dtype.kind == "f"]
-    devices = len(DEVICE_FLEET)
+    cells = len(samples) * len(float_ops)
 
-    Calibrator(CalibrationConfig(devices=DEVICE_FLEET)).calibrate(mlp_graph, samples)
-    pairs = devices * (devices - 1) // 2
-    assert calls == [2 * pairs] * (len(samples) * len(float_ops))
+    error_counts = []
+    for devices in (DEVICE_FLEET[:3], DEVICE_FLEET):
+        n = len(devices)
+        calls.clear()
+        error_calls.clear()
+        Calibrator(CalibrationConfig(devices=devices)).calibrate(mlp_graph, samples)
+        pairs = n * (n - 1) // 2
+        assert calls == [2 * pairs] * cells
+        # Every call covers all pairs of one (sample, operator) as rows.
+        assert len(error_calls) <= 2 * cells
+        assert {shape[0] for shape in error_calls} == {pairs}
+        error_counts.append(len(error_calls))
 
-    calls.clear()
-    calibrate_committee_envelope(mlp_graph, samples)
-    ordered_pairs = devices * (devices - 1)
-    assert calls == [2 * ordered_pairs] * (len(samples) * len(float_ops))
+        calls.clear()
+        error_calls.clear()
+        calibrate_committee_envelope(mlp_graph, samples,
+                                     CommitteeEnvelopeConfig(devices=devices))
+        ordered_pairs = n * (n - 1)
+        assert calls == [2 * ordered_pairs] * cells
+        assert len(error_calls) <= 2 * cells
+        assert {shape[0] for shape in error_calls} == {ordered_pairs}
+        error_counts.append(len(error_calls))
+    # The call count does not grow with the number of device pairs.
+    assert error_counts[:2] == error_counts[2:]
+
+
+# ----------------------------------------------------------------------
+# Stacked error rows against per-pair oracles
+# ----------------------------------------------------------------------
+
+def _leaf_oracle(proposed, reference, rel_scale_floor, epsilon=1e-12):
+    """The scale-floored leaf statistic of one tensor pair, written out."""
+    a64 = np.asarray(proposed, dtype=np.float64)
+    b64 = np.asarray(reference, dtype=np.float64)
+    magnitude = np.abs(a64)
+    finite = magnitude[np.isfinite(magnitude)]
+    peak = float(finite.max()) if finite.size else 0.0
+    with np.errstate(invalid="ignore"):
+        abs_err = np.abs(a64 - b64)
+        rel_err = abs_err / np.maximum(magnitude, max(rel_scale_floor * peak, epsilon))
+    both_finite = np.isfinite(a64) & np.isfinite(b64)
+    agree = (a64 == b64) | (np.isnan(a64) & np.isnan(b64))
+    fill = np.where(agree, 0.0, np.inf)
+    return (np.where(both_finite, abs_err, fill),
+            np.where(both_finite, rel_err, fill))
+
+
+def _plain_oracle(a, b, epsilon=1e-12):
+    """Eqs. 1-2 of one tensor pair, written out (finite inputs)."""
+    a64 = np.asarray(a, dtype=np.float64)
+    b64 = np.asarray(b, dtype=np.float64)
+    abs_err = np.abs(a64 - b64)
+    return abs_err, abs_err / (np.abs(a64) + epsilon)
+
+
+def _same_bits(actual, expected) -> bool:
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    return actual.shape == expected.shape and np.array_equal(
+        actual.view(np.uint64), expected.view(np.uint64))
+
+
+_ROW_KINDS = ["spread", "zeros", "nan", "inf", "non_finite", "near_zero"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), n=st.sampled_from([0, 1, 2, 7, 64]),
+       kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=6),
+       rel_scale_floor=st.sampled_from([0.0, 1e-3, 0.5]))
+def test_leaf_error_rows_equal_one_row_calls(data, n, kinds, rel_scale_floor):
+    """Stacked (P, n) rows equal P one-row calls and the written-out statistic."""
+    from repro.calibration.committee import leaf_elementwise_errors, leaf_error_rows
+    from repro.calibration.profiles import elementwise_errors
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    proposed, reference = [], []
+    for kind in kinds:
+        row = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 4)
+        other = row + rng.standard_normal(n) * 1e-4
+        if kind == "zeros":
+            row, other = np.zeros(n), np.zeros(n)
+        elif kind == "near_zero":
+            row = row * 1e-9
+        elif kind == "non_finite":
+            row = rng.choice([np.nan, np.inf, -np.inf], size=n)
+        elif n and kind in ("nan", "inf"):
+            specials = [np.nan] if kind == "nan" else [np.inf, -np.inf]
+            for _ in range(rng.integers(1, 3)):
+                row[rng.integers(n)] = rng.choice(specials)
+                other[rng.integers(n)] = rng.choice(specials)
+        proposed.append(row)
+        reference.append(other)
+    a_rows = np.asarray(proposed, dtype=np.float64).reshape(len(kinds), n)
+    b_rows = np.asarray(reference, dtype=np.float64).reshape(len(kinds), n)
+
+    abs_rows, rel_rows = leaf_error_rows(a_rows, b_rows, rel_scale_floor)
+    plain_abs, plain_rel = elementwise_errors(a_rows, b_rows)
+    for i in range(len(kinds)):
+        one_abs, one_rel = leaf_elementwise_errors(a_rows[i], b_rows[i], rel_scale_floor)
+        want_abs, want_rel = _leaf_oracle(a_rows[i], b_rows[i], rel_scale_floor)
+        assert _same_bits(abs_rows[i], one_abs) and _same_bits(abs_rows[i], want_abs)
+        assert _same_bits(rel_rows[i], one_rel) and _same_bits(rel_rows[i], want_rel)
+        row_abs, row_rel = elementwise_errors(a_rows[i], b_rows[i])
+        assert _same_bits(plain_abs[i], row_abs) and _same_bits(plain_rel[i], row_rel)
+
+
+def test_leaf_error_rows_all_non_finite_row_floors_at_epsilon():
+    from repro.calibration.committee import leaf_error_rows
+
+    proposed = np.array([[np.nan, np.inf, 1.0, 2.0], [np.nan, np.inf, -np.inf, np.nan]])
+    reference = np.array([[np.nan, np.inf, 1.5, 2.0], [np.nan, 1.0, -np.inf, 0.0]])
+    abs_err, rel_err = leaf_error_rows(proposed, reference, rel_scale_floor=0.5)
+    # Row 0's peak is its largest finite magnitude, 2; row 1 has none, so 0.
+    assert rel_err[0].tolist() == [0.0, 0.0, 0.5, 0.0]
+    assert abs_err[1].tolist() == [0.0, np.inf, 0.0, np.inf]
+    assert rel_err[1].tolist() == [0.0, np.inf, 0.0, np.inf]
+
+
+def test_both_passes_match_per_pair_np_percentile_oracles(monkeypatch, mlp_graph,
+                                                          mlp_input_factory):
+    """Every per-sample profile of both passes is the max over per-pair
+    ``np.percentile`` calls on per-pair errors, on any host's BLAS."""
+    from repro.calibration import CalibrationConfig, Calibrator, committee
+    from repro.calibration.committee import (
+        DEFAULT_REL_SCALE_FLOOR,
+        CommitteeEnvelopeConfig,
+        calibrate_committee_envelope,
+        leaf_operands,
+    )
+    from repro.graph.interpreter import Interpreter
+    from repro.tensorlib import DEVICE_FLEET
+
+    samples = [mlp_input_factory(4000 + i) for i in range(2)]
+    interpreters = [Interpreter(device) for device in DEVICE_FLEET]
+    grid = list(PERCENTILE_GRID)
+
+    def oracle(error_pairs):
+        abs_values = np.max([np.percentile(a, grid) for a, _ in error_pairs], axis=0)
+        rel_values = np.max([np.percentile(r, grid) for _, r in error_pairs], axis=0)
+        return abs_values, rel_values
+
+    result = Calibrator(CalibrationConfig(devices=DEVICE_FLEET)).calibrate(mlp_graph, samples)
+    envelope_profiles = []
+    routine = committee.max_over_pairs
+
+    def capture(*args, **kwargs):
+        envelope_profiles.append(routine(*args, **kwargs))
+        return envelope_profiles[-1]
+
+    monkeypatch.setattr(committee, "max_over_pairs", capture)
+    calibrate_committee_envelope(mlp_graph, samples,
+                                 CommitteeEnvelopeConfig(devices=DEVICE_FLEET))
+    captured = iter(envelope_profiles)
+
+    checked = 0
+    for index, sample in enumerate(samples):
+        traces = [interp.run(mlp_graph, dict(sample), record=True) for interp in interpreters]
+        for node in mlp_graph.graph.operators:
+            outputs = [np.asarray(trace.values[node.name]) for trace in traces]
+            if outputs[0].dtype.kind != "f":
+                continue
+            threshold_pairs = []
+            for j in range(len(outputs)):
+                for k in range(j + 1, len(outputs)):
+                    abs_err, rel_err = _plain_oracle(outputs[j], outputs[k])
+                    _, rel_rev = _plain_oracle(outputs[k], outputs[j])
+                    threshold_pairs.append((abs_err, np.maximum(rel_err, rel_rev)))
+            profile = result.operators[node.name].per_sample_profiles[index]
+            want_abs, want_rel = oracle(threshold_pairs)
+            assert _same_bits(profile.abs_values, want_abs), node.name
+            assert _same_bits(profile.rel_values, want_rel), node.name
+
+            leaf_pairs = []
+            for j, trace in enumerate(traces):
+                operands = leaf_operands(mlp_graph, node, trace.values)
+                for k, member in enumerate(interpreters):
+                    if k == j:
+                        continue
+                    reference = member.run_single_operator(mlp_graph, node.name, operands)
+                    abs_err, rel_err = _leaf_oracle(outputs[j], reference,
+                                                    DEFAULT_REL_SCALE_FLOOR)
+                    _, rel_rev = _leaf_oracle(reference, outputs[j], DEFAULT_REL_SCALE_FLOOR)
+                    leaf_pairs.append((abs_err, np.maximum(rel_err, rel_rev)))
+            profile = next(captured)
+            want_abs, want_rel = oracle(leaf_pairs)
+            assert _same_bits(profile.abs_values, want_abs), node.name
+            assert _same_bits(profile.rel_values, want_rel), node.name
+            checked += 1
+    assert checked and next(captured, None) is None

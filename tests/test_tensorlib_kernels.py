@@ -13,6 +13,7 @@ from repro.tensorlib.kernels import (
     device_sum,
     device_var,
     im2col,
+    pad_nchw,
 )
 
 
@@ -132,6 +133,25 @@ def test_conv2d_empty_output_raises(rng):
     w = rng.standard_normal((1, 1, 5, 5)).astype(np.float32)
     with pytest.raises(ValueError):
         device_conv2d(x, w, None, DEVICE_FLEET[0])
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("dtype,value", [(np.float32, 0.0), (np.float32, -np.inf),
+                                         (np.float64, -np.inf)])
+@pytest.mark.parametrize("padding", [(0, 0), (1, 0), (1, 2)])
+def test_pad_nchw_matches_np_pad(rng, layout, dtype, value, padding):
+    x = rng.standard_normal((2, 3, 5, 6)).astype(dtype)
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        x = rng.standard_normal((2, 3, 6, 5)).astype(dtype).transpose(0, 1, 3, 2)
+    ph, pw = padding
+    expected = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant",
+                      constant_values=value)
+    padded = pad_nchw(x, padding, value)
+    assert padded.dtype == expected.dtype and padded.shape == expected.shape
+    assert padded.tobytes(order="A") == expected.tobytes(order="A")
+    assert padded.strides == expected.strides
 
 
 def test_im2col_shapes(rng):
