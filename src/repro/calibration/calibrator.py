@@ -166,11 +166,8 @@ class Calibrator:
                 # normalizes by the first device's output); take both
                 # directions so the committed thresholds cover whichever
                 # side a future checker normalizes by.
-                np.maximum(rel_err, elementwise_errors(
-                    y_k, y_j, config.relative_epsilon)[1], out=rel_err)
-                # Drop the input stacks before the sort copies its rows: a smaller
-                # peak keeps fresh pages (and their faults) off the hot loop.
-                del rows, y_j, y_k
+                rel_err = np.maximum(
+                    rel_err, elementwise_errors(y_k, y_j, config.relative_epsilon)[1])
                 sample_profile = max_over_pairs(abs_err, rel_err, config.percentile_grid)
                 per_sample[name].append(sample_profile)
                 current = envelopes[name]

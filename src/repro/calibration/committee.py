@@ -106,11 +106,8 @@ def leaf_error_rows(
         peak[unbounded] = np.where(np.isfinite(rows), rows, 0.0).max(axis=1)
     scale = np.maximum(rel_scale_floor * peak, epsilon)[:, None]
     with np.errstate(invalid="ignore"):
-        # In place on fresh arrays: large stacks pay for every allocation.
-        abs_err = a64 - b64
-        np.abs(abs_err, out=abs_err)
-        rel_err = np.divide(abs_err, np.maximum(magnitude, scale, out=magnitude),
-                            out=magnitude)
+        abs_err = np.abs(a64 - b64)
+        rel_err = abs_err / np.maximum(magnitude, scale)
     return non_finite_errors(a64, b64, abs_err, rel_err)
 
 
@@ -120,8 +117,10 @@ def leaf_elementwise_errors(
     rel_scale_floor: float = DEFAULT_REL_SCALE_FLOOR,
     epsilon: float = 1e-12,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`leaf_error_rows` of one tensor pair, shaped like ``proposed``."""
+    """:func:`leaf_error_rows` of one equally shaped tensor pair, in that shape."""
     shape = np.shape(proposed)
+    if np.shape(reference) != shape:
+        raise ValueError(f"leaf errors need equal shapes, got {shape} and {np.shape(reference)}")
     abs_err, rel_err = leaf_error_rows(
         np.reshape(proposed, (1, -1)), np.reshape(reference, (1, -1)),
         rel_scale_floor, epsilon,
@@ -186,10 +185,13 @@ class CommitteeEnvelopeProfile(ThresholdTable):
 
         Identical ratio semantics to the base table, but the observed errors
         use :func:`leaf_elementwise_errors` — the same scale-floored
-        relative statistic the envelope was calibrated with.
+        relative statistic the envelope was calibrated with.  A claim whose
+        shape differs from the reference's is exceeded outright.
         """
         if not self.has_operator(node_name):
             raise KeyError(f"no committee envelope calibrated for operator {node_name!r}")
+        if np.shape(proposed) != np.shape(reference):
+            return self._shape_mismatch_report(node_name)
         abs_err, rel_err = leaf_elementwise_errors(
             proposed, reference, self.rel_scale_floor, epsilon
         )
@@ -404,12 +406,9 @@ def calibrate_committee_envelope(
             # calibrator does: the leaf check normalizes by the proposer's
             # claim, but the committed envelope must hold whichever side a
             # checker divides by.
-            np.maximum(rel_err, leaf_error_rows(
+            rel_err = np.maximum(rel_err, leaf_error_rows(
                 reference, proposed, config.rel_scale_floor, config.relative_epsilon
-            )[1], out=rel_err)
-            # Drop the input stacks before the sort copies its rows: a smaller
-            # peak keeps fresh pages (and their faults) off the hot loop.
-            del proposed, reference
+            )[1])
             per_sample[node.name].append(
                 max_over_pairs(abs_err, rel_err, config.percentile_grid))
 

@@ -16,7 +16,6 @@ element-wise, so one call covers the stacked rows of all pairs.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,29 +30,6 @@ PERCENTILE_GRID: Tuple[float, ...] = tuple(
 RELATIVE_ERROR_EPSILON = 1e-12
 
 
-@functools.lru_cache(maxsize=1024)
-def _linear_rule(n: int, grid: Tuple[float, ...]) -> Tuple[np.ndarray, ...]:
-    """NumPy's linear-rule neighbours and weights for ``n`` sorted values.
-
-    Returns read-only ``(lower, upper, t, 1 - t, t >= 0.5)`` over the grid,
-    computed as ``np.percentile`` does; cached, since the calibration passes
-    ask for the same few row lengths thousands of times.
-    """
-    virtual = (n - 1) * np.true_divide(np.asarray(grid, dtype=np.float64), 100)
-    lower = np.floor(virtual)
-    upper = lower + 1
-    # At or past the last order statistic both neighbours are the maximum.
-    last = virtual >= n - 1
-    lower[last] = -1
-    upper[last] = -1
-    lower = lower.astype(np.intp)
-    t = virtual - lower
-    rule = (lower, upper.astype(np.intp), t, 1 - t, t >= 0.5)
-    for array in rule:
-        array.flags.writeable = False
-    return rule
-
-
 def stack_rows(tensors: Sequence[np.ndarray]) -> np.ndarray:
     """Equally shaped tensors as the flattened float64 rows of a fresh 2-D array."""
     return np.array(tensors, dtype=np.float64).reshape(len(tensors), -1)
@@ -63,8 +39,8 @@ def percentile_profiles(rows: Sequence[np.ndarray],
                         grid: Sequence[float] = PERCENTILE_GRID) -> np.ndarray:
     """Percentile-value vectors of equally sized error rows, one sorted pass.
 
-    ``rows`` is either a 2-D array whose rows are used as they are, or a
-    sequence of equally shaped tensors, each flattened into one row.
+    ``rows`` is a 2-D array or a sequence of equally shaped tensors; each
+    of its entries is flattened into one row.
     Returns a ``(len(rows), len(grid))`` array whose row ``i`` is
     ``np.percentile(rows[i], grid)`` bit for bit: the rows are stacked as
     float64 and sorted together, the floor/ceil order statistics are
@@ -74,21 +50,26 @@ def percentile_profiles(rows: Sequence[np.ndarray],
     """
     if not len(rows):
         return np.zeros((0, len(grid)), dtype=np.float64)
-    # Both branches copy, so the in-place sort never touches the caller's rows.
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        stacked = rows.astype(np.float64)
-    else:
-        stacked = stack_rows(rows)
+    # stack_rows copies, so the in-place sort never touches the caller's rows.
+    stacked = stack_rows(rows)
     n = stacked.shape[1]
     if n == 0:
         return np.zeros((len(rows), len(grid)), dtype=np.float64)
     stacked.sort(axis=1)
-    lower, upper, t, one_minus_t, upper_side = _linear_rule(n, tuple(grid))
+    virtual = (n - 1) * np.true_divide(np.asarray(grid, dtype=np.float64), 100)
+    lower = np.floor(virtual)
+    upper = lower + 1
+    # At or past the last order statistic both neighbours are the maximum.
+    last = virtual >= n - 1
+    lower[last] = -1
+    upper[last] = -1
+    lower = lower.astype(np.intp)
+    t = virtual - lower
     a = stacked[:, lower]
-    b = stacked[:, upper]
+    b = stacked[:, upper.astype(np.intp)]
     with np.errstate(invalid="ignore"):
         diff = b - a
-        values = np.where(upper_side, b - diff * one_minus_t, a + diff * t)
+        values = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
     has_nan = np.isnan(stacked[:, -1])
     if has_nan.any():
         values[has_nan] = stacked[has_nan, -1:]
@@ -131,13 +112,8 @@ def elementwise_errors(a: np.ndarray, b: np.ndarray,
     a64 = np.asarray(a, dtype=np.float64)
     b64 = np.asarray(b, dtype=np.float64)
     with np.errstate(invalid="ignore"):
-        # In place on fresh arrays (0-d ones too): large stacks pay for
-        # every allocation, and the bits are those of the plain expressions.
-        abs_err = np.asarray(a64 - b64)
-        np.abs(abs_err, out=abs_err)
-        rel_err = np.asarray(np.abs(a64))
-        rel_err += epsilon
-        np.divide(abs_err, rel_err, out=rel_err)
+        abs_err = np.abs(a64 - b64)
+        rel_err = abs_err / (np.abs(a64) + epsilon)
     return non_finite_errors(a64, b64, abs_err, rel_err)
 
 

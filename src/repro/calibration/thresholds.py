@@ -134,10 +134,13 @@ class ThresholdTable:
 
         Computes the observed percentile profile of the element-wise
         absolute/relative errors and returns the maximum observed/threshold
-        ratio across the grid and both error kinds.
+        ratio across the grid and both error kinds.  A claim whose shape
+        differs from the reference's is exceeded outright.
         """
         if not self.has_operator(node_name):
             raise KeyError(f"no thresholds calibrated for operator {node_name!r}")
+        if np.shape(proposed) != np.shape(reference):
+            return self._shape_mismatch_report(node_name)
         abs_err, rel_err = elementwise_errors(proposed, reference, epsilon)
         observed_abs, observed_rel = percentile_profiles([abs_err, rel_err], self.grid)
         return self._ratio_report(node_name, observed_abs, observed_rel)
@@ -145,6 +148,16 @@ class ThresholdTable:
     def check_profile(self, node_name: str, profile: PercentileProfile) -> ExceedanceReport:
         """Check a pre-computed percentile profile against the thresholds."""
         return self._ratio_report(node_name, profile.abs_values, profile.rel_values)
+
+    def _shape_mismatch_report(self, node_name: str) -> ExceedanceReport:
+        """A claim shaped unlike the reference is unbounded at every percentile."""
+        return ExceedanceReport(
+            node_name=node_name,
+            max_ratio=float("inf"),
+            worst_percentile=float(self.grid[0]),
+            worst_kind="abs",
+            exceeded=True,
+        )
 
     def _ratio_report(self, node_name: str, observed_abs: np.ndarray,
                       observed_rel: np.ndarray) -> ExceedanceReport:

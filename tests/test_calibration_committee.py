@@ -93,6 +93,34 @@ def test_leaf_statistic_floors_near_zero_denominators():
     assert rel_err[0] == pytest.approx(abs_err[0] / 1.0, rel=1e-6)
 
 
+_REFERENCE = np.tile(np.arange(1.0, 5.0, dtype=np.float32), (3, 1))
+_SQUARE = np.arange(16.0, dtype=np.float32).reshape(4, 4)
+
+
+@pytest.mark.parametrize("checker_name", ["envelope", "mlp_thresholds"])
+@pytest.mark.parametrize("proposed, reference", [
+    (_REFERENCE[:1], _REFERENCE),       # broadcasts onto equal rows
+    (_REFERENCE[0, 0], _REFERENCE),     # a scalar claim
+    (_REFERENCE.T, _REFERENCE),         # same size, transposed
+    (_SQUARE.T, _SQUARE),               # same shape only by transposition
+    (_REFERENCE.reshape(4, 3), _REFERENCE),
+], ids=["row", "scalar", "transposed", "square-transposed", "reshaped"])
+def test_mismatched_claim_shape_is_exceeded(request, checker_name, proposed,
+                                            reference):
+    """A claim shaped unlike the reference fails either Eq. 15 check outright."""
+    checker = request.getfixturevalue(checker_name)
+    name = checker.operator_names()[0]
+    report = checker.check(name, proposed, reference)
+    assert report.exceeded and report.node_name == name
+    if np.shape(proposed) != reference.shape:
+        assert report.max_ratio == float("inf")
+
+
+def test_leaf_statistic_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="equal shapes"):
+        leaf_elementwise_errors(_REFERENCE.T, _REFERENCE)
+
+
 def test_floor_merges_elementwise_maximum(envelope, mlp_thresholds):
     floored = envelope.floor(mlp_thresholds)
     assert isinstance(floored, CommitteeEnvelopeProfile)
