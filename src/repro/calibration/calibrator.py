@@ -1,12 +1,14 @@
 """Cross-device calibration procedure (paper Sec. 3.2).
 
 For every calibration input the traced model is executed on each device of
-the fleet with full trace recording.  Per (sample, operator), the device
-outputs are stacked once as float64 rows, the element-wise absolute/relative
-errors of every device pair come from one stacked call per direction
-(:func:`~repro.calibration.profiles.elementwise_errors`), and all pairs reduce
-to percentile profiles in one sorted pass
-(:func:`~repro.calibration.profiles.max_over_pairs`); the per-operator
+the fleet with full trace recording.  Per (sample, operator), the D device
+outputs go once into float64 rows of the pass's
+:class:`~repro.calibration.profiles.RowWorkspace`, with their D denominator
+rows ``|y| + eps``; one :func:`~repro.calibration.profiles.pair_error_rows`
+call writes the absolute errors of every device pair and the relative
+errors in both directions from that one ``|a - b|``; and all pairs reduce
+to percentile profiles in one in-place sorted pass
+(:func:`~repro.calibration.profiles.max_over_pairs`).  The per-operator
 envelope over pairs and inputs becomes the raw material for threshold
 construction.
 """
@@ -22,8 +24,9 @@ from repro.calibration.profiles import (
     PERCENTILE_GRID,
     OperatorCalibration,
     PercentileProfile,
-    elementwise_errors,
+    RowWorkspace,
     max_over_pairs,
+    pair_error_rows,
     stack_rows,
 )
 from repro.graph.graph import GraphModule
@@ -38,8 +41,6 @@ class CalibrationConfig:
     devices: Tuple[DeviceProfile, ...] = DEVICE_FLEET
     percentile_grid: Tuple[float, ...] = PERCENTILE_GRID
     relative_epsilon: float = 1e-12
-    #: Skip operators that produce integer outputs (argmax, index tensors).
-    skip_integer_outputs: bool = True
 
     def __post_init__(self) -> None:
         if len(self.devices) < 2:
@@ -139,7 +140,8 @@ class Calibrator:
         # Row p of a pair stack is pair (first[p], second[p]), j < k, in
         # (j, k) order.
         first, second = np.triu_indices(len(interpreters), 1)
-        n_pairs = len(first)
+        n_devices, n_pairs = len(interpreters), len(first)
+        workspace = RowWorkspace()
 
         for sample in dataset:
             num_samples += 1
@@ -148,11 +150,22 @@ class Calibrator:
             ]
             for name in positions:
                 outputs = [trace.values[name] for trace in traces]
-                if config.skip_integer_outputs and np.asarray(outputs[0]).dtype.kind in "iub":
+                # Integer outputs (argmax, index tensors) carry no tolerance:
+                # any cross-device difference there is fraud.
+                if np.asarray(outputs[0]).dtype.kind in "iub":
                     continue
-                rows = stack_rows(outputs)
-                y_j, y_k = rows[first], rows[second]
-                abs_err, rel_err = elementwise_errors(y_j, y_k, config.relative_epsilon)
+                rows, denominators, errors, reverse = workspace.rows(
+                    np.size(outputs[0]), n_devices, n_devices, 2 * n_pairs, n_pairs)
+                stack_rows(outputs, out=rows)
+                np.abs(rows, out=denominators)
+                denominators += config.relative_epsilon
+                # Relative error is asymmetric in its denominator (Eq. 2
+                # normalizes by the first device's output); take both
+                # directions so the committed thresholds cover whichever
+                # side a future checker normalizes by.
+                pair_error_rows(errors, rows, denominators, first, rows, second,
+                                denominators, reverse)
+                abs_err, rel_err = errors[:n_pairs], errors[n_pairs:]
                 for mean_abs, mean_rel, max_abs in zip(
                     abs_err.mean(axis=1).tolist(),
                     rel_err.mean(axis=1).tolist(),
@@ -162,13 +175,8 @@ class Calibrator:
                     rel_sums[name] += mean_rel
                     err_max[name] = max(err_max[name], max_abs)
                 err_counts[name] += n_pairs
-                # Relative error is asymmetric in its denominator (Eq. 2
-                # normalizes by the first device's output); take both
-                # directions so the committed thresholds cover whichever
-                # side a future checker normalizes by.
-                rel_err = np.maximum(
-                    rel_err, elementwise_errors(y_k, y_j, config.relative_epsilon)[1])
-                sample_profile = max_over_pairs(abs_err, rel_err, config.percentile_grid)
+                np.maximum(rel_err, reverse, out=rel_err)
+                sample_profile = max_over_pairs(errors, config.percentile_grid)
                 per_sample[name].append(sample_profile)
                 current = envelopes[name]
                 envelopes[name] = (

@@ -19,17 +19,24 @@ output is compared against a single-operator re-execution on the member's
 device from the proposer's own operand values — exactly the comparison a
 :class:`~repro.protocol.roles.CommitteeMember` performs at the leaf.  Each
 re-execution is its own single-operator run (a stacked run would change the
-batch shape, and with it the BLAS bits); per (sample, operator) the proposer
-rows and the re-executed references are then stacked, the scale-floored
-errors of all pairs come from one :func:`leaf_error_rows` call per direction
-(a per-row peak), and they reduce to percentile profiles in one sorted pass
-(:func:`~repro.calibration.profiles.max_over_pairs`), the per-sample max over
-pairs forms the stability series analysed with the Appendix-B diagnostics
-(:mod:`~repro.calibration.stability`), and the across-sample aggregation at
-``envelope_percentile`` scaled by ``safety_factor`` becomes the
-:class:`CommitteeEnvelopeProfile` — committed on chain next to the threshold
-root (``r_c`` alongside ``r_e``) so the committee's decision rule cannot
-change mid-dispute.
+batch shape, and with it the BLAS bits).  An operator whose forward never
+reads the device (:attr:`~repro.ops.registry.OpSpec.device_invariant`)
+re-computes the proposer's own bytes on every member, so its profile is
+exactly zero: it is recorded as such, with no re-execution and no error
+pass.  For every other operator, per (sample, operator) the D proposer rows
+and the re-executed references go into the pass's
+:class:`~repro.calibration.profiles.RowWorkspace` with their leaf
+denominators (:func:`leaf_denominators`: D proposer rows, and one per
+reference row), one :func:`~repro.calibration.profiles.pair_error_rows`
+call writes the scale-floored errors of all pairs in both directions, and
+they reduce to percentile profiles in one in-place sorted pass
+(:func:`~repro.calibration.profiles.max_over_pairs`).  The per-sample max
+over pairs forms the stability series analysed with the Appendix-B
+diagnostics (:mod:`~repro.calibration.stability`), and the across-sample
+aggregation at ``envelope_percentile`` scaled by ``safety_factor`` becomes
+the :class:`CommitteeEnvelopeProfile` — committed on chain next to the
+threshold root (``r_c`` alongside ``r_e``) so the committee's decision rule
+cannot change mid-dispute.
 
 The profile *is* a :class:`~repro.calibration.thresholds.ThresholdTable`
 (same grid, same Eq. 15 check, same commitment payload shape), so committee
@@ -50,16 +57,19 @@ import numpy as np
 from repro.calibration.profiles import (
     PERCENTILE_GRID,
     PercentileProfile,
+    RowWorkspace,
     max_over_pairs,
-    non_finite_errors,
+    pair_error_rows,
     percentile_profiles,
     stack_rows,
+    tensor_pair_errors,
 )
 from repro.calibration.stability import DEFAULT_WINDOW, sup_norm_drift
 from repro.calibration.thresholds import ThresholdTable
 from repro.graph.graph import GraphModule
 from repro.graph.interpreter import Interpreter
 from repro.graph.node import Node
+from repro.ops.registry import get_op
 from repro.tensorlib.device import DEVICE_FLEET, DeviceProfile
 from repro.utils.serialization import canonical_bytes
 
@@ -78,37 +88,30 @@ DEFAULT_COMMITTEE_SAFETY_FACTOR = 3.0
 DEFAULT_REL_SCALE_FLOOR = 1e-3
 
 
-def leaf_error_rows(
-    proposed: np.ndarray,
-    reference: np.ndarray,
+def leaf_denominators(
+    rows: np.ndarray,
     rel_scale_floor: float = DEFAULT_REL_SCALE_FLOOR,
     epsilon: float = 1e-12,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Element-wise absolute and scale-floored relative leaf errors, row-wise.
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Relative-error denominators of the leaf statistic, row-wise.
 
-    ``proposed`` and ``reference`` are ``(P, n)`` stacks of P comparisons.
-    The denominator of row ``i``'s relative error is ``max(|proposed[i]|,
-    rel_scale_floor * peak_i)`` — near-zero elements are measured against
-    the row's own magnitude scale instead of their vanishing selves; the
-    scale ``peak_i`` is the largest *finite* magnitude of ``proposed[i]``
-    (0 if it has none), and non-finite elements follow
-    :func:`~repro.calibration.profiles.non_finite_errors`.  Calibration and
-    the committee check share this one statistic.
+    Row ``i`` of the ``(R, n)`` result is ``max(|rows[i]|, max(rel_scale_floor
+    * peak_i, epsilon))``: near-zero elements are measured against the row's
+    own magnitude scale instead of their vanishing selves.  The scale
+    ``peak_i`` is the largest *finite* magnitude of ``rows[i]`` (0 if it has
+    none).  Written into ``out`` when it is given.  Calibration and the
+    committee check share this one statistic.
     """
-    a64 = np.asarray(proposed, dtype=np.float64)
-    b64 = np.asarray(reference, dtype=np.float64)
-    magnitude = np.abs(a64)
+    magnitude = np.abs(rows, out=out)
     # Magnitudes are >= 0, so an initial 0 changes no peak but an empty row's.
     peak = magnitude.max(axis=1, initial=0.0)
     unbounded = ~np.isfinite(peak)
     if unbounded.any():
-        rows = magnitude[unbounded]
-        peak[unbounded] = np.where(np.isfinite(rows), rows, 0.0).max(axis=1)
-    scale = np.maximum(rel_scale_floor * peak, epsilon)[:, None]
-    with np.errstate(invalid="ignore"):
-        abs_err = np.abs(a64 - b64)
-        rel_err = abs_err / np.maximum(magnitude, scale)
-    return non_finite_errors(a64, b64, abs_err, rel_err)
+        unbounded_rows = magnitude[unbounded]
+        peak[unbounded] = np.where(np.isfinite(unbounded_rows), unbounded_rows, 0.0).max(axis=1)
+    scale = np.maximum(rel_scale_floor * peak, epsilon)
+    return np.maximum(magnitude, scale[:, None], out=magnitude)
 
 
 def leaf_elementwise_errors(
@@ -117,15 +120,11 @@ def leaf_elementwise_errors(
     rel_scale_floor: float = DEFAULT_REL_SCALE_FLOOR,
     epsilon: float = 1e-12,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`leaf_error_rows` of one equally shaped tensor pair, in that shape."""
-    shape = np.shape(proposed)
-    if np.shape(reference) != shape:
-        raise ValueError(f"leaf errors need equal shapes, got {shape} and {np.shape(reference)}")
-    abs_err, rel_err = leaf_error_rows(
-        np.reshape(proposed, (1, -1)), np.reshape(reference, (1, -1)),
-        rel_scale_floor, epsilon,
-    )
-    return abs_err.reshape(shape), rel_err.reshape(shape)
+    """Absolute and scale-floored relative leaf errors of one equally shaped
+    tensor pair, over the proposer's :func:`leaf_denominators`."""
+    return tensor_pair_errors(
+        proposed, reference,
+        lambda row: leaf_denominators(row, rel_scale_floor, epsilon))
 
 
 @dataclass(frozen=True)
@@ -144,9 +143,6 @@ class CommitteeEnvelopeConfig:
     #: magnitude); shared between calibration and the committed check.
     rel_scale_floor: float = DEFAULT_REL_SCALE_FLOOR
     relative_epsilon: float = 1e-12
-    #: Skip operators that produce integer outputs (argmax, index tensors):
-    #: any cross-device difference there is fraud, not tolerance.
-    skip_integer_outputs: bool = True
     #: Window of the Appendix-B stability diagnostics recorded per operator.
     stability_window: int = DEFAULT_WINDOW
 
@@ -374,9 +370,12 @@ def calibrate_committee_envelope(
 
     # Row p of a pair stack is ordered pair p, (proposer j, member k != j)
     # in j-major order; proposers[p] is its j.
-    proposers = [j for j in range(len(interpreters))
-                 for k in range(len(interpreters)) if k != j]
-    n_pairs = len(proposers)
+    proposers = np.array([j for j in range(len(interpreters))
+                          for k in range(len(interpreters)) if k != j], dtype=np.intp)
+    n_devices, n_pairs = len(interpreters), len(proposers)
+    zero = np.zeros(len(config.percentile_grid), dtype=np.float64)
+    zero_profile = PercentileProfile(tuple(config.percentile_grid), zero, zero)
+    workspace = RowWorkspace()
 
     for sample in dataset:
         num_samples += 1
@@ -386,7 +385,13 @@ def calibrate_committee_envelope(
         ]
         for node in operators:
             outputs = [trace.values[node.name] for trace in traces]
-            if config.skip_integer_outputs and np.asarray(outputs[0]).dtype.kind in "iub":
+            # Integer outputs (argmax, index tensors) carry no tolerance:
+            # any cross-device difference there is fraud.
+            if np.asarray(outputs[0]).dtype.kind in "iub":
+                continue
+            if get_op(node.target).device_invariant:
+                # Every member re-computes the proposer's traced bytes.
+                per_sample[node.name].append(zero_profile)
                 continue
             # One single-operator run per ordered pair: a stacked run would
             # change the batch shape, and with it the BLAS bits.
@@ -397,20 +402,24 @@ def calibrate_committee_envelope(
                     member.run_single_operator(graph_module, node.name, operands)
                     for k, member in enumerate(interpreters) if k != j
                 )
-            proposed = stack_rows(outputs)[proposers]
-            reference = stack_rows(references)
-            abs_err, rel_err = leaf_error_rows(
-                proposed, reference, config.rel_scale_floor, config.relative_epsilon
-            )
+            rows, denominators, reference, reference_den, errors, reverse = workspace.rows(
+                np.size(outputs[0]), n_devices, n_devices, n_pairs, n_pairs,
+                2 * n_pairs, n_pairs)
+            stack_rows(outputs, out=rows)
+            leaf_denominators(rows, config.rel_scale_floor, config.relative_epsilon,
+                              out=denominators)
+            stack_rows(references, out=reference)
+            leaf_denominators(reference, config.rel_scale_floor, config.relative_epsilon,
+                              out=reference_den)
             # Cover both normalization directions, as the threshold
             # calibrator does: the leaf check normalizes by the proposer's
             # claim, but the committed envelope must hold whichever side a
             # checker divides by.
-            rel_err = np.maximum(rel_err, leaf_error_rows(
-                reference, proposed, config.rel_scale_floor, config.relative_epsilon
-            )[1])
+            pair_error_rows(errors, rows, denominators, proposers, reference,
+                            b_den=reference_den, reverse=reverse)
+            np.maximum(errors[n_pairs:], reverse, out=errors[n_pairs:])
             per_sample[node.name].append(
-                max_over_pairs(abs_err, rel_err, config.percentile_grid))
+                max_over_pairs(errors, config.percentile_grid))
 
     profile = CommitteeEnvelopeProfile(
         model_name=graph_module.name,

@@ -6,18 +6,21 @@ tensor over the calibration grid ``P`` (Eqs. 3-4 in the paper); an
 profiles of one operator together with their max-envelope (Eqs. 5-6) and the
 summary statistics used by the attack-headroom and heatmap experiments.
 
-:func:`percentile_profiles` is the one routine that turns error tensors into
-percentile vectors: both calibration passes hand it the stacked error rows of
-every device pair of one (sample, operator) at once, and each Eq. 15 check
-hands it its abs and rel tensors together.  :func:`elementwise_errors` is
-element-wise, so one call covers the stacked rows of all pairs.
-:func:`non_finite_errors` is the element-wise rule for NaN and inf.
+:func:`pair_error_rows` is the one error routine: per (sample, operator) a
+calibration pass hands it the D device rows, their D denominator rows and the
+pair indices, and it writes the absolute and relative error rows of all P
+pairs, both directions from one ``|a - b|``, into the pass's
+:class:`RowWorkspace`.  :func:`sort_percentiles` sorts those rows in place
+and reads the grid off them; :func:`percentile_profiles` is its copying
+form.  The one-tensor Eq. 15 statistic :func:`elementwise_errors` is the
+one-row case.  :func:`non_finite_errors` applies the element-wise rule for
+NaN and inf in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,32 +33,61 @@ PERCENTILE_GRID: Tuple[float, ...] = tuple(
 RELATIVE_ERROR_EPSILON = 1e-12
 
 
-def stack_rows(tensors: Sequence[np.ndarray]) -> np.ndarray:
-    """Equally shaped tensors as the flattened float64 rows of a fresh 2-D array."""
-    return np.array(tensors, dtype=np.float64).reshape(len(tensors), -1)
+class RowWorkspace:
+    """Float64 row buffers that one calibration pass reuses across its cells.
 
-
-def percentile_profiles(rows: Sequence[np.ndarray],
-                        grid: Sequence[float] = PERCENTILE_GRID) -> np.ndarray:
-    """Percentile-value vectors of equally sized error rows, one sorted pass.
-
-    ``rows`` is a 2-D array or a sequence of equally shaped tensors; each
-    of its entries is flattened into one row.
-    Returns a ``(len(rows), len(grid))`` array whose row ``i`` is
-    ``np.percentile(rows[i], grid)`` bit for bit: the rows are stacked as
-    float64 and sorted together, the floor/ceil order statistics are
-    gathered at NumPy's linear virtual indices ``(n - 1) * grid / 100``, and
-    interpolated with NumPy's ``_lerp`` rule.  A row holding a NaN yields an
-    all-NaN vector, as ``np.percentile`` does; empty rows yield zeros.
+    Every (sample, operator) cell takes its row blocks from :meth:`rows`.
+    They are carved from one flat buffer that grows to the largest cell and
+    is then reused, so a pass maps and faults in its stacks once instead of
+    on every allocation.  A pass keeps its workspace local, so the buffer is
+    freed when the pass returns.
     """
-    if not len(rows):
-        return np.zeros((0, len(grid)), dtype=np.float64)
-    # stack_rows copies, so the in-place sort never touches the caller's rows.
-    stacked = stack_rows(rows)
-    n = stacked.shape[1]
+
+    def __init__(self) -> None:
+        self._flat = np.empty(0, dtype=np.float64)
+
+    def rows(self, n: int, *counts: int) -> List[np.ndarray]:
+        """Disjoint, uninitialised C-contiguous ``(count, n)`` blocks, one per count."""
+        need = n * sum(counts)
+        if self._flat.size < need:
+            self._flat = np.empty(need, dtype=np.float64)
+        blocks = []
+        start = 0
+        for count in counts:
+            blocks.append(self._flat[start:start + count * n].reshape(count, n))
+            start += count * n
+        return blocks
+
+
+def stack_rows(tensors: Sequence[np.ndarray],
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Equally shaped tensors as the flattened float64 rows of a 2-D array.
+
+    The rows go into ``out`` (a ``(len(tensors), n)`` float64 array) when it
+    is given, else into a fresh array.
+    """
+    if out is None:
+        return np.array(tensors, dtype=np.float64).reshape(len(tensors), -1)
+    # axis=None flattens each tensor in C order straight into the rows.
+    np.concatenate(tensors, axis=None, out=out.reshape(-1))
+    return out
+
+
+def sort_percentiles(rows: np.ndarray,
+                     grid: Sequence[float] = PERCENTILE_GRID) -> np.ndarray:
+    """Percentile-value vectors of the rows of a 2-D float64 array, sorted in place.
+
+    Returns a ``(len(rows), len(grid))`` array whose row ``i`` is
+    ``np.percentile(rows[i], grid)`` bit for bit: ``rows`` is sorted along
+    its rows, the floor/ceil order statistics are gathered at NumPy's linear
+    virtual indices ``(n - 1) * grid / 100``, and interpolated with NumPy's
+    ``_lerp`` rule.  A row holding a NaN yields an all-NaN vector, as
+    ``np.percentile`` does; empty rows yield zeros.
+    """
+    n = rows.shape[1]
     if n == 0:
         return np.zeros((len(rows), len(grid)), dtype=np.float64)
-    stacked.sort(axis=1)
+    rows.sort(axis=1)
     virtual = (n - 1) * np.true_divide(np.asarray(grid, dtype=np.float64), 100)
     lower = np.floor(virtual)
     upper = lower + 1
@@ -65,15 +97,28 @@ def percentile_profiles(rows: Sequence[np.ndarray],
     upper[last] = -1
     lower = lower.astype(np.intp)
     t = virtual - lower
-    a = stacked[:, lower]
-    b = stacked[:, upper.astype(np.intp)]
+    a = rows[:, lower]
+    b = rows[:, upper.astype(np.intp)]
     with np.errstate(invalid="ignore"):
         diff = b - a
         values = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
-    has_nan = np.isnan(stacked[:, -1])
+    has_nan = np.isnan(rows[:, -1])
     if has_nan.any():
-        values[has_nan] = stacked[has_nan, -1:]
+        values[has_nan] = rows[has_nan, -1:]
     return values
+
+
+def percentile_profiles(rows: Sequence[np.ndarray],
+                        grid: Sequence[float] = PERCENTILE_GRID) -> np.ndarray:
+    """:func:`sort_percentiles` of a float64 copy of ``rows``.
+
+    ``rows`` is a 2-D array or a sequence of equally shaped tensors; each of
+    its entries is flattened into one row, and the caller's data is left
+    untouched.
+    """
+    if not len(rows):
+        return np.zeros((0, len(grid)), dtype=np.float64)
+    return sort_percentiles(stack_rows(rows), grid)
 
 
 def percentile_profile(errors: np.ndarray,
@@ -82,39 +127,99 @@ def percentile_profile(errors: np.ndarray,
     return percentile_profiles([errors], grid)[0]
 
 
-def non_finite_errors(a64: np.ndarray, b64: np.ndarray, abs_err: np.ndarray,
-                      rel_err: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Apply the non-finite rule to the element-wise errors of ``a64`` vs ``b64``.
+def non_finite_errors(a64: np.ndarray, b64: np.ndarray, *errors: np.ndarray) -> None:
+    """Apply the non-finite rule, in place, to error arrays of ``a64`` vs ``b64``.
 
     An element where both sides are NaN, or the same infinity, agrees (error
     0); one where exactly one side is non-finite, or the infinities differ in
-    sign, has error +inf.  Finite elements keep their errors.  Any
-    non-finite side makes ``abs_err`` non-finite there, so finite inputs
-    cost one scan of ``abs_err``.
+    sign, has error +inf.  Every array in ``errors`` is overwritten at those
+    elements; finite elements keep their errors.
     """
-    if np.isfinite(abs_err).all():
-        return abs_err, rel_err
     finite = np.isfinite(a64) & np.isfinite(b64)
     agree = (a64 == b64) | (np.isnan(a64) & np.isnan(b64))
     fill = np.where(agree, 0.0, np.inf)
-    return np.where(finite, abs_err, fill), np.where(finite, rel_err, fill)
+    for err in errors:
+        np.copyto(err, fill, where=~finite)
+
+
+def pair_error_rows(errors: np.ndarray, a_rows: np.ndarray, a_den: np.ndarray,
+                    a_index: np.ndarray, b_rows: np.ndarray,
+                    b_index: Optional[np.ndarray] = None,
+                    b_den: Optional[np.ndarray] = None,
+                    reverse: Optional[np.ndarray] = None) -> None:
+    """Element-wise absolute and relative errors of P row pairs, in place.
+
+    Pair ``p`` compares row ``a_index[p]`` of ``a_rows`` with row
+    ``b_index[p]`` of ``b_rows`` (row ``p`` when ``b_index`` is None).
+    ``errors`` is a ``(2P, n)`` float64 array: rows ``[:P]`` receive
+    ``|a - b|`` (Eq. 1) and rows ``[P:]`` that divided by the pair's row of
+    ``a_den`` (Eq. 2's ``|a| + eps``, or the leaf's floored magnitude), which
+    is indexed like ``a_rows``.  With ``b_den`` (indexed like ``b_rows``),
+    the reversed direction, the same ``|a - b|`` divided by ``b``'s
+    denominator, goes into ``reverse``, a ``(P, n)`` array.  Denominators
+    come per distinct row, so D device rows need D denominator rows, not P.
+    Non-finite elements follow :func:`non_finite_errors` in every output.
+    Finite inputs allocate no row.
+    """
+    pairs = len(a_index)
+    abs_rows, rel_rows = errors[:pairs], errors[pairs:]
+    outputs = [abs_rows, rel_rows]
+    # mode="clip" because "raise" buffers the output; the pair indices
+    # are in range by construction.
+    with np.errstate(invalid="ignore"):
+        np.take(a_rows, a_index, axis=0, out=abs_rows, mode="clip")
+        if b_index is None:
+            np.subtract(abs_rows, b_rows, out=abs_rows)
+        else:
+            np.take(b_rows, b_index, axis=0, out=rel_rows, mode="clip")
+            np.subtract(abs_rows, rel_rows, out=abs_rows)
+        np.abs(abs_rows, out=abs_rows)
+        np.take(a_den, a_index, axis=0, out=rel_rows, mode="clip")
+        np.divide(abs_rows, rel_rows, out=rel_rows)
+        if b_den is not None:
+            if b_index is None:
+                np.divide(abs_rows, b_den, out=reverse)
+            else:
+                np.take(b_den, b_index, axis=0, out=reverse, mode="clip")
+                np.divide(abs_rows, reverse, out=reverse)
+            outputs.append(reverse)
+    # A non-finite side makes |a - b| NaN or inf, and a max propagates both,
+    # so finite inputs cost one scan of the abs rows.
+    if not np.isfinite(abs_rows.max(initial=0.0)):
+        b_pairs = b_rows if b_index is None else b_rows[b_index]
+        non_finite_errors(a_rows[a_index], b_pairs, *outputs)
+
+
+#: The pair index of the one-row case.
+_ONE_PAIR = np.zeros(1, dtype=np.intp)
+
+
+def tensor_pair_errors(
+    a: np.ndarray, b: np.ndarray,
+    denominators: Callable[[np.ndarray], np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Absolute and relative errors of one tensor pair: the one-row case.
+
+    ``denominators`` maps ``a`` as a ``(1, n)`` float64 row to its
+    denominator row.  Returns both error tensors in the pair's shape; the
+    shapes must be equal, never broadcast.
+    """
+    shape = np.shape(a)
+    if np.shape(b) != shape:
+        raise ValueError(f"errors need equal shapes, got {shape} and {np.shape(b)}")
+    a_row = np.asarray(a, dtype=np.float64).reshape(1, -1)
+    b_row = np.asarray(b, dtype=np.float64).reshape(1, -1)
+    errors = np.empty((2, a_row.shape[1]), dtype=np.float64)
+    pair_error_rows(errors, a_row, denominators(a_row), _ONE_PAIR, b_row)
+    return errors[0].reshape(shape), errors[1].reshape(shape)
 
 
 def elementwise_errors(a: np.ndarray, b: np.ndarray,
                        epsilon: float = RELATIVE_ERROR_EPSILON
                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """Element-wise absolute and relative errors between two tensors (Eqs. 1-2).
-
-    Purely element-wise, so stacked ``(P, n)`` rows of P device pairs go
-    through one call and each row equals that pair's own call bit for bit.
-    Non-finite elements follow :func:`non_finite_errors`.
-    """
-    a64 = np.asarray(a, dtype=np.float64)
-    b64 = np.asarray(b, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        abs_err = np.abs(a64 - b64)
-        rel_err = abs_err / (np.abs(a64) + epsilon)
-    return non_finite_errors(a64, b64, abs_err, rel_err)
+    """Element-wise absolute and relative errors of two equally shaped tensors
+    (Eqs. 1-2), the relative one over ``|a| + epsilon``."""
+    return tensor_pair_errors(a, b, lambda row: np.abs(row) + epsilon)
 
 
 @dataclass
@@ -171,15 +276,16 @@ class PercentileProfile:
                    np.asarray(payload["rel"]))
 
 
-def max_over_pairs(abs_rows: np.ndarray, rel_rows: np.ndarray,
+def max_over_pairs(errors: np.ndarray,
                    grid: Sequence[float] = PERCENTILE_GRID) -> PercentileProfile:
     """One sample's profile: the pointwise max over device pairs (Eqs. 5-6).
 
-    ``abs_rows[i]`` and ``rel_rows[i]`` are pair ``i``'s error rows; all of
-    them go through one :func:`percentile_profiles` call.
+    ``errors`` holds the P pairs' absolute error rows, then their relative
+    error rows, as one ``(2P, n)`` float64 array; it is sorted in place by
+    one :func:`sort_percentiles` call.
     """
-    values = percentile_profiles(np.concatenate((abs_rows, rel_rows)), grid)
-    pairs = len(abs_rows)
+    values = sort_percentiles(errors, grid)
+    pairs = len(errors) // 2
     return PercentileProfile(tuple(grid), values[:pairs].max(axis=0),
                              values[pairs:].max(axis=0))
 

@@ -12,7 +12,9 @@ about a primitive operator:
   by the dispute-cost accounting (Table 3);
 * ``category`` — coarse operator family used in reports ("linalg", "norm",
   "elementwise", "structural", ...); structural/data-movement operators
-  contribute no floating-point error (paper Sec. 3.1).
+  contribute no floating-point error (paper Sec. 3.1);
+* ``device_invariant`` — derived: the forward never reads the device, so
+  every device computes the same bytes from the same operands.
 
 Theoretical error-bound templates are registered separately in
 :mod:`repro.bounds.templates`, keyed by the same operator name, so the bound
@@ -44,6 +46,18 @@ class OpSpec:
     category: str = "elementwise"
     #: Structural (pure data-movement) operators introduce no rounding error.
     introduces_rounding: bool = True
+
+    @property
+    def device_invariant(self) -> bool:
+        """True when the forward never reads the device.
+
+        Pure data movement, and the element-wise and activation families
+        (one rounding per element, no device-ordered reduction), compute the
+        same bytes on every device from the same operands.
+        ``tests/test_ops_device_invariance.py`` runs each such forward under
+        a device that raises on any attribute access.
+        """
+        return not self.introduces_rounding or self.category in ("elementwise", "activation")
 
     def __call__(self, device: DeviceProfile, *tensors: np.ndarray, **attrs) -> np.ndarray:
         return self.forward(device, *tensors, **attrs)

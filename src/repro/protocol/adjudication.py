@@ -104,8 +104,8 @@ def theoretical_bound_check(
     claim64 = np.asarray(proposer_output, dtype=np.float64)
     reference64 = np.asarray(reference, dtype=np.float64)
     with np.errstate(invalid="ignore"):
-        diff = np.abs(claim64 - reference64)
-    diff, _ = non_finite_errors(claim64, reference64, diff, diff)
+        diff = np.asarray(np.abs(claim64 - reference64))
+    non_finite_errors(claim64, reference64, diff)
     disagree = np.isinf(diff)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(tau > 0, diff / np.maximum(tau, 1e-300), np.where(diff > 0, np.inf, 0.0))

@@ -1,5 +1,7 @@
 """Unit and property tests for percentile profiles."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,9 @@ from repro.calibration.profiles import (
     PERCENTILE_GRID,
     OperatorCalibration,
     PercentileProfile,
+    RowWorkspace,
     elementwise_errors,
+    pair_error_rows,
     percentile_profile,
     percentile_profiles,
 )
@@ -198,12 +202,30 @@ def test_max_over_pairs_is_the_per_pair_max_of_np_percentile(rng):
 
     abs_rows = [np.abs(rng.standard_normal((6, 7))) * scale for scale in (1, 3, 1e-6)]
     rel_rows = [np.abs(rng.standard_normal((6, 7))) for _ in abs_rows]
-    profile = max_over_pairs(abs_rows, rel_rows)
+    errors = np.array([row.ravel() for row in abs_rows + rel_rows])
+    profile = max_over_pairs(errors)
     expected_abs = np.max([np.percentile(row, PERCENTILE_GRID) for row in abs_rows], axis=0)
     expected_rel = np.max([np.percentile(row, PERCENTILE_GRID) for row in rel_rows], axis=0)
     assert profile.grid == PERCENTILE_GRID
     assert np.array_equal(profile.abs_values.view(np.uint64), expected_abs.view(np.uint64))
     assert np.array_equal(profile.rel_values.view(np.uint64), expected_rel.view(np.uint64))
+
+
+def test_row_workspace_blocks_are_disjoint_views_of_one_buffer():
+    from repro.calibration.profiles import RowWorkspace
+
+    workspace = RowWorkspace()
+    big = workspace.rows(5, 2, 3)
+    assert [block.shape for block in big] == [(2, 5), (3, 5)]
+    assert all(block.flags.c_contiguous for block in big)
+    big[0][...] = 1.0
+    big[1][...] = 2.0
+    assert (big[0] == 1.0).all()
+    # A smaller cell reuses the buffer; a larger one replaces it.
+    small = workspace.rows(3, 1, 1)
+    assert np.shares_memory(small[0], big[0]) and not np.shares_memory(*small)
+    grown = workspace.rows(50, 2)[0]
+    assert grown.shape == (2, 50) and not np.shares_memory(grown, big[0])
 
 
 # ----------------------------------------------------------------------
@@ -212,8 +234,10 @@ def test_max_over_pairs_is_the_per_pair_max_of_np_percentile(rng):
 
 def test_each_pass_sorts_once_per_sample_and_float_operator(monkeypatch, mlp_graph,
                                                             mlp_input_factory):
-    """One percentile call and at most two error calls per (sample, operator)
-    and pass, whatever the number of device pairs."""
+    """One sort and one error call per (sample, float operator) in the
+    threshold pass; in the envelope pass the same per device-dependent cell,
+    plus one single-operator run per ordered pair, and nothing at all for a
+    device-invariant cell, whatever the number of device pairs."""
     from repro.calibration import CalibrationConfig, Calibrator
     from repro.calibration import calibrator, committee, profiles
     from repro.calibration.committee import (
@@ -221,72 +245,75 @@ def test_each_pass_sorts_once_per_sample_and_float_operator(monkeypatch, mlp_gra
         calibrate_committee_envelope,
     )
     from repro.graph.interpreter import Interpreter
+    from repro.ops.registry import get_op
     from repro.tensorlib import DEVICE_FLEET
 
-    calls = []
-    routine = profiles.percentile_profiles
+    sorts = []
+    sort_routine = profiles.sort_percentiles
 
-    def spy(rows, grid=PERCENTILE_GRID):
-        calls.append(len(rows))
-        return routine(rows, grid)
+    def sort_spy(rows, grid=PERCENTILE_GRID):
+        sorts.append(len(rows))
+        return sort_routine(rows, grid)
 
-    monkeypatch.setattr(profiles, "percentile_profiles", spy)
+    monkeypatch.setattr(profiles, "sort_percentiles", sort_spy)
     error_calls = []
-    for module, name in ((calibrator, "elementwise_errors"),
-                         (profiles, "elementwise_errors"),
-                         (committee, "leaf_error_rows"),
-                         (committee, "leaf_elementwise_errors")):
-        def error_spy(*args, _inner=getattr(module, name), **kwargs):
-            error_calls.append(np.shape(args[0]))
+    for module in (calibrator, committee, profiles):
+        def error_spy(*args, _inner=module.pair_error_rows, **kwargs):
+            error_calls.append(len(args[3]))
             return _inner(*args, **kwargs)
-        monkeypatch.setattr(module, name, error_spy)
+        monkeypatch.setattr(module, "pair_error_rows", error_spy)
+    single_runs = Counter()
+    single_routine = Interpreter.run_single_operator
+
+    def single_spy(self, graph_module, operator_name, operands):
+        single_runs[operator_name] += 1
+        return single_routine(self, graph_module, operator_name, operands)
+
+    monkeypatch.setattr(Interpreter, "run_single_operator", single_spy)
 
     samples = [mlp_input_factory(3000 + i) for i in range(3)]
     trace = Interpreter(DEVICE_FLEET[0]).run(mlp_graph, samples[0], record=True)
-    float_ops = [node.name for node in mlp_graph.graph.operators
+    float_ops = [node for node in mlp_graph.graph.operators
                  if np.asarray(trace.values[node.name]).dtype.kind == "f"]
+    dependent = [node.name for node in float_ops
+                 if not get_op(node.target).device_invariant]
+    assert 0 < len(dependent) < len(float_ops)
     cells = len(samples) * len(float_ops)
+    dependent_cells = len(samples) * len(dependent)
 
-    error_counts = []
     for devices in (DEVICE_FLEET[:3], DEVICE_FLEET):
         n = len(devices)
-        calls.clear()
+        sorts.clear()
         error_calls.clear()
         Calibrator(CalibrationConfig(devices=devices)).calibrate(mlp_graph, samples)
         pairs = n * (n - 1) // 2
-        assert calls == [2 * pairs] * cells
-        # Every call covers all pairs of one (sample, operator) as rows.
-        assert len(error_calls) <= 2 * cells
-        assert {shape[0] for shape in error_calls} == {pairs}
-        error_counts.append(len(error_calls))
+        assert sorts == [2 * pairs] * cells
+        # One error call per cell, covering all of its pairs.
+        assert error_calls == [pairs] * cells
 
-        calls.clear()
+        sorts.clear()
         error_calls.clear()
+        single_runs.clear()
         calibrate_committee_envelope(mlp_graph, samples,
                                      CommitteeEnvelopeConfig(devices=devices))
         ordered_pairs = n * (n - 1)
-        assert calls == [2 * ordered_pairs] * cells
-        assert len(error_calls) <= 2 * cells
-        assert {shape[0] for shape in error_calls} == {ordered_pairs}
-        error_counts.append(len(error_calls))
-    # The call count does not grow with the number of device pairs.
-    assert error_counts[:2] == error_counts[2:]
+        assert sorts == [2 * ordered_pairs] * dependent_cells
+        assert error_calls == [ordered_pairs] * dependent_cells
+        assert single_runs == {name: ordered_pairs * len(samples) for name in dependent}
 
 
 # ----------------------------------------------------------------------
 # Stacked error rows against per-pair oracles
 # ----------------------------------------------------------------------
 
-def _leaf_oracle(proposed, reference, rel_scale_floor, epsilon=1e-12):
-    """The scale-floored leaf statistic of one tensor pair, written out."""
-    a64 = np.asarray(proposed, dtype=np.float64)
-    b64 = np.asarray(reference, dtype=np.float64)
-    magnitude = np.abs(a64)
-    finite = magnitude[np.isfinite(magnitude)]
-    peak = float(finite.max()) if finite.size else 0.0
+def _oracle(a, b, denominator):
+    """Eqs. 1-2 of one tensor pair over ``denominator``, written out, with
+    the non-finite rule."""
+    a64 = np.asarray(a, dtype=np.float64)
+    b64 = np.asarray(b, dtype=np.float64)
     with np.errstate(invalid="ignore"):
         abs_err = np.abs(a64 - b64)
-        rel_err = abs_err / np.maximum(magnitude, max(rel_scale_floor * peak, epsilon))
+        rel_err = abs_err / denominator
     both_finite = np.isfinite(a64) & np.isfinite(b64)
     agree = (a64 == b64) | (np.isnan(a64) & np.isnan(b64))
     fill = np.where(agree, 0.0, np.inf)
@@ -294,12 +321,18 @@ def _leaf_oracle(proposed, reference, rel_scale_floor, epsilon=1e-12):
             np.where(both_finite, rel_err, fill))
 
 
+def _leaf_oracle(proposed, reference, rel_scale_floor, epsilon=1e-12):
+    """The scale-floored leaf statistic of one tensor pair, written out."""
+    magnitude = np.abs(np.asarray(proposed, dtype=np.float64))
+    finite = magnitude[np.isfinite(magnitude)]
+    peak = float(finite.max()) if finite.size else 0.0
+    return _oracle(proposed, reference,
+                   np.maximum(magnitude, max(rel_scale_floor * peak, epsilon)))
+
+
 def _plain_oracle(a, b, epsilon=1e-12):
-    """Eqs. 1-2 of one tensor pair, written out (finite inputs)."""
-    a64 = np.asarray(a, dtype=np.float64)
-    b64 = np.asarray(b, dtype=np.float64)
-    abs_err = np.abs(a64 - b64)
-    return abs_err, abs_err / (np.abs(a64) + epsilon)
+    """Eqs. 1-2 of one tensor pair over ``|a| + epsilon``, written out."""
+    return _oracle(a, b, np.abs(np.asarray(a, dtype=np.float64)) + epsilon)
 
 
 def _same_bits(actual, expected) -> bool:
@@ -311,64 +344,121 @@ def _same_bits(actual, expected) -> bool:
 
 _ROW_KINDS = ["spread", "zeros", "nan", "inf", "non_finite", "near_zero"]
 
+#: Shared by every example below, so blocks of each size are carved from a
+#: buffer that earlier, larger and smaller, examples wrote: a stale-buffer
+#: guard.
+_WORKSPACE = RowWorkspace()
+
+
+def _rows_of_kind(rng, kind, n):
+    row = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 4)
+    if kind == "zeros":
+        row = np.zeros(n)
+    elif kind == "near_zero":
+        row = row * 1e-9
+    elif kind == "non_finite":
+        row = rng.choice([np.nan, np.inf, -np.inf], size=n)
+    elif n and kind in ("nan", "inf"):
+        specials = [np.nan] if kind == "nan" else [np.inf, -np.inf]
+        for _ in range(rng.integers(1, 3)):
+            row[rng.integers(n)] = rng.choice(specials)
+    return row
+
 
 @settings(deadline=None, max_examples=200)
 @given(data=st.data(), n=st.sampled_from([0, 1, 2, 7, 64]),
-       kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=6),
+       kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=2, max_size=5),
        rel_scale_floor=st.sampled_from([0.0, 1e-3, 0.5]))
-def test_leaf_error_rows_equal_one_row_calls(data, n, kinds, rel_scale_floor):
-    """Stacked (P, n) rows equal P one-row calls and the written-out statistic."""
-    from repro.calibration.committee import leaf_elementwise_errors, leaf_error_rows
-    from repro.calibration.profiles import elementwise_errors
+def test_pair_error_rows_equal_per_pair_oracles(data, n, kinds, rel_scale_floor):
+    """Both passes' stacked errors, in both directions, equal one-row calls
+    and the written-out statistics pair by pair, for spread, all-zero,
+    near-zero, NaN, +-inf and all-non-finite device rows."""
+    from repro.calibration.committee import leaf_denominators, leaf_elementwise_errors
 
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    proposed, reference = [], []
-    for kind in kinds:
-        row = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 4)
-        other = row + rng.standard_normal(n) * 1e-4
-        if kind == "zeros":
-            row, other = np.zeros(n), np.zeros(n)
-        elif kind == "near_zero":
-            row = row * 1e-9
-        elif kind == "non_finite":
-            row = rng.choice([np.nan, np.inf, -np.inf], size=n)
-        elif n and kind in ("nan", "inf"):
-            specials = [np.nan] if kind == "nan" else [np.inf, -np.inf]
-            for _ in range(rng.integers(1, 3)):
-                row[rng.integers(n)] = rng.choice(specials)
-                other[rng.integers(n)] = rng.choice(specials)
-        proposed.append(row)
-        reference.append(other)
-    a_rows = np.asarray(proposed, dtype=np.float64).reshape(len(kinds), n)
-    b_rows = np.asarray(reference, dtype=np.float64).reshape(len(kinds), n)
+    devices = np.array([_rows_of_kind(rng, kind, n) for kind in kinds]).reshape(len(kinds), n)
+    n_devices = len(kinds)
 
-    abs_rows, rel_rows = leaf_error_rows(a_rows, b_rows, rel_scale_floor)
-    plain_abs, plain_rel = elementwise_errors(a_rows, b_rows)
-    for i in range(len(kinds)):
-        one_abs, one_rel = leaf_elementwise_errors(a_rows[i], b_rows[i], rel_scale_floor)
-        want_abs, want_rel = _leaf_oracle(a_rows[i], b_rows[i], rel_scale_floor)
-        assert _same_bits(abs_rows[i], one_abs) and _same_bits(abs_rows[i], want_abs)
-        assert _same_bits(rel_rows[i], one_rel) and _same_bits(rel_rows[i], want_rel)
-        row_abs, row_rel = elementwise_errors(a_rows[i], b_rows[i])
-        assert _same_bits(plain_abs[i], row_abs) and _same_bits(plain_rel[i], row_rel)
+    # The threshold pass: j < k pairs of the device rows, |y| + eps.
+    first, second = np.triu_indices(n_devices, 1)
+    pairs = len(first)
+    rows, den, errors, reverse = _WORKSPACE.rows(n, n_devices, n_devices, 2 * pairs, pairs)
+    rows[...] = devices
+    np.abs(rows, out=den)
+    den += 1e-12
+    pair_error_rows(errors, rows, den, first, rows, second, den, reverse)
+    for p, (j, k) in enumerate(zip(first, second)):
+        want_abs, want_rel = _plain_oracle(devices[j], devices[k])
+        _, want_reverse = _plain_oracle(devices[k], devices[j])
+        one_abs, one_rel = elementwise_errors(devices[j], devices[k])
+        assert _same_bits(errors[p], want_abs) and _same_bits(one_abs, want_abs)
+        assert _same_bits(errors[pairs + p], want_rel) and _same_bits(one_rel, want_rel)
+        assert _same_bits(reverse[p], want_reverse)
+
+    # The envelope pass: one reference row per ordered pair, floored
+    # denominators per proposer row and per reference row.
+    proposers = np.array([j for j in range(n_devices)
+                          for k in range(n_devices) if k != j], dtype=np.intp)
+    pairs = len(proposers)
+    references = np.array([
+        _rows_of_kind(rng, "spread", n) * 1e-4 + devices[j] if rng.random() < 0.7
+        else _rows_of_kind(rng, data.draw(st.sampled_from(_ROW_KINDS)), n)
+        for j in proposers
+    ]).reshape(pairs, n)
+    rows, den, reference, reference_den, errors, reverse = _WORKSPACE.rows(
+        n, n_devices, n_devices, pairs, pairs, 2 * pairs, pairs)
+    rows[...] = devices
+    leaf_denominators(rows, rel_scale_floor, out=den)
+    reference[...] = references
+    leaf_denominators(reference, rel_scale_floor, out=reference_den)
+    pair_error_rows(errors, rows, den, proposers, reference,
+                    b_den=reference_den, reverse=reverse)
+    for p, j in enumerate(proposers):
+        want_abs, want_rel = _leaf_oracle(devices[j], references[p], rel_scale_floor)
+        _, want_reverse = _leaf_oracle(references[p], devices[j], rel_scale_floor)
+        one_abs, one_rel = leaf_elementwise_errors(devices[j], references[p],
+                                                   rel_scale_floor)
+        assert _same_bits(errors[p], want_abs) and _same_bits(one_abs, want_abs)
+        assert _same_bits(errors[pairs + p], want_rel) and _same_bits(one_rel, want_rel)
+        assert _same_bits(reverse[p], want_reverse)
 
 
-def test_leaf_error_rows_all_non_finite_row_floors_at_epsilon():
-    from repro.calibration.committee import leaf_error_rows
+def test_leaf_denominators_all_non_finite_row_floors_at_epsilon():
+    from repro.calibration.committee import leaf_denominators
 
     proposed = np.array([[np.nan, np.inf, 1.0, 2.0], [np.nan, np.inf, -np.inf, np.nan]])
     reference = np.array([[np.nan, np.inf, 1.5, 2.0], [np.nan, 1.0, -np.inf, 0.0]])
-    abs_err, rel_err = leaf_error_rows(proposed, reference, rel_scale_floor=0.5)
+    errors = np.empty((4, 4))
+    pair_error_rows(errors, proposed, leaf_denominators(proposed, rel_scale_floor=0.5),
+                    np.arange(2), reference)
+    abs_err, rel_err = errors[:2], errors[2:]
     # Row 0's peak is its largest finite magnitude, 2; row 1 has none, so 0.
     assert rel_err[0].tolist() == [0.0, 0.0, 0.5, 0.0]
     assert abs_err[1].tolist() == [0.0, np.inf, 0.0, np.inf]
     assert rel_err[1].tolist() == [0.0, np.inf, 0.0, np.inf]
 
 
-def test_both_passes_match_per_pair_np_percentile_oracles(monkeypatch, mlp_graph,
-                                                          mlp_input_factory):
+def _calibration_case(request, model):
+    """(graph, samples) of one model: the tiny MLP or a zoo mini, whose
+    operator sizes shrink and grow along the graph."""
+    if model == "tiny_mlp":
+        factory = request.getfixturevalue("mlp_input_factory")
+        return (request.getfixturevalue("mlp_graph"),
+                [factory(4000 + i) for i in range(2)])
+    from repro.models import get_model_spec
+
+    spec = get_model_spec(model)
+    module = spec.build_module()
+    return (spec.trace(module, batch_size=1, seed=17),
+            list(spec.dataset(module, 1, seed=17, batch_size=1)))
+
+
+@pytest.mark.parametrize("model", ["tiny_mlp", "qwen_mini"])
+def test_both_passes_match_per_pair_np_percentile_oracles(monkeypatch, request, model):
     """Every per-sample profile of both passes is the max over per-pair
-    ``np.percentile`` calls on per-pair errors, on any host's BLAS."""
+    ``np.percentile`` calls on per-pair errors, on any host's BLAS.  The
+    envelope pass records a device-invariant cell without computing it; its
+    oracle is exactly zero, and so is that operator's committed envelope."""
     from repro.calibration import CalibrationConfig, Calibrator, committee
     from repro.calibration.committee import (
         DEFAULT_REL_SCALE_FLOOR,
@@ -377,9 +467,10 @@ def test_both_passes_match_per_pair_np_percentile_oracles(monkeypatch, mlp_graph
         leaf_operands,
     )
     from repro.graph.interpreter import Interpreter
+    from repro.ops.registry import get_op
     from repro.tensorlib import DEVICE_FLEET
 
-    samples = [mlp_input_factory(4000 + i) for i in range(2)]
+    graph, samples = _calibration_case(request, model)
     interpreters = [Interpreter(device) for device in DEVICE_FLEET]
     grid = list(PERCENTILE_GRID)
 
@@ -388,7 +479,7 @@ def test_both_passes_match_per_pair_np_percentile_oracles(monkeypatch, mlp_graph
         rel_values = np.max([np.percentile(r, grid) for _, r in error_pairs], axis=0)
         return abs_values, rel_values
 
-    result = Calibrator(CalibrationConfig(devices=DEVICE_FLEET)).calibrate(mlp_graph, samples)
+    result = Calibrator(CalibrationConfig(devices=DEVICE_FLEET)).calibrate(graph, samples)
     envelope_profiles = []
     routine = committee.max_over_pairs
 
@@ -397,14 +488,14 @@ def test_both_passes_match_per_pair_np_percentile_oracles(monkeypatch, mlp_graph
         return envelope_profiles[-1]
 
     monkeypatch.setattr(committee, "max_over_pairs", capture)
-    calibrate_committee_envelope(mlp_graph, samples,
-                                 CommitteeEnvelopeConfig(devices=DEVICE_FLEET))
+    envelope = calibrate_committee_envelope(graph, samples,
+                                            CommitteeEnvelopeConfig(devices=DEVICE_FLEET))
     captured = iter(envelope_profiles)
 
-    checked = 0
+    checked = Counter()
     for index, sample in enumerate(samples):
-        traces = [interp.run(mlp_graph, dict(sample), record=True) for interp in interpreters]
-        for node in mlp_graph.graph.operators:
+        traces = [interp.run(graph, dict(sample), record=True) for interp in interpreters]
+        for node in graph.graph.operators:
             outputs = [np.asarray(trace.values[node.name]) for trace in traces]
             if outputs[0].dtype.kind != "f":
                 continue
@@ -421,18 +512,27 @@ def test_both_passes_match_per_pair_np_percentile_oracles(monkeypatch, mlp_graph
 
             leaf_pairs = []
             for j, trace in enumerate(traces):
-                operands = leaf_operands(mlp_graph, node, trace.values)
+                operands = leaf_operands(graph, node, trace.values)
                 for k, member in enumerate(interpreters):
                     if k == j:
                         continue
-                    reference = member.run_single_operator(mlp_graph, node.name, operands)
+                    reference = member.run_single_operator(graph, node.name, operands)
                     abs_err, rel_err = _leaf_oracle(outputs[j], reference,
                                                     DEFAULT_REL_SCALE_FLOOR)
                     _, rel_rev = _leaf_oracle(reference, outputs[j], DEFAULT_REL_SCALE_FLOOR)
                     leaf_pairs.append((abs_err, np.maximum(rel_err, rel_rev)))
-            profile = next(captured)
             want_abs, want_rel = oracle(leaf_pairs)
+            if get_op(node.target).device_invariant:
+                # With envelope_percentile=100 a zero committed row means a
+                # zero profile for every sample.
+                assert not want_abs.any() and not want_rel.any(), node.name
+                assert not envelope.abs_thresholds[node.name].any(), node.name
+                assert not envelope.rel_thresholds[node.name].any(), node.name
+                checked["invariant"] += 1
+                continue
+            profile = next(captured)
             assert _same_bits(profile.abs_values, want_abs), node.name
             assert _same_bits(profile.rel_values, want_rel), node.name
-            checked += 1
-    assert checked and next(captured, None) is None
+            checked["dependent"] += 1
+    assert checked["invariant"] and checked["dependent"]
+    assert next(captured, None) is None
