@@ -5,9 +5,9 @@ the fleet, forms element-wise absolute/relative errors between each pair of
 devices for every operator, reduces each error tensor to a percentile-value
 vector over the grid ``P = {0, 1, 5, 10, ..., 90, 95, 99, 100}``, and takes a
 max-envelope across device pairs and inputs.  Per input and operator, both
-calibration passes write the error rows of all device pairs into a workspace
-reused across cells: one error call for both directions, one in-place sorted
-pass (:func:`~repro.calibration.profiles.sort_percentiles`).
+calibration passes compute the error rows of all device pairs in one error
+call for both directions and reduce them in one in-place sorted pass
+(:func:`~repro.calibration.profiles.sort_percentiles`).
 Multiplying the envelope by a safety factor ``alpha = 3`` yields the
 committed per-operator thresholds that (i) guide the dispute game's
 selection rule and (ii) back the committee vote at the leaf.

@@ -2,12 +2,11 @@
 
 For every calibration input the traced model is executed on each device of
 the fleet with full trace recording.  Per (sample, operator), the D device
-outputs go once into float64 rows of the pass's
-:class:`~repro.calibration.profiles.RowWorkspace`, with their D denominator
-rows ``|y| + eps``; one :func:`~repro.calibration.profiles.pair_error_rows`
-call writes the absolute errors of every device pair and the relative
-errors in both directions from that one ``|a - b|``; and all pairs reduce
-to percentile profiles in one in-place sorted pass
+outputs become float64 rows with their D denominator rows ``|y| + eps``; one
+:func:`~repro.calibration.profiles.pair_error_rows` call returns the
+absolute errors of every device pair and the relative errors in both
+directions from that one ``|a - b|``; and all pairs reduce to percentile
+profiles in one in-place sorted pass
 (:func:`~repro.calibration.profiles.max_over_pairs`).  The per-operator
 envelope over pairs and inputs becomes the raw material for threshold
 construction.
@@ -24,7 +23,6 @@ from repro.calibration.profiles import (
     PERCENTILE_GRID,
     OperatorCalibration,
     PercentileProfile,
-    RowWorkspace,
     max_over_pairs,
     pair_error_rows,
     stack_rows,
@@ -140,8 +138,7 @@ class Calibrator:
         # Row p of a pair stack is pair (first[p], second[p]), j < k, in
         # (j, k) order.
         first, second = np.triu_indices(len(interpreters), 1)
-        n_devices, n_pairs = len(interpreters), len(first)
-        workspace = RowWorkspace()
+        n_pairs = len(first)
 
         for sample in dataset:
             num_samples += 1
@@ -154,17 +151,14 @@ class Calibrator:
                 # any cross-device difference there is fraud.
                 if np.asarray(outputs[0]).dtype.kind in "iub":
                     continue
-                rows, denominators, errors, reverse = workspace.rows(
-                    np.size(outputs[0]), n_devices, n_devices, 2 * n_pairs, n_pairs)
-                stack_rows(outputs, out=rows)
-                np.abs(rows, out=denominators)
-                denominators += config.relative_epsilon
+                rows = stack_rows(outputs)
+                denominators = np.abs(rows) + config.relative_epsilon
                 # Relative error is asymmetric in its denominator (Eq. 2
                 # normalizes by the first device's output); take both
                 # directions so the committed thresholds cover whichever
                 # side a future checker normalizes by.
-                pair_error_rows(errors, rows, denominators, first, rows, second,
-                                denominators, reverse)
+                errors, reverse = pair_error_rows(rows, denominators, first, rows,
+                                                  second, denominators)
                 abs_err, rel_err = errors[:n_pairs], errors[n_pairs:]
                 for mean_abs, mean_rel, max_abs in zip(
                     abs_err.mean(axis=1).tolist(),

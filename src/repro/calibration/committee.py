@@ -24,11 +24,10 @@ reads the device (:attr:`~repro.ops.registry.OpSpec.device_invariant`)
 re-computes the proposer's own bytes on every member, so its profile is
 exactly zero: it is recorded as such, with no re-execution and no error
 pass.  For every other operator, per (sample, operator) the D proposer rows
-and the re-executed references go into the pass's
-:class:`~repro.calibration.profiles.RowWorkspace` with their leaf
+and the re-executed references become float64 rows with their leaf
 denominators (:func:`leaf_denominators`: D proposer rows, and one per
 reference row), one :func:`~repro.calibration.profiles.pair_error_rows`
-call writes the scale-floored errors of all pairs in both directions, and
+call returns the scale-floored errors of all pairs in both directions, and
 they reduce to percentile profiles in one in-place sorted pass
 (:func:`~repro.calibration.profiles.max_over_pairs`).  The per-sample max
 over pairs forms the stability series analysed with the Appendix-B
@@ -57,7 +56,6 @@ import numpy as np
 from repro.calibration.profiles import (
     PERCENTILE_GRID,
     PercentileProfile,
-    RowWorkspace,
     max_over_pairs,
     pair_error_rows,
     percentile_profiles,
@@ -92,7 +90,6 @@ def leaf_denominators(
     rows: np.ndarray,
     rel_scale_floor: float = DEFAULT_REL_SCALE_FLOOR,
     epsilon: float = 1e-12,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Relative-error denominators of the leaf statistic, row-wise.
 
@@ -100,10 +97,9 @@ def leaf_denominators(
     * peak_i, epsilon))``: near-zero elements are measured against the row's
     own magnitude scale instead of their vanishing selves.  The scale
     ``peak_i`` is the largest *finite* magnitude of ``rows[i]`` (0 if it has
-    none).  Written into ``out`` when it is given.  Calibration and the
-    committee check share this one statistic.
+    none).  Calibration and the committee check share this one statistic.
     """
-    magnitude = np.abs(rows, out=out)
+    magnitude = np.abs(rows)
     # Magnitudes are >= 0, so an initial 0 changes no peak but an empty row's.
     peak = magnitude.max(axis=1, initial=0.0)
     unbounded = ~np.isfinite(peak)
@@ -372,10 +368,9 @@ def calibrate_committee_envelope(
     # in j-major order; proposers[p] is its j.
     proposers = np.array([j for j in range(len(interpreters))
                           for k in range(len(interpreters)) if k != j], dtype=np.intp)
-    n_devices, n_pairs = len(interpreters), len(proposers)
+    n_pairs = len(proposers)
     zero = np.zeros(len(config.percentile_grid), dtype=np.float64)
     zero_profile = PercentileProfile(tuple(config.percentile_grid), zero, zero)
-    workspace = RowWorkspace()
 
     for sample in dataset:
         num_samples += 1
@@ -402,21 +397,16 @@ def calibrate_committee_envelope(
                     member.run_single_operator(graph_module, node.name, operands)
                     for k, member in enumerate(interpreters) if k != j
                 )
-            rows, denominators, reference, reference_den, errors, reverse = workspace.rows(
-                np.size(outputs[0]), n_devices, n_devices, n_pairs, n_pairs,
-                2 * n_pairs, n_pairs)
-            stack_rows(outputs, out=rows)
-            leaf_denominators(rows, config.rel_scale_floor, config.relative_epsilon,
-                              out=denominators)
-            stack_rows(references, out=reference)
-            leaf_denominators(reference, config.rel_scale_floor, config.relative_epsilon,
-                              out=reference_den)
+            rows = stack_rows(outputs)
+            reference = stack_rows(references)
+            floor, epsilon = config.rel_scale_floor, config.relative_epsilon
             # Cover both normalization directions, as the threshold
             # calibrator does: the leaf check normalizes by the proposer's
             # claim, but the committed envelope must hold whichever side a
             # checker divides by.
-            pair_error_rows(errors, rows, denominators, proposers, reference,
-                            b_den=reference_den, reverse=reverse)
+            errors, reverse = pair_error_rows(
+                rows, leaf_denominators(rows, floor, epsilon), proposers, reference,
+                b_den=leaf_denominators(reference, floor, epsilon))
             np.maximum(errors[n_pairs:], reverse, out=errors[n_pairs:])
             per_sample[node.name].append(
                 max_over_pairs(errors, config.percentile_grid))

@@ -8,11 +8,10 @@ summary statistics used by the attack-headroom and heatmap experiments.
 
 :func:`pair_error_rows` is the one error routine: per (sample, operator) a
 calibration pass hands it the D device rows, their D denominator rows and the
-pair indices, and it writes the absolute and relative error rows of all P
-pairs, both directions from one ``|a - b|``, into the pass's
-:class:`RowWorkspace`.  :func:`sort_percentiles` sorts those rows in place
-and reads the grid off them; :func:`percentile_profiles` is its copying
-form.  The one-tensor Eq. 15 statistic :func:`elementwise_errors` is the
+pair indices, and it returns the absolute and relative error rows of all P
+pairs, both directions from one ``|a - b|``.  :func:`sort_percentiles` sorts
+those rows in place and reads the grid off them; :func:`percentile_profiles`
+is its copying form.  The one-tensor Eq. 15 statistic :func:`elementwise_errors` is the
 one-row case.  :func:`non_finite_errors` applies the element-wise rule for
 NaN and inf in place.
 """
@@ -33,41 +32,9 @@ PERCENTILE_GRID: Tuple[float, ...] = tuple(
 RELATIVE_ERROR_EPSILON = 1e-12
 
 
-class RowWorkspace:
-    """Float64 row buffers that one calibration pass reuses across its cells.
-
-    Every (sample, operator) cell takes its row blocks from :meth:`rows`.
-    They are carved from one flat buffer that grows to the largest cell and
-    is then reused, so a pass maps and faults in its stacks once instead of
-    on every allocation.  A pass keeps its workspace local, so the buffer is
-    freed when the pass returns.
-    """
-
-    def __init__(self) -> None:
-        self._flat = np.empty(0, dtype=np.float64)
-
-    def rows(self, n: int, *counts: int) -> List[np.ndarray]:
-        """Disjoint, uninitialised C-contiguous ``(count, n)`` blocks, one per count."""
-        need = n * sum(counts)
-        if self._flat.size < need:
-            self._flat = np.empty(need, dtype=np.float64)
-        blocks = []
-        start = 0
-        for count in counts:
-            blocks.append(self._flat[start:start + count * n].reshape(count, n))
-            start += count * n
-        return blocks
-
-
-def stack_rows(tensors: Sequence[np.ndarray],
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Equally shaped tensors as the flattened float64 rows of a 2-D array.
-
-    The rows go into ``out`` (a ``(len(tensors), n)`` float64 array) when it
-    is given, else into a fresh array.
-    """
-    if out is None:
-        return np.array(tensors, dtype=np.float64).reshape(len(tensors), -1)
+def stack_rows(tensors: Sequence[np.ndarray]) -> np.ndarray:
+    """Equally shaped tensors as the flattened float64 rows of a 2-D array."""
+    out = np.empty((len(tensors), np.size(tensors[0])), dtype=np.float64)
     # axis=None flattens each tensor in C order straight into the rows.
     np.concatenate(tensors, axis=None, out=out.reshape(-1))
     return out
@@ -142,30 +109,32 @@ def non_finite_errors(a64: np.ndarray, b64: np.ndarray, *errors: np.ndarray) -> 
         np.copyto(err, fill, where=~finite)
 
 
-def pair_error_rows(errors: np.ndarray, a_rows: np.ndarray, a_den: np.ndarray,
-                    a_index: np.ndarray, b_rows: np.ndarray,
-                    b_index: Optional[np.ndarray] = None,
+def pair_error_rows(a_rows: np.ndarray, a_den: np.ndarray, a_index: np.ndarray,
+                    b_rows: np.ndarray, b_index: Optional[np.ndarray] = None,
                     b_den: Optional[np.ndarray] = None,
-                    reverse: Optional[np.ndarray] = None) -> None:
-    """Element-wise absolute and relative errors of P row pairs, in place.
+                    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Element-wise absolute and relative errors of P row pairs.
 
     Pair ``p`` compares row ``a_index[p]`` of ``a_rows`` with row
     ``b_index[p]`` of ``b_rows`` (row ``p`` when ``b_index`` is None).
-    ``errors`` is a ``(2P, n)`` float64 array: rows ``[:P]`` receive
-    ``|a - b|`` (Eq. 1) and rows ``[P:]`` that divided by the pair's row of
-    ``a_den`` (Eq. 2's ``|a| + eps``, or the leaf's floored magnitude), which
-    is indexed like ``a_rows``.  With ``b_den`` (indexed like ``b_rows``),
-    the reversed direction, the same ``|a - b|`` divided by ``b``'s
-    denominator, goes into ``reverse``, a ``(P, n)`` array.  Denominators
-    come per distinct row, so D device rows need D denominator rows, not P.
-    Non-finite elements follow :func:`non_finite_errors` in every output.
-    Finite inputs allocate no row.
+    Returns ``(errors, reverse)``.  ``errors`` is a ``(2P, n)`` float64
+    array: rows ``[:P]`` hold ``|a - b|`` (Eq. 1) and rows ``[P:]`` that
+    divided by the pair's row of ``a_den`` (Eq. 2's ``|a| + eps``, or the
+    leaf's floored magnitude), which is indexed like ``a_rows``.  With
+    ``b_den`` (indexed like ``b_rows``), ``reverse`` is the reversed
+    direction, the same ``|a - b|`` divided by ``b``'s denominator, as a
+    ``(P, n)`` array; without it, None.  Denominators come per distinct row,
+    so D device rows need D denominator rows, not P.  Non-finite elements
+    follow :func:`non_finite_errors` in every output.
     """
     pairs = len(a_index)
+    errors = np.empty((2 * pairs, a_rows.shape[1]), dtype=np.float64)
     abs_rows, rel_rows = errors[:pairs], errors[pairs:]
     outputs = [abs_rows, rel_rows]
-    # mode="clip" because "raise" buffers the output; the pair indices
-    # are in range by construction.
+    reverse = None
+    # The gathers write straight into the result rows.  mode="clip" because
+    # "raise" buffers the output; the pair indices are in range by
+    # construction.
     with np.errstate(invalid="ignore"):
         np.take(a_rows, a_index, axis=0, out=abs_rows, mode="clip")
         if b_index is None:
@@ -178,9 +147,9 @@ def pair_error_rows(errors: np.ndarray, a_rows: np.ndarray, a_den: np.ndarray,
         np.divide(abs_rows, rel_rows, out=rel_rows)
         if b_den is not None:
             if b_index is None:
-                np.divide(abs_rows, b_den, out=reverse)
+                reverse = abs_rows / b_den
             else:
-                np.take(b_den, b_index, axis=0, out=reverse, mode="clip")
+                reverse = np.take(b_den, b_index, axis=0)
                 np.divide(abs_rows, reverse, out=reverse)
             outputs.append(reverse)
     # A non-finite side makes |a - b| NaN or inf, and a max propagates both,
@@ -188,6 +157,7 @@ def pair_error_rows(errors: np.ndarray, a_rows: np.ndarray, a_den: np.ndarray,
     if not np.isfinite(abs_rows.max(initial=0.0)):
         b_pairs = b_rows if b_index is None else b_rows[b_index]
         non_finite_errors(a_rows[a_index], b_pairs, *outputs)
+    return errors, reverse
 
 
 #: The pair index of the one-row case.
@@ -209,8 +179,7 @@ def tensor_pair_errors(
         raise ValueError(f"errors need equal shapes, got {shape} and {np.shape(b)}")
     a_row = np.asarray(a, dtype=np.float64).reshape(1, -1)
     b_row = np.asarray(b, dtype=np.float64).reshape(1, -1)
-    errors = np.empty((2, a_row.shape[1]), dtype=np.float64)
-    pair_error_rows(errors, a_row, denominators(a_row), _ONE_PAIR, b_row)
+    errors, _ = pair_error_rows(a_row, denominators(a_row), _ONE_PAIR, b_row)
     return errors[0].reshape(shape), errors[1].reshape(shape)
 
 

@@ -10,7 +10,6 @@ from repro.calibration.profiles import (
     PERCENTILE_GRID,
     OperatorCalibration,
     PercentileProfile,
-    RowWorkspace,
     elementwise_errors,
     pair_error_rows,
     percentile_profile,
@@ -211,23 +210,6 @@ def test_max_over_pairs_is_the_per_pair_max_of_np_percentile(rng):
     assert np.array_equal(profile.rel_values.view(np.uint64), expected_rel.view(np.uint64))
 
 
-def test_row_workspace_blocks_are_disjoint_views_of_one_buffer():
-    from repro.calibration.profiles import RowWorkspace
-
-    workspace = RowWorkspace()
-    big = workspace.rows(5, 2, 3)
-    assert [block.shape for block in big] == [(2, 5), (3, 5)]
-    assert all(block.flags.c_contiguous for block in big)
-    big[0][...] = 1.0
-    big[1][...] = 2.0
-    assert (big[0] == 1.0).all()
-    # A smaller cell reuses the buffer; a larger one replaces it.
-    small = workspace.rows(3, 1, 1)
-    assert np.shares_memory(small[0], big[0]) and not np.shares_memory(*small)
-    grown = workspace.rows(50, 2)[0]
-    assert grown.shape == (2, 50) and not np.shares_memory(grown, big[0])
-
-
 # ----------------------------------------------------------------------
 # Both calibration passes: one routine call per (sample, operator)
 # ----------------------------------------------------------------------
@@ -259,7 +241,7 @@ def test_each_pass_sorts_once_per_sample_and_float_operator(monkeypatch, mlp_gra
     error_calls = []
     for module in (calibrator, committee, profiles):
         def error_spy(*args, _inner=module.pair_error_rows, **kwargs):
-            error_calls.append(len(args[3]))
+            error_calls.append(len(args[2]))
             return _inner(*args, **kwargs)
         monkeypatch.setattr(module, "pair_error_rows", error_spy)
     single_runs = Counter()
@@ -344,11 +326,6 @@ def _same_bits(actual, expected) -> bool:
 
 _ROW_KINDS = ["spread", "zeros", "nan", "inf", "non_finite", "near_zero"]
 
-#: Shared by every example below, so blocks of each size are carved from a
-#: buffer that earlier, larger and smaller, examples wrote: a stale-buffer
-#: guard.
-_WORKSPACE = RowWorkspace()
-
 
 def _rows_of_kind(rng, kind, n):
     row = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 4)
@@ -382,11 +359,8 @@ def test_pair_error_rows_equal_per_pair_oracles(data, n, kinds, rel_scale_floor)
     # The threshold pass: j < k pairs of the device rows, |y| + eps.
     first, second = np.triu_indices(n_devices, 1)
     pairs = len(first)
-    rows, den, errors, reverse = _WORKSPACE.rows(n, n_devices, n_devices, 2 * pairs, pairs)
-    rows[...] = devices
-    np.abs(rows, out=den)
-    den += 1e-12
-    pair_error_rows(errors, rows, den, first, rows, second, den, reverse)
+    den = np.abs(devices) + 1e-12
+    errors, reverse = pair_error_rows(devices, den, first, devices, second, den)
     for p, (j, k) in enumerate(zip(first, second)):
         want_abs, want_rel = _plain_oracle(devices[j], devices[k])
         _, want_reverse = _plain_oracle(devices[k], devices[j])
@@ -405,14 +379,9 @@ def test_pair_error_rows_equal_per_pair_oracles(data, n, kinds, rel_scale_floor)
         else _rows_of_kind(rng, data.draw(st.sampled_from(_ROW_KINDS)), n)
         for j in proposers
     ]).reshape(pairs, n)
-    rows, den, reference, reference_den, errors, reverse = _WORKSPACE.rows(
-        n, n_devices, n_devices, pairs, pairs, 2 * pairs, pairs)
-    rows[...] = devices
-    leaf_denominators(rows, rel_scale_floor, out=den)
-    reference[...] = references
-    leaf_denominators(reference, rel_scale_floor, out=reference_den)
-    pair_error_rows(errors, rows, den, proposers, reference,
-                    b_den=reference_den, reverse=reverse)
+    errors, reverse = pair_error_rows(
+        devices, leaf_denominators(devices, rel_scale_floor), proposers, references,
+        b_den=leaf_denominators(references, rel_scale_floor))
     for p, j in enumerate(proposers):
         want_abs, want_rel = _leaf_oracle(devices[j], references[p], rel_scale_floor)
         _, want_reverse = _leaf_oracle(references[p], devices[j], rel_scale_floor)
@@ -428,9 +397,8 @@ def test_leaf_denominators_all_non_finite_row_floors_at_epsilon():
 
     proposed = np.array([[np.nan, np.inf, 1.0, 2.0], [np.nan, np.inf, -np.inf, np.nan]])
     reference = np.array([[np.nan, np.inf, 1.5, 2.0], [np.nan, 1.0, -np.inf, 0.0]])
-    errors = np.empty((4, 4))
-    pair_error_rows(errors, proposed, leaf_denominators(proposed, rel_scale_floor=0.5),
-                    np.arange(2), reference)
+    errors, _ = pair_error_rows(proposed, leaf_denominators(proposed, rel_scale_floor=0.5),
+                                np.arange(2), reference)
     abs_err, rel_err = errors[:2], errors[2:]
     # Row 0's peak is its largest finite magnitude, 2; row 1 has none, so 0.
     assert rel_err[0].tolist() == [0.0, 0.0, 0.5, 0.0]
