@@ -16,7 +16,7 @@ The roles encapsulate *who computes what on which device*:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -55,18 +55,26 @@ class ProposedResult:
 
     The commitment goes on chain; the trace values are the off-chain data the
     challenger pulls during a dispute (bound to the chain by interface
-    hashes inside subgraph records).
+    hashes inside subgraph records).  A :meth:`receipt` keeps everything but
+    the trace (``trace_values is None``): what a result is worth once no
+    dispute can ask for its intermediates any more.
     """
 
     model_name: str
     inputs: Dict[str, np.ndarray]
     outputs: Tuple[np.ndarray, ...]
     output_names: Tuple[str, ...]
-    trace_values: Dict[str, np.ndarray]
+    trace_values: Optional[Dict[str, np.ndarray]]
     commitment: ExecutionCommitment
     forward_flops: float
     wall_time_s: float
     device_name: str
+
+    def receipt(self) -> "ProposedResult":
+        """This result without its recorded trace (``self`` if already one)."""
+        if self.trace_values is None:
+            return self
+        return replace(self, trace_values=None)
 
 
 class Proposer:

@@ -19,8 +19,9 @@ Request life cycle inside :meth:`TAOService.process`:
    The request ends the stage with one :class:`CachedVerdict`.  A
    **content-addressed result cache** keyed by the execution commitment's
    input hash short-circuits repeated standing-proposer requests: the
-   proposer's committed trace and the challenger's verdict for identical
-   payloads are reused.
+   proposer's committed result and the challenger's verdict for identical
+   payloads are reused.  The cache keeps receipts (results without their
+   recorded trace); a hit that goes to dispute is re-traced once here.
 3. **Submit** — every request becomes its own coordinator task (fees, bonds
    and challenge windows per request) in one settle loop.
 4. **Dispute** — flagged (or force-challenged) tasks open disputes while
@@ -30,7 +31,8 @@ Request life cycle inside :meth:`TAOService.process`:
    per-dispute accounting stays exact.
 5. **Finalize** — time advances past the challenge window once and all
    unchallenged tasks finalize; every processed request ends in a terminal
-   coordinator status.
+   coordinator status, and its report keeps a receipt: the recorded trace
+   is released as the cycle closes.
 
 A drain admits the queue in bounded cycles and runs each cycle through four
 stages strictly in sequence — *hash* (HashCache + Merkle input digests),
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,7 +88,8 @@ class CachedVerdict:
     """One request's committed result + challenger verdict.
 
     Every executed request ends the execute stage with one; default-path
-    verdicts are also memoized per input hash in the tenant's result cache.
+    verdicts are also memoized per input hash in the tenant's result cache,
+    whose entries hold a trace-less :meth:`ProposedResult.receipt`.
     """
 
     result: ProposedResult
@@ -131,8 +134,8 @@ class ModelEntry:
     proposer: Proposer
     challenger: Challenger
     user: object
-    #: Content-addressed verdict memo, LRU-bounded by TAOService.result_cache_size
-    #: (each entry pins a full recorded trace, so it must not grow unbounded).
+    #: Content-addressed verdict memo, LRU-bounded by TAOService.result_cache_size.
+    #: Entries hold receipts (commitment and outputs, no recorded trace).
     result_cache: "OrderedDict[bytes, CachedVerdict]" = field(default_factory=OrderedDict)
     challenger_clones: int = 0
 
@@ -713,12 +716,15 @@ class TAOService(ServiceCore):
 
         The only stage that touches the per-model result caches (lookups,
         inserts and LRU eviction), so cache state advances in exact cycle
-        order.
+        order.  A hit that will be disputed (forced, or flagged) gets its
+        trace back from one re-trace per payload before anything reaches
+        the chain.
         """
         for model_name, requests in cycle.default_path.items():
             entry = self.model(model_name)
             misses: List[ServiceRequest] = []
             pending: Dict[bytes, List[ServiceRequest]] = {}
+            retraced: Dict[bytes, CachedVerdict] = {}
             for request in requests:
                 if request.status == "rejected":  # unhashable payload
                     continue
@@ -726,6 +732,10 @@ class TAOService(ServiceCore):
                 cached = entry.result_cache.get(key)
                 if cached is not None:
                     entry.result_cache.move_to_end(key)
+                    if request.force_challenge or not cached.looks_honest:
+                        if key not in retraced:
+                            retraced[key] = self._retrace(entry, request, cached)
+                        cached = retraced[key]
                     # Content-addressed hit from an earlier cycle.
                     cycle.verdicts[request.request_id] = cached
                     request.cache_hit = True
@@ -852,8 +862,20 @@ class TAOService(ServiceCore):
             self.stats_record.latency.add(request.latency_s)
             counts = self.stats_record.status_counts
             counts[request.status] = counts.get(request.status, 0) + 1
+        self._release_traces(cycle)
         cycle.closed = True
         return cycle.batch
+
+    @staticmethod
+    def _release_traces(cycle: _CycleState) -> None:
+        """Drop the cycle's recorded traces: every request is terminal, so no
+        dispute can ask for an intermediate tensor again.  Reports keep a
+        receipt, in place, since callers hold the request records."""
+        for request in cycle.batch:
+            if request.report is not None:
+                request.report.result = request.report.result.receipt()
+        cycle.verdicts.clear()
+        cycle.actives.clear()
 
     # -- execution internals ---------------------------------------------
 
@@ -867,12 +889,15 @@ class TAOService(ServiceCore):
                      verdict: CachedVerdict) -> None:
         """The single insert path of the result cache: store + LRU-evict.
 
-        Every insert runs eviction (each entry pins a full recorded trace,
-        so the bound must hold after *every* insert, on every path) — the
-        invariant ``len(result_cache) <= result_cache_size`` is pinned by a
-        mixed-traffic regression test.
+        The entry keeps the verdict with a receipt of its result (no
+        recorded trace; a disputed hit is re-traced by :meth:`_retrace`).
+        Every insert runs eviction, so the bound holds after *every* insert,
+        on every path — the invariant ``len(result_cache) <=
+        result_cache_size`` is pinned by a mixed-traffic regression test.
         """
-        entry.result_cache[key] = verdict
+        entry.result_cache[key] = CachedVerdict(
+            result=verdict.result.receipt(), looks_honest=verdict.looks_honest,
+            reports=verdict.reports)
         entry.result_cache.move_to_end(key)
         self._trim_result_cache(entry)
 
@@ -896,6 +921,28 @@ class TAOService(ServiceCore):
             return None
         looks_honest, reports = challenger.verify_result(graph_module, result)
         return CachedVerdict(result=result, looks_honest=looks_honest, reports=reports)
+
+    def _retrace(self, entry: ModelEntry, request: ServiceRequest,
+                 cached: CachedVerdict) -> CachedVerdict:
+        """A cached verdict with its trace recomputed, for a disputed hit.
+
+        The standing proposer traces the payload again; its outputs must
+        equal the receipt's committed outputs bit for bit, or the dispute
+        would run over a trace the chain never committed to.
+        """
+        receipt = cached.result
+        trace = entry.proposer.trace(entry.session.graph_module, request.inputs)
+        same = len(trace.outputs) == len(receipt.outputs) and all(
+            got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes()
+            for got, want in zip(trace.outputs, receipt.outputs))
+        if not same:
+            raise RuntimeError(
+                f"re-trace of a cached {entry.name!r} result on "
+                f"{entry.proposer.device.name!r} does not reproduce its "
+                "committed outputs")
+        return CachedVerdict(result=replace(receipt, trace_values=dict(trace.values)),
+                             looks_honest=cached.looks_honest, reports=cached.reports)
 
     def _challenger_clone(self, entry: ModelEntry) -> Challenger:
         """A fresh challenger for one dispute (isolated per-dispute accounting).

@@ -44,12 +44,29 @@ def _payload(seed: int) -> Dict[str, np.ndarray]:
 
 
 def _serve(graph, thresholds, payloads) -> List:
-    """Serve ``payloads`` in one drain of a fresh service; one report each."""
+    """Serve ``payloads`` in one drain of a fresh service; one result each.
+
+    A report keeps only a receipt once its cycle closes, so each result is
+    taken, trace and all, from the standing proposer as it executes, and
+    checked to be the one its request committed to on chain.
+    """
     service = TAOService()
     service.register_model(graph, threshold_table=thresholds)
+    proposer = service.model(graph.name).proposer
+    executed = []
+    execute = proposer.execute
+
+    def recording_execute(*args, **kwargs):
+        executed.append(execute(*args, **kwargs))
+        return executed[-1]
+
+    proposer.execute = recording_execute
     ids = service.submit_many(graph.name, payloads)
     service.process()
-    return [service.request(request_id).report for request_id in ids]
+    committed = [service.request(request_id).report.result.commitment.value
+                 for request_id in ids]
+    assert committed == [result.commitment.value for result in executed]
+    return executed
 
 
 def composition_mismatches() -> List[str]:
@@ -65,9 +82,9 @@ def composition_mismatches() -> List[str]:
 
     mismatches: List[str] = []
     for index, (cycle, solo) in enumerate(zip(together, alone)):
-        if cycle.result.commitment.value != solo.result.commitment.value:
+        if cycle.commitment.value != solo.commitment.value:
             mismatches.append(f"request {index}: commitment")
-        cycle_values, solo_values = cycle.result.trace_values, solo.result.trace_values
+        cycle_values, solo_values = cycle.trace_values, solo.trace_values
         if set(cycle_values) != set(solo_values):
             mismatches.append(f"request {index}: traced node set")
             continue
