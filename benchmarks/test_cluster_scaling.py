@@ -1,16 +1,12 @@
 """Cluster scaling: throughput vs shard count on the cached MLP workload.
 
 16 tenant replicas of a small classifier head each serve a stream of
-repeated payloads at steady state, on 1/2/4/8 shards.  The fleet's modeled
-service time is its *critical path*: the maximum per-shard busy time (what
-a deployment with one core per shard observes; per-shard busy time is
-genuinely measured, per shard, on this host).  The cluster drains its
-shards one after another on the calling thread, so the measured
-single-host wall clock reported alongside stays near the 1-shard number;
-the process fleet is the tier that measures parallel wall clock.  Both
-speedups are thread-CPU or wall-clock ratios that swing with whatever else
-the process has run, so the table reports them (target >= 2x modeled at 4
-shards, 8 shards above 2) instead of gating on them.
+repeated payloads at steady state, on 1/2/4/8 shards.  The cluster drains
+its shards one after another on the calling thread, so the measured
+single-host wall clock stays near the 1-shard number; the process fleet is
+the tier that measures parallel wall clock.  Wall-clock ratios swing with
+whatever else the process has run, so the table reports them instead of
+gating on them.
 
 The gates are exact counts: every deployment completes the whole stream,
 every shard hosts a tenant at 2 and 4 shards, and every deployment scores
@@ -102,12 +98,10 @@ def _drive(cluster: TAOCluster, graphs) -> Dict[str, float]:
     cluster.process()
 
     # Flush pending garbage before measuring: a major collection triggered
-    # mid-drain lands its CPU in whichever shard worker allocated last,
-    # inflating that shard's busy clock (and the fleet critical path) by
-    # tens of ms when the whole suite's heap is behind it.
+    # mid-drain adds tens of ms to the measured wall when the whole suite's
+    # heap is behind it.
     gc.collect()
 
-    busy_before = {sid: shard.busy_s for sid, shard in cluster.shards.items()}
     wall_before = cluster.measured_wall_s
     stats_before = cluster.stats()
 
@@ -119,15 +113,10 @@ def _drive(cluster: TAOCluster, graphs) -> Dict[str, float]:
 
     stats = cluster.stats()
     completed = stats.requests_completed - stats_before.requests_completed
-    busy = {sid: shard.busy_s - busy_before[sid]
-            for sid, shard in cluster.shards.items()}
-    critical = max(busy.values())
     wall = cluster.measured_wall_s - wall_before
     return {
         "completed": completed,
         "wall_s": wall,
-        "critical_s": critical,
-        "parallel_rps": completed / critical,
         "measured_rps": completed / wall,
         "cache_hits": stats.cache_hits - stats_before.cache_hits,
         "tenants_per_shard": sorted(
@@ -146,43 +135,29 @@ def test_cluster_scaling(benchmark):
 
     scaling = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    base = scaling[1]
-    modeled_4 = scaling[4]["parallel_rps"] / base["parallel_rps"]
-    measured_4 = scaling[4]["measured_rps"] / base["measured_rps"]
+    measured_4 = scaling[4]["measured_rps"] / scaling[1]["measured_rps"]
     emit_table(
         "cluster_scaling",
         "TAOCluster throughput vs shard count "
         f"({NUM_TENANTS} tenants x {DISTINCT_PAYLOADS * REPEATS} requests, "
         "cached MLP workload)",
-        ["shards", "critical path (s)", "parallel rps", "speedup vs 1 shard",
-         "measured wall (s)", "measured rps", "cache hits",
+        ["shards", "measured wall (s)", "measured rps", "cache hits",
          "tenants per shard"],
-        [[num_shards, r["critical_s"], r["parallel_rps"],
-          r["parallel_rps"] / base["parallel_rps"],
-          r["wall_s"], r["measured_rps"], r["cache_hits"],
+        [[num_shards, r["wall_s"], r["measured_rps"], r["cache_hits"],
           str(r["tenants_per_shard"])]
          for num_shards, r in scaling.items()],
-        notes=("Shards drain one after another on the calling thread; the "
-               "fleet's modeled service time is the critical path "
-               "max(per-shard busy time), where busy time is each shard's "
-               "measured thread CPU time — the shard's own demand, "
-               "independent of how many cores this host has.  'parallel rps' "
-               "is completed/critical-path: the fleet throughput with one "
-               "core per shard, which is the deployment the cluster models.  "
+        notes=("Shards drain one after another on the calling thread; "
                "'measured rps' is this host's wall clock around the "
                "sequential drain; it stays near the 1-shard number and is "
-               "reported, not gated.  Tenant placement is by consistent hash of the model "
+               "reported, not gated (measured 4-shard wall ratio "
+               f"{measured_4:.2f}x).  Parallel wall clock is measured on the "
+               "process fleet (fleet_throughput).  Tenant placement is by "
+               "consistent hash of the model "
                "commitment digest (64 vnodes/shard), which keeps each "
                "tenant's result cache on one shard: of each tenant's 4 "
                "payloads x 3 repeats, every repeat after the first "
                "execution is a cache hit (gated: exactly 128 hits at "
-               "every shard count).  Speedup targets, "
-               "reported and not gated (thread-CPU and wall ratios move with "
-               "the rest of the test process): modeled 4-shard speedup "
-               f"{modeled_4:.2f}x (target >= 2x); 8-shard parallel rps "
-               f"{scaling[8]['parallel_rps']:.3e} vs 2-shard "
-               f"{scaling[2]['parallel_rps']:.3e} (target: 8 above 2); "
-               f"measured 4-shard wall ratio {measured_4:.2f}x."),
+               "every shard count)."),
     )
 
     # Every deployment served the whole fleet stream.

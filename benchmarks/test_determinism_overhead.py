@@ -8,8 +8,8 @@ the latency ratio over the device's fast path, measured over a batch of
 MiniQwen inputs.  The ratio is wall clock, so the table reports it and the
 gates are exact: the deterministic path is bitwise reproducible, and it is
 exactly the pinned configuration the overhead comes from (sequential
-combination, one more ``matmul_split_k`` and ``conv_split`` split than the
-fast path).
+combination, one more ``matmul_split_k`` split than the fast path, which
+every contraction — matmul and conv2d alike — reads).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ def deterministic_profile(device: DeviceProfile) -> DeviceProfile:
         reduction_chunk=device.reduction_chunk,
         strategy=AccumulationStrategy.SEQUENTIAL,
         matmul_split_k=device.matmul_split_k + 1,
-        conv_split=device.conv_split + 1,
         description=f"Deterministic (pinned) configuration of {device.name}.",
     )
 
@@ -155,7 +154,6 @@ def test_determinism_overhead(benchmark, bench_qwen):
     assert report.device == fast.name
     assert pinned.strategy is AccumulationStrategy.SEQUENTIAL
     assert pinned.matmul_split_k == fast.matmul_split_k + 1
-    assert pinned.conv_split == fast.conv_split + 1
 
 
 def test_deterministic_profile_is_sequential_and_distinct():

@@ -1,8 +1,8 @@
 """Fleet throughput: *measured* wall-clock speedup from worker processes.
 
-The cluster scaling benchmark reports the fleet's modeled parallel
-throughput (completed / critical-path busy time) because its shards share
-one GIL.  This benchmark removes the model: the same cached 16-tenant MLP
+The cluster scaling benchmark's shards share one GIL and drain one after
+another, so it cannot show parallel speedup.  This benchmark measures it:
+the same cached 16-tenant MLP
 serving workload is driven through a :class:`~repro.fleet.fleet.ProcessFleet`
 at 1/2/4 worker *processes*, and the reported number is the parent's real
 wall clock around ``process()`` — codec, RPC framing, nested chain

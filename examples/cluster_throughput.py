@@ -107,10 +107,6 @@ def main() -> None:
     print(f"  disputes opened       : {stats.disputes_opened}")
     print(f"  failovers             : {stats.failovers}")
     print(f"  re-dispatched         : {stats.redispatched_requests}")
-    print(f"  critical path         : {stats.critical_path_s * 1e3:.1f} ms "
-          f"(max shard worker CPU)")
-    parallel_rps = stats.requests_completed / stats.critical_path_s
-    print(f"  parallel throughput   : {parallel_rps:.1f} rps")
     print(f"  measured wall         : {stats.measured_wall_s * 1e3:.1f} ms")
     print("  per-shard busy (ms)   : "
           + ", ".join(f"{sid}={busy * 1e3:.1f}"

@@ -8,8 +8,7 @@ the cluster's shared settlement chain.  :class:`Shard` speaks the front
 end's backend vocabulary (:class:`~repro.cluster.placement.PlacedCore`) as
 plain method calls, with no wire loopback, and a move carries the tenant's
 :class:`~repro.protocol.service.ModelEntry` whole, so its caches stay warm.
-``busy_s`` reads the shard's measured processing time — the per-shard
-critical-path clock the scaling benchmark reports.
+``busy_s`` reads the shard's measured processing time.
 """
 
 from __future__ import annotations
@@ -37,9 +36,8 @@ class Shard:
     def busy_s(self) -> float:
         """Cumulative busy time across every drain of this shard: thread
         CPU seconds summed over the service's drain stages (its
-        ``busy_cpu_s``).  CPU time is the shard's own demand, so the max
-        over shards is the critical path of a one-core-per-shard
-        deployment, whatever this host's core count."""
+        ``busy_cpu_s``): the shard's own demand, whatever this host's core
+        count."""
         return self.service.stats_record.busy_cpu_s
 
     def enqueue(self, record) -> Tuple[int, ServiceRequest]:

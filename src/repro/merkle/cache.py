@@ -7,11 +7,12 @@ proposer side (building ``h_In``/``h_Out``) and again on the challenger side
 (verifying them), and identical request payloads are re-hashed per
 submission.  :class:`HashCache` memoizes those digests:
 
-* **tensor hashes** — keyed by array identity with a strong reference held,
-  so a digest can never outlive (or be confused with) the array it was
-  computed from.  Commitment inputs are treated as immutable once hashed,
-  which every call site in this repository honours (weights are frozen at
-  registration, trace values are never written in place).
+* **tensor hashes** — keyed by array identity through a weak reference, so
+  a digest can never be confused with another array and never keeps its
+  array alive: the entry is dropped when the array dies (a released trace
+  takes its digests with it).  Commitment inputs are treated as immutable
+  once hashed, which every call site in this repository honours (weights
+  are frozen at registration, trace values are never written in place).
 * **model commitments** — ``commit_model`` results keyed by the identity of
   (graph module, threshold table, metadata), so re-registering the same
   committed model (e.g. one service session per tenant) reuses the Merkle
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
+import weakref
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -44,27 +45,37 @@ def streaming_tensor_hash(value: np.ndarray) -> bytes:
 
 
 class HashCache:
-    """Bounded memo of tensor digests and model commitments.
+    """Memo of tensor digests and model commitments.
 
-    The tensor memo is identity-keyed: an entry pins the array object it was
-    computed from, and a lookup only hits when the candidate *is* that
-    object, so recycled ``id()`` values can never alias.  The memo is an LRU
-    bounded by ``max_tensors`` entries to keep long-lived services from
-    pinning every activation they ever hashed.
+    The tensor memo is identity-keyed: an entry holds a weak reference to
+    the array it was computed from, and a lookup only hits when the
+    candidate *is* that object, so recycled ``id()`` values can never
+    alias.  The reference's callback drops the entry when the array dies,
+    so the memo holds exactly the digests of live arrays and pins none of
+    them.
 
     The cache is **thread-safe**: one instance is shared by every shard
     worker of a :class:`~repro.cluster.cluster.TAOCluster` (the committed
     weights are the same arrays fleet-wide, so their digests are computed
-    once).  A lock serializes the LRU bookkeeping — ``move_to_end`` /
-    ``popitem`` on a shared ``OrderedDict`` corrupt its linked list under
-    concurrent mutation — while digests themselves are computed outside the
-    lock (two threads racing on the same uncached array both compute the
-    same digest; the second store is a harmless overwrite).
+    once).  A lock serializes lookups, stores and the hit/miss counters,
+    while digests themselves are computed outside the lock (two threads
+    racing on the same uncached array both compute the same digest; the
+    second store is a harmless overwrite).  The drop callback never takes
+    the lock: it can run during garbage collection on a thread that already
+    holds it.  It pops its key only while the entry is still its own
+    reference, which is safe without the lock because no other array can
+    take the dying array's ``id()`` before the callback returns.
     """
 
-    def __init__(self, max_tensors: int = 8192) -> None:
-        self.max_tensors = int(max_tensors)
-        self._tensors: "OrderedDict[int, Tuple[np.ndarray, bytes]]" = OrderedDict()
+    def __init__(self) -> None:
+        tensors: Dict[int, Tuple[weakref.KeyedRef, bytes]] = {}
+
+        def drop(ref: weakref.KeyedRef) -> None:
+            if tensors.get(ref.key, (None,))[0] is ref:
+                tensors.pop(ref.key, None)
+
+        self._tensors = tensors
+        self._drop = drop
         self._model_commitments: Dict[Tuple[int, int, int, str],
                                       Tuple[Any, Any, Any, Any]] = {}
         self.tensor_hits = 0
@@ -80,17 +91,14 @@ class HashCache:
         key = id(arr)
         with self._lock:
             entry = self._tensors.get(key)
-            if entry is not None and entry[0] is arr:
+            if entry is not None and entry[0]() is arr:
                 self.tensor_hits += 1
-                self._tensors.move_to_end(key)
                 return entry[1]
             self.tensor_misses += 1
         digest = streaming_tensor_hash(arr)
+        ref = weakref.KeyedRef(arr, self._drop, key)
         with self._lock:
-            self._tensors[key] = (arr, digest)
-            self._tensors.move_to_end(key)
-            while len(self._tensors) > self.max_tensors:
-                self._tensors.popitem(last=False)
+            self._tensors[key] = (ref, digest)
         return digest
 
     # ------------------------------------------------------------------

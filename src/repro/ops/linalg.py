@@ -15,7 +15,7 @@ import numpy as np
 from repro.ops.registry import OpSpec, register_op, unbroadcast
 from repro.tensorlib.device import DeviceProfile
 from repro.tensorlib.flops import matmul_flops
-from repro.tensorlib.kernels import device_bmm, device_matmul
+from repro.tensorlib.kernels import device_matmul
 
 
 def _matmul_forward(device: DeviceProfile, a, b) -> np.ndarray:
@@ -32,7 +32,9 @@ def _matmul_vjp(device, grad_out, out, a, b) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _bmm_forward(device: DeviceProfile, a, b) -> np.ndarray:
-    return device_bmm(a, b, device)
+    if np.ndim(a) < 3 or np.ndim(b) < 3:
+        raise ValueError(f"bmm expects batched inputs, got {np.shape(a)} and {np.shape(b)}")
+    return device_matmul(a, b, device)
 
 
 def _linear_forward(device: DeviceProfile, x, weight, bias: Optional[np.ndarray] = None) -> np.ndarray:

@@ -9,30 +9,20 @@ and are device independent.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.ops.registry import OpSpec, register_op
 from repro.tensorlib.device import DeviceProfile
 from repro.tensorlib.flops import reduction_flops
-from repro.tensorlib.kernels import device_mean, device_sum, device_var
-
-AxisSpec = Union[None, int, Sequence[int]]
-
-
-def _normalize_axes(axis: AxisSpec, ndim: int) -> Tuple[int, ...]:
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, (int, np.integer)):
-        return (int(axis) % ndim,)
-    return tuple(sorted(int(a) % ndim for a in axis))
+from repro.tensorlib.kernels import AxisSpec, device_mean, device_sum, device_var, normalize_axes
 
 
 def _expand_reduced(grad: np.ndarray, original_shape, axis: AxisSpec, keepdims: bool) -> np.ndarray:
     """Broadcast a reduced-shape gradient back to the input shape."""
     grad = np.asarray(grad, dtype=np.float64)
-    axes = _normalize_axes(axis, len(original_shape))
+    axes = normalize_axes(axis, len(original_shape))
     if not keepdims:
         for a in axes:
             grad = np.expand_dims(grad, axis=a)
@@ -55,7 +45,7 @@ def _mean_forward(device: DeviceProfile, a, *, axis: AxisSpec = None,
 
 def _mean_vjp(device, grad_out, out, a, *, axis: AxisSpec = None, keepdims: bool = False):
     shape = np.shape(a)
-    axes = _normalize_axes(axis, len(shape))
+    axes = normalize_axes(axis, len(shape))
     count = int(np.prod([shape[i] for i in axes])) if axes else 1
     grad = _expand_reduced(grad_out, shape, axis, keepdims) / float(count)
     return (grad,)
@@ -70,7 +60,7 @@ def _var_vjp(device, grad_out, out, a, *, axis: AxisSpec = None,
              keepdims: bool = False, ddof: int = 0):
     a64 = np.asarray(a, dtype=np.float64)
     shape = a64.shape
-    axes = _normalize_axes(axis, len(shape))
+    axes = normalize_axes(axis, len(shape))
     count = int(np.prod([shape[i] for i in axes])) if axes else 1
     mean = a64.mean(axis=axes, keepdims=True)
     grad = _expand_reduced(grad_out, shape, axis, keepdims)
@@ -81,13 +71,13 @@ def _var_vjp(device, grad_out, out, a, *, axis: AxisSpec = None,
 def _amax_forward(device: DeviceProfile, a, *, axis: AxisSpec = None,
                   keepdims: bool = False) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float32)
-    axes = _normalize_axes(axis, arr.ndim)
+    axes = normalize_axes(axis, arr.ndim)
     return arr.max(axis=axes, keepdims=keepdims).astype(np.float32)
 
 
 def _amax_vjp(device, grad_out, out, a, *, axis: AxisSpec = None, keepdims: bool = False):
     a64 = np.asarray(a, dtype=np.float64)
-    axes = _normalize_axes(axis, a64.ndim)
+    axes = normalize_axes(axis, a64.ndim)
     # Recompute the argmax mask in float64: the forward output is float32, so
     # comparing against it directly would miss maxima for float64 inputs.
     out_expanded = a64.max(axis=axes, keepdims=True)
@@ -101,13 +91,13 @@ def _amax_vjp(device, grad_out, out, a, *, axis: AxisSpec = None, keepdims: bool
 def _amin_forward(device: DeviceProfile, a, *, axis: AxisSpec = None,
                   keepdims: bool = False) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float32)
-    axes = _normalize_axes(axis, arr.ndim)
+    axes = normalize_axes(axis, arr.ndim)
     return arr.min(axis=axes, keepdims=keepdims).astype(np.float32)
 
 
 def _amin_vjp(device, grad_out, out, a, *, axis: AxisSpec = None, keepdims: bool = False):
     a64 = np.asarray(a, dtype=np.float64)
-    axes = _normalize_axes(axis, a64.ndim)
+    axes = normalize_axes(axis, a64.ndim)
     out_expanded = a64.min(axis=axes, keepdims=True)
     mask = (a64 == out_expanded).astype(np.float64)
     counts = mask.sum(axis=axes, keepdims=True)

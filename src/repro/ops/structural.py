@@ -10,11 +10,11 @@ operator sequence.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.ops.registry import OpSpec, register_op
+from repro.ops.registry import OpSpec, register_op, unbroadcast
 from repro.tensorlib.device import DeviceProfile
 
 
@@ -68,14 +68,7 @@ def _expand_forward(device: DeviceProfile, x, *, shape: Sequence[int]) -> np.nda
 
 
 def _expand_vjp(device, grad_out, out, x, *, shape):
-    grad = np.asarray(grad_out, dtype=np.float64)
-    x_shape = np.shape(x)
-    while grad.ndim > len(x_shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(x_shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return (grad,)
+    return (unbroadcast(grad_out, np.shape(x)),)
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +140,8 @@ def _masked_fill_forward(device: DeviceProfile, x, mask, *, value: float) -> np.
 def _masked_fill_vjp(device, grad_out, out, x, mask, *, value: float):
     m = np.asarray(mask, dtype=bool)
     grad = np.asarray(grad_out, dtype=np.float64)
-    grad_x = np.where(m, 0.0, grad)
     # Reduce broadcast mask dims back to x's shape if necessary.
-    x_shape = np.shape(x)
-    while grad_x.ndim > len(x_shape):
-        grad_x = grad_x.sum(axis=0)
-    for axis, size in enumerate(x_shape):
-        if size == 1 and grad_x.shape[axis] != 1:
-            grad_x = grad_x.sum(axis=axis, keepdims=True)
-    return grad_x, None
+    return unbroadcast(np.where(m, 0.0, grad), np.shape(x)), None
 
 
 def _dropout_forward(device: DeviceProfile, x, *, p: float = 0.1) -> np.ndarray:

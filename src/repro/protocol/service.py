@@ -190,17 +190,9 @@ class ServiceStats:
             return 0.0
         return self.requests_completed / self.processing_time_s
 
-    @property
-    def critical_path_s(self) -> float:
-        """Busy time of the busiest shard: the service time a deployment
-        with one core per shard observes (``busy_cpu_s`` unsharded)."""
-        return max(self.shard_busy_s.values(), default=self.busy_cpu_s)
-
     def as_dict(self) -> Dict[str, object]:
         out = self.to_payload()
-        out.update(latency=self.latency.summary(),
-                   throughput_rps=self.throughput_rps,
-                   critical_path_s=self.critical_path_s)
+        out.update(latency=self.latency.summary(), throughput_rps=self.throughput_rps)
         return out
 
     def to_payload(self) -> Dict[str, object]:

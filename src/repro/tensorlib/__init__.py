@@ -8,13 +8,16 @@ reorder reductions.  This subpackage reproduces that mechanism in software:
 * :mod:`repro.tensorlib.accumulate` implements several FP32 reduction
   orderings (sequential, reversed, chunked, pairwise-tree, Kahan-compensated).
 * :mod:`repro.tensorlib.device` defines :class:`DeviceProfile`, a simulated
-  accelerator characterized by its reduction strategy and blocking factors,
-  plus a four-device fleet standing in for the paper's RTX 4090 / RTX 6000 /
-  A100 / H100 testbed.
-* :mod:`repro.tensorlib.kernels` provides matmul / bmm / conv2d / reduction
-  kernels whose accumulation order is governed by the device profile, so
-  cross-device output differences are genuine IEEE-754 rounding divergence —
-  the same physical effect the paper calibrates against.
+  accelerator that is three numbers — ``(reduction_chunk, matmul_split_k,
+  strategy)`` — plus a four-device fleet standing in for the paper's
+  RTX 4090 / RTX 6000 / A100 / H100 testbed.
+* :mod:`repro.tensorlib.kernels` provides the matmul / conv2d / reduction
+  kernels.  Only two primitives read a device: one split-K contraction
+  (matmul, bmm, linear, conv2d) and one chunked reduction (sum, mean, var),
+  so cross-device output differences are genuine IEEE-754 rounding
+  divergence — the same physical effect the paper calibrates against — and
+  a correctly rounded evaluation of each chunk changes exactly those two
+  functions.
 * :mod:`repro.tensorlib.flops` provides the FLOP accounting used by the
   Table 3 cost experiments.
 """
@@ -33,7 +36,6 @@ from repro.tensorlib.device import (
 )
 from repro.tensorlib.kernels import (
     device_matmul,
-    device_bmm,
     device_conv2d,
     device_sum,
     device_mean,
@@ -51,7 +53,6 @@ __all__ = [
     "get_device",
     "list_devices",
     "device_matmul",
-    "device_bmm",
     "device_conv2d",
     "device_sum",
     "device_mean",

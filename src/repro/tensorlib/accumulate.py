@@ -54,16 +54,16 @@ def accumulate_partials(partials: np.ndarray, strategy: AccumulationStrategy) ->
     """Combine ``partials`` along axis 0 according to ``strategy``.
 
     ``partials`` has shape ``(n_chunks, ...)``; the result drops axis 0.  Each
-    strategy performs the combination in float32 (except ``FP64``), so the
-    choice of strategy changes the rounding of the final value.
+    strategy performs the combination in float32, so the choice of strategy
+    changes the rounding of the final value.  ``FP64`` is not a combine
+    order: the split-K contraction and :func:`chunked_sum` take their float64
+    reference path before any partials exist, and it is rejected here.
     """
     if partials.ndim == 0:
         raise ValueError("partials must have at least one dimension")
     n = partials.shape[0]
     if n == 0:
         raise ValueError("cannot accumulate zero partials")
-    if strategy is AccumulationStrategy.FP64:
-        return partials.astype(np.float64).sum(axis=0).astype(np.float32)
 
     parts = partials.astype(np.float32, copy=False)
     if strategy is AccumulationStrategy.SEQUENTIAL:
@@ -119,10 +119,12 @@ def chunked_sum(
 ) -> np.ndarray:
     """Sum ``values`` along ``axis`` with device-specific chunking and ordering.
 
-    Each chunk is summed with NumPy's native float32 reduction (standing in
-    for the within-tile reduction a GPU thread block performs); the chunk
-    partials are then combined via :func:`accumulate_partials`, which is where
-    the cross-device divergence originates.
+    The one chunked reduction every device-reading sum runs through.  Each
+    chunk is summed with NumPy's native float32 reduction (standing in for
+    the within-tile reduction a GPU thread block performs); the chunk
+    partials are then combined via :func:`accumulate_partials`, which is
+    where the cross-device divergence originates.  The ``FP64`` reference
+    sums once in float64 and rounds once.
     """
     values = np.asarray(values)
     axis = axis % values.ndim

@@ -24,7 +24,13 @@ from repro.tensorlib.accumulate import AccumulationStrategy
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    """A simulated accelerator.
+    """A simulated accelerator: three numbers, ``(reduction_chunk,
+    matmul_split_k, strategy)``.
+
+    Only the two primitives of :mod:`repro.tensorlib.kernels` read them — the
+    split-K contraction behind matmul, bmm, linear and conv2d, and the
+    chunked reduction behind sum, mean and var — and those two functions are
+    where a correctly rounded evaluation of each chunk lands.
 
     Attributes
     ----------
@@ -33,16 +39,16 @@ class DeviceProfile:
     reduction_chunk:
         Number of elements each "tile" reduces natively before partials are
         combined; loosely analogous to a GPU thread-block tile along the
-        reduction axis.
+        reduction axis.  Read by the chunked reduction.
     strategy:
         Order in which chunk partials are combined (see
-        :class:`AccumulationStrategy`).
+        :class:`AccumulationStrategy`) by both primitives; ``FP64`` makes
+        both take the float64 reference path instead.
     matmul_split_k:
-        Number of K-dimension splits used by the matmul kernel.  Split-K is
-        the dominant source of cross-GPU matmul divergence in practice.
-    conv_split:
-        Number of splits of the (C_in * kH * kW) contraction used by the
-        im2col convolution kernel.
+        Number of splits of the contraction axis K, for matmul, bmm and
+        linear, and for the ``C_in * kH * kW`` axis of the im2col conv2d.
+        Split-K is the dominant source of cross-GPU matmul divergence in
+        practice.
     description:
         Human-readable note about which physical device this profile stands
         in for.
@@ -52,7 +58,6 @@ class DeviceProfile:
     reduction_chunk: int
     strategy: AccumulationStrategy
     matmul_split_k: int = 4
-    conv_split: int = 4
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -60,8 +65,6 @@ class DeviceProfile:
             raise ValueError("reduction_chunk must be positive")
         if self.matmul_split_k <= 0:
             raise ValueError("matmul_split_k must be positive")
-        if self.conv_split <= 0:
-            raise ValueError("conv_split must be positive")
 
     @property
     def is_reference(self) -> bool:
@@ -75,7 +78,9 @@ class DeviceProfile:
             "reduction_chunk": self.reduction_chunk,
             "strategy": self.strategy.value,
             "matmul_split_k": self.matmul_split_k,
-            "conv_split": self.conv_split,
+            # One split serves every contraction; the committed
+            # ``kernel_stack`` format keeps a key for the im2col conv too.
+            "conv_split": self.matmul_split_k,
         }
 
 
@@ -86,7 +91,6 @@ DEVICE_FLEET: Tuple[DeviceProfile, ...] = (
         reduction_chunk=32,
         strategy=AccumulationStrategy.SEQUENTIAL,
         matmul_split_k=2,
-        conv_split=2,
         description="Consumer-card analogue: small tiles, sequential split-K.",
     ),
     DeviceProfile(
@@ -94,7 +98,6 @@ DEVICE_FLEET: Tuple[DeviceProfile, ...] = (
         reduction_chunk=48,
         strategy=AccumulationStrategy.REVERSED,
         matmul_split_k=3,
-        conv_split=3,
         description="Workstation-card analogue: medium tiles, reversed accumulation.",
     ),
     DeviceProfile(
@@ -102,7 +105,6 @@ DEVICE_FLEET: Tuple[DeviceProfile, ...] = (
         reduction_chunk=64,
         strategy=AccumulationStrategy.PAIRWISE,
         matmul_split_k=4,
-        conv_split=4,
         description="Datacenter analogue: large tiles, pairwise tree reduction.",
     ),
     DeviceProfile(
@@ -110,7 +112,6 @@ DEVICE_FLEET: Tuple[DeviceProfile, ...] = (
         reduction_chunk=128,
         strategy=AccumulationStrategy.PAIRWISE,
         matmul_split_k=8,
-        conv_split=8,
         description="Datacenter analogue: very large tiles, deep split-K tree.",
     ),
 )
@@ -121,7 +122,6 @@ REFERENCE_DEVICE = DeviceProfile(
     reduction_chunk=1_048_576,
     strategy=AccumulationStrategy.FP64,
     matmul_split_k=1,
-    conv_split=1,
     description="FP64 accumulation, rounded once to FP32; error-measurement reference.",
 )
 

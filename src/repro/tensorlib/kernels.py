@@ -1,12 +1,23 @@
 """Device-parameterized compute kernels.
 
-Every reduction-bearing operator in the model zoo (matmul, linear, conv2d,
-mean/var, layer norm, softmax denominators, pooling) ultimately calls one of
-the kernels in this module, passing the :class:`~repro.tensorlib.device.DeviceProfile`
-it is being executed on.  The kernel splits the contraction dimension
-according to the profile and combines partial results in the profile's
-accumulation order, so two devices produce genuinely different FP32 outputs —
-which is precisely the nondeterminism TAO is designed to tolerate.
+Every reduction-bearing operator in the model zoo (matmul, bmm, linear,
+conv2d, sum/mean/var, layer norm, softmax denominators, pooling) ultimately
+calls one of the kernels in this module, passing the
+:class:`~repro.tensorlib.device.DeviceProfile` it is being executed on.  A
+device is three numbers — ``(reduction_chunk, matmul_split_k, strategy)`` —
+and exactly two primitives read them:
+
+* :func:`_contract`, the one split-K contraction: matmul, bmm, linear and
+  (after im2col) conv2d split K into ``matmul_split_k`` chunks and combine
+  the partial products in the device's ``strategy`` order;
+* :func:`~repro.tensorlib.accumulate.chunked_sum`, the one chunked
+  reduction: sum/mean/var flatten their axes and reduce in
+  ``reduction_chunk`` tiles combined in ``strategy`` order.
+
+Each primitive alone decides the FP64 reference path, so two devices produce
+genuinely different FP32 outputs — precisely the nondeterminism TAO is
+designed to tolerate — and a correctly rounded evaluation of each chunk
+lands in one function per primitive.
 
 All kernels accept and return ``float32`` arrays; inputs of other dtypes are
 cast on entry (matching the paper's FP32-forward configuration).
@@ -33,7 +44,8 @@ def _as_f32(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float32)
 
 
-def _normalize_axes(axes: AxisSpec, ndim: int) -> Tuple[int, ...]:
+def normalize_axes(axes: AxisSpec, ndim: int) -> Tuple[int, ...]:
+    """Sorted non-negative reduction axes; ``None`` means every axis."""
     if axes is None:
         return tuple(range(ndim))
     if isinstance(axes, (int, np.integer)):
@@ -41,46 +53,47 @@ def _normalize_axes(axes: AxisSpec, ndim: int) -> Tuple[int, ...]:
     return tuple(sorted(int(a) % ndim for a in axes))
 
 
+def _contract(a: np.ndarray, b: np.ndarray, splits: int,
+              strategy: AccumulationStrategy) -> np.ndarray:
+    """``a @ b`` with the contraction axis K split ``splits`` ways.
+
+    The one split-K contraction every device-reading product runs through.
+    Each contiguous chunk of K is multiplied natively and the partial
+    products are combined in ``strategy``'s order; the ``FP64`` reference
+    multiplies once in float64 and rounds once.
+    """
+    if strategy is AccumulationStrategy.FP64:
+        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.float32)
+    k = a.shape[-1]
+    n_splits = min(splits, k)
+    if n_splits <= 1:
+        return np.matmul(a, b).astype(np.float32)
+    slices = split_chunks(k, -(-k // n_splits))  # ceil division
+    partials = np.stack(
+        [np.matmul(a[..., s], b[..., s, :]).astype(np.float32) for s in slices], axis=0)
+    return accumulate_partials(partials, strategy)
+
+
 def device_matmul(a: np.ndarray, b: np.ndarray, device: DeviceProfile) -> np.ndarray:
     """Matrix product ``a @ b`` with device-specific split-K accumulation.
 
-    Supports 2-D inputs and broadcasting batched inputs (any leading batch
+    Supports 1-D operands and broadcasting batched inputs (any leading batch
     dimensions, as with ``numpy.matmul``).  The contraction dimension K is
-    split into ``device.matmul_split_k`` contiguous chunks; each chunk is
-    multiplied natively and the partial products are combined in the device's
-    accumulation order.
+    split into ``device.matmul_split_k`` contiguous chunks by
+    :func:`_contract`.
     """
     a = _as_f32(a)
     b = _as_f32(b)
-    if a.ndim == 1:
+    squeeze_rows = a.ndim == 1
+    squeeze_cols = b.ndim == 1
+    if squeeze_rows:
         a = a[None, :]
-        squeeze_rows = True
-    else:
-        squeeze_rows = False
-    if b.ndim == 1:
+    if squeeze_cols:
         b = b[:, None]
-        squeeze_cols = True
-    else:
-        squeeze_cols = False
-
-    k = a.shape[-1]
-    if b.shape[-2] != k:
+    if b.shape[-2] != a.shape[-1]:
         raise ValueError(f"matmul contraction mismatch: {a.shape} @ {b.shape}")
 
-    n_splits = min(device.matmul_split_k, k) if not device.is_reference else 1
-    if device.is_reference:
-        out = np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.float32)
-    elif n_splits <= 1:
-        out = np.matmul(a, b).astype(np.float32)
-    else:
-        chunk = -(-k // n_splits)  # ceil division
-        slices = split_chunks(k, chunk)
-        partials = np.stack(
-            [np.matmul(a[..., s], b[..., s, :]).astype(np.float32) for s in slices],
-            axis=0,
-        )
-        out = accumulate_partials(partials, device.strategy)
-
+    out = _contract(a, b, device.matmul_split_k, device.strategy)
     if squeeze_rows:
         out = out[..., 0, :]
     if squeeze_cols:
@@ -88,13 +101,38 @@ def device_matmul(a: np.ndarray, b: np.ndarray, device: DeviceProfile) -> np.nda
     return out
 
 
-def device_bmm(a: np.ndarray, b: np.ndarray, device: DeviceProfile) -> np.ndarray:
-    """Batched matrix multiply; thin wrapper over :func:`device_matmul`."""
-    a = _as_f32(a)
-    b = _as_f32(b)
-    if a.ndim < 3 or b.ndim < 3:
-        raise ValueError(f"bmm expects batched inputs, got {a.shape} and {b.shape}")
-    return device_matmul(a, b, device)
+def _axes_and_count(values: np.ndarray, axis: AxisSpec) -> Tuple[Tuple[int, ...], int]:
+    """Normalised reduction axes and the number of elements each output sums."""
+    axes = normalize_axes(axis, values.ndim)
+    return axes, int(np.prod([values.shape[a] for a in axes]))
+
+
+def _reduce(values: np.ndarray, device: DeviceProfile, axes: Tuple[int, ...], count: int,
+            keepdims: bool) -> np.ndarray:
+    """Device-ordered sum of float32 ``values`` over ``count`` elements on ``axes``.
+
+    The axes are flattened into a single reduction axis first (matching how
+    fused reduction kernels treat e.g. the ``(N, H, W)`` axes of a batch
+    norm), then reduced by the one chunked reduction,
+    :func:`~repro.tensorlib.accumulate.chunked_sum`.
+    """
+    if not axes:
+        return values.copy()
+    moved = np.moveaxis(values, axes, range(len(axes)))
+    flat = moved.reshape((count,) + moved.shape[len(axes):])
+    reduced = chunked_sum(flat, axis=0, chunk=device.reduction_chunk, strategy=device.strategy)
+    if keepdims:
+        shape = list(values.shape)
+        for a in axes:
+            shape[a] = 1
+        reduced = reduced.reshape(shape)
+    return reduced
+
+
+def _mean(values: np.ndarray, device: DeviceProfile, axes: Tuple[int, ...], count: int,
+          keepdims: bool) -> np.ndarray:
+    total = _reduce(values, device, axes, count, keepdims)
+    return (total / np.float32(count)).astype(np.float32)
 
 
 def device_sum(
@@ -103,32 +141,9 @@ def device_sum(
     axis: AxisSpec = None,
     keepdims: bool = False,
 ) -> np.ndarray:
-    """Sum with device-specific chunked accumulation along ``axis``.
-
-    Multiple axes are flattened into a single reduction axis first (matching
-    how fused reduction kernels treat e.g. the ``(N, H, W)`` axes of a batch
-    norm), then reduced with :func:`~repro.tensorlib.accumulate.chunked_sum`.
-    """
+    """Sum with device-specific chunked accumulation along ``axis``."""
     values = _as_f32(values)
-    axes = _normalize_axes(axis, values.ndim)
-    if not axes:
-        return values.copy()
-
-    moved = np.moveaxis(values, axes, range(len(axes)))
-    lead = int(np.prod([moved.shape[i] for i in range(len(axes))])) if axes else 1
-    rest_shape = moved.shape[len(axes):]
-    flat = moved.reshape((lead,) + rest_shape)
-    if device.is_reference:
-        reduced = flat.astype(np.float64).sum(axis=0).astype(np.float32)
-    else:
-        reduced = chunked_sum(flat, axis=0, chunk=device.reduction_chunk, strategy=device.strategy)
-
-    if keepdims:
-        shape = list(values.shape)
-        for a in axes:
-            shape[a] = 1
-        reduced = reduced.reshape(shape)
-    return reduced
+    return _reduce(values, device, *_axes_and_count(values, axis), keepdims)
 
 
 def device_mean(
@@ -139,10 +154,7 @@ def device_mean(
 ) -> np.ndarray:
     """Mean computed as a device-ordered sum followed by an FP32 division."""
     values = _as_f32(values)
-    axes = _normalize_axes(axis, values.ndim)
-    count = int(np.prod([values.shape[a] for a in axes])) if axes else 1
-    total = device_sum(values, device, axis=axes, keepdims=keepdims)
-    return (total / np.float32(count)).astype(np.float32)
+    return _mean(values, device, *_axes_and_count(values, axis), keepdims)
 
 
 def device_var(
@@ -154,13 +166,10 @@ def device_var(
 ) -> np.ndarray:
     """Variance via the two-pass formula with device-ordered reductions."""
     values = _as_f32(values)
-    axes = _normalize_axes(axis, values.ndim)
-    count = int(np.prod([values.shape[a] for a in axes])) if axes else 1
-    mean = device_mean(values, device, axis=axes, keepdims=True)
-    sq_dev = ((values - mean) ** 2).astype(np.float32)
-    total = device_sum(sq_dev, device, axis=axes, keepdims=keepdims)
-    denom = max(count - ddof, 1)
-    return (total / np.float32(denom)).astype(np.float32)
+    axes, count = _axes_and_count(values, axis)
+    sq_dev = ((values - _mean(values, device, axes, count, True)) ** 2).astype(np.float32)
+    total = _reduce(sq_dev, device, axes, count, keepdims)
+    return (total / np.float32(max(count - ddof, 1))).astype(np.float32)
 
 
 def pad_nchw(x: np.ndarray, padding: Tuple[int, int], value: float = 0.0) -> np.ndarray:
@@ -220,12 +229,13 @@ def device_conv2d(
     stride: Tuple[int, int] = (1, 1),
     padding: Tuple[int, int] = (0, 0),
 ) -> np.ndarray:
-    """2-D convolution via im2col + device-split matmul.
+    """2-D convolution via im2col + the device's split-K contraction.
 
     ``x`` is (N, C_in, H, W); ``weight`` is (C_out, C_in, kH, kW).  The
-    contraction over ``C_in * kH * kW`` is split into ``device.conv_split``
-    chunks and accumulated in the device's order, so convolutions diverge
-    across devices just like cuDNN algorithm choices do in practice.
+    contraction over ``C_in * kH * kW`` is split into
+    ``device.matmul_split_k`` chunks and accumulated in the device's order,
+    so convolutions diverge across devices just like cuDNN algorithm choices
+    do in practice.
     """
     x = _as_f32(x)
     weight = _as_f32(weight)
@@ -235,22 +245,7 @@ def device_conv2d(
         raise ValueError(f"conv2d channel mismatch: input {x.shape}, weight {weight.shape}")
     cols, (oh, ow) = im2col(x, (kh, kw), stride, padding)
     w_mat = weight.reshape(c_out, c_in * kh * kw).T  # (K, C_out)
-
-    k = w_mat.shape[0]
-    n_splits = min(device.conv_split, k) if not device.is_reference else 1
-    if device.is_reference:
-        out = np.matmul(cols.astype(np.float64), w_mat.astype(np.float64)).astype(np.float32)
-    elif n_splits <= 1:
-        out = np.matmul(cols, w_mat).astype(np.float32)
-    else:
-        chunk = -(-k // n_splits)
-        slices = split_chunks(k, chunk)
-        partials = np.stack(
-            [np.matmul(cols[..., s], w_mat[s, :]).astype(np.float32) for s in slices],
-            axis=0,
-        )
-        out = accumulate_partials(partials, device.strategy)
-
+    out = _contract(cols, w_mat, device.matmul_split_k, device.strategy)
     out = out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
     if bias is not None:
         out = (out + _as_f32(bias).reshape(1, c_out, 1, 1)).astype(np.float32)

@@ -21,7 +21,7 @@ from repro.graph.node import Node
 from repro.tensorlib import DEVICE_FLEET
 from repro.utils.serialization import canonical_bytes
 
-from tests.test_calibration_golden import TRACE_GOLDEN, _inputs, trace_digest
+from test_calibration_golden import TRACE_GOLDEN, _inputs, trace_digest
 
 GOLDEN = {
     BoundMode.PROBABILISTIC: {

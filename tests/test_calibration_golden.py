@@ -9,6 +9,7 @@ profile is computed that moves a single bit fails here.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Dict
 
@@ -95,7 +96,10 @@ def _digest(payload) -> str:
     return hashlib.sha256(canonical_bytes(payload)).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
 def trace_digest(model: str) -> str:
+    """Digest of every traced operator value; pure, so the host gates of
+    every golden file share one computation per model."""
     graph, threshold_inputs, envelope_inputs = _inputs(model)
     values = [
         [Interpreter(device).run(graph, dict(sample), record=True).values[node.name]

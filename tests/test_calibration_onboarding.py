@@ -16,7 +16,6 @@ EXOTIC_DEVICE = DeviceProfile(
     reduction_chunk=32,
     strategy=AccumulationStrategy.REDUCED_PRECISION,
     matmul_split_k=8,
-    conv_split=8,
     description="Reduced-precision accumulate path used for onboarding tests.",
 )
 

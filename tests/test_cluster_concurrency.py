@@ -3,12 +3,12 @@
 Three pieces of process-wide state are shared by concurrent shard workers
 and must be thread-safe:
 
-* :class:`~repro.merkle.cache.HashCache` — the seed version mutated an
-  identity-keyed ``OrderedDict`` (``move_to_end`` / ``popitem``) without a
-  lock.  CPython's GIL happens to make each individual method call atomic,
-  but the compound lookup→promote→evict sequences were never safe by
-  contract (and are not on free-threaded builds); the hammer pins the
-  locked implementation's exactness and LRU bound under real contention.
+* :class:`~repro.merkle.cache.HashCache` — an identity-keyed memo whose
+  entries are dropped by weak-reference callbacks when their arrays die,
+  on whichever thread drops the last reference and without the lock.  The
+  hammer pins exactness under real contention while every thread's churn
+  arrays die (and their ``id()`` values are recycled) mid-run, and that
+  the memo ends holding exactly the arrays still alive.
 * :class:`~repro.protocol.chain.SimulatedChain` — balances/minted/log are
   settled by every shard; appends and transfers must stay exact under
   interleaving.
@@ -19,6 +19,7 @@ and must be thread-safe:
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -44,14 +45,15 @@ def _run_threads(worker) -> None:
 # HashCache
 # ----------------------------------------------------------------------
 
-def test_hash_cache_concurrent_hammer_is_exact_and_bounded():
-    """Hot shared arrays + per-thread churn under a small LRU: no corruption.
+def test_hash_cache_concurrent_hammer_is_exact_and_drops_dead_arrays():
+    """Hot shared arrays + per-thread churn that dies at once: no corruption.
 
-    The tiny ``max_tensors`` forces continuous eviction, which is exactly
-    where the unlocked OrderedDict used to break (concurrent ``move_to_end``
-    of an entry another thread just ``popitem``-ed).
+    Each churn array is released right after it is hashed, so its entry is
+    dropped by the weak-reference callback while the other threads look up
+    and store, and the next churn array of the same shape usually reuses
+    its ``id()`` — a stale entry would hand it the wrong digest.
     """
-    cache = HashCache(max_tensors=16)
+    cache = HashCache()
     shared = [np.random.default_rng(index).standard_normal((24, 24)).astype(np.float32)
               for index in range(6)]
     expected = [streaming_tensor_hash(array) for array in shared]
@@ -65,10 +67,18 @@ def test_hash_cache_concurrent_hammer_is_exact_and_bounded():
                 assert cache.hash_tensor(array) == digest
             churn = rng.standard_normal((8, 8)).astype(np.float32)
             assert cache.hash_tensor(churn) == streaming_tensor_hash(churn)
+            del churn
 
-    _run_threads(worker)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside lookups, stores and drops
+    try:
+        _run_threads(worker)
+    finally:
+        sys.setswitchinterval(interval)
     stats = cache.stats()
-    assert stats["tensor_entries"] <= 16
+    # Every churn entry died with its array; the shared arrays stay memoized.
+    assert stats["tensor_entries"] == len(shared)
+    assert stats["tensor_misses"] >= len(shared) + NUM_THREADS * ROUNDS
     # Every lookup either hit or missed; the counters saw all of them.
     total = NUM_THREADS * ROUNDS * (len(shared) + 1)
     assert stats["tensor_hits"] + stats["tensor_misses"] == total

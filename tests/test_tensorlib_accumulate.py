@@ -25,8 +25,11 @@ def test_split_chunks_rejects_nonpositive_chunk():
         split_chunks(10, 0)
 
 
+#: The FP32 combine orders.  ``FP64`` is no combine order: both device
+#: primitives take their float64 reference path before any partials exist.
 FULL_PRECISION_STRATEGIES = [s for s in AccumulationStrategy
-                             if s is not AccumulationStrategy.REDUCED_PRECISION]
+                             if s not in (AccumulationStrategy.REDUCED_PRECISION,
+                                          AccumulationStrategy.FP64)]
 
 
 @pytest.mark.parametrize("strategy", FULL_PRECISION_STRATEGIES)
@@ -61,6 +64,18 @@ def test_reduced_precision_accumulation_is_coarser_but_close(rng):
 def test_accumulate_partials_rejects_empty():
     with pytest.raises(ValueError):
         accumulate_partials(np.zeros((0, 4), dtype=np.float32), AccumulationStrategy.SEQUENTIAL)
+
+
+def test_accumulate_partials_rejects_fp64(rng):
+    with pytest.raises(ValueError):
+        accumulate_partials(rng.standard_normal((3, 4)).astype(np.float32),
+                            AccumulationStrategy.FP64)
+
+
+def test_chunked_sum_fp64_rounds_the_float64_sum_once(rng):
+    values = (rng.standard_normal((300, 5)) * 1e3).astype(np.float32)
+    out = chunked_sum(values, axis=0, chunk=7, strategy=AccumulationStrategy.FP64)
+    assert out.tobytes() == values.astype(np.float64).sum(axis=0).astype(np.float32).tobytes()
 
 
 def test_orderings_actually_differ_in_low_bits(rng):

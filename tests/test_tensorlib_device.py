@@ -46,6 +46,23 @@ def test_signature_contains_configuration():
     assert sig["strategy"] == DEVICE_FLEET[0].strategy.value
 
 
+def test_signature_is_the_committed_kernel_stack_format():
+    """Every contraction reads one split, and ``signature()`` still emits the
+    ``conv_split`` key committed execution metadata has always carried."""
+    assert [d.signature() for d in list_devices(include_reference=True)] == [
+        {"device": "sim-rtx4090", "reduction_chunk": 32, "strategy": "sequential",
+         "matmul_split_k": 2, "conv_split": 2},
+        {"device": "sim-rtx6000", "reduction_chunk": 48, "strategy": "reversed",
+         "matmul_split_k": 3, "conv_split": 3},
+        {"device": "sim-a100", "reduction_chunk": 64, "strategy": "pairwise",
+         "matmul_split_k": 4, "conv_split": 4},
+        {"device": "sim-h100", "reduction_chunk": 128, "strategy": "pairwise",
+         "matmul_split_k": 8, "conv_split": 8},
+        {"device": "reference-fp64", "reduction_chunk": 1_048_576, "strategy": "fp64",
+         "matmul_split_k": 1, "conv_split": 1},
+    ]
+
+
 def test_invalid_profile_rejected():
     with pytest.raises(ValueError):
         DeviceProfile(name="bad", reduction_chunk=0, strategy=AccumulationStrategy.SEQUENTIAL)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ops import get_op
 from repro.tensorlib.device import DEVICE_FLEET, REFERENCE_DEVICE
 from repro.tensorlib.kernels import (
-    device_bmm,
     device_conv2d,
     device_matmul,
     device_mean,
@@ -55,13 +55,13 @@ def test_bmm_requires_batched_inputs(rng):
     a = rng.standard_normal((4, 5)).astype(np.float32)
     b = rng.standard_normal((5, 3)).astype(np.float32)
     with pytest.raises(ValueError):
-        device_bmm(a, b, DEVICE_FLEET[0])
+        get_op("bmm")(DEVICE_FLEET[0], a, b)
 
 
 def test_bmm_matches_matmul(rng):
     a = rng.standard_normal((3, 8, 16)).astype(np.float32)
     b = rng.standard_normal((3, 16, 4)).astype(np.float32)
-    assert np.allclose(device_bmm(a, b, DEVICE_FLEET[1]), np.matmul(a, b), atol=1e-4)
+    assert np.allclose(get_op("bmm")(DEVICE_FLEET[1], a, b), np.matmul(a, b), atol=1e-4)
 
 
 @pytest.mark.parametrize("axis", [0, 1, -1, (0, 1), None])

@@ -34,6 +34,12 @@ from repro.tensorlib import DEVICE_FLEET
 #: keeping each request's trace measures 5.3 MB.
 BATCH_GROWTH_BOUND = 256 * 1024
 
+#: Bytes per batch of 8 ``bert_mini`` requests (4 forced challenges) the
+#: hash memo may still resolve after the batch: the payloads request records
+#: hold measure 2.3 kB; a memo that pins every hashed dispute tensor grows
+#: by about 150 kB.
+MEMO_GROWTH_BOUND = 16 * 1024
+
 
 def _victim(graph) -> str:
     return next(node.name for node in graph.graph.operators if node.target == "linear")
@@ -152,19 +158,30 @@ def test_retrace_that_misses_its_receipt_raises_before_any_dispute(
     assert service.pending_count == 1
 
 
-def test_serving_more_requests_does_not_keep_their_traces():
+@pytest.fixture(scope="module")
+def bert_service():
+    """A fresh-service factory for ``bert_mini``, and a payload factory."""
     spec = get_model_spec("bert_mini")
     module = spec.build_module()
     graph = spec.trace(module, batch_size=1, seed=17)
     calibration = Calibrator(CalibrationConfig(devices=DEVICE_FLEET)).calibrate(
         graph, spec.dataset(module, 3, seed=17, batch_size=1))
-    service = TAOService()
-    service.register_model(graph, threshold_table=ThresholdTable.from_calibration(
-        calibration, alpha=6.0))
+    table = ThresholdTable.from_calibration(calibration, alpha=6.0)
+
+    def make_service():
+        service = TAOService()
+        service.register_model(graph, threshold_table=table)
+        return service
+
+    return make_service, graph.name, lambda seed: spec.sample_inputs(module, 1, seed)
+
+
+def test_serving_more_requests_does_not_keep_their_traces(bert_service):
+    make_service, name, payload = bert_service
+    service = make_service()
 
     def serve_batch(first_seed):
-        service.submit_many(graph.name, [spec.sample_inputs(module, 1, first_seed + i)
-                                         for i in range(8)])
+        service.submit_many(name, [payload(first_seed + i) for i in range(8)])
         service.process()
         gc.collect()
         return tracemalloc.get_traced_memory()[0]
@@ -177,3 +194,27 @@ def test_serving_more_requests_does_not_keep_their_traces():
         tracemalloc.stop()
     assert service.stats().requests_completed == 16
     assert after_second - after_first < BATCH_GROWTH_BOUND, after_second - after_first
+
+
+def _memo_bytes(cache) -> int:
+    """Bytes of the arrays the hash memo still resolves to."""
+    arrays = [ref() for ref, _ in list(cache._tensors.values())]
+    return sum(array.nbytes for array in arrays if array is not None)
+
+
+def test_hash_memo_does_not_pin_released_dispute_tensors(bert_service):
+    """Dispute records hash boundary tensors of traces the cycle then
+    releases; the memo must let those arrays die with their trace.  What it
+    still resolves after a batch is what request records hold (payloads)."""
+    make_service, name, payload = bert_service
+    service = make_service()
+    memo_bytes = []
+    for batch in range(4):
+        for index in range(8):
+            service.submit(name, payload(100 * batch + index), force_challenge=index < 4)
+        service.process()
+        gc.collect()
+        memo_bytes.append(_memo_bytes(service.hash_cache))
+    assert service.stats().disputes_opened >= 16
+    per_batch = (memo_bytes[-1] - memo_bytes[0]) / (len(memo_bytes) - 1)
+    assert per_batch < MEMO_GROWTH_BOUND, memo_bytes
