@@ -73,6 +73,7 @@ from repro.protocol.dispute import DisputeOutcome, DisputeStatistics
 from repro.protocol.lifecycle import SessionReport
 from repro.protocol.service import ServiceRequest, ServiceStats
 from repro.tensorlib.device import DEVICE_FLEET, DeviceProfile
+from repro.utils.serialization import canonical_bytes
 from repro.utils.timing import now
 
 
@@ -122,6 +123,10 @@ class _ResultSnapshot:
 
 class CoordinatorSnapshot:
     """Read-only mirror of one worker's coordinator, updated in place.
+
+    :meth:`apply` upserts rows: a ``process`` response carries only the
+    rows that changed since the worker's previous successful ``process``
+    response, a ``stats`` response all of them.
 
     Task snapshots keep their identity across updates so a caller holding
     ``report.task`` can later find the same object in :attr:`tasks` — the
@@ -493,38 +498,34 @@ class ProcessFleet(PlacedCore):
         chain_frames = 0
         try:
             with handle.lock:
-                handle.channel.send(payload)
+                sent = handle.channel.send(payload)
                 while True:
-                    message = handle.channel.recv()
+                    message, frame = handle.channel.recv_frame()
                     kind = message.get("kind")
                     if kind == "chain_call":
                         if self._chain_call_hook is not None:
                             self._chain_call_hook(handle.shard_id, message)
                         chain_frames += 1
                         reply = self._serve_chain_call(handle.shard_id,
-                                                       message)
+                                                       message, frame)
                         if self._chain_reply_hook is not None:
                             self._chain_reply_hook(handle.shard_id, message)
-                        handle.channel.send(reply)
+                        handle.channel.send_frame(reply)
                     elif kind == "journal":
                         # One-way write-ahead frame: FIFO ordering means it
                         # lands before any chain mutation it covers.
                         if journal is not None:
-                            journal.record_spec(message.get("entry", {}))
+                            journal.record_spec(frame)
                     elif kind == "response":
-                        if message.get("ok"):
-                            value = message.get("value")
-                            if journal is not None and \
-                                    self._should_journal(payload, chain_frames):
-                                journal.record_command(payload, True, value)
-                            return value
+                        ok = bool(message.get("ok"))
                         if journal is not None and \
                                 self._should_journal(payload, chain_frames):
                             # Failed commands that touched the chain are
                             # journaled too (with their error), keeping the
                             # replayed sequence-id stream aligned.
-                            journal.record_command(payload, False,
-                                                   message.get("error"))
+                            journal.record_command(sent, ok, frame)
+                        if ok:
+                            return message.get("value")
                         raise WorkerError(
                             f"[{handle.shard_id}] {message.get('error')}")
                     else:
@@ -535,12 +536,14 @@ class ProcessFleet(PlacedCore):
             self._mark_dead(handle)
             raise
 
-    def _serve_chain_call(self, shard_id: str,
-                          message: Dict[str, Any]) -> Dict[str, Any]:
+    def _serve_chain_call(self, shard_id: str, message: Dict[str, Any],
+                          frame: bytes) -> bytes:
+        """Serve one ``chain_call`` (decoded ``message``, raw ``frame``);
+        returns the encoded reply frame, journaled before it is sent."""
         journal = self.journals.get(shard_id)
         seq = message.get("seq")
         if journal is not None and seq is not None:
-            recorded = journal.chain_reply(seq, message)
+            recorded = journal.chain_reply(seq, frame)
             if recorded is not None:
                 # Replay duplicate: answer from the journal, do not
                 # re-apply — at-most-once for every ledger mutation.
@@ -555,9 +558,10 @@ class ProcessFleet(PlacedCore):
                      "error_type": type(exc).__name__, "error": str(exc)}
         else:
             reply = {"kind": "chain_reply", "ok": True, "value": value}
+        data = canonical_bytes(reply)
         if journal is not None and seq is not None:
-            journal.record_chain(seq, message, reply)
-        return reply
+            journal.record_chain(seq, frame, data)
+        return data
 
     def _mark_dead(self, handle: WorkerHandle) -> None:
         if not handle.alive:

@@ -3,11 +3,17 @@
 Workers hold no durable state: every ledger mutation already flows through
 the parent as a nested ``chain_call``.  :class:`ShardJournal` makes that
 stream (plus the command stream that produced it) recoverable.  It lives in
-the **parent** process — the crash domain is the worker — and stores every
-record through the repo's canonical codec
-(:func:`repro.utils.serialization.canonical_bytes`), so journal contents are
-exactly the bytes that crossed the transport, decode strictly, and fingerprint
-deterministically.
+the **parent** process — the crash domain is the worker — and stores the
+frames as they were sent and received: each record method takes the raw
+canonical bytes the transport wrote or read
+(:meth:`~repro.fleet.transport.MessageChannel.send`,
+:meth:`~repro.fleet.transport.MessageChannel.recv_frame`) and builds its
+record around them with
+:func:`~repro.utils.serialization.split_canonical_map` and
+:func:`~repro.utils.serialization.canonical_map`.  No frame is encoded a
+second time, and every record is byte-identical to the canonical encoding of
+the map of decoded values it holds, so records decode strictly and
+fingerprint deterministically.
 
 Three streams, with distinct write points:
 
@@ -32,9 +38,15 @@ Three streams, with distinct write points:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.utils.serialization import canonical_bytes, decode_canonical
+from repro.utils.serialization import (canonical_bytes, canonical_map,
+                                       decode_canonical, split_canonical_map)
+
+#: Encoded values the records fill in for keys a frame lacks.
+_NONE = canonical_bytes(None)
+_EMPTY_MAP = canonical_bytes({})
+_OK = {True: canonical_bytes(True), False: canonical_bytes(False)}
 
 
 class JournalDivergence(RuntimeError):
@@ -57,8 +69,9 @@ class ShardJournal:
 
     # -- spec (state, event) stream --------------------------------------
 
-    def record_spec(self, entry: Dict[str, Any]) -> None:
-        """Append one ``(state, event)`` record (idempotent under replay).
+    def record_spec(self, frame: bytes) -> None:
+        """Append the ``entry`` of one ``journal`` frame (idempotent under
+        replay).
 
         Entries are stamped worker-side with ``chain_seq`` — the sequence id
         of the transition's first upcoming chain call.  A recovered worker
@@ -67,8 +80,9 @@ class ShardJournal:
         they match byte-for-byte), so the journal stays one entry per
         logical transition across any number of crashes.
         """
-        blob = canonical_bytes(dict(entry))
-        seq = entry.get("chain_seq")
+        blob = split_canonical_map(frame).get("entry", _EMPTY_MAP)
+        seq = split_canonical_map(blob).get("chain_seq")
+        seq = None if seq is None else decode_canonical(seq)
         if seq is not None:
             seq = int(seq)
             recorded = self._spec_by_seq.get(seq)
@@ -87,24 +101,25 @@ class ShardJournal:
 
     # -- chain_call stream ------------------------------------------------
 
-    def record_chain(self, seq: int, message: Dict[str, Any],
-                     reply: Dict[str, Any]) -> None:
+    def record_chain(self, seq: int, call: bytes, reply: bytes) -> None:
+        """Record one served ``chain_call`` frame and the reply frame sent."""
         seq = int(seq)
-        self._chain[seq] = canonical_bytes({
-            "method": message.get("method"),
-            "args": message.get("args", {}),
+        parts = split_canonical_map(call)
+        self._chain[seq] = canonical_map({
+            "method": parts.get("method", _NONE),
+            "args": parts.get("args", _EMPTY_MAP),
             "reply": reply,
         })
         if seq > self.chain_tail:
             self.chain_tail = seq
 
-    def chain_reply(self, seq: int, message: Dict[str, Any],
-                    ) -> Optional[Dict[str, Any]]:
-        """The recorded reply for ``seq``, or ``None`` if the call is fresh.
+    def chain_reply(self, seq: int, call: bytes) -> Optional[bytes]:
+        """The recorded reply frame for ``seq``, or ``None`` if the call is
+        fresh.
 
-        A recorded entry must match the incoming call exactly (method and
-        arguments, canonical bytes); anything else means the replayed worker
-        diverged from its pre-crash execution.
+        A recorded entry must match the incoming call frame exactly (method
+        and arguments, canonical bytes); anything else means the replayed
+        worker diverged from its pre-crash execution.
         """
         seq = int(seq)
         blob = self._chain.get(seq)
@@ -114,24 +129,27 @@ class ShardJournal:
                     f"[{self.shard_id}] chain call seq {seq} is below the "
                     f"journal tail {self.chain_tail} but was never recorded")
             return None
-        recorded = decode_canonical(blob)
-        incoming = canonical_bytes({"method": message.get("method"),
-                                    "args": message.get("args", {})})
-        original = canonical_bytes({"method": recorded["method"],
-                                    "args": recorded["args"]})
-        if incoming != original:
+        recorded = split_canonical_map(blob)
+        incoming = split_canonical_map(call)
+        method = incoming.get("method", _NONE)
+        if (method, incoming.get("args", _EMPTY_MAP)) != \
+                (recorded["method"], recorded["args"]):
             raise JournalDivergence(
                 f"[{self.shard_id}] replayed chain call seq {seq} "
-                f"({message.get('method')!r}) does not match the journaled "
-                f"call ({recorded['method']!r}); deterministic replay broke")
+                f"({decode_canonical(method)!r}) does not match the journaled "
+                f"call ({decode_canonical(recorded['method'])!r}); "
+                f"deterministic replay broke")
         return recorded["reply"]
 
     # -- command stream ---------------------------------------------------
 
-    def record_command(self, payload: Dict[str, Any], ok: bool,
-                       value: Any) -> None:
-        self._commands.append(canonical_bytes({
-            "payload": payload, "ok": bool(ok), "value": value}))
+    def record_command(self, payload: bytes, ok: bool, response: bytes) -> None:
+        """Record one completed op: the payload frame sent and the
+        ``response`` frame received (its ``value``, or its ``error``)."""
+        value = split_canonical_map(response).get("value" if ok else "error",
+                                                  _NONE)
+        self._commands.append(canonical_map(
+            {"payload": payload, "ok": _OK[bool(ok)], "value": value}))
 
     def commands(self) -> List[Dict[str, Any]]:
         """Completed commands in order: ``{"payload", "ok", "value"}``."""

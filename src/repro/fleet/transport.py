@@ -16,6 +16,12 @@ socket to the worker process as a ``multiprocessing.Process`` argument (the
 on orderly shutdown — surfaces as :class:`TransportClosed` on the next send
 or receive, which is the signal the fleet's failover path keys on.
 
+Each frame is encoded once.  :meth:`MessageChannel.send` returns the bytes it
+wrote and :meth:`MessageChannel.recv_frame` returns a received frame's raw
+bytes next to its decoded value, so the parent's write-ahead journal
+(:mod:`repro.fleet.journal`) stores frames exactly as they were sent and
+received, without encoding any of them again.
+
 Death is not the only failure mode: a peer that is alive but wedged (a stuck
 worker holding its socket open) would block ``recv`` forever, stalling every
 caller behind the channel lock.  A channel constructed with ``deadline_s``
@@ -74,9 +80,19 @@ class MessageChannel:
         except OSError:  # pragma: no cover - socket already closed
             pass
 
-    def send(self, payload: Any) -> None:
-        """Encode ``payload`` with the canonical codec and write one frame."""
+    def send(self, payload: Any) -> bytes:
+        """Encode ``payload`` with the canonical codec and write one frame.
+
+        Returns the encoded payload, so a caller that must keep what it sent
+        (the fleet's write-ahead journal) stores these bytes instead of
+        encoding the payload again.
+        """
         data = canonical_bytes(payload)
+        self.send_frame(data)
+        return data
+
+    def send_frame(self, data: bytes) -> None:
+        """Write one frame whose payload is already canonically encoded."""
         frame = len(data).to_bytes(LENGTH_BYTES, "big") + data
         try:
             self._sock.sendall(frame)
@@ -89,9 +105,13 @@ class MessageChannel:
 
     def recv(self) -> Any:
         """Read one frame and decode it; raises TransportClosed on EOF."""
+        return self.recv_frame()[0]
+
+    def recv_frame(self) -> Tuple[Any, bytes]:
+        """Read one frame: its decoded value and its raw payload bytes."""
         header = self._recv_exact(LENGTH_BYTES)
-        length = int.from_bytes(header, "big")
-        return decode_canonical(self._recv_exact(length))
+        data = self._recv_exact(int.from_bytes(header, "big"))
+        return decode_canonical(data), data
 
     def _recv_exact(self, count: int) -> bytes:
         chunks = []

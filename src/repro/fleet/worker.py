@@ -31,6 +31,9 @@ Every reply carries plain codec values; the structured report/coordinator
 payloads built here are re-materialized parent-side by
 :mod:`repro.fleet.fleet` into snapshot objects the invariant checker and the
 simulation runner can walk exactly as they walk in-process coordinators.
+Those coordinator rows travel as deltas: a ``process`` reply carries only
+the rows that changed since the worker's previous successful ``process``
+reply, and a ``stats`` reply carries all of them.
 """
 
 from __future__ import annotations
@@ -143,6 +146,9 @@ class ShardWorker:
         self.service = TAOService(coordinator=self.coordinator,
                                   **hello["service"])
         self.actors = importlib.import_module(hello["actor_module"])
+        #: Coordinator rows as of the last successful ``process`` response,
+        #: keyed by ``(section, id)``: the watermark its deltas are cut from.
+        self._reported: Dict[Tuple[str, int], Dict[str, Any]] = {}
 
     def _emit_journal(self, entry: Dict[str, Any]) -> None:
         # Stamp the transition with the sequence id of its first upcoming
@@ -198,13 +204,30 @@ class ShardWorker:
         max_requests = message.get("max_requests")
         processed = self.service.process(
             max_requests=None if max_requests is None else int(max_requests))
-        return {
+        # Only the coordinator rows that changed since the previous
+        # successful process response: the parent's snapshot already holds
+        # the rest, and a full snapshot would grow with the shard's history.
+        changed: Dict[str, list] = {"tasks": [], "disputes": []}
+        watermark = {}
+        for section, rows in _coordinator_payload(self.coordinator).items():
+            id_key = "task_id" if section == "tasks" else "dispute_id"
+            for row in rows:
+                key = (section, row[id_key])
+                if self._reported.get(key) != row:
+                    changed[section].append(row)
+                    watermark[key] = row
+        value = {
             "results": [_request_payload(request) for request in processed],
             "stats": self.service.stats().to_payload(),
-            "coordinator": _coordinator_payload(self.coordinator),
+            "coordinator": changed,
             "clones": [[name, int(self.service.model(name).challenger_clones)]
                        for name in self.service.model_names],
         }
+        # Moved last, and only here: a failed process (or a stats call)
+        # leaves it, so the next response still carries those rows and a
+        # replayed worker cuts the same deltas.
+        self._reported.update(watermark)
+        return value
 
     def op_withdraw(self, message: Dict[str, Any]) -> Dict[str, Any]:
         withdrawn = self.service.withdraw_queued(message["model"])
@@ -219,6 +242,7 @@ class ShardWorker:
         return {}
 
     def op_stats(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        # The full snapshot, and the watermark stays where it is.
         return {"stats": self.service.stats().to_payload(),
                 "coordinator": _coordinator_payload(self.coordinator)}
 

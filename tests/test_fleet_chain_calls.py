@@ -16,6 +16,7 @@ import math
 import pytest
 
 from repro.fleet import ProcessFleet, WorkerError
+from repro.utils.serialization import canonical_bytes, decode_canonical
 
 MALFORMED = {
     "unknown_verb": {"method": "mint", "args": {"account": "a", "amount": 1.0}},
@@ -45,14 +46,15 @@ def test_malformed_chain_call_gets_an_error_reply(fleet, shape):
     seq = journal.chain_tail + 1
     frame = {"kind": "chain_call", "seq": seq, **MALFORMED[shape]}
     before = _ledger(fleet.chain)
-    reply = fleet._serve_chain_call("shard-0", frame)
+    data = canonical_bytes(frame)
+    reply = decode_canonical(fleet._serve_chain_call("shard-0", frame, data))
     assert reply["kind"] == "chain_reply"
     assert reply["ok"] is False
     assert reply["error"]
     assert _ledger(fleet.chain) == before
     # Journaled like any reply: a replayed call at this seq is answered
     # from the journal.
-    assert journal.chain_reply(seq, frame) == reply
+    assert journal.chain_reply(seq, data) == canonical_bytes(reply)
 
 
 def test_rejected_chain_call_fails_the_op_and_keeps_the_channel(

@@ -166,6 +166,25 @@ def test_round_trip_non_contiguous_and_empty_arrays():
         assert decoded.tobytes() == expected.tobytes()
 
 
+def test_decoded_arrays_are_owned_writeable_c_contiguous():
+    base = np.arange(24, dtype=np.float32).reshape(4, 6)
+    for sample in (base, base[:, ::2], base.T, base.astype(">f8"),
+                   np.zeros((0, 3)), np.zeros(()), np.arange(5, dtype=np.int8)):
+        encoded = canonical_bytes({"a": sample, "b": [sample]})
+        decoded = decode_canonical(encoded)
+        for array in (decoded["a"], decoded["b"][0]):
+            assert array.flags.owndata
+            assert array.flags.writeable
+            assert array.flags.c_contiguous
+            assert array.base is None
+        # Writing into one decoded array touches neither the other nor the
+        # frame it was decoded from.
+        if decoded["a"].size:
+            decoded["a"].flat[0] = 1
+            assert decoded["b"][0].flat[0] == np.ascontiguousarray(sample).flat[0]
+        assert canonical_bytes({"a": sample, "b": [sample]}) == encoded
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.binary(min_size=1, max_size=64))
 def test_decode_rejects_garbage(data):
