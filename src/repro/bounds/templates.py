@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Sequence, Tuple
 
 import numpy as np
-from scipy import special
 
 from repro.bounds.fp_model import BoundMode, FloatingPointModel, FP32_MODEL, INTRINSIC_ULP
 from repro.ops.registry import get_op

@@ -8,11 +8,11 @@ feed-forward blocks and diffusion UNets.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from repro.ops.registry import OpSpec, register_op
 from repro.tensorlib.device import DeviceProfile
 from repro.tensorlib.flops import elementwise_flops
+from repro.tensorlib.transcendental import erf
 
 
 def _f32(x) -> np.ndarray:
@@ -40,13 +40,13 @@ def _leaky_relu_vjp(device, grad_out, out, a, *, negative_slope: float = 0.01):
 
 def _gelu_forward(device: DeviceProfile, a) -> np.ndarray:
     a32 = _f32(a)
-    cdf = np.float32(0.5) * (np.float32(1.0) + special.erf(a32 / np.float32(np.sqrt(2.0))))
+    cdf = np.float32(0.5) * (np.float32(1.0) + erf(a32 / np.float32(np.sqrt(2.0))))
     return (a32 * cdf.astype(np.float32)).astype(np.float32)
 
 
 def _gelu_vjp(device, grad_out, out, a):
     a64 = np.asarray(a, dtype=np.float64)
-    cdf = 0.5 * (1.0 + special.erf(a64 / np.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + erf(a64 / np.sqrt(2.0)))
     pdf = np.exp(-0.5 * a64 ** 2) / np.sqrt(2.0 * np.pi)
     return (grad_out * (cdf + a64 * pdf),)
 

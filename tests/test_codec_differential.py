@@ -220,6 +220,31 @@ def test_decoder_matches_reference_on_scalar_spellings(spelling):
         b"SCALAR\x000", b"SCALAR\x00" + spelling.encode("utf-8")))
 
 
+@pytest.mark.parametrize("data", [b"SCALAR\x00[1]", b'SCALAR\x00{"a":1}'],
+                         ids=["list", "object"])
+def test_scalar_segment_holds_only_a_scalar(data):
+    """A list or a map has one encoding, its SEQ or MAP; JSON for it in a
+    SCALAR segment would be a second byte string for the same value."""
+    for decode in (codec.decode_canonical, ref.decode_canonical):
+        with pytest.raises(ValueError, match="not a scalar"):
+            decode(data)
+
+
+@pytest.mark.parametrize("view, fresh", [
+    (np.ones((4, 3))[:, ::2][:0], np.zeros((0, 2))),
+    (np.ones((2, 5), dtype=np.float32)[:, 5:], np.zeros((2, 0), dtype=np.float32)),
+    (np.ones((3, 4, 2))[::2, :0].T, np.empty((2, 0, 2))),
+], ids=["empty_rows", "empty_columns", "empty_transposed"])
+def test_equal_empty_arrays_share_one_header(view, fresh):
+    """An empty array's header strides are zeros, whatever view it came
+    from: equal empty arrays commit to equal bytes that the decoder
+    accepts."""
+    for encode in (codec.canonical_bytes, ref.canonical_bytes):
+        assert encode(view) == encode(fresh) == codec.canonical_bytes(fresh)
+    for decode in (codec.decode_canonical, ref.decode_canonical):
+        np.testing.assert_array_equal(decode(codec.canonical_bytes(view)), fresh)
+
+
 def test_decoder_matches_reference_on_invalid_utf8():
     for raw in (b"SCALAR\x00\xff", b"SCALAR\x00\"\xc3\"",
                 b"MAP\x00" + (1).to_bytes(8, "big") + (1).to_bytes(8, "big")

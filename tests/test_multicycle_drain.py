@@ -291,7 +291,9 @@ def test_stage_failure_in_a_later_cycle_recovers(mlp_graph, mlp_thresholds,
                                                  mlp_input_factory, stage):
     """A stage raising in cycle 2 of 3: cycle 1 stays terminal, cycle 2 is
     requeued (nothing on chain yet) or stranded (already submitted), cycle 3
-    is requeued, and a retry drain serves every requeued request once.
+    is requeued, and a retry drain serves every requeued request once.  The
+    retry also returns what the failed drain finished (cycle 1 and any
+    stranded request), so every request is returned by exactly one drain.
     """
     capacity = 2
     service = _honest_service(mlp_graph, mlp_thresholds, mlp_input_factory,
@@ -327,7 +329,7 @@ def test_stage_failure_in_a_later_cycle_recovers(mlp_graph, mlp_thresholds,
 
     setattr(service, f"_stage_{stage}", real_stage)
     retried = service.process()
-    assert [r.request_id for r in retried] == requeued
+    assert [r.request_id for r in retried] == [0, 1] + stranded + requeued
     for request_id in requeued:
         assert service.request(request_id).status in TERMINAL
     submitted = 2 + len(stranded) + len(requeued)
