@@ -33,14 +33,15 @@ payloads built here are re-materialized parent-side by
 simulation runner can walk exactly as they walk in-process coordinators.
 Those coordinator rows travel as deltas: a ``process`` reply carries only
 the rows that changed since the worker's previous successful ``process``
-reply, and a ``stats`` reply carries all of them.
+reply (:class:`CoordinatorDeltas`), and a ``stats`` reply carries all of
+them.
 """
 
 from __future__ import annotations
 
 import importlib
 import socket
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.calibration.committee import CommitteeEnvelopeProfile
 from repro.calibration.thresholds import ThresholdTable
@@ -48,8 +49,8 @@ from repro.fleet.chainproxy import RemoteLedger
 from repro.fleet.transport import MessageChannel, TransportClosed, channel_pair
 from repro.fleet.wire import graph_from_payload
 from repro.protocol.chain import ShardChainView
-from repro.protocol.coordinator import Coordinator
-from repro.protocol.service import ServiceRequest, TAOService
+from repro.protocol.coordinator import Coordinator, DisputePhase
+from repro.protocol.service import TERMINAL_TASK_STATUSES, ServiceRequest, TAOService
 
 
 class WorkerError(RuntimeError):
@@ -107,25 +108,81 @@ def _request_payload(request: ServiceRequest) -> Dict[str, Any]:
     }
 
 
+def _task_row(coordinator: Coordinator, task) -> Dict[str, Any]:
+    return {
+        "task_id": int(task.task_id),
+        "model_name": task.model_name,
+        "status": task.status.value,
+        "dispute_id": None if task.dispute_id is None else int(task.dispute_id),
+    }
+
+
+def _dispute_row(coordinator: Coordinator, dispute) -> Dict[str, Any]:
+    return {
+        "dispute_id": int(dispute.dispute_id),
+        "task_id": int(dispute.task_id),
+        "phase": dispute.phase.value,
+        "adjudication_path": dispute.adjudication_path,
+        "gas_used": int(coordinator.dispute_gas(dispute.dispute_id)),
+    }
+
+
+#: Coordinator table -> (id key, row builder, whether a row is final).
+_SECTIONS = {
+    "tasks": ("task_id", _task_row,
+              lambda row: row["status"] in TERMINAL_TASK_STATUSES),
+    "disputes": ("dispute_id", _dispute_row,
+                 lambda row: row["phase"] == DisputePhase.RESOLVED.value),
+}
+
+
 def _coordinator_payload(coordinator: Coordinator) -> Dict[str, Any]:
-    tasks = []
-    for task in coordinator.tasks.values():
-        tasks.append({
-            "task_id": int(task.task_id),
-            "model_name": task.model_name,
-            "status": task.status.value,
-            "dispute_id": None if task.dispute_id is None else int(task.dispute_id),
-        })
-    disputes = []
-    for dispute in coordinator.disputes.values():
-        disputes.append({
-            "dispute_id": int(dispute.dispute_id),
-            "task_id": int(dispute.task_id),
-            "phase": dispute.phase.value,
-            "adjudication_path": dispute.adjudication_path,
-            "gas_used": int(coordinator.dispute_gas(dispute.dispute_id)),
-        })
-    return {"tasks": tasks, "disputes": disputes}
+    """Every coordinator row (the full snapshot)."""
+    return {section: [build(coordinator, record)
+                      for record in getattr(coordinator, section).values()]
+            for section, (_key, build, _final) in _SECTIONS.items()}
+
+
+class CoordinatorDeltas:
+    """The coordinator rows that changed since the last committed report.
+
+    Task and dispute ids are dense (each is its record's index), so only two
+    kinds of row can have changed since a report: rows past its end, and
+    rows it carried while they were still open.  A row reported final (a
+    terminal task, a resolved dispute) never changes again, so its
+    watermark is dropped and no later cut rebuilds it: a cut costs the new
+    and open rows, not the shard's history.
+    """
+
+    def __init__(self) -> None:
+        #: Per table: rows reported so far, and the open ones as reported.
+        self._seen = {section: 0 for section in _SECTIONS}
+        self._open: Dict[str, Dict[int, Dict[str, Any]]] = \
+            {section: {} for section in _SECTIONS}
+
+    def cut(self, coordinator: Coordinator) -> Dict[str, List[Dict[str, Any]]]:
+        """Rows new or changed since the last :meth:`commit`, in id order."""
+        changed = {}
+        for section, (id_key, build, _final) in _SECTIONS.items():
+            table = getattr(coordinator, section)
+            reported = self._open[section]
+            ids = sorted(reported) + list(range(self._seen[section], len(table)))
+            rows = [build(coordinator, table[row_id]) for row_id in ids]
+            changed[section] = [row for row in rows
+                                if reported.get(row[id_key]) != row]
+        return changed
+
+    def commit(self, changed: Dict[str, List[Dict[str, Any]]]) -> None:
+        """Move the watermark past a delta the parent has received."""
+        for section, (id_key, _build, final) in _SECTIONS.items():
+            reported = self._open[section]
+            for row in changed[section]:
+                row_id = row[id_key]
+                self._seen[section] = max(self._seen[section], row_id + 1)
+                if final(row):
+                    reported.pop(row_id, None)
+                else:
+                    reported[row_id] = row
 
 
 class ShardWorker:
@@ -146,9 +203,9 @@ class ShardWorker:
         self.service = TAOService(coordinator=self.coordinator,
                                   **hello["service"])
         self.actors = importlib.import_module(hello["actor_module"])
-        #: Coordinator rows as of the last successful ``process`` response,
-        #: keyed by ``(section, id)``: the watermark its deltas are cut from.
-        self._reported: Dict[Tuple[str, int], Dict[str, Any]] = {}
+        #: The watermark ``process`` deltas are cut from: it moves with each
+        #: successful ``process`` response only.
+        self._deltas = CoordinatorDeltas()
 
     def _emit_journal(self, entry: Dict[str, Any]) -> None:
         # Stamp the transition with the sequence id of its first upcoming
@@ -207,15 +264,7 @@ class ShardWorker:
         # Only the coordinator rows that changed since the previous
         # successful process response: the parent's snapshot already holds
         # the rest, and a full snapshot would grow with the shard's history.
-        changed: Dict[str, list] = {"tasks": [], "disputes": []}
-        watermark = {}
-        for section, rows in _coordinator_payload(self.coordinator).items():
-            id_key = "task_id" if section == "tasks" else "dispute_id"
-            for row in rows:
-                key = (section, row[id_key])
-                if self._reported.get(key) != row:
-                    changed[section].append(row)
-                    watermark[key] = row
+        changed = self._deltas.cut(self.coordinator)
         value = {
             "results": [_request_payload(request) for request in processed],
             "stats": self.service.stats().to_payload(),
@@ -226,7 +275,7 @@ class ShardWorker:
         # Moved last, and only here: a failed process (or a stats call)
         # leaves it, so the next response still carries those rows and a
         # replayed worker cuts the same deltas.
-        self._reported.update(watermark)
+        self._deltas.commit(changed)
         return value
 
     def op_withdraw(self, message: Dict[str, Any]) -> Dict[str, Any]:

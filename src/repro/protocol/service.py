@@ -21,7 +21,10 @@ Request life cycle inside :meth:`TAOService.process`:
    input hash short-circuits repeated standing-proposer requests: the
    proposer's committed result and the challenger's verdict for identical
    payloads are reused.  The cache keeps receipts (results without their
-   recorded trace); a hit that goes to dispute is re-traced once here.
+   recorded trace); a hit that goes to dispute is re-traced once here.  An
+   entry also keeps the outcome of the dispute fought over it: once the
+   standing proposer has been upheld on a commitment, later hits on it
+   finalize optimistically, so honest traffic pays for a false alarm once.
 3. **Submit** — every request becomes its own coordinator task (fees, bonds
    and challenge windows per request) in one settle loop.
 4. **Dispute** — flagged (or force-challenged) tasks open disputes while
@@ -69,7 +72,7 @@ from repro.calibration.thresholds import ExceedanceReport
 from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
 from repro.merkle.commitments import execution_input_hash
-from repro.protocol.coordinator import Coordinator
+from repro.protocol.coordinator import Coordinator, TaskStatus
 from repro.protocol.dispute import ActiveDispute, DisputeGame
 from repro.protocol.lifecycle import SessionReport, TAOSession
 from repro.protocol.roles import Challenger, HonestProposer, ProposedResult, Proposer
@@ -95,6 +98,10 @@ class CachedVerdict:
     result: ProposedResult
     looks_honest: bool
     reports: List[ExceedanceReport]
+    #: Precedent: a default-path dispute over this entry's commitment ended
+    #: with the proposer upheld (:meth:`TAOService._record_precedent`), so a
+    #: default-path hit no longer re-stakes a dispute the challenger lost.
+    upheld: bool = False
 
 
 @dataclass
@@ -142,8 +149,8 @@ class ModelEntry:
 
 #: Scalar counters :meth:`ServiceStats.merged` sums across shards.
 _SUMMED = ("requests_submitted", "requests_completed", "cache_hits",
-           "batched_requests", "disputes_opened", "dispute_rounds",
-           "processing_time_s", "busy_cpu_s")
+           "precedent_hits", "batched_requests", "disputes_opened",
+           "dispute_rounds", "processing_time_s", "busy_cpu_s")
 
 
 @dataclass
@@ -160,6 +167,9 @@ class ServiceStats:
     requests_submitted: int = 0
     requests_completed: int = 0
     cache_hits: int = 0
+    #: Flagged cache hits that finalized on an upheld precedent instead of
+    #: going to dispute again.
+    precedent_hits: int = 0
     #: Always 0: every request runs alone.  Kept in the payload because
     #: external benchmark harnesses read it.
     batched_requests: int = 0
@@ -548,7 +558,8 @@ class TAOService(ServiceCore):
 
         The sharded front ends call this once a tenant's standing proposer
         is slashed.  Scoped: only this tenant's memo (verdicts the slashed
-        proposer vouched for) dies; sibling tenants keep their hot caches.
+        proposer vouched for, and the precedents they won) dies; sibling
+        tenants keep their hot caches.
         The proposer keeps its name, ledger account and device, so
         execution — and therefore every commitment — is unchanged.
         """
@@ -572,17 +583,20 @@ class TAOService(ServiceCore):
 
         Returns the requests this drain took to a terminal status, after
         any that an earlier drain finished before it raised: a sharded
-        front end learns of its requests only from these returns.
+        front end learns of its requests only from these returns.  Those
+        include what that drain stranded; :meth:`_finalize_stranded` first
+        finalizes the ones that were only waiting for their window.
         """
         unreported, self._unreported = self._unreported, []
         cycles = self._admit_cycles(max_requests)
-        if not cycles:
-            return unreported
+        if not cycles and not unreported:
+            return []
         started = now()
         processed: List[ServiceRequest] = []
         try:
             for cycle in cycles:
                 processed.extend(self._run_cycle(cycle))
+            self._finalize_stranded(unreported)
         except BaseException:
             # A stage failure must not strand the admitted-but-untouched
             # requests: every request that never produced a side effect
@@ -640,8 +654,10 @@ class TAOService(ServiceCore):
         double-submit their coordinator tasks.  They are marked ``stranded``
         (with ``error`` describing the chain-side state) instead of being
         left silently ``queued`` forever: the record is queryable, the
-        status histogram shows it, and the on-chain task remains PENDING for
-        an operator (or the liveness invariant sweep) to find.
+        status histogram shows it, and the on-chain task remains PENDING.
+        The next drain finalizes it if it was not bound for a dispute
+        (:meth:`_finalize_stranded`); one that was stays stranded for an
+        operator (or the liveness invariant sweep) to find.
 
         Returns the requests of unclosed cycles that are now terminal.
         """
@@ -678,6 +694,39 @@ class TAOService(ServiceCore):
                 finished.append(request)
         self._queue.extendleft(reversed(requeue))
         return finished
+
+    def _finalize_stranded(self, requests: List[ServiceRequest]) -> None:
+        """Finalize the stranded requests that only missed their finalize step.
+
+        A request stranded after it settled optimistically (it looked honest
+        and was not forced) was never going to be disputed: once its
+        challenge window has passed, ``try_finalize`` releases its fee and
+        bond from escrow, and the request leaves the drain ``finalized``.
+        A stranded request bound for a dispute stays ``stranded``.  The
+        status histogram moves the request from ``stranded`` to its final
+        status; ``requests_completed`` still counts drained requests only.
+        """
+        waiting = [request for request in requests
+                   if request.status == "stranded"
+                   and request.report.finalized_optimistically
+                   and not request.report.challenged
+                   and request.report.task.status is TaskStatus.PENDING]
+        if not waiting:
+            return
+        chain = self.coordinator.chain
+        if any(chain.timestamp < request.report.task.challenge_deadline
+               for request in waiting):
+            chain.advance_time(self.coordinator.challenge_window_s + 1.0)
+        counts = self.stats_record.status_counts
+        for request in waiting:
+            task = request.report.task
+            self.coordinator.try_finalize(task.task_id, caller=task.proposer)
+            counts["stranded"] -= 1
+            if not counts["stranded"]:
+                del counts["stranded"]
+            request.status = request.report.final_status
+            request.error = None
+            counts[request.status] = counts.get(request.status, 0) + 1
 
     def _run_cycle(self, cycle: _CycleState) -> List[ServiceRequest]:
         """Run one cycle's four stages in sequence, timing each one."""
@@ -721,11 +770,13 @@ class TAOService(ServiceCore):
     def _stage_execute(self, cycle: _CycleState) -> _CycleState:
         """Stage 2 — execute: result-cache lookups, one run per miss, verdicts.
 
-        The only stage that touches the per-model result caches (lookups,
-        inserts and LRU eviction), so cache state advances in exact cycle
-        order.  A hit that will be disputed (forced, or flagged) gets its
-        trace back from one re-trace per payload before anything reaches
-        the chain.
+        The only stage that reads the per-model result caches and the only
+        one that inserts into or reorders them (lookups, inserts and LRU
+        eviction), so cache state advances in exact cycle order; the dispute
+        stage only sets an entry's ``upheld`` flag.  A hit that will be
+        disputed (:meth:`_goes_to_dispute`) gets its trace back from one
+        re-trace per payload before anything reaches the chain; a flagged
+        hit on an upheld entry is a precedent hit and needs none.
         """
         for model_name, requests in cycle.default_path.items():
             entry = self.model(model_name)
@@ -739,10 +790,12 @@ class TAOService(ServiceCore):
                 cached = entry.result_cache.get(key)
                 if cached is not None:
                     entry.result_cache.move_to_end(key)
-                    if request.force_challenge or not cached.looks_honest:
+                    if self._goes_to_dispute(request, cached):
                         if key not in retraced:
                             retraced[key] = self._retrace(entry, request, cached)
                         cached = retraced[key]
+                    elif not cached.looks_honest:
+                        self.stats_record.precedent_hits += 1
                     # Content-addressed hit from an earlier cycle.
                     cycle.verdicts[request.request_id] = cached
                     request.cache_hit = True
@@ -803,8 +856,7 @@ class TAOService(ServiceCore):
                 task=task,
                 result=verdict.result,
                 challenged=False,
-                finalized_optimistically=verdict.looks_honest
-                and not request.force_challenge,
+                finalized_optimistically=not self._goes_to_dispute(request, verdict),
                 verification_reports=list(verdict.reports),
             )
 
@@ -847,6 +899,7 @@ class TAOService(ServiceCore):
             running = still_running
         for request, game, active in cycle.actives:
             request.report.dispute = game.conclude(active)
+            self._record_precedent(cycle, request)
 
         # Finalize every unchallenged task after one window advance.
         window = self.coordinator.challenge_window_s
@@ -872,6 +925,38 @@ class TAOService(ServiceCore):
         self._release_traces(cycle)
         cycle.closed = True
         return cycle.batch
+
+    @staticmethod
+    def _goes_to_dispute(request: ServiceRequest, verdict: CachedVerdict) -> bool:
+        """Whether a request's verdict sends it to dispute.
+
+        Forced requests always go; flagged ones go unless their verdict is
+        an upheld precedent, which only default-path requests (standing
+        proposer, standing challenger) may follow.
+        """
+        if request.force_challenge:
+            return True
+        if verdict.looks_honest:
+            return False
+        return not (verdict.upheld and request.proposer is None
+                    and request.challenger is None)
+
+    def _record_precedent(self, cycle: _CycleState, request: ServiceRequest) -> None:
+        """Mark the cache entry a lost default-path false alarm was fought over.
+
+        Only an unforced dispute between the standing proposer and a clone
+        of the standing challenger that upheld the proposer sets it, and
+        only while the entry still holds the disputed commitment.
+        """
+        report = request.report
+        if (request.proposer is not None or request.challenger is not None
+                or request.force_challenge or report.dispute.proposer_cheated):
+            return
+        entry = self.model(request.model_name)
+        cached = entry.result_cache.get(cycle.input_hashes[request.request_id])
+        if cached is not None and \
+                cached.result.commitment.value == report.result.commitment.value:
+            cached.upheld = True
 
     @staticmethod
     def _release_traces(cycle: _CycleState) -> None:
@@ -948,8 +1033,7 @@ class TAOService(ServiceCore):
                 f"re-trace of a cached {entry.name!r} result on "
                 f"{entry.proposer.device.name!r} does not reproduce its "
                 "committed outputs")
-        return CachedVerdict(result=replace(receipt, trace_values=dict(trace.values)),
-                             looks_honest=cached.looks_honest, reports=cached.reports)
+        return replace(cached, result=replace(receipt, trace_values=dict(trace.values)))
 
     def _challenger_clone(self, entry: ModelEntry) -> Challenger:
         """A fresh challenger for one dispute (isolated per-dispute accounting).

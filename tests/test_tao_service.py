@@ -521,7 +521,9 @@ def test_stage_failure_marks_settled_requests_stranded(mlp_graph, mlp_thresholds
     a coordinator task already on chain and no dispute stage to close the
     cycle.  Re-processing would double-submit, so the service marks it
     ``stranded`` with the pending task named in ``.error``; everything that
-    never reached the chain is requeued and a retry serves it normally.
+    never reached the chain is requeued and a retry serves it normally.  The
+    retry also finalizes the stranded request, which only missed its
+    finalize step.
     """
     service = TAOService(n_way=2, cycle_capacity=2)
     service.register_model(mlp_graph, threshold_table=mlp_thresholds)
@@ -555,9 +557,12 @@ def test_stage_failure_marks_settled_requests_stranded(mlp_graph, mlp_thresholds
     service.process()
     for request_id in ids[1:]:
         assert service.request(request_id).status in TERMINAL
-    # The stranded request's verdict record survives for the operator; its
-    # task is still pending on chain, and the ledger stayed conserved.
-    assert service.request(ids[0]).status == "stranded"
+    # The stranded request looked honest and was not forced: the retry
+    # drain finalized its pending task once the window had passed, and the
+    # ledger stayed conserved.
+    assert service.request(ids[0]).status == "finalized"
+    assert service.request(ids[0]).error is None
+    assert "stranded" not in service.stats().status_counts
     chain = service.coordinator.chain
     assert sum(chain.balances.values()) == chain.minted
 
