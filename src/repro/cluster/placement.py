@@ -407,24 +407,10 @@ class PlacedCore(ServiceCore):
     def pending_count(self) -> int:
         return sum(len(queue) for queue in self._pending.values())
 
-    def _queued(self) -> List[PlacedRequest]:
-        return [self._requests[request_id]
-                for queue in self._pending.values() for request_id in queue]
-
     def queue_depths(self) -> Dict[str, int]:
         """Pending requests per live shard."""
         return {shard_id: len(self._pending[shard_id])
                 for shard_id in sorted(self.shards) if self.shards[shard_id].alive}
-
-    def queue_ages(self, at_s: Optional[float] = None) -> List[float]:
-        """Ages (seconds) of every queued request, oldest first."""
-        reference = now() if at_s is None else float(at_s)
-        return sorted((max(0.0, reference - request.view.submitted_s)
-                       for request in self._queued()), reverse=True)
-
-    def queued_model_names(self) -> List[str]:
-        """Distinct tenants with queued work (the autoscaler's routing grain)."""
-        return sorted({request.model_name for request in self._queued()})
 
     # -- processing ------------------------------------------------------
 

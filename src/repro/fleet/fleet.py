@@ -124,9 +124,9 @@ class _ResultSnapshot:
 class CoordinatorSnapshot:
     """Read-only mirror of one worker's coordinator, updated in place.
 
-    :meth:`apply` upserts rows: a ``process`` response carries only the
-    rows that changed since the worker's previous successful ``process``
-    response, a ``stats`` response all of them.
+    :meth:`apply` upserts rows: a ``process`` or ``stats`` response carries
+    only the rows that changed since the worker's previous successful
+    ``process`` response.
 
     Task snapshots keep their identity across updates so a caller holding
     ``report.task`` can later find the same object in :attr:`tasks` — the

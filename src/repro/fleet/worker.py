@@ -31,10 +31,9 @@ Every reply carries plain codec values; the structured report/coordinator
 payloads built here are re-materialized parent-side by
 :mod:`repro.fleet.fleet` into snapshot objects the invariant checker and the
 simulation runner can walk exactly as they walk in-process coordinators.
-Those coordinator rows travel as deltas: a ``process`` reply carries only
-the rows that changed since the worker's previous successful ``process``
-reply (:class:`CoordinatorDeltas`), and a ``stats`` reply carries all of
-them.
+Those coordinator rows travel as deltas: a ``process`` or ``stats`` reply
+carries only the rows that changed since the worker's previous successful
+``process`` reply (:class:`CoordinatorDeltas`).
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ def _request_payload(request: ServiceRequest) -> Dict[str, Any]:
     }
 
 
-def _task_row(coordinator: Coordinator, task) -> Dict[str, Any]:
+def _task_row(task) -> Dict[str, Any]:
     return {
         "task_id": int(task.task_id),
         "model_name": task.model_name,
@@ -117,13 +116,13 @@ def _task_row(coordinator: Coordinator, task) -> Dict[str, Any]:
     }
 
 
-def _dispute_row(coordinator: Coordinator, dispute) -> Dict[str, Any]:
+def _dispute_row(dispute) -> Dict[str, Any]:
     return {
         "dispute_id": int(dispute.dispute_id),
         "task_id": int(dispute.task_id),
         "phase": dispute.phase.value,
         "adjudication_path": dispute.adjudication_path,
-        "gas_used": int(coordinator.dispute_gas(dispute.dispute_id)),
+        "gas_used": int(dispute.gas_used),
     }
 
 
@@ -134,13 +133,6 @@ _SECTIONS = {
     "disputes": ("dispute_id", _dispute_row,
                  lambda row: row["phase"] == DisputePhase.RESOLVED.value),
 }
-
-
-def _coordinator_payload(coordinator: Coordinator) -> Dict[str, Any]:
-    """Every coordinator row (the full snapshot)."""
-    return {section: [build(coordinator, record)
-                      for record in getattr(coordinator, section).values()]
-            for section, (_key, build, _final) in _SECTIONS.items()}
 
 
 class CoordinatorDeltas:
@@ -167,7 +159,7 @@ class CoordinatorDeltas:
             table = getattr(coordinator, section)
             reported = self._open[section]
             ids = sorted(reported) + list(range(self._seen[section], len(table)))
-            rows = [build(coordinator, table[row_id]) for row_id in ids]
+            rows = [build(table[row_id]) for row_id in ids]
             changed[section] = [row for row in rows
                                 if reported.get(row[id_key]) != row]
         return changed
@@ -291,9 +283,10 @@ class ShardWorker:
         return {}
 
     def op_stats(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        # The full snapshot, and the watermark stays where it is.
+        # The same cut a process reply would carry: the parent's mirror
+        # already holds every committed row.  The watermark stays put.
         return {"stats": self.service.stats().to_payload(),
-                "coordinator": _coordinator_payload(self.coordinator)}
+                "coordinator": self._deltas.cut(self.coordinator)}
 
     def op_ping(self, message: Dict[str, Any]) -> Dict[str, Any]:
         return {"shard_id": self.chain.shard_id}

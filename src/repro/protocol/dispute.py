@@ -301,7 +301,7 @@ class DisputeGame:
             merkle_checks=active.binding_checks + sum(r.merkle_checks for r in per_round),
             challenger_flops=challenger.dispute_flops,
             adjudication_flops=adjudication_flops,
-            gas_used=self.coordinator.dispute_gas(dispute.dispute_id),
+            gas_used=dispute.gas_used,
             per_round=per_round,
         )
         task_record = self.coordinator.task(task.task_id)

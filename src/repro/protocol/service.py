@@ -312,20 +312,6 @@ class ServiceCore(abc.ABC):
                     inputs_list: Iterable[Mapping[str, np.ndarray]]) -> List[int]:
         return [self.submit(model_name, inputs) for inputs in inputs_list]
 
-    def queue_ages(self, at_s: Optional[float] = None) -> List[float]:
-        """Ages (seconds) of every queued request, oldest first.
-
-        The elastic tier's backlog-staleness signal (queue-age SLO burn).
-        Front ends with a queue override this; the default is an empty
-        backlog so SLO accounting degrades gracefully on custom cores.
-        """
-        return []
-
-    def queued_model_names(self) -> List[str]:
-        """Distinct tenants with queued work — the autoscaler's routing
-        grain (scaling past one worker per queued tenant cannot help)."""
-        return []
-
     def close(self) -> None:
         """Release any long-lived resources (executors, worker processes).
 
@@ -479,18 +465,6 @@ class TAOService(ServiceCore):
     @property
     def pending_count(self) -> int:
         return len(self._queue)
-
-    def queue_ages(self, at_s: Optional[float] = None) -> List[float]:
-        """Ages (seconds) of every queued request, oldest first."""
-        reference = now() if at_s is None else float(at_s)
-        ages = [max(0.0, reference - self._requests[request_id].submitted_s)
-                for request_id in self._queue]
-        return sorted(ages, reverse=True)
-
-    def queued_model_names(self) -> List[str]:
-        """Distinct tenants with queued work."""
-        return sorted({self._requests[request_id].model_name
-                       for request_id in self._queue})
 
     def withdraw_queued(self, model_name: str) -> List[ServiceRequest]:
         """Pull this model's not-yet-processed requests out of the queue.

@@ -259,8 +259,9 @@ def _check_conservation(result: "SimulationResult") -> List[InvariantViolation]:
                 "conservation", "C3",
                 f"account {account!r} has negative balance {balance!r}",
             ))
-    # C2 fleet-wide: per-coordinator dispute gas (shard-filtered on a shared
-    # log) must partition every dispute-tagged transaction exactly.
+    # C2 fleet-wide: each dispute's running gas total (summed as its game
+    # posts, mirrored parent-side for fleet workers) must partition every
+    # dispute-tagged transaction on the shared log exactly.
     tagged = 0
     for coordinator in service_coordinators(result.service):
         for dispute_id in coordinator.disputes:

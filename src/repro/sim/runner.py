@@ -13,7 +13,7 @@ themselves and its worker processes resolve them through the same builder.
 ``drain_home_at_cycle`` injects a shard failover between a cycle's
 submissions and its drain, re-dispatching the in-flight events across
 shards; ``undrain_home_at_cycle`` returns the drained shard to service
-before a later cycle's submissions (the elastic scale-up leg).
+before a later cycle's submissions (the scale-up leg).
 ``Scenario(cycle_capacity=...)`` splits each drain into small cycles, so one
 burst's faulty disputes settle before the next cycle of the same burst
 submits.  What comes back — coordinator statuses, dispute
@@ -181,7 +181,7 @@ def run_schedule(schedule: ScenarioSchedule, workload: SimWorkload,
     for cycle_index, cycle in enumerate(schedule.cycles):
         if (scenario.undrain_home_at_cycle == cycle_index
                 and drained_home is not None):
-            # Elastic scale-up leg: the shard drained earlier returns to
+            # Scale-up leg: the shard drained earlier returns to
             # service before this cycle's submissions, so tenants whose ring
             # home flips back re-migrate and the new events land on the
             # restored topology.

@@ -91,8 +91,8 @@ class Scenario:
     drain_home_at_cycle: Optional[int] = None
     #: When set (with ``drain_home_at_cycle`` on an earlier cycle), the shard
     #: or fleet worker drained then is returned to service *before* this
-    #: cycle's events are submitted — the elastic scale-up leg: tenants whose
-    #: ring home flips back re-migrate, and the cycle's requests land on the
+    #: cycle's events are submitted — the scale-up leg: tenants whose ring
+    #: home flips back re-migrate, and the cycle's requests land on the
     #: restored topology.
     undrain_home_at_cycle: Optional[int] = None
     #: When True the scenario runs against a

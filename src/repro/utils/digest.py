@@ -2,8 +2,7 @@
 
 Every service tier reports p50/p99/p999 over millions of observations in a
 record whose size does not grow with the request count
-(``ServiceStats.latency``), and the elastic tier's SLO tracker holds its
-per-phase latencies the same way.  :class:`LatencyDigest` is a log-bucketed
+(``ServiceStats.latency``).  :class:`LatencyDigest` is a log-bucketed
 histogram: bucket ``i`` covers the half-open interval
 ``(min_value * growth**(i-1), min_value * growth**i]``, so the bucket count is
 fixed by the configured dynamic range and the relative value error of any

@@ -28,6 +28,7 @@ from repro.fleet.transport import MessageChannel
 from repro.fleet.wire import encode_perturbation
 
 from test_sharded_equivalence import _victim
+from test_worker_deltas import _mirror_payload, _reference, reference_fleet  # noqa: F401
 
 
 def _containers(value, out):
@@ -159,22 +160,9 @@ def _rows(payload):
         {("disputes", row["dispute_id"]): row for row in payload["disputes"]}
 
 
-def _snapshot_rows(snapshot):
-    return _rows({
-        "tasks": [{"task_id": task.task_id, "model_name": task.model_name,
-                   "status": task.status.value, "dispute_id": task.dispute_id}
-                  for task in snapshot.tasks.values()],
-        "disputes": [{"dispute_id": dispute.dispute_id,
-                      "task_id": dispute.task_id, "phase": dispute.phase.value,
-                      "adjudication_path": dispute.adjudication_path,
-                      "gas_used": snapshot.dispute_gas(dispute.dispute_id)}
-                     for dispute in snapshot.disputes.values()],
-    })
-
-
 def test_process_responses_carry_only_changed_rows(
-        mlp_graph, mlp_thresholds, mlp_input_factory):
-    with ProcessFleet(num_workers=1, n_way=2, recovery="journal") as fleet:
+        reference_fleet, mlp_graph, mlp_thresholds, mlp_input_factory):
+    with reference_fleet() as fleet:
         fleet.register_model(mlp_graph, threshold_table=mlp_thresholds)
         handle = fleet.workers[fleet.location(mlp_graph.name)]
         responses = []
@@ -220,7 +208,7 @@ def test_process_responses_carry_only_changed_rows(
             fleet._chain_call_hook = None
             if burst == 3:
                 assert fleet.recoveries == 1
-            full = fleet._call(handle, {"op": "stats"})["coordinator"]
+            full = _reference(fleet, handle.shard_id)["coordinator"]
             rows = _rows(full)
             if len(responses) == before:
                 # The failed drain answered nothing; its rows ride on the
@@ -233,6 +221,6 @@ def test_process_responses_carry_only_changed_rows(
             assert len(delta) < len(rows) or burst == 0
             reported = rows
             # The gate: the parent's mirror equals the worker's coordinator.
-            assert _snapshot_rows(handle.coordinator) == rows
+            assert _rows(_mirror_payload(handle.coordinator)) == rows
             checked += 1
         assert checked == 4

@@ -6,10 +6,9 @@
 controller (:class:`~repro.cluster.placement.Placement`), with one verb
 set: ``add_shard`` / ``remove_shard`` / ``drain_shard`` /
 ``undrain_shard`` / ``active_shard_count``.  Every check here runs on both
-tiers — the drain -> undrain -> add round trip, removal, shard-id
-reservation, the last-live guard, the slash quarantine — plus the
-autoscaler's one target over those verbs and the controller's plans on
-their own.
+tiers — the drain -> undrain -> add round trip, scale-up under a live
+stream, removal, shard-id reservation, the last-live guard, the slash
+quarantine — plus the controller's plans on their own.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.cluster import (
     TAOCluster,
     TenantRecord,
 )
-from repro.elastic import AutoscalerConfig, ShardTarget
 from repro.fleet import FleetError, ProcessFleet
 from repro.fleet.wire import encode_perturbation
 from repro.graph import trace_module
@@ -32,7 +30,7 @@ from repro.merkle.cache import HashCache
 from repro.protocol.roles import HonestProposer
 from repro.protocol.service import TERMINAL_TASK_STATUSES
 
-from test_sharded_equivalence import _victim
+from test_sharded_equivalence import _fingerprint, _victim
 
 ERRORS = {"cluster": ClusterError, "fleet": FleetError}
 
@@ -153,6 +151,75 @@ def test_drain_undrain_add_round_trip(make_tier, tenant_graphs,
     assert _conserved(front)
 
 
+def _scale_up_stream():
+    """Six seeded bursts over four tenants: distinct payloads, forced
+    challenges and cheating proposers, so every burst opens disputes."""
+    rng = np.random.default_rng(20260808)
+    bursts = []
+    for burst in range(6):
+        events = []
+        for slot in range(8):
+            roll = rng.random()
+            kind = ("cheat" if roll < 0.15 else "force" if roll < 0.35
+                    else "honest")
+            events.append((int(rng.integers(4)), 600 + 8 * burst + slot, kind))
+        bursts.append(events)
+    return bursts
+
+
+def _play_scale_up(tier, front, graphs, thresholds, input_factory,
+                   add_after=()):
+    """Register, then per burst: submit it, add a shard after the bursts
+    named in ``add_after`` (the moved tenants' queued requests follow them),
+    and drain.  Returns the request records in submission order."""
+    sessions = {graph.name: front.register_model(graph, threshold_table=thresholds)
+                for graph in graphs}
+    request_ids = []
+    for index, burst in enumerate(_scale_up_stream(), start=1):
+        for tenant, payload_seed, kind in burst:
+            graph = graphs[tenant]
+            proposer = None
+            if kind == "cheat":
+                name, delta = f"{graph.name}-cheat-{payload_seed}", np.float32(0.05)
+                proposer = ({"type": "adversarial", "name": name,
+                             "perturbations": {_victim(graph): encode_perturbation(delta)}}
+                            if tier == "fleet" else
+                            sessions[graph.name].make_adversarial_proposer(
+                                name, {_victim(graph): delta}))
+            request_ids.append(front.submit(
+                graph.name, input_factory(payload_seed), proposer=proposer,
+                force_challenge=kind == "force"))
+        if index in add_after:
+            front.add_shard()
+        front.process()
+    return [front.request(request_id) for request_id in request_ids]
+
+
+def test_scale_up_under_a_live_stream_stays_exact(tier, make_tier, tenant_graphs,
+                                                  mlp_thresholds,
+                                                  mlp_input_factory):
+    """One shard grown to three mid-stream serves exactly what three static
+    shards serve: the same verdict per request and the same ledger."""
+    graphs = tenant_graphs[:4]
+    scaled = make_tier(1)
+    got = _play_scale_up(tier, scaled, graphs, mlp_thresholds,
+                         mlp_input_factory, add_after=(2, 4))
+    assert scaled.active_shard_count == 3
+    assert scaled.redispatched_requests > 0
+    static = make_tier(3)
+    expected = _play_scale_up(tier, static, graphs, mlp_thresholds,
+                              mlp_input_factory)
+
+    statuses = {request.status for request in got}
+    assert statuses <= TERMINAL_TASK_STATUSES
+    assert {"proposer_slashed", "challenger_slashed"} <= statuses
+    assert [_fingerprint(request) for request in got] == \
+        [_fingerprint(request) for request in expected]
+    assert dict(scaled.chain.balances) == dict(static.chain.balances)
+    assert scaled.chain.minted == static.chain.minted
+    assert _conserved(scaled)
+
+
 def test_stats_count_a_redispatched_request_once(make_tier, tenant_graphs,
                                                  mlp_thresholds,
                                                  mlp_input_factory):
@@ -196,24 +263,6 @@ def test_undrain_error_cases(tier, make_tier):
         front.undrain_shard("shard-9")  # unknown
     with pytest.raises(ERRORS[tier]):
         front.drain_shard("shard-9")  # unknown
-
-
-def test_shard_target_drives_both_tiers(make_tier, tenant_graphs,
-                                        mlp_thresholds):
-    """The autoscaler's one target: add, then drain the shallowest shard,
-    then prefer undraining it over adding a fresh one."""
-    front = make_tier(1)
-    _register_all(front, tenant_graphs, mlp_thresholds)
-    target = ShardTarget(front, AutoscalerConfig(min_workers=1, max_workers=2))
-    assert target.worker_count() == 1
-    assert target.scale_down() is None  # at min_workers
-    assert target.scale_up() == "shard-1"
-    assert target.scale_up() is None  # at max_workers
-    assert target.scale_down() == "shard-0"  # ties break by shard id
-    assert target.worker_count() == 1
-    assert target.scale_up() == "shard-0"  # undrained, not added
-    assert sorted(front.placement.shards) == ["shard-0", "shard-1"]
-    _assert_on_ring_owners(front)
 
 
 def test_remove_shard_rehomes_and_retires(tier, make_tier, tenant_graphs,

@@ -195,6 +195,51 @@ def test_adjudication_slashes_proposer(coordinator_setup):
     assert "post_partition" in coordinator.dispute_gas_by_action(dispute.dispute_id)
 
 
+def test_running_dispute_gas_on_a_shared_untagged_log(coordinator_setup):
+    """Two coordinators on one bare chain both run a dispute with id 0,
+    interleaved.  Each game's running total is the gas of exactly the
+    transactions its own coordinator posted, and the two totals partition
+    the log's dispute-tagged gas."""
+    first, commitment, task = coordinator_setup
+    chain = first.chain
+    second = Coordinator(chain, challenge_window_s=600.0, round_timeout_s=120.0)
+    second.register_model(commitment, owner="owner")
+    other = second.submit_result("tiny_mlp", "user", "proposer", task.commitment,
+                                 fee=10.0)
+    posted = {id(first): 0, id(second): 0}
+
+    def post(coordinator, action, *args, **kwargs):
+        start = len(chain.transactions)
+        getattr(coordinator, action)(*args, **kwargs)
+        posted[id(coordinator)] += sum(tx.gas_used
+                                       for tx in chain.transactions[start:])
+
+    games = [(first, task), (second, other)]
+    for coordinator, record in games:
+        post(coordinator, "open_dispute", record.task_id, "challenger")
+    assert [coordinator.tasks[record.task_id].dispute_id
+            for coordinator, record in games] == [0, 0]
+    for _ in range(2):
+        for coordinator, _record in games:
+            dispute = coordinator.dispute(0)
+            mid = (dispute.current_start + dispute.current_end) // 2
+            post(coordinator, "post_partition", 0, "proposer",
+                 [PartitionEntry(dispute.current_start, mid, b"", b""),
+                  PartitionEntry(mid, dispute.current_end, b"", b"")],
+                 payload_bytes=80 if coordinator is first else 160)
+            post(coordinator, "post_selection", 0, "challenger", 0)
+    post(first, "post_input_binding_fraud", 0, "challenger")
+    chain.advance_time(121.0)
+    post(second, "enforce_timeout", 0, "proposer")
+
+    assert first.dispute_gas(0) == posted[id(first)]
+    assert second.dispute_gas(0) == posted[id(second)]
+    assert first.dispute_gas(0) != second.dispute_gas(0)
+    assert first.dispute_gas(0) + second.dispute_gas(0) == sum(
+        tx.gas_used for tx in chain.transactions
+        if tx.details.get("dispute_id") is not None)
+
+
 def test_adjudication_can_clear_proposer(coordinator_setup):
     coordinator, _, task = coordinator_setup
     dispute = coordinator.open_dispute(task.task_id, "challenger")

@@ -1,13 +1,13 @@
 """Re-homing audit: undrain racing a prior failover must leave routing sane.
 
-The bug class under test (satellite of the elastic PR): a tenant is drained
-off its home, fails over *again* while the home is out (second drain at the
-cluster tier, worker death at the fleet tier), and the original home is then
-undrained.  The undrain rebalance must route every tenant back to its ring
-owner — and that owner must actually *host* the tenant's ModelEntry, with no
-stale copy left on any shard it passed through.  A fresh submit per tenant
-then proves the routing table operationally, and exact conservation proves
-none of the migrations minted or destroyed value.
+The bug class under test: a tenant is drained off its home, fails over
+*again* while the home is out (second drain at the cluster tier, worker
+death at the fleet tier), and the original home is then undrained.  The
+undrain rebalance must route every tenant back to its ring owner — and that
+owner must actually *host* the tenant's ModelEntry, with no stale copy left
+on any shard it passed through.  A fresh submit per tenant then proves the
+routing table operationally, and exact conservation proves none of the
+migrations minted or destroyed value.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Unit tests for the fixed-memory latency quantile digest.
 
-The digest underwrites the elastic layer's SLO arithmetic, so two properties
-are pinned hard: (1) the rank-error bound — every reported quantile is within
-one log-bucket (a ``growth**2`` relative factor, conservatively) of NumPy's
-exact ``inverted_cdf`` quantile; and (2) exactly associative merge — folding
+The digest underwrites every tier's latency quantiles
+(``ServiceStats.latency``), so two properties are pinned hard: (1) the
+rank-error bound — every reported quantile is within one log-bucket (a
+``growth**2`` relative factor, conservatively) of NumPy's exact
+``inverted_cdf`` quantile; and (2) exactly associative merge — folding
 per-worker digests in any order yields byte-identical serialized state, the
 property fleet-wide aggregation depends on.
 """
@@ -15,8 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.elastic import LatencyDigest
-from repro.utils.digest import merged
+from repro.utils.digest import LatencyDigest, merged
 from repro.utils.rng import seeded_rng
 
 QUANTILES = (0.5, 0.9, 0.99, 0.999)

@@ -1,12 +1,16 @@
-"""A fleet worker's coordinator deltas, cut without walking its history.
+"""A fleet worker's coordinator rows, cut without walking its history.
 
-A ``process`` reply carries only the coordinator rows that changed since the
-worker's previous successful ``process`` reply.  The worker cuts them from
-new and still-open rows only (:class:`repro.fleet.worker.CoordinatorDeltas`).
-The reference kept here is the full walk: diff every row of the coordinator
-against every row of the last successful reply.  On one stream with
-disputes, a failed drain, a stranded request and a SIGKILL with journal
-recovery, the two delta streams must be equal, row for row and in order.
+A ``process`` or ``stats`` reply carries only the coordinator rows that
+changed since the worker's previous successful ``process`` reply.  The
+worker cuts them from new and still-open rows only
+(:class:`repro.fleet.worker.CoordinatorDeltas`), and each dispute row reads
+the game's running gas total.  The reference kept here is the full walk,
+:func:`_coordinator_payload`, served by a test-only ``reference`` op that
+forked workers inherit: diff every row of the coordinator against every row
+of the last successful reply.  On one stream with disputes, a failed drain,
+a stranded request and a SIGKILL with journal recovery, the two delta
+streams must be equal, row for row and in order; on every tier each running
+gas total equals the scan of the chain's log.
 """
 
 from __future__ import annotations
@@ -17,15 +21,75 @@ import signal
 import numpy as np
 import pytest
 
-from repro.fleet import ProcessFleet, WorkerError
+from repro.cluster import TAOCluster
+from repro.fleet import CoordinatorSnapshot, ProcessFleet, WorkerError
 from repro.fleet.wire import encode_perturbation
-from repro.fleet.worker import CoordinatorDeltas, _coordinator_payload
+from repro.fleet.worker import _SECTIONS, CoordinatorDeltas, ShardWorker
+from repro.graph import trace_module
 from repro.protocol.service import TAOService
 
 from test_sharded_equivalence import _victim
 
 TERMINAL = {"finalized", "proposer_slashed", "challenger_slashed"}
 ID_KEYS = {"tasks": "task_id", "disputes": "dispute_id"}
+
+
+def _coordinator_payload(coordinator):
+    """The reference: every coordinator row (the full walk)."""
+    return {section: [build(record)
+                      for record in getattr(coordinator, section).values()]
+            for section, (_key, build, _final) in _SECTIONS.items()}
+
+
+def _scanned_gas(coordinator):
+    """Each dispute's gas from a scan of the chain's log."""
+    return {dispute_id: sum(coordinator.dispute_gas_by_action(dispute_id).values())
+            for dispute_id in coordinator.disputes}
+
+
+def _op_reference(worker, message):
+    return {"coordinator": _coordinator_payload(worker.coordinator),
+            "running": {str(dispute_id): worker.coordinator.dispute_gas(dispute_id)
+                        for dispute_id in worker.coordinator.disputes},
+            "scanned": {str(dispute_id): gas for dispute_id, gas
+                        in _scanned_gas(worker.coordinator).items()}}
+
+
+@pytest.fixture()
+def reference_fleet(monkeypatch):
+    """Builds journal-recovering fleets whose forked workers also answer a
+    ``reference`` op (the full walk and both gas sums); closes them all."""
+    monkeypatch.setattr(ShardWorker, "op_reference", _op_reference,
+                        raising=False)
+    made = []
+
+    def make(num_workers: int = 1) -> ProcessFleet:
+        fleet = ProcessFleet(num_workers=num_workers, n_way=2,
+                             recovery="journal", start_method="fork")
+        made.append(fleet)
+        return fleet
+
+    yield make
+    for fleet in made:
+        fleet.close()
+
+
+def _reference(fleet, shard_id):
+    return fleet._call(fleet.workers[shard_id], {"op": "reference"})
+
+
+def _mirror_payload(snapshot: CoordinatorSnapshot):
+    """The parent's mirror, as the rows it was built from."""
+    return {
+        "tasks": [{"task_id": task.task_id, "model_name": task.model_name,
+                   "status": task.status.value, "dispute_id": task.dispute_id}
+                  for _, task in sorted(snapshot.tasks.items())],
+        "disputes": [{"dispute_id": dispute.dispute_id,
+                      "task_id": dispute.task_id, "phase": dispute.phase.value,
+                      "adjudication_path": dispute.adjudication_path,
+                      "gas_used": snapshot.dispute_gas(dispute.dispute_id)}
+                     for _, dispute in sorted(snapshot.disputes.items())],
+    }
 
 
 def _full_walk_deltas(full_snapshots):
@@ -48,9 +112,9 @@ def _cheat(graph, name):
             "perturbations": {_victim(graph): encode_perturbation(np.float32(0.05))}}
 
 
-def test_delta_stream_equals_the_full_walk(mlp_graph, mlp_thresholds,
-                                          mlp_input_factory):
-    fleet = ProcessFleet(num_workers=1, n_way=2, recovery="journal")
+def test_delta_stream_equals_the_full_walk(reference_fleet, mlp_graph,
+                                          mlp_thresholds, mlp_input_factory):
+    fleet = reference_fleet()
     deltas, snapshots = [], []
     real_call = fleet._call
 
@@ -59,7 +123,7 @@ def test_delta_stream_equals_the_full_walk(mlp_graph, mlp_thresholds,
         if payload.get("op") == "process" and \
                 handle.shard_id not in fleet._replaying:
             deltas.append(value["coordinator"])
-            snapshots.append(real_call(handle, {"op": "stats"})["coordinator"])
+            snapshots.append(real_call(handle, {"op": "reference"})["coordinator"])
         return value
 
     fleet._call = spy
@@ -96,6 +160,9 @@ def test_delta_stream_equals_the_full_walk(mlp_graph, mlp_thresholds,
         with pytest.raises(WorkerError):
             fleet.process()
         fleet._chain_call_hook = None
+        # A stats call ships the failed drain's rows but moves no
+        # watermark: the retry's delta still carries them.
+        fleet.stats()
         fleet.process()
 
         # A SIGKILL mid-bisection: the worker is rebuilt from its journal
@@ -175,3 +242,129 @@ def test_open_rows_are_recut_until_final(mlp_graph, mlp_thresholds,
     deltas.commit(final)
     assert deltas._open == {"tasks": {}, "disputes": {}}
     assert deltas.cut(coordinator) == {"tasks": [], "disputes": []}
+
+
+# ----------------------------------------------------------------------
+# Running dispute gas: equal to the scan on every tier
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def tenant_graphs(mlp_module, mlp_input_factory):
+    # Six tenants: the two-shard ring homes four on shard-0, two on shard-1.
+    return [trace_module(mlp_module, mlp_input_factory(0), name=f"tenant_{i}")
+            for i in range(6)]
+
+
+def _tagged_gas(chain, shard=None, dispute_id=None):
+    """Gas of the log's dispute-tagged transactions, optionally one shard's
+    or one dispute's."""
+    return sum(tx.gas_used for tx in chain.transactions
+               if tx.details.get("dispute_id") is not None
+               and (shard is None or tx.shard == shard)
+               and (dispute_id is None or tx.details["dispute_id"] == dispute_id))
+
+
+def _assert_running_gas_exact(tier, front):
+    if tier == "fleet":
+        front.stats()  # the parent's mirror takes the stats reply's cut
+        for shard_id, handle in sorted(front.workers.items()):
+            reference = _reference(front, shard_id)
+            assert reference["running"] == reference["scanned"]
+            mirror = handle.coordinator
+            assert _mirror_payload(mirror) == reference["coordinator"]
+            for dispute_id in mirror.disputes:
+                assert mirror.dispute_gas(dispute_id) == _tagged_gas(
+                    front.chain, shard_id, dispute_id)
+        coordinators = [handle.coordinator for handle in front.workers.values()]
+        chain = front.chain
+    else:
+        coordinators = (front.coordinators() if tier == "cluster"
+                        else [front.coordinator])
+        for coordinator in coordinators:
+            running = {dispute_id: coordinator.dispute_gas(dispute_id)
+                       for dispute_id in coordinator.disputes}
+            assert running == _scanned_gas(coordinator)
+        chain = coordinators[0].chain if tier == "service" else front.chain
+    # C2: the running totals partition the log's dispute-tagged gas.
+    assert sum(coordinator.dispute_gas(dispute_id)
+               for coordinator in coordinators
+               for dispute_id in coordinator.disputes) == _tagged_gas(chain)
+    return coordinators
+
+
+@pytest.mark.parametrize("tier", ["service", "cluster", "fleet"])
+def test_running_dispute_gas_equals_the_scan(tier, reference_fleet,
+                                             tenant_graphs, mlp_thresholds,
+                                             mlp_input_factory):
+    """Multiplexed disputes (cheats, forced challenges, false alarms) on
+    one service, a two-shard cluster over one shared log, and a fleet
+    worker SIGKILLed mid-bisection and replayed from its journal."""
+    front = {"service": lambda: TAOService(n_way=2),
+             "cluster": lambda: TAOCluster(num_shards=2, n_way=2),
+             "fleet": reference_fleet}[tier]()
+    killed = []
+
+    def kill_once(shard_id, message):
+        if not killed and message.get("method") == "submit" \
+                and message["args"].get("action") == "post_selection":
+            killed.append(shard_id)
+            os.kill(front.workers[shard_id].process.pid, signal.SIGKILL)
+            front.workers[shard_id].process.join(timeout=10.0)
+
+    try:
+        sessions = {graph.name: front.register_model(
+            graph, threshold_table=mlp_thresholds) for graph in tenant_graphs}
+        for burst in range(4):
+            for index, graph in enumerate(tenant_graphs):
+                seed = 3600 + 100 * burst + 10 * index
+                name = f"{graph.name}-cheat-{seed}"
+                front.submit(graph.name, mlp_input_factory(seed),
+                             proposer=_cheat(graph, name) if tier == "fleet"
+                             else sessions[graph.name].make_adversarial_proposer(
+                                 name, {_victim(graph): np.float32(0.05)}))
+                front.submit(graph.name, mlp_input_factory(seed + 1),
+                             force_challenge=True)
+                front.submit(graph.name, mlp_input_factory(seed + 2))
+            if tier == "fleet" and burst == 2:
+                front._chain_call_hook = kill_once
+            front.process()
+            front._chain_call_hook = None
+            coordinators = _assert_running_gas_exact(tier, front)
+        if tier == "fleet":
+            assert killed and front.recoveries == 1
+        assert all(len(coordinator.disputes) >= 4 for coordinator in coordinators)
+        assert sum(len(coordinator.disputes) for coordinator in coordinators) >= 48
+    finally:
+        front.close()
+
+
+def test_stats_reply_rows_stay_flat(reference_fleet, monkeypatch, tenant_graphs,
+                                    mlp_thresholds, mlp_input_factory):
+    """The rows a ``stats`` reply carries do not grow with the shard's
+    history: counted where the parent applies them, drain 10 equals drain
+    200 of a cached stream, and the mirror still equals the full walk."""
+    applied = []
+    real_apply = CoordinatorSnapshot.apply
+
+    def counting_apply(snapshot, payload):
+        applied.append(sum(len(rows) for rows in payload.values()))
+        real_apply(snapshot, payload)
+
+    monkeypatch.setattr(CoordinatorSnapshot, "apply", counting_apply)
+    fleet = reference_fleet()
+    graphs = tenant_graphs[:2]
+    for graph in graphs:
+        fleet.register_model(graph, threshold_table=mlp_thresholds)
+    stats_rows = {}
+    for drain in range(1, 201):
+        for slot, graph in enumerate(graphs):
+            fleet.submit(graph.name, mlp_input_factory(3700 + 10 * slot + drain % 3),
+                         force_challenge=drain % 20 == slot)
+        fleet.process()
+        if drain in (10, 200):
+            fleet.stats()
+            stats_rows[drain] = applied[-1]
+    assert stats_rows[10] == stats_rows[200]
+    mirror = fleet.workers["shard-0"].coordinator
+    assert len(mirror.tasks) == 400 and len(mirror.disputes) >= 10
+    assert _mirror_payload(mirror) == _reference(fleet, "shard-0")["coordinator"]
