@@ -6,9 +6,10 @@
 controller (:class:`~repro.cluster.placement.Placement`), with one verb
 set: ``add_shard`` / ``remove_shard`` / ``drain_shard`` /
 ``undrain_shard`` / ``active_shard_count``.  Every check here runs on both
-tiers — the drain -> undrain -> add round trip, scale-up under a live
-stream, removal, shard-id reservation, the last-live guard, the slash
-quarantine — plus the controller's plans on their own.
+tiers — the drain -> undrain -> add round trip, scale-up, scale-down,
+drain/undrain and removal under a live stream (each served exactly as a
+static tier serves it), shard-id reservation, the last-live guard, the
+slash quarantine — plus the controller's plans on their own.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.graph import trace_module
 from repro.merkle.cache import HashCache
 from repro.protocol.roles import HonestProposer
 from repro.protocol.service import TERMINAL_TASK_STATUSES
+from repro.utils.digest import merged
 
 from test_sharded_equivalence import _fingerprint, _victim
 
@@ -168,10 +170,12 @@ def _scale_up_stream():
 
 
 def _play_scale_up(tier, front, graphs, thresholds, input_factory,
-                   add_after=()):
-    """Register, then per burst: submit it, add a shard after the bursts
-    named in ``add_after`` (the moved tenants' queued requests follow them),
-    and drain.  Returns the request records in submission order."""
+                   between=None):
+    """Register, then per burst: submit it, apply the membership change
+    ``between`` names for that burst (the moved tenants' queued requests
+    follow them), and drain.  Returns the request records in submission
+    order."""
+    between = between or {}
     sessions = {graph.name: front.register_model(graph, threshold_table=thresholds)
                 for graph in graphs}
     request_ids = []
@@ -189,10 +193,27 @@ def _play_scale_up(tier, front, graphs, thresholds, input_factory,
             request_ids.append(front.submit(
                 graph.name, input_factory(payload_seed), proposer=proposer,
                 force_challenge=kind == "force"))
-        if index in add_after:
-            front.add_shard()
+        if index in between:
+            between[index](front)
         front.process()
     return [front.request(request_id) for request_id in request_ids]
+
+
+def _add(front):
+    front.add_shard()
+
+
+def _assert_same_service(got, expected, moved, static):
+    """Per-request verdicts in submission order and the ledger are equal,
+    and the moved tier's ledger is conserved."""
+    statuses = {request.status for request in got}
+    assert statuses <= TERMINAL_TASK_STATUSES
+    assert {"proposer_slashed", "challenger_slashed"} <= statuses
+    assert [_fingerprint(request) for request in got] == \
+        [_fingerprint(request) for request in expected]
+    assert dict(moved.chain.balances) == dict(static.chain.balances)
+    assert moved.chain.minted == static.chain.minted
+    assert _conserved(moved)
 
 
 def test_scale_up_under_a_live_stream_stays_exact(tier, make_tier, tenant_graphs,
@@ -203,21 +224,108 @@ def test_scale_up_under_a_live_stream_stays_exact(tier, make_tier, tenant_graphs
     graphs = tenant_graphs[:4]
     scaled = make_tier(1)
     got = _play_scale_up(tier, scaled, graphs, mlp_thresholds,
-                         mlp_input_factory, add_after=(2, 4))
+                         mlp_input_factory, between={2: _add, 4: _add})
     assert scaled.active_shard_count == 3
     assert scaled.redispatched_requests > 0
     static = make_tier(3)
     expected = _play_scale_up(tier, static, graphs, mlp_thresholds,
                               mlp_input_factory)
+    _assert_same_service(got, expected, scaled, static)
 
-    statuses = {request.status for request in got}
-    assert statuses <= TERMINAL_TASK_STATUSES
-    assert {"proposer_slashed", "challenger_slashed"} <= statuses
-    assert [_fingerprint(request) for request in got] == \
-        [_fingerprint(request) for request in expected]
-    assert dict(scaled.chain.balances) == dict(static.chain.balances)
-    assert scaled.chain.minted == static.chain.minted
-    assert _conserved(scaled)
+
+@pytest.mark.parametrize("add_after", [(1,), (3,), (5,), (1, 2)],
+                         ids=lambda bursts: "after-" + "-".join(map(str, bursts)))
+def test_scale_up_at_any_burst_stays_exact(tier, make_tier, tenant_graphs,
+                                           mlp_thresholds, mlp_input_factory,
+                                           add_after):
+    """Where in the stream the shards join does not change what is served."""
+    graphs = tenant_graphs[:4]
+    scaled = make_tier(1)
+    got = _play_scale_up(tier, scaled, graphs, mlp_thresholds, mlp_input_factory,
+                         between={burst: _add for burst in add_after})
+    assert scaled.active_shard_count == 1 + len(add_after)
+    static = make_tier(1 + len(add_after))
+    expected = _play_scale_up(tier, static, graphs, mlp_thresholds,
+                              mlp_input_factory)
+    _assert_same_service(got, expected, scaled, static)
+
+
+def test_scale_down_under_a_live_stream_stays_exact(tier, make_tier, tenant_graphs,
+                                                    mlp_thresholds,
+                                                    mlp_input_factory):
+    """Three shards drained to one mid-stream serve exactly what one static
+    shard serves; the drained shards' queued requests move with their
+    tenants."""
+    graphs = tenant_graphs[:4]
+    scaled = make_tier(3)
+    got = _play_scale_up(
+        tier, scaled, graphs, mlp_thresholds, mlp_input_factory,
+        between={2: lambda front: front.drain_shard("shard-2"),
+                 4: lambda front: front.drain_shard("shard-1")})
+    assert scaled.active_shard_count == 1
+    assert scaled.placement.drained_shards == ["shard-1", "shard-2"]
+    assert scaled.redispatched_requests > 0
+    assert all(scaled.location(graph.name) == "shard-0" for graph in graphs)
+    static = make_tier(1)
+    expected = _play_scale_up(tier, static, graphs, mlp_thresholds,
+                              mlp_input_factory)
+    _assert_same_service(got, expected, scaled, static)
+
+
+def test_drain_and_undrain_under_a_live_stream_stays_exact(
+        tier, make_tier, tenant_graphs, mlp_thresholds, mlp_input_factory):
+    """A shard drained for two bursts and then undrained leaves no trace
+    in what is served."""
+    graphs = tenant_graphs[:4]
+    moved = make_tier(2)
+    got = _play_scale_up(
+        tier, moved, graphs, mlp_thresholds, mlp_input_factory,
+        between={2: lambda front: front.drain_shard("shard-1"),
+                 4: lambda front: front.undrain_shard("shard-1")})
+    assert moved.active_shard_count == 2
+    assert moved.placement.drained_shards == []
+    _assert_on_ring_owners(moved)
+    static = make_tier(2)
+    expected = _play_scale_up(tier, static, graphs, mlp_thresholds,
+                              mlp_input_factory)
+    _assert_same_service(got, expected, moved, static)
+
+
+def test_remove_shard_under_a_live_stream_stays_exact(
+        tier, make_tier, tenant_graphs, mlp_thresholds, mlp_input_factory):
+    """A shard removed mid-stream hands its tenants on, and the retired
+    shard's settled games still count in the ledger."""
+    graphs = tenant_graphs[:4]
+    moved = make_tier(3)
+    got = _play_scale_up(
+        tier, moved, graphs, mlp_thresholds, mlp_input_factory,
+        between={3: lambda front: front.remove_shard("shard-1")})
+    assert moved.active_shard_count == 2
+    assert moved.placement.retired == ["shard-1"]
+    static = make_tier(2)
+    expected = _play_scale_up(tier, static, graphs, mlp_thresholds,
+                              mlp_input_factory)
+    _assert_same_service(got, expected, moved, static)
+
+
+def test_a_drained_shard_takes_no_new_tenant(make_tier, tenant_graphs,
+                                             mlp_thresholds, mlp_input_factory):
+    """Tenants registered while a shard is drained land on live shards;
+    undraining hands the drained shard its ring arcs back, and every
+    tenant serves from its new home."""
+    front = make_tier(2)
+    front.drain_shard("shard-1")
+    _register_all(front, tenant_graphs, mlp_thresholds)
+    assert all(front.location(name) == "shard-0" for name in front.model_names)
+    front.undrain_shard("shard-1")
+    _assert_on_ring_owners(front)
+    assert any(front.location(name) == "shard-1" for name in front.model_names)
+    request_ids = [front.submit(graph.name, mlp_input_factory(500 + index))
+                   for index, graph in enumerate(tenant_graphs)]
+    front.process()
+    assert all(front.request(request_id).status == "finalized"
+               for request_id in request_ids)
+    assert _conserved(front)
 
 
 def test_stats_count_a_redispatched_request_once(make_tier, tenant_graphs,
@@ -306,6 +414,28 @@ def test_remove_shard_rehomes_and_retires(tier, make_tier, tenant_graphs,
     with pytest.raises(ERRORS[tier]):
         front.remove_shard(victim)
     assert front.add_shard() == "shard-3"
+
+
+def test_tier_latency_digest_merges_every_shard(make_tier, tenant_graphs,
+                                                mlp_thresholds, mlp_input_factory):
+    """The tier's latency digest is the merge of its shards' digests,
+    a retired shard's included: one observation per completed request."""
+    front = make_tier(3)
+    _register_all(front, tenant_graphs, mlp_thresholds)
+    for round_index in range(2):
+        for index, graph in enumerate(tenant_graphs):
+            front.submit(graph.name, mlp_input_factory(700 + 10 * round_index + index))
+        front.process()
+        if round_index == 0:
+            front.remove_shard("shard-1")
+
+    stats = front.stats()
+    parts = [shard.stats() for shard in
+             list(front.shards.values()) + front.retired_shards]
+    assert stats.latency.to_dict() == \
+        merged([part.latency for part in parts]).to_dict()
+    assert stats.latency.count == stats.requests_completed == 12
+    assert parts[-1].latency.count > 0  # the retired shard served round 0
 
 
 @pytest.mark.parametrize("live", [1, 2], ids=["in-place", "failover"])

@@ -240,6 +240,241 @@ def test_running_dispute_gas_on_a_shared_untagged_log(coordinator_setup):
         if tx.details.get("dispute_id") is not None)
 
 
+# ----------------------------------------------------------------------
+# Running dispute gas: one accumulator per game, fed as each action posts
+# ----------------------------------------------------------------------
+
+def _bisect_once(coordinator, dispute, child=0):
+    mid = (dispute.current_start + dispute.current_end) // 2
+    coordinator.post_partition(
+        dispute.dispute_id, "proposer",
+        [PartitionEntry(dispute.current_start, mid, b"", b""),
+         PartitionEntry(mid, dispute.current_end, b"", b"")],
+        payload_bytes=80)
+    coordinator.post_selection(dispute.dispute_id, "challenger", child)
+
+
+def _to_leaf(coordinator, dispute):
+    while not dispute.at_leaf:
+        _bisect_once(coordinator, dispute)
+
+
+def _end_by_adjudication(cheated):
+    def end(coordinator, dispute):
+        _to_leaf(coordinator, dispute)
+        coordinator.post_adjudication(dispute.dispute_id, "challenger",
+                                      proposer_cheated=cheated,
+                                      path="theoretical_bound")
+    return end
+
+
+def _end_by_input_binding(coordinator, dispute):
+    coordinator.post_input_binding_fraud(dispute.dispute_id, "challenger")
+
+
+def _end_by_partition_timeout(coordinator, dispute):
+    coordinator.chain.advance_time(coordinator.round_timeout_s + 1.0)
+    assert coordinator.enforce_timeout(dispute.dispute_id, "challenger") == "proposer"
+
+
+def _end_by_selection_timeout(coordinator, dispute):
+    mid = (dispute.current_start + dispute.current_end) // 2
+    coordinator.post_partition(
+        dispute.dispute_id, "proposer",
+        [PartitionEntry(dispute.current_start, mid, b"", b""),
+         PartitionEntry(mid, dispute.current_end, b"", b"")],
+        payload_bytes=80)
+    coordinator.chain.advance_time(coordinator.round_timeout_s + 1.0)
+    assert coordinator.enforce_timeout(dispute.dispute_id, "proposer") == "challenger"
+
+
+ENDINGS = {
+    "adjudicated_cheat": (_end_by_adjudication(True),
+                          {"open_dispute", "post_partition", "post_selection",
+                           "post_adjudication", "slash"},
+                          TaskStatus.PROPOSER_SLASHED),
+    "adjudicated_clear": (_end_by_adjudication(False),
+                          {"open_dispute", "post_partition", "post_selection",
+                           "post_adjudication", "slash"},
+                          TaskStatus.CHALLENGER_SLASHED),
+    "input_binding": (_end_by_input_binding,
+                      {"open_dispute", "prove_input_binding", "slash"},
+                      TaskStatus.PROPOSER_SLASHED),
+    "partition_timeout": (_end_by_partition_timeout,
+                          {"open_dispute", "slash"},
+                          TaskStatus.PROPOSER_SLASHED),
+    "selection_timeout": (_end_by_selection_timeout,
+                          {"open_dispute", "post_partition", "slash"},
+                          TaskStatus.CHALLENGER_SLASHED),
+}
+
+
+def test_running_gas_starts_with_the_open_transaction(coordinator_setup):
+    coordinator, _, task = coordinator_setup
+    start = len(coordinator.chain.transactions)
+    dispute = coordinator.open_dispute(task.task_id, "challenger")
+    opened = coordinator.chain.transactions[start:]
+    assert [tx.action for tx in opened] == ["open_dispute"]
+    assert dispute.gas_used == opened[0].gas_used > 0
+    assert coordinator.dispute_gas(dispute.dispute_id) == dispute.gas_used
+    assert coordinator.dispute_gas_by_action(dispute.dispute_id) == \
+        {"open_dispute": opened[0].gas_used}
+
+
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+def test_running_gas_follows_every_ending(coordinator_setup, ending):
+    """However a game ends, its running total is the gas of every
+    transaction posted from the opening on (the coordinator's own slash
+    included), and the log scan splits the same total by action."""
+    end, actions, status = ENDINGS[ending]
+    coordinator, _, task = coordinator_setup
+    start = len(coordinator.chain.transactions)
+    dispute = coordinator.open_dispute(task.task_id, "challenger")
+    end(coordinator, dispute)
+
+    assert dispute.phase is DisputePhase.RESOLVED
+    assert coordinator.task(task.task_id).status is status
+    posted = coordinator.chain.transactions[start:]
+    assert all(tx.details.get("dispute_id") == dispute.dispute_id for tx in posted)
+    by_action = coordinator.dispute_gas_by_action(dispute.dispute_id)
+    assert set(by_action) == actions
+    assert coordinator.dispute_gas(dispute.dispute_id) == \
+        sum(tx.gas_used for tx in posted) == sum(by_action.values())
+
+
+def test_running_gas_skips_untagged_transactions(coordinator_setup):
+    """A task submitted and finalized while a game is open posts untagged
+    transactions between the game's own; none of them reach its total."""
+    coordinator, _, task = coordinator_setup
+    dispute = coordinator.open_dispute(task.task_id, "challenger")
+    _bisect_once(coordinator, dispute)
+    other = coordinator.submit_result("tiny_mlp", "user", "proposer",
+                                      task.commitment, fee=10.0)
+    coordinator.chain.advance_time(coordinator.challenge_window_s + 1.0)
+    assert coordinator.try_finalize(other.task_id, caller="proposer")
+    _to_leaf(coordinator, dispute)
+    coordinator.post_adjudication(dispute.dispute_id, "challenger",
+                                  proposer_cheated=True, path="theoretical_bound")
+
+    untagged = [tx for tx in coordinator.chain.transactions
+                if tx.details.get("dispute_id") is None]
+    assert {"finalize"} <= {tx.action for tx in untagged}
+    tagged = sum(tx.gas_used for tx in coordinator.chain.transactions
+                 if tx.details.get("dispute_id") == dispute.dispute_id)
+    assert coordinator.dispute_gas(dispute.dispute_id) == tagged
+    assert tagged + sum(tx.gas_used for tx in untagged) == \
+        coordinator.chain.total_gas()
+
+
+def test_refused_actions_add_no_gas(coordinator_setup, mlp_graph):
+    """An action the state machine refuses posts nothing, so the total
+    does not move."""
+    coordinator, _, task = coordinator_setup
+    dispute = coordinator.open_dispute(task.task_id, "challenger")
+    n = mlp_graph.num_operators
+    gas, transactions = dispute.gas_used, len(coordinator.chain.transactions)
+    refused = [
+        lambda: coordinator.post_selection(dispute.dispute_id, "challenger", 0),
+        lambda: coordinator.post_partition(dispute.dispute_id, "challenger",
+                                           [PartitionEntry(0, n, b"", b"")],
+                                           payload_bytes=10),
+        lambda: coordinator.post_partition(dispute.dispute_id, "proposer", [],
+                                           payload_bytes=0),
+        lambda: coordinator.post_adjudication(dispute.dispute_id, "challenger",
+                                              proposer_cheated=True,
+                                              path="theoretical_bound"),
+        lambda: coordinator.post_input_binding_fraud(dispute.dispute_id, "proposer"),
+    ]
+    for action in refused:
+        with pytest.raises(CoordinatorError):
+            action()
+    assert dispute.gas_used == gas
+    assert len(coordinator.chain.transactions) == transactions
+    # An early timeout call is a no-op, not a refusal: still nothing posted.
+    assert coordinator.enforce_timeout(dispute.dispute_id, caller="anyone") is None
+    assert dispute.gas_used == gas
+    assert len(coordinator.chain.transactions) == transactions
+
+
+def test_running_gas_is_frozen_once_resolved(coordinator_setup):
+    coordinator, _, task = coordinator_setup
+    dispute = coordinator.open_dispute(task.task_id, "challenger")
+    coordinator.post_input_binding_fraud(dispute.dispute_id, "challenger")
+    gas, transactions = dispute.gas_used, len(coordinator.chain.transactions)
+    coordinator.chain.advance_time(coordinator.round_timeout_s + 1.0)
+    assert coordinator.enforce_timeout(dispute.dispute_id, caller="anyone") is None
+    with pytest.raises(CoordinatorError, match="already resolved"):
+        coordinator.post_input_binding_fraud(dispute.dispute_id, "challenger")
+    with pytest.raises(CoordinatorError):
+        coordinator.post_adjudication(dispute.dispute_id, "challenger",
+                                      proposer_cheated=True, path="theoretical_bound")
+    assert dispute.gas_used == gas
+    assert len(coordinator.chain.transactions) == transactions
+
+
+def test_interleaved_disputes_on_one_coordinator(coordinator_setup):
+    """Two games multiplexed on one coordinator, moves alternating: each
+    total is its own game's, and together they are the log's tagged gas."""
+    coordinator, _, task = coordinator_setup
+    other = coordinator.submit_result("tiny_mlp", "user", "proposer",
+                                      task.commitment, fee=10.0)
+    games = [coordinator.open_dispute(record.task_id, "challenger")
+             for record in (task, other)]
+    assert [game.dispute_id for game in games] == [0, 1]
+    while not all(game.at_leaf for game in games):
+        for child, game in enumerate(games):
+            if not game.at_leaf:
+                _bisect_once(coordinator, game, child)
+    for cheated, game in zip((True, False), games):
+        coordinator.post_adjudication(game.dispute_id, "challenger",
+                                      proposer_cheated=cheated,
+                                      path="theoretical_bound")
+
+    for game in games:
+        assert coordinator.dispute_gas(game.dispute_id) == sum(
+            tx.gas_used for tx in coordinator.chain.transactions
+            if tx.details.get("dispute_id") == game.dispute_id)
+    assert sum(game.gas_used for game in games) == sum(
+        tx.gas_used for tx in coordinator.chain.transactions
+        if tx.details.get("dispute_id") is not None)
+
+
+def test_running_gas_on_shard_views_of_one_ledger(mlp_graph, mlp_thresholds,
+                                                  mlp_inputs):
+    """Two shard coordinators reuse dispute id 0 on one ledger; the scan
+    separates them by shard tag, and each running total equals its scan."""
+    ledger = SimulatedChain()
+    commitment = commit_model(mlp_graph, mlp_thresholds)
+    trace = Interpreter(DEVICE_FLEET[0]).run(mlp_graph, mlp_inputs)
+    execution = make_execution_commitment(commitment, mlp_inputs, list(trace.outputs),
+                                          meta={"device": DEVICE_FLEET[0].name})
+    for account in ("owner", "user", "proposer", "challenger"):
+        ledger.fund(account, 10_000.0)
+    coordinators = []
+    for shard_id in ("shard-0", "shard-1"):
+        coordinator = Coordinator(ShardChainView(ledger, shard_id),
+                                  challenge_window_s=600.0, round_timeout_s=120.0)
+        coordinator.register_model(commitment, owner="owner")
+        task = coordinator.submit_result("tiny_mlp", "user", "proposer",
+                                         execution, fee=10.0)
+        coordinator.open_dispute(task.task_id, "challenger")
+        coordinators.append(coordinator)
+    first, second = coordinators
+    _to_leaf(first, first.dispute(0))
+    _bisect_once(second, second.dispute(0))
+    first.post_adjudication(0, "challenger", proposer_cheated=True,
+                            path="theoretical_bound")
+    second.post_input_binding_fraud(0, "challenger")
+
+    for coordinator in coordinators:
+        shard_id = coordinator.chain.shard_id
+        assert coordinator.dispute_gas(0) == \
+            sum(coordinator.dispute_gas_by_action(0).values()) == sum(
+                tx.gas_used for tx in ledger.transactions
+                if tx.shard == shard_id and tx.details.get("dispute_id") == 0)
+    assert first.dispute_gas(0) != second.dispute_gas(0)
+
+
 def test_adjudication_can_clear_proposer(coordinator_setup):
     coordinator, _, task = coordinator_setup
     dispute = coordinator.open_dispute(task.task_id, "challenger")
@@ -277,5 +512,9 @@ def test_unknown_ids_raise(coordinator_setup):
         coordinator.task(999)
     with pytest.raises(CoordinatorError):
         coordinator.dispute(999)
+    with pytest.raises(CoordinatorError):
+        coordinator.dispute_gas(999)
+    with pytest.raises(CoordinatorError):
+        coordinator.dispute_gas_by_action(999)
     with pytest.raises(CoordinatorError):
         coordinator.model("nope")

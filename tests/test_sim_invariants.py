@@ -49,6 +49,7 @@ from repro.sim import (
     prepare_workload,
     run_scenario,
     run_schedule,
+    service_coordinators,
     shrink_schedule,
 )
 from repro.tensorlib import DEVICE_FLEET
@@ -681,7 +682,6 @@ def test_cluster_failover_under_dispute(sim_mlp_workload):
     assert all(o.proposer_slashed for o in tampered)
     # Fleet-wide gas partition: per-shard dispute gas tags are exact on the
     # shared log (dispute ids collide across shards; shard tags resolve them).
-    from repro.sim import service_coordinators
     tagged = sum(coordinator.dispute_gas(dispute_id)
                  for coordinator in service_coordinators(cluster)
                  for dispute_id in coordinator.disputes)
@@ -857,6 +857,42 @@ def test_gas_partition_exactness_under_multiplexing(sim_mlp_workload):
     untagged = sum(tx.gas_used for tx in coordinator.chain.transactions
                    if tx.details.get("dispute_id") is None)
     assert tagged + untagged == coordinator.chain.total_gas()
+
+
+@pytest.mark.parametrize("tier", ["service", "cluster", "fleet"])
+def test_gas_partition_detects_running_total_drift(sim_mlp_workload, tier):
+    """C2 reads each game's running gas total, so one unit of drift in one
+    dispute's accumulator (a fleet worker's parent-side mirror included)
+    is a violation, and restoring the total clears it."""
+    scenario = Scenario(name=f"drift-{tier}", seed=21, model="tiny_mlp",
+                        num_requests=8, fault_rate=0.7,
+                        fault_kinds=("bit_flip", "wrong_weight"),
+                        num_shards=1 if tier == "service" else 2,
+                        process_fleet=tier == "fleet")
+    result = run_scenario(scenario, sim_mlp_workload)
+    _assert_clean(result)
+    _record(result)
+    coordinator = next(c for c in service_coordinators(result.service)
+                       if c.disputes)
+    dispute_id = min(coordinator.disputes)
+    gas = coordinator.dispute_gas(dispute_id)
+
+    def set_gas(value):
+        if tier == "fleet":
+            dispute = coordinator.disputes[dispute_id]
+            coordinator.apply({"tasks": [], "disputes": [{
+                "dispute_id": dispute_id, "task_id": dispute.task_id,
+                "phase": dispute.phase.value,
+                "adjudication_path": dispute.adjudication_path,
+                "gas_used": value}]})
+        else:
+            coordinator.dispute(dispute_id).gas_used = value
+
+    set_gas(gas + 1)
+    violations = check_invariants(result)
+    assert [v.rule for v in violations] == ["C2"]
+    set_gas(gas)
+    assert check_invariants(result) == []
 
 
 # ----------------------------------------------------------------------

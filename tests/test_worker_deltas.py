@@ -244,6 +244,107 @@ def test_open_rows_are_recut_until_final(mlp_graph, mlp_thresholds,
     assert deltas.cut(coordinator) == {"tasks": [], "disputes": []}
 
 
+def _rounds_with_an_open_task(service, graph, input_factory):
+    """Three drains with disputes, then a task left pending one round and
+    finalized the next: yields after each change to the coordinator."""
+    for round_index in range(3):
+        for offset in range(4):
+            seed = 3800 + 10 * round_index + offset
+            service.submit(graph.name, input_factory(seed),
+                           force_challenge=offset == round_index)
+        service.process()
+        yield
+    coordinator = service.coordinator
+    entry = service.model(graph.name)
+    task = coordinator.submit_result(
+        graph.name, entry.user.name, entry.proposer.name,
+        service.request(1).report.result.commitment,
+        fee=entry.user.fee_per_request)
+    yield
+    coordinator.chain.advance_time(coordinator.challenge_window_s + 1.0)
+    assert coordinator.try_finalize(task.task_id, caller=entry.proposer.name)
+    yield
+
+
+def test_cuts_applied_in_order_rebuild_the_full_walk(mlp_graph, mlp_thresholds,
+                                                     mlp_input_factory):
+    """The parent's side of the stream: upserting each cut into a mirror
+    reproduces every row of the coordinator, and a task row updated in
+    place keeps the object a report already holds."""
+    service = TAOService(n_way=2)
+    service.register_model(mlp_graph, threshold_table=mlp_thresholds)
+    deltas, mirror = CoordinatorDeltas(), CoordinatorSnapshot("shard-0")
+    held = {}
+    for _ in _rounds_with_an_open_task(service, mlp_graph, mlp_input_factory):
+        changed = deltas.cut(service.coordinator)
+        mirror.apply(changed)
+        deltas.commit(changed)
+        assert _mirror_payload(mirror) == _coordinator_payload(service.coordinator)
+        for task_id, task in mirror.tasks.items():
+            assert held.setdefault(task_id, task) is task
+    assert len(service.coordinator.disputes) >= 3
+    assert mirror.tasks[max(mirror.tasks)].status.value == "finalized"
+
+
+def test_reapplying_an_uncommitted_cut_changes_nothing(mlp_graph, mlp_thresholds,
+                                                       mlp_input_factory):
+    """A ``stats`` reply and the next ``process`` reply carry the same
+    uncommitted rows; the mirror takes the second copy as a no-op."""
+    service = TAOService(n_way=2)
+    service.register_model(mlp_graph, threshold_table=mlp_thresholds)
+    deltas, mirror = CoordinatorDeltas(), CoordinatorSnapshot("shard-0")
+    for _ in _rounds_with_an_open_task(service, mlp_graph, mlp_input_factory):
+        stats_cut = deltas.cut(service.coordinator)
+        mirror.apply(stats_cut)
+        before = _mirror_payload(mirror)
+        tasks = dict(mirror.tasks)
+        process_cut = deltas.cut(service.coordinator)
+        assert process_cut == stats_cut
+        mirror.apply(process_cut)
+        deltas.commit(process_cut)
+        assert _mirror_payload(mirror) == before == \
+            _coordinator_payload(service.coordinator)
+        assert all(mirror.tasks[task_id] is task for task_id, task in tasks.items())
+
+
+def test_stats_calls_leave_the_process_replies_unchanged(
+        reference_fleet, mlp_graph, mlp_thresholds, mlp_input_factory):
+    """Two fleets serve one stream; one also asks for ``stats`` before and
+    after every drain.  Their ``process`` replies carry the same rows."""
+    replies = {}
+    for with_stats in (False, True):
+        fleet = reference_fleet()
+        seen = replies[with_stats] = []
+        real_call = fleet._call
+
+        def spy(handle, payload, real_call=real_call, seen=seen):
+            value = real_call(handle, payload)
+            if payload.get("op") == "process":
+                seen.append(value["coordinator"])
+            return value
+
+        fleet._call = spy
+        fleet.register_model(mlp_graph, threshold_table=mlp_thresholds)
+        for burst in range(4):
+            for offset in range(3):
+                seed = 3900 + 10 * burst + offset
+                proposer = (_cheat(mlp_graph, f"cheat-{seed}")
+                            if offset == 1 else None)
+                fleet.submit(mlp_graph.name, mlp_input_factory(seed),
+                             proposer=proposer, force_challenge=offset == 2)
+            if with_stats:
+                fleet.stats()
+            fleet.process()
+            if with_stats:
+                fleet.stats()
+        assert _mirror_payload(fleet.workers["shard-0"].coordinator) == \
+            _reference(fleet, "shard-0")["coordinator"]
+        fleet.close()
+    assert len(replies[True]) == 4
+    assert replies[True] == replies[False]
+    assert sum(len(reply["disputes"]) for reply in replies[True]) >= 8
+
+
 # ----------------------------------------------------------------------
 # Running dispute gas: equal to the scan on every tier
 # ----------------------------------------------------------------------
@@ -336,6 +437,41 @@ def test_running_dispute_gas_equals_the_scan(tier, reference_fleet,
         assert sum(len(coordinator.disputes) for coordinator in coordinators) >= 48
     finally:
         front.close()
+
+
+@pytest.mark.parametrize("action", ["open_dispute", "post_partition",
+                                    "post_adjudication", "slash"])
+def test_running_gas_survives_a_kill_at_any_dispute_action(
+        reference_fleet, mlp_graph, mlp_thresholds, mlp_input_factory, action):
+    """A worker SIGKILLed as it posts one kind of dispute transaction is
+    rebuilt from its journal; the replayed games re-accumulate exactly the
+    gas the shared log holds for them."""
+    fleet = reference_fleet()
+    killed = []
+
+    def kill_once(shard_id, message):
+        if not killed and message.get("method") == "submit" \
+                and message["args"].get("action") == action:
+            killed.append(shard_id)
+            os.kill(fleet.workers[shard_id].process.pid, signal.SIGKILL)
+            fleet.workers[shard_id].process.join(timeout=10.0)
+
+    fleet.register_model(mlp_graph, threshold_table=mlp_thresholds)
+    for burst in range(3):
+        seed = 4000 + 10 * burst
+        fleet.submit(mlp_graph.name, mlp_input_factory(seed),
+                     proposer=_cheat(mlp_graph, f"cheat-{seed}"))
+        fleet.submit(mlp_graph.name, mlp_input_factory(seed + 1),
+                     force_challenge=True)
+        fleet.submit(mlp_graph.name, mlp_input_factory(seed + 2))
+        if burst == 1:
+            fleet._chain_call_hook = kill_once
+        fleet.process()
+        fleet._chain_call_hook = None
+    assert killed == ["shard-0"] and fleet.recoveries == 1
+    assert fleet.pending_count == 0
+    _assert_running_gas_exact("fleet", fleet)
+    assert len(fleet.workers["shard-0"].coordinator.disputes) >= 6
 
 
 def test_stats_reply_rows_stay_flat(reference_fleet, monkeypatch, tenant_graphs,
