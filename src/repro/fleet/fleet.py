@@ -69,7 +69,7 @@ from repro.merkle.cache import HashCache
 from repro.merkle.commitments import ExecutionCommitment
 from repro.protocol.chain import SimulatedChain
 from repro.protocol.coordinator import DisputePhase, TaskStatus
-from repro.protocol.dispute import DisputeOutcome, DisputeStatistics
+from repro.protocol.dispute import DisputeOutcome, DisputeStatistics, RoundStatistics
 from repro.protocol.lifecycle import SessionReport
 from repro.protocol.service import ServiceRequest, ServiceStats
 from repro.tensorlib.device import DEVICE_FLEET, DeviceProfile
@@ -340,7 +340,8 @@ class WorkerHandle:
         dispute = None
         if payload["dispute"] is not None:
             spec = payload["dispute"]
-            stats = spec["statistics"]
+            stats = dict(spec["statistics"])
+            per_round = [RoundStatistics(**row) for row in stats.pop("per_round")]
             dispute = DisputeOutcome(
                 dispute_id=int(spec["dispute_id"]),
                 task_id=int(spec["task_id"]),
@@ -348,14 +349,7 @@ class WorkerHandle:
                 winner=spec["winner"],
                 localized_operator=spec["localized_operator"],
                 adjudication=None,
-                statistics=DisputeStatistics(
-                    rounds=int(stats["rounds"]),
-                    dispute_time_s=float(stats["dispute_time_s"]),
-                    merkle_checks=int(stats["merkle_checks"]),
-                    challenger_flops=float(stats["challenger_flops"]),
-                    adjudication_flops=float(stats["adjudication_flops"]),
-                    gas_used=int(stats["gas_used"]),
-                ),
+                statistics=DisputeStatistics(**stats, per_round=per_round),
                 resolved_by_timeout=bool(spec["resolved_by_timeout"]),
             )
         view.report = SessionReport(

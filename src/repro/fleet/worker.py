@@ -38,6 +38,7 @@ carries only the rows that changed since the worker's previous successful
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import socket
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -63,7 +64,6 @@ def _report_payload(request: ServiceRequest) -> Optional[Dict[str, Any]]:
     dispute = None
     if report.dispute is not None:
         outcome = report.dispute
-        statistics = outcome.statistics
         dispute = {
             "dispute_id": int(outcome.dispute_id),
             "task_id": int(outcome.task_id),
@@ -71,14 +71,7 @@ def _report_payload(request: ServiceRequest) -> Optional[Dict[str, Any]]:
             "winner": outcome.winner,
             "localized_operator": outcome.localized_operator,
             "resolved_by_timeout": bool(outcome.resolved_by_timeout),
-            "statistics": {
-                "rounds": int(statistics.rounds),
-                "dispute_time_s": float(statistics.dispute_time_s),
-                "merkle_checks": int(statistics.merkle_checks),
-                "challenger_flops": float(statistics.challenger_flops),
-                "adjudication_flops": float(statistics.adjudication_flops),
-                "gas_used": int(statistics.gas_used),
-            },
+            "statistics": dataclasses.asdict(outcome.statistics),
         }
     commitment = report.result.commitment
     return {

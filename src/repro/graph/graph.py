@@ -69,9 +69,6 @@ class Graph:
         except KeyError:
             raise KeyError(f"no node named {name!r} in graph") from None
 
-    def has_node(self, name: str) -> bool:
-        return name in self._by_name
-
     @property
     def placeholders(self) -> List[Node]:
         return [n for n in self._nodes if n.op == "placeholder"]

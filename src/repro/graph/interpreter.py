@@ -72,14 +72,6 @@ class ExecutionTrace:
                 f"no recorded value for node {node_name!r}; was the run recorded?"
             ) from None
 
-    def operator_values(self, graph_module: GraphModule) -> Dict[str, np.ndarray]:
-        """Recorded values restricted to operator (call_op) nodes."""
-        return {
-            node.name: self.values[node.name]
-            for node in graph_module.graph.operators
-            if node.name in self.values
-        }
-
 
 class Interpreter:
     """Executes GraphModules on a :class:`DeviceProfile` over their cached plans."""

@@ -77,10 +77,6 @@ class MerkleTree:
         return self._levels[-1][0]
 
     @property
-    def root_hex(self) -> str:
-        return self.root.hex()
-
-    @property
     def num_leaves(self) -> int:
         return len(self._leaves)
 

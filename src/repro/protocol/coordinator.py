@@ -98,9 +98,13 @@ class DisputeRecord:
     winner: Optional[str] = None
     adjudication_path: Optional[str] = None
     adjudication_details: Dict[str, object] = field(default_factory=dict)
-    gas_start_index: int = 0
-    #: Gas of every transaction this game has posted, summed as each posts.
-    gas_used: int = 0
+    #: Gas of every transaction this game has posted, by action, summed as
+    #: each posts (:meth:`Coordinator._post_dispute_tx`).
+    gas_by_action: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def gas_used(self) -> int:
+        return sum(self.gas_by_action.values())
 
     @property
     def current_size(self) -> int:
@@ -263,7 +267,6 @@ class Coordinator:
             current_start=0,
             current_end=num_operators,
             last_action_at=self.chain.timestamp,
-            gas_start_index=len(self.chain.transactions),
         )
         if dispute.at_leaf:
             # Degenerate single-operator graph: go straight to adjudication.
@@ -271,10 +274,10 @@ class Coordinator:
         self.disputes[dispute.dispute_id] = dispute
         task.status = TaskStatus.DISPUTED
         task.dispute_id = dispute.dispute_id
-        dispute.gas_used += self.chain.submit(
-            challenger, "open_dispute", payload_bytes=16, storage_writes=2,
+        self._post_dispute_tx(
+            dispute, challenger, "open_dispute", payload_bytes=16, storage_writes=2,
             details={"task_id": task_id, "dispute_id": dispute.dispute_id},
-        ).gas_used
+        )
         return dispute
 
     def dispute(self, dispute_id: int) -> DisputeRecord:
@@ -282,6 +285,12 @@ class Coordinator:
             return self.disputes[dispute_id]
         except KeyError:
             raise CoordinatorError(f"unknown dispute {dispute_id}") from None
+
+    def _post_dispute_tx(self, dispute: DisputeRecord, sender: str, action: str,
+                         **kwargs) -> None:
+        """Post one of ``dispute``'s transactions and add its gas to the game."""
+        gas = self.chain.submit(sender, action, **kwargs).gas_used
+        dispute.gas_by_action[action] = dispute.gas_by_action.get(action, 0) + gas
 
     def post_partition(self, dispute_id: int, proposer: str,
                        entries: List[PartitionEntry],
@@ -307,13 +316,13 @@ class Coordinator:
         dispute.partitions.append(list(entries))
         dispute.phase = DisputePhase.AWAIT_SELECTION
         dispute.last_action_at = self.chain.timestamp
-        dispute.gas_used += self.chain.submit(
-            proposer, "post_partition",
+        self._post_dispute_tx(
+            dispute, proposer, "post_partition",
             payload_bytes=payload_bytes,
             storage_writes=1,
             details={"dispute_id": dispute_id, "round": dispute.round_index,
                      "num_children": len(entries)},
-        ).gas_used
+        )
 
     def post_selection(self, dispute_id: int, challenger: str, child_index: int) -> None:
         dispute = self.dispute(dispute_id)
@@ -338,11 +347,11 @@ class Coordinator:
         dispute.phase = (
             DisputePhase.AWAIT_ADJUDICATION if dispute.at_leaf else DisputePhase.AWAIT_PARTITION
         )
-        dispute.gas_used += self.chain.submit(
-            challenger, "post_selection", payload_bytes=8,
+        self._post_dispute_tx(
+            dispute, challenger, "post_selection", payload_bytes=8,
             details={"dispute_id": dispute_id, "child": child_index,
                      "slice": [chosen.slice_start, chosen.slice_end]},
-        ).gas_used
+        )
 
     def enforce_timeout(self, dispute_id: int, caller: str) -> Optional[str]:
         """Resolve a dispute by timeout; returns the losing party name if any."""
@@ -364,9 +373,9 @@ class Coordinator:
                                 state=_PHASE_SPEC_STATE[dispute.phase],
                                 next="challenger_slashed")
             self._resolve(dispute, task, proposer_cheated=False, path="timeout")
-        dispute.gas_used += self.chain.submit(
-            caller, "slash", payload_bytes=8,
-            details={"dispute_id": dispute_id, "timeout_loser": loser}).gas_used
+        self._post_dispute_tx(
+            dispute, caller, "slash", payload_bytes=8,
+            details={"dispute_id": dispute_id, "timeout_loser": loser})
         return loser
 
     def post_input_binding_fraud(self, dispute_id: int, challenger: str) -> None:
@@ -390,11 +399,11 @@ class Coordinator:
         self._journal_entry(event="input_fraud", task=task.task_id,
                             state=_PHASE_SPEC_STATE[dispute.phase],
                             next="proposer_slashed")
-        dispute.gas_used += self.chain.submit(
-            challenger, "prove_input_binding", payload_bytes=32 * 2 + 8,
+        self._post_dispute_tx(
+            dispute, challenger, "prove_input_binding", payload_bytes=32 * 2 + 8,
             merkle_checks=1,
             details={"dispute_id": dispute_id, "task_id": task.task_id},
-        ).gas_used
+        )
         self._resolve(dispute, task, proposer_cheated=True, path="input_binding")
 
     # ------------------------------------------------------------------
@@ -414,11 +423,11 @@ class Coordinator:
             else "challenger_slashed")
         dispute.adjudication_path = path
         dispute.adjudication_details = dict(details or {})
-        dispute.gas_used += self.chain.submit(
-            caller, "post_adjudication", payload_bytes=64,
+        self._post_dispute_tx(
+            dispute, caller, "post_adjudication", payload_bytes=64,
             details={"dispute_id": dispute_id, "path": path,
                      "proposer_cheated": proposer_cheated},
-        ).gas_used
+        )
         self._resolve(dispute, task, proposer_cheated=proposer_cheated, path=path)
 
     def _resolve(self, dispute: DisputeRecord, task: TaskRecord,
@@ -439,10 +448,10 @@ class Coordinator:
             task.status = TaskStatus.CHALLENGER_SLASHED
             self.chain.transfer(self._escrow_account, task.proposer,
                                 task.fee + task.proposer_bond + dispute.challenger_bond)
-        dispute.gas_used += self.chain.submit(
-            "coordinator", "slash", payload_bytes=32,
+        self._post_dispute_tx(
+            dispute, "coordinator", "slash", payload_bytes=32,
             details={"dispute_id": dispute.dispute_id, "winner": dispute.winner},
-        ).gas_used
+        )
 
     # ------------------------------------------------------------------
     # Accounting helpers
@@ -452,27 +461,12 @@ class Coordinator:
         """Gas of every transaction ``dispute_id``'s game posted.
 
         Each dispute transaction adds its gas to the record as it posts, so
-        this is a field read: exact when several games multiplex one chain,
+        this reads the record, not the log: exact when several games multiplex one chain,
         and exact for coordinators sharing one log (dispute ids are only
         unique per coordinator).
         """
         return self.dispute(dispute_id).gas_used
 
     def dispute_gas_by_action(self, dispute_id: int) -> Dict[str, int]:
-        """``dispute_gas`` split by action, from a scan of the chain's log.
-
-        Every dispute action records its ``dispute_id`` in the transaction
-        details, so the scan keeps the transactions since the dispute opened
-        that carry its id and this coordinator's shard tag.  A shard's chain
-        view lists only the transactions it appended; the shard-tag match
-        keeps the scan exact for a coordinator on a bare chain whose log
-        also holds shard-tagged transactions.  Two coordinators on one
-        untagged log share ids and tags, and the scan counts both.
-        """
-        dispute = self.dispute(dispute_id)
-        own_shard = getattr(self.chain, "shard_id", None)
-        out: Dict[str, int] = {}
-        for tx in self.chain.transactions[dispute.gas_start_index:]:
-            if tx.details.get("dispute_id") == dispute_id and tx.shard == own_shard:
-                out[tx.action] = out.get(tx.action, 0) + tx.gas_used
-        return out
+        """``dispute_gas`` split by action (a copy of the record's totals)."""
+        return dict(self.dispute(dispute_id).gas_by_action)

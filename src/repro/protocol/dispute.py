@@ -35,6 +35,7 @@ from repro.protocol.adjudication import (
 )
 from repro.protocol.coordinator import Coordinator, PartitionEntry, TaskRecord
 from repro.protocol.roles import Challenger, CommitteeMember, ProposedResult, Proposer
+from repro.utils.timing import now
 
 
 @dataclass
@@ -179,12 +180,10 @@ class DisputeGame:
         mismatch (stale/substituted trace) is settled immediately by an
         input-binding fraud proof rather than by playing the game.
         """
-        challenger.reset_accounting()
         dispute = self.coordinator.open_dispute(task.task_id, challenger.name)
         active = ActiveDispute(task=task, proposer=proposer, challenger=challenger,
                                result=result, dispute=dispute)
         bound, checks = challenger.verify_input_binding(result)
-        challenger.merkle_checks += checks
         active.binding_checks = checks
         if not bound:
             self.coordinator.post_input_binding_fraud(dispute.dispute_id,
@@ -213,11 +212,11 @@ class DisputeGame:
             return False
 
         slice_ = SubgraphSlice(dispute.current_start, dispute.current_end)
-        partition_before = proposer.stopwatch.total("proposer_partition")
+        started = now()
         records = proposer.partition(
             self.graph_module, self.model_commitment, result, slice_, self.n_way
         )
-        partition_time = proposer.stopwatch.total("proposer_partition") - partition_before
+        partition_time = now() - started
 
         entries = [
             PartitionEntry(r.slice_start, r.slice_end, r.h_in, r.h_out) for r in records
@@ -226,11 +225,11 @@ class DisputeGame:
         self.coordinator.post_partition(dispute.dispute_id, proposer.name, entries,
                                         payload_bytes=onchain_bytes)
 
-        selection_before = challenger.stopwatch.total("challenger_selection")
+        started = now()
         outcome = challenger.select_offending(
             self.graph_module, self.model_commitment, records
         )
-        selection_time = challenger.stopwatch.total("challenger_selection") - selection_before
+        selection_time = now() - started
 
         active.per_round.append(RoundStatistics(
             round_index=dispute.round_index,
@@ -299,7 +298,7 @@ class DisputeGame:
             rounds=len(per_round),
             dispute_time_s=sum(r.partition_time_s + r.selection_time_s for r in per_round),
             merkle_checks=active.binding_checks + sum(r.merkle_checks for r in per_round),
-            challenger_flops=challenger.dispute_flops,
+            challenger_flops=sum((r.challenger_flops for r in per_round), 0.0),
             adjudication_flops=adjudication_flops,
             gas_used=dispute.gas_used,
             per_round=per_round,

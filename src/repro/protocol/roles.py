@@ -8,8 +8,8 @@ The roles encapsulate *who computes what on which device*:
   tensors (the attack surface of Sec. 4);
 * the **challenger** re-executes on its own device, raises disputes when the
   final outputs exceed the committed thresholds, and drives the selection
-  rule during the dispute game, accumulating the FLOPs that define the
-  paper's DCR metric;
+  rule during the dispute game, reporting each round's FLOPs (the paper's
+  DCR metric) on the round's :class:`SelectionOutcome`;
 * **committee members** re-execute a single operator at the leaf and vote
   against the empirical thresholds.
 """
@@ -36,7 +36,6 @@ from repro.merkle.commitments import (
     verify_subgraph_record,
 )
 from repro.tensorlib.device import DeviceProfile
-from repro.utils.timing import Stopwatch
 
 PerturbationSpec = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
@@ -91,7 +90,6 @@ class Proposer:
         self.name = name
         self.device = device
         self.interpreter = Interpreter(device)
-        self.stopwatch = Stopwatch()
         self.hash_cache = hash_cache
 
     # -- liveness hook ---------------------------------------------------
@@ -167,14 +165,11 @@ class Proposer:
         n_way: int,
     ) -> List[SubgraphRecord]:
         """Deterministic N-way partition of the disputed slice (Sec. 5.3)."""
-        with self.stopwatch.measure("proposer_partition"):
-            children = slice_.split(n_way)
-            records = [
-                make_subgraph_record(graph_module, model_commitment, child,
-                                     result.trace_values, cache=self.hash_cache)
-                for child in children
-            ]
-        return records
+        return [
+            make_subgraph_record(graph_module, model_commitment, child,
+                                 result.trace_values, cache=self.hash_cache)
+            for child in slice_.split(n_way)
+        ]
 
 
 class HonestProposer(Proposer):
@@ -261,15 +256,7 @@ class Challenger:
         self.thresholds = threshold_table
         self.committee_envelope = committee_envelope
         self.interpreter = Interpreter(device)
-        self.stopwatch = Stopwatch()
         self.hash_cache = hash_cache
-        self.dispute_flops = 0.0
-        self.merkle_checks = 0
-
-    def reset_accounting(self) -> None:
-        self.dispute_flops = 0.0
-        self.merkle_checks = 0
-        self.stopwatch = Stopwatch()
 
     def move_delay_s(self, round_index: int) -> float:
         """Seconds this challenger stalls before its next dispute move.
@@ -319,7 +306,6 @@ class Challenger:
         """
         trace = self.interpreter.run(graph_module, result.inputs, record=True,
                                      count_flops=True)
-        self.dispute_flops += trace.flops.total
         reports: List[ExceedanceReport] = []
         for name, proposed in zip(result.output_names, result.outputs):
             if not self.thresholds.has_operator(name):
@@ -349,37 +335,34 @@ class Challenger:
         flops = 0.0
         selected: Optional[int] = None
         all_valid = True
-        with self.stopwatch.measure("challenger_selection"):
-            for index, record in enumerate(records):
-                valid, checks = verify_subgraph_record(record, model_commitment,
-                                                       cache=self.hash_cache)
-                merkle_checks += checks
-                if not valid:
-                    # A malformed record is itself fraud: select it immediately.
-                    all_valid = False
-                    selected = index
-                    break
-                local = self.interpreter.run(
-                    graph_module, record.live_in_values, record=True,
-                    count_flops=True, slice_=record.slice,
+        for index, record in enumerate(records):
+            valid, checks = verify_subgraph_record(record, model_commitment,
+                                                   cache=self.hash_cache)
+            merkle_checks += checks
+            if not valid:
+                # A malformed record is itself fraud: select it immediately.
+                all_valid = False
+                selected = index
+                break
+            local = self.interpreter.run(
+                graph_module, record.live_in_values, record=True,
+                count_flops=True, slice_=record.slice,
+            )
+            flops += local.flops.total
+            checker = self._slice_checker(graph_module, record)
+            offending = False
+            for name in record.live_out_names:
+                if not checker.has_operator(name):
+                    continue
+                report = checker.check(
+                    name, record.live_out_values[name], local.values[name]
                 )
-                flops += local.flops.total
-                checker = self._slice_checker(graph_module, record)
-                offending = False
-                for name in record.live_out_names:
-                    if not checker.has_operator(name):
-                        continue
-                    report = checker.check(
-                        name, record.live_out_values[name], local.values[name]
-                    )
-                    reports.append(report)
-                    if report.exceeded:
-                        offending = True
-                if offending and selected is None:
-                    selected = index
-                    break
-        self.dispute_flops += flops
-        self.merkle_checks += merkle_checks
+                reports.append(report)
+                if report.exceeded:
+                    offending = True
+            if offending and selected is None:
+                selected = index
+                break
         return SelectionOutcome(
             selected_index=selected,
             reports=reports,

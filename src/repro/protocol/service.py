@@ -30,8 +30,8 @@ Request life cycle inside :meth:`TAOService.process`:
 4. **Dispute** — flagged (or force-challenged) tasks open disputes while
    every challenge window is still live, then the active dispute games are
    **multiplexed**: advanced round-robin one partition/selection round at a
-   time over the shared chain, each with its own challenger clone so
-   per-dispute accounting stays exact.
+   time over the shared chain, each with its own challenger clone (the
+   dispute's bonded account); each game keeps its own costs.
 5. **Finalize** — time advances past the challenge window once and all
    unchallenged tasks finalize; every processed request ends in a terminal
    coordinator status, and its report keeps a receipt: the recorded trace
@@ -1010,12 +1010,12 @@ class TAOService(ServiceCore):
         return replace(cached, result=replace(receipt, trace_values=dict(trace.values)))
 
     def _challenger_clone(self, entry: ModelEntry) -> Challenger:
-        """A fresh challenger for one dispute (isolated per-dispute accounting).
+        """A fresh challenger for one dispute: the dispute's bonded account.
 
-        Multiplexed disputes step concurrently; a shared challenger object
-        would mix the FLOP/Merkle accounting of one game into another's
-        statistics.  Clones share the device, thresholds and hash cache of
-        the model's standing challenger, so selection behaviour is identical.
+        Each dispute posts its challenger bond from its own funded account,
+        so one game's bond, reward or slash never touches another's
+        balance.  Clones share the device, thresholds and hash cache of the
+        model's standing challenger, so selection behaviour is identical.
         """
         entry.challenger_clones += 1
         name = f"{entry.challenger.name}-{entry.challenger_clones}"

@@ -298,10 +298,6 @@ class CollusionStakeStrategy:
     def colluder_indices(self) -> np.ndarray:
         return np.arange(self.config.colluders)
 
-    @property
-    def honest_indices(self) -> np.ndarray:
-        return np.arange(self.config.colluders, self.config.committee_size)
-
     def colluding_majority(self) -> bool:
         """Do the *active* colluders hold the adjudicating majority?"""
         needed = (self.config.committee_size // 2) + 1

@@ -240,10 +240,6 @@ class ScenarioSchedule:
             return [list(self.events[i:i + 2]) for i in range(0, len(self.events), 2)]
         return [list(self.events)] if self.events else []
 
-    @property
-    def fault_kinds_used(self) -> Tuple[str, ...]:
-        return tuple(sorted({e.kind for e in self.events if e.kind != "honest"}))
-
 
 def _victim_pools(graph: GraphModule, thresholds) -> Dict[str, List[str]]:
     """Candidate fault targets per kind, in deterministic graph order."""

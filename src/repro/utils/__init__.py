@@ -8,7 +8,6 @@ rely on a single canonical byte representation of tensors and metadata.
 from repro.utils.hashing import sha256_hex, sha256_bytes, hash_concat
 from repro.utils.serialization import canonical_bytes, canonical_json
 from repro.utils.rng import seeded_rng, derive_seed
-from repro.utils.timing import Stopwatch
 
 __all__ = [
     "sha256_hex",
@@ -18,5 +17,4 @@ __all__ = [
     "canonical_json",
     "seeded_rng",
     "derive_seed",
-    "Stopwatch",
 ]

@@ -1,4 +1,5 @@
-"""Shared test helpers: finite-difference gradient checking for operator VJPs."""
+"""Shared test helpers: finite-difference gradient checking for operator VJPs,
+and the log-scan reference for a dispute's running gas."""
 
 from __future__ import annotations
 
@@ -61,3 +62,24 @@ def finite_difference_vjp_check(
             f"{op_name}: VJP mismatch on input {index}: "
             f"analytic={analytic:.6g}, numeric={numeric:.6g}"
         )
+
+
+def scanned_dispute_gas_by_action(coordinator, dispute_id: int) -> Dict[str, int]:
+    """The reference for ``Coordinator.dispute_gas_by_action``: a log scan.
+
+    Every dispute action records its ``dispute_id`` in the transaction
+    details, so the scan keeps the transactions that carry the id and the
+    coordinator's shard tag.  A shard's chain view lists only the
+    transactions it appended; the shard-tag match keeps the scan exact for
+    a coordinator on a bare chain whose log also holds shard-tagged
+    transactions.  Two coordinators on one untagged log share ids and tags,
+    and the scan counts both — which is why the coordinator keeps running
+    totals instead; this scan stays only as the tests' independent oracle.
+    """
+    coordinator.dispute(dispute_id)  # an unknown id raises, as the API does
+    own_shard = getattr(coordinator.chain, "shard_id", None)
+    out: Dict[str, int] = {}
+    for tx in coordinator.chain.transactions:
+        if tx.details.get("dispute_id") == dispute_id and tx.shard == own_shard:
+            out[tx.action] = out.get(tx.action, 0) + tx.gas_used
+    return out

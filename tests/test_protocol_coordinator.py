@@ -15,6 +15,8 @@ from repro.protocol.coordinator import (
 )
 from repro.tensorlib.device import DEVICE_FLEET
 
+from tests.helpers import scanned_dispute_gas_by_action
+
 
 @pytest.fixture()
 def coordinator_setup(mlp_graph, mlp_thresholds, mlp_inputs):
@@ -192,14 +194,17 @@ def test_adjudication_slashes_proposer(coordinator_setup):
     assert coordinator.chain.balance("challenger") > 10_000.0 - dispute.challenger_bond
     assert coordinator.chain.balance("user") == pytest.approx(10_000.0)
     assert coordinator.dispute_gas(dispute.dispute_id) > 0
-    assert "post_partition" in coordinator.dispute_gas_by_action(dispute.dispute_id)
+    by_action = coordinator.dispute_gas_by_action(dispute.dispute_id)
+    assert "post_partition" in by_action
+    assert by_action == scanned_dispute_gas_by_action(coordinator, dispute.dispute_id)
 
 
 def test_running_dispute_gas_on_a_shared_untagged_log(coordinator_setup):
     """Two coordinators on one bare chain both run a dispute with id 0,
-    interleaved.  Each game's running total is the gas of exactly the
-    transactions its own coordinator posted, and the two totals partition
-    the log's dispute-tagged gas."""
+    interleaved.  Each game's running total, and its split by action, is
+    the gas of exactly the transactions its own coordinator posted, and the
+    two totals partition the log's dispute-tagged gas.  A log scan cannot
+    tell the two games apart and counts both."""
     first, commitment, task = coordinator_setup
     chain = first.chain
     second = Coordinator(chain, challenge_window_s=600.0, round_timeout_s=120.0)
@@ -238,6 +243,11 @@ def test_running_dispute_gas_on_a_shared_untagged_log(coordinator_setup):
     assert first.dispute_gas(0) + second.dispute_gas(0) == sum(
         tx.gas_used for tx in chain.transactions
         if tx.details.get("dispute_id") is not None)
+    for coordinator in (first, second):
+        assert sum(coordinator.dispute_gas_by_action(0).values()) == \
+            coordinator.dispute_gas(0)
+        assert sum(scanned_dispute_gas_by_action(coordinator, 0).values()) == \
+            first.dispute_gas(0) + second.dispute_gas(0)
 
 
 # ----------------------------------------------------------------------
@@ -318,6 +328,7 @@ def test_running_gas_starts_with_the_open_transaction(coordinator_setup):
     assert dispute.gas_used == opened[0].gas_used > 0
     assert coordinator.dispute_gas(dispute.dispute_id) == dispute.gas_used
     assert coordinator.dispute_gas_by_action(dispute.dispute_id) == \
+        scanned_dispute_gas_by_action(coordinator, dispute.dispute_id) == \
         {"open_dispute": opened[0].gas_used}
 
 
@@ -325,7 +336,7 @@ def test_running_gas_starts_with_the_open_transaction(coordinator_setup):
 def test_running_gas_follows_every_ending(coordinator_setup, ending):
     """However a game ends, its running total is the gas of every
     transaction posted from the opening on (the coordinator's own slash
-    included), and the log scan splits the same total by action."""
+    included), and its split by action equals a scan of the log."""
     end, actions, status = ENDINGS[ending]
     coordinator, _, task = coordinator_setup
     start = len(coordinator.chain.transactions)
@@ -337,6 +348,7 @@ def test_running_gas_follows_every_ending(coordinator_setup, ending):
     posted = coordinator.chain.transactions[start:]
     assert all(tx.details.get("dispute_id") == dispute.dispute_id for tx in posted)
     by_action = coordinator.dispute_gas_by_action(dispute.dispute_id)
+    assert by_action == scanned_dispute_gas_by_action(coordinator, dispute.dispute_id)
     assert set(by_action) == actions
     assert coordinator.dispute_gas(dispute.dispute_id) == \
         sum(tx.gas_used for tx in posted) == sum(by_action.values())
@@ -441,8 +453,8 @@ def test_interleaved_disputes_on_one_coordinator(coordinator_setup):
 
 def test_running_gas_on_shard_views_of_one_ledger(mlp_graph, mlp_thresholds,
                                                   mlp_inputs):
-    """Two shard coordinators reuse dispute id 0 on one ledger; the scan
-    separates them by shard tag, and each running total equals its scan."""
+    """Two shard coordinators reuse dispute id 0 on one ledger; a log scan
+    separates them by shard tag, and each running split equals its scan."""
     ledger = SimulatedChain()
     commitment = commit_model(mlp_graph, mlp_thresholds)
     trace = Interpreter(DEVICE_FLEET[0]).run(mlp_graph, mlp_inputs)
@@ -468,6 +480,8 @@ def test_running_gas_on_shard_views_of_one_ledger(mlp_graph, mlp_thresholds,
 
     for coordinator in coordinators:
         shard_id = coordinator.chain.shard_id
+        assert coordinator.dispute_gas_by_action(0) == \
+            scanned_dispute_gas_by_action(coordinator, 0)
         assert coordinator.dispute_gas(0) == \
             sum(coordinator.dispute_gas_by_action(0).values()) == sum(
                 tx.gas_used for tx in ledger.transactions

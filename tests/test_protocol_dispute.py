@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.graph.interpreter import Interpreter
 from repro.merkle.commitments import commit_model
 from repro.protocol.coordinator import Coordinator
 from repro.protocol.dispute import DisputeGame
 from repro.protocol.roles import AdversarialProposer, Challenger, CommitteeMember, HonestProposer
+from repro.sim.faults import ColludingCommitteeMember, SimProposer, StaleTraceProposer
 from repro.tensorlib.device import DEVICE_FLEET
+
+from test_protocol_coordinator import ENDINGS
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +137,59 @@ def test_all_leaf_paths_convict_a_gross_cheat(mlp_graph, mlp_thresholds, commitm
         assert outcome.adjudication.path == "committee_vote"
     elif leaf_path == "theoretical":
         assert outcome.adjudication.path == "theoretical_bound"
+
+
+def _ending_roles(ending, mlp_graph, mlp_inputs):
+    """A proposer, a committee and a leaf path that end a game as ``ending``
+    names it (the coordinator-level endings of ``ENDINGS``)."""
+    committee = [CommitteeMember(f"cm{i}", DEVICE_FLEET[i % 4]) for i in range(3)]
+    cheat = {"gelu": np.float32(0.02)}
+    if ending == "adjudicated_cheat":
+        return AdversarialProposer("proposer", DEVICE_FLEET[0], cheat), committee, "routed"
+    if ending == "adjudicated_clear":
+        bought = [ColludingCommitteeMember(f"cm{i}", DEVICE_FLEET[i % 4]) for i in range(3)]
+        return AdversarialProposer("proposer", DEVICE_FLEET[0], cheat), bought, "committee"
+    if ending == "input_binding":
+        stale = {name: value + np.float32(1.0) for name, value in mlp_inputs.items()}
+        source = Interpreter(DEVICE_FLEET[0]).run(mlp_graph, stale, record=True)
+        return StaleTraceProposer("proposer", DEVICE_FLEET[0], source), committee, "routed"
+    if ending == "partition_timeout":
+        return (SimProposer("proposer", DEVICE_FLEET[0], partition_delay_s=10_000.0),
+                committee, "routed")
+    assert ending == "selection_timeout"
+    return HonestProposer("proposer", DEVICE_FLEET[1]), committee, "routed"
+
+
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+def test_challenger_flops_are_the_games_own_rounds(mlp_graph, mlp_thresholds,
+                                                   commitment, mlp_inputs, ending):
+    """However a game ends, its challenger FLOPs are the sum of its own
+    rounds' — also while a second game, fought by the same challenger,
+    is multiplexed with it on one coordinator."""
+    _, actions, status = ENDINGS[ending]
+    proposer, committee, leaf_path = _ending_roles(ending, mlp_graph, mlp_inputs)
+    cheater = AdversarialProposer("cheater", DEVICE_FLEET[0], {"relu": np.float32(0.05)})
+    coordinator = Coordinator()
+    for account in ("owner", "user", "proposer", "cheater", "challenger"):
+        coordinator.chain.fund(account, 10_000.0)
+    coordinator.register_model(commitment, owner="owner")
+    game = DisputeGame(coordinator, mlp_graph, commitment, mlp_thresholds,
+                       committee=committee, n_way=2, leaf_path=leaf_path)
+    challenger = Challenger("challenger", DEVICE_FLEET[3], mlp_thresholds)
+    actives = []
+    for party in (proposer, cheater):
+        result = party.execute(mlp_graph, commitment, mlp_inputs)
+        task = coordinator.submit_result(mlp_graph.name, "user", party.name,
+                                         result.commitment, fee=10.0)
+        actives.append(game.open(task, party, challenger, result))
+    running = list(actives)
+    while running:
+        running = [active for active in running if game.step_round(active)]
+    outcome, other = [game.conclude(active) for active in actives]
+
+    assert coordinator.task(outcome.task_id).status is status
+    assert set(coordinator.dispute_gas_by_action(outcome.dispute_id)) == actions
+    assert other.statistics.challenger_flops > 0
+    for played in (outcome, other):
+        stats = played.statistics
+        assert stats.challenger_flops == sum(r.challenger_flops for r in stats.per_round)

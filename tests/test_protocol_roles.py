@@ -80,7 +80,6 @@ def test_proposer_partition_produces_verifiable_records(mlp_graph, commitment, m
     assert len(records) == 3
     assert records[0].slice_start == 0
     assert records[-1].slice_end == mlp_graph.num_operators
-    assert proposer.stopwatch.count("proposer_partition") == 1
 
 
 def test_challenger_accepts_honest_result(mlp_graph, commitment, mlp_inputs, mlp_thresholds):
@@ -121,7 +120,6 @@ def test_challenger_selection_rule_finds_offending_child(mlp_graph, commitment, 
     assert chosen.slice_start <= offending_index < chosen.slice_end
     assert outcome.merkle_checks > 0
     assert outcome.flops > 0
-    assert challenger.dispute_flops >= outcome.flops
 
 
 def test_challenger_selection_none_for_honest_children(mlp_graph, commitment, mlp_inputs,
@@ -134,17 +132,6 @@ def test_challenger_selection_none_for_honest_children(mlp_graph, commitment, ml
     outcome = challenger.select_offending(mlp_graph, commitment, records)
     assert outcome.selected_index is None
     assert outcome.all_valid
-
-
-def test_challenger_reset_accounting(mlp_graph, commitment, mlp_inputs, mlp_thresholds):
-    challenger = Challenger("chal", DEVICE_FLEET[0], mlp_thresholds)
-    proposer = HonestProposer("prop", DEVICE_FLEET[1])
-    result = proposer.execute(mlp_graph, commitment, mlp_inputs)
-    challenger.verify_result(mlp_graph, result)
-    assert challenger.dispute_flops > 0
-    challenger.reset_accounting()
-    assert challenger.dispute_flops == 0
-    assert challenger.merkle_checks == 0
 
 
 def test_committee_member_vote(mlp_graph, commitment, mlp_inputs, mlp_thresholds):

@@ -13,7 +13,8 @@ adversarial proposers, forced challenges — is run through
   re-dispatched to the ring successor),
 
 and every deployment must produce **byte-identical per-request verdicts**
-(statuses, execution-commitment bytes, dispute localizations) and an
+(statuses, execution-commitment bytes, dispute localizations and each
+round's slice, selection, Merkle checks and FLOPs) and an
 **exactly equal ledger**: the same per-account balance for every account
 that exists anywhere, and the same minted total — float equality, no
 tolerance.  Moves carry a tenant's roles and clone accounting precisely so
@@ -153,8 +154,16 @@ def _fingerprint(request) -> Tuple:
             dispute.resolved_by_timeout,
             dispute.statistics.rounds,
             dispute.statistics.gas_used,
+            _round_costs(dispute.statistics),
         ),
     )
+
+
+def _round_costs(statistics) -> Tuple:
+    """Each played round's exact fields (its wall-clock times left out)."""
+    return tuple((r.slice_start, r.slice_end, r.num_children, r.selected_child,
+                  r.merkle_checks, r.challenger_flops)
+                 for r in statistics.per_round)
 
 
 def _assert_equivalent(expected_requests, expected_ledger, got_requests,
@@ -221,6 +230,11 @@ def test_fleet_matches_cluster(reference, tenant_graphs, mlp_thresholds,
                            fleet_requests, _ledger(fleet))
         _assert_equivalent(cluster_requests, _ledger(cluster),
                            fleet_requests, _ledger(fleet))
+        # The fleet ships each dispute's rounds, not an empty list.
+        assert any(request.report.dispute.statistics.per_round
+                   for request in fleet_requests
+                   if request.report is not None
+                   and request.report.dispute is not None)
 
 
 @pytest.mark.parametrize("tier", TIERS)

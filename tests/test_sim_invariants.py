@@ -886,7 +886,11 @@ def test_gas_partition_detects_running_total_drift(sim_mlp_workload, tier):
                 "adjudication_path": dispute.adjudication_path,
                 "gas_used": value}]})
         else:
-            coordinator.dispute(dispute_id).gas_used = value
+            # Drift enters through one action's entry, the way a dropped
+            # or doubled add would leave it.
+            by_action = coordinator.dispute(dispute_id).gas_by_action
+            action = min(by_action)
+            by_action[action] += value - coordinator.dispute_gas(dispute_id)
 
     set_gas(gas + 1)
     violations = check_invariants(result)

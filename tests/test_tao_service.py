@@ -17,6 +17,8 @@ from repro.graph import functional as F
 from repro.protocol import TAOService
 from repro.protocol.coordinator import TaskStatus
 
+from test_sharded_equivalence import _round_costs
+
 TERMINAL = {
     TaskStatus.FINALIZED.value,
     TaskStatus.PROPOSER_SLASHED.value,
@@ -147,6 +149,33 @@ def test_forced_challenge_on_honest_result_slashes_challenger(service,
     request = service.request(request_id)
     assert request.status == TaskStatus.CHALLENGER_SLASHED.value
     assert request.report.dispute.resolved_by_timeout
+
+
+def test_disputes_sharing_one_challenger_keep_their_own_costs(
+        mlp_graph, mlp_thresholds, mlp_input_factory):
+    """Two forced disputes fought by one custom challenger in one
+    ``process()`` each report the costs they report when each has its own
+    challenger: a game's FLOPs and Merkle checks are its own rounds'."""
+    def forced_disputes(shared: bool):
+        service = TAOService(n_way=2)
+        session = service.register_model(mlp_graph, threshold_table=mlp_thresholds)
+        spammer = session.make_challenger("spammer")
+        ids = [service.submit("tiny_mlp", mlp_input_factory(seed),
+                              force_challenge=True,
+                              challenger=spammer if shared
+                              else session.make_challenger(f"spammer-{seed}"))
+               for seed in (91, 92)]
+        service.process()
+        return [service.request(request_id).report.dispute.statistics
+                for request_id in ids]
+
+    for got, alone in zip(forced_disputes(shared=True),
+                          forced_disputes(shared=False)):
+        assert alone.challenger_flops > 0
+        assert got.challenger_flops == alone.challenger_flops == sum(
+            r.challenger_flops for r in alone.per_round)
+        assert got.merkle_checks == alone.merkle_checks
+        assert _round_costs(got) == _round_costs(alone)
 
 
 def test_result_cache_serves_repeated_payloads(service, mlp_input_factory):

@@ -1,9 +1,8 @@
-"""Unit tests for seeded RNG derivation and the Stopwatch."""
+"""Unit tests for seeded RNG derivation and the consolidated clocks."""
 
 import time
 
 from repro.utils.rng import derive_seed, seeded_rng
-from repro.utils.timing import Stopwatch
 
 
 def test_seeded_rng_reproducible():
@@ -21,31 +20,6 @@ def test_derive_seed_depends_on_labels():
 
 def test_derive_seed_depends_on_base():
     assert derive_seed(1, "x") != derive_seed(2, "x")
-
-
-def test_stopwatch_accumulates_and_merges():
-    sw = Stopwatch()
-    with sw.measure("step"):
-        time.sleep(0.01)
-    with sw.measure("step"):
-        time.sleep(0.01)
-    assert sw.count("step") == 2
-    assert sw.total("step") >= 0.02
-    assert sw.mean("step") > 0.0
-
-    other = Stopwatch()
-    other.add("step", 1.0)
-    other.add("other", 2.0)
-    sw.merge(other)
-    assert sw.count("step") == 3
-    assert sw.total("other") == 2.0
-
-
-def test_stopwatch_unknown_label_is_zero():
-    sw = Stopwatch()
-    assert sw.total("missing") == 0.0
-    assert sw.mean("missing") == 0.0
-    assert sw.count("missing") == 0
 
 
 def test_no_direct_perf_counter_outside_timing():

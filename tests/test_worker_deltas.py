@@ -28,6 +28,7 @@ from repro.fleet.worker import _SECTIONS, CoordinatorDeltas, ShardWorker
 from repro.graph import trace_module
 from repro.protocol.service import TAOService
 
+from tests.helpers import scanned_dispute_gas_by_action
 from test_sharded_equivalence import _victim
 
 TERMINAL = {"finalized", "proposer_slashed", "challenger_slashed"}
@@ -43,7 +44,8 @@ def _coordinator_payload(coordinator):
 
 def _scanned_gas(coordinator):
     """Each dispute's gas from a scan of the chain's log."""
-    return {dispute_id: sum(coordinator.dispute_gas_by_action(dispute_id).values())
+    return {dispute_id: sum(scanned_dispute_gas_by_action(coordinator,
+                                                          dispute_id).values())
             for dispute_id in coordinator.disputes}
 
 
