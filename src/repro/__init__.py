@@ -17,8 +17,8 @@ The package provides the full TAO stack built from scratch on NumPy:
 * :mod:`repro.protocol` — the optimistic protocol: coordinator, dispute
   game, leaf adjudication, economics, and the gas-metered simulated ledger;
 * :mod:`repro.attacks` — bound-aware PGD attacks and their evaluation;
-* :mod:`repro.models` / :mod:`repro.workloads` — mini-scale analogues of the
-  paper's four workloads and synthetic datasets;
+* :mod:`repro.models` — mini-scale analogues of the paper's four workloads,
+  each with its seeded input sampler;
 * :mod:`repro.sim` — the adversarial protocol simulator: seedable
   multi-actor fault injection with safety / liveness / conservation
   invariant checking and counterexample shrinking;

@@ -94,7 +94,7 @@ class TAOCluster(PlacedCore):
             graph_module, threshold_table=threshold_table, **session_kwargs,
         )
         self.placement.admit(TenantRecord(name=graph_module.name, key=key,
-                                          shard_id=home, home_id=home))
+                                          shard_id=home))
         return session
 
     def model(self, name: str) -> ModelEntry:

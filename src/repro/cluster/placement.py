@@ -49,11 +49,8 @@ class TenantRecord:
     name: str
     #: Routing key: the model commitment digest (weights+graph+thresholds).
     key: bytes
-    #: Shard currently serving the tenant (follows failover/rebalance).
+    #: Shard currently serving the tenant (follows drains and rebalances).
     shard_id: str
-    #: Shard the ring originally homed the tenant on.
-    home_id: str
-    failovers: int = 0
 
 
 #: One planned move: the tenant, and the shard it moves to.
@@ -217,7 +214,6 @@ class Placement:
         """Move one tenant to its ring successor (the next-node rule)."""
         record = self.record(name)
         target = self.ring.successor(record.key, exclude={record.shard_id})
-        record.failovers += 1
         self.failovers += 1
         return record, target
 
@@ -323,8 +319,8 @@ class PlacedCore(ServiceCore):
         its backend."""
 
     def _lose_shard(self, shard_id: str) -> None:
-        """Recover from a shard that died under a call (one of
-        ``_shard_lost``); only tiers whose shards can die override it."""
+        """Restart a shard that died under a call (one of ``_shard_lost``)
+        in place; only tiers whose shards can die override it."""
         raise NotImplementedError
 
     # -- membership ------------------------------------------------------
@@ -387,8 +383,8 @@ class PlacedCore(ServiceCore):
             self._dispatch(request, self.location(model_name))
         except self._shard_lost:
             # The home shard died (or wedged past its deadline) under the
-            # call and is already marked dead: recover it or re-home its
-            # tenants, then retry once.
+            # call and is already marked dead: restart it in place, then
+            # retry once.
             self._lose_shard(self.location(model_name))
             self._dispatch(request, self.location(model_name))
         self._requests[request.request_id] = request
@@ -461,9 +457,9 @@ class PlacedCore(ServiceCore):
             self._lose_shard(shard_id)
         processed = [item for _, results in drained for item in results]
         if died and self.pending_count:
-            # Failover queued re-dispatched requests on ring successors;
-            # recovery left them queued on the restarted shard.  Either way,
-            # finish the drain so every admitted request comes back terminal.
+            # Recovery left the dead shard's requests queued on its
+            # restarted incarnation: finish the drain so every admitted
+            # request comes back terminal.
             processed.extend(self._process_round(max_requests))
         return processed
 
@@ -478,7 +474,7 @@ class PlacedCore(ServiceCore):
         """``(request id, view)`` of one shard's processed requests."""
         results = []
         for local_id, view in done:
-            request_id = self._by_local.get((shard_id, local_id))
+            request_id = self._by_local.pop((shard_id, local_id), None)
             if request_id is not None:
                 self._pending[shard_id].remove(request_id)
                 results.append((request_id, view))

@@ -11,8 +11,10 @@ over a different shard backend.  Here each shard is a full
 end's backend vocabulary as ops over the serialized RPC transport
 (:mod:`repro.fleet.transport`).  Unbounded drains of several workers run
 concurrently, on distinct interpreters, so the fleet measures parallel
-wall clock.  Dead-worker failover and write-ahead-journal recovery are the
-fleet's own.
+wall clock.  Dead-worker recovery is the fleet's own: a worker that dies
+or wedges under a call is restarted in place and replays its parent-held
+write-ahead journal, so no task it held is left open on the chain.
+Re-homing stays an administrative move (drain, remove, slash quarantine).
 
 Settlement stays exact: workers never hold ledger state.  A worker's
 shard view sits over a :class:`~repro.fleet.chainproxy.RemoteLedger`, so
@@ -384,13 +386,9 @@ class ProcessFleet(PlacedCore):
         actor_module: str = "repro.fleet.actors",
         start_method: Optional[str] = None,
         worker_timeout_s: Optional[float] = None,
-        recovery: str = "failover",
     ) -> None:
         if num_workers < 1:
             raise ValueError("a fleet needs at least one worker")
-        if recovery not in ("failover", "journal"):
-            raise ValueError(
-                f"recovery must be 'failover' or 'journal', not {recovery!r}")
         super().__init__(
             chain, devices, hash_cache, FleetError, alpha,
             result_cache_size=result_cache_size, n_way=n_way,
@@ -399,28 +397,17 @@ class ProcessFleet(PlacedCore):
         self.actor_module = actor_module
         #: Hung-worker deadline: every parent-side channel operation must
         #: complete within this many seconds or the worker is declared
-        #: wedged (:class:`TransportTimeout`) and failed over like a dead
-        #: one.  ``None`` waits forever (the pre-timeout behavior).
+        #: wedged (:class:`TransportTimeout`), killed and restarted in place
+        #: like a dead one.  ``None`` waits forever.
         self.worker_timeout_s = (None if worker_timeout_s is None
                                  else float(worker_timeout_s))
         self._context = multiprocessing.get_context(start_method)
         self._closed = False
-        #: Dead-worker policy: ``"failover"`` re-homes tenants on ring
-        #: successors (in-flight disputes are forfeited and reported in
-        #: :attr:`forfeited_disputes`); ``"journal"`` restarts the worker in
-        #: place and replays its write-ahead journal, resuming in-flight
-        #: disputes to byte-identical verdicts.
-        self.recovery = recovery
         #: Per-shard write-ahead journals (parent-held; they survive the
         #: worker's crash domain by construction).
         self.journals: Dict[str, ShardJournal] = {}
         #: Workers restarted-and-replayed from their journal.
         self.recoveries = 0
-        #: Disputes that were in flight on a worker at failover time, per
-        #: its spec journal: ``{"shard_id", "task", "state"}`` rows.  The
-        #: failover path forfeits them (the replacement worker re-executes
-        #: the requests from scratch); journal recovery resumes them.
-        self.forfeited_disputes: List[Dict[str, Any]] = []
         #: Shards currently replaying their journal: command/spec recording
         #: is suppressed for them (the journal already holds this prefix).
         self._replaying: set = set()
@@ -563,7 +550,7 @@ class ProcessFleet(PlacedCore):
         handle.alive = False
         self.placement.mark_dead(handle.shard_id)
         # A hung-but-alive worker (the TransportTimeout path) is killed, so
-        # a wedged child cannot outlive its failover.
+        # a wedged child cannot outlive its restart.
         stop_worker(handle.process, handle.channel, join_s=1.0)
 
     # ------------------------------------------------------------------
@@ -606,8 +593,7 @@ class ProcessFleet(PlacedCore):
             "fund_accounts": True,
             "challenger_clones": 0,
         }
-        record = FleetModel(name=name, key=key, shard_id=home, home_id=home,
-                            payload=payload)
+        record = FleetModel(name=name, key=key, shard_id=home, payload=payload)
         self.workers[home].register(record)
         return self.placement.admit(record)
 
@@ -621,36 +607,22 @@ class ProcessFleet(PlacedCore):
     # ------------------------------------------------------------------
 
     def _lose_shard(self, shard_id: str) -> None:
-        if self.recovery == "journal":
-            self._recover_worker(shard_id)
-        else:
-            self._fail_over_worker(shard_id)
-
-    def _recover_worker(self, shard_id: str) -> None:
         """Restart a dead worker in place and replay its write-ahead journal.
 
-        The replacement process keeps the shard's identity: ring placement,
-        coordinator snapshot, pending queue and request records all survive
-        untouched.  Replaying the journaled command stream rebuilds the
-        worker's entire in-memory stack deterministically; its re-issued
-        chain calls carry per-incarnation sequence ids that dedupe against
-        the journal tail, so every pre-crash ledger mutation is applied
-        exactly once and the recovered run stays byte-identical to an
-        uncrashed one.  The command that was in flight at the crash is not
-        replayed here — its caller retries it, and the dedupe makes the
-        retry exact (in-flight disputes resume mid-round rather than being
-        forfeited).
+        The shard keeps its identity (ring placement, coordinator mirror,
+        queue and request records).  Replayed chain calls carry
+        per-incarnation sequence ids that dedupe against the journal tail,
+        so each pre-crash ledger mutation applies exactly once; the command
+        in flight at the crash is retried by its caller, so in-flight
+        disputes resume and leave no escrow behind.  If the relaunch fails,
+        the error surfaces and the shard stays dead until ``remove_shard``.
         """
-        journal = self.journals.get(shard_id)
-        if journal is None:
-            raise FleetError(
-                f"worker {shard_id!r} has no journal to recover from")
         self._replaying.add(shard_id)
         try:
             handle = self.workers[shard_id]
             handle.process, handle.channel = self._launch(shard_id)
             handle.alive = True
-            for entry in journal.commands():
+            for entry in self.journals[shard_id].commands():
                 payload = entry["payload"]
                 try:
                     value = self._call(handle, payload)
@@ -672,34 +644,6 @@ class ProcessFleet(PlacedCore):
         # worker stays drained).
         self.placement.revive(shard_id)
         self.recoveries += 1
-
-    def _fail_over_worker(self, shard_id: str) -> None:
-        """Re-home a dead worker's tenants and queue on ring successors.
-
-        The worker is gone, so nothing can be withdrawn: the stored
-        registration payloads are replayed (``fund_accounts=False`` — the
-        tenants' accounts already exist on the shared chain and re-homing
-        must not create money) and the parent's own pending queue is
-        re-submitted.  Work the worker settled partially before dying stays
-        settled — transfers conserve value, so the ledger still balances.
-        Disputes that were in flight are forfeited: the replacement worker
-        re-executes their requests from scratch.  The spec journal names
-        them exactly (:attr:`forfeited_disputes`).
-        """
-        journal = self.journals.get(shard_id)
-        if journal is not None:
-            try:
-                from repro.spec.machine import validate_journal
-                summary = validate_journal(journal.spec_entries())
-            except Exception:  # noqa: BLE001 - forfeit report is best-effort
-                pass
-            else:
-                for task, state in sorted(summary.in_flight_tasks.items()):
-                    if state == "pending":
-                        continue  # not in a dispute; re-execution is routine
-                    self.forfeited_disputes.append(
-                        {"shard_id": shard_id, "task": task, "state": state})
-        self._execute(self.placement.evacuate(shard_id))
 
     # ------------------------------------------------------------------
     # Observability

@@ -14,7 +14,7 @@ socket to the worker process as a ``multiprocessing.Process`` argument (the
 ``multiprocessing`` reduction machinery transfers the descriptor under both
 ``fork`` and ``spawn`` start methods).  A peer that dies — or closes its end
 on orderly shutdown — surfaces as :class:`TransportClosed` on the next send
-or receive, which is the signal the fleet's failover path keys on.
+or receive, which is the signal the fleet's dead-worker recovery keys on.
 
 Each frame is encoded once.  :meth:`MessageChannel.send` returns the bytes it
 wrote and :meth:`MessageChannel.recv_frame` returns a received frame's raw
@@ -27,7 +27,7 @@ worker holding its socket open) would block ``recv`` forever, stalling every
 caller behind the channel lock.  A channel constructed with ``deadline_s``
 arms a socket timeout on every blocking operation; expiry raises
 :class:`TransportTimeout`, a *subclass* of :class:`TransportClosed`, so every
-existing failover site treats a hung peer exactly like a dead one — no new
+existing dead-worker site treats a hung peer exactly like a dead one — no new
 except-clauses anywhere on the fleet path.
 """
 
@@ -54,7 +54,7 @@ class TransportTimeout(TransportClosed):
 
     Subclasses :class:`TransportClosed` deliberately: to a caller, a worker
     that will never answer is indistinguishable from a dead one, and the
-    failover path must fire either way.
+    recovery path must fire either way.
     """
 
 

@@ -40,6 +40,11 @@ class DisputePhase(str, Enum):
     RESOLVED = "resolved"
 
 
+#: Escrow holds every open task's fee and bonds (empty once all are
+#: terminal: the simulator's C4); burn takes a slash's burned share.
+ESCROW_ACCOUNT = "coordinator-escrow"
+BURN_ACCOUNT = "coordinator-burn"
+
 #: Spec-state names (``repro.spec.machine``) for the open dispute phases,
 #: used by the write-ahead journal entries.
 _PHASE_SPEC_STATE = {
@@ -137,8 +142,6 @@ class Coordinator:
         self.models: Dict[str, ModelCommitment] = {}
         self.tasks: Dict[int, TaskRecord] = {}
         self.disputes: Dict[int, DisputeRecord] = {}
-        self._escrow_account = "coordinator-escrow"
-        self._burn_account = "coordinator-burn"
         #: Optional write-ahead journal sink.  When set, every state
         #: transition emits a ``(state, event)`` record — matching the
         #: executable spec in ``repro.spec.machine`` — *before* the first
@@ -194,8 +197,8 @@ class Coordinator:
         try:
             # Fee and bond move together or not at all: a short proposer
             # bond must not strand the user's fee in escrow.
-            self.chain.transfer_all([(user, self._escrow_account, float(fee)),
-                                     (proposer, self._escrow_account, bond)])
+            self.chain.transfer_all([(user, ESCROW_ACCOUNT, float(fee)),
+                                     (proposer, ESCROW_ACCOUNT, bond)])
         except ValueError as exc:
             raise CoordinatorError(f"cannot escrow task {len(self.tasks)}: {exc}") from None
         task = TaskRecord(
@@ -234,7 +237,7 @@ class Coordinator:
         self._journal_entry(event="finalize", task=task_id,
                             state="pending", next="finalized")
         task.status = TaskStatus.FINALIZED
-        self.chain.transfer(self._escrow_account, task.proposer, task.fee + task.proposer_bond)
+        self.chain.transfer(ESCROW_ACCOUNT, task.proposer, task.fee + task.proposer_bond)
         self.chain.submit(caller, "finalize", payload_bytes=8,
                           details={"task_id": task_id})
         return True
@@ -258,7 +261,7 @@ class Coordinator:
             event="challenge", task=task_id, state="pending",
             next="dispute_adjudication" if num_operators <= 1
             else "dispute_partition")
-        self.chain.transfer(challenger, self._escrow_account, bond)
+        self.chain.transfer(challenger, ESCROW_ACCOUNT, bond)
         dispute = DisputeRecord(
             dispute_id=len(self.disputes),
             task_id=task_id,
@@ -438,15 +441,15 @@ class Coordinator:
             dispute.winner = dispute.challenger
             task.status = TaskStatus.PROPOSER_SLASHED
             reward = self.challenger_reward_share * task.proposer_bond
-            self.chain.transfer(self._escrow_account, dispute.challenger,
+            self.chain.transfer(ESCROW_ACCOUNT, dispute.challenger,
                                 reward + dispute.challenger_bond)
-            self.chain.transfer(self._escrow_account, self._burn_account,
+            self.chain.transfer(ESCROW_ACCOUNT, BURN_ACCOUNT,
                                 task.proposer_bond - reward)
-            self.chain.transfer(self._escrow_account, task.user, task.fee)
+            self.chain.transfer(ESCROW_ACCOUNT, task.user, task.fee)
         else:
             dispute.winner = task.proposer
             task.status = TaskStatus.CHALLENGER_SLASHED
-            self.chain.transfer(self._escrow_account, task.proposer,
+            self.chain.transfer(ESCROW_ACCOUNT, task.proposer,
                                 task.fee + task.proposer_bond + dispute.challenger_bond)
         self._post_dispute_tx(
             dispute, "coordinator", "slash", payload_bytes=32,

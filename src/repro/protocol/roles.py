@@ -304,8 +304,7 @@ class Challenger:
         Returns ``(honest_looking, reports)`` where ``honest_looking`` is True
         when no output operator exceeds its committed threshold.
         """
-        trace = self.interpreter.run(graph_module, result.inputs, record=True,
-                                     count_flops=True)
+        trace = self.interpreter.run(graph_module, result.inputs)
         reports: List[ExceedanceReport] = []
         for name, proposed in zip(result.output_names, result.outputs):
             if not self.thresholds.has_operator(name):

@@ -381,7 +381,6 @@ class TAOService(ServiceCore):
         calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
         threshold_table=None,
         proposer_device: Optional[DeviceProfile] = None,
-        challenger_device: Optional[DeviceProfile] = None,
         fund_accounts: bool = True,
         **session_kwargs,
     ) -> TAOSession:
@@ -389,7 +388,7 @@ class TAOService(ServiceCore):
 
         ``fund_accounts=False`` builds the standing roles without minting
         their initial balances — the re-registration leg of a process-fleet
-        failover, where the tenant's accounts already exist on the shared
+        move, where the tenant's accounts already exist on the shared
         settlement chain and re-homing must not create money.
         """
         name = graph_module.name
@@ -414,7 +413,7 @@ class TAOService(ServiceCore):
             session=session,
             proposer=session.make_honest_proposer(f"{name}-proposer", proposer_device,
                                                   fund=fund_accounts),
-            challenger=session.make_challenger(f"{name}-challenger", challenger_device,
+            challenger=session.make_challenger(f"{name}-challenger",
                                                fund=fund_accounts),
             user=session.make_user(f"{name}-user", fund=fund_accounts),
         )

@@ -26,6 +26,9 @@ Three invariant families, checked after every scenario:
   * C2 — gas partition: per-dispute gas accounting is exact under
     multiplexing — dispute-tagged gas plus untagged gas equals total gas.
   * C3 — no account balance is negative.
+  * C4 — once every coordinator task is terminal the escrow account is
+    empty, so a task a crash left open on the chain shows even when no
+    coordinator mirror saw it.
 
 **Journal** (fleet scenarios only)
   * J1 — every shard's write-ahead journal is a well-formed run of the
@@ -51,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.protocol.coordinator import TaskStatus
+from repro.protocol.coordinator import ESCROW_ACCOUNT, TaskStatus
 from repro.sim.scenario import RequestEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -259,11 +262,20 @@ def _check_conservation(result: "SimulationResult") -> List[InvariantViolation]:
                 "conservation", "C3",
                 f"account {account!r} has negative balance {balance!r}",
             ))
+    coordinators = service_coordinators(result.service)
+    escrow = chain.balances.get(ESCROW_ACCOUNT, 0.0)
+    if escrow and all(task.status.value in TERMINAL_STATUSES
+                      for coordinator in coordinators
+                      for task in coordinator.tasks.values()):
+        out.append(InvariantViolation(
+            "conservation", "C4",
+            f"every task is terminal but {ESCROW_ACCOUNT!r} holds {escrow!r}",
+        ))
     # C2 fleet-wide: each dispute's running gas total (summed as its game
     # posts, mirrored parent-side for fleet workers) must partition every
     # dispute-tagged transaction on the shared log exactly.
     tagged = 0
-    for coordinator in service_coordinators(result.service):
+    for coordinator in coordinators:
         for dispute_id in coordinator.disputes:
             tagged += coordinator.dispute_gas(dispute_id)
     untagged = sum(

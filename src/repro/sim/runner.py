@@ -167,12 +167,7 @@ def run_schedule(schedule: ScenarioSchedule, workload: SimWorkload,
     existing balances survive instead of being re-minted.
     """
     scenario = schedule.scenario
-    # Crash events ride on the schedule (not just the scenario knob) so a
-    # shrunk schedule keeps crashing at the same event; their presence selects
-    # journal recovery for the fleet.
-    crash_events = any(event.crash_after for event in schedule.events)
-    service = _build_service(scenario, workload, journal_recovery=crash_events,
-                             chain=chain)
+    service = _build_service(scenario, workload, chain=chain)
     fleet = isinstance(service, ProcessFleet)
     model_name = workload.graph.name
 
@@ -215,6 +210,8 @@ def run_schedule(schedule: ScenarioSchedule, workload: SimWorkload,
             # to the ring successor before they are processed.
             drained_home = service.location(model_name)
             service.drain_shard(drained_home)
+        # Crash events ride on the schedule (not just the scenario knob) so
+        # a shrunk schedule keeps crashing at the same event.
         if fleet and any(event.crash_after for event in cycle):
             _arm_crash(service, model_name)
         service.process()
@@ -260,7 +257,7 @@ def _arm_crash(fleet: ProcessFleet, model_name: str) -> None:
 
 
 def _build_service(scenario: Scenario, workload: SimWorkload,
-                   journal_recovery: bool = False, chain=None) -> ServiceCore:
+                   chain=None) -> ServiceCore:
     if scenario.process_fleet:
         if scenario.threshold_scale != 1.0:
             raise ValueError(
@@ -276,7 +273,6 @@ def _build_service(scenario: Scenario, workload: SimWorkload,
             hash_cache=workload.hash_cache,
             cycle_capacity=scenario.cycle_capacity,
             actor_module=actors.__name__,
-            recovery="journal" if journal_recovery else "failover",
         )
         envelope = workload.committee_envelope \
             if scenario.calibrated_committee else None

@@ -110,10 +110,9 @@ class Scenario:
     #: When set (and ``process_fleet`` is True), the workload model's home
     #: worker is SIGKILLed at this cycle's first *fresh* chain mutation —
     #: mid-transition, after the write-ahead record but inside the chain
-    #: call stream — and the runner drives the fleet in ``recovery="journal"``
-    #: mode so the worker restarts from its parent-held journal and the
-    #: cycle's drain resumes.  Exercises the crash-recovery path under
-    #: whatever faults the cycle carries.
+    #: call stream — and the fleet restarts the worker in place from its
+    #: parent-held journal, so the cycle's drain resumes.  Exercises the
+    #: crash-recovery path under whatever faults the cycle carries.
     crash_home_at_cycle: Optional[int] = None
     #: Whether the session adopts the workload's calibrated committee-leaf
     #: acceptance envelope (when the workload carries one).  ``False`` runs

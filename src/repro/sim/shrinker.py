@@ -50,7 +50,7 @@ def shrink_schedule(
     schedule reproduces the bug being debugged, not a different one.
 
     Crash events (``crash_after=True``) are held outside the ddmin search:
-    they select journal recovery and anchor *where* the SIGKILL lands, so
+    they anchor *where* the SIGKILL and its journal recovery land, so
     removing one changes the failure mode rather than merely the schedule
     size.  Every candidate is re-merged with them (in original event order),
     which keeps shrunk recovery counterexamples replaying — crash included —

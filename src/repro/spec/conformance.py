@@ -20,6 +20,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.merkle.commitments import ExecutionCommitment
 from repro.protocol.coordinator import (
+    BURN_ACCOUNT,
+    ESCROW_ACCOUNT,
     Coordinator,
     DisputePhase,
     PartitionEntry,
@@ -95,8 +97,8 @@ def _replay_one(coordinator: Coordinator, model_name: str, trace: Trace,
     accounts = {"user": f"spec-user-{index}",
                 "proposer": f"spec-proposer-{index}",
                 "challenger": f"spec-challenger-{index}",
-                "escrow": "coordinator-escrow",
-                "burn": "coordinator-burn"}
+                "escrow": ESCROW_ACCOUNT,
+                "burn": BURN_ACCOUNT}
     for role in ("user", "proposer", "challenger"):
         chain.fund(accounts[role], _TRACE_STAKE)
     before = {role: chain.balance(name) for role, name in accounts.items()}

@@ -214,7 +214,7 @@ class JournalSummary:
     @property
     def in_flight_tasks(self) -> Dict[int, str]:
         """Tasks whose journal ends before a terminal state (a crash here
-        means the dispute must be resumed — or forfeited — per spec)."""
+        means the dispute is resumed by journal replay)."""
         return {task: state for task, state in self.final_states.items()
                 if state not in TERMINAL_STATES}
 

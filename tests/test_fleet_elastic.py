@@ -2,8 +2,8 @@
 
 :class:`TransportTimeout` — a peer that is alive but silent past the
 configured deadline raises a *subclass* of :class:`TransportClosed`, so
-every existing failover site treats a wedged worker exactly like a dead one
-(kill, ring-drain, re-home) and no settlement is lost.  The membership verbs
+every dead-worker site treats a wedged worker exactly like a dead one (kill,
+restart in place from the journal) and no settlement is lost.  The membership verbs
 the fleet shares with the cluster are pinned for both tiers in
 ``tests/test_membership.py``.
 """
@@ -95,10 +95,9 @@ class TestTransportTimeout:
             child.close()
 
 
-class TestHungWorkerFailover:
-    def test_wedged_worker_is_killed_and_failed_over(self, tenant_graphs,
-                                                     mlp_thresholds,
-                                                     mlp_input_factory):
+class TestHungWorkerRecovery:
+    def test_wedged_worker_is_killed_and_restarted_in_place(
+            self, tenant_graphs, mlp_thresholds, mlp_input_factory):
         if multiprocessing.get_start_method() not in ("fork", "forkserver"):
             pytest.skip("SIGSTOP pin relies on POSIX process control")
         fleet = ProcessFleet(num_workers=2, worker_timeout_s=2.0)
@@ -110,16 +109,18 @@ class TestHungWorkerFailover:
             proc = fleet.workers["shard-1"].process
             os.kill(proc.pid, signal.SIGSTOP)
             # The submit hits the 2 s deadline, and the fleet treats the
-            # wedged worker like a dead one: kill, ring-drain, re-home,
-            # then the submit is retried on the new home.
+            # wedged worker like a dead one: kill, restart in place from
+            # the journal, then retry the submit on the same home.
             request_id = fleet.submit(victim_tenant, mlp_input_factory(7))
-            assert not fleet.workers["shard-1"].alive
-            assert fleet.placement.ring.is_drained("shard-1")
-            assert fleet.failovers >= 1
-            assert fleet.location(victim_tenant) == "shard-0"
+            worker = fleet.workers["shard-1"]
+            assert worker.alive and worker.process.pid != proc.pid
+            assert not fleet.placement.ring.is_drained("shard-1")
+            assert "shard-1" not in fleet.placement.dead
+            assert fleet.recoveries == 1 and fleet.failovers == 0
+            assert fleet.location(victim_tenant) == "shard-1"
             results = fleet.process()
             assert [r.request_id for r in results] == [request_id]
-            assert results[0].status is not None
+            assert results[0].status == "finalized"
             time.sleep(0.2)
             assert not proc.is_alive(), "wedged worker must be killed"
             assert _conserved(fleet)

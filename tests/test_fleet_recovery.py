@@ -26,9 +26,11 @@ import pytest
 
 from repro.fleet import ProcessFleet
 from repro.fleet.wire import encode_perturbation
+from repro.protocol.coordinator import ESCROW_ACCOUNT
 from repro.spec import validate_journal
 from repro.utils.serialization import canonical_bytes
 
+from test_fleet_failover import _kill_home_at_first_partition
 from test_sharded_equivalence import _victim
 
 TERMINAL = {"finalized", "proposer_slashed", "challenger_slashed"}
@@ -95,8 +97,8 @@ def _fingerprint(fleet, request_ids) -> bytes:
 
 
 def _drive(graph, thresholds, input_factory, boundary=None):
-    """One journal-mode fleet run; ``boundary`` picks the SIGKILL point."""
-    fleet = ProcessFleet(num_workers=1, n_way=2, recovery="journal")
+    """One fleet run; ``boundary`` picks the SIGKILL point."""
+    fleet = ProcessFleet(num_workers=1, n_way=2)
     try:
         fleet.register_model(graph, threshold_table=thresholds)
         home = fleet.location(graph.name)
@@ -128,7 +130,7 @@ def _drive(graph, thresholds, input_factory, boundary=None):
             "home": home,
             "journal": summary,
             "chain_tail": fleet.journal_for(home).chain_tail,
-            "forfeits": list(fleet.forfeited_disputes),
+            "escrow": fleet.chain.balances.get(ESCROW_ACCOUNT, 0.0),
         }
     finally:
         fleet.close()
@@ -148,10 +150,10 @@ def test_sigkill_at_every_wal_boundary_recovers_byte_identically(
     run = _drive(mlp_graph, mlp_thresholds, mlp_input_factory, boundary)
 
     # The kill landed, the worker was restarted from its journal in place
-    # (no failover, no forfeits), and the drain still terminated everything.
+    # (nothing left in escrow), and the drain still terminated everything.
     assert run["killed"] == [run["home"]]
     assert run["recoveries"] == 1
-    assert run["forfeits"] == []
+    assert run["escrow"] == 0.0
 
     # The acceptance pin: verdicts, balances, minted, and the transaction
     # log are byte-identical to the uncrashed run.
@@ -185,7 +187,7 @@ def test_at_most_once_across_kill_between_mutation_and_ack(
 def test_journal_recovery_on_a_multi_worker_fleet(mlp_graph, mlp_thresholds,
                                                   mlp_input_factory):
     """Recovery restarts the dead shard in place; other shards are untouched."""
-    fleet = ProcessFleet(num_workers=3, n_way=2, recovery="journal")
+    fleet = ProcessFleet(num_workers=3, n_way=2)
     try:
         fleet.register_model(mlp_graph, threshold_table=mlp_thresholds)
         home = fleet.location(mlp_graph.name)
@@ -216,39 +218,36 @@ def test_journal_recovery_on_a_multi_worker_fleet(mlp_graph, mlp_thresholds,
         fleet.close()
 
 
-def test_failover_mode_reports_forfeited_disputes(mlp_graph, mlp_thresholds,
-                                                  mlp_input_factory):
-    """Without journal recovery, in-flight disputes are forfeited by name."""
-    fleet = ProcessFleet(num_workers=3, n_way=2)  # default: failover
+def test_sigkill_mid_dispute_forfeits_nothing(mlp_graph, mlp_thresholds,
+                                              mlp_input_factory):
+    """A kill mid-dispute on a default fleet: every dispute opened on the
+    chain is resolved by its own coordinator, and the escrow drains."""
+    fleet = ProcessFleet(num_workers=3, n_way=2)
     try:
         fleet.register_model(mlp_graph, threshold_table=mlp_thresholds)
         home = fleet.location(mlp_graph.name)
         request_ids = _submit_mixed(fleet, mlp_graph, mlp_input_factory)
-        killed = []
-
-        def kill_home_once(shard_id, message):
-            if shard_id == home and not killed \
-                    and message.get("method") == "submit" \
-                    and message["args"].get("action") == "post_partition":
-                killed.append(shard_id)
-                handle = fleet.workers[shard_id]
-                os.kill(handle.process.pid, signal.SIGKILL)
-                handle.process.join(timeout=10.0)
-
-        fleet._chain_call_hook = kill_home_once
+        killed = _kill_home_at_first_partition(fleet, home)
         fleet.process()
         fleet._chain_call_hook = None
 
         assert killed == [home]
-        assert fleet.recoveries == 0
-        assert fleet.forfeited_disputes, \
-            "the kill landed mid-dispute; the spec journal must name it"
-        for forfeit in fleet.forfeited_disputes:
-            assert forfeit["shard_id"] == home
-            assert forfeit["state"].startswith("dispute_")
-        # Failover still terminates everything and conserves value.
+        assert fleet.recoveries == 1
+        assert fleet.redispatched_requests == 0
         for request_id in request_ids:
             assert fleet.request(request_id).status in TERMINAL
+        # No dispute was abandoned: each one opened on the chain is a
+        # resolved dispute of the home coordinator, and the journal ends
+        # with no task in flight.
+        opened = [tx for tx in fleet.chain.transactions
+                  if tx.action == "open_dispute"]
+        disputes = fleet.workers[home].coordinator.disputes
+        assert opened and len(opened) == len(disputes)
+        assert all(dispute.phase.value == "resolved"
+                   for dispute in disputes.values())
+        summary = validate_journal(fleet.journal_for(home).spec_entries())
+        assert summary.in_flight_tasks == {}
+        assert fleet.chain.balances.get(ESCROW_ACCOUNT, 0.0) == 0.0
         assert sum(fleet.chain.balances.values()) == fleet.chain.minted
     finally:
         fleet.close()

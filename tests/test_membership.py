@@ -351,6 +351,30 @@ def test_stats_count_a_redispatched_request_once(make_tier, tenant_graphs,
     assert set(stats.shard_busy_s) == {"shard-0", "shard-1"}
 
 
+def test_local_id_map_holds_only_pending_requests(make_tier, tenant_graphs,
+                                                  mlp_thresholds,
+                                                  mlp_input_factory):
+    """The front end's ``(shard, local id)`` map is bounded by the requests
+    still queued: a returned request leaves it, whether its drain was
+    partial, whole or after a move."""
+    front = make_tier(2)
+    _register_all(front, tenant_graphs, mlp_thresholds)
+    for burst in range(5):
+        for index in range(8):
+            graph = tenant_graphs[(burst + index) % len(tenant_graphs)]
+            front.submit(graph.name, mlp_input_factory(500 + 8 * burst + index))
+        if burst == 2:
+            front.drain_shard("shard-0")
+        if burst == 3:
+            front.undrain_shard("shard-0")
+        front.process(max_requests=5)
+        assert front.pending_count > 0
+        assert len(front._by_local) == front.pending_count
+    front.process()
+    assert front.pending_count == 0 and front._by_local == {}
+    assert len(front._requests) == 40
+
+
 def test_shard_ids_are_reserved(tier, make_tier):
     front = make_tier(2)
     with pytest.raises(ERRORS[tier]):
@@ -500,8 +524,7 @@ def _placement(*shard_ids: str, tenants=()) -> Placement:
     for name in tenants:
         key = name.encode()
         home = placement.ring.node_for(key)
-        placement.admit(TenantRecord(name=name, key=key, shard_id=home,
-                                     home_id=home))
+        placement.admit(TenantRecord(name=name, key=key, shard_id=home))
     return placement
 
 

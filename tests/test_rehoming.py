@@ -1,11 +1,12 @@
 """Re-homing audit: undrain racing a prior failover must leave routing sane.
 
-The bug class under test: a tenant is drained off its home, fails over
-*again* while the home is out (second drain at the cluster tier, worker
-death at the fleet tier), and the original home is then undrained.  The
-undrain rebalance must route every tenant back to its ring owner — and that
-owner must actually *host* the tenant's ModelEntry, with no stale copy left
-on any shard it passed through.  A fresh submit per tenant then proves the
+The bug class under test: a tenant is drained off its home, its second
+home is disturbed while the first is out (a second drain at the cluster
+tier; a worker death, restarted in place, at the fleet tier), and the
+original home is then undrained.  The undrain rebalance must route every
+tenant back to its ring owner — and that owner must actually *host* the
+tenant's ModelEntry, with no stale copy left on any shard it passed
+through.  A fresh submit per tenant then proves the
 routing table operationally, and exact conservation proves none of the
 migrations minted or destroyed value.
 """
@@ -107,31 +108,35 @@ class TestFleetRehoming:
 
             probe = rehoming_graphs[0].name
             first_home = fleet.location(probe)
+            drained = len(fleet.placement.tenants_on(first_home))
             fleet.drain_shard(first_home)
             second_home = fleet.location(probe)
             assert second_home != first_home
+            assert fleet.failovers == drained
 
-            # The worker the probe failed over to dies for real; the next
-            # drain discovers the EOF and re-homes its tenants again (the
-            # drained first home is excluded from the successor search).
+            # The worker the probe moved to dies for real; the next drain
+            # discovers the EOF and restarts it in place from its journal,
+            # adopted tenants and re-dispatched queue included.
             handle = fleet.workers[second_home]
             os.kill(handle.process.pid, signal.SIGKILL)
             handle.process.join(timeout=5.0)
             results = fleet.process()
             assert len(results) == len(request_ids)
-            assert not fleet.workers[second_home].alive
-            assert fleet.location(probe) not in (first_home, second_home)
-            assert fleet.failovers >= 2
+            assert fleet.workers[second_home].alive
+            assert fleet.location(probe) == second_home
+            assert fleet.recoveries == 1
+            # Only the administrative drain moved tenants.
+            assert fleet.failovers == drained
 
             fleet.undrain_shard(first_home)
 
             # Undrain re-migration: every tenant back on its ring owner,
-            # which by construction excludes the dead worker.
+            # the restarted worker's included.
             for name in fleet.model_names:
                 record = fleet.placement.record(name)
                 assert fleet.placement.ring.node_for(record.key) == record.shard_id
-                assert record.shard_id != second_home
                 assert fleet.workers[record.shard_id].alive
+            assert fleet.location(probe) == first_home
 
             # Operational proof on the process tier: the routed worker must
             # host each registration, or these submits would fail there.

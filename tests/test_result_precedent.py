@@ -236,7 +236,7 @@ def test_fleet_and_cluster_agree(tenant_graphs, flagging_table,
 
 
 def _journal_run(graph, table, input_factory, kill):
-    fleet = ProcessFleet(num_workers=1, n_way=2, recovery="journal")
+    fleet = ProcessFleet(num_workers=1, n_way=2)
     try:
         fleet.register_model(graph, threshold_table=table)
         ids = [fleet.submit(graph.name, input_factory(6800))]

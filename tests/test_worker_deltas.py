@@ -67,7 +67,7 @@ def reference_fleet(monkeypatch):
 
     def make(num_workers: int = 1) -> ProcessFleet:
         fleet = ProcessFleet(num_workers=num_workers, n_way=2,
-                             recovery="journal", start_method="fork")
+                             start_method="fork")
         made.append(fleet)
         return fleet
 
