@@ -53,7 +53,6 @@ class TAOCluster(PlacedCore):
         num_shards: int = 4,
         chain: Optional[SimulatedChain] = None,
         devices: Sequence[DeviceProfile] = DEVICE_FLEET,
-        result_cache_size: int = 256,
         alpha: float = 3.0,
         n_way: int = 2,
         committee_size: int = 3,
@@ -64,8 +63,7 @@ class TAOCluster(PlacedCore):
         if num_shards < 1:
             raise ValueError("a cluster needs at least one shard")
         super().__init__(
-            chain, devices, hash_cache, ClusterError, alpha,
-            result_cache_size=result_cache_size, n_way=n_way,
+            chain, devices, hash_cache, ClusterError, alpha, n_way=n_way,
             committee_size=committee_size, leaf_path=leaf_path,
             cycle_capacity=cycle_capacity)
         for index in range(num_shards):

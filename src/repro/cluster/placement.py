@@ -26,13 +26,12 @@ from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set,
 
 import numpy as np
 
-from repro.calibration.calibrator import CalibrationConfig, Calibrator
 from repro.calibration.thresholds import ThresholdTable
 from repro.cluster.ring import ConsistentHashRing
 from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
-from repro.merkle.commitments import commit_model
 from repro.protocol.chain import SimulatedChain
+from repro.protocol.lifecycle import commit_phase0
 from repro.protocol.service import ServiceCore, ServiceRequest, ServiceStats
 from repro.tensorlib.device import DeviceProfile
 from repro.utils.timing import now
@@ -101,22 +100,9 @@ class Placement:
         name = graph_module.name
         if name in self.tenants:
             raise self.error(f"model {name!r} is already registered")
-        if threshold_table is None:
-            if calibration_inputs is None:
-                raise ValueError(
-                    "register_model requires calibration inputs or a threshold table"
-                )
-            calibrator = Calibrator(CalibrationConfig(devices=self.devices))
-            calibration = calibrator.calibrate(graph_module, calibration_inputs)
-            threshold_table = ThresholdTable.from_calibration(calibration,
-                                                              alpha=self.alpha)
-        commitment = commit_model(
-            graph_module, threshold_table,
-            metadata={"alpha": self.alpha,
-                      "num_operators": graph_module.num_operators},
-            cache=self.hash_cache,
-            committee_envelope=committee_envelope,
-        )
+        threshold_table, commitment = commit_phase0(
+            graph_module, self.devices, self.alpha, self.hash_cache,
+            calibration_inputs, threshold_table, committee_envelope)
         key = commitment.digest()
         return threshold_table, key, self.ring.node_for(key)
 
@@ -171,6 +157,7 @@ class Placement:
         self._guard_last_live(shard_id, "remove")
         self.shards.remove(shard_id)
         self.drained.discard(shard_id)
+        self.dead.discard(shard_id)
         self.retired.append(shard_id)
         self.ring.remove_node(shard_id)
         return [(record, self.ring.node_for(record.key))
@@ -218,9 +205,12 @@ class Placement:
         return record, target
 
     def _rebalance(self) -> List[Move]:
-        """Moves aligning every tenant with its ring owner."""
+        """Moves aligning every tenant with its ring owner.  A dead shard's
+        tenants stay: it restarts in place, and only a removal re-homes
+        them."""
         moves = [(record, self.ring.node_for(record.key))
-                 for _, record in sorted(self.tenants.items())]
+                 for _, record in sorted(self.tenants.items())
+                 if record.shard_id not in self.dead]
         return [(record, target) for record, target in moves
                 if target != record.shard_id]
 
@@ -260,24 +250,28 @@ class PlacedRequest:
     view: Optional[ServiceRequest] = None
     redispatched: int = 0
 
-    def resolve(self) -> ServiceRequest:
-        return self.view
-
 
 class PlacedCore(ServiceCore):
     """The one sharded front end; a shard backend serves each shard.
 
     The front end owns everything above a shard: placement, request records
-    and the ``(shard, local id)`` map, the queue reads, processed-request
-    ordering, move execution with re-dispatch, the slash quarantine and the
-    membership verbs.  It drives every shard through one backend vocabulary:
+    and the one pending index (per shard, ``{local id: request id}`` in
+    dispatch order), the queue reads, processed-request ordering, move
+    execution with re-dispatch, the slash quarantine, dead-shard restarts
+    and the membership verbs.  It drives every shard through one backend
+    vocabulary:
 
     * ``enqueue(record) -> (local id, view)`` and
       ``drain(max_requests) -> [(local id, view)]``, which processes;
     * ``withdraw(name) -> [local id]``, then ``detach(record)`` on the
       source and ``adopt(record, state)`` on the target of a move;
     * ``quarantine(name)``, ``stats()`` (``None`` before a first report),
-      ``stop()``, and the ``alive`` and ``coordinator`` attributes.
+      ``stop()``, and the ``coordinator`` attribute.
+
+    Every admitted request is returned by exactly one ``process()``: a
+    drained result waits in ``_unreported`` until a whole drain completes,
+    so a raise (another shard's drain, a restart, the quarantine) leaves it
+    for the next ``process()``.
 
     :class:`~repro.cluster.shard.Shard` implements it in process and
     :class:`~repro.fleet.fleet.WorkerHandle` over a worker's RPC channel.
@@ -307,9 +301,11 @@ class PlacedCore(ServiceCore):
         #: invariant checks.
         self.retired_shards: List[Any] = []
         self._requests: Dict[int, PlacedRequest] = {}
-        self._by_local: Dict[Tuple[str, int], int] = {}
-        #: Queued request ids per shard, in dispatch order.
-        self._pending: Dict[str, List[int]] = {}
+        #: The pending index: per shard, local id -> request id of each
+        #: queued request, in dispatch order.
+        self._pending: Dict[str, Dict[int, int]] = {}
+        #: Drained requests no ``process()`` has returned yet, by request id.
+        self._unreported: Dict[int, ServiceRequest] = {}
         #: Wall-clock seconds measured around the drains.
         self.measured_wall_s = 0.0
 
@@ -318,9 +314,9 @@ class PlacedCore(ServiceCore):
         """Bring up shard ``shard_id`` (before it joins the ring); returns
         its backend."""
 
-    def _lose_shard(self, shard_id: str) -> None:
-        """Restart a shard that died under a call (one of ``_shard_lost``)
-        in place; only tiers whose shards can die override it."""
+    def _restart_shard(self, shard_id: str) -> None:
+        """Restart a dead shard in place, or raise leaving it dead; only
+        tiers whose shards can die (``_shard_lost``) override it."""
         raise NotImplementedError
 
     # -- membership ------------------------------------------------------
@@ -329,7 +325,7 @@ class PlacedCore(ServiceCore):
         """Add a shard and migrate exactly the tenants its ring arcs won."""
         shard_id = self.placement.reserve(shard_id)
         self.shards[shard_id] = self._start_shard(shard_id)
-        self._pending[shard_id] = []
+        self._pending[shard_id] = {}
         self._execute(self.placement.join(shard_id))
         return shard_id
 
@@ -373,30 +369,32 @@ class PlacedCore(ServiceCore):
     def submit(self, model_name: str, inputs: Mapping[str, np.ndarray],
                proposer: Any = None, force_challenge: bool = False,
                challenger: Any = None) -> int:
-        """Enqueue one request on its tenant's shard; returns its id."""
-        self.placement.record(model_name)  # fail fast on unknown tenants
+        """Enqueue one request on its tenant's shard; returns its id.  A dead
+        home is restarted first; one that dies under the call is restarted
+        and the enqueue retried once."""
+        home = self.location(model_name)  # fail fast on unknown tenants
         request = PlacedRequest(
             request_id=len(self._requests), model_name=model_name,
             inputs=dict(inputs), proposer=proposer, challenger=challenger,
             force_challenge=bool(force_challenge))
         try:
-            self._dispatch(request, self.location(model_name))
+            if home in self.placement.dead:
+                self._restart_shard(home)
+            self._dispatch(request, home)
         except self._shard_lost:
-            # The home shard died (or wedged past its deadline) under the
-            # call and is already marked dead: restart it in place, then
-            # retry once.
-            self._lose_shard(self.location(model_name))
-            self._dispatch(request, self.location(model_name))
+            self._restart_shard(home)
+            self._dispatch(request, home)
         self._requests[request.request_id] = request
         return request.request_id
 
     def _dispatch(self, request: PlacedRequest, shard_id: str) -> None:
         request.local_id, request.view = self.shards[shard_id].enqueue(request)
         request.shard_id = shard_id
-        self._by_local[(shard_id, request.local_id)] = request.request_id
-        self._pending[shard_id].append(request.request_id)
+        self._pending[shard_id][request.local_id] = request.request_id
 
     def request(self, request_id: int) -> ServiceRequest:
+        """The view of request ``request_id``.  Key results by this id: an
+        in-process shard's view carries the shard's local id."""
         return self._requests[request_id].view
 
     @property
@@ -404,81 +402,75 @@ class PlacedCore(ServiceCore):
         return sum(len(queue) for queue in self._pending.values())
 
     def queue_depths(self) -> Dict[str, int]:
-        """Pending requests per live shard."""
+        """Pending requests per shard that is not dead."""
         return {shard_id: len(self._pending[shard_id])
-                for shard_id in sorted(self.shards) if self.shards[shard_id].alive}
+                for shard_id in sorted(self.shards)
+                if shard_id not in self.placement.dead}
 
     # -- processing ------------------------------------------------------
 
     def process(self, max_requests: Optional[int] = None) -> List[ServiceRequest]:
         """Drain the shards with pending work, in shard-id order (several at
         once where the backend runs them concurrently); ``max_requests``
-        caps the drain front-end-wide and runs it sequentially.  Returns the
-        processed requests in submission order."""
+        caps the drain front-end-wide and runs it sequentially.  Each round
+        drains, quarantines, then restarts the dead shards, whose queues the
+        next round drains while the cap lasts.  Returns the processed
+        requests in submission order."""
         started = now()
-        processed = self._process_round(max_requests)
+        remaining = max_requests
+        while True:
+            plan = self._plan(remaining)
+            if remaining is None and self._concurrent_drains and len(plan) > 1:
+                with ThreadPoolExecutor(max_workers=len(plan)) as pool:
+                    drained = list(pool.map(self._drain_one, plan))
+            else:
+                # Bounded drains run sequentially in shard order: determinism
+                # beats parallelism for the partial-drain administrative path.
+                drained = list(map(self._drain_one, plan))
+            self._quarantine_slashed(drained)
+            restarted = sorted(self.placement.dead)
+            for shard_id in restarted:
+                self._restart_shard(shard_id)
+            if remaining is not None:
+                remaining -= sum(len(results) for _, results in drained)
+            if not any(self._pending[shard_id] for shard_id in restarted) or \
+                    (remaining is not None and remaining <= 0):
+                break
         self.measured_wall_s += now() - started
-        return [view for _, view in sorted(processed, key=lambda item: item[0])]
+        processed, self._unreported = self._unreported, {}
+        return [processed[request_id] for request_id in sorted(processed)]
 
-    def _process_round(self, max_requests: Optional[int],
-                       ) -> List[Tuple[int, ServiceRequest]]:
-        busy = [shard_id for shard_id in sorted(self.shards)
-                if self.shards[shard_id].alive and self._pending[shard_id]]
-        drained: List[Tuple[str, List[Tuple[int, ServiceRequest]]]] = []
-        died: List[str] = []
-        if max_requests is None and self._concurrent_drains and len(busy) > 1:
-            with ThreadPoolExecutor(max_workers=len(busy)) as pool:
-                outcomes = list(pool.map(self._drain_one, busy, [None] * len(busy)))
-            for shard_id, done in zip(busy, outcomes):
-                if done is None:
-                    died.append(shard_id)
-                else:
-                    drained.append((shard_id, self._collect(shard_id, done)))
-        else:
-            # Bounded drains run sequentially in shard order: determinism
-            # beats parallelism for the partial-drain administrative path.
-            remaining = max_requests
-            for shard_id in busy:
-                if remaining is not None and remaining <= 0:
-                    break
-                take = None if remaining is None else \
-                    min(remaining, len(self._pending[shard_id]))
-                done = self._drain_one(shard_id, take)
-                if done is None:
-                    died.append(shard_id)
-                    continue
-                results = self._collect(shard_id, done)
-                if remaining is not None:
-                    remaining -= len(results)
-                drained.append((shard_id, results))
+    def _plan(self, remaining: Optional[int]) -> List[Tuple[str, Optional[int]]]:
+        """``(shard, take)`` for each shard with pending work that is not
+        dead, in shard order; a cap is split in that order."""
+        plan = []
+        for shard_id in sorted(self.shards):
+            queued = len(self._pending[shard_id])
+            if not queued or shard_id in self.placement.dead:
+                continue
+            if remaining is None:
+                plan.append((shard_id, None))
+            elif remaining > 0:
+                plan.append((shard_id, min(remaining, queued)))
+                remaining -= plan[-1][1]
+        return plan
 
-        self._quarantine_slashed(drained)
-        for shard_id in died:
-            self._lose_shard(shard_id)
-        processed = [item for _, results in drained for item in results]
-        if died and self.pending_count:
-            # Recovery left the dead shard's requests queued on its
-            # restarted incarnation: finish the drain so every admitted
-            # request comes back terminal.
-            processed.extend(self._process_round(max_requests))
-        return processed
-
-    def _drain_one(self, shard_id: str, max_requests: Optional[int]):
+    def _drain_one(self, item: Tuple[str, Optional[int]],
+                   ) -> Tuple[str, List[ServiceRequest]]:
+        """Drain one shard and buffer its results at once; a shard that dies
+        under the drain is only marked dead (by its backend)."""
+        shard_id, take = item
         try:
-            return self.shards[shard_id].drain(max_requests)
+            done = self.shards[shard_id].drain(take)
         except self._shard_lost:
-            return None
-
-    def _collect(self, shard_id: str, done: List[Tuple[int, ServiceRequest]],
-                 ) -> List[Tuple[int, ServiceRequest]]:
-        """``(request id, view)`` of one shard's processed requests."""
-        results = []
+            return shard_id, []
+        queued, results = self._pending[shard_id], []
         for local_id, view in done:
-            request_id = self._by_local.pop((shard_id, local_id), None)
+            request_id = queued.pop(local_id, None)
             if request_id is not None:
-                self._pending[shard_id].remove(request_id)
-                results.append((request_id, view))
-        return results
+                self._unreported[request_id] = view
+                results.append(view)
+        return shard_id, results
 
     # -- moves and the slash quarantine ----------------------------------
 
@@ -496,32 +488,31 @@ class PlacedCore(ServiceCore):
         in queue order — each still one front-end request.
         """
         source, target = self.shards[record.shard_id], self.shards[target_id]
-        if not target.alive:
+        if target_id in self.placement.dead:
             raise self.placement.error(
                 f"placement target {target_id!r} for {record.name!r} is dead")
-        withdrawn = [self._by_local.pop((record.shard_id, local_id))
+        queued = self._pending[record.shard_id]
+        withdrawn = [queued.pop(local_id)
                      for local_id in source.withdraw(record.name)]
         target.adopt(record, source.detach(record))
         if quarantine:
             target.quarantine(record.name)
         for request_id in withdrawn:
             request = self._requests[request_id]
-            self._pending[record.shard_id].remove(request_id)
             self._dispatch(request, target_id)
             request.redispatched += 1
             self.placement.redispatched_requests += 1
         record.shard_id = target_id
 
     def _quarantine_slashed(
-            self, drained: List[Tuple[str, List[Tuple[int, ServiceRequest]]]],
-    ) -> None:
+            self, drained: List[Tuple[str, List[ServiceRequest]]]) -> None:
         """A tenant whose standing proposer was slashed fails over with its
         state quarantined on the way (in place when no other shard is live):
         a poisoned result cache cannot survive, and the proposer is
         re-provisioned on the same account and device."""
         slashed = set()
         for shard_id, results in drained:
-            for _, view in results:
+            for view in results:
                 report = view.report
                 if report is None or report.dispute is None or \
                         not report.dispute.proposer_cheated:

@@ -25,8 +25,6 @@ class Shard:
 
     shard_id: str
     service: TAOService
-    #: In-process shards never die.
-    alive = True
 
     @property
     def coordinator(self):

@@ -11,9 +11,10 @@ over a different shard backend.  Here each shard is a full
 end's backend vocabulary as ops over the serialized RPC transport
 (:mod:`repro.fleet.transport`).  Unbounded drains of several workers run
 concurrently, on distinct interpreters, so the fleet measures parallel
-wall clock.  Dead-worker recovery is the fleet's own: a worker that dies
-or wedges under a call is restarted in place and replays its parent-held
-write-ahead journal, so no task it held is left open on the chain.
+wall clock.  Dead-worker recovery is the fleet's own: a worker found dead
+or wedged under a call is marked dead, and the next drain or submit to one
+of its tenants restarts it in place from its parent-held write-ahead
+journal, so no task it held is left open on the chain.
 Re-homing stays an administrative move (drain, remove, slash quarantine).
 
 Settlement stays exact: workers never hold ledger state.  A worker's
@@ -194,10 +195,11 @@ class WorkerHandle:
 
     Speaks the front end's backend vocabulary
     (:class:`~repro.cluster.placement.PlacedCore`) as worker ops.  The
-    parent-side mirrors — the coordinator snapshot, the last stats record
-    and the views of queued requests — live here, so a dead worker still
-    answers ``withdraw``/``detach``/``stats`` from them, and they survive a
-    journal recovery, which relaunches the worker in place.
+    parent-side mirrors — the coordinator snapshot and the last stats
+    record — live here and survive a journal recovery, which relaunches the
+    worker in place; a dead worker answers ``detach``/``stats`` from them
+    and ``withdraw`` from the front end's pending index.  ``alive`` is the
+    channel's flag; the front end reads deadness from its placement alone.
     """
 
     fleet: "ProcessFleet" = field(repr=False)
@@ -209,8 +211,6 @@ class WorkerHandle:
     lock: Lock = field(default_factory=Lock)
     coordinator: Optional[CoordinatorSnapshot] = None
     last_stats: Optional[ServiceStats] = None
-    #: Local request id -> the front end's view of a queued request.
-    views: Dict[int, ServiceRequest] = field(default_factory=dict)
 
     def call(self, payload: Dict[str, Any]) -> Any:
         return self.fleet._call(self, payload)
@@ -248,7 +248,6 @@ class WorkerHandle:
             inputs=record.inputs, force_challenge=record.force_challenge,
             submitted_s=now())
         view.status = "queued"
-        self.views[local_id] = view
         return local_id, view
 
     def drain(self, max_requests: Optional[int],
@@ -260,25 +259,25 @@ class WorkerHandle:
             model = self.fleet.placement.tenants.get(name)
             if model is not None and model.shard_id == self.shard_id:
                 model.challenger_clones = int(clones)
+        queued = self.fleet._pending[self.shard_id]
         done = []
         for row in value["results"]:
-            view = self.views.pop(int(row["local_id"]), None)
-            if view is not None:
+            request_id = queued.get(int(row["local_id"]))
+            if request_id is not None:
+                view = self.fleet.request(request_id)
                 self._settle(view, row)
                 done.append((int(row["local_id"]), view))
         return done
 
     def withdraw(self, name: str) -> List[int]:
-        """A live worker withdraws over RPC; a dead one from the mirror."""
+        """A live worker withdraws over RPC; a dead one from the front end's
+        pending index."""
         if self.alive:
-            local_ids = [int(local_id) for local_id in self.call(
+            return [int(local_id) for local_id in self.call(
                 {"op": "withdraw", "model": name})["local_ids"]]
-        else:
-            local_ids = [local_id for local_id, view in self.views.items()
-                         if view.model_name == name]
-        for local_id in local_ids:
-            self.views.pop(local_id, None)
-        return local_ids
+        return [local_id for local_id, request_id
+                in self.fleet._pending[self.shard_id].items()
+                if self.fleet.request(request_id).model_name == name]
 
     def detach(self, record: FleetModel) -> int:
         """The tenant's challenger-clone count (mirrored if the worker died)."""
@@ -382,7 +381,6 @@ class ProcessFleet(PlacedCore):
         leaf_path: str = "routed",
         hash_cache: Optional[HashCache] = None,
         cycle_capacity: Optional[int] = None,
-        result_cache_size: int = 256,
         actor_module: str = "repro.fleet.actors",
         start_method: Optional[str] = None,
         worker_timeout_s: Optional[float] = None,
@@ -390,8 +388,7 @@ class ProcessFleet(PlacedCore):
         if num_workers < 1:
             raise ValueError("a fleet needs at least one worker")
         super().__init__(
-            chain, devices, hash_cache, FleetError, alpha,
-            result_cache_size=result_cache_size, n_way=n_way,
+            chain, devices, hash_cache, FleetError, alpha, n_way=n_way,
             committee_size=committee_size, leaf_path=leaf_path,
             cycle_capacity=cycle_capacity)
         self.actor_module = actor_module
@@ -606,7 +603,7 @@ class ProcessFleet(PlacedCore):
     # Dead workers
     # ------------------------------------------------------------------
 
-    def _lose_shard(self, shard_id: str) -> None:
+    def _restart_shard(self, shard_id: str) -> None:
         """Restart a dead worker in place and replay its write-ahead journal.
 
         The shard keeps its identity (ring placement, coordinator mirror,
@@ -614,14 +611,15 @@ class ProcessFleet(PlacedCore):
         per-incarnation sequence ids that dedupe against the journal tail,
         so each pre-crash ledger mutation applies exactly once; the command
         in flight at the crash is retried by its caller, so in-flight
-        disputes resume and leave no escrow behind.  If the relaunch fails,
-        the error surfaces and the shard stays dead until ``remove_shard``.
+        disputes resume and leave no escrow behind.  A restart that raises
+        stops the worker it launched and leaves the shard dead: the next
+        drain or submit tries again, and ``remove_shard`` re-homes it.
         """
+        handle = self.workers[shard_id]
+        handle.process, handle.channel = self._launch(shard_id)
+        handle.alive = True
         self._replaying.add(shard_id)
         try:
-            handle = self.workers[shard_id]
-            handle.process, handle.channel = self._launch(shard_id)
-            handle.alive = True
             for entry in self.journals[shard_id].commands():
                 payload = entry["payload"]
                 try:
@@ -638,6 +636,9 @@ class ProcessFleet(PlacedCore):
                         raise JournalDivergence(
                             f"[{shard_id}] replayed submit produced local id "
                             f"{value['local_id']}, journal says {recorded}")
+        except BaseException:
+            self._mark_dead(handle)
+            raise
         finally:
             self._replaying.discard(shard_id)
         # Restore the pre-crash placement (an administratively drained

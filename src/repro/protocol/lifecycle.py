@@ -13,7 +13,7 @@ served by :class:`~repro.protocol.service.TAOService`, the one request path;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +54,28 @@ class SessionReport:
     @property
     def final_status(self) -> str:
         return self.task.status.value
+
+
+def commit_phase0(graph_module: GraphModule, devices: Sequence[DeviceProfile],
+                  alpha: float, hash_cache: Optional[HashCache],
+                  calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]],
+                  threshold_table: Optional[ThresholdTable], committee_envelope,
+                  ) -> Tuple[ThresholdTable, ModelCommitment]:
+    """Phase 0's commitment, shared by every registration path (so a sharded
+    tier's routing key and its home shard's session commit the same bytes):
+    calibrate unless a table is given, then commit weights, graph,
+    thresholds and the committee envelope."""
+    if threshold_table is None:
+        if calibration_inputs is None:
+            raise ValueError("registering a model requires calibration inputs "
+                             "or a threshold table")
+        calibration = Calibrator(CalibrationConfig(devices=tuple(devices))) \
+            .calibrate(graph_module, calibration_inputs)
+        threshold_table = ThresholdTable.from_calibration(calibration, alpha=alpha)
+    return threshold_table, commit_model(
+        graph_module, threshold_table, cache=hash_cache,
+        metadata={"alpha": alpha, "num_operators": graph_module.num_operators},
+        committee_envelope=committee_envelope)
 
 
 class TAOSession:
@@ -118,21 +140,9 @@ class TAOSession:
         so a chain carried across campaign cycles keeps existing balances
         instead of re-minting them.
         """
-        if self.thresholds is None:
-            if self._calibration_inputs is None:
-                raise ValueError(
-                    "setup requires calibration inputs or a pre-built threshold table"
-                )
-            calibrator = Calibrator(CalibrationConfig(devices=self.devices))
-            calibration = calibrator.calibrate(self.graph_module, self._calibration_inputs)
-            self.thresholds = ThresholdTable.from_calibration(calibration, alpha=self.alpha)
-
-        self.model_commitment = commit_model(
-            self.graph_module, self.thresholds,
-            metadata={"alpha": self.alpha, "num_operators": self.graph_module.num_operators},
-            cache=self.hash_cache,
-            committee_envelope=self.committee_envelope,
-        )
+        self.thresholds, self.model_commitment = commit_phase0(
+            self.graph_module, self.devices, self.alpha, self.hash_cache,
+            self._calibration_inputs, self.thresholds, self.committee_envelope)
         if fund_owner:
             self.coordinator.chain.fund_once(owner, self.initial_balance)
         # A tenant re-homed to a worker that hosted it before (drain, then a

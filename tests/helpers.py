@@ -1,12 +1,14 @@
 """Shared test helpers: finite-difference gradient checking for operator VJPs,
-and the log-scan reference for a dispute's running gas."""
+the log-scan reference for a dispute's running gas, and tenants homed evenly
+on a sharded front end."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.graph import trace_module
 from repro.ops.registry import get_op
 from repro.tensorlib.device import REFERENCE_DEVICE
 
@@ -83,3 +85,22 @@ def scanned_dispute_gas_by_action(coordinator, dispute_id: int) -> Dict[str, int
         if tx.details.get("dispute_id") == dispute_id and tx.shard == own_shard:
             out[tx.action] = out.get(tx.action, 0) + tx.gas_used
     return out
+
+
+def homed_tenants(front, module, input_factory, thresholds,
+                  per_shard: int) -> List[str]:
+    """Register ``tenant_<i>`` copies of ``module`` on a sharded front end
+    until every shard homes ``per_shard`` of them; returns that many names
+    per shard, in shard order.  The ring places tenants by commitment
+    digest, so the names are chosen by where they land, not assumed."""
+    homed: Dict[str, List[str]] = {shard_id: [] for shard_id in front.shards}
+    index = 0
+    while min(len(names) for names in homed.values()) < per_shard:
+        assert index < 16 * per_shard * len(homed), \
+            "the ring homed too few tenants on a shard"
+        tenant = trace_module(module, input_factory(0), name=f"tenant_{index}")
+        front.register_model(tenant, threshold_table=thresholds)
+        homed[front.location(tenant.name)].append(tenant.name)
+        index += 1
+    return [name for shard_id in sorted(homed)
+            for name in homed[shard_id][:per_shard]]

@@ -351,12 +351,26 @@ def test_stats_count_a_redispatched_request_once(make_tier, tenant_graphs,
     assert set(stats.shard_busy_s) == {"shard-0", "shard-1"}
 
 
+def _indexed(front):
+    """``(shard, local id, request id)`` of every pending-index entry."""
+    return {(shard_id, local_id, request_id)
+            for shard_id, queued in front._pending.items()
+            for local_id, request_id in queued.items()}
+
+
+def _queued(front):
+    """The same triple for every request whose view reads ``queued``."""
+    return {(record.shard_id, record.local_id, record.request_id)
+            for record in front._requests.values()
+            if record.view.status == "queued"}
+
+
 def test_local_id_map_holds_only_pending_requests(make_tier, tenant_graphs,
                                                   mlp_thresholds,
                                                   mlp_input_factory):
-    """The front end's ``(shard, local id)`` map is bounded by the requests
-    still queued: a returned request leaves it, whether its drain was
-    partial, whole or after a move."""
+    """The front end's pending index holds exactly the requests still
+    queued: a returned request leaves it, whether its drain was partial,
+    whole or after a move."""
     front = make_tier(2)
     _register_all(front, tenant_graphs, mlp_thresholds)
     for burst in range(5):
@@ -369,9 +383,9 @@ def test_local_id_map_holds_only_pending_requests(make_tier, tenant_graphs,
             front.undrain_shard("shard-0")
         front.process(max_requests=5)
         assert front.pending_count > 0
-        assert len(front._by_local) == front.pending_count
+        assert _indexed(front) == _queued(front)
     front.process()
-    assert front.pending_count == 0 and front._by_local == {}
+    assert front.pending_count == 0 and _indexed(front) == set() == _queued(front)
     assert len(front._requests) == 40
 
 

@@ -647,7 +647,7 @@ def test_multicycle_cluster_drain_redispatches_exactly_once(sim_mlp_workload):
     drained = set(cluster.placement.drained_shards)
     for record in redispatched:
         assert record.shard_id not in drained
-        assert record.resolve().status in TERMINAL_STATUSES
+        assert record.view.status in TERMINAL_STATUSES
     assert cluster.stats().requests_completed == scenario.num_requests
 
 
