@@ -23,10 +23,11 @@ The package provides the full TAO stack built from scratch on NumPy:
   multi-actor fault injection with safety / liveness / conservation
   invariant checking and counterexample shrinking;
 * :mod:`repro.cluster` — the sharded serving tier: one front end
-  (placement by commitment digest, request records, drains, failover
-  re-dispatch, slash quarantine) over in-process shards on one settlement
-  chain, shared with the process fleet's worker backend — bit-identical to
-  a single service by construction.
+  (placement by commitment digest, one record per request under the id
+  ``submit`` returned, drains, failover re-dispatch, slash quarantine)
+  over in-process shards on one settlement chain, shared with the process
+  fleet's worker backend — bit-identical to a single service by
+  construction.
 
 Quickstart (every request goes through :class:`TAOService`)::
 

@@ -10,9 +10,10 @@ protocol's observable behaviour bit-identical:
   that decides where tenants live (the ring, tenant records, shard-id
   reservation, drained/dead membership and ``(tenant, target)`` move
   plans), and :class:`PlacedCore`, the one sharded front end both tiers
-  are: request records, submit and queue reads, drains, move execution
-  with re-dispatch, the slash quarantine and the membership verbs, driving
-  each shard through one small backend vocabulary;
+  are: one record per request under the id ``submit`` returned, the
+  intake and queue reads, drains, move execution with re-dispatch, the
+  slash quarantine and the membership verbs, driving each shard through
+  one small backend vocabulary in those ids;
 * :mod:`repro.cluster.shard` — :class:`Shard`, the in-process backend: a
   full ``TAOService`` over a per-shard chain view, called directly;
 * :mod:`repro.cluster.cluster` — :class:`TAOCluster`: the front end over
@@ -25,7 +26,6 @@ The process backend — a worker process behind RPC — is
 from repro.cluster.cluster import ClusterError, TAOCluster
 from repro.cluster.placement import (
     PlacedCore,
-    PlacedRequest,
     Placement,
     PlacementError,
     TenantRecord,
@@ -37,7 +37,6 @@ __all__ = [
     "ClusterError",
     "ConsistentHashRing",
     "PlacedCore",
-    "PlacedRequest",
     "Placement",
     "PlacementError",
     "RingError",

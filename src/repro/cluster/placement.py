@@ -9,8 +9,9 @@ the move plans.  Every plan validates first (the last-live guard included),
 then updates membership and returns ``(tenant, target)`` moves in tenant
 name order.
 
-:class:`PlacedCore` is the front end both sharded tiers are: request
-records, submit and the queue reads, drains and their ordering, move
+:class:`PlacedCore` is the front end both sharded tiers are: the request
+records (one per request, under the id ``submit`` returned), the one
+intake and the queue reads, drains and their ordering, move
 execution with re-dispatch, the slash quarantine, the membership verbs and
 the one ``stats()``.  A tier contributes only its shard backend — in
 process, or a worker process behind RPC — and its tenant registration.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import abc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple, Type)
 
 import numpy as np
@@ -228,42 +229,23 @@ class Placement:
                 "would have no failover target")
 
 
-@dataclass
-class PlacedRequest:
-    """Front-end record of one submitted request, across re-dispatches.
-
-    ``proposer``/``challenger`` are what the caller passed (role objects in
-    process, actor specs across a process boundary), kept so the request can
-    be re-dispatched when its tenant moves.  ``view`` is the
-    :class:`~repro.protocol.service.ServiceRequest` the serving shard
-    resolves; :meth:`PlacedCore.request` returns it.
-    """
-
-    request_id: int
-    model_name: str
-    inputs: Dict[str, np.ndarray]
-    proposer: Any
-    challenger: Any
-    force_challenge: bool
-    shard_id: str = ""
-    local_id: int = -1
-    view: Optional[ServiceRequest] = None
-    redispatched: int = 0
-
-
 class PlacedCore(ServiceCore):
     """The one sharded front end; a shard backend serves each shard.
 
-    The front end owns everything above a shard: placement, request records
-    and the one pending index (per shard, ``{local id: request id}`` in
-    dispatch order), the queue reads, processed-request ordering, move
-    execution with re-dispatch, the slash quarantine, dead-shard restarts
-    and the membership verbs.  It drives every shard through one backend
-    vocabulary:
+    The front end owns everything above a shard: placement, the request
+    records, the one pending index (per shard, the ids of its queued
+    requests as an ordered set, in dispatch order), the queue reads,
+    processed-request ordering, move execution with re-dispatch, the slash
+    quarantine, dead-shard restarts and the membership verbs.  A request
+    has one id and one record, a
+    :class:`~repro.protocol.service.ServiceRequest`: the id ``submit``
+    returned, which every shard files it under, across any number of moves
+    and restarts.  The front end drives every shard through one backend
+    vocabulary, in request ids:
 
-    * ``enqueue(record) -> (local id, view)`` and
-      ``drain(max_requests) -> [(local id, view)]``, which processes;
-    * ``withdraw(name) -> [local id]``, then ``detach(record)`` on the
+    * ``enqueue(request)`` and ``drain(take) -> [request id]``, which
+      processes and fills the front end's records;
+    * ``withdraw(name) -> [request id]``, then ``detach(record)`` on the
       source and ``adopt(record, state)`` on the target of a move;
     * ``quarantine(name)``, ``stats()`` (``None`` before a first report),
       ``stop()``, and the ``coordinator`` attribute.
@@ -300,10 +282,10 @@ class PlacedCore(ServiceCore):
         #: Removed shards' backends, kept for fleet-wide settlement and
         #: invariant checks.
         self.retired_shards: List[Any] = []
-        self._requests: Dict[int, PlacedRequest] = {}
-        #: The pending index: per shard, local id -> request id of each
-        #: queued request, in dispatch order.
-        self._pending: Dict[str, Dict[int, int]] = {}
+        self._requests: Dict[int, ServiceRequest] = {}
+        #: The pending index: per shard, the ids of its queued requests in
+        #: dispatch order (an insertion-ordered set).
+        self._pending: Dict[str, Dict[int, None]] = {}
         #: Drained requests no ``process()`` has returned yet, by request id.
         self._unreported: Dict[int, ServiceRequest] = {}
         #: Wall-clock seconds measured around the drains.
@@ -366,17 +348,14 @@ class PlacedCore(ServiceCore):
 
     # -- request intake and queue reads ----------------------------------
 
-    def submit(self, model_name: str, inputs: Mapping[str, np.ndarray],
-               proposer: Any = None, force_challenge: bool = False,
-               challenger: Any = None) -> int:
-        """Enqueue one request on its tenant's shard; returns its id.  A dead
+    def enqueue(self, request: ServiceRequest) -> None:
+        """Dispatch one request to its tenant's shard and file it.  A dead
         home is restarted first; one that dies under the call is restarted
         and the enqueue retried once."""
-        home = self.location(model_name)  # fail fast on unknown tenants
-        request = PlacedRequest(
-            request_id=len(self._requests), model_name=model_name,
-            inputs=dict(inputs), proposer=proposer, challenger=challenger,
-            force_challenge=bool(force_challenge))
+        home = self.location(request.model_name)  # fail fast on unknown tenants
+        if request.request_id in self._requests:
+            raise ValueError(
+                f"request id {request.request_id} is already filed here")
         try:
             if home in self.placement.dead:
                 self._restart_shard(home)
@@ -385,17 +364,14 @@ class PlacedCore(ServiceCore):
             self._restart_shard(home)
             self._dispatch(request, home)
         self._requests[request.request_id] = request
-        return request.request_id
+        self._next_request_id = max(self._next_request_id, request.request_id + 1)
 
-    def _dispatch(self, request: PlacedRequest, shard_id: str) -> None:
-        request.local_id, request.view = self.shards[shard_id].enqueue(request)
-        request.shard_id = shard_id
-        self._pending[shard_id][request.local_id] = request.request_id
+    def _dispatch(self, request: ServiceRequest, shard_id: str) -> None:
+        self.shards[shard_id].enqueue(request)
+        self._pending[shard_id][request.request_id] = None
 
     def request(self, request_id: int) -> ServiceRequest:
-        """The view of request ``request_id``.  Key results by this id: an
-        in-process shard's view carries the shard's local id."""
-        return self._requests[request_id].view
+        return self._requests[request_id]
 
     @property
     def pending_count(self) -> int:
@@ -465,11 +441,12 @@ class PlacedCore(ServiceCore):
         except self._shard_lost:
             return shard_id, []
         queued, results = self._pending[shard_id], []
-        for local_id, view in done:
-            request_id = queued.pop(local_id, None)
-            if request_id is not None:
-                self._unreported[request_id] = view
-                results.append(view)
+        for request_id in done:
+            if request_id in queued:
+                del queued[request_id]
+                request = self._requests[request_id]
+                self._unreported[request_id] = request
+                results.append(request)
         return shard_id, results
 
     # -- moves and the slash quarantine ----------------------------------
@@ -484,23 +461,22 @@ class PlacedCore(ServiceCore):
 
         The source withdraws the tenant's queued requests and detaches its
         state; the target adopts it (quarantined first when its standing
-        proposer was slashed), and the withdrawn requests are re-submitted
-        in queue order — each still one front-end request.
+        proposer was slashed), and the withdrawn requests are enqueued there
+        in queue order — the same records, under the same ids.
         """
         source, target = self.shards[record.shard_id], self.shards[target_id]
         if target_id in self.placement.dead:
             raise self.placement.error(
                 f"placement target {target_id!r} for {record.name!r} is dead")
         queued = self._pending[record.shard_id]
-        withdrawn = [queued.pop(local_id)
-                     for local_id in source.withdraw(record.name)]
+        withdrawn = source.withdraw(record.name)
+        for request_id in withdrawn:
+            del queued[request_id]
         target.adopt(record, source.detach(record))
         if quarantine:
             target.quarantine(record.name)
         for request_id in withdrawn:
-            request = self._requests[request_id]
-            self._dispatch(request, target_id)
-            request.redispatched += 1
+            self._dispatch(self._requests[request_id], target_id)
             self.placement.redispatched_requests += 1
         record.shard_id = target_id
 

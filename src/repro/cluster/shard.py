@@ -6,15 +6,17 @@ A shard is not a reduced replica — it is an ordinary
 caches) whose chain is a :class:`~repro.protocol.chain.ShardChainView` over
 the cluster's shared settlement chain.  :class:`Shard` speaks the front
 end's backend vocabulary (:class:`~repro.cluster.placement.PlacedCore`) as
-plain method calls, with no wire loopback, and a move carries the tenant's
-:class:`~repro.protocol.service.ModelEntry` whole, so its caches stay warm.
+plain method calls, with no wire loopback: its service files the front
+end's own request record, so a drain fills that object in place.  A move
+carries the tenant's :class:`~repro.protocol.service.ModelEntry` whole, so
+its caches stay warm.
 ``busy_s`` reads the shard's measured processing time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.protocol.service import ModelEntry, ServiceRequest, ServiceStats, TAOService
 
@@ -38,14 +40,11 @@ class Shard:
         count."""
         return self.service.stats_record.busy_cpu_s
 
-    def enqueue(self, record) -> Tuple[int, ServiceRequest]:
-        local_id = self.service.submit(
-            record.model_name, record.inputs, proposer=record.proposer,
-            force_challenge=record.force_challenge, challenger=record.challenger)
-        return local_id, self.service.request(local_id)
+    def enqueue(self, request: ServiceRequest) -> None:
+        self.service.enqueue(request)
 
-    def drain(self, max_requests: Optional[int]) -> List[Tuple[int, ServiceRequest]]:
-        return [(request.request_id, request)
+    def drain(self, max_requests: Optional[int]) -> List[int]:
+        return [request.request_id
                 for request in self.service.process(max_requests)]
 
     def withdraw(self, name: str) -> List[int]:

@@ -42,17 +42,12 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, field
 from threading import Lock
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
 from repro.calibration.thresholds import ThresholdTable
-from repro.cluster.placement import (
-    PlacedCore,
-    PlacedRequest,
-    PlacementError,
-    TenantRecord,
-)
+from repro.cluster.placement import PlacedCore, PlacementError, TenantRecord
 from repro.fleet.chainproxy import apply_chain_call
 from repro.fleet.transport import (
     MessageChannel,
@@ -194,12 +189,15 @@ class WorkerHandle:
     """One shard worker process: the fleet's shard backend.
 
     Speaks the front end's backend vocabulary
-    (:class:`~repro.cluster.placement.PlacedCore`) as worker ops.  The
-    parent-side mirrors — the coordinator snapshot and the last stats
-    record — live here and survive a journal recovery, which relaunches the
-    worker in place; a dead worker answers ``detach``/``stats`` from them
-    and ``withdraw`` from the front end's pending index.  ``alive`` is the
-    channel's flag; the front end reads deadness from its placement alone.
+    (:class:`~repro.cluster.placement.PlacedCore`) as worker ops, in the
+    front end's request ids: the worker files each request under the id
+    ``submit`` returned, and a drain settles the front end's own records
+    from the result rows.  The parent-side mirrors — the coordinator
+    snapshot and the last stats record — live here and survive a journal
+    recovery, which relaunches the worker in place; a dead worker answers
+    ``detach``/``stats`` from them and ``withdraw`` from the front end's
+    pending index.  ``alive`` is the channel's flag; the front end reads
+    deadness from its placement alone.
     """
 
     fleet: "ProcessFleet" = field(repr=False)
@@ -223,35 +221,30 @@ class WorkerHandle:
                 f"for {record.name!r}; the wire round-trip is not "
                 "commitment-exact")
 
-    def enqueue(self, record: PlacedRequest) -> Tuple[int, ServiceRequest]:
-        """Enqueue one request; ``proposer``/``challenger`` must be **actor
-        specs** (plain maps resolved by the workers' actor module) — role
-        objects hold devices and closures that cannot cross the transport."""
-        for label, spec in (("proposer", record.proposer),
-                            ("challenger", record.challenger)):
+    def enqueue(self, request: ServiceRequest) -> None:
+        """Ship one request to the worker; ``proposer``/``challenger`` must
+        be **actor specs** (plain maps resolved by the workers' actor
+        module) — role objects hold devices and closures that cannot cross
+        the transport."""
+        for label, spec in (("proposer", request.proposer),
+                            ("challenger", request.challenger)):
             if spec is not None and not isinstance(spec, dict):
                 raise TypeError(
                     f"fleet {label} must be an actor-spec dict, not "
                     f"{type(spec).__name__}; role objects cannot cross the "
                     "process boundary")
-        local_id = int(self.call({
+        self.call({
             "op": "submit",
-            "model": record.model_name,
+            "request_id": request.request_id,
+            "model": request.model_name,
             "inputs": {name: np.asarray(value)
-                       for name, value in record.inputs.items()},
-            "proposer": record.proposer,
-            "challenger": record.challenger,
-            "force_challenge": record.force_challenge,
-        })["local_id"])
-        view = record.view or ServiceRequest(
-            request_id=record.request_id, model_name=record.model_name,
-            inputs=record.inputs, force_challenge=record.force_challenge,
-            submitted_s=now())
-        view.status = "queued"
-        return local_id, view
+                       for name, value in request.inputs.items()},
+            "proposer": request.proposer,
+            "challenger": request.challenger,
+            "force_challenge": request.force_challenge,
+        })
 
-    def drain(self, max_requests: Optional[int],
-              ) -> List[Tuple[int, ServiceRequest]]:
+    def drain(self, max_requests: Optional[int]) -> List[int]:
         value = self.call({"op": "process", "max_requests": max_requests})
         # Snapshot first: the reports settled below reference its tasks.
         self._absorb(value)
@@ -262,21 +255,19 @@ class WorkerHandle:
         queued = self.fleet._pending[self.shard_id]
         done = []
         for row in value["results"]:
-            request_id = queued.get(int(row["local_id"]))
-            if request_id is not None:
-                view = self.fleet.request(request_id)
-                self._settle(view, row)
-                done.append((int(row["local_id"]), view))
+            request_id = int(row["request_id"])
+            if request_id in queued:
+                self._settle(self.fleet.request(request_id), row)
+                done.append(request_id)
         return done
 
     def withdraw(self, name: str) -> List[int]:
         """A live worker withdraws over RPC; a dead one from the front end's
         pending index."""
         if self.alive:
-            return [int(local_id) for local_id in self.call(
-                {"op": "withdraw", "model": name})["local_ids"]]
-        return [local_id for local_id, request_id
-                in self.fleet._pending[self.shard_id].items()
+            return [int(request_id) for request_id in self.call(
+                {"op": "withdraw", "model": name})["request_ids"]]
+        return [request_id for request_id in self.fleet._pending[self.shard_id]
                 if self.fleet.request(request_id).model_name == name]
 
     def detach(self, record: FleetModel) -> int:
@@ -607,7 +598,9 @@ class ProcessFleet(PlacedCore):
         """Restart a dead worker in place and replay its write-ahead journal.
 
         The shard keeps its identity (ring placement, coordinator mirror,
-        queue and request records).  Replayed chain calls carry
+        queue and request records); a replayed submit carries its request
+        id, so the worker files each request under the id the front end
+        holds.  Replayed chain calls carry
         per-incarnation sequence ids that dedupe against the journal tail,
         so each pre-crash ledger mutation applies exactly once; the command
         in flight at the crash is retried by its caller, so in-flight
@@ -623,19 +616,14 @@ class ProcessFleet(PlacedCore):
             for entry in self.journals[shard_id].commands():
                 payload = entry["payload"]
                 try:
-                    value = self._call(handle, payload)
+                    self._call(handle, payload)
                 except WorkerError:
+                    # A journaled failure fails here too; a journaled
+                    # success that fails means the replay diverged.
                     if entry["ok"]:
                         raise JournalDivergence(
                             f"[{shard_id}] journaled {payload.get('op')!r} "
                             f"command failed on replay") from None
-                    continue  # the journaled run failed here too
-                if entry["ok"] and payload.get("op") == "submit":
-                    recorded = int(entry["value"]["local_id"])
-                    if int(value["local_id"]) != recorded:
-                        raise JournalDivergence(
-                            f"[{shard_id}] replayed submit produced local id "
-                            f"{value['local_id']}, journal says {recorded}")
         except BaseException:
             self._mark_dead(handle)
             raise

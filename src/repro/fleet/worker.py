@@ -51,6 +51,7 @@ from repro.fleet.wire import graph_from_payload
 from repro.protocol.chain import ShardChainView
 from repro.protocol.coordinator import Coordinator, DisputePhase
 from repro.protocol.service import TERMINAL_TASK_STATUSES, ServiceRequest, TAOService
+from repro.utils.timing import now
 
 
 class WorkerError(RuntimeError):
@@ -92,7 +93,7 @@ def _report_payload(request: ServiceRequest) -> Optional[Dict[str, Any]]:
 
 def _request_payload(request: ServiceRequest) -> Dict[str, Any]:
     return {
-        "local_id": int(request.request_id),
+        "request_id": int(request.request_id),
         "status": request.status,
         "error": request.error,
         "cache_hit": bool(request.cache_hit),
@@ -235,12 +236,14 @@ class ShardWorker:
         if message.get("challenger") is not None:
             challenger = self.actors.build_challenger(self.service, model_name,
                                                       message["challenger"])
-        local_id = self.service.submit(
-            model_name, message["inputs"], proposer=proposer,
+        # Filed under the front end's id, which the journaled op carries,
+        # so a replayed worker files it under the same one.
+        self.service.enqueue(ServiceRequest(
+            request_id=int(message["request_id"]), model_name=model_name,
+            inputs=message["inputs"], proposer=proposer, challenger=challenger,
             force_challenge=bool(message.get("force_challenge", False)),
-            challenger=challenger,
-        )
-        return {"local_id": int(local_id)}
+            submitted_s=now()))
+        return {}
 
     def op_process(self, message: Dict[str, Any]) -> Dict[str, Any]:
         max_requests = message.get("max_requests")
@@ -265,7 +268,7 @@ class ShardWorker:
 
     def op_withdraw(self, message: Dict[str, Any]) -> Dict[str, Any]:
         withdrawn = self.service.withdraw_queued(message["model"])
-        return {"local_ids": [int(request.request_id) for request in withdrawn]}
+        return {"request_ids": [int(request.request_id) for request in withdrawn]}
 
     def op_detach(self, message: Dict[str, Any]) -> Dict[str, Any]:
         entry = self.service.detach_model(message["model"])

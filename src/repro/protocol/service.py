@@ -7,8 +7,9 @@ or challenges it, is served here over the Phase-0 record
 
 Request life cycle inside :meth:`TAOService.process`:
 
-1. **Queue** — :meth:`TAOService.submit` enqueues (model, inputs) pairs;
-   tenants are models registered once via :meth:`TAOService.register_model`
+1. **Queue** — :meth:`ServiceCore.submit` builds one request record and
+   :meth:`TAOService.enqueue` files it under its id and queues it; tenants
+   are models registered once via :meth:`TAOService.register_model`
    (per-model session reuse: calibration, commitments and role objects are
    built once, not per request).
 2. **Execute** — every request that misses the result cache runs alone:
@@ -52,7 +53,10 @@ their shards' records with :meth:`ServiceStats.merged`.
 types travel through: both :class:`TAOService` (one queue, one coordinator)
 and :class:`~repro.cluster.cluster.TAOCluster` (N shards, each a full
 ``TAOService``) implement it, so examples, benchmarks and the protocol
-simulator can drive either interchangeably.  :meth:`TAOService.withdraw_queued`,
+simulator can drive either interchangeably.  A request keeps the id
+``submit`` returned on every tier: a shard files the front end's record
+(or, in a worker process, a copy of it) under that id.
+:meth:`TAOService.enqueue`, :meth:`TAOService.withdraw_queued`,
 :meth:`TAOService.detach_model` and :meth:`TAOService.adopt_model` are the
 migration primitives the cluster's failover uses to move a tenant — session,
 standing roles, result cache and clone accounting intact — between shards
@@ -280,6 +284,10 @@ class ServiceCore(abc.ABC):
     runner) is oblivious to whether one queue or a sharded fleet serves it.
     """
 
+    #: The id the next :meth:`submit` returns: one past the largest id
+    #: :meth:`enqueue` has filed.
+    _next_request_id = 0
+
     @abc.abstractmethod
     def register_model(self, graph_module: GraphModule,
                        calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
@@ -290,11 +298,22 @@ class ServiceCore(abc.ABC):
     def model(self, name: str) -> "ModelEntry":
         """The tenant entry currently serving ``name``."""
 
-    @abc.abstractmethod
     def submit(self, model_name: str, inputs: Mapping[str, np.ndarray],
                proposer: Optional[Proposer] = None, force_challenge: bool = False,
                challenger: Optional[Challenger] = None) -> int:
-        """Enqueue one request; returns its request id."""
+        """Enqueue one request; returns its id, the request's only id on
+        every tier."""
+        request = ServiceRequest(
+            request_id=self._next_request_id, model_name=model_name,
+            inputs=dict(inputs), proposer=proposer, challenger=challenger,
+            force_challenge=bool(force_challenge), submitted_s=now())
+        self.enqueue(request)
+        return request.request_id
+
+    @abc.abstractmethod
+    def enqueue(self, request: ServiceRequest) -> None:
+        """File one request record under its ``request_id`` and queue it:
+        the one intake, which ``submit`` and every shard backend call."""
 
     @abc.abstractmethod
     def request(self, request_id: int) -> ServiceRequest:
@@ -434,29 +453,17 @@ class TAOService(ServiceCore):
     # Request intake
     # ------------------------------------------------------------------
 
-    def submit(
-        self,
-        model_name: str,
-        inputs: Mapping[str, np.ndarray],
-        proposer: Optional[Proposer] = None,
-        force_challenge: bool = False,
-        challenger: Optional[Challenger] = None,
-    ) -> int:
-        """Enqueue one request; returns its request id."""
-        self.model(model_name)  # fail fast on unknown tenants
-        request = ServiceRequest(
-            request_id=len(self._requests),
-            model_name=model_name,
-            inputs=dict(inputs),
-            proposer=proposer,
-            challenger=challenger,
-            force_challenge=force_challenge,
-            submitted_s=now(),
-        )
+    def enqueue(self, request: ServiceRequest) -> None:
+        """File ``request`` under its id and queue it.  A shard is handed
+        the front end's record, so it fills that very object in place."""
+        self.model(request.model_name)  # fail fast on unknown tenants
+        if request.request_id in self._requests:
+            raise ValueError(
+                f"request id {request.request_id} is already filed here")
         self._requests[request.request_id] = request
         self._queue.append(request.request_id)
+        self._next_request_id = max(self._next_request_id, request.request_id + 1)
         self.stats_record.requests_submitted += 1
-        return request.request_id
 
     def request(self, request_id: int) -> ServiceRequest:
         return self._requests[request_id]
@@ -466,24 +473,13 @@ class TAOService(ServiceCore):
         return len(self._queue)
 
     def withdraw_queued(self, model_name: str) -> List[ServiceRequest]:
-        """Pull this model's not-yet-processed requests out of the queue.
-
-        The failover path re-dispatches in-flight requests to a fallback
-        shard: withdrawn requests are marked terminal here (``withdrawn``)
-        and their payloads/actors are resubmitted elsewhere by the caller.
-        Requests already processed (terminal) are untouched.
-        """
-        withdrawn: List[ServiceRequest] = []
-        keep: Deque[int] = deque()
-        while self._queue:
-            request_id = self._queue.popleft()
-            request = self._requests[request_id]
-            if request.model_name == model_name:
-                request.status = "withdrawn"
-                withdrawn.append(request)
-            else:
-                keep.append(request_id)
-        self._queue = keep
+        """Remove this model's queued requests from this service, in queue
+        order; a move files them, still ``queued`` and under the same ids,
+        on the tenant's next shard.  Processed requests stay."""
+        withdrawn = [self._requests.pop(request_id) for request_id in self._queue
+                     if self._requests[request_id].model_name == model_name]
+        self._queue = deque(request_id for request_id in self._queue
+                            if request_id in self._requests)
         return withdrawn
 
     # ------------------------------------------------------------------

@@ -280,7 +280,9 @@ def test_capped_drain_across_a_death_keeps_its_cap(
 def test_a_diverging_replay_leaves_no_worker_serving(
         mlp_graph, mlp_thresholds, mlp_input_factory):
     """A restart whose replay diverges stops the worker it launched and
-    leaves the shard dead; nothing is served until a restart succeeds."""
+    leaves the shard dead; nothing is served until a restart succeeds.  The
+    divergence is a journaled-ok submit that fails on replay: forged to
+    carry the first request's id, the worker refuses to file it twice."""
     fleet = ProcessFleet(num_workers=1, n_way=2)
     try:
         fleet.register_model(mlp_graph, threshold_table=mlp_thresholds)
@@ -290,11 +292,14 @@ def test_a_diverging_replay_leaves_no_worker_serving(
         intact = list(journal._commands)
         submits = [index for index, entry in enumerate(journal.commands())
                    if entry["payload"]["op"] == "submit"]
-        entry = journal.commands()[submits[1]]
+        first, entry = (journal.commands()[index] for index in submits[:2])
+        assert entry["ok"]
+        forged = dict(entry["payload"],
+                      request_id=first["payload"]["request_id"])
         journal._commands[submits[1]] = canonical_map({
-            "payload": canonical_bytes(entry["payload"]),
+            "payload": canonical_bytes(forged),
             "ok": canonical_bytes(True),
-            "value": canonical_bytes({"local_id": 7}),
+            "value": canonical_bytes(entry["value"]),
         })
         _kill(fleet, "shard-0")
         transactions = len(fleet.chain.transactions)

@@ -351,23 +351,61 @@ def test_stats_count_a_redispatched_request_once(make_tier, tenant_graphs,
     assert set(stats.shard_busy_s) == {"shard-0", "shard-1"}
 
 
+def test_a_moved_request_keeps_its_id_and_submit_time(
+        make_tier, tenant_graphs, mlp_thresholds, mlp_input_factory):
+    """A request is one record with one id on every tier: a move by
+    ``drain_shard``, ``undrain_shard`` or ``remove_shard`` keeps its
+    ``request_id`` and its ``submitted_s``, and ``process()`` returns each
+    id exactly once."""
+    front = make_tier(2)
+    _register_all(front, tenant_graphs, mlp_thresholds)
+    request_ids = [front.submit(graph.name, mlp_input_factory(600 + index))
+                   for index, graph in enumerate(tenant_graphs)]
+    assert request_ids == list(range(len(tenant_graphs)))
+    submitted = {request_id: front.request(request_id).submitted_s
+                 for request_id in request_ids}
+
+    def assert_one_record():
+        for request_id in request_ids:
+            view = front.request(request_id)
+            assert view.request_id == request_id
+            assert view.submitted_s == submitted[request_id]
+            assert view.status == "queued"
+
+    moved = 0
+    for verb in (front.drain_shard, front.undrain_shard, front.remove_shard):
+        verb("shard-0")
+        assert front.redispatched_requests > moved, verb.__name__
+        moved = front.redispatched_requests
+        assert_one_record()
+
+    processed = front.process()
+    assert [view.request_id for view in processed] == request_ids
+    assert all(view is front.request(view.request_id) for view in processed)
+    assert all(view.submitted_s == submitted[view.request_id]
+               for view in processed)
+    assert all(view.status in TERMINAL_TASK_STATUSES for view in processed)
+    assert front.pending_count == 0 and front.process() == []
+
+
 def _indexed(front):
-    """``(shard, local id, request id)`` of every pending-index entry."""
-    return {(shard_id, local_id, request_id)
+    """``(shard, request id)`` of every pending-index entry."""
+    return {(shard_id, request_id)
             for shard_id, queued in front._pending.items()
-            for local_id, request_id in queued.items()}
+            for request_id in queued}
 
 
 def _queued(front):
-    """The same triple for every request whose view reads ``queued``."""
-    return {(record.shard_id, record.local_id, record.request_id)
-            for record in front._requests.values()
-            if record.view.status == "queued"}
+    """The same pair for every request whose record reads ``queued``: it
+    waits on its tenant's shard, under the id ``submit`` returned."""
+    return {(front.location(request.model_name), request_id)
+            for request_id, request in front._requests.items()
+            if request.status == "queued" and request.request_id == request_id}
 
 
-def test_local_id_map_holds_only_pending_requests(make_tier, tenant_graphs,
-                                                  mlp_thresholds,
-                                                  mlp_input_factory):
+def test_pending_index_holds_only_pending_requests(make_tier, tenant_graphs,
+                                                   mlp_thresholds,
+                                                   mlp_input_factory):
     """The front end's pending index holds exactly the requests still
     queued: a returned request leaves it, whether its drain was partial,
     whole or after a move."""

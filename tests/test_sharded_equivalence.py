@@ -137,12 +137,14 @@ def _ledger(front_end: ServiceCore) -> Tuple[Dict[str, float], float]:
 
 
 def _fingerprint(request) -> Tuple:
-    """Everything the protocol lets a client observe about one request."""
+    """Everything the protocol lets a client observe about one request,
+    its id included: the id ``submit`` returned is the request's only id."""
     report = request.report
     if report is None:
-        return (request.status, request.error is not None)
+        return (request.request_id, request.status, request.error is not None)
     dispute = report.dispute
     return (
+        request.request_id,
         request.status,
         report.final_status,
         report.finalized_optimistically,

@@ -16,6 +16,7 @@ from repro.graph import Module, Parameter, trace_module
 from repro.graph import functional as F
 from repro.protocol import TAOService
 from repro.protocol.coordinator import TaskStatus
+from repro.protocol.service import ServiceRequest
 
 from test_sharded_equivalence import _round_costs
 
@@ -369,6 +370,28 @@ def test_every_request_is_a_coordinator_task(service, mlp_input_factory):
     assert len(task_ids) == 5
     for task_id in task_ids:
         assert service.coordinator.task(task_id).status is TaskStatus.FINALIZED
+
+
+def test_enqueue_files_a_record_under_its_own_id(service, mlp_graph,
+                                                mlp_input_factory):
+    """``enqueue`` is the one intake: it files the record it is handed
+    under that record's id, refuses an id already filed, and ``submit``
+    (which builds a record and enqueues it) never reuses a filed id or
+    skips one for a submit that was refused."""
+    with pytest.raises(KeyError):
+        service.submit("no-such-model", mlp_input_factory(90))
+    assert service.submit(mlp_graph.name, mlp_input_factory(91)) == 0
+    record = ServiceRequest(request_id=5, model_name=mlp_graph.name,
+                            inputs=mlp_input_factory(92))
+    service.enqueue(record)
+    assert service.request(5) is record
+    with pytest.raises(ValueError, match="already filed"):
+        service.enqueue(ServiceRequest(request_id=5, model_name=mlp_graph.name,
+                                       inputs=mlp_input_factory(93)))
+    assert service.submit(mlp_graph.name, mlp_input_factory(94)) == 6
+    processed = service.process()
+    assert [request.request_id for request in processed] == [0, 5, 6]
+    assert processed[1] is record and record.status in TERMINAL
 
 
 # ----------------------------------------------------------------------
