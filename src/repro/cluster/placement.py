@@ -9,12 +9,13 @@ the move plans.  Every plan validates first (the last-live guard included),
 then updates membership and returns ``(tenant, target)`` moves in tenant
 name order.
 
-:class:`PlacedCore` is the front end both sharded tiers are: the request
-records (one per request, under the id ``submit`` returned), the one
-intake and the queue reads, drains and their ordering, move
-execution with re-dispatch, the slash quarantine, the membership verbs and
-the one ``stats()``.  A tier contributes only its shard backend — in
-process, or a worker process behind RPC — and its tenant registration.
+:class:`PlacedCore` is the front end both sharded tiers are: beside the
+request records and their clock, which every :class:`ServiceCore` owns, the
+admission to a tenant's shard and the queue reads, drains and their
+ordering, move execution with re-dispatch, the slash quarantine, the
+membership verbs and the one ``stats()``.  A tier contributes only its
+shard backend — in process, or a worker process behind RPC — and its tenant
+registration.
 """
 
 from __future__ import annotations
@@ -233,17 +234,18 @@ class PlacedCore(ServiceCore):
     """The one sharded front end; a shard backend serves each shard.
 
     The front end owns everything above a shard: placement, the request
-    records, the one pending index (per shard, the ids of its queued
-    requests as an ordered set, in dispatch order), the queue reads,
-    processed-request ordering, move execution with re-dispatch, the slash
-    quarantine, dead-shard restarts and the membership verbs.  A request
-    has one id and one record, a
+    records and their clock (:class:`ServiceCore`), the one pending index
+    (per shard, the ids of its queued requests as an ordered set, in
+    dispatch order), the queue reads, processed-request ordering, move
+    execution with re-dispatch, the slash quarantine, dead-shard restarts
+    and the membership verbs.  A request has one id and one record, a
     :class:`~repro.protocol.service.ServiceRequest`: the id ``submit``
-    returned, which every shard files it under, across any number of moves
-    and restarts.  The front end drives every shard through one backend
+    returned, which every shard admits it under, across any number of moves
+    and restarts.  A shard holds a request only while it is queued or in
+    flight there.  The front end drives every shard through one backend
     vocabulary, in request ids:
 
-    * ``enqueue(request)`` and ``drain(take) -> [request id]``, which
+    * ``admit(request)`` and ``drain(take) -> [request id]``, which
       processes and fills the front end's records;
     * ``withdraw(name) -> [request id]``, then ``detach(record)`` on the
       source and ``adopt(record, state)`` on the target of a move;
@@ -269,6 +271,7 @@ class PlacedCore(ServiceCore):
                  devices: Sequence[DeviceProfile], hash_cache: Optional[HashCache],
                  error: Type[PlacementError], alpha: float,
                  **service_knobs: Any) -> None:
+        super().__init__()
         self.chain = chain or SimulatedChain()
         self.devices = tuple(devices)
         self.alpha = float(alpha)
@@ -282,7 +285,6 @@ class PlacedCore(ServiceCore):
         #: Removed shards' backends, kept for fleet-wide settlement and
         #: invariant checks.
         self.retired_shards: List[Any] = []
-        self._requests: Dict[int, ServiceRequest] = {}
         #: The pending index: per shard, the ids of its queued requests in
         #: dispatch order (an insertion-ordered set).
         self._pending: Dict[str, Dict[int, None]] = {}
@@ -348,14 +350,11 @@ class PlacedCore(ServiceCore):
 
     # -- request intake and queue reads ----------------------------------
 
-    def enqueue(self, request: ServiceRequest) -> None:
-        """Dispatch one request to its tenant's shard and file it.  A dead
-        home is restarted first; one that dies under the call is restarted
-        and the enqueue retried once."""
+    def admit(self, request: ServiceRequest) -> None:
+        """Dispatch one request to its tenant's shard.  A dead home is
+        restarted first; one that dies under the call is restarted and the
+        admission retried once."""
         home = self.location(request.model_name)  # fail fast on unknown tenants
-        if request.request_id in self._requests:
-            raise ValueError(
-                f"request id {request.request_id} is already filed here")
         try:
             if home in self.placement.dead:
                 self._restart_shard(home)
@@ -363,15 +362,10 @@ class PlacedCore(ServiceCore):
         except self._shard_lost:
             self._restart_shard(home)
             self._dispatch(request, home)
-        self._requests[request.request_id] = request
-        self._next_request_id = max(self._next_request_id, request.request_id + 1)
 
     def _dispatch(self, request: ServiceRequest, shard_id: str) -> None:
-        self.shards[shard_id].enqueue(request)
+        self.shards[shard_id].admit(request)
         self._pending[shard_id][request.request_id] = None
-
-    def request(self, request_id: int) -> ServiceRequest:
-        return self._requests[request_id]
 
     @property
     def pending_count(self) -> int:
@@ -385,7 +379,7 @@ class PlacedCore(ServiceCore):
 
     # -- processing ------------------------------------------------------
 
-    def process(self, max_requests: Optional[int] = None) -> List[ServiceRequest]:
+    def drain(self, max_requests: Optional[int] = None) -> List[ServiceRequest]:
         """Drain the shards with pending work, in shard-id order (several at
         once where the backend runs them concurrently); ``max_requests``
         caps the drain front-end-wide and runs it sequentially.  Each round
@@ -461,7 +455,7 @@ class PlacedCore(ServiceCore):
 
         The source withdraws the tenant's queued requests and detaches its
         state; the target adopts it (quarantined first when its standing
-        proposer was slashed), and the withdrawn requests are enqueued there
+        proposer was slashed), and the withdrawn requests are admitted there
         in queue order — the same records, under the same ids.
         """
         source, target = self.shards[record.shard_id], self.shards[target_id]
@@ -515,16 +509,18 @@ class PlacedCore(ServiceCore):
         return [shard.coordinator for shard in self._every_shard()]
 
     def stats(self) -> ServiceStats:
-        """The shards' merged record plus the front end's own accounting.
+        """The shards' summed counters plus the front end's own accounting.
 
         ``requests_submitted`` counts front-end submits: a re-dispatched
-        request is one request, however many shards saw it.
+        request is one request, however many shards saw it.  ``latency``
+        is the front end's digest.
         """
         records = {shard.shard_id: shard.stats() for shard in self._every_shard()}
         stats = ServiceStats.merged({shard_id: record
                                      for shard_id, record in records.items()
                                      if record is not None})
         stats.requests_submitted = len(self._requests)
+        stats.latency = self.latency
         stats.shards = len(set(self.placement.shards) - self.placement.dead)
         stats.failovers = self.failovers
         stats.redispatched_requests = self.redispatched_requests

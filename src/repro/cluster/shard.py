@@ -6,10 +6,11 @@ A shard is not a reduced replica — it is an ordinary
 caches) whose chain is a :class:`~repro.protocol.chain.ShardChainView` over
 the cluster's shared settlement chain.  :class:`Shard` speaks the front
 end's backend vocabulary (:class:`~repro.cluster.placement.PlacedCore`) as
-plain method calls, with no wire loopback: its service files the front
-end's own request record, so a drain fills that object in place.  A move
-carries the tenant's :class:`~repro.protocol.service.ModelEntry` whole, so
-its caches stay warm.
+plain calls to its service's backend verbs, with no wire loopback: the
+service queues the front end's own request record, fills that object in
+place as it drains it, and keeps no record once the drain has returned it.
+A move carries the tenant's :class:`~repro.protocol.service.ModelEntry`
+whole, so its caches stay warm.
 ``busy_s`` reads the shard's measured processing time.
 """
 
@@ -40,12 +41,12 @@ class Shard:
         count."""
         return self.service.stats_record.busy_cpu_s
 
-    def enqueue(self, request: ServiceRequest) -> None:
-        self.service.enqueue(request)
+    def admit(self, request: ServiceRequest) -> None:
+        self.service.admit(request)
 
     def drain(self, max_requests: Optional[int]) -> List[int]:
         return [request.request_id
-                for request in self.service.process(max_requests)]
+                for request in self.service.drain(max_requests)]
 
     def withdraw(self, name: str) -> List[int]:
         return [request.request_id for request in self.service.withdraw_queued(name)]

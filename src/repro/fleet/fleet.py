@@ -72,7 +72,6 @@ from repro.protocol.lifecycle import SessionReport
 from repro.protocol.service import ServiceRequest, ServiceStats
 from repro.tensorlib.device import DEVICE_FLEET, DeviceProfile
 from repro.utils.serialization import canonical_bytes
-from repro.utils.timing import now
 
 
 class FleetError(PlacementError):
@@ -190,10 +189,11 @@ class WorkerHandle:
 
     Speaks the front end's backend vocabulary
     (:class:`~repro.cluster.placement.PlacedCore`) as worker ops, in the
-    front end's request ids: the worker files each request under the id
-    ``submit`` returned, and a drain settles the front end's own records
-    from the result rows.  The parent-side mirrors — the coordinator
-    snapshot and the last stats record — live here and survive a journal
+    front end's request ids: the worker admits each request under the id
+    ``submit`` returned and holds it only until a drain returns it, and
+    that drain settles the front end's own records from the result rows.
+    The parent-side mirrors — the coordinator snapshot and the last stats
+    record — live here and survive a journal
     recovery, which relaunches the worker in place; a dead worker answers
     ``detach``/``stats`` from them and ``withdraw`` from the front end's
     pending index.  ``alive`` is the channel's flag; the front end reads
@@ -221,7 +221,7 @@ class WorkerHandle:
                 f"for {record.name!r}; the wire round-trip is not "
                 "commitment-exact")
 
-    def enqueue(self, request: ServiceRequest) -> None:
+    def admit(self, request: ServiceRequest) -> None:
         """Ship one request to the worker; ``proposer``/``challenger`` must
         be **actor specs** (plain maps resolved by the workers' actor
         module) — role objects hold devices and closures that cannot cross
@@ -316,7 +316,6 @@ class WorkerHandle:
         view.status = row["status"]
         view.error = row["error"]
         view.cache_hit = bool(row["cache_hit"])
-        view.completed_s = now()
         payload = row["report"]
         if payload is None:
             view.report = None
@@ -599,7 +598,7 @@ class ProcessFleet(PlacedCore):
 
         The shard keeps its identity (ring placement, coordinator mirror,
         queue and request records); a replayed submit carries its request
-        id, so the worker files each request under the id the front end
+        id, so the worker admits each request under the id the front end
         holds.  Replayed chain calls carry
         per-incarnation sequence ids that dedupe against the journal tail,
         so each pre-crash ledger mutation applies exactly once; the command

@@ -19,7 +19,7 @@ normalizes away, so this module defines the explicit, tagged payload shapes:
 
 Statistics need no builder here: :class:`~repro.protocol.service.ServiceStats`
 ships its own fixed-size ``to_payload()``/``from_payload()`` state (counters
-plus the latency digest), lossless in both directions, so the fleet merges
+plus the latency digest), lossless in both directions, so the fleet sums
 the same numbers the in-process service would.
 """
 

@@ -51,7 +51,6 @@ from repro.fleet.wire import graph_from_payload
 from repro.protocol.chain import ShardChainView
 from repro.protocol.coordinator import Coordinator, DisputePhase
 from repro.protocol.service import TERMINAL_TASK_STATUSES, ServiceRequest, TAOService
-from repro.utils.timing import now
 
 
 class WorkerError(RuntimeError):
@@ -236,19 +235,19 @@ class ShardWorker:
         if message.get("challenger") is not None:
             challenger = self.actors.build_challenger(self.service, model_name,
                                                       message["challenger"])
-        # Filed under the front end's id, which the journaled op carries,
-        # so a replayed worker files it under the same one.
-        self.service.enqueue(ServiceRequest(
+        # Admitted under the front end's id, which the journaled op carries,
+        # so a replayed worker admits it under the same one.  The worker
+        # keeps no clock for it: the front end owns the request's times.
+        self.service.admit(ServiceRequest(
             request_id=int(message["request_id"]), model_name=model_name,
             inputs=message["inputs"], proposer=proposer, challenger=challenger,
-            force_challenge=bool(message.get("force_challenge", False)),
-            submitted_s=now()))
+            force_challenge=bool(message.get("force_challenge", False))))
         return {}
 
     def op_process(self, message: Dict[str, Any]) -> Dict[str, Any]:
         max_requests = message.get("max_requests")
-        processed = self.service.process(
-            max_requests=None if max_requests is None else int(max_requests))
+        processed = self.service.drain(
+            None if max_requests is None else int(max_requests))
         # Only the coordinator rows that changed since the previous
         # successful process response: the parent's snapshot already holds
         # the rest, and a full snapshot would grow with the shard's history.

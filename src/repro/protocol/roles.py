@@ -55,8 +55,9 @@ class ProposedResult:
     The commitment goes on chain; the trace values are the off-chain data the
     challenger pulls during a dispute (bound to the chain by interface
     hashes inside subgraph records).  A :meth:`receipt` keeps everything but
-    the trace (``trace_values is None``): what a result is worth once no
-    dispute can ask for its intermediates any more.
+    the trace (``trace_values is None``) and the payload (``inputs`` empty):
+    what a result is worth once no dispute can ask for its intermediates
+    any more.
     """
 
     model_name: str
@@ -70,10 +71,11 @@ class ProposedResult:
     device_name: str
 
     def receipt(self) -> "ProposedResult":
-        """This result without its recorded trace (``self`` if already one)."""
-        if self.trace_values is None:
+        """This result without its recorded trace and payload (``self`` if
+        already one)."""
+        if self.trace_values is None and not self.inputs:
             return self
-        return replace(self, trace_values=None)
+        return replace(self, inputs={}, trace_values=None)
 
 
 class Proposer:

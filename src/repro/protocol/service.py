@@ -7,8 +7,8 @@ or challenges it, is served here over the Phase-0 record
 
 Request life cycle inside :meth:`TAOService.process`:
 
-1. **Queue** — :meth:`ServiceCore.submit` builds one request record and
-   :meth:`TAOService.enqueue` files it under its id and queues it; tenants
+1. **Queue** — :meth:`ServiceCore.submit` builds one request record,
+   files it under its id and :meth:`TAOService.admit` queues it; tenants
    are models registered once via :meth:`TAOService.register_model`
    (per-model session reuse: calibration, commitments and role objects are
    built once, not per request).
@@ -22,7 +22,7 @@ Request life cycle inside :meth:`TAOService.process`:
    input hash short-circuits repeated standing-proposer requests: the
    proposer's committed result and the challenger's verdict for identical
    payloads are reused.  The cache keeps receipts (results without their
-   recorded trace); a hit that goes to dispute is re-traced once here.  An
+   recorded trace or payload); a hit that goes to dispute is re-traced once here.  An
    entry also keeps the outcome of the dispute fought over it: once the
    standing proposer has been upheld on a commitment, later hits on it
    finalize optimistically, so honest traffic pays for a false alarm once.
@@ -36,7 +36,7 @@ Request life cycle inside :meth:`TAOService.process`:
 5. **Finalize** — time advances past the challenge window once and all
    unchallenged tasks finalize; every processed request ends in a terminal
    coordinator status, and its report keeps a receipt: the recorded trace
-   is released as the cycle closes.
+   and the payload are released as the cycle closes.
 
 A drain admits the queue in bounded cycles and runs each cycle through four
 stages strictly in sequence — *hash* (HashCache + Merkle input digests),
@@ -45,20 +45,24 @@ append + challenge-window bookkeeping) and *dispute* (round-robin
 ``DisputeGame.step_round`` multiplexing) — timing each stage's thread CPU
 into :attr:`ServiceStats.stage_busy_s`.
 
-Throughput/latency statistics are collected per request into one fixed-size
-:class:`ServiceStats` record (:meth:`TAOService.stats`); sharded tiers merge
-their shards' records with :meth:`ServiceStats.merged`.
+Throughput statistics are collected per request into one fixed-size
+:class:`ServiceStats` record (:meth:`TAOService.stats`); sharded tiers sum
+their shards' counters with :meth:`ServiceStats.merged`.
 
-:class:`ServiceCore` is the front-end contract this module's request/verdict
-types travel through: both :class:`TAOService` (one queue, one coordinator)
-and :class:`~repro.cluster.cluster.TAOCluster` (N shards, each a full
-``TAOService``) implement it, so examples, benchmarks and the protocol
-simulator can drive either interchangeably.  A request keeps the id
-``submit`` returned on every tier: a shard files the front end's record
-(or, in a worker process, a copy of it) under that id.
-:meth:`TAOService.enqueue`, :meth:`TAOService.withdraw_queued`,
+:class:`ServiceCore` is the front end every tier is: :class:`TAOService`
+(one queue, one coordinator), :class:`~repro.cluster.cluster.TAOCluster`
+and :class:`~repro.fleet.fleet.ProcessFleet` (N shards, each a full
+``TAOService``), so examples, benchmarks and the protocol simulator can
+drive any of them interchangeably.  The front end owns each request's one
+record and its one clock: ``submit`` stamps ``submitted_s`` and files the
+record under the id it returns, and :meth:`ServiceCore.process` stamps
+``completed_s`` on each record it returns, records that latency in the
+tier's one digest and drops the record's payload.  Below it a tier speaks
+backend verbs only — ``admit`` a record, ``drain`` the queue — so a shard's
+service (in process, or in a worker process) holds a request only while it
+is pending or in flight.  :meth:`TAOService.withdraw_queued`,
 :meth:`TAOService.detach_model` and :meth:`TAOService.adopt_model` are the
-migration primitives the cluster's failover uses to move a tenant — session,
+migration primitives the sharded tiers use to move a tenant — session,
 standing roles, result cache and clone accounting intact — between shards
 without minting or forfeiting a single ledger unit.
 """
@@ -96,7 +100,7 @@ class CachedVerdict:
 
     Every executed request ends the execute stage with one; default-path
     verdicts are also memoized per input hash in the tenant's result cache,
-    whose entries hold a trace-less :meth:`ProposedResult.receipt`.
+    whose entries hold a :meth:`ProposedResult.receipt` (no trace, no payload).
     """
 
     result: ProposedResult
@@ -114,6 +118,7 @@ class ServiceRequest:
 
     request_id: int
     model_name: str
+    #: Emptied once ``process()`` returns the request: nothing reads it then.
     inputs: Dict[str, np.ndarray]
     proposer: Optional[Proposer] = None  # None -> the model's default honest proposer
     #: Per-request challenger override: verifies (custom-proposer path) and
@@ -128,6 +133,7 @@ class ServiceRequest:
     #: the coordinator; the rest of the batch is unaffected).
     error: Optional[str] = None
     cache_hit: bool = False
+    #: Stamped by ``submit`` and by the ``process()`` that returns the request.
     submitted_s: float = 0.0
     completed_s: float = 0.0
 
@@ -146,7 +152,7 @@ class ModelEntry:
     challenger: Challenger
     user: object
     #: Content-addressed verdict memo, LRU-bounded by TAOService.result_cache_size.
-    #: Entries hold receipts (commitment and outputs, no recorded trace).
+    #: Entries hold receipts (commitment and outputs, no trace or payload).
     result_cache: "OrderedDict[bytes, CachedVerdict]" = field(default_factory=OrderedDict)
     challenger_clones: int = 0
 
@@ -163,9 +169,10 @@ class ServiceStats:
 
     A :class:`TAOService` fills the counters itself; a sharded tier builds
     its record with :meth:`merged` over its shards' records and adds the
-    front end's own accounting (``requests_submitted``, ``shards``,
-    ``failovers``, ``redispatched_requests``, ``measured_wall_s``).  The
-    record is fixed-size: latencies live in a digest, not a list.
+    front end's own accounting (``requests_submitted``, ``latency``,
+    ``shards``, ``failovers``, ``redispatched_requests``,
+    ``measured_wall_s``).  The record is fixed-size: latencies live in a
+    digest, not a list.
     """
 
     requests_submitted: int = 0
@@ -186,7 +193,7 @@ class ServiceStats:
     busy_cpu_s: float = 0.0
     #: Per-stage busy breakdown (hash / execute / settle / dispute).
     stage_busy_s: Dict[str, float] = field(default_factory=dict)
-    #: Submit-to-completion latency of every completed request.
+    #: ``latency_s`` of every request the front end's ``process()`` returned.
     latency: LatencyDigest = field(default_factory=LatencyDigest)
     status_counts: Dict[str, int] = field(default_factory=dict)
     #: Sharded tiers: members that are neither dead nor retired.
@@ -227,8 +234,8 @@ class ServiceStats:
     @classmethod
     def merged(cls, parts: Mapping[str, "ServiceStats"]) -> "ServiceStats":
         """Roll up per-shard records (shard id -> record) in shard-id order:
-        counters and per-key dicts sum, digests merge, and ``shard_busy_s``
-        maps each shard to its ``busy_cpu_s``."""
+        counters and per-key dicts sum, and ``shard_busy_s`` maps each shard
+        to its ``busy_cpu_s``."""
         total = cls()
         for shard_id in sorted(parts):
             part = parts[shard_id]
@@ -238,7 +245,6 @@ class ServiceStats:
                 into = getattr(total, name)
                 for key, value in getattr(part, name).items():
                     into[key] = into.get(key, 0) + value
-            total.latency.merge(part.latency)
             total.shard_busy_s[shard_id] = part.busy_cpu_s
         return total
 
@@ -275,18 +281,24 @@ class _CycleState:
 
 
 class ServiceCore(abc.ABC):
-    """The serving front-end contract shared by one service and a cluster.
+    """The serving front end every tier is: one service, a cluster, a fleet.
 
     Implementations accept the same request shapes, hand back the same
     :class:`ServiceRequest`/:class:`~repro.protocol.lifecycle.SessionReport`
     objects and account through :class:`ServiceStats`, so a caller written
     against this interface (examples, benchmarks, the protocol simulator's
     runner) is oblivious to whether one queue or a sharded fleet serves it.
+    It owns the request records, their clock and the latency digest; a tier
+    adds the backend verbs :meth:`admit` and :meth:`drain`.
     """
 
-    #: The id the next :meth:`submit` returns: one past the largest id
-    #: :meth:`enqueue` has filed.
-    _next_request_id = 0
+    def __init__(self) -> None:
+        self._requests: Dict[int, ServiceRequest] = {}
+        #: The id the next :meth:`submit` returns: one past the largest id
+        #: :meth:`enqueue` has filed.
+        self._next_request_id = 0
+        #: One observation per request :meth:`process` returned.
+        self.latency = LatencyDigest()
 
     @abc.abstractmethod
     def register_model(self, graph_module: GraphModule,
@@ -310,18 +322,39 @@ class ServiceCore(abc.ABC):
         self.enqueue(request)
         return request.request_id
 
-    @abc.abstractmethod
     def enqueue(self, request: ServiceRequest) -> None:
-        """File one request record under its ``request_id`` and queue it:
-        the one intake, which ``submit`` and every shard backend call."""
+        """File one request record under its ``request_id`` and admit it:
+        the front end's one intake, which ``submit`` calls."""
+        if request.request_id in self._requests:
+            raise ValueError(
+                f"request id {request.request_id} is already filed here")
+        self.admit(request)  # fails fast on unknown tenants
+        self._requests[request.request_id] = request
+        self._next_request_id = max(self._next_request_id, request.request_id + 1)
 
-    @abc.abstractmethod
     def request(self, request_id: int) -> ServiceRequest:
         """The (terminal or in-flight) record for one submitted request."""
+        return self._requests[request_id]
+
+    def process(self, max_requests: Optional[int] = None) -> List[ServiceRequest]:
+        """:meth:`drain`, then stamp each returned record's ``completed_s``,
+        record its latency and drop its payload."""
+        returned = self.drain(max_requests)
+        completed = now()
+        for request in returned:
+            request.completed_s = completed
+            request.inputs = {}
+            self.latency.add(request.latency_s)
+        return returned
 
     @abc.abstractmethod
-    def process(self, max_requests: Optional[int] = None) -> List[ServiceRequest]:
-        """Drain (up to ``max_requests`` of) the queue to terminal statuses."""
+    def admit(self, request: ServiceRequest) -> None:
+        """Queue one record for a later drain (a backend verb)."""
+
+    @abc.abstractmethod
+    def drain(self, max_requests: Optional[int] = None) -> List[ServiceRequest]:
+        """Take (up to ``max_requests`` of) the queue to terminal statuses,
+        returning each admitted request once (a backend verb)."""
 
     @abc.abstractmethod
     def stats(self) -> ServiceStats:
@@ -364,6 +397,7 @@ class TAOService(ServiceCore):
         hash_cache: Optional[HashCache] = None,
         cycle_capacity: Optional[int] = None,
     ) -> None:
+        super().__init__()
         self.coordinator = coordinator or Coordinator()
         self.devices = tuple(devices)
         self.result_cache_size = int(result_cache_size)
@@ -383,12 +417,11 @@ class TAOService(ServiceCore):
         self.last_pipeline_stats = None
 
         self._models: Dict[str, ModelEntry] = {}
-        self._queue: Deque[int] = deque()
-        self._requests: Dict[int, ServiceRequest] = {}
-        #: Requests a drain that raised left terminal; the next ``process()``
+        self._queue: Deque[ServiceRequest] = deque()
+        #: Requests a drain that raised left terminal; the next drain
         #: returns them, so every admitted request is returned exactly once.
         self._unreported: List[ServiceRequest] = []
-        self.stats_record = ServiceStats()
+        self.stats_record = ServiceStats(latency=self.latency)
 
     # ------------------------------------------------------------------
     # Tenant management
@@ -453,20 +486,14 @@ class TAOService(ServiceCore):
     # Request intake
     # ------------------------------------------------------------------
 
-    def enqueue(self, request: ServiceRequest) -> None:
-        """File ``request`` under its id and queue it.  A shard is handed
-        the front end's record, so it fills that very object in place."""
+    def admit(self, request: ServiceRequest) -> None:
+        """Queue ``request``, refusing an id already queued here (a worker
+        replaying a corrupt journal)."""
         self.model(request.model_name)  # fail fast on unknown tenants
-        if request.request_id in self._requests:
-            raise ValueError(
-                f"request id {request.request_id} is already filed here")
-        self._requests[request.request_id] = request
-        self._queue.append(request.request_id)
-        self._next_request_id = max(self._next_request_id, request.request_id + 1)
+        if any(queued.request_id == request.request_id for queued in self._queue):
+            raise ValueError(f"request id {request.request_id} is already queued here")
+        self._queue.append(request)
         self.stats_record.requests_submitted += 1
-
-    def request(self, request_id: int) -> ServiceRequest:
-        return self._requests[request_id]
 
     @property
     def pending_count(self) -> int:
@@ -474,12 +501,12 @@ class TAOService(ServiceCore):
 
     def withdraw_queued(self, model_name: str) -> List[ServiceRequest]:
         """Remove this model's queued requests from this service, in queue
-        order; a move files them, still ``queued`` and under the same ids,
-        on the tenant's next shard.  Processed requests stay."""
-        withdrawn = [self._requests.pop(request_id) for request_id in self._queue
-                     if self._requests[request_id].model_name == model_name]
-        self._queue = deque(request_id for request_id in self._queue
-                            if request_id in self._requests)
+        order; a move admits them, still ``queued`` and under the same ids,
+        on the tenant's next shard."""
+        withdrawn = [request for request in self._queue
+                     if request.model_name == model_name]
+        self._queue = deque(request for request in self._queue
+                            if request.model_name != model_name)
         return withdrawn
 
     # ------------------------------------------------------------------
@@ -493,7 +520,7 @@ class TAOService(ServiceCore):
         detaching with work still queued would strand those requests.
         """
         entry = self.model(name)
-        if any(self._requests[rid].model_name == name for rid in self._queue):
+        if any(request.model_name == name for request in self._queue):
             raise RuntimeError(
                 f"model {name!r} still has queued requests; withdraw them first"
             )
@@ -541,7 +568,7 @@ class TAOService(ServiceCore):
     # Processing
     # ------------------------------------------------------------------
 
-    def process(self, max_requests: Optional[int] = None) -> List[ServiceRequest]:
+    def drain(self, max_requests: Optional[int] = None) -> List[ServiceRequest]:
         """Drain (up to ``max_requests`` of) the queue to terminal statuses.
 
         The drain proceeds in bounded cycles: every coordinator transaction
@@ -551,8 +578,8 @@ class TAOService(ServiceCore):
         dispute -> finalize before the next cycle starts.
 
         Returns the requests this drain took to a terminal status, after
-        any that an earlier drain finished before it raised: a sharded
-        front end learns of its requests only from these returns.  Those
+        any that an earlier drain finished before it raised: a front end
+        learns of its requests only from these returns.  Those
         include what that drain stranded; :meth:`_finalize_stranded` first
         finalizes the ones that were only waiting for their window.
         """
@@ -602,7 +629,7 @@ class TAOService(ServiceCore):
             take = capacity if remaining is None else min(capacity, remaining)
             batch: List[ServiceRequest] = []
             while self._queue and len(batch) < take:
-                batch.append(self._requests[self._queue.popleft()])
+                batch.append(self._queue.popleft())
             if not batch:
                 break
             cycles.append(_CycleState(index=len(cycles), batch=batch))
@@ -630,7 +657,7 @@ class TAOService(ServiceCore):
 
         Returns the requests of unclosed cycles that are now terminal.
         """
-        requeue: List[int] = []
+        requeue: List[ServiceRequest] = []
         finished: List[ServiceRequest] = []
         counts = self.stats_record.status_counts
         for cycle in cycles:
@@ -638,7 +665,7 @@ class TAOService(ServiceCore):
                 continue  # dispute stage finished: already counted
             for request in cycle.batch:
                 if request.status == "queued" and request.report is None:
-                    requeue.append(request.request_id)
+                    requeue.append(request)
                     continue
                 if request.status == "queued":
                     # The request settled; what happened next is on the
@@ -882,13 +909,10 @@ class TAOService(ServiceCore):
                 self.coordinator.try_finalize(report.task.task_id, caller=proposer.name)
                 report.finalized_optimistically = True
 
-        completed = now()
         for request in cycle.batch:
             if request.report is not None:
                 request.status = request.report.final_status
-            request.completed_s = completed
             self.stats_record.requests_completed += 1
-            self.stats_record.latency.add(request.latency_s)
             counts = self.stats_record.status_counts
             counts[request.status] = counts.get(request.status, 0) + 1
         self._release_traces(cycle)
@@ -931,7 +955,8 @@ class TAOService(ServiceCore):
     def _release_traces(cycle: _CycleState) -> None:
         """Drop the cycle's recorded traces: every request is terminal, so no
         dispute can ask for an intermediate tensor again.  Reports keep a
-        receipt, in place, since callers hold the request records."""
+        receipt (no trace, no payload), in place, since callers hold the
+        request records."""
         for request in cycle.batch:
             if request.report is not None:
                 request.report.result = request.report.result.receipt()
@@ -951,7 +976,8 @@ class TAOService(ServiceCore):
         """The single insert path of the result cache: store + LRU-evict.
 
         The entry keeps the verdict with a receipt of its result (no
-        recorded trace; a disputed hit is re-traced by :meth:`_retrace`).
+        recorded trace or payload; a disputed hit is re-traced by
+        :meth:`_retrace`).
         Every insert runs eviction, so the bound holds after *every* insert,
         on every path — the invariant ``len(result_cache) <=
         result_cache_size`` is pinned by a mixed-traffic regression test.
@@ -989,7 +1015,8 @@ class TAOService(ServiceCore):
 
         The standing proposer traces the payload again; its outputs must
         equal the receipt's committed outputs bit for bit, or the dispute
-        would run over a trace the chain never committed to.
+        would run over a trace the chain never committed to.  The result
+        takes back the request's payload, whose hash the receipt committed.
         """
         receipt = cached.result
         trace = entry.proposer.trace(entry.session.graph_module, request.inputs)
@@ -1002,7 +1029,8 @@ class TAOService(ServiceCore):
                 f"re-trace of a cached {entry.name!r} result on "
                 f"{entry.proposer.device.name!r} does not reproduce its "
                 "committed outputs")
-        return replace(cached, result=replace(receipt, trace_values=dict(trace.values)))
+        return replace(cached, result=replace(receipt, inputs=dict(request.inputs),
+                                              trace_values=dict(trace.values)))
 
     def _challenger_clone(self, entry: ModelEntry) -> Challenger:
         """A fresh challenger for one dispute: the dispute's bonded account.

@@ -1,19 +1,14 @@
-"""Fixed-memory latency quantile digest with exactly associative merge.
+"""Fixed-memory latency quantile digest.
 
 Every service tier reports p50/p99/p999 over millions of observations in a
 record whose size does not grow with the request count
-(``ServiceStats.latency``).  :class:`LatencyDigest` is a log-bucketed
+(``ServiceStats.latency``, one digest per front end, fed as ``process()``
+returns each request).  :class:`LatencyDigest` is a log-bucketed
 histogram: bucket ``i`` covers the half-open interval
 ``(min_value * growth**(i-1), min_value * growth**i]``, so the bucket count is
 fixed by the configured dynamic range and the relative value error of any
 quantile is bounded by the bucket width — at the default ``growth=1.02``,
 under about one percent.
-
-Bucket counts are integers and observed min/max are exact, so ``merge`` is
-*exactly* associative and commutative: per-worker digests folded in any order
-produce byte-identical state, which is what lets fleet-wide aggregation keep
-the repo's determinism discipline.  (Deliberately no floating ``sum`` field:
-a float accumulator would make merge order observable.)
 
 ``quantile`` follows NumPy's ``inverted_cdf`` method at bucket granularity:
 the value reported for rank ``ceil(q * count)`` is the geometric midpoint of
@@ -23,7 +18,7 @@ the bucket holding that rank, clamped into the exact observed range.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable
 
 
 class LatencyDigest:
@@ -122,24 +117,8 @@ class LatencyDigest:
         }
 
     # ------------------------------------------------------------------
-    # Merge / serialization
+    # Serialization
     # ------------------------------------------------------------------
-
-    def _config(self) -> Tuple[float, float, float]:
-        return (self.growth, self.min_value, self.max_value)
-
-    def merge(self, other: "LatencyDigest") -> "LatencyDigest":
-        """Fold ``other`` into this digest in place (and return self)."""
-        if self._config() != other._config():
-            raise ValueError(
-                "cannot merge digests with different bucket configurations: "
-                f"{self._config()} vs {other._config()}")
-        for index, count in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + count
-        self.count += other.count
-        self.observed_min = min(self.observed_min, other.observed_min)
-        self.observed_max = max(self.observed_max, other.observed_max)
-        return self
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical-codec-safe state dump (string bucket keys, sorted)."""
@@ -172,12 +151,3 @@ class LatencyDigest:
         return (f"LatencyDigest(count={self.count}, p50={self.p50:.6f}, "
                 f"p99={self.p99:.6f}, p999={self.p999:.6f})")
 
-
-def merged(parts: List["LatencyDigest"], growth: float = 1.02,
-           min_value: float = 1e-7, max_value: float = 1e5) -> LatencyDigest:
-    """Fold a list of digests into a fresh one (empty-list safe)."""
-    total = LatencyDigest(growth=growth, min_value=min_value,
-                          max_value=max_value)
-    for part in parts:
-        total.merge(part)
-    return total

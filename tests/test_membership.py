@@ -29,8 +29,7 @@ from repro.fleet.wire import encode_perturbation
 from repro.graph import trace_module
 from repro.merkle.cache import HashCache
 from repro.protocol.roles import HonestProposer
-from repro.protocol.service import TERMINAL_TASK_STATUSES
-from repro.utils.digest import merged
+from repro.protocol.service import TERMINAL_TASK_STATUSES, ServiceRequest
 
 from test_sharded_equivalence import _fingerprint, _victim
 
@@ -492,26 +491,57 @@ def test_remove_shard_rehomes_and_retires(tier, make_tier, tenant_graphs,
     assert front.add_shard() == "shard-3"
 
 
-def test_tier_latency_digest_merges_every_shard(make_tier, tenant_graphs,
-                                                mlp_thresholds, mlp_input_factory):
-    """The tier's latency digest is the merge of its shards' digests,
-    a retired shard's included: one observation per completed request."""
+def test_tier_latency_is_the_front_ends_clock(make_tier, tenant_graphs,
+                                             mlp_thresholds, mlp_input_factory):
+    """The tier's latency digest holds one observation per request
+    ``process()`` returned, each the returned record's own ``latency_s``:
+    from ``submit`` to that return, on the front end's clock, across a
+    drain and a removal.  No shard or worker keeps a clock of its own."""
     front = make_tier(3)
     _register_all(front, tenant_graphs, mlp_thresholds)
-    for round_index in range(2):
+    returned = []
+    moves = ((front.drain_shard, "shard-0"), (front.remove_shard, "shard-1"))
+    for round_index, (move, shard_id) in enumerate(moves):
         for index, graph in enumerate(tenant_graphs):
             front.submit(graph.name, mlp_input_factory(700 + 10 * round_index + index))
-        front.process()
-        if round_index == 0:
-            front.remove_shard("shard-1")
+        move(shard_id)
+        returned += front.process()
 
-    stats = front.stats()
-    parts = [shard.stats() for shard in
-             list(front.shards.values()) + front.retired_shards]
-    assert stats.latency.to_dict() == \
-        merged([part.latency for part in parts]).to_dict()
-    assert stats.latency.count == stats.requests_completed == 12
-    assert parts[-1].latency.count > 0  # the retired shard served round 0
+    latencies = [view.latency_s for view in returned]
+    digest = front.stats().latency
+    assert len(returned) == 12 and front.redispatched_requests > 0
+    assert digest.count == len(returned)
+    assert digest.observed_min == min(latencies)
+    assert digest.observed_max == max(latencies)
+
+
+def test_enqueue_files_one_record_on_the_front_end(make_tier, tenant_graphs,
+                                                  mlp_thresholds, mlp_input_factory):
+    """A placed tier has the service's one intake: ``enqueue`` files the
+    record it is handed under that record's id on the front end, refuses an
+    id already filed, and a ``submit`` refused for an unknown tenant spends
+    no id.  ``process()`` hands back that same record, its payload dropped."""
+    front = make_tier(2)
+    _register_all(front, tenant_graphs[:2], mlp_thresholds)
+    first, second = (graph.name for graph in tenant_graphs[:2])
+    with pytest.raises(KeyError):
+        front.submit("no-such-model", mlp_input_factory(90))
+    assert front.submit(first, mlp_input_factory(91)) == 0
+    record = ServiceRequest(request_id=5, model_name=first,
+                            inputs=mlp_input_factory(92))
+    front.enqueue(record)
+    assert front.request(5) is record
+    with pytest.raises(ValueError, match="already filed"):
+        front.enqueue(ServiceRequest(request_id=5, model_name=second,
+                                     inputs=mlp_input_factory(93)))
+    assert front.submit(second, mlp_input_factory(94)) == 6
+
+    returned = front.process()
+    assert sorted(view.request_id for view in returned) == [0, 5, 6]
+    assert all(view is front.request(view.request_id) for view in returned)
+    assert any(view is record for view in returned)
+    assert record.status in TERMINAL_TASK_STATUSES and record.inputs == {}
+    assert front.process() == []
 
 
 @pytest.mark.parametrize("live", [1, 2], ids=["in-place", "failover"])

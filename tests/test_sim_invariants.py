@@ -639,26 +639,23 @@ def test_multicycle_cluster_drain_redispatches_exactly_once(sim_mlp_workload):
     cluster = result.service
     assert cluster.failovers >= 1
     # Cycles 0 and 1 were submitted to the home before its drain; the
-    # requests still queued there left its table and were re-filed, under
-    # the same ids, on the shard that serves the tenant now.
+    # requests still queued there were withdrawn and re-admitted, under the
+    # same ids, on the shard that serves the tenant now.  Each request's
+    # task lives on exactly one shard's coordinator: the one that served it.
     (drained,) = cluster.placement.drained_shards
     submitted = sum(len(cycle) for cycle in result.schedule.cycles[:2])
-    home_table = cluster.shards[drained].service._requests
-    redispatched = [request_id for request_id in range(submitted)
-                    if request_id not in home_table]
-    assert redispatched, "the drain withdrew nothing — no failover exercised"
-    assert cluster.redispatched_requests == len(redispatched)
-    # Each withdrawn request is filed on exactly one shard, which is not
-    # drained, and completed there once: one record, one coordinator task.
-    for request_id in redispatched:
-        serving = [shard for shard in cluster.shards.values()
-                   if request_id in shard.service._requests]
-        assert len(serving) == 1 and serving[0].shard_id != drained
-        record = serving[0].service.request(request_id)
-        assert record is cluster.request(request_id)
+    serving = {}
+    for request_id in range(submitted):
+        record = cluster.request(request_id)
         assert record.status in TERMINAL_STATUSES
         task = record.report.task
-        assert serving[0].coordinator.tasks[task.task_id] is task
+        (serving[request_id],) = [
+            shard.shard_id for shard in cluster.shards.values()
+            if shard.coordinator.tasks.get(task.task_id) is task]
+    redispatched = [request_id for request_id, shard_id in serving.items()
+                    if shard_id != drained]
+    assert redispatched, "the drain withdrew nothing — no failover exercised"
+    assert cluster.redispatched_requests == len(redispatched)
     tasks = sum(len(shard.coordinator.tasks) for shard in cluster.shards.values())
     assert tasks == sum(cluster.request(request_id).report is not None
                         for request_id in range(scenario.num_requests))

@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster import TAOCluster
+from repro.fleet import ProcessFleet
 from repro.graph import Module, Parameter, trace_module
 from repro.graph import functional as F
 from repro.protocol import TAOService
@@ -394,6 +396,43 @@ def test_enqueue_files_a_record_under_its_own_id(service, mlp_graph,
     assert processed[1] is record and record.status in TERMINAL
 
 
+@pytest.mark.parametrize("tier", ["service", "cluster", "fleet"])
+def test_process_stamps_each_return_on_the_front_ends_clock(
+        tier, mlp_graph, mlp_thresholds, mlp_input_factory):
+    """``process()`` is where a request completes, on every tier: the
+    records one call returns share that call's ``completed_s``, each one's
+    latency is ``completed_s - submitted_s`` on the front end's clock, the
+    tier's digest holds exactly those latencies, and a returned record keeps
+    its receipt but not its payload."""
+    front = {"service": lambda: TAOService(n_way=2),
+             "cluster": lambda: TAOCluster(num_shards=2, n_way=2),
+             "fleet": lambda: ProcessFleet(num_workers=2, n_way=2)}[tier]()
+    with front:
+        front.register_model(mlp_graph, threshold_table=mlp_thresholds)
+        returned = []
+        for batch in range(2):
+            ids = [front.submit(mlp_graph.name, mlp_input_factory(300 + 10 * batch + i),
+                                force_challenge=(i == 0))
+                   for i in range(4)]
+            views = front.process()
+            assert sorted(view.request_id for view in views) == ids
+            (completed,) = {view.completed_s for view in views}
+            for view in views:
+                assert view is front.request(view.request_id)
+                assert view.status in TERMINAL
+                assert view.submitted_s <= completed
+                assert view.latency_s == completed - view.submitted_s
+                assert view.inputs == {}
+                assert view.report.result.commitment.value   # the receipt stays
+            returned += views
+
+        latencies = [view.latency_s for view in returned]
+        digest = front.stats().latency
+        assert digest.count == len(returned) == 8
+        assert digest.observed_min == min(latencies)
+        assert digest.observed_max == max(latencies)
+
+
 # ----------------------------------------------------------------------
 # Result-cache LRU bound (regression: eviction must run on every insert)
 # ----------------------------------------------------------------------
@@ -486,19 +525,19 @@ def test_ragged_trailing_batch_falls_back_per_request(mlp_input_factory):
         graph, calibration_inputs=[_elastic_inputs(900 + i) for i in range(8)])
 
     widths = [8, 8, 12, 8, 16]
-    ids = [service.submit("elastic", _elastic_inputs(910 + i, width))
-           for i, width in enumerate(widths)]
+    payloads = [_elastic_inputs(910 + i, width) for i, width in enumerate(widths)]
+    ids = [service.submit("elastic", payload) for payload in payloads]
     processed = service.process()
     assert len(processed) == len(widths)
 
-    for request_id, width in zip(ids, widths):
+    for request_id, width, payload in zip(ids, widths, payloads):
         request = service.request(request_id)
         assert request.status == TaskStatus.FINALIZED.value
         assert request.report is not None
         output = request.report.result.outputs[0]
         assert output.shape == (4, width)   # the ragged payload's own answer
         expected = 1.0 / (1.0 + np.exp(-np.maximum(
-            service.request(request_id).inputs["x"], 0.0) * np.float32(1.5)))
+            payload["x"], 0.0) * np.float32(1.5)))
         np.testing.assert_allclose(output, expected, rtol=1e-5, atol=1e-6)
 
 

@@ -2,11 +2,12 @@
 
 Once a cycle's requests are terminal, no dispute can ask for an intermediate
 tensor of theirs again, so a served report keeps a receipt (commitment,
-outputs, FLOPs, device; ``trace_values is None``) and the result cache keeps
-receipts too.  A cache hit that goes to dispute is re-traced once by the
+outputs, FLOPs, device; ``trace_values is None``, no payload) and the result
+cache keeps receipts too; a request record drops its payload as
+``process()`` returns it.  A cache hit that goes to dispute is re-traced once by the
 standing proposer, and the re-trace must reproduce the committed outputs bit
-for bit.  These tests pin that no trace outlives its cycle, on one service
-and on a cluster; that a disputed hit ends exactly as the same dispute served
+for bit.  These tests pin that no trace or payload outlives its cycle, on
+every tier; that a disputed hit ends exactly as the same dispute served
 cold; that a re-trace which does not match its receipt never reaches a
 dispute; and, under ``tracemalloc``, that serving more requests does not keep
 allocating a trace per request.
@@ -22,6 +23,8 @@ import pytest
 
 from repro.calibration import CalibrationConfig, Calibrator, ThresholdTable
 from repro.cluster import TAOCluster
+from repro.fleet import ProcessFleet
+from repro.fleet.wire import encode_perturbation
 from repro.models import get_model_spec
 from repro.protocol import TAOService
 from repro.protocol.roles import AdversarialProposer
@@ -35,9 +38,9 @@ from repro.tensorlib import DEVICE_FLEET
 BATCH_GROWTH_BOUND = 256 * 1024
 
 #: Bytes per batch of 8 ``bert_mini`` requests (4 forced challenges) the
-#: hash memo may still resolve after the batch: the payloads request records
-#: hold measure 2.3 kB; a memo that pins every hashed dispute tensor grows
-#: by about 150 kB.
+#: hash memo may still resolve after the batch: the outputs receipts keep
+#: measure 256 B (2.3 kB while records and receipts kept payloads too); a
+#: memo that pins every hashed dispute tensor grows by about 150 kB.
 MEMO_GROWTH_BOUND = 16 * 1024
 
 
@@ -46,7 +49,9 @@ def _victim(graph) -> str:
 
 
 def _make_tier(tier, graph, thresholds):
-    front = TAOService(n_way=2) if tier == "service" else TAOCluster(num_shards=2, n_way=2)
+    front = {"service": lambda: TAOService(n_way=2),
+             "cluster": lambda: TAOCluster(num_shards=2, n_way=2),
+             "fleet": lambda: ProcessFleet(num_workers=2, n_way=2)}[tier]()
     front.register_model(graph, threshold_table=thresholds)
     return front
 
@@ -64,28 +69,40 @@ def _retrace_spy(entry):
     return calls
 
 
-@pytest.mark.parametrize("tier", ["service", "cluster"])
+@pytest.mark.parametrize("tier", ["service", "cluster", "fleet"])
 def test_no_trace_outlives_its_cycle(tier, mlp_graph, mlp_thresholds,
                                      mlp_input_factory):
     name = mlp_graph.name
+    perturbations = {_victim(mlp_graph): np.float32(0.05)}
     with _make_tier(tier, mlp_graph, mlp_thresholds) as front:
-        cheater = front.model(name).session.make_adversarial_proposer(
-            "cheater", {_victim(mlp_graph): np.float32(0.05)})
+        if tier == "fleet":
+            cheater = {"type": "adversarial", "name": "cheater", "perturbations": {
+                victim: encode_perturbation(delta) for victim, delta in perturbations.items()}}
+        else:
+            cheater = front.model(name).session.make_adversarial_proposer(
+                "cheater", perturbations)
         ids = [front.submit(name, mlp_input_factory(500 + i)) for i in range(5)]
         ids.append(front.submit(name, mlp_input_factory(500)))       # in-cycle duplicate
         ids.append(front.submit(name, mlp_input_factory(600), force_challenge=True))
         ids.append(front.submit(name, mlp_input_factory(700), proposer=cheater))
-        front.process()
+        returned = front.process()
         ids.append(front.submit(name, mlp_input_factory(501)))       # cache hit
         ids.append(front.submit(name, mlp_input_factory(502), force_challenge=True))
-        front.process()
+        returned += front.process()
 
         requests = [front.request(request_id) for request_id in ids]
+        assert len(returned) == len(requests)
+        assert all(got is want for got, want in zip(returned, requests))
+        assert sum(array.nbytes for request in returned
+                   for array in request.inputs.values()) == 0
         assert {request.status for request in requests} == \
             {"finalized", "challenger_slashed", "proposer_slashed"}
         assert sum(request.cache_hit for request in requests) == 3
+        if tier == "fleet":
+            return  # the traces and the result cache live in the workers
         for request in requests:
             assert request.report.result.trace_values is None, request.request_id
+            assert not request.report.result.inputs, request.request_id
             assert request.report.result.outputs             # the receipt keeps outputs
         cache = front.model(name).result_cache
         assert len(cache) == 6
@@ -204,8 +221,7 @@ def _memo_bytes(cache) -> int:
 
 def test_hash_memo_does_not_pin_released_dispute_tensors(bert_service):
     """Dispute records hash boundary tensors of traces the cycle then
-    releases; the memo must let those arrays die with their trace.  What it
-    still resolves after a batch is what request records hold (payloads)."""
+    releases; the memo must let those arrays die with their trace."""
     make_service, name, payload = bert_service
     service = make_service()
     memo_bytes = []

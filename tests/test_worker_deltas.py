@@ -10,11 +10,14 @@ forked workers inherit: diff every row of the coordinator against every row
 of the last successful reply.  On one stream with disputes, a failed drain,
 a stranded request and a SIGKILL with journal recovery, the two delta
 streams must be equal, row for row and in order; on every tier each running
-gas total equals the scan of the chain's log.
+gas total equals the scan of the chain's log.  The same op counts the
+request records alive in the worker: a worker holds a request only while it
+is queued or in flight, so its history does not grow its memory either.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 
@@ -26,7 +29,7 @@ from repro.fleet import CoordinatorSnapshot, ProcessFleet, WorkerError
 from repro.fleet.wire import encode_perturbation
 from repro.fleet.worker import _SECTIONS, CoordinatorDeltas, ShardWorker
 from repro.graph import trace_module
-from repro.protocol.service import TAOService
+from repro.protocol.service import ServiceRequest, TAOService
 
 from tests.helpers import scanned_dispute_gas_by_action
 from test_sharded_equivalence import _victim
@@ -50,11 +53,19 @@ def _scanned_gas(coordinator):
 
 
 def _op_reference(worker, message):
-    return {"coordinator": _coordinator_payload(worker.coordinator),
-            "running": {str(dispute_id): worker.coordinator.dispute_gas(dispute_id)
-                        for dispute_id in worker.coordinator.disputes},
-            "scanned": {str(dispute_id): gas for dispute_id, gas
-                        in _scanned_gas(worker.coordinator).items()}}
+    reply = {"coordinator": _coordinator_payload(worker.coordinator),
+             "running": {str(dispute_id): worker.coordinator.dispute_gas(dispute_id)
+                         for dispute_id in worker.coordinator.disputes},
+             "scanned": {str(dispute_id): gas for dispute_id, gas
+                         in _scanned_gas(worker.coordinator).items()}}
+    if message.get("count_records"):
+        # Every request record alive in the process, wherever it is held
+        # (a forked worker also counts what it inherited from the parent).
+        gc.collect()
+        reply["records"] = sum(isinstance(obj, ServiceRequest)
+                               for obj in gc.get_objects())
+        reply["queued"] = worker.service.pending_count
+    return reply
 
 
 @pytest.fixture()
@@ -76,8 +87,9 @@ def reference_fleet(monkeypatch):
         fleet.close()
 
 
-def _reference(fleet, shard_id):
-    return fleet._call(fleet.workers[shard_id], {"op": "reference"})
+def _reference(fleet, shard_id, count_records=False):
+    return fleet._call(fleet.workers[shard_id],
+                       {"op": "reference", "count_records": count_records})
 
 
 def _mirror_payload(snapshot: CoordinatorSnapshot):
@@ -480,7 +492,9 @@ def test_stats_reply_rows_stay_flat(reference_fleet, monkeypatch, tenant_graphs,
                                     mlp_thresholds, mlp_input_factory):
     """The rows a ``stats`` reply carries do not grow with the shard's
     history: counted where the parent applies them, drain 10 equals drain
-    200 of a cached stream, and the mirror still equals the full walk."""
+    200 of a cached stream, and the mirror still equals the full walk.  Nor
+    do the worker's request records: at drains 10 and 200 it holds exactly
+    its queued ones."""
     applied = []
     real_apply = CoordinatorSnapshot.apply
 
@@ -493,6 +507,7 @@ def test_stats_reply_rows_stay_flat(reference_fleet, monkeypatch, tenant_graphs,
     graphs = tenant_graphs[:2]
     for graph in graphs:
         fleet.register_model(graph, threshold_table=mlp_thresholds)
+    inherited = _reference(fleet, "shard-0", count_records=True)["records"]
     stats_rows = {}
     for drain in range(1, 201):
         for slot, graph in enumerate(graphs):
@@ -502,6 +517,8 @@ def test_stats_reply_rows_stay_flat(reference_fleet, monkeypatch, tenant_graphs,
         if drain in (10, 200):
             fleet.stats()
             stats_rows[drain] = applied[-1]
+            held = _reference(fleet, "shard-0", count_records=True)
+            assert held["records"] - inherited == held["queued"], drain
     assert stats_rows[10] == stats_rows[200]
     mirror = fleet.workers["shard-0"].coordinator
     assert len(mirror.tasks) == 400 and len(mirror.disputes) >= 10
