@@ -8,7 +8,7 @@ shard — placement by commitment digest, request records, drains in shard-id
 order, failover with re-dispatch and the slash quarantine — is the
 :class:`~repro.cluster.placement.PlacedCore` front end the process fleet
 shares; the cluster contributes its in-process backend
-(:class:`~repro.cluster.shard.Shard`) and tenant registration.
+(:class:`~repro.cluster.shard.Shard`) and tenant hosting (``host_model``).
 
 Sharding is **observationally transparent**: the same request schedule
 produces byte-identical per-request verdicts and an exactly equal ledger
@@ -76,19 +76,25 @@ class TAOCluster(PlacedCore):
             **self._service_knobs,
         ))
 
-    def register_model(
+    def host_model(
         self,
         graph_module: GraphModule,
         calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
         threshold_table: Optional[ThresholdTable] = None,
         **session_kwargs,
     ) -> TAOSession:
-        """Register one tenant; it is homed by its commitment digest."""
+        """Host one tenant on the shard its commitment digest homes it to.
+
+        The home shard's service hosts it without minting;
+        :meth:`~repro.protocol.service.ServiceCore.register_model` (the
+        entry point) then funds its standing accounts once on the shared
+        chain.
+        """
         threshold_table, key, home = self.placement.prepare(
             graph_module, calibration_inputs, threshold_table,
             committee_envelope=session_kwargs.get("committee_envelope"),
         )
-        session = self.shards[home].service.register_model(
+        session = self.shards[home].service.host_model(
             graph_module, threshold_table=threshold_table, **session_kwargs,
         )
         self.placement.admit(TenantRecord(name=graph_module.name, key=key,

@@ -10,12 +10,13 @@ then updates membership and returns ``(tenant, target)`` moves in tenant
 name order.
 
 :class:`PlacedCore` is the front end both sharded tiers are: beside the
-request records and their clock, which every :class:`ServiceCore` owns, the
-admission to a tenant's shard and the queue reads, drains and their
-ordering, move execution with re-dispatch, the slash quarantine, the
-membership verbs and the one ``stats()``.  A tier contributes only its
-shard backend — in process, or a worker process behind RPC — and its tenant
-registration.
+request records, their clock and the funding of a tenant's standing
+accounts, which every :class:`ServiceCore` owns, the admission to a
+tenant's shard and the queue reads, drains and their ordering, move
+execution with re-dispatch, the slash quarantine, the membership verbs and
+the one ``stats()``.  A tier contributes only its shard backend — in
+process, or a worker process behind RPC — and its tenant hosting
+(``host_model``).
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ class PlacedCore(ServiceCore):
 
     :class:`~repro.cluster.shard.Shard` implements it in process and
     :class:`~repro.fleet.fleet.WorkerHandle` over a worker's RPC channel.
-    Subclasses start shards and register tenants.
+    Subclasses start shards and host tenants (``host_model``).
     """
 
     #: Exceptions meaning the shard died under a call (none in process).
@@ -488,7 +489,7 @@ class PlacedCore(ServiceCore):
                         not report.dispute.proposer_cheated:
                     continue
                 record = self.placement.tenants.get(view.model_name)
-                # The standing proposer's name, as TAOService.register_model
+                # The standing proposer's name, as TAOService.host_model
                 # provisions it (a quarantine keeps it).
                 if record is not None and record.shard_id == shard_id and \
                         report.task.proposer == f"{view.model_name}-proposer":

@@ -55,7 +55,7 @@ from repro.fleet.transport import (
     TransportTimeout,
 )
 from repro.fleet.journal import JournalDivergence, ShardJournal
-from repro.fleet.wire import graph_to_payload
+from repro.fleet.wire import envelope_to_payload, graph_to_payload, table_to_payload
 from repro.fleet.worker import (
     ShardWorker,
     WorkerError,
@@ -177,8 +177,8 @@ class CoordinatorSnapshot:
 class FleetModel(TenantRecord):
     """Parent-side tenant record: placement fields plus the wire payload."""
 
-    #: The registration payload as shipped — replayed (with
-    #: ``fund_accounts=False``) when a move re-homes the tenant.
+    #: The registration payload as shipped — replayed when a move re-homes
+    #: the tenant (a worker's registration never mints).
     payload: Dict[str, Any] = field(default_factory=dict)
     challenger_clones: int = 0
 
@@ -212,14 +212,6 @@ class WorkerHandle:
 
     def call(self, payload: Dict[str, Any]) -> Any:
         return self.fleet._call(self, payload)
-
-    def register(self, record: FleetModel) -> None:
-        value = self.call(record.payload)
-        if bytes(value["digest"]) != record.key:
-            raise FleetError(
-                f"worker {self.shard_id} committed a different model digest "
-                f"for {record.name!r}; the wire round-trip is not "
-                "commitment-exact")
 
     def admit(self, request: ServiceRequest) -> None:
         """Ship one request to the worker; ``proposer``/``challenger`` must
@@ -278,13 +270,12 @@ class WorkerHandle:
                               "model": record.name})["challenger_clones"])
 
     def adopt(self, record: FleetModel, clones: int) -> None:
-        """Replay the stored registration with ``fund_accounts=False``: the
-        tenant's accounts already exist on the shared chain, and no
-        membership change may create money."""
-        record.payload = dict(record.payload, fund_accounts=False,
-                              challenger_clones=int(clones))
+        """Replay the stored registration, carrying the clone count; the
+        tenant's accounts already exist on the shared chain, and a worker's
+        registration mints nothing."""
+        record.payload = dict(record.payload, challenger_clones=int(clones))
         record.challenger_clones = int(clones)
-        self.register(record)
+        self.call(record.payload)
 
     def quarantine(self, name: str) -> None:
         self.call({"op": "quarantine", "model": name})
@@ -544,7 +535,7 @@ class ProcessFleet(PlacedCore):
     # Tenant management
     # ------------------------------------------------------------------
 
-    def register_model(
+    def host_model(
         self,
         graph_module: GraphModule,
         calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
@@ -553,12 +544,18 @@ class ProcessFleet(PlacedCore):
         colluding_majority: Optional[int] = None,
         **session_kwargs,
     ) -> FleetModel:
-        """Register one tenant; it is homed by its commitment digest.
+        """Host one tenant on the worker its commitment digest homes it to.
 
+        One ``register`` frame carries the graph, the threshold table and
+        the committee envelope as typed arrays (:mod:`repro.fleet.wire`),
+        and the routing key: the worker refuses a commitment that differs
+        from it before its coordinator or the chain sees the tenant.  The
+        worker's one chain call is the ``register_model`` transaction;
+        :meth:`~repro.protocol.service.ServiceCore.register_model` (the
+        entry point) then funds the standing accounts once, parent-side.
         Returns the parent-side :class:`FleetModel` record (the session
-        itself lives inside the worker).  ``committee_envelope`` travels by
-        value; a colluding committee travels as its majority count and is
-        rebuilt by the workers' actor module.
+        itself lives inside the worker).  A colluding committee travels as
+        its majority count and is rebuilt by the workers' actor module.
         """
         if session_kwargs:
             raise FleetError(
@@ -572,16 +569,16 @@ class ProcessFleet(PlacedCore):
         payload = {
             "op": "register",
             "name": name,
+            "key": key,
             "graph": graph_to_payload(graph_module),
-            "thresholds": threshold_table.to_dict(),
+            "thresholds": table_to_payload(threshold_table),
             "committee_envelope": None if committee_envelope is None
-            else committee_envelope.to_dict(),
+            else envelope_to_payload(committee_envelope),
             "colluding_majority": colluding_majority,
-            "fund_accounts": True,
             "challenger_clones": 0,
         }
         record = FleetModel(name=name, key=key, shard_id=home, payload=payload)
-        self.workers[home].register(record)
+        self.workers[home].call(payload)
         return self.placement.admit(record)
 
     def model(self, name: str):

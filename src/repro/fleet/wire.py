@@ -13,6 +13,14 @@ normalizes away, so this module defines the explicit, tagged payload shapes:
   module through :func:`graph_to_payload`/:func:`graph_from_payload` yields
   a graph with an identical signature, identical parameters and therefore a
   byte-identical model commitment.
+* **Tables** — a :class:`~repro.calibration.thresholds.ThresholdTable` or a
+  :class:`~repro.calibration.committee.CommitteeEnvelopeProfile` travels as
+  its operator names and op types in sorted-name order, beside one float64
+  ``(operators, grid)`` array per side (``abs``, ``rel``) and the table's
+  scalar fields.  The decoded rows give :meth:`leaf_payloads` byte for byte,
+  so the model commitment is unchanged; a frame whose arrays are not 2-D
+  float64 of that shape is refused.  (``to_dict``/``from_dict`` stay the
+  calibration goldens' float-list form.)
 * **Perturbations** — adversarial deltas keep their numpy dtype via a
   ``{"__scalar__": {"dtype", "value"}}`` tag (a bare ``np.float32`` would
   come back as a Python float and change the perturbed trace bits).
@@ -29,6 +37,8 @@ from typing import Any, Dict
 
 import numpy as np
 
+from repro.calibration.committee import CommitteeEnvelopeProfile
+from repro.calibration.thresholds import ThresholdTable
 from repro.graph.graph import Graph, GraphModule
 from repro.graph.node import Node
 
@@ -123,6 +133,83 @@ def graph_from_payload(payload: Dict[str, Any]) -> GraphModule:
         name=payload["name"],
         metadata=dict(payload["metadata"]),
     )
+
+
+# ----------------------------------------------------------------------
+# Threshold tables and committee envelopes
+# ----------------------------------------------------------------------
+
+def table_to_payload(table: ThresholdTable) -> Dict[str, Any]:
+    """A codec-shippable threshold table: names, op types, two row arrays."""
+    names = table.operator_names()
+    return {
+        "model_name": table.model_name,
+        "alpha": table.alpha,
+        "grid": list(table.grid),
+        "names": names,
+        "op_types": [table.op_types.get(name, "") for name in names],
+        "abs": _rows(table.abs_thresholds, names, len(table.grid)),
+        "rel": _rows(table.rel_thresholds, names, len(table.grid)),
+    }
+
+
+def table_from_payload(payload: Dict[str, Any]) -> ThresholdTable:
+    """Rebuild the table; its leaf payloads equal the original's."""
+    return _fill_table(ThresholdTable(
+        model_name=str(payload["model_name"]), alpha=float(payload["alpha"]),
+        grid=tuple(payload["grid"])), payload)
+
+
+def envelope_to_payload(profile: CommitteeEnvelopeProfile) -> Dict[str, Any]:
+    """A committee envelope: its table form plus the provenance fields."""
+    return dict(
+        table_to_payload(profile),
+        envelope_percentile=profile.envelope_percentile,
+        rel_scale_floor=profile.rel_scale_floor,
+        num_samples=profile.num_samples,
+        num_pairs=profile.num_pairs,
+        stability=dict(profile.stability),
+    )
+
+
+def envelope_from_payload(payload: Dict[str, Any]) -> CommitteeEnvelopeProfile:
+    """Rebuild the envelope; its leaf payloads equal the original's."""
+    return _fill_table(CommitteeEnvelopeProfile(
+        model_name=str(payload["model_name"]), alpha=float(payload["alpha"]),
+        grid=tuple(payload["grid"]),
+        envelope_percentile=float(payload["envelope_percentile"]),
+        rel_scale_floor=float(payload["rel_scale_floor"]),
+        num_samples=int(payload["num_samples"]),
+        num_pairs=int(payload["num_pairs"]),
+        stability={str(name): float(value)
+                   for name, value in payload["stability"].items()}), payload)
+
+
+def _rows(side: Dict[str, np.ndarray], names, width: int) -> np.ndarray:
+    rows = np.empty((len(names), width), dtype=np.float64)
+    for index, name in enumerate(names):
+        rows[index] = side[name]
+    return rows
+
+
+def _fill_table(table, payload: Dict[str, Any]):
+    names, op_types = list(payload["names"]), list(payload["op_types"])
+    if len(op_types) != len(names) or len(set(names)) != len(names):
+        raise ValueError("table frame: names and op types disagree")
+    shape = (len(names), len(table.grid))
+    for side in ("abs", "rel"):
+        rows = payload[side]
+        if not isinstance(rows, np.ndarray) or rows.dtype != np.float64 \
+                or rows.shape != shape:
+            raise ValueError(
+                f"table frame: {side!r} must be a float64 array of shape "
+                f"{shape}, got {getattr(rows, 'dtype', type(rows).__name__)} "
+                f"{getattr(rows, 'shape', '')}")
+    for index, name in enumerate(names):
+        table.abs_thresholds[name] = payload["abs"][index]
+        table.rel_thresholds[name] = payload["rel"][index]
+        table.op_types[name] = str(op_types[index])
+    return table
 
 
 # ----------------------------------------------------------------------

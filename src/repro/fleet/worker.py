@@ -43,13 +43,12 @@ import importlib
 import socket
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.calibration.committee import CommitteeEnvelopeProfile
-from repro.calibration.thresholds import ThresholdTable
 from repro.fleet.chainproxy import RemoteLedger
 from repro.fleet.transport import MessageChannel, TransportClosed, channel_pair
-from repro.fleet.wire import graph_from_payload
+from repro.fleet.wire import envelope_from_payload, graph_from_payload, table_from_payload
 from repro.protocol.chain import ShardChainView
 from repro.protocol.coordinator import Coordinator, DisputePhase
+from repro.protocol.lifecycle import commit_phase0
 from repro.protocol.service import TERMINAL_TASK_STATUSES, ServiceRequest, TAOService
 
 
@@ -206,23 +205,31 @@ class ShardWorker:
 
     def op_register(self, message: Dict[str, Any]) -> Dict[str, Any]:
         graph_module = graph_from_payload(message["graph"])
-        thresholds = ThresholdTable.from_dict(message["thresholds"])
+        thresholds = table_from_payload(message["thresholds"])
         session_kwargs: Dict[str, Any] = {}
         if message.get("committee_envelope") is not None:
             session_kwargs["committee_envelope"] = \
-                CommitteeEnvelopeProfile.from_dict(message["committee_envelope"])
+                envelope_from_payload(message["committee_envelope"])
+        # The commitment must be the one the front end routed by, checked
+        # before the coordinator or the chain sees the tenant, so a refused
+        # registration leaves nothing behind.  (The session's setup then
+        # reuses this commitment from the hash cache.)
+        _, commitment = commit_phase0(
+            graph_module, self.service.devices, self.service.alpha,
+            self.service.hash_cache, None, thresholds,
+            session_kwargs.get("committee_envelope"))
+        if commitment.digest() != bytes(message["key"]):
+            raise ValueError(
+                f"the commitment of {graph_module.name!r} decoded here differs "
+                "from the front end's routing key; registration refused")
         if message.get("colluding_majority") is not None:
             session_kwargs["committee_factory"] = \
                 self.actors.build_committee_factory(int(message["colluding_majority"]))
-        session = self.service.register_model(
-            graph_module,
-            threshold_table=thresholds,
-            fund_accounts=bool(message.get("fund_accounts", True)),
-            **session_kwargs,
-        )
+        self.service.host_model(graph_module, threshold_table=thresholds,
+                                **session_kwargs)
         entry = self.service.model(graph_module.name)
         entry.challenger_clones = int(message.get("challenger_clones", 0))
-        return {"digest": session.model_commitment.digest()}
+        return {}
 
     def op_submit(self, message: Dict[str, Any]) -> Dict[str, Any]:
         model_name = message["model"]

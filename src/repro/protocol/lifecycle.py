@@ -35,6 +35,9 @@ from repro.protocol.roles import (
 )
 from repro.tensorlib.device import DEVICE_FLEET, DeviceProfile
 
+#: What a new account is funded with, unless a session is given another sum.
+INITIAL_BALANCE = 10_000.0
+
 
 @dataclass
 class SessionReport:
@@ -93,7 +96,7 @@ class TAOSession:
         committee_size: int = 3,
         bound_mode: BoundMode = BoundMode.PROBABILISTIC,
         leaf_path: str = "routed",
-        initial_balance: float = 10_000.0,
+        initial_balance: float = INITIAL_BALANCE,
         hash_cache: Optional[HashCache] = None,
         committee_factory: Optional[Callable[[int, DeviceProfile], CommitteeMember]] = None,
         committee_envelope=None,
@@ -129,22 +132,18 @@ class TAOSession:
     # Phase 0
     # ------------------------------------------------------------------
 
-    def setup(self, owner: str = "model-owner",
-              fund_owner: bool = True) -> ModelCommitment:
+    def setup(self, owner: str = "model-owner") -> ModelCommitment:
         """Calibrate (if necessary), commit the model and register it.
 
-        ``fund_owner=False`` registers without minting the owner's initial
-        balance — the failover path re-homing an already-funded tenant on a
-        new shard (or a new fleet worker) must not create money.  Funding
-        itself goes through :meth:`~repro.protocol.chain.SimulatedChain.fund_once`,
-        so a chain carried across campaign cycles keeps existing balances
-        instead of re-minting them.
+        Setup mints nothing: the owner's account, like the standing roles',
+        is funded once by the front end that registered the tenant
+        (:meth:`~repro.protocol.service.ServiceCore.register_model`), so a
+        backend re-registering a tenant (a move, a journal replay) never
+        creates money.
         """
         self.thresholds, self.model_commitment = commit_phase0(
             self.graph_module, self.devices, self.alpha, self.hash_cache,
             self._calibration_inputs, self.thresholds, self.committee_envelope)
-        if fund_owner:
-            self.coordinator.chain.fund_once(owner, self.initial_balance)
         # A tenant re-homed to a worker that hosted it before (drain, then a
         # later rebalance routing it back) re-runs setup against a
         # coordinator that already holds the model.  Registration is

@@ -9,9 +9,10 @@ Request life cycle inside :meth:`TAOService.process`:
 
 1. **Queue** — :meth:`ServiceCore.submit` builds one request record,
    files it under its id and :meth:`TAOService.admit` queues it; tenants
-   are models registered once via :meth:`TAOService.register_model`
+   are models registered once via :meth:`ServiceCore.register_model`
    (per-model session reuse: calibration, commitments and role objects are
-   built once, not per request).
+   built once, not per request; the front end funds the standing accounts
+   once, and a backend never mints).
 2. **Execute** — every request that misses the result cache runs alone:
    one :meth:`~repro.protocol.roles.Proposer.execute` (the tenant's standing
    proposer, or the one the request names) and one
@@ -57,10 +58,13 @@ drive any of them interchangeably.  The front end owns each request's one
 record and its one clock: ``submit`` stamps ``submitted_s`` and files the
 record under the id it returns, and :meth:`ServiceCore.process` stamps
 ``completed_s`` on each record it returns, records that latency in the
-tier's one digest and drops the record's payload.  Below it a tier speaks
-backend verbs only — ``admit`` a record, ``drain`` the queue — so a shard's
-service (in process, or in a worker process) holds a request only while it
-is pending or in flight.  :meth:`TAOService.withdraw_queued`,
+tier's one digest and drops the record's payload.  It also owns a
+tenant's money: :meth:`ServiceCore.register_model` funds the standing
+accounts once, after the home backend hosted the tenant.  Below it a tier
+speaks backend verbs only — ``host_model`` a tenant (minting nothing),
+``admit`` a record, ``drain`` the queue — so a shard's service (in process,
+or in a worker process) holds a request only while it is pending or in
+flight.  :meth:`TAOService.withdraw_queued`,
 :meth:`TAOService.detach_model` and :meth:`TAOService.adopt_model` are the
 migration primitives the sharded tiers use to move a tenant — session,
 standing roles, result cache and clone accounting intact — between shards
@@ -82,11 +86,15 @@ from repro.merkle.cache import HashCache
 from repro.merkle.commitments import execution_input_hash
 from repro.protocol.coordinator import Coordinator, TaskStatus
 from repro.protocol.dispute import ActiveDispute, DisputeGame
-from repro.protocol.lifecycle import SessionReport, TAOSession
+from repro.protocol.lifecycle import INITIAL_BALANCE, SessionReport, TAOSession
 from repro.protocol.roles import Challenger, HonestProposer, ProposedResult, Proposer
 from repro.tensorlib.device import DEVICE_FLEET, DeviceProfile
 from repro.utils.digest import LatencyDigest
 from repro.utils.timing import now, thread_now
+
+#: A tenant's standing accounts, ``f"{model}-{role}"``, which
+#: :meth:`ServiceCore.register_model` funds once.
+STANDING_ROLES = ("owner", "proposer", "challenger", "user")
 
 #: Coordinator task states with no further protocol step pending — a failed
 #: drain adopts these as the request's final status during unwind.
@@ -288,8 +296,10 @@ class ServiceCore(abc.ABC):
     objects and account through :class:`ServiceStats`, so a caller written
     against this interface (examples, benchmarks, the protocol simulator's
     runner) is oblivious to whether one queue or a sharded fleet serves it.
-    It owns the request records, their clock and the latency digest; a tier
-    adds the backend verbs :meth:`admit` and :meth:`drain`.
+    It owns the request records, their clock, the latency digest and the
+    funding of each tenant's standing accounts; a tier adds the backend
+    verbs :meth:`host_model`, :meth:`admit` and :meth:`drain`, and its
+    settlement ``chain``.
     """
 
     def __init__(self) -> None:
@@ -300,11 +310,31 @@ class ServiceCore(abc.ABC):
         #: One observation per request :meth:`process` returned.
         self.latency = LatencyDigest()
 
-    @abc.abstractmethod
     def register_model(self, graph_module: GraphModule,
                        calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
-                       threshold_table=None, **session_kwargs) -> TAOSession:
-        """Register one tenant model; returns its (home) session."""
+                       threshold_table=None, **session_kwargs):
+        """Register one tenant: :meth:`host_model` on its home backend, then
+        fund its standing accounts once, on this tier's ``chain``.
+
+        Returns what :meth:`host_model` returned (the session; a fleet's
+        parent-side tenant record).  The front end is the only minter of a
+        tenant's accounts: a backend that hosts the tenant again (a move, a
+        journal replay) never funds, and a refused registration has funded
+        nothing.
+        """
+        hosted = self.host_model(graph_module, calibration_inputs,
+                                 threshold_table, **session_kwargs)
+        balance = float(session_kwargs.get("initial_balance", INITIAL_BALANCE))
+        for role in STANDING_ROLES:
+            self.chain.fund_once(f"{graph_module.name}-{role}", balance)
+        return hosted
+
+    @abc.abstractmethod
+    def host_model(self, graph_module: GraphModule,
+                   calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
+                   threshold_table=None, **session_kwargs):
+        """Commit and host one tenant on its home backend, minting nothing
+        (a backend verb)."""
 
     @abc.abstractmethod
     def model(self, name: str) -> "ModelEntry":
@@ -427,21 +457,24 @@ class TAOService(ServiceCore):
     # Tenant management
     # ------------------------------------------------------------------
 
-    def register_model(
+    @property
+    def chain(self):
+        """The settlement chain this service's coordinator settles on."""
+        return self.coordinator.chain
+
+    def host_model(
         self,
         graph_module: GraphModule,
         calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
         threshold_table=None,
         proposer_device: Optional[DeviceProfile] = None,
-        fund_accounts: bool = True,
         **session_kwargs,
     ) -> TAOSession:
-        """Register one model: calibrate/commit once, build standing roles.
+        """Host one model: calibrate/commit once, build standing roles.
 
-        ``fund_accounts=False`` builds the standing roles without minting
-        their initial balances — the re-registration leg of a process-fleet
-        move, where the tenant's accounts already exist on the shared
-        settlement chain and re-homing must not create money.
+        Mints nothing: :meth:`ServiceCore.register_model` funds the standing
+        accounts once the tenant is hosted, and a cluster shard's service or
+        a fleet worker is only ever asked to host.
         """
         name = graph_module.name
         if name in self._models:
@@ -459,15 +492,14 @@ class TAOService(ServiceCore):
             hash_cache=self.hash_cache,
             **session_kwargs,
         )
-        session.setup(owner=f"{name}-owner", fund_owner=fund_accounts)
+        session.setup(owner=f"{name}-owner")
         entry = ModelEntry(
             name=name,
             session=session,
             proposer=session.make_honest_proposer(f"{name}-proposer", proposer_device,
-                                                  fund=fund_accounts),
-            challenger=session.make_challenger(f"{name}-challenger",
-                                               fund=fund_accounts),
-            user=session.make_user(f"{name}-user", fund=fund_accounts),
+                                                  fund=False),
+            challenger=session.make_challenger(f"{name}-challenger", fund=False),
+            user=session.make_user(f"{name}-user", fund=False),
         )
         self._models[name] = entry
         return session

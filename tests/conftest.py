@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.calibration import Calibrator, CalibrationConfig, ThresholdTable
+from repro.calibration import (Calibrator, CalibrationConfig, CommitteeEnvelopeConfig,
+                               ThresholdTable, calibrate_committee_envelope)
 from repro.graph import Module, Parameter, trace_module
 from repro.graph import functional as F
 from repro.tensorlib import DEVICE_FLEET
@@ -72,6 +73,13 @@ def mlp_calibration(mlp_graph):
 @pytest.fixture(scope="session")
 def mlp_thresholds(mlp_calibration):
     return ThresholdTable.from_calibration(mlp_calibration, alpha=3.0)
+
+
+@pytest.fixture(scope="session")
+def mlp_envelope(mlp_graph):
+    return calibrate_committee_envelope(
+        mlp_graph, [_mlp_inputs(1000 + i) for i in range(4)],
+        CommitteeEnvelopeConfig(devices=DEVICE_FLEET))
 
 
 @pytest.fixture(scope="session")

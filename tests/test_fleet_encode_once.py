@@ -7,7 +7,8 @@ counts, check every journal record against the canonical encoding of the
 frames exchanged, and pin that a ``process`` response carries only the
 coordinator rows that changed since the previous successful one while the
 parent's snapshot still equals the worker's full coordinator after every
-drain — including drains that fail partway.
+drain — including drains that fail partway.  One registration is one
+``register`` frame, whose tables travel as arrays, and one chain call.
 """
 
 from __future__ import annotations
@@ -149,6 +150,52 @@ def test_journal_records_equal_the_canonical_map_of_the_frames(spied_run):
     assert journal._spec == spec and spec
     assert journal._chain == chain and chain
     assert journal._commands == commands and len(commands) >= 6
+
+
+def _float_scalars(value) -> int:
+    if isinstance(value, float):
+        return 1
+    if isinstance(value, dict):
+        return sum(_float_scalars(item) for item in value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(_float_scalars(item) for item in value)
+    return 0
+
+
+def _longest_float_list(value) -> int:
+    if isinstance(value, dict):
+        return max([0] + [_longest_float_list(item) for item in value.values()])
+    if isinstance(value, (list, tuple)):
+        own = len(value) if all(isinstance(item, float) for item in value) else 0
+        return max([own] + [_longest_float_list(item) for item in value])
+    return 0
+
+
+def test_one_registration_is_one_typed_frame_and_one_chain_call(
+        mlp_graph, mlp_thresholds, mlp_envelope):
+    """Exact counters for one MLP tenant with an envelope: one chain frame
+    (the ``register_model`` transaction; the front end funds the standing
+    accounts itself), tables as float64 row arrays, and a journal under
+    40,000 bytes (the float-list frame with five chain calls journaled
+    about 48,000)."""
+    with ProcessFleet(num_workers=1) as fleet:
+        calls = []
+        fleet._chain_call_hook = lambda shard_id, message: calls.append(
+            message["method"])
+        model = fleet.register_model(mlp_graph, threshold_table=mlp_thresholds,
+                                     committee_envelope=mlp_envelope)
+        assert calls == ["submit"]
+        assert fleet.chain.minted == 4 * 10_000.0
+        payload = model.payload
+        grid = len(mlp_thresholds.grid)
+        assert _longest_float_list(payload) <= grid
+        assert _float_scalars(payload) <= 58
+        for table in ("thresholds", "committee_envelope"):
+            for side in ("abs", "rel"):
+                rows = payload[table][side]
+                assert rows.dtype == np.float64
+                assert rows.shape == (len(mlp_thresholds.operator_names()), grid)
+        assert fleet.journal_for(model.shard_id).size_bytes() < 40_000
 
 
 # ----------------------------------------------------------------------

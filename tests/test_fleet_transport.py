@@ -11,6 +11,12 @@ Two independent guarantees:
   to an equal value under the codec's documented normalizations (tuples
   become lists, 0-d arrays travel as tagged scalars).
 
+* **Typed registration tables.**  A threshold table and a committee
+  envelope travel as float64 row arrays and commit byte for byte as the
+  originals; a frame whose rows disagree with its names, or whose arrays
+  are 1-D or float32, is refused by the worker, which keeps serving.  A
+  registration refused for its commitment leaves nothing behind.
+
 * **Worker importability under spawn.**  ``repro.fleet.worker`` has no
   import-time side effects, so a full fleet boots with
   ``start_method="spawn"`` and reproduces the fork fleet's (and therefore
@@ -30,13 +36,18 @@ from repro.fleet.transport import MessageChannel, TransportClosed, channel_pair
 from repro.fleet.wire import (
     decode_perturbation,
     encode_perturbation,
+    envelope_from_payload,
+    envelope_to_payload,
     graph_from_payload,
     graph_to_payload,
+    table_from_payload,
+    table_to_payload,
 )
 from repro.calibration.thresholds import ThresholdTable
+from repro.merkle.commitments import commit_model
 from repro.protocol import TAOService
 from repro.protocol.service import ServiceStats
-from repro.utils.serialization import canonical_bytes
+from repro.utils.serialization import canonical_bytes, decode_canonical
 
 from test_sharded_equivalence import _fingerprint, _victim
 
@@ -175,6 +186,91 @@ def test_spawn_roundtrip_model_and_stats_payloads(spawn_echo, mlp_graph,
     assert canonical_bytes(echoed.to_payload()) == \
         canonical_bytes(stats.to_payload())
     assert echoed.latency.p50 == stats.latency.p50
+
+
+def test_table_wire_form_commits_byte_for_byte(mlp_graph, mlp_thresholds,
+                                               mlp_envelope):
+    """Builders plus the canonical codec reproduce every leaf payload and
+    the model digest of the table and the envelope."""
+    table = table_from_payload(decode_canonical(canonical_bytes(
+        table_to_payload(mlp_thresholds))))
+    envelope = envelope_from_payload(decode_canonical(canonical_bytes(
+        envelope_to_payload(mlp_envelope))))
+    assert type(table) is ThresholdTable
+    assert table.leaf_payloads() == mlp_thresholds.leaf_payloads()
+    assert envelope.leaf_payloads() == mlp_envelope.leaf_payloads()
+    assert envelope.stability == mlp_envelope.stability
+    assert (envelope.num_samples, envelope.num_pairs) == \
+        (mlp_envelope.num_samples, mlp_envelope.num_pairs)
+    assert commit_model(mlp_graph, table, committee_envelope=envelope).digest() \
+        == commit_model(mlp_graph, mlp_thresholds,
+                        committee_envelope=mlp_envelope).digest()
+
+
+def _register_frame(fleet, graph, thresholds, envelope):
+    _, key, _ = fleet.placement.prepare(graph, None, thresholds,
+                                        committee_envelope=envelope)
+    return {
+        "op": "register", "name": graph.name, "key": key,
+        "graph": graph_to_payload(graph),
+        "thresholds": table_to_payload(thresholds),
+        "committee_envelope": envelope_to_payload(envelope),
+        "colluding_majority": None, "challenger_clones": 0,
+    }
+
+
+def test_malformed_table_frames_are_refused_and_the_worker_serves_on(
+        mlp_graph, mlp_thresholds, mlp_envelope):
+    with ProcessFleet(num_workers=1) as fleet:
+        good = _register_frame(fleet, mlp_graph, mlp_thresholds, mlp_envelope)
+        table = good["thresholds"]
+        malformed = {
+            "rows disagree with names": dict(table, names=table["names"][:-1],
+                                             op_types=table["op_types"][:-1]),
+            "1-D array": dict(table, abs=table["abs"].ravel()),
+            "float32 array": dict(table, rel=table["rel"].astype(np.float32)),
+        }
+        handle = fleet.workers["shard-0"]
+        journal = fleet.journal_for("shard-0")
+        for label, bad in malformed.items():
+            with pytest.raises(WorkerError, match="table frame"):
+                handle.call(dict(good, thresholds=bad))
+            assert journal.commands()[-1]["ok"] is False, label
+        assert fleet.chain.transactions == [] and fleet.chain.minted == 0
+        assert handle.call({"op": "ping"}) == {"shard_id": "shard-0"}
+        handle.call(good)
+        assert journal.commands()[-1]["ok"] is True
+        assert [tx.action for tx in fleet.chain.transactions] == ["register_model"]
+
+
+def test_registration_refused_for_its_commitment_leaves_nothing(
+        mlp_graph, mlp_thresholds, mlp_envelope, monkeypatch):
+    """A worker whose commitment differs from the routing key refuses the
+    tenant before its coordinator or the chain sees it: nothing is minted,
+    no worker holds the tenant, and a correct retry succeeds."""
+    with ProcessFleet(num_workers=1) as fleet:
+        prepare = fleet.placement.prepare
+
+        def wrong_key(*args, **kwargs):
+            table, key, home = prepare(*args, **kwargs)
+            return table, bytes(32), home
+
+        monkeypatch.setattr(fleet.placement, "prepare", wrong_key)
+        with pytest.raises(WorkerError, match="routing key"):
+            fleet.register_model(mlp_graph, threshold_table=mlp_thresholds,
+                                 committee_envelope=mlp_envelope)
+        assert fleet.chain.minted == 0 and fleet.chain.balances == {}
+        assert fleet.chain.transactions == []
+        assert fleet.model_names == []
+        with pytest.raises(WorkerError, match="not registered"):
+            fleet.workers["shard-0"].call({"op": "detach",
+                                           "model": mlp_graph.name})
+        monkeypatch.setattr(fleet.placement, "prepare", prepare)
+        fleet.register_model(mlp_graph, threshold_table=mlp_thresholds,
+                             committee_envelope=mlp_envelope)
+        assert fleet.model_names == [mlp_graph.name]
+        assert fleet.chain.minted == 4 * 10_000.0
+        assert [tx.action for tx in fleet.chain.transactions] == ["register_model"]
 
 
 def test_stats_payload_stays_fixed_size():
