@@ -25,20 +25,18 @@ sweep never lapses a sibling's challenge windows.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from repro.calibration.thresholds import ThresholdTable
 from repro.cluster.placement import PlacedCore, PlacementError, TenantRecord
 from repro.cluster.shard import Shard
 from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
+from repro.merkle.commitments import ModelCommitment
 from repro.protocol.chain import ShardChainView, SimulatedChain
 from repro.protocol.coordinator import Coordinator
 from repro.protocol.lifecycle import TAOSession
 from repro.protocol.service import ModelEntry, TAOService
-from repro.tensorlib.device import DEVICE_FLEET, DeviceProfile
 
 
 class ClusterError(PlacementError):
@@ -52,7 +50,6 @@ class TAOCluster(PlacedCore):
         self,
         num_shards: int = 4,
         chain: Optional[SimulatedChain] = None,
-        devices: Sequence[DeviceProfile] = DEVICE_FLEET,
         alpha: float = 3.0,
         n_way: int = 2,
         committee_size: int = 3,
@@ -63,7 +60,7 @@ class TAOCluster(PlacedCore):
         if num_shards < 1:
             raise ValueError("a cluster needs at least one shard")
         super().__init__(
-            chain, devices, hash_cache, ClusterError, alpha, n_way=n_way,
+            chain, hash_cache, ClusterError, alpha, n_way=n_way,
             committee_size=committee_size, leaf_path=leaf_path,
             cycle_capacity=cycle_capacity)
         for index in range(num_shards):
@@ -72,31 +69,22 @@ class TAOCluster(PlacedCore):
     def _start_shard(self, shard_id: str) -> Shard:
         return Shard(shard_id, TAOService(
             coordinator=Coordinator(chain=ShardChainView(self.chain, shard_id)),
-            devices=self.devices, hash_cache=self.hash_cache,
-            **self._service_knobs,
+            hash_cache=self.hash_cache, **self._service_knobs,
         ))
 
     def host_model(
         self,
         graph_module: GraphModule,
-        calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
-        threshold_table: Optional[ThresholdTable] = None,
+        threshold_table: ThresholdTable,
+        model_commitment: ModelCommitment,
         **session_kwargs,
     ) -> TAOSession:
-        """Host one tenant on the shard its commitment digest homes it to.
-
-        The home shard's service hosts it without minting;
-        :meth:`~repro.protocol.service.ServiceCore.register_model` (the
-        entry point) then funds its standing accounts once on the shared
-        chain.
-        """
-        threshold_table, key, home = self.placement.prepare(
-            graph_module, calibration_inputs, threshold_table,
-            committee_envelope=session_kwargs.get("committee_envelope"),
-        )
+        """Host one committed tenant on the shard its commitment digest
+        homes it to; the home shard's service hosts it without minting."""
+        key = model_commitment.digest()
+        home = self.placement.ring.node_for(key)
         session = self.shards[home].service.host_model(
-            graph_module, threshold_table=threshold_table, **session_kwargs,
-        )
+            graph_module, threshold_table, model_commitment, **session_kwargs)
         self.placement.admit(TenantRecord(name=graph_module.name, key=key,
                                           shard_id=home))
         return session

@@ -3,20 +3,20 @@
 TAO settles every verdict on one shared chain whichever shard served the
 request, so *where* a tenant lives is pure policy, and :class:`Placement`
 owns all of it for the in-process cluster and the process fleet alike: the
-consistent-hash ring and the register prelude that homes a tenant on it,
-the tenant records, shard-id reservation, drained and dead membership, and
-the move plans.  Every plan validates first (the last-live guard included),
-then updates membership and returns ``(tenant, target)`` moves in tenant
-name order.
+consistent-hash ring (a tenant is homed at ``ring.node_for`` of the
+commitment digest its front end's Phase 0 produced), the tenant records,
+shard-id reservation, drained and dead membership, and the move plans.
+Every plan validates first (the last-live guard included), then updates
+membership and returns ``(tenant, target)`` moves in tenant name order.
 
 :class:`PlacedCore` is the front end both sharded tiers are: beside the
-request records, their clock and the funding of a tenant's standing
-accounts, which every :class:`ServiceCore` owns, the admission to a
-tenant's shard and the queue reads, drains and their ordering, move
-execution with re-dispatch, the slash quarantine, the membership verbs and
-the one ``stats()``.  A tier contributes only its shard backend — in
-process, or a worker process behind RPC — and its tenant hosting
-(``host_model``).
+request records, their clock, a registration's one Phase 0 and the funding
+of a tenant's standing accounts, which every :class:`ServiceCore` owns, the
+admission to a tenant's shard and the queue reads, drains and their
+ordering, move execution with re-dispatch, the slash quarantine, the
+membership verbs and the one ``stats()``.  A tier contributes only its
+shard backend — in process, or a worker process behind RPC — and its
+hosting of a committed tenant (``host_model``).
 """
 
 from __future__ import annotations
@@ -24,19 +24,12 @@ from __future__ import annotations
 import abc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple, Type)
+from typing import Any, Dict, List, Optional, Set, Tuple, Type
 
-import numpy as np
-
-from repro.calibration.thresholds import ThresholdTable
 from repro.cluster.ring import ConsistentHashRing
-from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
 from repro.protocol.chain import SimulatedChain
-from repro.protocol.lifecycle import commit_phase0
 from repro.protocol.service import ServiceCore, ServiceRequest, ServiceStats
-from repro.tensorlib.device import DeviceProfile
 from repro.utils.timing import now
 
 
@@ -66,12 +59,7 @@ class Placement:
     subclass.
     """
 
-    def __init__(self, devices: Sequence[DeviceProfile], alpha: float,
-                 hash_cache: HashCache,
-                 error: Type[PlacementError] = PlacementError) -> None:
-        self.devices = tuple(devices)
-        self.alpha = float(alpha)
-        self.hash_cache = hash_cache
+    def __init__(self, error: Type[PlacementError] = PlacementError) -> None:
         self.error = error
         self.ring = ConsistentHashRing()
         self.tenants: Dict[str, TenantRecord] = {}
@@ -86,28 +74,6 @@ class Placement:
         self.redispatched_requests = 0
 
     # -- tenants ---------------------------------------------------------
-
-    def prepare(
-        self,
-        graph_module: GraphModule,
-        calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
-        threshold_table: Optional[ThresholdTable] = None,
-        committee_envelope=None,
-    ) -> Tuple[ThresholdTable, bytes, str]:
-        """The register prelude: ``(threshold table, routing key, home)``.
-
-        The routing key *is* the commitment digest (memoized through the
-        shared hash cache, so the home shard's session setup reuses it), and
-        the committee envelope is part of what was committed.
-        """
-        name = graph_module.name
-        if name in self.tenants:
-            raise self.error(f"model {name!r} is already registered")
-        threshold_table, commitment = commit_phase0(
-            graph_module, self.devices, self.alpha, self.hash_cache,
-            calibration_inputs, threshold_table, committee_envelope)
-        key = commitment.digest()
-        return threshold_table, key, self.ring.node_for(key)
 
     def admit(self, record: TenantRecord) -> TenantRecord:
         """Record a tenant its tier registered on ``record.shard_id``."""
@@ -269,18 +235,16 @@ class PlacedCore(ServiceCore):
     _concurrent_drains = False
 
     def __init__(self, chain: Optional[SimulatedChain],
-                 devices: Sequence[DeviceProfile], hash_cache: Optional[HashCache],
+                 hash_cache: Optional[HashCache],
                  error: Type[PlacementError], alpha: float,
                  **service_knobs: Any) -> None:
         super().__init__()
         self.chain = chain or SimulatedChain()
-        self.devices = tuple(devices)
         self.alpha = float(alpha)
         self.hash_cache = hash_cache or HashCache()
         #: Constructor knobs of every shard's TAOService.
         self._service_knobs = dict(service_knobs, alpha=self.alpha)
-        self.placement = Placement(self.devices, self.alpha, self.hash_cache,
-                                   error=error)
+        self.placement = Placement(error=error)
         #: Member shards' backends, drained and dead ones included.
         self.shards: Dict[str, Any] = {}
         #: Removed shards' backends, kept for fleet-wide settlement and
@@ -348,6 +312,10 @@ class PlacedCore(ServiceCore):
     def location(self, name: str) -> str:
         """Shard currently serving ``name``."""
         return self.placement.record(name).shard_id
+
+    def _refuse_duplicate(self, name: str) -> None:
+        if name in self.placement.tenants:
+            raise self.placement.error(f"model {name!r} is already registered")
 
     # -- request intake and queue reads ----------------------------------
 

@@ -3,10 +3,12 @@
 :class:`ProcessFleet` is the out-of-process sibling of
 :class:`~repro.cluster.cluster.TAOCluster`.  Both are the one sharded front
 end, :class:`~repro.cluster.placement.PlacedCore` — consistent-hash tenant
-placement (the routing key *is* the model commitment digest), request
-records, drains, move execution with re-dispatch and the slash quarantine —
-over a different shard backend.  Here each shard is a full
-:class:`~repro.protocol.service.TAOService` living in its **own process**
+placement (the routing key *is* the digest of the commitment the front
+end's one Phase 0 made), request records, drains, move execution with
+re-dispatch and the slash quarantine — over a different shard backend.
+A worker re-runs Phase 0 once per ``register`` frame, only to check the
+routing key, and hosts the commitment it computed.  Here each shard is a
+full :class:`~repro.protocol.service.TAOService` living in its **own process**
 (:mod:`repro.fleet.worker`), and :class:`WorkerHandle` speaks the front
 end's backend vocabulary as ops over the serialized RPC transport
 (:mod:`repro.fleet.transport`).  Unbounded drains of several workers run
@@ -42,7 +44,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, field
 from threading import Lock
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -64,13 +66,12 @@ from repro.fleet.worker import (
 )
 from repro.graph.graph import GraphModule
 from repro.merkle.cache import HashCache
-from repro.merkle.commitments import ExecutionCommitment
+from repro.merkle.commitments import ExecutionCommitment, ModelCommitment
 from repro.protocol.chain import SimulatedChain
 from repro.protocol.coordinator import DisputePhase, TaskStatus
 from repro.protocol.dispute import DisputeOutcome, DisputeStatistics, RoundStatistics
 from repro.protocol.lifecycle import SessionReport
 from repro.protocol.service import ServiceRequest, ServiceStats
-from repro.tensorlib.device import DEVICE_FLEET, DeviceProfile
 from repro.utils.serialization import canonical_bytes
 
 
@@ -355,7 +356,6 @@ class ProcessFleet(PlacedCore):
         self,
         num_workers: int = 2,
         chain: Optional[SimulatedChain] = None,
-        devices: Iterable[DeviceProfile] = DEVICE_FLEET,
         alpha: float = 3.0,
         n_way: int = 2,
         committee_size: int = 3,
@@ -369,7 +369,7 @@ class ProcessFleet(PlacedCore):
         if num_workers < 1:
             raise ValueError("a fleet needs at least one worker")
         super().__init__(
-            chain, devices, hash_cache, FleetError, alpha, n_way=n_way,
+            chain, hash_cache, FleetError, alpha, n_way=n_way,
             committee_size=committee_size, leaf_path=leaf_path,
             cycle_capacity=cycle_capacity)
         self.actor_module = actor_module
@@ -538,21 +538,20 @@ class ProcessFleet(PlacedCore):
     def host_model(
         self,
         graph_module: GraphModule,
-        calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
-        threshold_table: Optional[ThresholdTable] = None,
+        threshold_table: ThresholdTable,
+        model_commitment: ModelCommitment,
         committee_envelope=None,
         colluding_majority: Optional[int] = None,
         **session_kwargs,
     ) -> FleetModel:
-        """Host one tenant on the worker its commitment digest homes it to.
+        """Host one committed tenant on the worker its commitment digest
+        homes it to.
 
         One ``register`` frame carries the graph, the threshold table and
         the committee envelope as typed arrays (:mod:`repro.fleet.wire`),
         and the routing key: the worker refuses a commitment that differs
         from it before its coordinator or the chain sees the tenant.  The
-        worker's one chain call is the ``register_model`` transaction;
-        :meth:`~repro.protocol.service.ServiceCore.register_model` (the
-        entry point) then funds the standing accounts once, parent-side.
+        worker's one chain call is the ``register_model`` transaction.
         Returns the parent-side :class:`FleetModel` record (the session
         itself lives inside the worker).  A colluding committee travels as
         its majority count and is rebuilt by the workers' actor module.
@@ -561,10 +560,8 @@ class ProcessFleet(PlacedCore):
             raise FleetError(
                 "session kwargs beyond committee_envelope/colluding_majority "
                 f"cannot cross the fleet boundary: {sorted(session_kwargs)}")
-        threshold_table, key, home = self.placement.prepare(
-            graph_module, calibration_inputs, threshold_table,
-            committee_envelope=committee_envelope,
-        )
+        key = model_commitment.digest()
+        home = self.placement.ring.node_for(key)
         name = graph_module.name
         payload = {
             "op": "register",

@@ -212,12 +212,10 @@ class ShardWorker:
                 envelope_from_payload(message["committee_envelope"])
         # The commitment must be the one the front end routed by, checked
         # before the coordinator or the chain sees the tenant, so a refused
-        # registration leaves nothing behind.  (The session's setup then
-        # reuses this commitment from the hash cache.)
+        # registration leaves nothing behind.  The session hosts this one.
         _, commitment = commit_phase0(
-            graph_module, self.service.devices, self.service.alpha,
-            self.service.hash_cache, None, thresholds,
-            session_kwargs.get("committee_envelope"))
+            graph_module, self.service.alpha, self.service.hash_cache, None,
+            thresholds, session_kwargs.get("committee_envelope"))
         if commitment.digest() != bytes(message["key"]):
             raise ValueError(
                 f"the commitment of {graph_module.name!r} decoded here differs "
@@ -225,7 +223,7 @@ class ShardWorker:
         if message.get("colluding_majority") is not None:
             session_kwargs["committee_factory"] = \
                 self.actors.build_committee_factory(int(message["colluding_majority"]))
-        self.service.host_model(graph_module, threshold_table=thresholds,
+        self.service.host_model(graph_module, thresholds, commitment,
                                 **session_kwargs)
         entry = self.service.model(graph_module.name)
         entry.challenger_clones = int(message.get("challenger_clones", 0))

@@ -159,8 +159,11 @@ def commit_model(graph_module: GraphModule, threshold_table,
     With a :class:`~repro.merkle.cache.HashCache`, re-committing the same
     (graph module, threshold table, metadata, committee envelope) tuple
     returns the memoized commitment instead of re-merkleizing every weight
-    and node signature — the multi-tenant service path commits each model
-    exactly once.  ``committee_envelope`` (a
+    and node signature.  A registration commits once by construction
+    (:meth:`~repro.protocol.service.ServiceCore.register_model`); the memo
+    serves caches shared across registrations, such as the protocol
+    simulator's, whose many short-lived services commit the same model.
+    ``committee_envelope`` (a
     :class:`~repro.calibration.committee.CommitteeEnvelopeProfile`) adds the
     committee root ``r_c`` to the bundle when the model was leaf-calibrated.
     """

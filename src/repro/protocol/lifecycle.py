@@ -1,19 +1,21 @@
 """Phase 0 of the protocol (paper Sec. 2.2): one committed model.
 
-:class:`TAOSession` is the record a tenant registration builds and
-:meth:`~repro.protocol.service.TAOService.register_model` returns: it
-calibrates empirical thresholds across the device fleet (unless a table is
-given), commits weights/graph/thresholds (and the committee envelope),
-registers the model with the coordinator, and builds the role objects and
-dispute games every request of that model uses.  Requests (Phases 1-3) are
-served by :class:`~repro.protocol.service.TAOService`, the one request path;
+:func:`commit_phase0` calibrates empirical thresholds across the device
+fleet (unless a table is given) and commits weights/graph/thresholds (and
+the committee envelope); :meth:`~repro.protocol.service.ServiceCore.register_model`,
+the front end of every tier, runs it once per registration.
+:class:`TAOSession` is the record the home backend then builds from that
+commitment and ``register_model`` returns: born committed, it registers the
+model with the coordinator and builds the role objects and dispute games
+every request of that model uses.  Requests (Phases 1-3) are served by
+:class:`~repro.protocol.service.TAOService`, the one request path;
 :class:`SessionReport` is what happened to one of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,20 +61,21 @@ class SessionReport:
         return self.task.status.value
 
 
-def commit_phase0(graph_module: GraphModule, devices: Sequence[DeviceProfile],
-                  alpha: float, hash_cache: Optional[HashCache],
+def commit_phase0(graph_module: GraphModule, alpha: float,
+                  hash_cache: Optional[HashCache],
                   calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]],
                   threshold_table: Optional[ThresholdTable], committee_envelope,
                   ) -> Tuple[ThresholdTable, ModelCommitment]:
-    """Phase 0's commitment, shared by every registration path (so a sharded
-    tier's routing key and its home shard's session commit the same bytes):
-    calibrate unless a table is given, then commit weights, graph,
-    thresholds and the committee envelope."""
+    """Phase 0: calibrate across :data:`DEVICE_FLEET` unless a table is
+    given, then commit weights, graph, thresholds and the committee
+    envelope.  :meth:`~repro.protocol.service.ServiceCore.register_model`
+    runs it once per registration; a fleet worker re-runs it only to check
+    the front end's routing key."""
     if threshold_table is None:
         if calibration_inputs is None:
             raise ValueError("registering a model requires calibration inputs "
                              "or a threshold table")
-        calibration = Calibrator(CalibrationConfig(devices=tuple(devices))) \
+        calibration = Calibrator(CalibrationConfig(devices=DEVICE_FLEET)) \
             .calibrate(graph_module, calibration_inputs)
         threshold_table = ThresholdTable.from_calibration(calibration, alpha=alpha)
     return threshold_table, commit_model(
@@ -82,16 +85,22 @@ def commit_phase0(graph_module: GraphModule, devices: Sequence[DeviceProfile],
 
 
 class TAOSession:
-    """Wires the full TAO pipeline together for one committed model."""
+    """The full TAO pipeline for one committed model, born committed.
+
+    Construction registers the commitment with the coordinator and builds
+    the committee; it mints nothing.  The owner's account, like the
+    standing roles', is funded once by the front end that registered the
+    tenant (:meth:`~repro.protocol.service.ServiceCore.register_model`), so
+    a backend re-hosting a tenant (a move, a journal replay) never creates
+    money.
+    """
 
     def __init__(
         self,
         graph_module: GraphModule,
-        calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
-        threshold_table: Optional[ThresholdTable] = None,
-        devices: Sequence[DeviceProfile] = DEVICE_FLEET,
+        threshold_table: ThresholdTable,
+        model_commitment: ModelCommitment,
         coordinator: Optional[Coordinator] = None,
-        alpha: float = 3.0,
         n_way: int = 2,
         committee_size: int = 3,
         bound_mode: BoundMode = BoundMode.PROBABILISTIC,
@@ -100,73 +109,46 @@ class TAOSession:
         hash_cache: Optional[HashCache] = None,
         committee_factory: Optional[Callable[[int, DeviceProfile], CommitteeMember]] = None,
         committee_envelope=None,
+        owner: str = "model-owner",
     ) -> None:
         self.graph_module = graph_module
-        self.devices = tuple(devices)
+        self.devices = DEVICE_FLEET
         self.coordinator = coordinator or Coordinator()
         self.hash_cache = hash_cache
-        self.alpha = float(alpha)
         self.n_way = int(n_way)
         self.committee_size = int(committee_size)
         self.bound_mode = bound_mode
         self.leaf_path = leaf_path
         self.initial_balance = float(initial_balance)
-        #: Optional hook building committee member ``i`` on a given device;
-        #: the protocol simulator injects faulty (e.g. colluding) adjudicators
-        #: here without forking the session wiring.
-        self.committee_factory = committee_factory
         #: Calibrated committee-leaf acceptance envelope
         #: (:class:`~repro.calibration.committee.CommitteeEnvelopeProfile`).
-        #: Committed as root ``r_c`` at setup, consulted by committee votes
+        #: Committed as root ``r_c`` in Phase 0, consulted by committee votes
         #: and by the challenger's selection floor; ``None`` keeps the
         #: reference (pre-calibration) tolerance everywhere.
         self.committee_envelope = committee_envelope
+        self.thresholds = threshold_table
+        self.model_commitment = model_commitment
 
-        self._calibration_inputs = list(calibration_inputs) if calibration_inputs is not None else None
-        self.thresholds: Optional[ThresholdTable] = threshold_table
-        self.model_commitment: Optional[ModelCommitment] = None
-        self.committee: List[CommitteeMember] = []
-        self._is_setup = False
-
-    # ------------------------------------------------------------------
-    # Phase 0
-    # ------------------------------------------------------------------
-
-    def setup(self, owner: str = "model-owner") -> ModelCommitment:
-        """Calibrate (if necessary), commit the model and register it.
-
-        Setup mints nothing: the owner's account, like the standing roles',
-        is funded once by the front end that registered the tenant
-        (:meth:`~repro.protocol.service.ServiceCore.register_model`), so a
-        backend re-registering a tenant (a move, a journal replay) never
-        creates money.
-        """
-        self.thresholds, self.model_commitment = commit_phase0(
-            self.graph_module, self.devices, self.alpha, self.hash_cache,
-            self._calibration_inputs, self.thresholds, self.committee_envelope)
         # A tenant re-homed to a worker that hosted it before (drain, then a
-        # later rebalance routing it back) re-runs setup against a
+        # later rebalance routing it back) is hosted again against a
         # coordinator that already holds the model.  Registration is
         # idempotent for a byte-identical commitment — same guard
         # ``TAOService.adopt_model`` applies — while a *different* model
         # under the same name still trips the coordinator's conflict error.
-        registered = self.coordinator.models.get(self.model_commitment.model_name)
-        if registered is None or registered.digest() != self.model_commitment.digest():
-            self.coordinator.register_model(self.model_commitment, owner=owner)
+        registered = self.coordinator.models.get(model_commitment.model_name)
+        if registered is None or registered.digest() != model_commitment.digest():
+            self.coordinator.register_model(model_commitment, owner=owner)
 
-        factory = self.committee_factory or (
+        # ``committee_factory`` builds committee member ``i`` on a given
+        # device; the protocol simulator injects faulty (e.g. colluding)
+        # adjudicators here without forking the session wiring.
+        factory = committee_factory or (
             lambda i, device: CommitteeMember(f"committee-{i}", device)
         )
-        self.committee = [
+        self.committee: List[CommitteeMember] = [
             factory(i, self.devices[i % len(self.devices)])
             for i in range(self.committee_size)
         ]
-        self._is_setup = True
-        return self.model_commitment
-
-    def require_setup(self) -> None:
-        if not self._is_setup:
-            raise RuntimeError("TAOSession.setup() must be called before serving requests")
 
     # ------------------------------------------------------------------
     # Role factories
@@ -194,7 +176,6 @@ class TAOSession:
     def make_challenger(self, name: str = "challenger",
                         device: Optional[DeviceProfile] = None,
                         fund: bool = True) -> Challenger:
-        self.require_setup()
         if fund:
             self.coordinator.chain.fund_once(name, self.initial_balance)
         return Challenger(name, device or self.devices[-1], self.thresholds,
@@ -207,7 +188,6 @@ class TAOSession:
         :class:`~repro.protocol.service.TAOService` opens one per dispute and
         multiplexes them round-robin over the shared coordinator.
         """
-        self.require_setup()
         return DisputeGame(
             coordinator=self.coordinator,
             graph_module=self.graph_module,

@@ -10,9 +10,10 @@ Request life cycle inside :meth:`TAOService.process`:
 1. **Queue** — :meth:`ServiceCore.submit` builds one request record,
    files it under its id and :meth:`TAOService.admit` queues it; tenants
    are models registered once via :meth:`ServiceCore.register_model`
-   (per-model session reuse: calibration, commitments and role objects are
-   built once, not per request; the front end funds the standing accounts
-   once, and a backend never mints).
+   (per-model session reuse: the front end runs Phase 0 — calibration and
+   commitment — once, the home backend builds the session and role objects
+   once, not per request; the front end funds the standing accounts once,
+   and a backend never mints).
 2. **Execute** — every request that misses the result cache runs alone:
    one :meth:`~repro.protocol.roles.Proposer.execute` (the tenant's standing
    proposer, or the one the request names) and one
@@ -59,12 +60,13 @@ record and its one clock: ``submit`` stamps ``submitted_s`` and files the
 record under the id it returns, and :meth:`ServiceCore.process` stamps
 ``completed_s`` on each record it returns, records that latency in the
 tier's one digest and drops the record's payload.  It also owns a
-tenant's money: :meth:`ServiceCore.register_model` funds the standing
+tenant's Phase 0 and money: :meth:`ServiceCore.register_model` refuses a
+name the tier hosts, commits the model once, and funds the standing
 accounts once, after the home backend hosted the tenant.  Below it a tier
-speaks backend verbs only — ``host_model`` a tenant (minting nothing),
-``admit`` a record, ``drain`` the queue — so a shard's service (in process,
-or in a worker process) holds a request only while it is pending or in
-flight.  :meth:`TAOService.withdraw_queued`,
+speaks backend verbs only — ``host_model`` a committed tenant (minting
+nothing), ``admit`` a record, ``drain`` the queue — so a shard's service
+(in process, or in a worker process) holds a request only while it is
+pending or in flight.  :meth:`TAOService.withdraw_queued`,
 :meth:`TAOService.detach_model` and :meth:`TAOService.adopt_model` are the
 migration primitives the sharded tiers use to move a tenant — session,
 standing roles, result cache and clone accounting intact — between shards
@@ -76,7 +78,7 @@ from __future__ import annotations
 import abc
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, fields, replace
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -86,9 +88,10 @@ from repro.merkle.cache import HashCache
 from repro.merkle.commitments import execution_input_hash
 from repro.protocol.coordinator import Coordinator, TaskStatus
 from repro.protocol.dispute import ActiveDispute, DisputeGame
-from repro.protocol.lifecycle import INITIAL_BALANCE, SessionReport, TAOSession
+from repro.protocol.lifecycle import (INITIAL_BALANCE, SessionReport, TAOSession,
+                                      commit_phase0)
 from repro.protocol.roles import Challenger, HonestProposer, ProposedResult, Proposer
-from repro.tensorlib.device import DEVICE_FLEET, DeviceProfile
+from repro.tensorlib.device import DeviceProfile
 from repro.utils.digest import LatencyDigest
 from repro.utils.timing import now, thread_now
 
@@ -296,10 +299,12 @@ class ServiceCore(abc.ABC):
     objects and account through :class:`ServiceStats`, so a caller written
     against this interface (examples, benchmarks, the protocol simulator's
     runner) is oblivious to whether one queue or a sharded fleet serves it.
-    It owns the request records, their clock, the latency digest and the
-    funding of each tenant's standing accounts; a tier adds the backend
-    verbs :meth:`host_model`, :meth:`admit` and :meth:`drain`, and its
-    settlement ``chain``.
+    It owns the request records, their clock, the latency digest, each
+    registration's one Phase 0 and the funding of each tenant's standing
+    accounts; a tier adds the backend verbs :meth:`host_model`,
+    :meth:`admit` and :meth:`drain`, its duplicate-name refusal, its
+    settlement ``chain`` and the ``alpha`` and ``hash_cache`` Phase 0
+    commits with.
     """
 
     def __init__(self) -> None:
@@ -313,27 +318,36 @@ class ServiceCore(abc.ABC):
     def register_model(self, graph_module: GraphModule,
                        calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
                        threshold_table=None, **session_kwargs):
-        """Register one tenant: :meth:`host_model` on its home backend, then
-        fund its standing accounts once, on this tier's ``chain``.
+        """Register one tenant: refuse a name this tier hosts, run Phase 0
+        once (:func:`~repro.protocol.lifecycle.commit_phase0`),
+        :meth:`host_model` the commitment on its home backend, then fund
+        its standing accounts once, on this tier's ``chain``.
 
-        Returns what :meth:`host_model` returned (the session; a fleet's
-        parent-side tenant record).  The front end is the only minter of a
-        tenant's accounts: a backend that hosts the tenant again (a move, a
-        journal replay) never funds, and a refused registration has funded
-        nothing.
+        The only place any tier calibrates and commits.  Returns what
+        :meth:`host_model` returned (the session; a fleet's parent-side
+        tenant record).  The front end is the only minter of a tenant's
+        accounts: a backend that hosts the tenant again (a move, a journal
+        replay) never funds, and a refused registration has funded nothing.
         """
-        hosted = self.host_model(graph_module, calibration_inputs,
-                                 threshold_table, **session_kwargs)
+        self._refuse_duplicate(graph_module.name)
+        threshold_table, commitment = commit_phase0(
+            graph_module, self.alpha, self.hash_cache, calibration_inputs,
+            threshold_table, session_kwargs.get("committee_envelope"))
+        hosted = self.host_model(graph_module, threshold_table, commitment,
+                                 **session_kwargs)
         balance = float(session_kwargs.get("initial_balance", INITIAL_BALANCE))
         for role in STANDING_ROLES:
             self.chain.fund_once(f"{graph_module.name}-{role}", balance)
         return hosted
 
     @abc.abstractmethod
-    def host_model(self, graph_module: GraphModule,
-                   calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
-                   threshold_table=None, **session_kwargs):
-        """Commit and host one tenant on its home backend, minting nothing
+    def _refuse_duplicate(self, name: str) -> None:
+        """Raise if this tier already hosts a tenant called ``name``."""
+
+    @abc.abstractmethod
+    def host_model(self, graph_module: GraphModule, threshold_table,
+                   model_commitment, **session_kwargs):
+        """Host one committed tenant on its home backend, minting nothing
         (a backend verb)."""
 
     @abc.abstractmethod
@@ -418,7 +432,6 @@ class TAOService(ServiceCore):
     def __init__(
         self,
         coordinator: Optional[Coordinator] = None,
-        devices: Sequence[DeviceProfile] = DEVICE_FLEET,
         result_cache_size: int = 256,
         alpha: float = 3.0,
         n_way: int = 2,
@@ -429,7 +442,6 @@ class TAOService(ServiceCore):
     ) -> None:
         super().__init__()
         self.coordinator = coordinator or Coordinator()
-        self.devices = tuple(devices)
         self.result_cache_size = int(result_cache_size)
         self.alpha = float(alpha)
         self.n_way = int(n_way)
@@ -462,37 +474,38 @@ class TAOService(ServiceCore):
         """The settlement chain this service's coordinator settles on."""
         return self.coordinator.chain
 
+    def _refuse_duplicate(self, name: str) -> None:
+        if name in self._models:
+            raise ValueError(f"model {name!r} is already registered with this service")
+
     def host_model(
         self,
         graph_module: GraphModule,
-        calibration_inputs: Optional[Iterable[Dict[str, np.ndarray]]] = None,
-        threshold_table=None,
+        threshold_table,
+        model_commitment,
         proposer_device: Optional[DeviceProfile] = None,
         **session_kwargs,
     ) -> TAOSession:
-        """Host one model: calibrate/commit once, build standing roles.
+        """Host one committed model: its session and standing roles.
 
-        Mints nothing: :meth:`ServiceCore.register_model` funds the standing
-        accounts once the tenant is hosted, and a cluster shard's service or
-        a fleet worker is only ever asked to host.
+        Mints nothing: :meth:`ServiceCore.register_model` commits the model
+        before and funds the standing accounts after, and a cluster shard's
+        service or a fleet worker is only ever asked to host.
         """
         name = graph_module.name
-        if name in self._models:
-            raise ValueError(f"model {name!r} is already registered with this service")
+        self._refuse_duplicate(name)
         session = TAOSession(
             graph_module,
-            calibration_inputs=calibration_inputs,
-            threshold_table=threshold_table,
-            devices=self.devices,
+            threshold_table,
+            model_commitment,
             coordinator=self.coordinator,
-            alpha=self.alpha,
             n_way=self.n_way,
             committee_size=self.committee_size,
             leaf_path=self.leaf_path,
             hash_cache=self.hash_cache,
+            owner=f"{name}-owner",
             **session_kwargs,
         )
-        session.setup(owner=f"{name}-owner")
         entry = ModelEntry(
             name=name,
             session=session,

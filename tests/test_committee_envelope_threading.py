@@ -20,7 +20,7 @@ from repro.calibration import (
 from repro.cluster import TAOCluster
 from repro.merkle.cache import HashCache
 from repro.merkle.commitments import commit_model
-from repro.protocol.lifecycle import TAOSession
+from repro.protocol.lifecycle import TAOSession, commit_phase0
 from repro.protocol.service import TAOService
 from repro.tensorlib import DEVICE_FLEET
 
@@ -66,9 +66,10 @@ def test_hash_cache_keys_envelope_identity(mlp_graph, mlp_thresholds, envelope):
 
 def test_session_threads_envelope_everywhere(mlp_graph, mlp_input_factory,
                                              mlp_thresholds, envelope):
-    session = TAOSession(mlp_graph, threshold_table=mlp_thresholds,
+    thresholds, commitment = commit_phase0(mlp_graph, 3.0, None, None,
+                                           mlp_thresholds, envelope)
+    session = TAOSession(mlp_graph, thresholds, commitment,
                          committee_envelope=envelope)
-    session.setup()
     assert session.model_commitment.committee_root is not None
     challenger = session.make_challenger()
     assert challenger.committee_envelope is envelope

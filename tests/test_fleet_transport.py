@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import multiprocessing
 import socket
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from repro.fleet.wire import (
 from repro.calibration.thresholds import ThresholdTable
 from repro.merkle.commitments import commit_model
 from repro.protocol import TAOService
+from repro.protocol.lifecycle import commit_phase0
 from repro.protocol.service import ServiceStats
 from repro.utils.serialization import canonical_bytes, decode_canonical
 
@@ -208,10 +210,10 @@ def test_table_wire_form_commits_byte_for_byte(mlp_graph, mlp_thresholds,
 
 
 def _register_frame(fleet, graph, thresholds, envelope):
-    _, key, _ = fleet.placement.prepare(graph, None, thresholds,
-                                        committee_envelope=envelope)
+    _, commitment = commit_phase0(graph, fleet.alpha, fleet.hash_cache, None,
+                                  thresholds, envelope)
     return {
-        "op": "register", "name": graph.name, "key": key,
+        "op": "register", "name": graph.name, "key": commitment.digest(),
         "graph": graph_to_payload(graph),
         "thresholds": table_to_payload(thresholds),
         "committee_envelope": envelope_to_payload(envelope),
@@ -249,13 +251,13 @@ def test_registration_refused_for_its_commitment_leaves_nothing(
     tenant before its coordinator or the chain sees it: nothing is minted,
     no worker holds the tenant, and a correct retry succeeds."""
     with ProcessFleet(num_workers=1) as fleet:
-        prepare = fleet.placement.prepare
+        host_model = fleet.host_model
 
-        def wrong_key(*args, **kwargs):
-            table, key, home = prepare(*args, **kwargs)
-            return table, bytes(32), home
+        def wrong_key(graph, thresholds, commitment, **kwargs):
+            return host_model(graph, thresholds,
+                              SimpleNamespace(digest=lambda: bytes(32)), **kwargs)
 
-        monkeypatch.setattr(fleet.placement, "prepare", wrong_key)
+        monkeypatch.setattr(fleet, "host_model", wrong_key)
         with pytest.raises(WorkerError, match="routing key"):
             fleet.register_model(mlp_graph, threshold_table=mlp_thresholds,
                                  committee_envelope=mlp_envelope)
@@ -265,7 +267,7 @@ def test_registration_refused_for_its_commitment_leaves_nothing(
         with pytest.raises(WorkerError, match="not registered"):
             fleet.workers["shard-0"].call({"op": "detach",
                                            "model": mlp_graph.name})
-        monkeypatch.setattr(fleet.placement, "prepare", prepare)
+        monkeypatch.undo()
         fleet.register_model(mlp_graph, threshold_table=mlp_thresholds,
                              committee_envelope=mlp_envelope)
         assert fleet.model_names == [mlp_graph.name]

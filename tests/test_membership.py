@@ -27,7 +27,6 @@ from repro.cluster import (
 from repro.fleet import FleetError, ProcessFleet
 from repro.fleet.wire import encode_perturbation
 from repro.graph import trace_module
-from repro.merkle.cache import HashCache
 from repro.protocol.roles import HonestProposer
 from repro.protocol.service import TERMINAL_TASK_STATUSES, ServiceRequest
 
@@ -600,7 +599,7 @@ def test_fleet_add_shard_after_close_is_refused():
 # ----------------------------------------------------------------------
 
 def _placement(*shard_ids: str, tenants=()) -> Placement:
-    placement = Placement(devices=(), alpha=3.0, hash_cache=HashCache())
+    placement = Placement()
     for shard_id in shard_ids:
         placement.join(shard_id)
     for name in tenants:

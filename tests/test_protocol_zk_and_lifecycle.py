@@ -67,19 +67,6 @@ def _serve(service, inputs, **request_options):
     return service.request(request_id).report
 
 
-def test_setup_requires_some_calibration_source(mlp_graph):
-    with pytest.raises(ValueError):
-        TAOSession(mlp_graph).setup()
-
-
-def test_role_factories_require_setup(mlp_graph, mlp_thresholds):
-    sess = TAOSession(mlp_graph, threshold_table=mlp_thresholds)
-    with pytest.raises(RuntimeError):
-        sess.make_challenger()
-    with pytest.raises(RuntimeError):
-        sess.make_dispute_game()
-
-
 def test_honest_request_finalizes(service, session, mlp_input_factory):
     proposer = session.make_honest_proposer("honest-1", DEVICE_FLEET[1])
     report = _serve(service, mlp_input_factory(41), proposer=proposer)
@@ -123,11 +110,13 @@ def test_session_reuses_committed_model_for_many_requests(service, session,
     assert {service.request(i).status for i in request_ids} == {"finalized"}
 
 
-def test_setup_with_calibration_inputs(mlp_graph, mlp_input_factory):
-    sess = TAOSession(mlp_graph,
-                      calibration_inputs=[mlp_input_factory(7000 + i) for i in range(3)],
-                      n_way=2, committee_size=1)
-    commitment = sess.setup()
+def test_register_with_calibration_inputs(mlp_graph, mlp_input_factory):
+    service = TAOService(n_way=2, committee_size=1)
+    sess = service.register_model(
+        mlp_graph, calibration_inputs=[mlp_input_factory(7000 + i) for i in range(3)])
+    assert isinstance(sess, TAOSession)
+    commitment = sess.model_commitment
     assert commitment.num_operators == mlp_graph.num_operators
     assert sess.thresholds is not None
     assert len(sess.committee) == 1
+    assert service.coordinator.models[mlp_graph.name].digest() == commitment.digest()
